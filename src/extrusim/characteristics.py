@@ -12,6 +12,13 @@ with a Simpson-type rule on the trace grid and evaluated anywhere with a
 C1 Hermite interpolant, which keeps the analytic derivative formulas for
 the origin maps consistent with finite differences of the traced origins.
 
+Origins come from one broadcasting solver.  The curve reaches the start of
+the interval at beta = xi(t_start; t, x), closed form, when that lies in
+[0, 1]; otherwise it left x = 0 at the tau solving
+Q(tau) = Q(t) - x*exp(P(t)).  Q is strictly increasing, so `searchsorted`
+on its nodes finds the cell and safeguarded Newton steps on that cell's
+Hermite cubic give tau.
+
 A classical Runge-Kutta integration of the same ODE is provided as an
 independent route for cross-checking the closed form.
 """
@@ -195,105 +202,71 @@ def xi_rk4(s: float, t: float, x: float, ctx: TraceContext) -> float:
     return _rk4_span(ctx, t, x, s)
 
 
-def backtrace(t: float, x: float, ctx: TraceContext) -> CharOrigin:
-    """Trace the characteristic through (t, x) back to its origin.
+def _boundary_times(ts: np.ndarray, xs: np.ndarray, ctx: TraceContext) -> np.ndarray:
+    """Times tau at which the characteristics through (ts, xs) left x = 0.
 
-    Returns Initial(beta) when the curve reaches the start of the context
-    interval inside [0,1], otherwise Boundary(tau) with the time it left
-    through x = 0.  The position is monotone along the curve (alpha_p > 0),
-    so bisection is safe.
+    xi(tau; t, x) = 0 is Q(tau) = Q(t) - x*exp(P(t)), and Q is strictly
+    increasing, so its node values locate the cell of each root.  Newton
+    steps on that cell's Hermite cubic start from the linear interpolant of
+    the nodes; a step that leaves the sign bracket falls back to its midpoint.
     """
-    ctx._check_inside(t)
-    if not (0.0 <= x <= 1.0):
-        raise DomainError("x must lie in [0, 1]")
-    t0 = ctx.t_start
-    xi0 = float(_xi_closed(t0, t, x, ctx))
-    if xi0 >= 0.0:
-        return CharOrigin(ORIGIN_INITIAL, xi0)
-    lo, hi = t0, t
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        val = float(_xi_closed(mid, t, x, ctx))
-        if abs(val) <= ROOT_TOL:
-            return CharOrigin(ORIGIN_BOUNDARY, mid)
-        if val < 0.0:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo <= 1e-15 * max(1.0, abs(hi)):
+    Q = ctx._Q
+    target = Q(ts) - xs * np.exp(ctx._P(ts))
+    k = np.clip(np.searchsorted(Q.nodes, target, side="right") - 1, 0, Q.nodes.size - 2)
+    hi = np.minimum(Q.t0 + (k + 1) * Q.dt, ts)
+    lo = np.minimum(Q.t0 + k * Q.dt, hi)
+    frac = (target - Q.nodes[k]) / (Q.nodes[k + 1] - Q.nodes[k])
+    tau = np.clip(Q.t0 + (k + frac) * Q.dt, lo, hi)
+    # a converged point stops moving, so each tau is independent of the batch
+    done = np.zeros(tau.shape, dtype=bool)
+    for _ in range(100):
+        r = Q(tau) - target
+        lo = np.where(r < 0.0, tau, lo)
+        hi = np.where(r > 0.0, tau, hi)
+        new = tau - r / Q.derivative(tau)
+        new = np.where((new >= lo) & (new <= hi), new, 0.5 * (lo + hi))
+        new = np.where(done, tau, new)
+        done |= np.abs(new - tau) <= 4e-16 * np.maximum(1.0, np.abs(tau))
+        tau = new
+        if np.all(done):
             break
-    tau = 0.5 * (lo + hi)
-    if abs(float(_xi_closed(tau, t, x, ctx))) > 1e-9:
-        raise DivergenceError("bisection failed to pin the boundary crossing")
-    return CharOrigin(ORIGIN_BOUNDARY, tau)
+    res = np.max(np.abs(_xi_closed(tau, ts, xs, ctx)))
+    if res > 1e-9:
+        raise DivergenceError(f"origin solver left residual {res:.3g} at the boundary crossing")
+    return tau
 
 
-def backtrace_batch(t: float, xs: np.ndarray, ctx: TraceContext):
-    """Vectorized backtrace for one time row.
+def _origins(ts, xs, ctx: TraceContext):
+    """Trace the characteristics through (ts, xs) back to their origins.
 
-    Returns (is_boundary: bool array, origin: float array) where origin
-    holds beta for initial points and tau for boundary points.  Same
-    bisection as the scalar version, run on all boundary points at once.
+    ts and xs broadcast against each other.  Returns (is_boundary, origin)
+    arrays of the broadcast shape: origin holds beta where the curve reaches
+    the start of the context interval inside [0, 1], and tau where it left
+    through x = 0 (alpha_p > 0, so every curve has exactly one of the two).
     """
-    ctx._check_inside(t)
-    xs = np.asarray(xs, dtype=float)
-    t0 = ctx.t_start
-    xi0 = np.asarray(_xi_closed(t0, t, xs, ctx), dtype=float)
-    is_boundary = xi0 < 0.0
-    origin = np.where(is_boundary, 0.0, np.maximum(xi0, 0.0))
-    if np.any(is_boundary):
-        xb = xs[is_boundary]
-        lo = np.full(xb.shape, t0)
-        hi = np.full(xb.shape, float(t))
-        for _ in range(100):
-            mid = 0.5 * (lo + hi)
-            val = np.asarray(_xi_closed(mid, t, xb, ctx), dtype=float)
-            neg = val < 0.0
-            lo = np.where(neg, mid, lo)
-            hi = np.where(neg, hi, mid)
-            if np.max(hi - lo) <= 1e-15 * max(1.0, abs(t)):
-                break
-        tau = 0.5 * (lo + hi)
-        res = np.max(np.abs(np.asarray(_xi_closed(tau, t, xb, ctx), dtype=float)))
-        if res > 1e-9:
-            raise DivergenceError("vectorized bisection failed to pin boundary crossings")
-        origin[is_boundary] = tau
-    return is_boundary, origin
-
-
-def backtrace_times(ts: np.ndarray, x: float, ctx: TraceContext):
-    """Vectorized backtrace of one foot point over many observation times.
-
-    Counterpart of backtrace_batch with the roles swapped: fixed x, array
-    of times.  Returns (is_boundary, origin) arrays in the same convention.
-    """
-    ts = np.asarray(ts, dtype=float)
-    if ts.size and (np.min(ts) < ctx.t_start - 1e-12 or np.max(ts) > ctx.t_end + 1e-12):
-        raise DomainError("times outside context interval")
-    if not (0.0 <= x <= 1.0):
+    ts, xs = np.broadcast_arrays(np.asarray(ts, dtype=float), np.asarray(xs, dtype=float))
+    if not np.all((ts >= ctx.t_start - 1e-12) & (ts <= ctx.t_end + 1e-12)):
+        raise DomainError(f"times outside context interval [{ctx.t_start}, {ctx.t_end}]")
+    if not np.all((xs >= 0.0) & (xs <= 1.0)):
         raise DomainError("x must lie in [0, 1]")
-    t0 = ctx.t_start
-    xi0 = np.asarray(_xi_closed(t0, ts, x, ctx), dtype=float)
+    xi0 = np.asarray(_xi_closed(ctx.t_start, ts, xs, ctx), dtype=float)
     is_boundary = xi0 < 0.0
     origin = np.where(is_boundary, 0.0, np.maximum(xi0, 0.0))
     if np.any(is_boundary):
-        tb = ts[is_boundary]
-        lo = np.full(tb.shape, t0)
-        hi = tb.copy()
-        for _ in range(100):
-            mid = 0.5 * (lo + hi)
-            val = np.asarray(_xi_closed(mid, tb, x, ctx), dtype=float)
-            neg = val < 0.0
-            lo = np.where(neg, mid, lo)
-            hi = np.where(neg, hi, mid)
-            if np.max(hi - lo) <= 1e-15 * max(1.0, float(np.max(np.abs(tb)))):
-                break
-        tau = 0.5 * (lo + hi)
-        res = np.max(np.abs(np.asarray(_xi_closed(tau, tb, x, ctx), dtype=float)))
-        if res > 1e-9:
-            raise DivergenceError("vectorized bisection failed to pin boundary crossings")
-        origin[is_boundary] = tau
+        origin[is_boundary] = _boundary_times(ts[is_boundary], xs[is_boundary], ctx)
     return is_boundary, origin
+
+
+# public names of the one solver: a grid of foot points, or one foot point
+# over many times.  `backtrace` calls `_origins` directly, so that a wrapper
+# installed on a public name sees every origin once.
+backtrace_batch = backtrace_times = _origins
+
+
+def backtrace(t: float, x: float, ctx: TraceContext) -> CharOrigin:
+    """Origin of the characteristic through (t, x): Initial(beta) or Boundary(tau)."""
+    is_boundary, origin = _origins(t, x, ctx)
+    return CharOrigin(ORIGIN_BOUNDARY if is_boundary else ORIGIN_INITIAL, float(origin))
 
 
 def dtau_dx(t: float, x: float, ctx: TraceContext) -> float:

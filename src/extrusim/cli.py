@@ -20,7 +20,7 @@ Blank lines and lines starting with ``#`` are skipped.  Keys:
       on t in [0,T]; the sine argument is pi*x resp. pi*t/T times freq.
   numerics.dt numerics.dx
       step sizes of the output/replay grids (defaults 5e-3, 1e-2);
-      dx must divide the unit interval
+      dt must divide mode.T and dx the unit interval
   numerics.eps1_fraction
       scales the admissibility radius of the semi-global solver;
       1.0 (default) keeps the solver's own bound
@@ -200,6 +200,8 @@ def parse_config(path: Path):
         content = path.read_text()
     except OSError as exc:
         raise SchemaError(f"{path}: {exc.strerror or exc}") from None
+    except UnicodeDecodeError as exc:
+        raise SchemaError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
     return _parse_lines(content.splitlines(), str(path))
 
 
@@ -322,7 +324,10 @@ def _sine_args(arg: str, key: str, substitute: float):
 def _grids(typed: dict, T: float):
     dt = typed.get("numerics.dt", 5e-3)
     dx = typed.get("numerics.dx", 1e-2)
-    n_t = max(2, int(round(T / dt)) + 1)
+    cells = round(T / dt)
+    if cells < 1 or abs(cells * dt - T) > 1e-9 * T:
+        raise SchemaError(f"numerics.dt: {format_value(dt)} must divide mode.T={format_value(T)}")
+    n_t = cells + 1
     n_x = max(2, int(round(1.0 / dx)) + 1)
     return dt, dx, n_t, n_x
 

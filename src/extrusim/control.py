@@ -38,7 +38,7 @@ documented detour branch, flagged on the report.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -407,11 +407,6 @@ def _synthesize_core(l0, l1, f0_p, f1_p, T, nu, params, eq, opts: SynthesisOptio
     )
 
 
-def _retime(sf: SampledFunction, t_start: float) -> SampledFunction:
-    span = sf.t_end - sf.t_start
-    return SampledFunction(t_start, t_start + span, sf.values.copy())
-
-
 def _equilibrium_report(target: ControlTarget, params, eq, opts: SynthesisOptions, T_e):
     """Degenerate target sitting exactly on the equilibrium: hold it there.
 
@@ -488,19 +483,7 @@ def _synthesize_detour(target: ControlTarget, params, eq, opts: SynthesisOptions
         raise DomainError(f"detour waypoint l_m={l_m} left (0, L)")
     mid_profile = SpaceProfile.constant(float(target.f0_p.values[-1]))
     n_leg = (opts.n_t + 1) // 2
-    leg_opts = SynthesisOptions(
-        n_t=n_leg,
-        tol=opts.tol,
-        max_iterations=opts.max_iterations,
-        g_min=opts.g_min,
-        N_min=opts.N_min,
-        N_max=opts.N_max,
-        margin=opts.margin,
-        eta=opts.eta,
-        eta_detour=opts.eta_detour,
-        nu1=opts.nu1,
-        probe_points=opts.probe_points,
-    )
+    leg_opts = replace(opts, n_t=n_leg)
     try:
         leg1 = _synthesize_core(
             l0, l_m, target.f0_p, mid_profile, T_leg, target.nu, params, eq, leg_opts

@@ -14,12 +14,6 @@ from __future__ import annotations
 import numpy as np
 
 
-def simpson_integral(values: np.ndarray, dx: float) -> float:
-    """Integral of uniformly sampled values over the full interval."""
-    values = np.asarray(values, dtype=float)
-    return float(cumulative_integral(values, dx)[-1])
-
-
 def cumulative_integral(values: np.ndarray, dx: float) -> np.ndarray:
     """Running integral at every node of a uniformly sampled integrand.
 

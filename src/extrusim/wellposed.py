@@ -143,6 +143,14 @@ def _resample(sf: SampledFunction, t_start: float, t_end: float, n: int) -> Samp
     return SampledFunction(t_start, t_end, np.asarray(sf(grid), dtype=float))
 
 
+def _datum_at(data: CauchyData, is_boundary, origin):
+    """Datum carried along each characteristic: f0_p at beta, inflow at tau."""
+    values = np.empty(origin.shape)
+    values[~is_boundary] = data.f0_p(origin[~is_boundary])
+    values[is_boundary] = data.inflow(origin[is_boundary])
+    return values
+
+
 def _apply_map(data: CauchyData, l_sf, b_sf, n):
     """One application of the solution map on the working grid of l_sf."""
     dt = l_sf.dt
@@ -150,19 +158,8 @@ def _apply_map(data: CauchyData, l_sf, b_sf, n):
     N_vals = ctx.N.values
     F_vals = np.asarray(eval_F(l_sf.values, N_vals, b_sf.values, data.params), dtype=float)
     l_new = data.l0 + cumulative_integral(F_vals, dt)
-    ts = l_sf.grid
-    is_boundary, origin = backtrace_times(ts, 1.0, ctx)
-    b_new = np.empty(n)
-    ini = ~is_boundary
-    if np.any(ini):
-        b_new[ini] = data.f0_p(origin[ini])
-    if np.any(is_boundary):
-        tau = origin[is_boundary]
-        b_new[is_boundary] = inflow_value(
-            np.asarray(data.F_in(tau), dtype=float),
-            np.asarray(data.N(tau), dtype=float),
-            data.params,
-        )
+    is_boundary, origin = backtrace_times(l_sf.grid, 1.0, ctx)
+    b_new = _datum_at(data, is_boundary, origin)
     return l_new, b_new
 
 
@@ -294,27 +291,8 @@ def _solve_context(report: LocalSolveReport, data: CauchyData) -> TraceContext:
 
 def _assemble_rows(ctx: TraceContext, data: CauchyData, t_rows, x_grid):
     """Datum transport to each requested row; returns values, flags, origins."""
-    nx = x_grid.size
-    values = np.empty((len(t_rows), nx))
-    flags = np.empty((len(t_rows), nx), dtype=bool)
-    origins = np.empty((len(t_rows), nx))
-    for i, t in enumerate(t_rows):
-        is_boundary, origin = backtrace_batch(float(t), x_grid, ctx)
-        row = np.empty(nx)
-        ini = ~is_boundary
-        if np.any(ini):
-            row[ini] = data.f0_p(origin[ini])
-        if np.any(is_boundary):
-            tau = origin[is_boundary]
-            row[is_boundary] = inflow_value(
-                np.asarray(data.F_in(tau), dtype=float),
-                np.asarray(data.N(tau), dtype=float),
-                data.params,
-            )
-        values[i] = row
-        flags[i] = is_boundary
-        origins[i] = origin
-    return values, flags, origins
+    is_boundary, origin = backtrace_batch(np.asarray(t_rows, dtype=float)[:, None], x_grid, ctx)
+    return _datum_at(data, is_boundary, origin), is_boundary, origin
 
 
 def assemble_field(
@@ -397,13 +375,9 @@ def solve_semiglobal(
         if not first:
             # initial-origin points inherit the tag of the junction-row node
             # their characteristic started from
-            base_prov = provenance[i_lo]
-            dx = x_grid[1] - x_grid[0]
-            for r in range(seg_prov.shape[0]):
-                ini = ~seg_flags[r]
-                if np.any(ini):
-                    j = np.clip(np.round(seg_orig[r][ini] / dx).astype(int), 0, n_x - 1)
-                    seg_prov[r][ini] = base_prov[j]
+            ini = ~seg_flags
+            j = np.clip(np.round(seg_orig[ini] / (x_grid[1] - x_grid[0])).astype(int), 0, n_x - 1)
+            seg_prov[ini] = provenance[i_lo][j]
         lo_write = i_lo if first else i_lo + 1
         offset = 0 if first else 1
         values[lo_write:i_hi + 1] = seg_vals[offset:]

@@ -8,6 +8,7 @@ from extrusim.characteristics import (
     TraceContext,
     backtrace,
     backtrace_batch,
+    backtrace_times,
     crossing_time,
     dbeta_dx,
     dtau_dx,
@@ -191,3 +192,38 @@ class TestBatch:
         is_boundary, _ = backtrace_batch(0.9, np.linspace(0.0, 1.0, 201), ctx)
         flips = np.sum(np.abs(np.diff(is_boundary.astype(int))))
         assert flips <= 1
+
+    def test_broadcast_matches_rows_and_times(self):
+        ctx = wavy_ctx()
+        ts = np.linspace(0.0, 1.0, 21)
+        xs = np.linspace(0.0, 1.0, 11)
+        is_boundary, origin = backtrace_batch(ts[:, None], xs, ctx)
+        assert origin.shape == (21, 11)
+        assert np.any(is_boundary) and not np.all(is_boundary)
+        for i, t in enumerate(ts):
+            row_b, row_o = backtrace_batch(float(t), xs, ctx)
+            np.testing.assert_array_equal(row_b, is_boundary[i])
+            np.testing.assert_array_equal(row_o, origin[i])
+        for j, x in enumerate(xs):
+            col_b, col_o = backtrace_times(ts, float(x), ctx)
+            np.testing.assert_array_equal(col_b, is_boundary[:, j])
+            np.testing.assert_array_equal(col_o, origin[:, j])
+
+    def test_boundary_origins_solve_xi_zero(self):
+        ctx = wavy_ctx()
+        # t_start, grid nodes (step 5e-4) and off-node times; x = 0 included
+        ts = np.array([0.0, 0.05, 0.12345, 0.5, 0.77771, 0.9, 1.0])
+        xs = np.array([0.0, 1e-9, 0.1, 0.3, 0.6, 1.0])
+        is_boundary, origin = backtrace_batch(ts[:, None], xs, ctx)
+        # x = 0 leaves the boundary at the observation time itself
+        assert not is_boundary[0, 0] and origin[0, 0] == 0.0
+        assert np.all(is_boundary[1:, 0])
+        np.testing.assert_allclose(origin[1:, 0], ts[1:], rtol=0.0, atol=1e-12)
+        t_b, x_b = np.broadcast_arrays(ts[:, None], xs)
+        points = list(zip(t_b[is_boundary], x_b[is_boundary], origin[is_boundary]))
+        assert len(points) >= 20
+        for t, x, tau in points:
+            assert ctx.t_start <= tau <= t
+            assert abs(xi(float(tau), float(t), float(x), ctx)) <= 1e-12
+            # the independent Runge-Kutta route also lands on x = 0 at tau
+            assert abs(xi_rk4(float(tau), float(t), float(x), ctx)) <= 1e-6

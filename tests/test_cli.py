@@ -147,6 +147,21 @@ class TestSchemaErrors:
         assert run(["simulate", cfg]) == 2
         assert "numerics.dx" in capsys.readouterr().err
 
+    def test_non_utf8_config(self, tmp_path, capsys):
+        path = tmp_path / "c.cfg"
+        path.write_bytes(b"equilibrium.N_e = 1.0\nmode.out = \xff\n")
+        assert run(["simulate", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert "config error" in err and str(path) in err
+
+    def test_dt_must_divide_horizon(self, tmp_path, capsys):
+        mapping = base_simulate_cfg(tmp_path)
+        mapping["numerics.dt"] = "0.015"
+        cfg = write_cfg(tmp_path, "c.cfg", mapping)
+        assert run(["simulate", cfg]) == 2
+        assert "numerics.dt" in capsys.readouterr().err
+        assert not (tmp_path / "out" / "trace.csv").exists()
+
 
 class TestSimulateCommand:
     def test_equilibrium_data_gives_constant_rows(self, tmp_path, capsys):

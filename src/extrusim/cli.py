@@ -24,8 +24,6 @@ Blank lines and lines starting with ``#`` are skipped.  Keys:
   numerics.eps1_fraction
       scales the admissibility radius of the semi-global solver;
       1.0 (default) keeps the solver's own bound
-  numerics.tol
-      fixed-point tolerance (default 1e-10)
   mode.T mode.nu mode.method mode.out
       horizon, control deviation budget, simulate method
       (characteristics|upwind), output directory (default ".")
@@ -105,7 +103,6 @@ _FLOAT_KEYS = {
     "numerics.dt": _positive,
     "numerics.dx": _grid_step,
     "numerics.eps1_fraction": _fraction,
-    "numerics.tol": _positive,
 }
 
 _SPEC_KEYS = ("data.f0_p", "data.f1_p", "data.F_in", "data.N")
@@ -266,46 +263,33 @@ def _load_csv_columns(key: str, arg: str, base_dir: Path):
     return coords, values
 
 
-def _build_profile(typed: dict, key: str, eq: EquilibriumPoint, n: int, base_dir: Path):
-    head, _, arg = typed[key].partition(":")
-    if head == "constant":
-        return SpaceProfile.constant(_eq_value(arg, key, eq.f_pe), n)
-    if head == "linear":
-        parts = arg.split(",")
-        if len(parts) != 2:
-            raise SchemaError(f"{key}: linear takes two values")
-        v0, v1 = (_eq_value(p.strip(), key, eq.f_pe) for p in parts)
-        return SpaceProfile(np.linspace(v0, v1, n))
-    if head == "sine-perturbation":
-        base, amp, freq = _sine_args(arg, key, eq.f_pe)
-        x = np.linspace(0.0, 1.0, n)
-        return SpaceProfile(base + amp * np.sin(freq * np.pi * x))
-    coords, values = _load_csv_columns(key, arg, base_dir)
-    if abs(coords[0]) > 1e-9 or abs(coords[-1] - 1.0) > 1e-9:
-        raise SchemaError(f"{key}: profile coordinates must span [0, 1]")
-    return SpaceProfile(values)
-
-
-def _build_time_input(
-    typed: dict, key: str, substitute: float, T: float, n: int, base_dir: Path
+def _spec_samples(
+    typed: dict, key: str, substitute: float, n: int, base_dir: Path, T: float | None = None
 ):
+    """Samples of the function spec under key: a profile on x in [0, 1] when
+    T is None, else a time input on t in [0, T].
+
+    Formula specs are sampled on n uniform nodes; a csv spec brings its own
+    samples, whose coordinates must span the same interval.
+    """
     head, _, arg = typed[key].partition(":")
     if head == "constant":
-        return SampledFunction.constant(_eq_value(arg, key, substitute), 0.0, T, n)
+        return np.full(n, _eq_value(arg, key, substitute))
     if head == "linear":
         parts = arg.split(",")
         if len(parts) != 2:
             raise SchemaError(f"{key}: linear takes two values")
         v0, v1 = (_eq_value(p.strip(), key, substitute) for p in parts)
-        return SampledFunction(0.0, T, np.linspace(v0, v1, n))
+        return np.linspace(v0, v1, n)
     if head == "sine-perturbation":
         base, amp, freq = _sine_args(arg, key, substitute)
-        t = np.linspace(0.0, 1.0, n)
-        return SampledFunction(0.0, T, base + amp * np.sin(freq * np.pi * t))
+        return base + amp * np.sin(freq * np.pi * np.linspace(0.0, 1.0, n))
     coords, values = _load_csv_columns(key, arg, base_dir)
-    if abs(coords[0]) > 1e-9 or abs(coords[-1] - T) > 1e-9 * max(1.0, T):
-        raise SchemaError(f"{key}: time coordinates must span [0, {format_value(T)}]")
-    return SampledFunction(0.0, T, values)
+    span = 1.0 if T is None else T
+    if abs(coords[0]) > 1e-9 or abs(coords[-1] - span) > 1e-9 * max(1.0, span):
+        kind = "profile" if T is None else "time"
+        raise SchemaError(f"{key}: {kind} coordinates must span [0, {format_value(span)}]")
+    return values
 
 
 def _sine_args(arg: str, key: str, substitute: float):
@@ -351,10 +335,10 @@ def _write(path: Path, text: str):
 
 
 def _cauchy_data(typed: dict, params, eq, T: float, n_t: int, n_x: int, base_dir: Path):
-    f0 = _build_profile(typed, "data.f0_p", eq, n_x, base_dir)
+    f0 = SpaceProfile(_spec_samples(typed, "data.f0_p", eq.f_pe, n_x, base_dir))
     feed_eq = eq.f_pe * params.rho0 * params.V_eff * eq.N_e
-    F_in = _build_time_input(typed, "data.F_in", feed_eq, T, n_t, base_dir)
-    N = _build_time_input(typed, "data.N", eq.N_e, T, n_t, base_dir)
+    F_in = SampledFunction(0.0, T, _spec_samples(typed, "data.F_in", feed_eq, n_t, base_dir, T))
+    N = SampledFunction(0.0, T, _spec_samples(typed, "data.N", eq.N_e, n_t, base_dir, T))
     return CauchyData(typed["data.l0"], f0, F_in, N, params, eq)
 
 
@@ -398,8 +382,8 @@ def cmd_control(typed: dict, base_dir: Path) -> int:
     target = ControlTarget(
         l0=typed["data.l0"],
         l1=typed["data.l1"],
-        f0_p=_build_profile(typed, "data.f0_p", eq, n_x, base_dir),
-        f1_p=_build_profile(typed, "data.f1_p", eq, n_x, base_dir),
+        f0_p=SpaceProfile(_spec_samples(typed, "data.f0_p", eq.f_pe, n_x, base_dir)),
+        f1_p=SpaceProfile(_spec_samples(typed, "data.f1_p", eq.f_pe, n_x, base_dir)),
         T=T,
         nu=typed["mode.nu"],
     )

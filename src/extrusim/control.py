@@ -147,47 +147,6 @@ def feasibility_check(T: float, eq: EquilibriumPoint, target: ControlTarget | No
     return FeasibilityResult(False, T, T_e, witness, detail)
 
 
-def build_h(
-    v0: float,
-    v1: float,
-    t1: float,
-    nu1: float,
-    eq: EquilibriumPoint,
-    T: float | None = None,
-    n: int = 2049,
-) -> SampledFunction:
-    """Boundary ramp: cubic smoothstep v0 -> v1 on [0, t1], constant after.
-
-    The ramp window is snapped down to the sampling grid so that both
-    endpoint values are reproduced exactly by the piecewise-linear
-    interpolant (the nodes bracketing t1 both carry v1).  The worst-case
-    deviation in W1inf is max(|v0 - f_pe|, |v1 - f_pe|, 1.5|v1 - v0|/w)
-    with w the snapped window; if that exceeds the budget nu1 the ramp is
-    declared infeasible, which a longer horizon (hence a later t1) fixes.
-    """
-    f_pe = eq.f_pe
-    if not (t1 > 0.0):
-        raise DomainError(f"ramp end t1={t1} must be positive")
-    if T is None:
-        T = t1
-    if T < t1:
-        raise DomainError(f"horizon T={T} must not precede the ramp end t1={t1}")
-    if abs(v0 - f_pe) > nu1 or abs(v1 - f_pe) > nu1:
-        raise DomainError("ramp endpoints must deviate from f_pe by at most nu1")
-    grid = np.linspace(0.0, T, n)
-    dt = T / (n - 1)
-    window = max(math.floor(t1 / dt + 1e-12), 1) * dt
-    bound = max(abs(v0 - f_pe), abs(v1 - f_pe), 1.5 * abs(v1 - v0) / window)
-    if bound > nu1 * (1.0 + 1e-12):
-        raise FeasibilityError(
-            f"boundary ramp needs W1inf size {bound:.6g} > nu1={nu1:.6g}; "
-            "a larger horizon T stretches the ramp window"
-        )
-    s = np.clip(grid / window, 0.0, 1.0)
-    values = v0 + (v1 - v0) * s * s * (3.0 - 2.0 * s)
-    return SampledFunction(0.0, T, values)
-
-
 @dataclass(frozen=True)
 class SynthesisOptions:
     """Tunables of the synthesis: time grid, fixed-point tolerance and cap,
@@ -246,6 +205,8 @@ SHOOT_TOL = 1e-14
 # cap on Newton steps for the amplitude and on Picard sweeps for l(t)
 SHOOT_MAX_ITER = 50
 PICARD_MAX_ITER = 200
+# default time step of the replay in verify_control (n_t = T/REPLAY_DT + 1)
+REPLAY_DT = 1.0 / 800.0
 
 
 def _candidate_context(T, a_vals, b_vals, N_vals, params) -> TraceContext:
@@ -471,7 +432,7 @@ def verify_control(
     params: PhysicalParams,
     eq: EquilibriumPoint,
     dx: float = 1e-3,
-    n_t: int = 801,
+    n_t: int | None = None,
     n_x: int = 1601,
 ) -> VerificationCertificate:
     """Replay the synthesized controls through two independent solvers.
@@ -489,7 +450,9 @@ def verify_control(
     represents the inputs piecewise-linearly on its n_t grid, an O(dt^2)
     term.  On the unit-scale target 0.49 -> 0.51 at nu = 0.01 the interface
     error is 7.1e-8, 2.3e-8, 7.2e-9 and 9.7e-10 at n_x = 201, 401, 801 and
-    1601 (n_t = 801); the defaults keep it well below 1e-8 there.
+    1601 (n_t = 801); the defaults keep it well below 1e-8 there.  The
+    default n_t holds the replay time step at REPLAY_DT whatever the
+    horizon, so the certificate means the same on long targets.
     """
     try:
         data = CauchyData(
@@ -503,6 +466,8 @@ def verify_control(
     except ExtrusimError as exc:
         raise DivergenceError(f"replayed controls are not admissible: {exc}") from exc
     T = target.T
+    if n_t is None:
+        n_t = math.ceil(T / REPLAY_DT - 1e-9) + 1
     try:
         sol = solve_semiglobal(data, T, n_t=n_t, n_x=n_x)
     except ExtrusimError as exc:

@@ -1,5 +1,5 @@
 """Generic linear transport along characteristics, weak-form residuals,
-energy audit, and the differentiated filling-ratio systems.
+energy audit, and the x-derivative fields of the filling ratio.
 
 The scalar problem is
 
@@ -9,7 +9,12 @@ with a > 0 so every backward characteristic leaves through the initial
 axis or the inflow face.  Trajectories are integrated with classical
 Runge-Kutta, the zero crossing is refined on a cubic Hermite dense output,
 and the integrating-factor integrals accumulate with Simpson increments on
-the same parameterization.
+the same parameterization.  This generic solver serves given coefficients
+and stands as an independent check of the closed forms.
+
+The derivative fields of the filling ratio need no marching: their speed
+is the filling ratio's own, so they are closed form along the origins that
+`characteristics` solves for, scaled by exp(P) growth factors.
 """
 
 from __future__ import annotations
@@ -18,6 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .characteristics import TraceContext, backtrace_batch
 from .errors import CompatibilityError, DomainError, GridError
 from .fields import (
     PROVENANCE_BOUNDARY,
@@ -26,16 +32,14 @@ from .fields import (
     SolutionField,
     SpaceProfile,
 )
-from .model import eval_F, inflow_value
+from .model import inflow_value
 
 
 @dataclass(frozen=True)
 class LinearTransportProblem:
     """Coefficients and data of one linear transport problem on [0,T]x[0,1].
 
-    a, b, c are callables (t, x) -> value with numpy broadcasting; a_x is
-    optional and only consulted by the weak-form residual (falling back to
-    central differences of a when absent).
+    a, b, c are callables (t, x) -> value with numpy broadcasting.
     """
 
     T: float
@@ -44,7 +48,6 @@ class LinearTransportProblem:
     c: object
     u0: SpaceProfile
     h: SampledFunction
-    a_x: object = None
 
     def __post_init__(self):
         if self.T <= 0.0:
@@ -256,7 +259,8 @@ def weak_form_residual(u: SolutionField, p: LinearTransportProblem, test_family=
         - int int u (phi_t + a phi_x + a_x phi + b phi) - int int c phi
         - int a(t,0) h(t) phi(t,0)
 
-    by tensor trapezoid quadrature and returns the maximum absolute value.
+    by tensor trapezoid quadrature and returns the maximum absolute value;
+    a_x is the second-order difference quotient of a on the grid.
     """
     if test_family is None:
         test_family = polynomial_trial_family()
@@ -265,12 +269,7 @@ def weak_form_residual(u: SolutionField, p: LinearTransportProblem, test_family=
     av = np.asarray(p.a(tm, xm), dtype=float)
     bv = np.asarray(p.b(tm, xm), dtype=float)
     cv = np.asarray(p.c(tm, xm), dtype=float)
-    if p.a_x is not None:
-        axv = np.asarray(p.a_x(tm, xm), dtype=float)
-        if axv.shape != av.shape:
-            axv = np.broadcast_to(axv, av.shape)
-    else:
-        axv = np.gradient(av, xg, axis=1, edge_order=2)
+    axv = np.gradient(av, xg, axis=1, edge_order=2)
     hv = np.asarray(p.h(tg), dtype=float)
     u0v = np.asarray(p.u0(xg), dtype=float)
     a0 = np.asarray(p.a(tg, np.zeros_like(tg)), dtype=float)
@@ -329,7 +328,6 @@ def energy_estimate_audit(u: SolutionField, p: LinearTransportProblem) -> Energy
         c=lambda t, x: lam * np.asarray(p.c(t, x), dtype=float),
         u0=SpaceProfile(lam * p.u0.values),
         h=SampledFunction(p.h.t_start, p.h.t_end, lam * p.h.values),
-        a_x=p.a_x,
     )
     u_scaled = solve_linear_transport(scaled, tg, xg)
     scale_ref = max(float(np.max(np.abs(u.values))), 1e-300)
@@ -373,13 +371,18 @@ def check_compatibility(data, order: int) -> CompatibilityCheck:
     raise DomainError("order must be 0 or 1")
 
 
-def derivative_fields(solution, data, substeps: int = 1):
+def derivative_fields(solution, data):
     """First and second x-derivative fields of the filling ratio.
 
-    Differentiating the transport equation once and twice in x gives two
-    more transport problems with the same speed, reaction terms F/l and
-    2F/l, and boundary values driven by time derivatives of the inflow
-    ratio.  Both are solved on the grids of the given solution.
+    alpha_p is affine in x with alpha_x = -F/l, so differentiating the
+    transport equation once and twice in x gives transport along the same
+    characteristics with growth rates F/l and 2F/l.  Each derivative is
+    therefore its value at the origin times exp(k*(P(t) - P(s0))), k = 1, 2,
+    where P is the running integral of F/l and s0 the origin time (0 on the
+    initial axis, tau on the inflow face).  The origin value is the datum
+    slope at beta, or at tau the boundary value that time derivatives of
+    the inflow ratio drive.  Origins and P come from one trace context on
+    the solution's grids, and the provenance tags follow the origins.
     """
     for order in (0, 1):
         chk = check_compatibility(data, order)
@@ -391,53 +394,35 @@ def derivative_fields(solution, data, substeps: int = 1):
     tg, xg = field.t_grid, field.x_grid
     T = float(tg[-1])
     zeta = data.params.zeta
-    l_sf = solution.l
     N_vals = np.asarray(data.N(tg), dtype=float)
-    l_vals = np.asarray(l_sf(tg), dtype=float)
-    b_out = field.values[:, -1]
-    F_vals = np.asarray(eval_F(l_vals, N_vals, b_out, data.params), dtype=float)
-    N_t = SampledFunction(0.0, T, N_vals)
-    l_t = SampledFunction(0.0, T, l_vals)
-    F_t = SampledFunction(0.0, T, F_vals)
+    l_vals = np.asarray(solution.l(tg), dtype=float)
+    ctx = TraceContext(
+        SampledFunction(0.0, T, l_vals),
+        SampledFunction(0.0, T, N_vals),
+        SampledFunction(0.0, T, field.values[:, -1]),
+        data.params,
+    )
+    is_boundary, origin = backtrace_batch(tg[:, None], xg, ctx)
+    growth = np.exp(ctx._P(tg)[:, None] - ctx._P(np.where(is_boundary, origin, 0.0)))
+    provenance = np.where(is_boundary, PROVENANCE_BOUNDARY, PROVENANCE_INITIAL).astype(np.uint8)
 
-    def a(t, x):
-        return (zeta * N_t(t) - x * F_t(t)) / l_t(t)
-
-    def a_x(t, x):
-        val = -F_t(t) / l_t(t)
-        return val * np.ones_like(np.asarray(x, dtype=float))
+    def carried(datum_vals, inflow_vals, k):
+        at_origin = np.where(
+            is_boundary,
+            SampledFunction(0.0, T, inflow_vals)(origin),
+            SpaceProfile(datum_vals)(origin),
+        )
+        return SolutionField(tg, xg, at_origin * growth**k, provenance)
 
     r_vals = inflow_value(np.asarray(data.F_in(tg), dtype=float), N_vals, data.params)
     dt_out = tg[1] - tg[0]
     r1 = _dt_quotient(r_vals, dt_out)
     ratio_lN = l_vals / (zeta * N_vals)
+    w = ratio_lN * r1
+    h1_vals = -w
+    h2_vals = -ratio_lN * (ctx._F_nodes / (zeta * N_vals) * r1 - _dt_quotient(w, dt_out))
 
     dx0 = data.f0_p.dx
     d1_vals = np.gradient(data.f0_p.values, dx0, edge_order=2)
     d2_vals = np.gradient(d1_vals, dx0, edge_order=2)
-
-    h1 = SampledFunction(0.0, T, -ratio_lN * r1)
-    p1 = LinearTransportProblem(
-        T=T,
-        a=a,
-        b=lambda t, x: F_t(t) / l_t(t) * np.ones_like(np.asarray(x, dtype=float)),
-        c=lambda t, x: np.zeros_like(np.asarray(t, dtype=float) * np.asarray(x, dtype=float)),
-        u0=SpaceProfile(d1_vals),
-        h=h1,
-        a_x=a_x,
-    )
-    f_px = solve_linear_transport(p1, tg, xg, substeps=substeps)
-
-    w = ratio_lN * r1
-    h2_vals = -ratio_lN * (F_vals / (zeta * N_vals) * r1 - _dt_quotient(w, dt_out))
-    p2 = LinearTransportProblem(
-        T=T,
-        a=a,
-        b=lambda t, x: 2.0 * F_t(t) / l_t(t) * np.ones_like(np.asarray(x, dtype=float)),
-        c=lambda t, x: np.zeros_like(np.asarray(t, dtype=float) * np.asarray(x, dtype=float)),
-        u0=SpaceProfile(d2_vals),
-        h=SampledFunction(0.0, T, h2_vals),
-        a_x=a_x,
-    )
-    f_pxx = solve_linear_transport(p2, tg, xg, substeps=substeps)
-    return f_px, f_pxx
+    return carried(d1_vals, h1_vals, 1), carried(d2_vals, h2_vals, 2)

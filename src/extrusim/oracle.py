@@ -32,7 +32,6 @@ class UpwindConfig:
 
     dx: float
     cfl: float = 0.9
-    first_order: bool = True
 
     def __post_init__(self):
         if not (0.0 < self.cfl <= 1.0):
@@ -42,8 +41,6 @@ class UpwindConfig:
         cells = round(1.0 / self.dx)
         if cells < 1 or abs(cells * self.dx - 1.0) > 1e-12:
             raise DomainError(f"dx={self.dx} does not divide the unit interval")
-        if not self.first_order:
-            raise DomainError("only the first-order scheme is implemented")
 
     @property
     def n_nodes(self) -> int:

@@ -162,6 +162,14 @@ class TestSchemaErrors:
         assert "numerics.dt" in capsys.readouterr().err
         assert not (tmp_path / "out" / "trace.csv").exists()
 
+    def test_tolerance_key_is_unknown(self, tmp_path, capsys):
+        # no solver reads a config tolerance, so the key is rejected
+        mapping = base_simulate_cfg(tmp_path)
+        mapping["numerics.tol"] = "1e-300"
+        cfg = write_cfg(tmp_path, "c.cfg", mapping)
+        assert run(["verify", cfg]) == 2
+        assert "numerics.tol: unknown key" in capsys.readouterr().err
+
 
 class TestSimulateCommand:
     def test_equilibrium_data_gives_constant_rows(self, tmp_path, capsys):

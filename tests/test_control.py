@@ -7,7 +7,6 @@ from extrusim.characteristics import TraceContext, backtrace, backtrace_times, c
 from extrusim.control import (
     ControlTarget,
     SynthesisOptions,
-    build_h,
     critical_time,
     feasibility_check,
     synthesize,
@@ -116,37 +115,6 @@ class TestFeasibilityCheck:
 
     def test_long_horizon_passes(self):
         assert feasibility_check(0.6, EQ).feasible
-
-
-class TestBuildH:
-    def test_equal_endpoints_give_constant(self):
-        h = build_h(EQ.f_pe, EQ.f_pe, 0.6, 0.05, EQ)
-        assert float(np.max(np.abs(h.values - EQ.f_pe))) == 0.0
-
-    def test_smoothstep_max_slope(self):
-        h = build_h(0.32, 0.34, 0.6, 0.05, EQ, T=1.0, n=1001)
-        slopes = np.abs(np.diff(h.values) / np.diff(h.grid))
-        # 1.5 * 0.02 / 0.6, discretely sampled just below the midpoint peak
-        assert float(np.max(slopes)) == pytest.approx(0.05, abs=1e-4)
-
-    def test_endpoints_exact(self):
-        h = build_h(0.32, 0.34, 0.6, 0.05, EQ, T=1.0, n=1001)
-        assert h(0.0) == 0.32
-        assert h(0.6) == 0.34
-        assert h(1.0) == 0.34
-
-    def test_constant_after_ramp(self):
-        h = build_h(0.32, 0.34, 0.6, 0.05, EQ, T=1.0, n=1001)
-        tail = h.values[h.grid >= 0.6]
-        assert np.all(tail == 0.34)
-
-    def test_steep_ramp_rejected(self):
-        with pytest.raises(FeasibilityError, match="larger horizon"):
-            build_h(0.32, 0.34, 0.001, 0.05, EQ, T=1.0)
-
-    def test_endpoint_outside_budget_rejected(self):
-        with pytest.raises(DomainError):
-            build_h(0.25, 0.34, 0.6, 0.05, EQ)
 
 
 class TestTargetValidation:
@@ -338,6 +306,15 @@ class TestDegenerateTargets:
         assert cert.char_fp_error <= 1e-8
         assert cert.upwind_l_error <= 5e-3
         assert cert.upwind_fp_error <= 5e-3
+
+    def test_default_replay_grid_follows_horizon(self):
+        # the default replay step is fixed, so the T = 2.4 round trip gets
+        # 1921 time nodes and meets 1e-8 on the interface without help
+        prof = const_profile(1.0 / 3.0)
+        tgt = ControlTarget(l0=0.45, l1=0.45, f0_p=prof, f1_p=prof, T=2.4, nu=0.06)
+        cert = verify_control(tgt, synthesize(tgt, UNIT, EQ), UNIT, EQ)
+        assert cert.char_l_error <= 1e-8
+        assert cert.char_fp_error <= 1e-8
 
 
 class TestGuards:

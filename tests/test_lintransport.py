@@ -12,7 +12,7 @@ from extrusim.lintransport import (
     solve_linear_transport,
     weak_form_residual,
 )
-from extrusim.model import PhysicalParams, eval_F, solve_equilibrium
+from extrusim.model import PhysicalParams, eval_F, inflow_value, solve_equilibrium
 from extrusim.wellposed import CauchyData, solve_semiglobal
 
 UNIT = PhysicalParams()
@@ -414,6 +414,67 @@ class TestDerivativeFields:
         half = h2_ratio(0.01)
         assert half <= full * 1.1
         assert half == pytest.approx(full, rel=0.1)
+
+    @pytest.mark.parametrize("feed_amp", [0.0, 0.004])
+    def test_closed_form_matches_transport_sweep(self, feed_amp):
+        # oracle: the differentiated equations marched by the generic solver,
+        # with the filling ratio's speed, growth rates F/l and 2F/l, and
+        # inflow values from time derivatives of the inflow ratio.  The feed
+        # ramp, flat at first so the corner stays compatible, makes those
+        # inflow values nonzero.
+        T = 0.12
+        feed_eq = EQ.f_pe * UNIT.rho0 * UNIT.V_eff * EQ.N_e
+
+        def feed(t):
+            return feed_eq + feed_amp * np.sin(np.pi * np.clip((t - 0.03) / 0.09, 0, 1)) ** 2
+
+        data = CauchyData(
+            EQ.l_e,
+            outlet_safe_bump(0.02, support=(0.3, 0.9), n=1001),
+            SampledFunction.from_callable(feed, 0.0, T, 101),
+            SampledFunction.constant(EQ.N_e, 0.0, T, 101),
+            UNIT,
+            EQ,
+        )
+        sol = solve_semiglobal(data, T, n_t=49, n_x=1001)
+        fx, fxx = derivative_fields(sol, data)
+
+        tg, xg = sol.field.t_grid, sol.field.x_grid
+        N_vals = np.asarray(data.N(tg))
+        l_vals = np.asarray(sol.l(tg))
+        F_vals = np.asarray(eval_F(l_vals, N_vals, sol.field.values[:, -1], UNIT))
+        N_t, l_t, F_t = (SampledFunction(0.0, T, v) for v in (N_vals, l_vals, F_vals))
+
+        def a(t, x):
+            return (UNIT.zeta * N_t(t) - np.asarray(x, float) * F_t(t)) / l_t(t)
+
+        def rate(k):
+            return lambda t, x: k * F_t(t) / l_t(t) + 0.0 * np.asarray(x, float)
+
+        dt = tg[1] - tg[0]
+        ratio = l_vals / (UNIT.zeta * N_vals)
+        r = inflow_value(np.asarray(data.F_in(tg)), N_vals, UNIT)
+        w = ratio * np.gradient(r, dt, edge_order=2)
+        h1 = -w
+        h2 = -ratio * (F_vals / l_vals * w - np.gradient(w, dt, edge_order=2))
+        d1 = np.gradient(data.f0_p.values, data.f0_p.dx, edge_order=2)
+        d2 = np.gradient(d1, data.f0_p.dx, edge_order=2)
+        # measured relative deviations: 3.0e-6 (f_px) and 6.7e-5 / 3.1e-5
+        # (f_pxx, feed_amp 0 / 0.004); the bounds leave a margin of 3x
+        for got, k, datum, inflow, bound in ((fx, 1, d1, h1, 1e-5), (fxx, 2, d2, h2, 2e-4)):
+            p = LinearTransportProblem(
+                T=T,
+                a=a,
+                b=rate(k),
+                c=ZERO,
+                u0=SpaceProfile(datum),
+                h=SampledFunction(0.0, T, inflow),
+            )
+            ref = solve_linear_transport(p, tg, xg)
+            scale = np.max(np.abs(ref.values))
+            assert np.max(np.abs(got.values - ref.values)) <= bound * scale
+            # tags may differ only next to the characteristic through the corner
+            assert np.sum(got.provenance != ref.provenance) <= 20
 
     def test_incompatible_corner_is_rejected(self):
         data = equilibrium_cauchy(

@@ -42,10 +42,6 @@ class TestUpwindConfig:
             UpwindConfig(dx=-0.1)
         assert UpwindConfig(dx=0.02).n_nodes == 51
 
-    def test_only_first_order_supported(self):
-        with pytest.raises(DomainError):
-            UpwindConfig(dx=0.02, first_order=False)
-
 
 class TestSimulateUpwind:
     def test_equilibrium_is_a_discrete_steady_state(self):

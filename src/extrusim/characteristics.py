@@ -129,8 +129,8 @@ class TraceContext:
         q = (self.params.zeta * self.N.values / self.l.values) * np.exp(self._P.nodes)
         return HermiteAntiderivative(self.t_start, self.dt, cumulative_integral(q, self.dt), q)
 
-    def coefficients_at(self, sigma: float) -> tuple[float, float]:
-        """(A, B) of the characteristic ODE dxi/ds = A(s) - B(s)*xi at time sigma."""
+    def coefficients_at(self, sigma):
+        """(A, B) of the characteristic ODE dxi/ds = A(s) - B(s)*xi at time(s) sigma."""
         l_s = self.l(sigma)
         n_s = self.N(sigma)
         b_s = self.b(sigma)
@@ -171,24 +171,28 @@ def xi_forward(s: float, t: float, x: float, ctx: TraceContext) -> float:
 
 
 def _rk4_span(ctx: TraceContext, t_from: float, x_from: float, t_to: float) -> float:
-    """RK4 integration of the characteristic ODE from t_from to t_to (either direction)."""
+    """RK4 integration of the characteristic ODE from t_from to t_to (either direction).
+
+    The coefficients of all steps come from one vectorized evaluation at the
+    step nodes (accumulated as sigma += h) and midpoints (sigma + h/2); the
+    recurrence itself stays scalar.
+    """
     span = t_to - t_from
     if span == 0.0:
         return x_from
     n = max(1, int(np.ceil(abs(span) / ctx.dt - 1e-12)))
     h = span / n
+    nodes = np.add.accumulate(np.r_[t_from, np.full(n, h)])
+    A, B = ctx.coefficients_at(np.concatenate([nodes, nodes[:-1] + 0.5 * h]))
+    a_node, a_mid = A[: n + 1].tolist(), A[n + 1 :].tolist()
+    b_node, b_mid = B[: n + 1].tolist(), B[n + 1 :].tolist()
     xi_v = x_from
-    sigma = t_from
-    for _ in range(n):
-        a1, b1 = ctx.coefficients_at(sigma)
-        a2, b2 = ctx.coefficients_at(sigma + 0.5 * h)
-        a4, b4 = ctx.coefficients_at(sigma + h)
+    for a1, b1, a2, b2, a4, b4 in zip(a_node, b_node, a_mid, b_mid, a_node[1:], b_node[1:]):
         k1 = a1 - b1 * xi_v
         k2 = a2 - b2 * (xi_v + 0.5 * h * k1)
         k3 = a2 - b2 * (xi_v + 0.5 * h * k2)
         k4 = a4 - b4 * (xi_v + h * k3)
         xi_v += h / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        sigma += h
     return xi_v
 
 

@@ -20,7 +20,8 @@ Blank lines and lines starting with ``#`` are skipped.  Keys:
       on t in [0,T]; the sine argument is pi*x resp. pi*t/T times freq.
   numerics.dt numerics.dx
       step sizes of the output/replay grids (defaults 5e-3, 1e-2);
-      dt must divide mode.T and dx the unit interval
+      dt must divide mode.T and dx the unit interval, and the grid may
+      hold at most 10^7 points, (T/dt + 1) * (1/dx + 1)
   numerics.eps1_fraction
       scales the admissibility radius of the semi-global solver;
       1.0 (default) keeps the solver's own bound
@@ -48,7 +49,7 @@ import numpy as np
 
 from .control import ControlTarget, synthesize, verify_control
 from .errors import ExtrusimError, SchemaError
-from .fields import SampledFunction, SpaceProfile, format_value
+from .fields import SampledFunction, SpaceProfile, csv_text, format_value
 from .model import EquilibriumPoint, PhysicalParams, eval_g, solve_equilibrium
 from .oracle import UpwindConfig, simulate_upwind
 from .wellposed import CauchyData, eps1_bound, solve_semiglobal
@@ -58,6 +59,10 @@ COMMANDS = ("equilibrium", "simulate", "control", "verify", "sweep")
 USAGE = "usage: extrusim <equilibrium|simulate|control|verify|sweep> <config>"
 
 _SPEC_HEADS = ("constant", "linear", "sine-perturbation", "csv")
+
+# largest n_t * n_x an output or replay grid may have (8 bytes a value, so
+# 80 MB a field array); a finer dt or dx is a config error, not an allocation
+MAX_GRID_POINTS = 10**7
 
 
 def _positive(v):
@@ -80,6 +85,8 @@ def _fraction(v):
 
 def _grid_step(v):
     _positive(v)
+    if 1.0 / v >= MAX_GRID_POINTS:
+        raise ValueError(f"more than MAX_GRID_POINTS={MAX_GRID_POINTS} nodes on the unit interval")
     cells = round(1.0 / v)
     if cells < 1 or abs(cells * v - 1.0) > 1e-12:
         raise ValueError("must divide the unit interval")
@@ -308,11 +315,17 @@ def _sine_args(arg: str, key: str, substitute: float):
 def _grids(typed: dict, T: float):
     dt = typed.get("numerics.dt", 5e-3)
     dx = typed.get("numerics.dx", 1e-2)
-    cells = round(T / dt)
+    n_x = max(2, int(round(1.0 / dx)) + 1)
+    steps = T / dt
+    if not (math.isfinite(steps) and (steps + 1.0) * n_x <= MAX_GRID_POINTS):
+        raise SchemaError(
+            f"numerics.dt: mode.T/dt={format_value(steps)} steps on {n_x} nodes exceed "
+            f"MAX_GRID_POINTS={MAX_GRID_POINTS}"
+        )
+    cells = round(steps)
     if cells < 1 or abs(cells * dt - T) > 1e-9 * T:
         raise SchemaError(f"numerics.dt: {format_value(dt)} must divide mode.T={format_value(T)}")
     n_t = cells + 1
-    n_x = max(2, int(round(1.0 / dx)) + 1)
     return dt, dx, n_t, n_x
 
 
@@ -362,13 +375,9 @@ def cmd_simulate(typed: dict, base_dir: Path) -> int:
         l_tr, field = simulate_upwind(data, T, UpwindConfig(dx=dx))
         t = field.t_grid
         l_vals = l_tr(t)
-    lines = ["t,l,fp_at_1,N,F_in"]
-    fp1 = field.values[:, -1]
-    N_t, F_t = data.N(t), data.F_in(t)
-    for row in zip(t, l_vals, fp1, N_t, F_t):
-        lines.append(",".join(format_value(v) for v in row))
+    trace = csv_text("t,l,fp_at_1,N,F_in", t, l_vals, field.values[:, -1], data.N(t), data.F_in(t))
     out = _out_dir(typed)
-    _write(out / "trace.csv", "\n".join(lines) + "\n")
+    _write(out / "trace.csv", trace)
     _write(out / "field.csv", field.to_csv(header="t,x,fp,provenance"))
     print(f"wrote {out / 'trace.csv'} ({t.size} rows)")
     print(f"wrote {out / 'field.csv'} ({t.size * field.x_grid.size} rows)")
@@ -389,11 +398,9 @@ def cmd_control(typed: dict, base_dir: Path) -> int:
     )
     report = synthesize(target, params, eq)
     cert = verify_control(target, report, params, eq, dx=dx, n_t=n_t, n_x=n_x)
-    lines = ["t,N,F_in"]
-    for row in zip(report.N.grid, report.N.values, report.F_in.values):
-        lines.append(",".join(format_value(v) for v in row))
     out = _out_dir(typed)
-    _write(out / "controls.csv", "\n".join(lines) + "\n")
+    controls = csv_text("t,N,F_in", report.N.grid, report.N.values, report.F_in.values)
+    _write(out / "controls.csv", controls)
     cert_fields = (
         ("char_l_error", cert.char_l_error),
         ("char_fp_error", cert.char_fp_error),
@@ -403,8 +410,7 @@ def cmd_control(typed: dict, base_dir: Path) -> int:
         ("nfn_ratio", cert.nfn_ratio),
     )
     header = ",".join(name for name, _ in cert_fields)
-    values = ",".join(format_value(v) for _, v in cert_fields)
-    _write(out / "certificate.csv", f"{header}\n{values}\n")
+    _write(out / "certificate.csv", csv_text(header, *([v] for _, v in cert_fields)))
     summary = {
         "iterations": report.iterations,
         "residual": report.residual,

@@ -6,6 +6,12 @@ ratio) and profiles in the normalized space coordinate.  Linear
 interpolants live in W1-infinity, which is exactly the regularity class the
 data is supposed to carry, and they make the difference-quotient norms
 below exact rather than approximate.
+
+CSV contract, shared by every file the CLI writes: a header line, then one
+line per row; values carry 12 significant digits (`FLOAT_FORMAT`) with a
+plain '.' and lines end in LF.  Each float is formatted exactly once: the
+field writer formats each t once per row and each x once, and puts only the
+field values through the format spec cell by cell.
 """
 
 from __future__ import annotations
@@ -23,6 +29,13 @@ FLOAT_FORMAT = ".12g"
 
 def format_value(x: float) -> str:
     return format(float(x), FLOAT_FORMAT)
+
+
+def csv_text(header: str, *columns) -> str:
+    """CSV text of a header line and one line per row of equal-length columns."""
+    line = ",".join([f"%{FLOAT_FORMAT}"] * len(columns)) + "\n"
+    rows = zip(*(np.asarray(c, dtype=float).tolist() for c in columns), strict=True)
+    return "".join([header + "\n", *(line % row for row in rows)])
 
 
 @dataclass(frozen=True)
@@ -86,10 +99,7 @@ class SampledFunction:
         return SampledFunction(self.t_start, self.t_end, self.values - c)
 
     def to_csv(self, header: str = "t,value") -> str:
-        lines = [header]
-        for t, v in zip(self.grid, self.values):
-            lines.append(f"{format_value(t)},{format_value(v)}")
-        return "\n".join(lines) + "\n"
+        return csv_text(header, self.grid, self.values)
 
 
 @dataclass(frozen=True)
@@ -188,14 +198,21 @@ class SolutionField:
         return SpaceProfile(self.values[i].copy())
 
     def to_csv(self, header: str = "t,x,value,provenance") -> str:
-        lines = [header]
-        for i, t in enumerate(self.t_grid):
-            for j, x in enumerate(self.x_grid):
-                tag = PROVENANCE_NAMES[int(self.provenance[i, j])]
-                lines.append(
-                    f"{format_value(t)},{format_value(x)},{format_value(self.values[i, j])},{tag}"
-                )
-        return "\n".join(lines) + "\n"
+        """One line "t,x,value,tag" per grid point, rows of t outermost.
+
+        Each row is one %-template: the formatted t joins the cells, each
+        carrying its formatted x and a slot for the value and for the tag.
+        """
+        cells = [f",{format_value(x)},%{FLOAT_FORMAT}%s" for x in self.x_grid.tolist()]
+        tags = np.array([f",{PROVENANCE_NAMES[k]}" for k in range(len(PROVENANCE_NAMES))], object)
+        slots = [None] * (2 * len(cells))
+        out = [header + "\n"]
+        for t, row, prov in zip(self.t_grid.tolist(), self.values.tolist(), self.provenance):
+            t_text = format_value(t)
+            slots[0::2] = row
+            slots[1::2] = tags[prov].tolist()
+            out.append((t_text + ("\n" + t_text).join(cells) + "\n") % tuple(slots))
+        return "".join(out)
 
 
 @dataclass(frozen=True)

@@ -6,6 +6,7 @@ import pytest
 
 from extrusim.characteristics import (
     TraceContext,
+    _rk4_span,
     backtrace,
     backtrace_batch,
     backtrace_times,
@@ -35,6 +36,25 @@ def wavy_ctx(t_end=1.0, n=2001):
     N = SampledFunction(0.0, t_end, 1.0 + 0.3 * np.sin(2.0 * np.pi * tg))
     b = SampledFunction(0.0, t_end, EQ.f_pe + 0.05 * np.cos(2.3 * tg))
     return TraceContext(l, N, b, UNIT)
+
+
+def reference_rk4_span(ctx, t_from, x_from, t_to):
+    """RK4 on the characteristic ODE with one scalar coefficient call per stage."""
+    span = t_to - t_from
+    n = max(1, int(np.ceil(abs(span) / ctx.dt - 1e-12)))
+    h = span / n
+    xi_v, sigma = x_from, t_from
+    for _ in range(n):
+        a1, b1 = ctx.coefficients_at(sigma)
+        a2, b2 = ctx.coefficients_at(sigma + 0.5 * h)
+        a4, b4 = ctx.coefficients_at(sigma + h)
+        k1 = a1 - b1 * xi_v
+        k2 = a2 - b2 * (xi_v + 0.5 * h * k1)
+        k3 = a2 - b2 * (xi_v + 0.5 * h * k2)
+        k4 = a4 - b4 * (xi_v + h * k3)
+        xi_v += h / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        sigma += h
+    return xi_v
 
 
 class TestTraceContext:
@@ -141,6 +161,17 @@ class TestInvariants:
         ctx = wavy_ctx(n=1001)
         for s, t, x in [(0.0, 0.9, 0.95), (0.2, 0.8, 0.9), (0.6, 0.95, 0.5)]:
             assert abs(xi(s, t, x, ctx) - xi_rk4(s, t, x, ctx)) <= 1e-6
+
+    def test_rk4_equals_scalar_reference(self):
+        # one vectorized coefficient evaluation per span, same arithmetic
+        ctx = wavy_ctx(n=201)
+        rng = np.random.default_rng(11)
+        for _ in range(20):
+            t = rng.uniform(0.05, 1.0)
+            s, x = rng.uniform(0.0, t), rng.uniform(0.05, 0.5)
+            assert xi_rk4(s, t, x, ctx) == reference_rk4_span(ctx, t, x, s)
+            assert _rk4_span(ctx, s, x, t) == reference_rk4_span(ctx, s, x, t)
+        assert _rk4_span(ctx, 0.3, 0.2, 0.3 + 1e-3) == reference_rk4_span(ctx, 0.3, 0.2, 0.3 + 1e-3)
 
     def test_rk4_equilibrium_exact(self):
         ctx = equilibrium_ctx()

@@ -3,7 +3,9 @@ import json
 import numpy as np
 import pytest
 
-from extrusim.cli import run
+from extrusim import cli
+from extrusim.cli import MAX_GRID_POINTS, run
+from extrusim.errors import SchemaError
 
 F_PE = 1.0 / 3.0
 
@@ -44,6 +46,10 @@ def base_control_cfg(tmp_path, out="out"):
         "mode.nu": "0.01",
         "mode.out": str(tmp_path / out),
     }
+
+
+def _no_allocation(*args, **kwargs):
+    raise AssertionError("grid arrays allocated before the grid cap was checked")
 
 
 class TestInvocation:
@@ -161,6 +167,41 @@ class TestSchemaErrors:
         assert run(["simulate", cfg]) == 2
         assert "numerics.dt" in capsys.readouterr().err
         assert not (tmp_path / "out" / "trace.csv").exists()
+
+    @pytest.mark.parametrize(
+        "T, dt",
+        [("1e300", "1e-10"), ("1.0", "1e-7"), ("0.5", "2.5e-6")],
+        ids=["overflowing-steps", "steps-times-nodes", "just-above-cap"],
+    )
+    def test_grid_cap_names_dt(self, tmp_path, capsys, monkeypatch, T, dt):
+        monkeypatch.setattr(cli, "_cauchy_data", _no_allocation)
+        for sub, base in (("simulate", base_simulate_cfg), ("verify", base_simulate_cfg),
+                          ("control", base_control_cfg)):
+            mapping = base(tmp_path)
+            mapping.update({"mode.T": T, "numerics.dt": dt})
+            cfg = write_cfg(tmp_path, f"{sub}.cfg", mapping)
+            assert run([sub, cfg]) == 2
+            err = capsys.readouterr().err
+            assert "config error: numerics.dt" in err and str(MAX_GRID_POINTS) in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("dx", ["1e-7", "5e-324"])
+    def test_grid_cap_names_dx(self, tmp_path, capsys, monkeypatch, dx):
+        monkeypatch.setattr(cli, "_cauchy_data", _no_allocation)
+        mapping = base_simulate_cfg(tmp_path)
+        mapping["numerics.dx"] = dx
+        cfg = write_cfg(tmp_path, "c.cfg", mapping)
+        assert run(["simulate", cfg]) == 2
+        err = capsys.readouterr().err
+        assert "config error: numerics.dx" in err and str(MAX_GRID_POINTS) in err
+
+    def test_grid_cap_boundary(self):
+        # dx = 1 gives two nodes, so T/dt = MAX/2 - 1 steps fill the cap exactly
+        steps = MAX_GRID_POINTS // 2 - 1
+        typed = {"numerics.dt": 1.0, "numerics.dx": 1.0}
+        assert cli._grids(typed, float(steps))[2:] == (steps + 1, 2)
+        with pytest.raises(SchemaError, match="numerics.dt"):
+            cli._grids(typed, float(steps + 1))
 
     def test_tolerance_key_is_unknown(self, tmp_path, capsys):
         # no solver reads a config tolerance, so the key is rejected

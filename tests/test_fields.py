@@ -2,14 +2,20 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
+from extrusim import cli
 from extrusim.errors import DomainError, GridError
 from extrusim.fields import (
     PROVENANCE_BOUNDARY,
     PROVENANCE_INITIAL,
+    PROVENANCE_NAMES,
     SampledFunction,
     SolutionField,
     SpaceProfile,
+    csv_text,
     field_norm,
     format_value,
     norm,
@@ -203,3 +209,116 @@ class TestPhysicalCoordinates:
 def test_format_value_is_12_sig_digits():
     assert format_value(1.0 / 3.0) == "0.333333333333"
     assert format_value(2.0) == "2"
+
+
+def reference_field_csv(field: SolutionField, header: str = "t,x,value,provenance") -> str:
+    """The field writer as one formatted line per cell, kept as the byte-level reference."""
+    lines = [header]
+    for i, t in enumerate(field.t_grid):
+        for j, x in enumerate(field.x_grid):
+            tag = PROVENANCE_NAMES[int(field.provenance[i, j])]
+            lines.append(
+                f"{format_value(t)},{format_value(x)},{format_value(field.values[i, j])},{tag}"
+            )
+    return "\n".join(lines) + "\n"
+
+
+def reference_rows_csv(header: str, *columns) -> str:
+    """The small-CSV writer as one joined line per row, kept as the byte-level reference."""
+    lines = [header]
+    for row in zip(*columns):
+        lines.append(",".join(format_value(v) for v in row))
+    return "\n".join(lines) + "\n"
+
+
+EDGE_VALUES = [-0.0, 1e-5, 9.99999999999e-5, 1e16, 123456789012.5, 5e-324, 1.0]
+
+
+class TestFieldCsvBytes:
+    def test_edge_values_and_both_tags(self):
+        n = len(EDGE_VALUES)
+        t = np.array([-0.0, 1e-5, 9.99999999999e-5])
+        x = np.array(EDGE_VALUES)
+        vals = np.array([EDGE_VALUES, EDGE_VALUES[::-1], [-v for v in EDGE_VALUES]])
+        prov = np.arange(3 * n).reshape(3, n) % 2
+        field = SolutionField(t, x, vals, prov)
+        text = field.to_csv()
+        assert text == reference_field_csv(field)
+        assert "\n-0,-0,-0,initial\n" in text
+        assert ",1e+16," in text and ",4.94065645841e-324," in text and ",123456789012," in text
+        assert text.count(",boundary\n") == 3 * n // 2
+
+    @pytest.mark.parametrize("shape", [(1, 2), (2, 1)])
+    def test_single_row_and_single_column(self, shape):
+        rng = np.random.default_rng(5)
+        field = SolutionField(
+            rng.uniform(0.0, 1.0, shape[0]),
+            rng.uniform(0.0, 1.0, shape[1]),
+            rng.standard_normal(shape),
+            rng.integers(0, 2, shape),
+        )
+        text = field.to_csv(header="t,x,fp,provenance")
+        assert text == reference_field_csv(field, header="t,x,fp,provenance")
+        assert text.count("\n") == 1 + shape[0] * shape[1]
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_matches_reference_on_random_fields(self, data):
+        n_t = data.draw(st.integers(1, 5))
+        n_x = data.draw(st.integers(1, 6))
+        finite = st.floats(allow_nan=False, allow_infinity=False)
+        field = SolutionField(
+            data.draw(arrays(float, n_t, elements=finite)),
+            data.draw(arrays(float, n_x, elements=finite)),
+            data.draw(arrays(float, (n_t, n_x), elements=finite)),
+            data.draw(arrays(np.uint8, (n_t, n_x), elements=st.sampled_from([0, 1]))),
+        )
+        assert field.to_csv() == reference_field_csv(field)
+
+    def test_upwind_simulate_writes_reference_bytes(self, tmp_path, monkeypatch):
+        returned = []
+
+        def recording_upwind(*args, **kwargs):
+            out = cli_upwind(*args, **kwargs)
+            returned.append(out[1])
+            return out
+
+        cli_upwind = cli.simulate_upwind
+        monkeypatch.setattr(cli, "simulate_upwind", recording_upwind)
+        mapping = {
+            "equilibrium.N_e": "1.0",
+            "equilibrium.l_e": "0.5",
+            "data.l0": "0.5",
+            "data.f0_p": "sine-perturbation:eq,0.01",
+            "data.F_in": "sine-perturbation:eq,0.005,2",
+            "data.N": "constant:eq",
+            "numerics.dt": "0.01",
+            "numerics.dx": "0.02",
+            "mode.T": "0.5",
+            "mode.method": "upwind",
+            "mode.out": str(tmp_path / "out"),
+        }
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text("".join(f"{k}={v}\n" for k, v in mapping.items()))
+        assert cli.run(["simulate", str(cfg)]) == 0
+        (field,) = returned
+        assert "boundary" in reference_field_csv(field)
+        blob = (tmp_path / "out" / "field.csv").read_bytes()
+        assert blob == reference_field_csv(field, header="t,x,fp,provenance").encode()
+
+
+class TestCsvText:
+    def test_matches_row_join_reference(self):
+        cols = (np.linspace(0.0, 1.0, 4), np.array(EDGE_VALUES[:4]), [1.0 / 3.0, 2, -0.0, 1e16])
+        assert csv_text("a,b,c", *cols) == reference_rows_csv("a,b,c", *cols)
+
+    def test_single_row_of_scalars(self):
+        assert csv_text("p,q", [0.1], [2.0]) == "p,q\n0.1,2\n"
+
+    def test_unequal_columns_rejected(self):
+        with pytest.raises(ValueError):
+            csv_text("a,b", [1.0, 2.0], [1.0])
+
+    def test_sampled_function_csv_matches_reference(self):
+        f = SampledFunction(0.0, 0.3, np.array([1.0 / 3.0, -0.0, 5e-324, 1e16]))
+        assert f.to_csv() == reference_rows_csv("t,value", f.grid, f.values)

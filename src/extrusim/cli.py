@@ -21,7 +21,10 @@ Blank lines and lines starting with ``#`` are skipped.  Keys:
   numerics.dt numerics.dx
       step sizes of the output/replay grids (defaults 5e-3, 1e-2);
       dt must divide mode.T and dx the unit interval, and the grid may
-      hold at most 10^7 points, (T/dt + 1) * (1/dx + 1)
+      hold at most 10^7 points, (T/dt + 1) * (1/dx + 1); the upwind
+      march (simulate with mode.method=upwind, verify) keeps one row per
+      CFL step, about T * max alpha(0) / (0.9 * dx) steps, and steps *
+      (1/dx + 1) may not pass 10^7 either
   numerics.eps1_fraction
       scales the admissibility radius of the semi-global solver;
       1.0 (default) keeps the solver's own bound
@@ -30,7 +33,8 @@ Blank lines and lines starting with ``#`` are skipped.  Keys:
       (characteristics|upwind), output directory (default ".")
   sweep.run sweep.vary.<key>
       subcommand to repeat and comma-separated values for any scalar
-      key; axes combine as a full grid, first declared axis slowest
+      key; axes combine as a full grid, first declared axis slowest,
+      into at most 1000 cases
 
 Exit codes: 0 on success, 2 for schema violations (message names the
 first offending key), 3 for solver failures.  Every CSV is written with
@@ -51,7 +55,7 @@ from .control import ControlTarget, synthesize, verify_control
 from .errors import ExtrusimError, SchemaError
 from .fields import SampledFunction, SpaceProfile, csv_text, format_value
 from .model import EquilibriumPoint, PhysicalParams, eval_g, solve_equilibrium
-from .oracle import UpwindConfig, simulate_upwind
+from .oracle import UpwindConfig, simulate_upwind, upwind_step_estimate
 from .wellposed import CauchyData, eps1_bound, solve_semiglobal
 
 COMMANDS = ("equilibrium", "simulate", "control", "verify", "sweep")
@@ -63,6 +67,10 @@ _SPEC_HEADS = ("constant", "linear", "sine-perturbation", "csv")
 # largest n_t * n_x an output or replay grid may have (8 bytes a value, so
 # 80 MB a field array); a finer dt or dx is a config error, not an allocation
 MAX_GRID_POINTS = 10**7
+
+# most cases one sweep may run; case directories are numbered case_000 to
+# case_999
+MAX_SWEEP_CASES = 1000
 
 
 def _positive(v):
@@ -347,6 +355,21 @@ def _write(path: Path, text: str):
         fh.write(text)
 
 
+def _check_march(data, T: float, cfg: UpwindConfig):
+    """Refuse an upwind march whose rows would overflow MAX_GRID_POINTS.
+
+    The march stores one row per CFL step, and the step follows the speed,
+    not numerics.dt; the count is estimated from the speed at t = 0.
+    """
+    steps = upwind_step_estimate(data, T, cfg)
+    if steps * cfg.n_nodes > MAX_GRID_POINTS:
+        raise SchemaError(
+            f"numerics.dx: the upwind march to mode.T={format_value(T)} takes about "
+            f"{format_value(steps)} CFL steps on {cfg.n_nodes} nodes, more than "
+            f"MAX_GRID_POINTS={MAX_GRID_POINTS}; coarsen numerics.dx or shorten mode.T"
+        )
+
+
 def _cauchy_data(typed: dict, params, eq, T: float, n_t: int, n_x: int, base_dir: Path):
     f0 = SpaceProfile(_spec_samples(typed, "data.f0_p", eq.f_pe, n_x, base_dir))
     feed_eq = eq.f_pe * params.rho0 * params.V_eff * eq.N_e
@@ -372,13 +395,16 @@ def cmd_simulate(typed: dict, base_dir: Path) -> int:
         sol = solve_semiglobal(data, T, eps1=_eps1(typed, eq), n_t=n_t, n_x=n_x)
         t, l_vals, field = sol.l.grid, sol.l.values, sol.field
     else:
-        l_tr, field = simulate_upwind(data, T, UpwindConfig(dx=dx))
+        cfg = UpwindConfig(dx=dx)
+        _check_march(data, T, cfg)
+        l_tr, field = simulate_upwind(data, T, cfg)
         t = field.t_grid
         l_vals = l_tr(t)
     trace = csv_text("t,l,fp_at_1,N,F_in", t, l_vals, field.values[:, -1], data.N(t), data.F_in(t))
     out = _out_dir(typed)
     _write(out / "trace.csv", trace)
-    _write(out / "field.csv", field.to_csv(header="t,x,fp,provenance"))
+    with open(out / "field.csv", "w", newline="\n") as fh:
+        field.write_csv(fh, header="t,x,fp,provenance")
     print(f"wrote {out / 'trace.csv'} ({t.size} rows)")
     print(f"wrote {out / 'field.csv'} ({t.size * field.x_grid.size} rows)")
     return 0
@@ -453,6 +479,8 @@ def cmd_verify(typed: dict, base_dir: Path) -> int:
         return f"residual {residual:.3g}"
 
     data = _cauchy_data(typed, params, eq, T, n_t, n_x, base_dir)
+    upwind = UpwindConfig(dx=dx)
+    _check_march(data, T, upwind)
     state = {}
 
     def check_contraction():
@@ -471,7 +499,7 @@ def cmd_verify(typed: dict, base_dir: Path) -> int:
 
     def check_cross_validation():
         sol = state["sol"]
-        l_up, field_up = simulate_upwind(data, T, UpwindConfig(dx=dx))
+        l_up, field_up = simulate_upwind(data, T, upwind)
         state["upwind"] = field_up
         dev_l = float(np.max(np.abs(sol.l.values - l_up(sol.l.grid))))
         final_up = np.interp(sol.field.x_grid, field_up.x_grid, field_up.values[-1])
@@ -503,6 +531,13 @@ def cmd_sweep(typed: dict, raw: dict, order: list, base_dir: Path) -> int:
         for key in order
         if key.startswith("sweep.vary.")
     ]
+    total = math.prod(len(values) for _, values in axes)
+    if total > MAX_SWEEP_CASES:
+        longest = max(axes, key=lambda axis: len(axis[1]))[0]
+        raise SchemaError(
+            f"sweep.vary.{longest}: the axes combine to {total} cases, more than "
+            f"MAX_SWEEP_CASES={MAX_SWEEP_CASES}"
+        )
     base_raw = {k: v for k, v in raw.items() if not k.startswith("sweep.")}
     out_root = _out_dir(typed)
     names = [key for key, _ in axes]

@@ -11,11 +11,14 @@ CSV contract, shared by every file the CLI writes: a header line, then one
 line per row; values carry 12 significant digits (`FLOAT_FORMAT`) with a
 plain '.' and lines end in LF.  Each float is formatted exactly once: the
 field writer formats each t once per row and each x once, and puts only the
-field values through the format spec cell by cell.
+field values through the format spec cell by cell.  The field writer
+streams: each row of the field goes to the open file as soon as it is
+formatted, so writing a field costs one row of text, not the whole file.
 """
 
 from __future__ import annotations
 
+import io
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -197,22 +200,29 @@ class SolutionField:
         """Spatial slice at t_grid[i] as a profile (x-grid must be [0,1] uniform)."""
         return SpaceProfile(self.values[i].copy())
 
-    def to_csv(self, header: str = "t,x,value,provenance") -> str:
-        """One line "t,x,value,tag" per grid point, rows of t outermost.
+    def write_csv(self, fh, header: str = "t,x,value,provenance") -> None:
+        """Write one line "t,x,value,tag" per grid point to fh, rows of t outermost.
 
         Each row is one %-template: the formatted t joins the cells, each
         carrying its formatted x and a slot for the value and for the tag.
+        Rows go to fh as they are formatted, so the writer holds one row of
+        text at a time whatever the size of the field.
         """
         cells = [f",{format_value(x)},%{FLOAT_FORMAT}%s" for x in self.x_grid.tolist()]
         tags = np.array([f",{PROVENANCE_NAMES[k]}" for k in range(len(PROVENANCE_NAMES))], object)
         slots = [None] * (2 * len(cells))
-        out = [header + "\n"]
-        for t, row, prov in zip(self.t_grid.tolist(), self.values.tolist(), self.provenance):
+        fh.write(header + "\n")
+        for t, row, prov in zip(self.t_grid.tolist(), self.values, self.provenance):
             t_text = format_value(t)
-            slots[0::2] = row
+            slots[0::2] = row.tolist()
             slots[1::2] = tags[prov].tolist()
-            out.append((t_text + ("\n" + t_text).join(cells) + "\n") % tuple(slots))
-        return "".join(out)
+            fh.write((t_text + ("\n" + t_text).join(cells) + "\n") % tuple(slots))
+
+    def to_csv(self, header: str = "t,x,value,provenance") -> str:
+        """The text `write_csv` writes, as one string."""
+        buf = io.StringIO()
+        self.write_csv(buf, header)
+        return buf.getvalue()
 
 
 @dataclass(frozen=True)

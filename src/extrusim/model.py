@@ -70,6 +70,21 @@ class EquilibriumPoint:
             raise DomainError(f"not an equilibrium: |F| = {residual:.3e} > 1e-12")
 
 
+def _float64(v):
+    """v as float64: a numpy scalar for a float, an array otherwise.
+
+    A numpy scalar rounds and raises floating-point flags as a 0-d array
+    does, at a fraction of the call overhead, which scalar loops such as
+    the upwind march pay once per step.
+    """
+    return np.float64(v) if isinstance(v, float) else np.asarray(v, dtype=float)
+
+
+def _any(mask) -> bool:
+    """np.any, without its reduction call on a numpy scalar."""
+    return bool(mask) if mask.ndim == 0 else bool(mask.any())
+
+
 def eval_g(l, f_p1, params: PhysicalParams):
     """Interface velocity per unit screw speed.
 
@@ -79,13 +94,13 @@ def eval_g(l, f_p1, params: PhysicalParams):
     Positive when the die is under-filled relative to the equilibrium of
     the current interface position, negative when over-filled.
     """
-    l_arr = np.asarray(l, dtype=float)
-    f_arr = np.asarray(f_p1, dtype=float)
-    if np.any(f_arr >= 1.0):
+    l_arr = _float64(l)
+    f_arr = _float64(f_p1)
+    if _any(f_arr >= 1.0):
         raise SingularityError("f_p1 >= 1 makes the die balance singular")
-    if np.any(f_arr < 0.0):
+    if _any(f_arr < 0.0):
         raise DomainError("f_p1 must be a ratio in [0, 1)")
-    if np.any(l_arr <= 0.0) or np.any(l_arr >= params.L):
+    if _any(l_arr <= 0.0) or _any(l_arr >= params.L):
         raise DomainError(f"l must lie strictly inside (0, L={params.L})")
     remaining = params.K_d * (params.L - l_arr)
     denom = (params.B * params.rho0 + remaining) * (1.0 - f_arr)
@@ -98,25 +113,29 @@ def eval_g(l, f_p1, params: PhysicalParams):
 def eval_F(l, N, f_p1, params: PhysicalParams):
     """Interface velocity N*g(l, f_p1)."""
     g = eval_g(l, f_p1, params)
-    out = np.asarray(N, dtype=float) * g
     if np.isscalar(g) and np.isscalar(N):
-        return float(out)
-    return out
+        return float(N * g)
+    return np.asarray(N, dtype=float) * g
 
 
 def eval_alpha_p(x, N, l, f_p1, params: PhysicalParams):
     """Normalized transport speed (zeta*N - x*F)/l in the partially filled zone."""
-    l_arr = np.asarray(l, dtype=float)
-    if np.any(l_arr <= 0.0):
+    l_arr = _float64(l)
+    if _any(l_arr <= 0.0):
         raise DomainError("l must be positive")
-    x_arr = np.asarray(x, dtype=float)
-    if np.any(x_arr < 0.0) or np.any(x_arr > 1.0):
+    x_arr = _float64(x)
+    if _any(x_arr < 0.0) or _any(x_arr > 1.0):
         raise DomainError("x is a normalized position in [0, 1]")
     F = eval_F(l, N, f_p1, params)
-    out = (params.zeta * np.asarray(N, dtype=float) - x_arr * np.asarray(F)) / l_arr
+    out = transport_speed(x_arr, _float64(N), l_arr, F, params)
     if out.ndim == 0:
         return float(out)
     return out
+
+
+def transport_speed(x, N, l, F, params: PhysicalParams):
+    """(zeta*N - x*F)/l for an interface velocity F already evaluated."""
+    return (params.zeta * N - x * F) / l
 
 
 def inflow_value(F_in, N, params: PhysicalParams):
@@ -125,10 +144,10 @@ def inflow_value(F_in, N, params: PhysicalParams):
     The caller is responsible for checking the result lands in (0,1)
     before using it as boundary data.
     """
-    N_arr = np.asarray(N, dtype=float)
-    if np.any(N_arr <= 0.0):
+    N_arr = _float64(N)
+    if _any(N_arr <= 0.0):
         raise DomainError("N must be positive to define the fed ratio")
-    out = np.asarray(F_in, dtype=float) / (params.rho0 * params.V_eff * N_arr)
+    out = _float64(F_in) / (params.rho0 * params.V_eff * N_arr)
     if np.isscalar(F_in) and np.isscalar(N):
         return float(out)
     return out

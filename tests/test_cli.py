@@ -203,6 +203,39 @@ class TestSchemaErrors:
         with pytest.raises(SchemaError, match="numerics.dt"):
             cli._grids(typed, float(steps + 1))
 
+    @pytest.mark.parametrize("sub", ["simulate", "verify"])
+    def test_upwind_march_bound_names_dx_and_T(self, tmp_path, capsys, monkeypatch, sub):
+        # a 1001 x 101 output grid passes the grid cap, but the march takes
+        # a CFL step of about 0.9*dx/2: some 2e7 steps on 101 nodes
+        def unreachable(*args, **kwargs):
+            raise AssertionError("upwind march started past its bound")
+
+        monkeypatch.setattr(cli, "simulate_upwind", unreachable)
+        mapping = base_simulate_cfg(tmp_path)
+        mapping.update({"mode.T": "1e5", "numerics.dt": "100", "numerics.dx": "0.01"})
+        mapping["mode.method"] = "upwind"
+        cfg = write_cfg(tmp_path, "c.cfg", mapping)
+        assert run([sub, cfg]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("config error: numerics.dx:")
+        assert "mode.T=100000" in captured.err and str(MAX_GRID_POINTS) in captured.err
+        assert captured.out == ""
+        assert not (tmp_path / "out").exists()
+
+    def test_upwind_march_within_bound_runs(self, tmp_path, monkeypatch):
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args[1])
+            return cli_upwind(*args, **kwargs)
+
+        cli_upwind = cli.simulate_upwind
+        monkeypatch.setattr(cli, "simulate_upwind", counting)
+        mapping = base_simulate_cfg(tmp_path)
+        mapping["mode.method"] = "upwind"
+        assert run(["simulate", write_cfg(tmp_path, "c.cfg", mapping)]) == 0
+        assert calls == [0.5]
+
     def test_tolerance_key_is_unknown(self, tmp_path, capsys):
         # no solver reads a config tolerance, so the key is rejected
         mapping = base_simulate_cfg(tmp_path)
@@ -326,6 +359,39 @@ class TestSweepCommand:
         cfg3 = (root / "case_003" / "config.txt").read_text()
         assert "data.l0=0.48" in cfg0 and "equilibrium.N_e=1\n" in cfg0
         assert "data.l0=0.5" in cfg3 and "equilibrium.N_e=1.2" in cfg3
+
+    def _axes_cfg(self, tmp_path, *lengths):
+        mapping = base_simulate_cfg(tmp_path, out="sweep")
+        mapping["sweep.run"] = "simulate"
+        bases = (("data.l0", 0.45), ("equilibrium.N_e", 1.0), ("mode.T", 0.5))
+        for (key, base), n in zip(bases, lengths):
+            mapping[f"sweep.vary.{key}"] = ",".join(repr(base + 0.001 * i) for i in range(n))
+        return write_cfg(tmp_path, "c.cfg", mapping)
+
+    def test_case_cap_passes_exactly(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(cli, "MAX_SWEEP_CASES", 4)
+        monkeypatch.setitem(cli._DISPATCH, "simulate", lambda typed, base_dir: 0)
+        assert run(["sweep", self._axes_cfg(tmp_path, 2, 2)]) == 0
+        assert len(list((tmp_path / "sweep").iterdir())) == 4
+
+    def test_case_cap_one_more_fails(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "MAX_SWEEP_CASES", 4)
+        monkeypatch.setitem(cli._DISPATCH, "simulate", _no_allocation)
+        assert run(["sweep", self._axes_cfg(tmp_path, 1, 5)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: sweep.vary.equilibrium.N_e:")
+        assert "5 cases" in err and "MAX_SWEEP_CASES=4" in err
+        assert not (tmp_path / "sweep").exists()
+
+    def test_case_cap_names_longest_axis(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setitem(cli._DISPATCH, "simulate", _no_allocation)
+        # 7 * 13 * 11 = 1001 cases, one above the cap
+        assert run(["sweep", self._axes_cfg(tmp_path, 7, 13, 11)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: sweep.vary.equilibrium.N_e:")
+        assert f"1001 cases, more than MAX_SWEEP_CASES={cli.MAX_SWEEP_CASES}" in err
+        assert cli.MAX_SWEEP_CASES == 1000
+        assert not (tmp_path / "sweep").exists()
 
     def test_sweeping_function_spec_rejected(self, tmp_path, capsys):
         mapping = base_simulate_cfg(tmp_path)

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -304,6 +305,34 @@ class TestFieldCsvBytes:
         (field,) = returned
         assert "boundary" in reference_field_csv(field)
         blob = (tmp_path / "out" / "field.csv").read_bytes()
+        assert blob == reference_field_csv(field, header="t,x,fp,provenance").encode()
+
+
+class TestFieldCsvStreaming:
+    def test_peak_memory_is_one_row(self, tmp_path):
+        # the size of the sim-upwind field: 1125 rows of 501 nodes, 25 MB of text
+        n_t, n_x = 1125, 501
+        rng = np.random.default_rng(3)
+        field = SolutionField(
+            np.linspace(0.0, 1.0, n_t),
+            np.linspace(0.0, 1.0, n_x),
+            rng.uniform(0.3, 0.4, (n_t, n_x)),
+            np.arange(n_x) <= np.arange(n_t)[:, None],
+        )
+        path = tmp_path / "field.csv"
+        tracemalloc.start()
+        try:
+            with open(path, "w", newline="\n") as fh:
+                before = tracemalloc.get_traced_memory()[0]
+                tracemalloc.reset_peak()
+                field.write_csv(fh, header="t,x,fp,provenance")
+                peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 2**20
+        blob = path.read_bytes()
+        assert len(blob) > 20 * 2**20
+        assert blob == field.to_csv(header="t,x,fp,provenance").encode()
         assert blob == reference_field_csv(field, header="t,x,fp,provenance").encode()
 
 

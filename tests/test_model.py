@@ -2,8 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from extrusim.errors import DomainError, SingularityError
+from extrusim.errors import DomainError, ExtrusimError, SingularityError
 from extrusim.model import (
     EquilibriumPoint,
     PhysicalParams,
@@ -113,6 +115,44 @@ class TestInflow:
     def test_stalled_screw_rejected(self):
         with pytest.raises(DomainError):
             inflow_value(0.3, 0.0, UNIT)
+
+
+def _outcome(fn, *args):
+    try:
+        return "ok", np.float64(np.squeeze(fn(*args))).tobytes()
+    except ExtrusimError as exc:
+        return type(exc), str(exc)
+
+
+class TestScalarPath:
+    """Python floats take a numpy-scalar path; it must agree bit for bit,
+    and error for error, with the same inputs given as arrays."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        x=st.floats(-0.2, 1.2),
+        N=st.floats(-1.0, 5.0),
+        l=st.floats(-0.2, 1.2),
+        f=st.floats(-0.2, 1.2),
+        F_in=st.floats(0.0, 3.0),
+        K_d=st.floats(0.1, 10.0),
+    )
+    def test_scalars_match_arrays(self, x, N, l, f, F_in, K_d):
+        params = PhysicalParams(K_d=K_d, B=0.7, zeta=1.3)
+        a = np.array
+        # a subnormal l overflows alpha to inf on both paths alike
+        with np.errstate(over="ignore"):
+            for fn, args in (
+                (eval_g, (l, f)),
+                (eval_F, (l, N, f)),
+                (eval_alpha_p, (x, N, l, f)),
+                (inflow_value, (F_in, N)),
+            ):
+                scalar = _outcome(fn, *args, params)
+                assert scalar == _outcome(fn, *(a([v]) for v in args), params)
+                assert scalar == _outcome(fn, *(a(v) for v in args), params)
+                if scalar[0] == "ok":
+                    assert type(fn(*args, params)) is float
 
 
 class TestSolveEquilibrium:

@@ -1,11 +1,33 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from extrusim.errors import DomainError, SchemeError
-from extrusim.fields import SampledFunction, SpaceProfile
-from extrusim.model import PhysicalParams, solve_equilibrium
-from extrusim.oracle import UpwindConfig, convergence_study, simulate_upwind
-from extrusim.wellposed import CauchyData, solve_semiglobal
+from extrusim.fields import (
+    PROVENANCE_BOUNDARY,
+    PROVENANCE_INITIAL,
+    SampledFunction,
+    SolutionField,
+    SpaceProfile,
+)
+from extrusim.model import (
+    PhysicalParams,
+    eval_alpha_p,
+    eval_F,
+    inflow_value,
+    solve_equilibrium,
+)
+from extrusim.oracle import (
+    MAX_PRINCIPLE_SLACK,
+    UpwindConfig,
+    convergence_study,
+    simulate_upwind,
+    upwind_step_estimate,
+)
+from extrusim.wellposed import CauchyData, eps1_bound, solve_semiglobal
 
 UNIT = PhysicalParams()
 EQ = solve_equilibrium(UNIT, N_e=1.0, l_e=0.5)
@@ -25,6 +47,71 @@ def smooth_bump(x):
     z = np.asarray(x, float)
     s = np.clip((z - 0.2) / 0.6, 0.0, 1.0)
     return np.where((z >= 0.2) & (z < 0.8), np.sin(np.pi * s) ** 2, 0.0)
+
+
+def reference_simulate_upwind(data, T, cfg):
+    """The march with per-step copies, flag masks and two F evaluations a
+    step, kept as the bit-level reference; also says whether it resampled."""
+    params = data.params
+    x = np.linspace(0.0, 1.0, cfg.n_nodes)
+    f = np.asarray(data.f0_p(x), dtype=float)
+    l = float(data.l0)
+    bnd = x == 0.0
+    t = 0.0
+    rows, flags, ts, ls = [f.copy()], [bnd.copy()], [0.0], [l]
+    lo = float(min(f.min(), data.inflow(0.0)))
+    hi = float(max(f.max(), data.inflow(0.0)))
+    while t < T - 1e-12 * T:
+        N_now = float(data.N(t))
+        b_out = float(f[-1])
+        alpha = np.asarray(eval_alpha_p(x, N_now, l, b_out, params), dtype=float)
+        if not np.all(np.isfinite(alpha)) or np.any(alpha <= 0.0):
+            raise SchemeError("transport speed lost positivity; upwinding is invalid")
+        dt = min(cfg.cfl * cfg.dx / float(alpha.max()), T - t)
+        if dt < 1e-14 * max(T, 1.0):
+            raise SchemeError(f"CFL time step collapsed at t={t:.6g}")
+        lam = dt / cfg.dx * alpha[1:]
+        f_new = np.empty_like(f)
+        f_new[1:] = f[1:] - lam * (f[1:] - f[:-1])
+        if f_new[1:].min() < lo - MAX_PRINCIPLE_SLACK or f_new[1:].max() > hi + MAX_PRINCIPLE_SLACK:
+            raise SchemeError("discrete maximum principle violated")
+        l += dt * float(eval_F(l, N_now, b_out, params))
+        if not (0.0 < l < params.L):
+            raise SchemeError(f"interface position {l:.6g} left (0, L)")
+        t += dt
+        f_new[0] = float(inflow_value(float(data.F_in(t)), float(data.N(t)), params))
+        lo = min(lo, f_new[0])
+        hi = max(hi, f_new[0])
+        bnd = np.concatenate(([True], bnd[1:] | bnd[:-1]))
+        f = f_new
+        rows.append(f.copy())
+        flags.append(bnd.copy())
+        ts.append(t)
+        ls.append(l)
+    ts = np.asarray(ts)
+    values = np.asarray(rows)
+    prov = np.where(np.asarray(flags), PROVENANCE_BOUNDARY, PROVENANCE_INITIAL)
+    l_vals = np.asarray(ls)
+    t_grid = np.linspace(0.0, T, ts.size)
+    dts = np.diff(ts)
+    resampled = bool(np.max(dts) - np.min(dts) > 1e-9 * np.mean(dts))
+    if resampled:
+        values = np.stack([np.interp(t_grid, ts, values[:, j]) for j in range(x.size)], axis=1)
+        l_vals = np.interp(t_grid, ts, l_vals)
+        nearest = np.clip(np.searchsorted(ts, t_grid), 0, ts.size - 1)
+        prov = prov[nearest]
+    field = SolutionField(t_grid, x, values, prov.astype(np.uint8))
+    return (SampledFunction(0.0, T, l_vals), field), resampled
+
+
+def sine_feed_data(f0_amp, fin_amp, freq, T, n=101, n_amp=0.0):
+    """Sine profile, feed and screw speed around the equilibrium, corner-compatible."""
+    feed = EQ.f_pe * UNIT.rho0 * UNIT.V_eff * EQ.N_e
+    f0 = SpaceProfile(EQ.f_pe + f0_amp * np.sin(np.pi * np.linspace(0.0, 1.0, n)))
+    tt = np.linspace(0.0, 1.0, 201)
+    F_in = SampledFunction(0.0, T, feed + fin_amp * np.sin(freq * np.pi * tt))
+    N = SampledFunction(0.0, T, EQ.N_e + n_amp * np.sin(np.pi * tt))
+    return CauchyData(EQ.l_e, f0, F_in, N, UNIT, EQ)
 
 
 class TestUpwindConfig:
@@ -122,6 +209,86 @@ class TestSimulateUpwind:
         data = make_data(lambda x: EQ.f_pe + 0.0 * np.asarray(x, float))
         with pytest.raises(DomainError):
             simulate_upwind(data, 0.0, UpwindConfig(dx=0.02))
+
+
+class TestBitIdenticalMarch:
+    def _assert_same(self, data, T, cfg, resampled):
+        (l_ref, field_ref), did_resample = reference_simulate_upwind(data, T, cfg)
+        assert did_resample is resampled
+        l_new, field = simulate_upwind(data, T, cfg)
+        for name in ("t_grid", "x_grid", "values", "provenance"):
+            assert np.array_equal(getattr(field, name), getattr(field_ref, name)), name
+        assert field.provenance.dtype == field_ref.provenance.dtype
+        assert np.array_equal(l_new.values, l_ref.values)
+        assert (l_new.t_start, l_new.t_end) == (l_ref.t_start, l_ref.t_end)
+
+    def test_even_steps(self):
+        # constant feed at equilibrium and a bump on [0.13, 0.53] whose
+        # upwind front (one node a step, 20 steps) stays off the outlet: the
+        # speed never changes, so every CFL step is the same
+        data = make_data(lambda x: EQ.f_pe + 0.05 * smooth_bump(1.5 * np.asarray(x, float)), n=51)
+        self._assert_same(data, 0.1, UpwindConfig(dx=0.02, cfl=0.5), resampled=False)
+
+    def test_uneven_steps(self):
+        data = sine_feed_data(0.01, 0.006, 2, T=0.5, n_amp=0.05)
+        self._assert_same(data, 0.5, UpwindConfig(dx=0.01), resampled=True)
+
+    def test_runaway_interface_raises_the_same_error(self):
+        c = 0.95 / (UNIT.rho0 * UNIT.V_eff)
+        data = CauchyData(
+            EQ.l_e,
+            SpaceProfile.constant(0.95, 51),
+            SampledFunction.constant(c, 0.0, 1.0, 11),
+            SampledFunction.constant(1.0, 0.0, 1.0, 11),
+            UNIT,
+            EQ,
+        )
+        cfg = UpwindConfig(dx=0.02)
+        with pytest.raises(SchemeError) as ref:
+            reference_simulate_upwind(data, 0.5, cfg)
+        with pytest.raises(SchemeError) as new:
+            simulate_upwind(data, 0.5, cfg)
+        assert type(new.value) is type(ref.value)
+        assert str(new.value) == str(ref.value)
+
+
+class TestMaximumPrinciple:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        f0_amp=st.floats(-0.5, 0.5),
+        fin_amp=st.floats(-0.5, 0.5),
+        freq=st.integers(1, 4),
+        cfl=st.floats(0.02, 1.0),
+    )
+    def test_rows_stay_within_data_seen_so_far(self, f0_amp, fin_amp, freq, cfl):
+        # amplitudes are fractions of the admissibility radius eps1
+        eps1 = eps1_bound(EQ)
+        T = 0.3
+        data = sine_feed_data(f0_amp * eps1, fin_amp * eps1 * UNIT.rho0 * UNIT.V_eff, freq, T, n=41)
+        _, field = simulate_upwind(data, T, UpwindConfig(dx=0.025, cfl=cfl))
+        # the feed is linear between its samples (N is constant), so its range
+        # up to time t is that of its samples up to t and of its value at t
+        nodes = data.F_in.grid
+        feed = data.inflow(nodes)
+        upto = np.searchsorted(nodes, field.t_grid, side="right") - 1
+        now = data.inflow(field.t_grid)
+        lo = np.minimum(min(data.f0_p.values), np.minimum(np.minimum.accumulate(feed)[upto], now))
+        hi = np.maximum(max(data.f0_p.values), np.maximum(np.maximum.accumulate(feed)[upto], now))
+        # interior nodes only mix earlier rows; the inflow node interpolates
+        # the feed between two march times, so it stays in the feed's range
+        assert np.all(field.values[:, 1:].min(axis=1) >= lo - 1e-12)
+        assert np.all(field.values[:, 1:].max(axis=1) <= hi + 1e-12)
+        assert field.values[:, 0].min() >= feed.min() - 1e-12
+        assert field.values[:, 0].max() <= feed.max() + 1e-12
+
+
+class TestStepEstimate:
+    def test_matches_march_at_constant_speed(self):
+        data = make_data(lambda x: EQ.f_pe + 0.0 * np.asarray(x, float))
+        cfg = UpwindConfig(dx=0.02, cfl=0.9)
+        _, field = simulate_upwind(data, 0.3, cfg)
+        steps = upwind_step_estimate(data, 0.3, cfg)
+        assert field.t_grid.size - 1 == math.ceil(steps - 1e-9)
 
 
 class TestConvergenceStudy:

@@ -17,10 +17,12 @@ the interval at beta = xi(t_start; t, x), closed form, when that lies in
 [0, 1]; otherwise it left x = 0 at the tau solving
 Q(tau) = Q(t) - x*exp(P(t)).  Q is strictly increasing, so `searchsorted`
 on its nodes finds the cell and safeguarded Newton steps on that cell's
-Hermite cubic give tau.
+Hermite cubic give tau.  The crossing time of the inlet-corner
+characteristic at x = 1 comes from the same closed form.
 
-A classical Runge-Kutta integration of the same ODE is provided as an
-independent route for cross-checking the closed form.
+A classical Runge-Kutta integration of the same ODE, and a crossing time
+marched along it, are provided as independent routes for cross-checking
+the closed form.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import DivergenceError, DomainError, GridError
+from .errors import ConvergenceError, DivergenceError, DomainError, GridError
 from .fields import SampledFunction
 from .model import PhysicalParams, eval_F
 from .quadrature import HermiteAntiderivative, cumulative_integral
@@ -206,6 +208,43 @@ def xi_rk4(s: float, t: float, x: float, ctx: TraceContext) -> float:
     return _rk4_span(ctx, t, x, s)
 
 
+def crossing_time_rk4(ctx: TraceContext):
+    """Runge-Kutta route to `crossing_time`, kept as an independent oracle.
+
+    Marches the trajectory from the lower-left corner forward on the grid,
+    then bisects inside the bracketing step until the position matches 1
+    within 1e-12.  Returns None when the trajectory has not reached x=1 by
+    the end of the context interval.
+    """
+    t0 = ctx.t_start
+    n = ctx.l.values.size
+    pos = 0.0
+    t_prev = t0
+    hit = False
+    for k in range(1, n):
+        t_next = t0 + k * ctx.dt
+        pos_next = _rk4_span(ctx, t_prev, pos, t_next)
+        if pos_next >= 1.0:
+            hit = True
+            break
+        t_prev, pos = t_next, pos_next
+    if not hit:
+        return None
+    lo, hi = t_prev, t_next
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        val = _rk4_span(ctx, t_prev, pos, mid)
+        if abs(val - 1.0) <= ROOT_TOL:
+            return mid
+        if val < 1.0:
+            lo = mid
+        else:
+            hi = mid
+        if hi - lo <= 1e-16 * max(1.0, hi):
+            break
+    return 0.5 * (lo + hi)
+
+
 def _boundary_times(ts: np.ndarray, xs: np.ndarray, ctx: TraceContext) -> np.ndarray:
     """Times tau at which the characteristics through (ts, xs) left x = 0.
 
@@ -297,37 +336,36 @@ def dbeta_dx(t: float, x: float, ctx: TraceContext) -> float:
 
 
 def crossing_time(ctx: TraceContext):
-    """First time the forward characteristic from the lower-left corner hits x=1.
+    """Time at which the characteristic from the inlet corner reaches x = 1.
 
-    Marches the Runge-Kutta trajectory forward on the grid, then bisects
-    inside the bracketing step until the position matches 1 within 1e-12.
-    Returns None when the trajectory has not reached x=1 by the end of the
-    context interval.
+    Solves xi(t_start; t0, 1) = 0 in closed form.  The outlet nodes of the
+    context grid bracket the root: the last one whose characteristic starts
+    on the initial axis and the first one whose characteristic left the
+    inflow face.  Newton steps on the Hermite P and Q stay inside that
+    bracket.  Returns None when the corner characteristic has not reached
+    x = 1 by the end of the context interval.
     """
-    t0 = ctx.t_start
-    n = ctx.l.values.size
-    pos = 0.0
-    t_prev = t0
-    hit = False
-    for k in range(1, n):
-        t_next = t0 + k * ctx.dt
-        pos_next = _rk4_span(ctx, t_prev, pos, t_next)
-        if pos_next >= 1.0:
-            hit = True
-            break
-        t_prev, pos = t_next, pos_next
-    if not hit:
+    t_grid = ctx.l.grid
+    is_bnd = np.asarray(_xi_closed(ctx.t_start, t_grid, 1.0, ctx)) < 0.0
+    k = int(np.argmax(is_bnd))
+    if not is_bnd[k]:
         return None
-    lo, hi = t_prev, t_next
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        val = _rk4_span(ctx, t_prev, pos, mid)
-        if abs(val - 1.0) <= ROOT_TOL:
-            return mid
-        if val < 1.0:
-            lo = mid
+    lo, hi = float(t_grid[k - 1]), float(t_grid[k])
+    t = lo
+    for _ in range(100):
+        r = float(_xi_closed(ctx.t_start, t, 1.0, ctx))
+        if r > 0.0:
+            lo = t
         else:
-            hi = mid
-        if hi - lo <= 1e-16 * max(1.0, hi):
-            break
-    return 0.5 * (lo + hi)
+            hi = t
+        slope = float(
+            np.exp(ctx._P(t) - ctx._P(ctx.t_start)) * ctx._P.derivative(t)
+            - np.exp(-ctx._P(ctx.t_start)) * ctx._Q.derivative(t)
+        )
+        new = t - r / slope
+        if not (lo <= new <= hi):
+            new = 0.5 * (lo + hi)
+        if abs(new - t) <= 4e-16 * max(1.0, abs(t)):
+            return new
+        t = new
+    raise ConvergenceError(f"corner crossing time did not settle in [{lo:.12g}, {hi:.12g}]")

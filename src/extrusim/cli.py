@@ -22,12 +22,10 @@ Blank lines and lines starting with ``#`` are skipped.  Keys:
       step sizes of the output/replay grids (defaults 5e-3, 1e-2);
       dt must divide mode.T and dx the unit interval, and the grid may
       hold at most 10^7 points, (T/dt + 1) * (1/dx + 1); the upwind
-      march (simulate with mode.method=upwind, verify) keeps one row per
-      CFL step, about T * max alpha(0) / (0.9 * dx) steps, and steps *
-      (1/dx + 1) may not pass 10^7 either
-  numerics.eps1_fraction
-      scales the admissibility radius of the semi-global solver;
-      1.0 (default) keeps the solver's own bound
+      march (simulate with mode.method=upwind, verify, and the replay of
+      control) keeps one row per CFL step, about
+      T * max alpha(0) / (0.9 * dx) steps, and steps * (1/dx + 1) may not
+      pass 10^7 either
   mode.T mode.nu mode.method mode.out
       horizon, control deviation budget, simulate method
       (characteristics|upwind), output directory (default ".")
@@ -54,9 +52,9 @@ import numpy as np
 from .control import ControlTarget, synthesize, verify_control
 from .errors import ExtrusimError, SchemaError
 from .fields import SampledFunction, SpaceProfile, csv_text, format_value
-from .model import EquilibriumPoint, PhysicalParams, eval_g, solve_equilibrium
+from .model import PhysicalParams, eval_g, solve_equilibrium
 from .oracle import UpwindConfig, simulate_upwind, upwind_step_estimate
-from .wellposed import CauchyData, eps1_bound, solve_semiglobal
+from .wellposed import PICARD_TOL, CauchyData, solve_semiglobal
 
 COMMANDS = ("equilibrium", "simulate", "control", "verify", "sweep")
 
@@ -82,12 +80,6 @@ def _positive(v):
 def _unit_open(v):
     if not (0.0 < v < 1.0):
         raise ValueError("must lie in (0, 1)")
-    return v
-
-
-def _fraction(v):
-    if not (0.0 < v <= 1.0):
-        raise ValueError("must lie in (0, 1]")
     return v
 
 
@@ -117,7 +109,6 @@ _FLOAT_KEYS = {
     "mode.nu": _positive,
     "numerics.dt": _positive,
     "numerics.dx": _grid_step,
-    "numerics.eps1_fraction": _fraction,
 }
 
 _SPEC_KEYS = ("data.f0_p", "data.f1_p", "data.F_in", "data.N")
@@ -337,13 +328,6 @@ def _grids(typed: dict, T: float):
     return dt, dx, n_t, n_x
 
 
-def _eps1(typed: dict, eq: EquilibriumPoint):
-    fraction = typed.get("numerics.eps1_fraction", 1.0)
-    if fraction == 1.0:
-        return None
-    return fraction * eps1_bound(eq)
-
-
 def _out_dir(typed: dict) -> Path:
     out = Path(typed.get("mode.out", "."))
     out.mkdir(parents=True, exist_ok=True)
@@ -392,7 +376,7 @@ def cmd_simulate(typed: dict, base_dir: Path) -> int:
     data = _cauchy_data(typed, params, eq, T, n_t, n_x, base_dir)
     method = typed.get("mode.method", "characteristics")
     if method == "characteristics":
-        sol = solve_semiglobal(data, T, eps1=_eps1(typed, eq), n_t=n_t, n_x=n_x)
+        sol = solve_semiglobal(data, T, n_t=n_t, n_x=n_x)
         t, l_vals, field = sol.l.grid, sol.l.values, sol.field
     else:
         cfg = UpwindConfig(dx=dx)
@@ -422,6 +406,13 @@ def cmd_control(typed: dict, base_dir: Path) -> int:
         T=T,
         nu=typed["mode.nu"],
     )
+    # verify_control replays the controls with the upwind march from the
+    # target's initial state, screw at N_e and feed at f0_p(0); bound that
+    # march before synthesizing
+    feed0 = float(target.f0_p.values[0]) * params.rho0 * params.V_eff * eq.N_e
+    F_in = SampledFunction.constant(feed0, 0.0, T)
+    N = SampledFunction.constant(eq.N_e, 0.0, T)
+    _check_march(CauchyData(target.l0, target.f0_p, F_in, N, params, eq), T, UpwindConfig(dx=dx))
     report = synthesize(target, params, eq)
     cert = verify_control(target, report, params, eq, dx=dx, n_t=n_t, n_x=n_x)
     out = _out_dir(typed)
@@ -484,14 +475,14 @@ def cmd_verify(typed: dict, base_dir: Path) -> int:
     state = {}
 
     def check_contraction():
-        sol = solve_semiglobal(data, T, eps1=_eps1(typed, eq), n_t=n_t, n_x=n_x)
+        sol = solve_semiglobal(data, T, n_t=n_t, n_x=n_x)
         state["sol"] = sol
         worst = 0.0
         for seg in sol.reports:
             tail = seg.contraction_factors[1:]
             if tail:
                 worst = max(worst, max(tail))
-            if seg.residual > seg.tol:
+            if seg.residual > PICARD_TOL:
                 raise _CheckFailure(f"segment residual {seg.residual:.3g}")
         if worst > 0.5 + 1e-9:
             raise _CheckFailure(f"contraction factor {worst:.3g} above 1/2")

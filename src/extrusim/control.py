@@ -18,7 +18,8 @@ Quasilinear Hyperbolic Systems, 2010), with the interface left free:
     solve is needed for this.
   * t0 depends on the characteristic field, which depends on (l, b), so
     the passes repeat on each new candidate until b is a fixed point.
-    t0 comes from the closed form xi(0; t0, 1) = 0.
+    t0 comes from the closed form xi(0; t0, 1) = 0
+    (`characteristics.crossing_time`).
   * The feed rate prints b backwards: the characteristic through (t, 1),
     t >= t0, left the inlet at tau(t), so the inflow ratio at tau(t) is
     b(t), up to t1 = tau(T).  After t1 the inflow is f1_p at the landing
@@ -37,7 +38,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .characteristics import TraceContext, _xi_closed, backtrace_batch, backtrace_times
+from .characteristics import (
+    TraceContext,
+    _xi_closed,
+    backtrace_batch,
+    backtrace_times,
+    crossing_time,
+)
 from .errors import (
     ConvergenceError,
     DivergenceError,
@@ -125,7 +132,7 @@ class FeasibilityResult:
     detail: str
 
 
-def feasibility_check(T: float, eq: EquilibriumPoint, target: ControlTarget | None = None):
+def feasibility_check(T: float, eq: EquilibriumPoint):
     """Strict horizon test T > T_e, with the unreachable-region witness.
 
     The witness is the landing point of the forward characteristic from the
@@ -145,28 +152,6 @@ def feasibility_check(T: float, eq: EquilibriumPoint, target: ControlTarget | No
         f"by t={T}; the final profile on x > {witness:.12g} is fixed by the initial data"
     )
     return FeasibilityResult(False, T, T_e, witness, detail)
-
-
-@dataclass(frozen=True)
-class SynthesisOptions:
-    """Tunables of the synthesis: time grid, fixed-point tolerance and cap,
-    horizon margin over the critical time, and final-profile probe count."""
-
-    n_t: int = 2049
-    tol: float = 1e-10
-    max_iterations: int = 200
-    margin: float = 0.1
-    probe_points: int = 257
-
-    def __post_init__(self):
-        if self.n_t < 3:
-            raise DomainError("need at least 3 time nodes")
-        if not (self.tol > 0.0):
-            raise DomainError("tolerance must be positive")
-        if self.max_iterations < 1:
-            raise DomainError("need at least one iteration")
-        if self.probe_points < 2:
-            raise DomainError("need at least two probe points")
 
 
 @dataclass(frozen=True)
@@ -197,6 +182,16 @@ class SynthesisReport:
     control_size: float
 
 
+# synthesis time grid: nodes on [0, T]
+SYNTH_N_T = 2049
+# the passes stop once the outlet trace moves by at most SYNTH_TOL, within
+# SYNTH_MAX_ITER passes
+SYNTH_TOL = 1e-10
+SYNTH_MAX_ITER = 200
+# the horizon must exceed the critical time by this fraction of it
+HORIZON_MARGIN = 0.1
+# nodes on [0, 1] at which the final profile is read back
+FINAL_PROBE_POINTS = 257
 # fraction of [t0, T] covered by the outlet bump; the bump vanishes before T
 BUMP_WINDOW = 0.9
 # shooting stops once the interface misses l1 by at most this much (relative
@@ -209,45 +204,21 @@ PICARD_MAX_ITER = 200
 REPLAY_DT = 1.0 / 800.0
 
 
-def _candidate_context(T, a_vals, b_vals, N_vals, params) -> TraceContext:
+def _candidate_field(T, a_vals, b_vals, N_vals, params):
+    """Characteristic field of a candidate: its context, the origins of the
+    outlet nodes and the crossing time t0 of the inlet-corner characteristic."""
     a_sf = SampledFunction(0.0, T, a_vals)
     b_sf = SampledFunction(0.0, T, b_vals)
     n_sf = SampledFunction(0.0, T, N_vals)
     try:
-        return TraceContext(a_sf, n_sf, b_sf, params)
+        ctx = TraceContext(a_sf, n_sf, b_sf, params)
     except DomainError as exc:
         raise DivergenceError(f"candidate coefficients rejected: {exc}") from exc
-
-
-def _corner_time(ctx: TraceContext, t_grid, is_bnd) -> float:
-    """Time t0 at which the characteristic from the inlet corner reaches x=1.
-
-    Solves xi(0; t0, 1) = 0 in closed form: the node origins bracket the
-    root (the last initial-axis node and the first boundary node), and
-    Newton steps on the Hermite P and Q stay inside that bracket.
-    """
-    k = int(np.argmax(is_bnd))
-    if not is_bnd[k]:
+    is_bnd, origin = backtrace_times(ctx.l.grid, 1.0, ctx)
+    t0 = crossing_time(ctx)
+    if t0 is None:
         raise FeasibilityError("the inlet-corner characteristic never reaches the outlet")
-    lo, hi = float(t_grid[k - 1]), float(t_grid[k])
-    t = lo
-    for _ in range(100):
-        r = float(_xi_closed(ctx.t_start, t, 1.0, ctx))
-        if r > 0.0:
-            lo = t
-        else:
-            hi = t
-        slope = float(
-            np.exp(ctx._P(t) - ctx._P(ctx.t_start)) * ctx._P.derivative(t)
-            - np.exp(-ctx._P(ctx.t_start)) * ctx._Q.derivative(t)
-        )
-        new = t - r / slope
-        if not (lo <= new <= hi):
-            new = 0.5 * (lo + hi)
-        if abs(new - t) <= 4e-16 * max(1.0, abs(t)):
-            return new
-        t = new
-    raise ConvergenceError(f"corner crossing time did not settle in [{lo:.12g}, {hi:.12g}]")
+    return ctx, is_bnd, origin, t0
 
 
 def _interface(l0, b_vals, phi_vals, l_start, N_e, dt, params):
@@ -308,9 +279,13 @@ def synthesize(
     target: ControlTarget,
     params: PhysicalParams,
     eq: EquilibriumPoint,
-    opts: SynthesisOptions | None = None,
 ) -> SynthesisReport:
     """Compute boundary controls steering the target, with a certificate trail.
+
+    The construction runs on SYNTH_N_T time nodes.  The passes stop once
+    the outlet trace moves by at most SYNTH_TOL, within SYNTH_MAX_ITER
+    passes.  The horizon must exceed the critical time by HORIZON_MARGIN,
+    and the final profile is read back at FINAL_PROBE_POINTS nodes.
 
     Raises FeasibilityError for horizon and landmark problems and for
     targets whose outlet bump leaves the admissible range (the message
@@ -318,34 +293,31 @@ def synthesize(
     hit their caps, and DivergenceError when a candidate trace is rejected
     by the characteristic machinery.
     """
-    if opts is None:
-        opts = SynthesisOptions()
     validate_target(target, params, eq)
     T_e = critical_time(eq)
-    if target.T <= T_e * (1.0 + opts.margin):
+    if target.T <= T_e * (1.0 + HORIZON_MARGIN):
         raise FeasibilityError(
             f"horizon T={target.T} must exceed the critical time {T_e:.6g} "
-            f"by the configured margin ({opts.margin:.0%})"
+            f"by the margin HORIZON_MARGIN ({HORIZON_MARGIN:.0%})"
         )
     l0, l1, f0_p, f1_p, T = target.l0, target.l1, target.f0_p, target.f1_p, target.T
     eps1 = eps1_bound(eq) / 3.0
-    t_grid = np.linspace(0.0, T, opts.n_t)
-    dt = T / (opts.n_t - 1)
-    N_vals = np.full(opts.n_t, eq.N_e)
+    n_t = SYNTH_N_T
+    t_grid = np.linspace(0.0, T, n_t)
+    dt = T / (n_t - 1)
+    N_vals = np.full(n_t, eq.N_e)
     v0 = float(f0_p.values[0])
     v1 = float(f1_p.values[-1])
 
     # first candidate: the outlet holds its initial value, no bump
-    b_vals = np.full(opts.n_t, float(f0_p.values[-1]))
+    b_vals = np.full(n_t, float(f0_p.values[-1]))
     A = 0.0
-    flat = np.full(opts.n_t, l0)
-    l_vals, _ = _interface(l0, b_vals, np.zeros(opts.n_t), flat, eq.N_e, dt, params)
+    flat = np.full(n_t, l0)
+    l_vals, _ = _interface(l0, b_vals, np.zeros(n_t), flat, eq.N_e, dt, params)
     factors: list[float] = []
     prev_dist = None
-    for iterations in range(1, opts.max_iterations + 1):
-        ctx = _candidate_context(T, l_vals, b_vals, N_vals, params)
-        is_bnd, origin = backtrace_times(t_grid, 1.0, ctx)
-        t0 = _corner_time(ctx, t_grid, is_bnd)
+    for iterations in range(1, SYNTH_MAX_ITER + 1):
+        _, is_bnd, origin, t0 = _candidate_field(T, l_vals, b_vals, N_vals, params)
         # initial profile carried to the outlet before t0; after it a
         # smoothstep v0 -> v1 plus the bump that steers l(T) onto l1
         s = np.clip((t_grid - t0) / (T - t0), 0.0, 1.0)
@@ -358,19 +330,17 @@ def synthesize(
             factors.append(dist / prev_dist)
         prev_dist = dist
         b_vals = b_new
-        if dist <= opts.tol:
+        if dist <= SYNTH_TOL:
             break
     else:
         raise ConvergenceError(
-            f"outlet trace did not settle below {opts.tol:.3e} within "
-            f"{opts.max_iterations} iterations (last update {dist:.3e})"
+            f"outlet trace did not settle below {SYNTH_TOL:.3e} within "
+            f"{SYNTH_MAX_ITER} iterations (last update {dist:.3e})"
         )
 
     # print the inflow on the accepted candidate: b backwards along the
     # outlet characteristics up to t1, the target profile after it
-    ctx = _candidate_context(T, l_vals, b_vals, N_vals, params)
-    is_bnd, origin = backtrace_times(t_grid, 1.0, ctx)
-    t0 = _corner_time(ctx, t_grid, is_bnd)
+    ctx, is_bnd, origin, t0 = _candidate_field(T, l_vals, b_vals, N_vals, params)
     t1 = float(origin[-1])
     tau_pts = np.concatenate([[0.0], origin[is_bnd]])
     b_pts = np.concatenate([[v0], b_vals[is_bnd]])
@@ -385,7 +355,7 @@ def synthesize(
     F_in_vals = r_vals * params.rho0 * params.V_eff * N_vals
 
     # internal consistency: read the final state back through the candidate field
-    x_probe = np.linspace(0.0, 1.0, opts.probe_points)
+    x_probe = np.linspace(0.0, 1.0, FINAL_PROBE_POINTS)
     probe_bnd, probe_org = backtrace_batch(T, x_probe, ctx)
     final_vals = np.where(
         probe_bnd,

@@ -29,6 +29,9 @@ from .errors import DomainError, GridError
 # formatting contract shared with the CLI: 12 significant digits, plain '.'
 FLOAT_FORMAT = ".12g"
 
+# roundoff a filling-ratio field may show outside [0, 1]
+UNIT_RANGE_SLACK = 1e-9
+
 
 def format_value(x: float) -> str:
     return format(float(x), FLOAT_FORMAT)
@@ -189,11 +192,11 @@ class SolutionField:
         if not np.all(np.isfinite(values)):
             raise DomainError("field values must be finite")
 
-    def check_unit_range(self, slack: float = 1e-9) -> None:
-        """Assert every value is a filling ratio in [0,1] (with roundoff slack)."""
+    def check_unit_range(self) -> None:
+        """Assert every value is a filling ratio in [0,1], up to UNIT_RANGE_SLACK."""
         lo = float(np.min(self.values))
         hi = float(np.max(self.values))
-        if lo < -slack or hi > 1.0 + slack:
+        if lo < -UNIT_RANGE_SLACK or hi > 1.0 + UNIT_RANGE_SLACK:
             raise DomainError(f"field leaves [0,1]: range [{lo:.6g}, {hi:.6g}]")
 
     def row(self, i: int) -> SpaceProfile:

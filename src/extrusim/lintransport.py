@@ -34,6 +34,11 @@ from .fields import (
 )
 from .model import inflow_value
 
+# highest power of t and of x in the weak-form trial family
+TRIAL_DEGREE = 3
+# largest corner-compatibility defect that check_compatibility passes
+COMPATIBILITY_TOL = 1e-8
+
 
 @dataclass(frozen=True)
 class LinearTransportProblem:
@@ -80,24 +85,22 @@ def _hermite_eval(sigma, s_lo, s_hi, y_lo, y_hi, m_lo, m_hi):
     return h00 * y_lo + w * h10 * m_lo + h01 * y_hi + w * h11 * m_hi
 
 
-def solve_linear_transport(
-    p: LinearTransportProblem, t_grid, x_grid, substeps: int = 1
-) -> SolutionField:
+def solve_linear_transport(p: LinearTransportProblem, t_grid, x_grid) -> SolutionField:
     """Characteristic solution of the transport problem on a tensor grid.
 
-    All grid points march backward through one shared sweep: a row joins the
-    sweep when the time front reaches its node, so every step advances one
-    batch instead of re-tracing rows separately.
+    All grid points march backward through one shared sweep, one RK4 step
+    per time cell: a row joins the sweep when the time front reaches its
+    node, so every step advances one batch instead of re-tracing rows
+    separately.
     """
     t_grid = np.asarray(t_grid, dtype=float)
     x_grid = np.asarray(x_grid, dtype=float)
     if t_grid[0] != 0.0 or abs(t_grid[-1] - p.T) > 1e-12:
         raise GridError("time grid must span [0, T]")
     nt, nx = t_grid.size, x_grid.size
-    dt_cell = t_grid[1] - t_grid[0]
-    if np.max(np.abs(np.diff(t_grid) - dt_cell)) > 1e-9 * dt_cell:
+    dt = t_grid[1] - t_grid[0]
+    if np.max(np.abs(np.diff(t_grid) - dt)) > 1e-9 * dt:
         raise GridError("time grid must be uniform")
-    dt = dt_cell / substeps
 
     m = nt * nx
     X = np.empty(m)
@@ -115,51 +118,49 @@ def solve_linear_transport(
         active[row] = True
         a_c[row] = np.asarray(p.a(t_grid[k], x_grid), dtype=float)
         s = t_grid[k]
-        for _ in range(substeps):
-            s_new = s - dt
-            idx = np.nonzero(active)[0]
-            Xa = X[idx]
-            a1 = a_c[idx]
-            # classical RK4 with step -dt
-            k1 = a1
-            k2 = np.asarray(p.a(s - 0.5 * dt, Xa - 0.5 * dt * k1), dtype=float)
-            k3 = np.asarray(p.a(s - 0.5 * dt, Xa - 0.5 * dt * k2), dtype=float)
-            k4 = np.asarray(p.a(s_new, Xa - dt * k3), dtype=float)
-            X_new = Xa - dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-            a_new = np.asarray(p.a(s_new, X_new), dtype=float)
-            if np.any(a_new <= 0.0) or np.any(a1 <= 0.0):
-                raise DomainError("transport coefficient a must stay positive")
-            X_mid = _hermite_mid(X_new, Xa, a_new, a1, dt)
+        s_new = s - dt
+        idx = np.nonzero(active)[0]
+        Xa = X[idx]
+        a1 = a_c[idx]
+        # classical RK4 with step -dt
+        k1 = a1
+        k2 = np.asarray(p.a(s - 0.5 * dt, Xa - 0.5 * dt * k1), dtype=float)
+        k3 = np.asarray(p.a(s - 0.5 * dt, Xa - 0.5 * dt * k2), dtype=float)
+        k4 = np.asarray(p.a(s_new, Xa - dt * k3), dtype=float)
+        X_new = Xa - dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        a_new = np.asarray(p.a(s_new, X_new), dtype=float)
+        if np.any(a_new <= 0.0) or np.any(a1 <= 0.0):
+            raise DomainError("transport coefficient a must stay positive")
+        X_mid = _hermite_mid(X_new, Xa, a_new, a1, dt)
 
-            hit = X_new < 0.0
-            keep = ~hit
-            if np.any(keep):
-                j = idx[keep]
-                b_old = np.asarray(p.b(s, Xa[keep]), dtype=float)
-                b_mid = np.asarray(p.b(s - 0.5 * dt, X_mid[keep]), dtype=float)
-                b_new = np.asarray(p.b(s_new, X_new[keep]), dtype=float)
-                dB = dt / 6.0 * (b_old + 4.0 * b_mid + b_new)
-                B_mid = B[j] + 0.25 * dt * (b_old + b_mid)
-                c_old = np.asarray(p.c(s, Xa[keep]), dtype=float)
-                c_mid = np.asarray(p.c(s - 0.5 * dt, X_mid[keep]), dtype=float)
-                c_new = np.asarray(p.c(s_new, X_new[keep]), dtype=float)
-                I[j] += dt / 6.0 * (
-                    c_old * np.exp(B[j])
-                    + 4.0 * c_mid * np.exp(B_mid)
-                    + c_new * np.exp(B[j] + dB)
-                )
-                B[j] += dB
-                X[j] = X_new[keep]
-                a_c[j] = a_new[keep]
-            if np.any(hit):
-                j = idx[hit]
-                tau = _refine_crossing(s_new, s, X_new[hit], Xa[hit], a_new[hit], a1[hit])
-                u[j] = _boundary_value(
-                    p, tau, s, Xa[hit], a1[hit], X_new[hit], a_new[hit], s_new, B[j], I[j]
-                )
-                crossed[j] = True
-                active[j] = False
-            s = s_new
+        hit = X_new < 0.0
+        keep = ~hit
+        if np.any(keep):
+            j = idx[keep]
+            b_old = np.asarray(p.b(s, Xa[keep]), dtype=float)
+            b_mid = np.asarray(p.b(s - 0.5 * dt, X_mid[keep]), dtype=float)
+            b_new = np.asarray(p.b(s_new, X_new[keep]), dtype=float)
+            dB = dt / 6.0 * (b_old + 4.0 * b_mid + b_new)
+            B_mid = B[j] + 0.25 * dt * (b_old + b_mid)
+            c_old = np.asarray(p.c(s, Xa[keep]), dtype=float)
+            c_mid = np.asarray(p.c(s - 0.5 * dt, X_mid[keep]), dtype=float)
+            c_new = np.asarray(p.c(s_new, X_new[keep]), dtype=float)
+            I[j] += dt / 6.0 * (
+                c_old * np.exp(B[j])
+                + 4.0 * c_mid * np.exp(B_mid)
+                + c_new * np.exp(B[j] + dB)
+            )
+            B[j] += dB
+            X[j] = X_new[keep]
+            a_c[j] = a_new[keep]
+        if np.any(hit):
+            j = idx[hit]
+            tau = _refine_crossing(s_new, s, X_new[hit], Xa[hit], a_new[hit], a1[hit])
+            u[j] = _boundary_value(
+                p, tau, s, Xa[hit], a1[hit], X_new[hit], a_new[hit], s_new, B[j], I[j]
+            )
+            crossed[j] = True
+            active[j] = False
     rest = active
     if np.any(rest):
         beta = np.clip(X[rest], 0.0, 1.0)
@@ -245,8 +246,8 @@ class PolyTrial:
         return t**self.i * (j * x ** (j - 1) - (j + 1) * x**j)
 
 
-def polynomial_trial_family(max_degree: int = 3):
-    return [PolyTrial(i, j) for i in range(max_degree + 1) for j in range(max_degree + 1)]
+def polynomial_trial_family():
+    return [PolyTrial(i, j) for i in range(TRIAL_DEGREE + 1) for j in range(TRIAL_DEGREE + 1)]
 
 
 def weak_form_residual(u: SolutionField, p: LinearTransportProblem, test_family=None) -> float:
@@ -339,11 +340,10 @@ def energy_estimate_audit(u: SolutionField, p: LinearTransportProblem) -> Energy
 class CompatibilityCheck:
     order: int
     defect: float
-    tol: float = 1e-8
 
     @property
     def passed(self) -> bool:
-        return self.defect <= self.tol
+        return self.defect <= COMPATIBILITY_TOL
 
 
 def _dt_quotient(vals: np.ndarray, dt: float) -> np.ndarray:
@@ -388,7 +388,8 @@ def derivative_fields(solution, data):
         chk = check_compatibility(data, order)
         if not chk.passed:
             raise CompatibilityError(
-                f"order-{order} corner compatibility defect {chk.defect:.3g} exceeds {chk.tol:.0e}"
+                f"order-{order} corner compatibility defect {chk.defect:.3g} "
+                f"exceeds {COMPATIBILITY_TOL:.0e}"
             )
     field = solution.field
     tg, xg = field.t_grid, field.x_grid

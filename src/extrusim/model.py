@@ -25,6 +25,11 @@ import numpy as np
 
 from .errors import DomainError, SingularityError
 
+# norm_F_box samples each axis of the eps1 box at F_BOX_SAMPLES points and
+# inflates the sampled supremum by F_BOX_SAFETY
+F_BOX_SAMPLES = 101
+F_BOX_SAFETY = 1.25
+
 
 @dataclass(frozen=True)
 class PhysicalParams:
@@ -198,37 +203,24 @@ def _g_partials(l, f_p1, params: PhysicalParams):
     return dg_dl, dg_df
 
 
-def norm_F_box(
-    params: PhysicalParams,
-    eq: EquilibriumPoint,
-    eps1: float,
-    safety: float = 1.25,
-    samples_per_axis: int = 101,
-) -> float:
+def norm_F_box(params: PhysicalParams, eq: EquilibriumPoint, eps1: float) -> float:
     """Sampled bound for the W1-infinity size of F over an eps1 box.
 
     Takes the supremum of |F| and its three partials over the box
     |l - l_e| <= eps1, |N - N_e| <= eps1, |f - f_pe| <= eps1, evaluated on
-    a dense grid with the analytic derivatives of F, then inflates by the
-    safety factor.  The ratio axis is deliberately boxed around f_pe: g
-    blows up as the ratio approaches 1, and the fixed-point argument never
-    leaves the eps1 ball anyway.
+    a grid of F_BOX_SAMPLES points per axis with the analytic derivatives
+    of F, then inflates by the safety factor F_BOX_SAFETY.  The ratio axis
+    is deliberately boxed around f_pe: g blows up as the ratio approaches
+    1, and the fixed-point argument never leaves the eps1 ball anyway.
     """
-    if safety < 1.1:
-        raise DomainError("safety factor must be at least 1.1")
     if eps1 < 0.0:
         raise DomainError("eps1 must be nonnegative")
     bound = min(eq.l_e, params.L - eq.l_e, eq.f_pe, 1.0 - eq.f_pe)
     if eps1 >= bound:
         raise DomainError(f"eps1={eps1} must stay below min(l_e, L-l_e, f_pe, 1-f_pe)={bound:.6g}")
-    if eps1 == 0.0:
-        ls = np.array([eq.l_e])
-        Ns = np.array([eq.N_e])
-        fs = np.array([eq.f_pe])
-    else:
-        ls = np.linspace(eq.l_e - eps1, eq.l_e + eps1, samples_per_axis)
-        Ns = np.linspace(eq.N_e - eps1, eq.N_e + eps1, samples_per_axis)
-        fs = np.linspace(eq.f_pe - eps1, eq.f_pe + eps1, samples_per_axis)
+    ls = np.linspace(eq.l_e - eps1, eq.l_e + eps1, F_BOX_SAMPLES)
+    Ns = np.linspace(eq.N_e - eps1, eq.N_e + eps1, F_BOX_SAMPLES)
+    fs = np.linspace(eq.f_pe - eps1, eq.f_pe + eps1, F_BOX_SAMPLES)
     lg, fg = np.meshgrid(ls, fs, indexing="ij")
     g = eval_g(lg, fg, params)
     dg_dl, dg_df = _g_partials(lg, fg, params)
@@ -239,4 +231,4 @@ def norm_F_box(
     sup_Fl = n_hi * np.max(np.abs(dg_dl))
     sup_FN = np.max(np.abs(g))
     sup_Ff = n_hi * np.max(np.abs(dg_df))
-    return float(safety * max(sup_F, sup_Fl, sup_FN, sup_Ff))
+    return float(F_BOX_SAFETY * max(sup_F, sup_Fl, sup_FN, sup_Ff))

@@ -161,7 +161,7 @@ class ConvergenceStudy:
     inconclusive: bool
 
 
-def convergence_study(data, T: float, dx_sequence, cfl: float = 0.9) -> ConvergenceStudy:
+def convergence_study(data, T: float, dx_sequence) -> ConvergenceStudy:
     """L-infinity error at time T on a halving dx sequence, Richardson style.
 
     The reference field comes from the characteristics solver on the finest
@@ -176,7 +176,7 @@ def convergence_study(data, T: float, dx_sequence, cfl: float = 0.9) -> Converge
     for dcoarse, dfine in zip(dxs, dxs[1:]):
         if abs(dfine - 0.5 * dcoarse) > 1e-12 * dcoarse:
             raise DomainError("dx sequence must halve at every refinement")
-    configs = [UpwindConfig(dx=d, cfl=cfl) for d in dxs]
+    configs = [UpwindConfig(dx=d) for d in dxs]
 
     n_ref = configs[-1].n_nodes
     ref = solve_semiglobal(data, T, n_t=161, n_x=n_ref)

@@ -40,8 +40,14 @@ from .model import EquilibriumPoint, PhysicalParams, eval_F, inflow_value, norm_
 from .quadrature import cumulative_integral
 
 COMPAT_TOL = 1e-10
+# Picard iteration stops once successive iterates are within PICARD_TOL,
+# within PICARD_MAX_ITER maps
 PICARD_TOL = 1e-11
 PICARD_MAX_ITER = 100
+# the contraction interval starts at this share of the smallest
+# admissibility term, and its probe maps run on PROBE_POINTS nodes
+DELTA_SAFETY = 0.5
+PROBE_POINTS = 65
 
 
 @dataclass(frozen=True)
@@ -91,19 +97,16 @@ class LocalSolveReport:
     trace_l: SampledFunction
     trace_b: SampledFunction
     residual: float
-    tol: float = PICARD_TOL
 
     def __post_init__(self):
         # factors beyond the second iterate certify the contraction regime
         for f in self.contraction_factors[1:]:
             if f > 1.0 + 1e-9:
                 raise DivergenceError(f"contraction factor {f:.3g} exceeds 1 past iteration 2")
-        if self.residual > self.tol:
-            raise ConvergenceError(f"fixed-point residual {self.residual:.3g} above {self.tol:.3g}")
-
-    @property
-    def trace(self):
-        return (self.trace_l, self.trace_b)
+        if self.residual > PICARD_TOL:
+            raise ConvergenceError(
+                f"fixed-point residual {self.residual:.3g} above {PICARD_TOL:.3g}"
+            )
 
 
 class SemiglobalSolution(NamedTuple):
@@ -133,11 +136,6 @@ def eps1_bound(eq: EquilibriumPoint) -> float:
     return float(min(eq.l_e, eq.params.L - eq.l_e, eq.f_pe, 1.0 - eq.f_pe))
 
 
-def _retime(sf: SampledFunction, new_start: float) -> SampledFunction:
-    span = sf.t_end - sf.t_start
-    return SampledFunction(new_start, new_start + span, sf.values.copy())
-
-
 def _resample(sf: SampledFunction, t_start: float, t_end: float, n: int) -> SampledFunction:
     grid = np.linspace(t_start, t_end, n)
     return SampledFunction(t_start, t_end, np.asarray(sf(grid), dtype=float))
@@ -151,10 +149,11 @@ def _datum_at(data: CauchyData, is_boundary, origin):
     return values
 
 
-def _apply_map(data: CauchyData, l_sf, b_sf, n):
+def _apply_map(data: CauchyData, l_sf, b_sf):
     """One application of the solution map on the working grid of l_sf."""
     dt = l_sf.dt
-    ctx = TraceContext(l_sf, _resample(data.N, l_sf.t_start, l_sf.t_end, n), b_sf, data.params)
+    N_sf = _resample(data.N, l_sf.t_start, l_sf.t_end, l_sf.values.size)
+    ctx = TraceContext(l_sf, N_sf, b_sf, data.params)
     N_vals = ctx.N.values
     F_vals = np.asarray(eval_F(l_sf.values, N_vals, b_sf.values, data.params), dtype=float)
     l_new = data.l0 + cumulative_integral(F_vals, dt)
@@ -168,16 +167,14 @@ def compute_delta(
     eps1: float,
     T: float,
     f_norm: float | None = None,
-    safety: float = 0.5,
     grid_step: float | None = None,
-    probe_points: int = 65,
 ) -> float:
     """Interval length on which the solution map contracts.
 
-    Starts from safety times the smallest of the four admissibility terms
-    (horizon, boundary-characteristic travel time, and the two interface
-    travel-distance budgets), then halves until the measured first-iterate
-    contraction factor is at most 1/2.
+    Starts from DELTA_SAFETY times the smallest of the four admissibility
+    terms (horizon, boundary-characteristic travel time, and the two
+    interface travel-distance budgets), then halves until the first-iterate
+    contraction factor, measured on PROBE_POINTS nodes, is at most 1/2.
     """
     eq = data.eq
     bound = eps1_bound(eq)
@@ -195,29 +192,29 @@ def compute_delta(
         (eq.l_e - eps1) / f_norm,
         (L - eq.l_e - eps1) / f_norm,
     )
-    delta = safety * min(terms)
+    delta = DELTA_SAFETY * min(terms)
     step = grid_step if grid_step is not None else data.N.dt
     while True:
         if delta < step - 1e-12:
             raise ResolutionError(
                 f"contraction interval {delta:.3g} fell below the grid step {step:.3g}"
             )
-        factor = _probe_contraction(data, delta, probe_points)
+        factor = _probe_contraction(data, delta)
         if factor <= 0.5:
             return float(delta)
         delta *= 0.5
 
 
-def _probe_contraction(data: CauchyData, delta: float, n: int) -> float:
-    l0_sf = SampledFunction.constant(data.l0, 0.0, delta, n)
-    b0_sf = SampledFunction.constant(float(data.f0_p.values[-1]), 0.0, delta, n)
-    l1, b1 = _apply_map(data, l0_sf, b0_sf, n)
+def _probe_contraction(data: CauchyData, delta: float) -> float:
+    l0_sf = SampledFunction.constant(data.l0, 0.0, delta, PROBE_POINTS)
+    b0_sf = SampledFunction.constant(float(data.f0_p.values[-1]), 0.0, delta, PROBE_POINTS)
+    l1, b1 = _apply_map(data, l0_sf, b0_sf)
     d1 = max(np.max(np.abs(l1 - l0_sf.values)), np.max(np.abs(b1 - b0_sf.values)))
     if d1 <= PICARD_TOL:
         return 0.0
     l1_sf = SampledFunction(0.0, delta, l1)
     b1_sf = SampledFunction(0.0, delta, b1)
-    l2, b2 = _apply_map(data, l1_sf, b1_sf, n)
+    l2, b2 = _apply_map(data, l1_sf, b1_sf)
     d2 = max(np.max(np.abs(l2 - l1)), np.max(np.abs(b2 - b1)))
     return float(d2 / d1)
 
@@ -227,16 +224,15 @@ def local_fixed_point(
     delta: float,
     eps1: float | None = None,
     n_t: int = 257,
-    tol: float = PICARD_TOL,
-    max_iter: int = PICARD_MAX_ITER,
     initial: tuple | None = None,
 ) -> LocalSolveReport:
     """Picard iteration for the coupled traces on [0, delta].
 
     The initial candidate is the constant extension of the data at t=0
     unless another admissible pair is supplied.  Iterates must stay inside
-    the eps1 ball around the equilibrium; the loop stops when successive
-    iterates are within tol in the maximum norm.
+    the eps1 ball around the equilibrium (a third of `eps1_bound` unless
+    given); the loop stops when successive iterates are within PICARD_TOL
+    in the maximum norm, and fails after PICARD_MAX_ITER maps.
     """
     eq = data.eq
     if eps1 is None:
@@ -248,10 +244,10 @@ def local_fixed_point(
     factors = []
     prev_dist = None
     iterations = 0
-    for _ in range(max_iter):
+    for _ in range(PICARD_MAX_ITER):
         l_sf = SampledFunction(0.0, delta, l_vals)
         b_sf = SampledFunction(0.0, delta, b_vals)
-        l_new, b_new = _apply_map(data, l_sf, b_sf, n_t)
+        l_new, b_new = _apply_map(data, l_sf, b_sf)
         iterations += 1
         if np.max(np.abs(l_new - eq.l_e)) > eps1 or np.max(np.abs(b_new - eq.f_pe)) > eps1:
             raise DivergenceError(f"iterate {iterations} left the eps1={eps1:.3g} ball")
@@ -259,9 +255,9 @@ def local_fixed_point(
         if prev_dist is not None and prev_dist > 0.0:
             factors.append(dist / prev_dist)
         l_vals, b_vals = l_new, b_new
-        if dist <= tol:
+        if dist <= PICARD_TOL:
             l_chk, b_chk = _apply_map(
-                data, SampledFunction(0.0, delta, l_vals), SampledFunction(0.0, delta, b_vals), n_t
+                data, SampledFunction(0.0, delta, l_vals), SampledFunction(0.0, delta, b_vals)
             )
             residual = float(
                 max(np.max(np.abs(l_chk - l_vals)), np.max(np.abs(b_chk - b_vals)))
@@ -273,10 +269,11 @@ def local_fixed_point(
                 trace_l=SampledFunction(0.0, delta, l_vals),
                 trace_b=SampledFunction(0.0, delta, b_vals),
                 residual=residual,
-                tol=tol,
             )
         prev_dist = dist
-    raise ConvergenceError(f"no fixed point within {max_iter} iterations (last step {dist:.3g})")
+    raise ConvergenceError(
+        f"no fixed point within {PICARD_MAX_ITER} iterations (last step {dist:.3g})"
+    )
 
 
 def _solve_context(report: LocalSolveReport, data: CauchyData) -> TraceContext:
@@ -312,11 +309,12 @@ def assemble_field(
 def solve_semiglobal(
     data: CauchyData,
     T: float,
-    eps1: float | None = None,
     n_t: int = 201,
     n_x: int = 101,
 ) -> SemiglobalSolution:
     """Cover [0, T] by chained contraction intervals.
+
+    Every segment works in the eps1 ball of a third of `eps1_bound`.
 
     Each junction re-roots the Cauchy data with the current interface
     position and the field row at the junction time, so consecutive
@@ -327,8 +325,7 @@ def solve_semiglobal(
     if T <= 0.0:
         raise DomainError("horizon must be positive")
     eq = data.eq
-    if eps1 is None:
-        eps1 = eps1_bound(eq) / 3.0
+    eps1 = eps1_bound(eq) / 3.0
     t_grid = np.linspace(0.0, T, n_t)
     x_grid = np.linspace(0.0, 1.0, n_x)
     dt_out = t_grid[1] - t_grid[0]
@@ -391,8 +388,8 @@ def solve_semiglobal(
             seg_data = CauchyData(
                 l_junction,
                 junction_profile,
-                _retime(F_in_g.restrict(t_grid[i_hi], T), 0.0),
-                _retime(N_g.restrict(t_grid[i_hi], T), 0.0),
+                SampledFunction(0.0, T - t_grid[i_hi], F_in_g.values[i_hi:]),
+                SampledFunction(0.0, T - t_grid[i_hi], N_g.values[i_hi:]),
                 data.params,
                 eq,
             )

@@ -11,6 +11,7 @@ from extrusim.characteristics import (
     backtrace_batch,
     backtrace_times,
     crossing_time,
+    crossing_time_rk4,
     dbeta_dx,
     dtau_dx,
     xi,
@@ -106,14 +107,21 @@ class TestEquilibriumPicture:
     def test_dbeta_dx(self):
         assert dbeta_dx(0.2, 1.0, equilibrium_ctx()) == pytest.approx(1.0, abs=1e-12)
 
+    # each case holds on both routes to the corner crossing: the closed
+    # form and the RK4 march
+    CROSSING_ROUTES = (crossing_time, crossing_time_rk4)
+
     def test_crossing_time(self):
-        assert crossing_time(equilibrium_ctx()) == pytest.approx(0.5, abs=1e-9)
+        for route in self.CROSSING_ROUTES:
+            assert route(equilibrium_ctx()) == pytest.approx(0.5, abs=1e-9), route.__name__
 
     def test_crossing_time_doubled_speed(self):
-        assert crossing_time(equilibrium_ctx(N=2.0)) == pytest.approx(0.25, abs=1e-9)
+        for route in self.CROSSING_ROUTES:
+            assert route(equilibrium_ctx(N=2.0)) == pytest.approx(0.25, abs=1e-9), route.__name__
 
     def test_crossing_beyond_horizon(self):
-        assert crossing_time(equilibrium_ctx(t_end=0.3)) is None
+        for route in self.CROSSING_ROUTES:
+            assert route(equilibrium_ctx(t_end=0.3)) is None, route.__name__
 
 
 class TestArgumentChecking:

@@ -1,11 +1,19 @@
+import contextlib
+import io
 import json
+import re
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from extrusim import cli
+from extrusim import cli, control
 from extrusim.cli import MAX_GRID_POINTS, run
 from extrusim.errors import SchemaError
+from extrusim.fields import SolutionField
 
 F_PE = 1.0 / 3.0
 
@@ -222,6 +230,25 @@ class TestSchemaErrors:
         assert captured.out == ""
         assert not (tmp_path / "out").exists()
 
+    def test_control_replay_bound_names_dx_and_T(self, tmp_path, capsys, monkeypatch):
+        # the README example at dx = 1e-4: a 101 x 10001 grid passes the grid
+        # cap, but the upwind replay would take about 2.3e4 CFL steps on
+        # 10001 nodes
+        def unreachable(*args, **kwargs):
+            raise AssertionError("control went past the replay bound")
+
+        monkeypatch.setattr(cli, "synthesize", unreachable)
+        monkeypatch.setattr(control, "simulate_upwind", unreachable)
+        mapping = base_control_cfg(tmp_path)
+        mapping["numerics.dx"] = "0.0001"
+        assert run(["control", write_cfg(tmp_path, "c.cfg", mapping)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("config error: numerics.dx:")
+        assert "mode.T=1 " in captured.err and "10001 nodes" in captured.err
+        assert str(MAX_GRID_POINTS) in captured.err
+        assert captured.out == ""
+        assert not (tmp_path / "out").exists()
+
     def test_upwind_march_within_bound_runs(self, tmp_path, monkeypatch):
         calls = []
 
@@ -243,6 +270,20 @@ class TestSchemaErrors:
         cfg = write_cfg(tmp_path, "c.cfg", mapping)
         assert run(["verify", cfg]) == 2
         assert "numerics.tol: unknown key" in capsys.readouterr().err
+
+    def test_eps1_fraction_key_is_unknown(self, tmp_path, capsys):
+        # the semi-global solver works in a fixed eps1 ball
+        mapping = base_simulate_cfg(tmp_path)
+        mapping["numerics.eps1_fraction"] = "0.5"
+        assert run(["simulate", write_cfg(tmp_path, "c.cfg", mapping)]) == 2
+        assert "numerics.eps1_fraction: unknown key" in capsys.readouterr().err
+
+    def test_linear_spec_needs_two_values(self, tmp_path, capsys):
+        mapping = base_simulate_cfg(tmp_path)
+        mapping["data.N"] = "linear:1"
+        assert run(["simulate", write_cfg(tmp_path, "c.cfg", mapping)]) == 2
+        assert "config error: data.N: linear takes two values" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
 
 class TestSimulateCommand:
@@ -273,6 +314,18 @@ class TestSimulateCommand:
         rows = (tmp_path / "out" / "trace.csv").read_text().splitlines()
         assert rows[0] == "t,l,fp_at_1,N,F_in"
         assert len(rows) > 2
+
+    def test_linear_spec_reaches_trace(self, tmp_path):
+        # N ramps from 1 to 1.02 over [0, T]; the trace samples it on the
+        # output grid
+        mapping = base_simulate_cfg(tmp_path)
+        mapping["data.N"] = "linear:1.0,1.02"
+        assert run(["simulate", write_cfg(tmp_path, "c.cfg", mapping)]) == 0
+        rows = (tmp_path / "out" / "trace.csv").read_text().splitlines()
+        assert rows[0] == "t,l,fp_at_1,N,F_in"
+        N = np.array([float(r.split(",")[3]) for r in rows[1:]])
+        assert N.size == 51
+        np.testing.assert_allclose(N, np.linspace(1.0, 1.02, 51), rtol=0.0, atol=1e-12)
 
     def test_csv_function_spec(self, tmp_path):
         x = np.linspace(0.0, 1.0, 21)
@@ -338,6 +391,21 @@ class TestVerifyCommand:
             "ratio-range",
         ):
             assert f"ok {name}" in out
+
+    def test_failed_check_exits_3(self, tmp_path, capsys, monkeypatch):
+        # an upwind field shifted by 0.01 fails the 5e-3 cross-validation
+        def shifted(data, T, cfg):
+            l_trace, field = upwind(data, T, cfg)
+            moved = SolutionField(field.t_grid, field.x_grid, field.values + 0.01, field.provenance)
+            return l_trace, moved
+
+        upwind = cli.simulate_upwind
+        monkeypatch.setattr(cli, "simulate_upwind", shifted)
+        cfg = write_cfg(tmp_path, "c.cfg", base_simulate_cfg(tmp_path))
+        assert run(["verify", cfg]) == 3
+        out = capsys.readouterr().out
+        assert "ok fixed-point-contraction" in out
+        assert "FAIL cross-validation: final profile deviation 0.01" in out
 
 
 class TestSweepCommand:
@@ -418,3 +486,76 @@ class TestDeterminism:
         assert run(["control", cfg2]) == 0
         for name in ("controls.csv", "certificate.csv"):
             assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+
+
+class TestHelpText:
+    def test_help_names_exactly_the_accepted_keys(self, capsys):
+        assert run(["--help"]) == 0
+        key_pattern = r"\b(?:params|equilibrium|data|numerics|mode|sweep)\.[\w<>.]*\w>?"
+        named = set(re.findall(key_pattern, capsys.readouterr().out))
+        accepted = (
+            set(cli._FLOAT_KEYS) | set(cli._SPEC_KEYS) | set(cli._ENUM_KEYS) | set(cli._STR_KEYS)
+        )
+        assert named - {"sweep.vary.<key>"} == accepted
+        assert "sweep.vary.<key>" in named
+        for key in sorted(named - {"sweep.vary.<key>"}):
+            try:
+                cli._parse_value(key, "x")
+            except SchemaError as exc:
+                assert "unknown key" not in str(exc)
+
+
+# mutations of the simulate and control configs on coarse grids: each key
+# may be dropped or take a value from a mix of valid and invalid strings
+_MUTATIONS = {
+    "params.K_d": ["1.0", "2.0", "-1", "abc"],
+    "equilibrium.N_e": ["1.0", "0.5", "2.0", "0", "inf"],
+    "equilibrium.l_e": ["0.5", "0.3", "0.7", "1.5"],
+    "data.l0": ["0.5", "0.45", "0.49", "0.99", "1.5"],
+    "data.l1": ["0.51", "0.5", "0.6", "-1"],
+    "data.f0_p": [
+        "constant:eq", "sine-perturbation:eq,0.01", "sine-perturbation:eq,0.3,2",
+        "linear:0.3,0.35", "linear:1", "constant:0.99", "constant:1.5", "csv:missing.csv",
+        "spline:1",
+    ],
+    "data.f1_p": ["constant:eq", "sine-perturbation:eq,0.01", "linear:0.3,0.35", "constant:1.5"],
+    "data.F_in": [
+        "constant:eq", "sine-perturbation:eq,0.004,2", "linear:0.3,0.4", "constant:-1",
+        "constant:10",
+    ],
+    "data.N": ["constant:eq", "linear:1.0,1.02", "constant:0.01", "constant:-1"],
+    "numerics.dt": ["0.05", "0.1", "0.25", "0.3"],
+    "numerics.dx": ["0.05", "0.1", "0.25", "0.5", "1.0", "0.3"],
+    "mode.T": ["0.5", "1.0", "2.0", "-1", "0", "nan", "1e300"],
+    "mode.nu": ["0.01", "0.05", "1e-6", "-1"],
+    "mode.method": ["characteristics", "upwind", "spectral"],
+    "bogus.key": ["1"],
+}
+
+
+@st.composite
+def mutated_configs(draw):
+    sub = draw(st.sampled_from(["simulate", "control", "verify"]))
+    mapping = (base_control_cfg if sub == "control" else base_simulate_cfg)(Path("."))
+    mapping.update({"numerics.dt": "0.05", "numerics.dx": "0.1"})
+    for key in draw(st.lists(st.sampled_from(sorted(_MUTATIONS)), max_size=4, unique=True)):
+        choice = draw(st.sampled_from([None, *_MUTATIONS[key]]))
+        if choice is None:
+            mapping.pop(key, None)
+        else:
+            mapping[key] = choice
+    return sub, mapping
+
+
+class TestContract:
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(mutated_configs())
+    def test_mutated_configs_exit_0_2_or_3(self, case):
+        sub, mapping = case
+        with tempfile.TemporaryDirectory() as tmp:
+            mapping["mode.out"] = str(Path(tmp) / "out")
+            cfg = write_cfg(Path(tmp), "c.cfg", mapping)
+            sink = io.StringIO()
+            with contextlib.redirect_stdout(sink), contextlib.redirect_stderr(sink):
+                code = run([sub, cfg])
+        assert code in (0, 2, 3)

@@ -3,10 +3,10 @@ import dataclasses
 import numpy as np
 import pytest
 
-from extrusim.characteristics import TraceContext, backtrace, backtrace_times, crossing_time
+from extrusim import control
+from extrusim.characteristics import TraceContext, backtrace, backtrace_times, crossing_time_rk4
 from extrusim.control import (
     ControlTarget,
-    SynthesisOptions,
     critical_time,
     feasibility_check,
     synthesize,
@@ -175,7 +175,7 @@ class TestSynthesizeRamp:
 
     def test_landmarks(self, ramp_report):
         ctx = report_context(ramp_report)
-        assert ramp_report.t0 == pytest.approx(crossing_time(ctx), abs=1e-9)
+        assert ramp_report.t0 == pytest.approx(crossing_time_rk4(ctx), abs=1e-9)
         origin = backtrace(1.0, 1.0, ctx)
         assert not origin.is_initial
         assert ramp_report.t1 == pytest.approx(origin.tau, abs=1e-12)
@@ -255,7 +255,7 @@ class TestSynthesizeWide:
         assert 0.0 < rep.t1 < tgt.T
         # closed form against the Runge-Kutta march: the Simpson-type P and
         # Q see the sampled sine trace, 6.9e-10 apart here
-        assert rep.t0 == pytest.approx(crossing_time(ctx), abs=1e-8)
+        assert rep.t0 == pytest.approx(crossing_time_rk4(ctx), abs=1e-8)
         assert rep.t1 == pytest.approx(backtrace(tgt.T, 1.0, ctx).tau, abs=1e-12)
 
 
@@ -384,15 +384,16 @@ class TestDeviationScaling:
 
 
 class TestOptions:
-    def test_iteration_cap_enforced(self, ramp_target):
+    def test_iteration_cap_enforced(self, ramp_target, monkeypatch):
         # the sine target needs six passes
-        opts = SynthesisOptions(max_iterations=3)
+        monkeypatch.setattr(control, "SYNTH_MAX_ITER", 3)
         from extrusim.errors import ConvergenceError
 
         with pytest.raises(ConvergenceError):
-            synthesize(sine_target(), UNIT, EQ, opts)
+            synthesize(sine_target(), UNIT, EQ)
 
-    def test_coarse_grid_still_pins_endpoints(self, ramp_target):
-        rep = synthesize(ramp_target, UNIT, EQ, SynthesisOptions(n_t=513))
+    def test_coarse_grid_still_pins_endpoints(self, ramp_target, monkeypatch):
+        monkeypatch.setattr(control, "SYNTH_N_T", 513)
+        rep = synthesize(ramp_target, UNIT, EQ)
         assert abs(rep.l.values[-1] - 0.51) <= 1e-12
         assert rep.b_outlet.values[0] == EQ.f_pe - NU

@@ -124,16 +124,6 @@ class TestSolver:
         off_contact = np.abs(feet) > 1e-9
         assert np.max(np.abs((sol.values - expected)[off_contact])) <= 1e-12
 
-    def test_advection_insensitive_to_substeps(self):
-        u0 = SpaceProfile.from_callable(lambda x: np.sin(2 * np.pi * x), 401)
-        h = SampledFunction.constant(0.0, 0.0, 1.0)
-        p = unit_speed_problem(u0, h)
-        tg = np.linspace(0.0, 1.0, 41)
-        xg = np.linspace(0.0, 1.0, 31)
-        a = solve_linear_transport(p, tg, xg, substeps=1)
-        b = solve_linear_transport(p, tg, xg, substeps=3)
-        assert np.max(np.abs(a.values - b.values)) <= 1e-12
-
     def test_unit_source_gives_min_t_x(self):
         p = unit_speed_problem(
             SpaceProfile.constant(0.0),

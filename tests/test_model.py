@@ -204,14 +204,6 @@ class TestNormFBox:
         assert vals[0] <= vals[1] <= vals[2]
         assert all(math.isfinite(v) for v in vals)
 
-    def test_safety_scales_linearly(self, eq_unit):
-        base = norm_F_box(UNIT, eq_unit, 0.05, safety=1.25)
-        assert norm_F_box(UNIT, eq_unit, 0.05, safety=2.5) == pytest.approx(2.0 * base, rel=1e-12)
-
-    def test_safety_floor(self, eq_unit):
-        with pytest.raises(DomainError):
-            norm_F_box(UNIT, eq_unit, 0.05, safety=1.0)
-
     def test_radius_must_fit_physical_ranges(self, eq_unit):
         with pytest.raises(DomainError):
             norm_F_box(UNIT, eq_unit, 0.4)

@@ -15,9 +15,10 @@ the origin maps consistent with finite differences of the traced origins.
 Origins come from one broadcasting solver.  The curve reaches the start of
 the interval at beta = xi(t_start; t, x), closed form, when that lies in
 [0, 1]; otherwise it left x = 0 at the tau solving
-Q(tau) = Q(t) - x*exp(P(t)).  Q is strictly increasing, so `searchsorted`
-on its nodes finds the cell and safeguarded Newton steps on that cell's
-Hermite cubic give tau.  The crossing time of the inlet-corner
+Q(tau) = Q(t) - x*exp(P(t)).  Q is strictly increasing (every Hermite
+cell is checked against the Fritsch-Carlson monotone region), so
+`searchsorted` on its nodes finds the cell and safeguarded Newton steps on
+that cell's Hermite cubic give tau.  The crossing time of the inlet-corner
 characteristic at x = 1 comes from the same closed form.
 
 A classical Runge-Kutta integration of the same ODE, and a crossing time
@@ -98,9 +99,8 @@ class TraceContext:
             raise DomainError("die ratio trace must stay inside [0, 1)")
         if np.any(self.N.values <= 0.0):
             raise DomainError("screw speed trace must stay positive")
-        F = eval_F(self.l.values, self.N.values, self.b.values, self.params)
         # alpha_p is affine in x, so positivity on [0,1] reduces to x=0,1
-        if np.any(self.params.zeta * self.N.values - F <= 0.0):
+        if np.any(self.params.zeta * self.N.values - self._F_nodes <= 0.0):
             raise DomainError("transport speed must stay positive up to x=1")
 
     @property
@@ -129,7 +129,9 @@ class TraceContext:
     @cached_property
     def _Q(self) -> HermiteAntiderivative:
         q = (self.params.zeta * self.N.values / self.l.values) * np.exp(self._P.nodes)
-        return HermiteAntiderivative(self.t_start, self.dt, cumulative_integral(q, self.dt), q)
+        nodes = cumulative_integral(q, self.dt)
+        _check_monotone(nodes, q, self.t_start, self.dt)
+        return HermiteAntiderivative(self.t_start, self.dt, nodes, q)
 
     def coefficients_at(self, sigma):
         """(A, B) of the characteristic ODE dxi/ds = A(s) - B(s)*xi at time(s) sigma."""
@@ -143,6 +145,39 @@ class TraceContext:
         for t in times:
             if t < self.t_start - 1e-12 or t > self.t_end + 1e-12:
                 raise DomainError(f"time {t} outside context interval [{self.t_start}, {self.t_end}]")
+
+
+def _check_monotone(nodes: np.ndarray, slopes: np.ndarray, t0: float, dt: float) -> None:
+    """Fritsch-Carlson test that every Hermite cell of Q increases.
+
+    With secant m_k = (Q_{k+1} - Q_k)/dt, the cubic on cell k is monotone
+    exactly when m_k > 0 and (alpha, beta) = (q_k, q_{k+1})/m_k lies in the
+    region of Fritsch & Carlson (SIAM J. Numer. Anal. 17, 1980): alpha,
+    beta >= 0 and either alpha + beta <= 2, 2 alpha + beta <= 3,
+    alpha + 2 beta <= 3, or alpha - (2 alpha + beta - 3)^2 / (3 (alpha +
+    beta - 2)) >= 0.  The origin solver's `searchsorted` on the nodes of Q
+    needs exactly that.
+    """
+    inc = np.diff(nodes)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        alpha = slopes[:-1] * dt / inc
+        beta = slopes[1:] * dt / inc
+    excess = alpha + beta - 2.0
+    left = 2.0 * alpha + beta - 3.0
+    inside = (
+        (excess <= 0.0)
+        | (left <= 0.0)
+        | (alpha + 2.0 * beta <= 3.0)
+        # the last clause with (alpha + beta - 2) > 0 multiplied through
+        | (3.0 * alpha * excess >= left * left)
+    )
+    bad = np.nonzero(~((inc > 0.0) & (alpha >= 0.0) & (beta >= 0.0) & inside))[0]
+    if bad.size:
+        k = int(bad[0])
+        raise DivergenceError(
+            f"Q is not monotone on the cell at t={t0 + k * dt:.6g}: "
+            f"(alpha, beta) = ({alpha[k]:.6g}, {beta[k]:.6g})"
+        )
 
 
 def _xi_closed(s, t, x, ctx: TraceContext):

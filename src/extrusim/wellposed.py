@@ -8,13 +8,18 @@ b(t) = f_p(t,1).  The solver Picard-iterates the map
 
 on a short interval whose length is chosen so the map provably contracts,
 then re-roots the Cauchy data at the junction and repeats until the
-requested horizon is covered.  The full field f_p is assembled afterwards
-by tracing every grid point back to its datum.
+requested horizon is covered.  One sequence of iterates (`_iterates`)
+serves every use of the map: its first two steps probe the contraction
+factor, the Picard loop runs it to convergence, one more step measures the
+residual, and that step's trace context, built from the converged iterate,
+is the one the field f_p is assembled on by tracing every grid point back
+to its datum.
 """
 
 from __future__ import annotations
 
 from dataclasses import InitVar, dataclass
+from itertools import islice
 from typing import NamedTuple
 
 import numpy as np
@@ -36,7 +41,7 @@ from .fields import (
     field_norm,
     norm,
 )
-from .model import EquilibriumPoint, PhysicalParams, eval_F, inflow_value, norm_F_box
+from .model import EquilibriumPoint, PhysicalParams, inflow_value, norm_F_box
 from .quadrature import cumulative_integral
 
 COMPAT_TOL = 1e-10
@@ -91,11 +96,17 @@ class CauchyData:
 
 @dataclass(frozen=True)
 class LocalSolveReport:
+    """Outcome of the Picard iteration on [0, delta].
+
+    `residual` is the distance of one map step past convergence, and
+    `context` is that step's trace context: its l and b are the converged
+    traces, so assembly traces characteristics on it without rebuilding it.
+    """
+
     delta: float
     iterations: int
     contraction_factors: tuple
-    trace_l: SampledFunction
-    trace_b: SampledFunction
+    context: TraceContext
     residual: float
 
     def __post_init__(self):
@@ -149,17 +160,30 @@ def _datum_at(data: CauchyData, is_boundary, origin):
     return values
 
 
-def _apply_map(data: CauchyData, l_sf, b_sf):
-    """One application of the solution map on the working grid of l_sf."""
-    dt = l_sf.dt
-    N_sf = _resample(data.N, l_sf.t_start, l_sf.t_end, l_sf.values.size)
-    ctx = TraceContext(l_sf, N_sf, b_sf, data.params)
-    N_vals = ctx.N.values
-    F_vals = np.asarray(eval_F(l_sf.values, N_vals, b_sf.values, data.params), dtype=float)
-    l_new = data.l0 + cumulative_integral(F_vals, dt)
-    is_boundary, origin = backtrace_times(l_sf.grid, 1.0, ctx)
-    b_new = _datum_at(data, is_boundary, origin)
-    return l_new, b_new
+def _iterates(data: CauchyData, delta: float, n: int, initial):
+    """Picard iterates of the solution map on n nodes of [0, delta].
+
+    Starts from the constant pair `initial` (the data at t=0 if None).  Each
+    step builds the trace context of the current iterate (l, b) and yields
+    (ctx, l_next, b_next, dist), where dist is the maximum-norm distance
+    between the two iterates.
+    """
+    if initial is None:
+        initial = (data.l0, float(data.f0_p.values[-1]))
+    N_sf = _resample(data.N, 0.0, delta, n)
+    l_vals = np.full(n, float(initial[0]))
+    b_vals = np.full(n, float(initial[1]))
+    while True:
+        l_sf = SampledFunction(0.0, delta, l_vals)
+        ctx = TraceContext(l_sf, N_sf, SampledFunction(0.0, delta, b_vals), data.params)
+        l_next = data.l0 + cumulative_integral(ctx._F_nodes, l_sf.dt)
+        # through this module's binding, so that a wrapper installed on it
+        # (perfbench/tracer.py) sees one call per map
+        is_boundary, origin = backtrace_times(l_sf.grid, 1.0, ctx)
+        b_next = _datum_at(data, is_boundary, origin)
+        dist = float(max(np.max(np.abs(l_next - l_vals)), np.max(np.abs(b_next - b_vals))))
+        yield ctx, l_next, b_next, dist
+        l_vals, b_vals = l_next, b_next
 
 
 def compute_delta(
@@ -206,17 +230,12 @@ def compute_delta(
 
 
 def _probe_contraction(data: CauchyData, delta: float) -> float:
-    l0_sf = SampledFunction.constant(data.l0, 0.0, delta, PROBE_POINTS)
-    b0_sf = SampledFunction.constant(float(data.f0_p.values[-1]), 0.0, delta, PROBE_POINTS)
-    l1, b1 = _apply_map(data, l0_sf, b0_sf)
-    d1 = max(np.max(np.abs(l1 - l0_sf.values)), np.max(np.abs(b1 - b0_sf.values)))
+    """First contraction factor d2/d1 of the iterates from the data at t=0."""
+    steps = _iterates(data, delta, PROBE_POINTS, None)
+    d1 = next(steps)[3]
     if d1 <= PICARD_TOL:
         return 0.0
-    l1_sf = SampledFunction(0.0, delta, l1)
-    b1_sf = SampledFunction(0.0, delta, b1)
-    l2, b2 = _apply_map(data, l1_sf, b1_sf)
-    d2 = max(np.max(np.abs(l2 - l1)), np.max(np.abs(b2 - b1)))
-    return float(d2 / d1)
+    return next(steps)[3] / d1
 
 
 def local_fixed_point(
@@ -232,57 +251,34 @@ def local_fixed_point(
     unless another admissible pair is supplied.  Iterates must stay inside
     the eps1 ball around the equilibrium (a third of `eps1_bound` unless
     given); the loop stops when successive iterates are within PICARD_TOL
-    in the maximum norm, and fails after PICARD_MAX_ITER maps.
+    in the maximum norm, and fails after PICARD_MAX_ITER maps.  The residual
+    is the distance of one more step of the same sequence, and that step's
+    trace context, built from the converged iterate, is the report's
+    `context`, on which the field is assembled.
     """
     eq = data.eq
     if eps1 is None:
         eps1 = eps1_bound(eq) / 3.0
-    if initial is None:
-        initial = (data.l0, float(data.f0_p.values[-1]))
-    l_vals = np.full(n_t, float(initial[0]))
-    b_vals = np.full(n_t, float(initial[1]))
+    steps = _iterates(data, delta, n_t, initial)
     factors = []
     prev_dist = None
-    iterations = 0
-    for _ in range(PICARD_MAX_ITER):
-        l_sf = SampledFunction(0.0, delta, l_vals)
-        b_sf = SampledFunction(0.0, delta, b_vals)
-        l_new, b_new = _apply_map(data, l_sf, b_sf)
-        iterations += 1
-        if np.max(np.abs(l_new - eq.l_e)) > eps1 or np.max(np.abs(b_new - eq.f_pe)) > eps1:
+    for iterations, (_, l_vals, b_vals, dist) in enumerate(islice(steps, PICARD_MAX_ITER), 1):
+        if np.max(np.abs(l_vals - eq.l_e)) > eps1 or np.max(np.abs(b_vals - eq.f_pe)) > eps1:
             raise DivergenceError(f"iterate {iterations} left the eps1={eps1:.3g} ball")
-        dist = float(max(np.max(np.abs(l_new - l_vals)), np.max(np.abs(b_new - b_vals))))
         if prev_dist is not None and prev_dist > 0.0:
             factors.append(dist / prev_dist)
-        l_vals, b_vals = l_new, b_new
         if dist <= PICARD_TOL:
-            l_chk, b_chk = _apply_map(
-                data, SampledFunction(0.0, delta, l_vals), SampledFunction(0.0, delta, b_vals)
-            )
-            residual = float(
-                max(np.max(np.abs(l_chk - l_vals)), np.max(np.abs(b_chk - b_vals)))
-            )
+            context, _, _, residual = next(steps)
             return LocalSolveReport(
                 delta=delta,
                 iterations=iterations,
                 contraction_factors=tuple(factors),
-                trace_l=SampledFunction(0.0, delta, l_vals),
-                trace_b=SampledFunction(0.0, delta, b_vals),
+                context=context,
                 residual=residual,
             )
         prev_dist = dist
     raise ConvergenceError(
         f"no fixed point within {PICARD_MAX_ITER} iterations (last step {dist:.3g})"
-    )
-
-
-def _solve_context(report: LocalSolveReport, data: CauchyData) -> TraceContext:
-    n = report.trace_l.values.size
-    return TraceContext(
-        report.trace_l,
-        _resample(data.N, report.trace_l.t_start, report.trace_l.t_end, n),
-        report.trace_b,
-        data.params,
     )
 
 
@@ -298,8 +294,7 @@ def assemble_field(
     """Evaluate f_p on a tensor grid from the converged traces."""
     t_grid = np.asarray(t_grid, dtype=float)
     x_grid = np.asarray(x_grid, dtype=float)
-    ctx = _solve_context(report, data)
-    values, flags, _ = _assemble_rows(ctx, data, t_grid, x_grid)
+    values, flags, _ = _assemble_rows(report.context, data, t_grid, x_grid)
     provenance = np.where(flags, PROVENANCE_BOUNDARY, PROVENANCE_INITIAL).astype(np.uint8)
     out = SolutionField(t_grid, x_grid, values, provenance)
     out.check_unit_range()
@@ -318,9 +313,11 @@ def solve_semiglobal(
 
     Each junction re-roots the Cauchy data with the current interface
     position and the field row at the junction time, so consecutive
-    segments share that row exactly.  Provenance is propagated globally:
-    a point fed from a junction row inherits the tag of the node its
-    characteristic came from.
+    segments share that row exactly: a segment rewrites its first row with
+    the same values, since xi(0; 0, x) = x and the junction profile is read
+    at its own nodes.  Provenance is propagated globally: a point fed from
+    a segment's first row inherits the tag of the node its characteristic
+    came from, and row 0 is all initial.
     """
     if T <= 0.0:
         raise DomainError("horizon must be positive")
@@ -334,13 +331,12 @@ def solve_semiglobal(
     N_g = _resample(data.N, 0.0, T, n_t)
 
     values = np.empty((n_t, n_x))
-    provenance = np.empty((n_t, n_x), dtype=np.uint8)
+    provenance = np.full((n_t, n_x), PROVENANCE_INITIAL, dtype=np.uint8)
     l_out = np.empty(n_t)
     reports = []
 
     seg_data = CauchyData(data.l0, data.f0_p, F_in_g, N_g, data.params, eq)
     i_lo = 0
-    first = True
     while i_lo < n_t - 1:
         # the horizon term is dropped here (inf): segments are truncated at
         # the horizon instead, and a shorter interval contracts as well.
@@ -365,26 +361,20 @@ def solve_semiglobal(
         except (DivergenceError, ConvergenceError) as exc:
             raise type(exc)(f"segment {len(reports)} on [{t_grid[i_lo]:.6g}, "
                             f"{t_grid[i_hi]:.6g}]: {exc}") from exc
-        ctx = _solve_context(report, seg_data)
+        l_seg = report.context.l
         rows = t_grid[i_lo:i_hi + 1] - t_grid[i_lo]
-        seg_vals, seg_flags, seg_orig = _assemble_rows(ctx, seg_data, rows, x_grid)
-        seg_prov = np.where(seg_flags, PROVENANCE_BOUNDARY, PROVENANCE_INITIAL).astype(np.uint8)
-        if not first:
-            # initial-origin points inherit the tag of the junction-row node
-            # their characteristic started from
-            ini = ~seg_flags
-            j = np.clip(np.round(seg_orig[ini] / (x_grid[1] - x_grid[0])).astype(int), 0, n_x - 1)
-            seg_prov[ini] = provenance[i_lo][j]
-        lo_write = i_lo if first else i_lo + 1
-        offset = 0 if first else 1
-        values[lo_write:i_hi + 1] = seg_vals[offset:]
-        provenance[lo_write:i_hi + 1] = seg_prov[offset:]
-        l_out[lo_write:i_hi + 1] = report.trace_l(rows[offset:])
+        seg_vals, seg_flags, seg_orig = _assemble_rows(report.context, seg_data, rows, x_grid)
+        # initial-origin points inherit the tag of the row-i_lo node their
+        # characteristic started from
+        j = np.clip(np.round(seg_orig / (x_grid[1] - x_grid[0])).astype(int), 0, n_x - 1)
+        values[i_lo:i_hi + 1] = seg_vals
+        provenance[i_lo:i_hi + 1] = np.where(seg_flags, PROVENANCE_BOUNDARY, provenance[i_lo][j])
+        l_out[i_lo:i_hi + 1] = l_seg(rows)
         reports.append(report)
 
         if i_hi < n_t - 1:
             junction_profile = SpaceProfile(values[i_hi].copy())
-            l_junction = float(report.trace_l(report.trace_l.t_end))
+            l_junction = float(l_seg(l_seg.t_end))
             seg_data = CauchyData(
                 l_junction,
                 junction_profile,
@@ -394,7 +384,6 @@ def solve_semiglobal(
                 eq,
             )
         i_lo = i_hi
-        first = False
 
     field = SolutionField(t_grid, x_grid, values, provenance)
     field.check_unit_range()

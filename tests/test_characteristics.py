@@ -3,10 +3,14 @@ an independent Runge-Kutta integration on wavy coefficient traces."""
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from extrusim.characteristics import (
     TraceContext,
+    _check_monotone,
     _rk4_span,
+    _xi_closed,
     backtrace,
     backtrace_batch,
     backtrace_times,
@@ -17,7 +21,7 @@ from extrusim.characteristics import (
     xi,
     xi_rk4,
 )
-from extrusim.errors import DomainError, GridError
+from extrusim.errors import DivergenceError, DomainError, GridError
 from extrusim.fields import SampledFunction
 from extrusim.model import PhysicalParams, solve_equilibrium
 
@@ -266,3 +270,77 @@ class TestBatch:
             assert abs(xi(float(tau), float(t), float(x), ctx)) <= 1e-12
             # the independent Runge-Kutta route also lands on x = 0 at tau
             assert abs(xi_rk4(float(tau), float(t), float(x), ctx)) <= 1e-6
+
+
+class TestQMonotonicity:
+    """Every Hermite cell of Q must increase (Fritsch-Carlson region)."""
+
+    def test_step_in_screw_speed_raises(self):
+        # N jumps 1 -> 30 at node 40 of 101: the parabolic cell rule gives
+        # Q a decreasing node increment on cell 38
+        N = np.ones(101)
+        N[40:] = 30.0
+        mk = lambda v: SampledFunction.constant(v, 0.0, 1.0, 101)
+        ctx = TraceContext(mk(EQ.l_e), SampledFunction(0.0, 1.0, N), mk(EQ.f_pe), UNIT)
+        with pytest.raises(DivergenceError, match=r"t=0\.38: \(alpha, beta\)"):
+            backtrace_batch(1.0, np.linspace(0.0, 1.0, 11), ctx)
+
+    def test_smooth_context_passes(self):
+        ctx = wavy_ctx()
+        assert np.all(np.diff(ctx._Q.nodes) > 0.0)
+
+    def test_region_matches_the_cubic_slope(self):
+        # one cell from Q = 0 to 1 with end slopes (alpha, beta): the cubic's
+        # slope is the quadratic a s^2 + b s + alpha, whose minimum on [0, 1]
+        # decides monotonicity independently of the four-clause test
+        rng = np.random.default_rng(3)
+        for alpha, beta in rng.uniform(0.0, 4.0, size=(2000, 2)):
+            a = 3.0 * (alpha + beta) - 6.0
+            b = 6.0 - 4.0 * alpha - 2.0 * beta
+            low = min(alpha, beta)
+            if a > 0.0 and 0.0 < -b / (2.0 * a) < 1.0:
+                low = min(low, alpha - b * b / (4.0 * a))
+            if abs(low) < 1e-9:
+                continue
+            try:
+                _check_monotone(np.array([0.0, 1.0]), np.array([alpha, beta]), 0.0, 1.0)
+                inside = True
+            except DivergenceError:
+                inside = False
+            assert inside == (low > 0.0), (alpha, beta)
+
+
+@st.composite
+def sine_contexts(draw):
+    """Sine traces around the equilibrium on 3 to 400 nodes of [t0, t0 + T]."""
+    n = draw(st.integers(3, 400))
+    t0 = draw(st.floats(0.0, 2.0))
+    T = draw(st.floats(0.05, 3.0))
+    tg = np.linspace(0.0, T, n)
+    traces = []
+    for base, amp in ((EQ.l_e, 0.45), (EQ.N_e, 0.9), (EQ.f_pe, 0.3)):
+        a = draw(st.floats(0.0, amp))
+        freq = draw(st.floats(0.0, 12.0))
+        phase = draw(st.floats(0.0, 6.3))
+        traces.append(SampledFunction(t0, t0 + T, base + a * np.sin(freq * tg + phase)))
+    try:
+        ctx = TraceContext(*traces, UNIT)
+        ctx._Q
+    except (DomainError, DivergenceError):
+        assume(False)
+    return ctx
+
+
+class TestOriginRoundTrip:
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(ctx=sine_contexts(), seed=st.integers(0, 2**32 - 1))
+    def test_forward_from_origin_lands_on_the_foot_point(self, ctx, seed):
+        rng = np.random.default_rng(seed)
+        ts = rng.uniform(ctx.t_start, ctx.t_end, 200)
+        xs = rng.uniform(0.0, 1.0, 200)
+        is_boundary, origin = backtrace_batch(ts, xs, ctx)
+        # the closed form run forward from (t_start, beta) or (tau, 0)
+        t_from = np.where(is_boundary, origin, ctx.t_start)
+        x_from = np.where(is_boundary, 0.0, origin)
+        landed = _xi_closed(ts, t_from, x_from, ctx)
+        assert np.max(np.abs(landed - xs)) <= 1e-12

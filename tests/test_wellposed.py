@@ -1,7 +1,13 @@
+import dataclasses
+import importlib
+import importlib.util
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from extrusim.characteristics import TraceContext, backtrace, xi_forward
+from extrusim import wellposed
+from extrusim.characteristics import TraceContext, backtrace, backtrace_times, xi_forward
 from extrusim.errors import (
     CompatibilityError,
     DivergenceError,
@@ -9,9 +15,13 @@ from extrusim.errors import (
     ResolutionError,
 )
 from extrusim.fields import SampledFunction, SpaceProfile
-from extrusim.model import PhysicalParams, inflow_value, solve_equilibrium
+from extrusim.model import PhysicalParams, eval_F, inflow_value, solve_equilibrium
+from extrusim.quadrature import cumulative_integral
 from extrusim.wellposed import (
+    PROBE_POINTS,
     CauchyData,
+    _probe_contraction,
+    _resample,
     assemble_field,
     check_estimates,
     compute_delta,
@@ -121,8 +131,8 @@ class TestLocalFixedPoint:
         assert report.iterations == 1
         assert report.contraction_factors == ()
         assert report.residual <= 1e-12
-        assert np.max(np.abs(report.trace_l.values - EQ.l_e)) <= 1e-12
-        assert np.max(np.abs(report.trace_b.values - EQ.f_pe)) <= 1e-12
+        assert np.max(np.abs(report.context.l.values - EQ.l_e)) <= 1e-12
+        assert np.max(np.abs(report.context.b.values - EQ.f_pe)) <= 1e-12
 
     def test_perturbed_contracts(self):
         report = local_fixed_point(sine_data(0.01), 0.06)
@@ -140,8 +150,71 @@ class TestLocalFixedPoint:
         data = sine_data(0.01)
         r1 = local_fixed_point(data, 0.06)
         r2 = local_fixed_point(data, 0.06, initial=(EQ.l_e + 0.02, EQ.f_pe - 0.02))
-        assert np.max(np.abs(r1.trace_l.values - r2.trace_l.values)) <= 1e-9
-        assert np.max(np.abs(r1.trace_b.values - r2.trace_b.values)) <= 1e-9
+        assert np.max(np.abs(r1.context.l.values - r2.context.l.values)) <= 1e-9
+        assert np.max(np.abs(r1.context.b.values - r2.context.b.values)) <= 1e-9
+
+
+def reference_picard(data, delta, n):
+    """Picard loop with one context per map and F evaluated on its own.
+
+    Returns (iterations, factors, converged l, converged b, residual).
+    """
+    N_vals = data.N(np.linspace(0.0, delta, n))
+    N_sf = SampledFunction(0.0, delta, N_vals)
+    l_vals = np.full(n, data.l0)
+    b_vals = np.full(n, float(data.f0_p.values[-1]))
+
+    def apply_map(l_vals, b_vals):
+        l_sf = SampledFunction(0.0, delta, l_vals)
+        ctx = TraceContext(l_sf, N_sf, SampledFunction(0.0, delta, b_vals), UNIT)
+        F_vals = np.asarray(eval_F(l_vals, N_vals, b_vals, UNIT), dtype=float)
+        is_boundary, origin = backtrace_times(l_sf.grid, 1.0, ctx)
+        b_new = np.where(is_boundary, data.inflow(origin), data.f0_p(origin))
+        return data.l0 + cumulative_integral(F_vals, l_sf.dt), b_new
+
+    factors, prev = [], None
+    for iterations in range(1, 101):
+        l_new, b_new = apply_map(l_vals, b_vals)
+        dist = float(max(np.max(np.abs(l_new - l_vals)), np.max(np.abs(b_new - b_vals))))
+        if prev:
+            factors.append(dist / prev)
+        l_vals, b_vals, prev = l_new, b_new, dist
+        if dist <= 1e-11:
+            l_chk, b_chk = apply_map(l_vals, b_vals)
+            residual = float(max(np.max(np.abs(l_chk - l_vals)), np.max(np.abs(b_chk - b_vals))))
+            return iterations, tuple(factors), l_vals, b_vals, residual
+    raise AssertionError("reference loop did not converge")
+
+
+class TestOneIteration:
+    """The probe, the Picard loop and assembly read one sequence of maps."""
+
+    def test_report_matches_a_reference_loop(self):
+        data = sine_data(0.01)
+        report = local_fixed_point(data, 0.06)
+        iterations, factors, l_vals, b_vals, residual = reference_picard(data, 0.06, 257)
+        assert (report.iterations, report.contraction_factors) == (iterations, factors)
+        assert report.residual == residual
+        # the context assembly uses holds the converged iterate itself
+        np.testing.assert_array_equal(report.context.l.values, l_vals)
+        np.testing.assert_array_equal(report.context.b.values, b_vals)
+
+    def test_probe_factor_is_the_first_picard_factor(self):
+        data = sine_data(0.01)
+        report = local_fixed_point(data, 0.06, n_t=PROBE_POINTS)
+        assert _probe_contraction(data, 0.06) == report.contraction_factors[0]
+
+    def test_assembly_matches_a_rebuilt_context(self):
+        data = sine_data(0.01)
+        report = local_fixed_point(data, 0.06)
+        l_sf, b_sf = report.context.l, report.context.b
+        rebuilt = TraceContext(l_sf, _resample(data.N, 0.0, 0.06, l_sf.values.size), b_sf, UNIT)
+        tg = np.linspace(0.0, 0.06, 13)
+        xg = np.linspace(0.0, 1.0, 101)
+        got = assemble_field(report, data, tg, xg)
+        want = assemble_field(dataclasses.replace(report, context=rebuilt), data, tg, xg)
+        np.testing.assert_array_equal(got.values, want.values)
+        np.testing.assert_array_equal(got.provenance, want.provenance)
 
 
 class TestAssembleField:
@@ -163,9 +236,9 @@ class TestAssembleField:
         data = sine_data(0.01)
         report = local_fixed_point(data, 0.06)
         ctx = TraceContext(
-            report.trace_l,
-            SampledFunction.constant(EQ.N_e, 0.0, 0.06, report.trace_l.values.size),
-            report.trace_b,
+            report.context.l,
+            SampledFunction.constant(EQ.N_e, 0.0, 0.06, report.context.l.values.size),
+            report.context.b,
             UNIT,
         )
         rng = np.random.default_rng(5)
@@ -233,6 +306,44 @@ class TestSemiglobal:
                         assert boundary[j]
                     elif x > sep + dx:
                         assert not boundary[j]
+
+
+def load_tracer():
+    """The perfbench tracer module, loaded from its file."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+class TestTracerAttribution:
+    """The perfbench tracer counts probe and Picard maps by the calls of
+    `backtrace_times` under `compute_delta` and `local_fixed_point`; a
+    solver that stops calling it through `wellposed`'s binding zeroes them."""
+
+    def test_every_traced_name_resolves(self):
+        for layer, entries in load_tracer().TRACED.items():
+            module = importlib.import_module(f"extrusim.{layer}")
+            for path, _ in entries:
+                target = module
+                for part in path.split("."):
+                    target = getattr(target, part)
+                assert callable(target), f"{layer}.{path}"
+
+    def test_one_residual_map_per_segment(self):
+        tracer = load_tracer().Tracer()
+        tracer.install()
+        try:
+            # through the module, whose binding the tracer wraps
+            sol = wellposed.solve_semiglobal(sine_data(0.01), 0.3, n_t=61)
+        finally:
+            tracer.uninstall()
+        m = tracer.layer_metrics(0, len(tracer.start))
+        assert m["wellposed.segments"] == len(sol.reports) > 1
+        assert m["wellposed.picard_iters"] == sum(r.iterations for r in sol.reports)
+        assert m["wellposed.probe_maps"] > 0
+        assert m["wellposed.picard_maps"] == m["wellposed.picard_iters"] + m["wellposed.segments"]
 
 
 class TestEstimates:

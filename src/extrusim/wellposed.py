@@ -323,6 +323,8 @@ def solve_semiglobal(
         raise DomainError("horizon must be positive")
     eq = data.eq
     eps1 = eps1_bound(eq) / 3.0
+    # the F-box bound depends on params, eq and eps1 alone: one per solve
+    f_norm = norm_F_box(data.params, eq, eps1)
     t_grid = np.linspace(0.0, T, n_t)
     x_grid = np.linspace(0.0, 1.0, n_x)
     dt_out = t_grid[1] - t_grid[0]
@@ -344,7 +346,7 @@ def solve_semiglobal(
         # sample, where interpolation holds the edge value; the per-segment
         # report still certifies the factors on the actual data.
         try:
-            delta_c = compute_delta(seg_data, eps1, float("inf"), grid_step=dt_out)
+            delta_c = compute_delta(seg_data, eps1, float("inf"), f_norm=f_norm, grid_step=dt_out)
         except ResolutionError as exc:
             raise ResolutionError(f"segment {len(reports)}: {exc}") from exc
         cells = int(np.floor(delta_c / dt_out + 1e-12))

@@ -7,9 +7,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from extrusim import cli
+from extrusim import cli, fields
 from extrusim.errors import DomainError, GridError
 from extrusim.fields import (
+    E_MAX,
+    E_MIN,
+    FIELD_BLOCK_CELLS,
+    FLOAT_FORMAT,
     PROVENANCE_BOUNDARY,
     PROVENANCE_INITIAL,
     PROVENANCE_NAMES,
@@ -20,6 +24,7 @@ from extrusim.fields import (
     field_norm,
     format_value,
     norm,
+    _value_chars,
     to_physical_coordinates,
 )
 from extrusim.model import PhysicalParams
@@ -351,3 +356,62 @@ class TestCsvText:
     def test_sampled_function_csv_matches_reference(self):
         f = SampledFunction(0.0, 0.3, np.array([1.0 / 3.0, -0.0, 5e-324, 1e16]))
         assert f.to_csv() == reference_rows_csv("t,value", f.grid, f.values)
+
+
+def value_texts(values) -> list:
+    """The text of each item `_value_chars` makes, NUL bytes dropped."""
+    return [item.tobytes().replace(b"\0", b"").decode() for item in _value_chars(values)]
+
+
+def assert_formats_like_format(values):
+    values = np.asarray(values, dtype=float)
+    assert value_texts(values) == [format(v, FLOAT_FORMAT) for v in values.tolist()]
+
+
+# digits that carry into the next power of ten when rounded to 12 of them
+CARRIES = [0.99999999999951, 9999999.99999951, 999999999999.5]
+FORMATTER_EDGES = [1e-4, 9.99999999999e-5, 5e-324, 0.0, 1.0, 120.0, 1e11, 1e12, math.inf]
+
+
+class TestValueChars:
+    """The block formatter against `format(v, FLOAT_FORMAT)`, value by value."""
+
+    def test_carries_and_edges(self):
+        values = CARRIES + FORMATTER_EDGES
+        assert_formats_like_format(values + [-v for v in values] + [math.nan])
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(arrays(float, st.integers(1, 40),
+                  elements=st.floats(allow_nan=False, allow_infinity=False)))
+    def test_any_finite_double(self, values):
+        assert_formats_like_format(values)
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(st.integers(10**11, 10**12 - 1), st.integers(E_MIN, E_MAX))
+    def test_trailing_five_and_neighbours(self, digits, e):
+        # the 0.x, x.5 and 0.000x forms, and one drawn exponent
+        values = []
+        for exp in (-1, E_MAX, E_MIN, e):
+            tie = float(f"{digits}5e{exp - 12}")  # 13 digits: halfway at the 12th
+            twelve = float(f"{digits // 10 * 10 + 5}e{exp - 11}")  # 12 digits, last one 5
+            for v in (tie, twelve):
+                values += [v, np.nextafter(v, -math.inf), np.nextafter(v, math.inf)]
+        assert_formats_like_format(values + [-v for v in values])
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(st.lists(st.integers(-(10**12) + 1, 10**12 - 1), min_size=1, max_size=40))
+    def test_integers_below_1e12(self, ints):
+        assert_formats_like_format([float(i) for i in ints])
+
+    def test_fast_path_formats_a_field_block(self, monkeypatch):
+        # an all-fallback formatter writes the same bytes; only this count tells
+        calls = []
+
+        def counting(x):
+            calls.append(x)
+            return format_value(x)
+
+        monkeypatch.setattr(fields, "format_value", counting)
+        values = np.random.default_rng(3).uniform(0.3, 0.4, FIELD_BLOCK_CELLS)
+        assert_formats_like_format(values)
+        assert len(calls) <= 0.01 * values.size

@@ -262,6 +262,8 @@ def _load_csv_columns(key: str, arg: str, base_dir: Path):
         raise SchemaError(f"{key}: {path} did not parse as a two-column CSV ({exc})") from None
     if table.ndim != 2 or table.shape[1] != 2 or table.shape[0] < 2:
         raise SchemaError(f"{key}: {path} must hold two columns and at least two rows")
+    if not np.all(np.isfinite(table)):
+        raise SchemaError(f"{key}: {path} holds a non-finite number")
     coords, values = table[:, 0], table[:, 1]
     steps = np.diff(coords)
     if np.any(steps <= 0.0) or np.ptp(steps) > 1e-9 * max(steps[0], 1e-30):
@@ -269,6 +271,7 @@ def _load_csv_columns(key: str, arg: str, base_dir: Path):
     return coords, values
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def _spec_samples(
     typed: dict, key: str, substitute: float, n: int, base_dir: Path, T: float | None = None
 ):
@@ -276,25 +279,29 @@ def _spec_samples(
     T is None, else a time input on t in [0, T].
 
     Formula specs are sampled on n uniform nodes; a csv spec brings its own
-    samples, whose coordinates must span the same interval.
+    samples, whose coordinates must span the same interval.  Non-finite
+    samples (nan or inf in the spec, or overflow) are a config error.
     """
     head, _, arg = typed[key].partition(":")
     if head == "constant":
-        return np.full(n, _eq_value(arg, key, substitute))
-    if head == "linear":
+        values = np.full(n, _eq_value(arg, key, substitute))
+    elif head == "linear":
         parts = arg.split(",")
         if len(parts) != 2:
             raise SchemaError(f"{key}: linear takes two values")
         v0, v1 = (_eq_value(p.strip(), key, substitute) for p in parts)
-        return np.linspace(v0, v1, n)
-    if head == "sine-perturbation":
+        values = np.linspace(v0, v1, n)
+    elif head == "sine-perturbation":
         base, amp, freq = _sine_args(arg, key, substitute)
-        return base + amp * np.sin(freq * np.pi * np.linspace(0.0, 1.0, n))
-    coords, values = _load_csv_columns(key, arg, base_dir)
-    span = 1.0 if T is None else T
-    if abs(coords[0]) > 1e-9 or abs(coords[-1] - span) > 1e-9 * max(1.0, span):
-        kind = "profile" if T is None else "time"
-        raise SchemaError(f"{key}: {kind} coordinates must span [0, {format_value(span)}]")
+        values = base + amp * np.sin(freq * np.pi * np.linspace(0.0, 1.0, n))
+    else:
+        coords, values = _load_csv_columns(key, arg, base_dir)
+        span = 1.0 if T is None else T
+        if abs(coords[0]) > 1e-9 or abs(coords[-1] - span) > 1e-9 * max(1.0, span):
+            kind = "profile" if T is None else "time"
+            raise SchemaError(f"{key}: {kind} coordinates must span [0, {format_value(span)}]")
+    if not np.all(np.isfinite(values)):
+        raise SchemaError(f"{key}: {typed[key]!r} gives non-finite samples")
     return values
 
 

@@ -53,10 +53,10 @@ from .errors import (
     FeasibilityError,
 )
 from .fields import SampledFunction, SpaceProfile, norm
-from .model import EquilibriumPoint, PhysicalParams, _g_partials, eval_g
+from .model import EquilibriumPoint, PhysicalParams, _g_partials, eval_g, inflow_value
 from .oracle import UpwindConfig, simulate_upwind
 from .quadrature import cumulative_integral
-from .wellposed import CauchyData, eps1_bound, solve_semiglobal
+from .wellposed import CauchyData, eps1_radius, solve_semiglobal
 
 
 def critical_time(eq: EquilibriumPoint) -> float:
@@ -275,6 +275,12 @@ def _shoot(l0, l1, base, phi, A, l_start, eq, eps1, dt, params):
     )
 
 
+def _control_size(r_vals, N: SampledFunction, eq: EquilibriumPoint) -> float:
+    """||r - f_pe||_W1inf + max|N - N_e| for inflow ratios r_vals on N's grid."""
+    r = SampledFunction(N.t_start, N.t_end, r_vals)
+    return norm("W1inf", r.shifted_by(eq.f_pe)) + float(np.max(np.abs(N.values - eq.N_e)))
+
+
 def synthesize(
     target: ControlTarget,
     params: PhysicalParams,
@@ -301,7 +307,7 @@ def synthesize(
             f"by the margin HORIZON_MARGIN ({HORIZON_MARGIN:.0%})"
         )
     l0, l1, f0_p, f1_p, T = target.l0, target.l1, target.f0_p, target.f1_p, target.T
-    eps1 = eps1_bound(eq) / 3.0
+    eps1 = eps1_radius(eq)
     n_t = SYNTH_N_T
     t_grid = np.linspace(0.0, T, n_t)
     dt = T / (n_t - 1)
@@ -365,11 +371,9 @@ def synthesize(
     err_fp = float(np.max(np.abs(final_vals - f1_p(x_probe))))
     err_l = abs(float(l_vals[-1]) - l1)
 
-    r_sf = SampledFunction(0.0, T, r_vals)
-    size = norm("W1inf", r_sf.shifted_by(eq.f_pe)) + float(np.max(np.abs(N_vals - eq.N_e)))
-
+    N = SampledFunction(0.0, T, N_vals)
     return SynthesisReport(
-        N=SampledFunction(0.0, T, N_vals),
+        N=N,
         F_in=SampledFunction(0.0, T, F_in_vals),
         l=SampledFunction(0.0, T, l_vals),
         b_outlet=SampledFunction(0.0, T, b_vals),
@@ -380,7 +384,7 @@ def synthesize(
         residual=dist,
         contraction_factors=tuple(factors),
         final_errors=(err_l, err_fp),
-        control_size=float(size),
+        control_size=_control_size(r_vals, N, eq),
     )
 
 
@@ -450,16 +454,13 @@ def verify_control(
         raise DivergenceError(f"upwind replay failed: {exc}") from exc
     up_l = abs(float(l_up(T)) - target.l1)
     up_fp = float(np.max(np.abs(field_up.values[-1] - target.f1_p(field_up.x_grid))))
-    r_vals = report.F_in.values / (params.rho0 * params.V_eff * report.N.values)
-    r_sf = SampledFunction(report.N.t_start, report.N.t_end, r_vals)
-    nfn = norm("W1inf", r_sf.shifted_by(eq.f_pe)) + float(
-        np.max(np.abs(report.N.values - eq.N_e))
-    )
+    r_vals = inflow_value(report.F_in.values, report.N.values, params)
+    nfn = _control_size(r_vals, report.N, eq)
     return VerificationCertificate(
         char_l_error=char_l,
         char_fp_error=char_fp,
         upwind_l_error=up_l,
         upwind_fp_error=up_fp,
-        nfn_value=float(nfn),
+        nfn_value=nfn,
         nfn_ratio=float(nfn / target.nu),
     )

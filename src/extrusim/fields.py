@@ -1,8 +1,9 @@
 """Sampled scalar functions, discrete norms, and coordinate denormalization.
 
 Everything downstream works with uniformly sampled, piecewise-linear
-functions: traces in time (interface position, screw speed, feed rate, die
-ratio) and profiles in the normalized space coordinate.  Linear
+functions of one type, `SampledFunction`: traces in time (interface
+position, screw speed, feed rate, die ratio) and, fixed on [0, 1] as
+`SpaceProfile`, profiles in the normalized space coordinate.  Linear
 interpolants live in W1-infinity, which is exactly the regularity class the
 data is supposed to carry, and they make the difference-quotient norms
 below exact rather than approximate.
@@ -206,21 +207,6 @@ class SampledFunction:
             return float(out)
         return out
 
-    def restrict(self, t_start: float, t_end: float) -> "SampledFunction":
-        """Restriction to a subinterval whose ends sit on grid nodes."""
-        i0 = self._node_index(t_start)
-        i1 = self._node_index(t_end)
-        if i1 <= i0:
-            raise GridError("restriction interval is empty")
-        return SampledFunction(self.grid[i0], self.grid[i1], self.values[i0 : i1 + 1])
-
-    def _node_index(self, t: float) -> int:
-        pos = (t - self.t_start) / self.dt
-        idx = int(round(pos))
-        if idx < 0 or idx >= self.values.size or abs(pos - idx) > 1e-9:
-            raise GridError(f"t={t} is not a grid node of this function")
-        return idx
-
     def shifted_by(self, c: float) -> "SampledFunction":
         return SampledFunction(self.t_start, self.t_end, self.values - c)
 
@@ -228,55 +214,26 @@ class SampledFunction:
         return csv_text(header, self.grid, self.values)
 
 
-@dataclass(frozen=True)
-class SpaceProfile:
-    """Scalar profile on the normalized coordinate interval [0,1]."""
+class SpaceProfile(SampledFunction):
+    """Sampled function on the normalized coordinate interval [0,1]."""
 
-    values: np.ndarray
-
-    def __post_init__(self):
-        values = np.asarray(self.values, dtype=float)
-        object.__setattr__(self, "values", values)
-        if values.ndim != 1 or values.size < 2:
-            raise GridError("need at least two samples")
-        if not np.all(np.isfinite(values)):
-            raise DomainError("samples must be finite")
+    def __init__(self, values):
+        super().__init__(0.0, 1.0, values)
 
     @classmethod
     def from_callable(cls, fn, n: int) -> "SpaceProfile":
-        grid = np.linspace(0.0, 1.0, n)
-        return cls(np.asarray([fn(x) for x in grid], dtype=float))
+        return cls(np.asarray([fn(x) for x in np.linspace(0.0, 1.0, n)], dtype=float))
 
     @classmethod
     def constant(cls, value: float, n: int = 2) -> "SpaceProfile":
         return cls(np.full(n, float(value)))
 
-    # share the SampledFunction call/grid conventions on [0,1]
-    t_start = 0.0
-    t_end = 1.0
-
-    @cached_property
-    def grid(self) -> np.ndarray:
-        return np.linspace(0.0, 1.0, self.values.size)
-
-    @property
-    def dx(self) -> float:
-        return 1.0 / (self.values.size - 1)
-
-    def __call__(self, x):
-        x_arr = np.asarray(x, dtype=float)
-        out = np.interp(x_arr, self.grid, self.values)
-        if np.isscalar(x) or x_arr.ndim == 0:
-            return float(out)
-        return out
-
-    def shifted_by(self, c: float) -> "SpaceProfile":
-        return SpaceProfile(self.values - c)
+    dx = SampledFunction.dt
 
 
 PROVENANCE_INITIAL = 0
 PROVENANCE_BOUNDARY = 1
-PROVENANCE_NAMES = {PROVENANCE_INITIAL: "initial", PROVENANCE_BOUNDARY: "boundary"}
+PROVENANCE_NAMES = ("initial", "boundary")  # indexed by the tag
 
 
 @dataclass(frozen=True)
@@ -285,10 +242,11 @@ class SolutionField:
 
     provenance[i,j] records whether the characteristic through
     (t_grid[i], x_grid[j]) originates from the initial profile (0) or from
-    the inflow boundary (1).  The container is also reused for derived
-    fields (spatial derivatives), which are signed, so the unit-range check
-    for filling ratios is a separate method rather than a constructor
-    invariant.
+    the inflow boundary (1).  Producers pass the boolean mask "entered
+    through x = 0", stored as uint8 tags; any other tag is a DomainError.
+    The container is also reused for derived fields (spatial derivatives),
+    which are signed, so the unit-range check for filling ratios is a
+    separate method rather than a constructor invariant.
     """
 
     t_grid: np.ndarray
@@ -300,15 +258,17 @@ class SolutionField:
         t_grid = np.asarray(self.t_grid, dtype=float)
         x_grid = np.asarray(self.x_grid, dtype=float)
         values = np.asarray(self.values, dtype=float)
-        provenance = np.asarray(self.provenance, dtype=np.uint8)
+        tags = np.asarray(self.provenance)
         object.__setattr__(self, "t_grid", t_grid)
         object.__setattr__(self, "x_grid", x_grid)
         object.__setattr__(self, "values", values)
-        object.__setattr__(self, "provenance", provenance)
         if values.shape != (t_grid.size, x_grid.size):
             raise GridError(f"values shape {values.shape} does not match grids")
-        if provenance.shape != values.shape:
+        if tags.shape != values.shape:
             raise GridError("provenance shape does not match values")
+        if not np.all((tags == 0) | (tags == 1)):
+            raise DomainError("provenance tags must be 0 (initial) or 1 (boundary)")
+        object.__setattr__(self, "provenance", tags.astype(np.uint8, copy=False))
         if not np.all(np.isfinite(values)):
             raise DomainError("field values must be finite")
 
@@ -318,10 +278,6 @@ class SolutionField:
         hi = float(np.max(self.values))
         if lo < -UNIT_RANGE_SLACK or hi > 1.0 + UNIT_RANGE_SLACK:
             raise DomainError(f"field leaves [0,1]: range [{lo:.6g}, {hi:.6g}]")
-
-    def row(self, i: int) -> SpaceProfile:
-        """Spatial slice at t_grid[i] as a profile (x-grid must be [0,1] uniform)."""
-        return SpaceProfile(self.values[i].copy())
 
     def write_csv(self, fh, header: str = "t,x,value,provenance") -> None:
         """Write one line "t,x,value,tag" per grid point to fh, rows of t outermost.
@@ -336,7 +292,7 @@ class SolutionField:
         n_t, n_x = self.values.shape
         t_texts = np.array([format_value(t) for t in self.t_grid.tolist()], dtype="S")
         x_texts = np.array([f",{format_value(x)}," for x in self.x_grid.tolist()], dtype="S")
-        tags = np.array([f",{name}\n" for _, name in sorted(PROVENANCE_NAMES.items())], dtype="S")
+        tags = np.array([f",{name}\n" for name in PROVENANCE_NAMES], dtype="S")
         record = np.dtype([("t", t_texts.dtype), ("x", x_texts.dtype),
                            ("value", f"V{VALUE_WIDTH}"), ("tag", tags.dtype)])
         step = max(1, FIELD_BLOCK_CELLS // max(1, n_x))
@@ -365,10 +321,6 @@ class PhysicalProfile:
     values: np.ndarray
 
 
-def _domain_length(f) -> float:
-    return float(f.t_end - f.t_start)
-
-
 def norm(kind: str, f) -> float:
     """Discrete norm of a sampled function or profile.
 
@@ -383,7 +335,7 @@ def norm(kind: str, f) -> float:
     """
     values = np.asarray(f.values, dtype=float)
     n = values.size
-    h = _domain_length(f) / (n - 1)
+    h = float(f.t_end - f.t_start) / (n - 1)
     if kind == "Linf":
         return float(np.max(np.abs(values)))
     if kind == "W1inf":

@@ -25,13 +25,7 @@ import numpy as np
 
 from .characteristics import TraceContext, backtrace_batch
 from .errors import CompatibilityError, DomainError, GridError
-from .fields import (
-    PROVENANCE_BOUNDARY,
-    PROVENANCE_INITIAL,
-    SampledFunction,
-    SolutionField,
-    SpaceProfile,
-)
+from .fields import SampledFunction, SolutionField, SpaceProfile
 from .model import inflow_value
 
 # highest power of t and of x in the weak-form trial family
@@ -168,10 +162,7 @@ def solve_linear_transport(p: LinearTransportProblem, t_grid, x_grid) -> Solutio
 
     values = u.reshape(nt, nx)
     values[0] = p.u0(x_grid)
-    prov = np.where(
-        crossed.reshape(nt, nx), PROVENANCE_BOUNDARY, PROVENANCE_INITIAL
-    ).astype(np.uint8)
-    return SolutionField(t_grid, x_grid, values, prov)
+    return SolutionField(t_grid, x_grid, values, crossed.reshape(nt, nx))
 
 
 def _refine_crossing(s_lo, s_hi, x_lo, x_hi, m_lo, m_hi):
@@ -405,7 +396,6 @@ def derivative_fields(solution, data):
     )
     is_boundary, origin = backtrace_batch(tg[:, None], xg, ctx)
     growth = np.exp(ctx._P(tg)[:, None] - ctx._P(np.where(is_boundary, origin, 0.0)))
-    provenance = np.where(is_boundary, PROVENANCE_BOUNDARY, PROVENANCE_INITIAL).astype(np.uint8)
 
     def carried(datum_vals, inflow_vals, k):
         at_origin = np.where(
@@ -413,7 +403,7 @@ def derivative_fields(solution, data):
             SampledFunction(0.0, T, inflow_vals)(origin),
             SpaceProfile(datum_vals)(origin),
         )
-        return SolutionField(tg, xg, at_origin * growth**k, provenance)
+        return SolutionField(tg, xg, at_origin * growth**k, is_boundary)
 
     r_vals = inflow_value(np.asarray(data.F_in(tg), dtype=float), N_vals, data.params)
     dt_out = tg[1] - tg[0]

@@ -23,12 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, SchemeError
-from .fields import (
-    PROVENANCE_BOUNDARY,
-    PROVENANCE_INITIAL,
-    SampledFunction,
-    SolutionField,
-)
+from .fields import SampledFunction, SolutionField
 from .model import eval_F, eval_alpha_p, inflow_value, transport_speed
 
 MAX_PRINCIPLE_SLACK = 1e-12
@@ -143,9 +138,7 @@ def simulate_upwind(data, T: float, cfg: UpwindConfig):
         l_vals = np.interp(t_grid, ts, l_vals)
         row_of = np.clip(np.searchsorted(ts, t_grid), 0, ts.size - 1)
     # output row i takes the provenance of march row row_of[i]
-    driven = np.arange(x.size) <= row_of[:, None]
-    prov = np.where(driven, PROVENANCE_BOUNDARY, PROVENANCE_INITIAL)
-    field = SolutionField(t_grid, x, values, prov.astype(np.uint8))
+    field = SolutionField(t_grid, x, values, np.arange(x.size) <= row_of[:, None])
     return SampledFunction(0.0, T, l_vals), field
 
 

@@ -32,15 +32,7 @@ from .errors import (
     DomainError,
     ResolutionError,
 )
-from .fields import (
-    PROVENANCE_BOUNDARY,
-    PROVENANCE_INITIAL,
-    SampledFunction,
-    SolutionField,
-    SpaceProfile,
-    field_norm,
-    norm,
-)
+from .fields import SampledFunction, SolutionField, SpaceProfile, field_norm, norm
 from .model import EquilibriumPoint, PhysicalParams, inflow_value, norm_F_box
 from .quadrature import cumulative_integral
 
@@ -147,6 +139,11 @@ def eps1_bound(eq: EquilibriumPoint) -> float:
     return float(min(eq.l_e, eq.params.L - eq.l_e, eq.f_pe, 1.0 - eq.f_pe))
 
 
+def eps1_radius(eq: EquilibriumPoint) -> float:
+    """Radius of the eps1 ball the solvers work in: a third of `eps1_bound`."""
+    return eps1_bound(eq) / 3.0
+
+
 def _resample(sf: SampledFunction, t_start: float, t_end: float, n: int) -> SampledFunction:
     grid = np.linspace(t_start, t_end, n)
     return SampledFunction(t_start, t_end, np.asarray(sf(grid), dtype=float))
@@ -249,7 +246,7 @@ def local_fixed_point(
 
     The initial candidate is the constant extension of the data at t=0
     unless another admissible pair is supplied.  Iterates must stay inside
-    the eps1 ball around the equilibrium (a third of `eps1_bound` unless
+    the eps1 ball around the equilibrium (of radius `eps1_radius` unless
     given); the loop stops when successive iterates are within PICARD_TOL
     in the maximum norm, and fails after PICARD_MAX_ITER maps.  The residual
     is the distance of one more step of the same sequence, and that step's
@@ -258,7 +255,7 @@ def local_fixed_point(
     """
     eq = data.eq
     if eps1 is None:
-        eps1 = eps1_bound(eq) / 3.0
+        eps1 = eps1_radius(eq)
     steps = _iterates(data, delta, n_t, initial)
     factors = []
     prev_dist = None
@@ -295,8 +292,7 @@ def assemble_field(
     t_grid = np.asarray(t_grid, dtype=float)
     x_grid = np.asarray(x_grid, dtype=float)
     values, flags, _ = _assemble_rows(report.context, data, t_grid, x_grid)
-    provenance = np.where(flags, PROVENANCE_BOUNDARY, PROVENANCE_INITIAL).astype(np.uint8)
-    out = SolutionField(t_grid, x_grid, values, provenance)
+    out = SolutionField(t_grid, x_grid, values, flags)
     out.check_unit_range()
     return out
 
@@ -309,7 +305,7 @@ def solve_semiglobal(
 ) -> SemiglobalSolution:
     """Cover [0, T] by chained contraction intervals.
 
-    Every segment works in the eps1 ball of a third of `eps1_bound`.
+    Every segment works in the eps1 ball of radius `eps1_radius`.
 
     Each junction re-roots the Cauchy data with the current interface
     position and the field row at the junction time, so consecutive
@@ -322,7 +318,7 @@ def solve_semiglobal(
     if T <= 0.0:
         raise DomainError("horizon must be positive")
     eq = data.eq
-    eps1 = eps1_bound(eq) / 3.0
+    eps1 = eps1_radius(eq)
     # the F-box bound depends on params, eq and eps1 alone: one per solve
     f_norm = norm_F_box(data.params, eq, eps1)
     t_grid = np.linspace(0.0, T, n_t)
@@ -333,7 +329,7 @@ def solve_semiglobal(
     N_g = _resample(data.N, 0.0, T, n_t)
 
     values = np.empty((n_t, n_x))
-    provenance = np.full((n_t, n_x), PROVENANCE_INITIAL, dtype=np.uint8)
+    provenance = np.zeros((n_t, n_x), dtype=bool)
     l_out = np.empty(n_t)
     reports = []
 
@@ -370,7 +366,7 @@ def solve_semiglobal(
         # characteristic started from
         j = np.clip(np.round(seg_orig / (x_grid[1] - x_grid[0])).astype(int), 0, n_x - 1)
         values[i_lo:i_hi + 1] = seg_vals
-        provenance[i_lo:i_hi + 1] = np.where(seg_flags, PROVENANCE_BOUNDARY, provenance[i_lo][j])
+        provenance[i_lo:i_hi + 1] = seg_flags | provenance[i_lo][j]
         l_out[i_lo:i_hi + 1] = l_seg(rows)
         reports.append(report)
 

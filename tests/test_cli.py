@@ -285,6 +285,27 @@ class TestSchemaErrors:
         assert "config error: data.N: linear takes two values" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize(
+        "key,spec",
+        [
+            ("data.f0_p", "constant:nan"),
+            ("data.N", "linear:1,inf"),
+            ("data.f0_p", "sine-perturbation:eq,nan"),
+            ("data.F_in", "sine-perturbation:eq,0.01,inf"),
+            ("data.f0_p", "csv:nan.csv"),
+            ("data.N", "linear:-1e308,1e308"),
+            ("data.f0_p", "sine-perturbation:eq,0.01,1e308"),
+        ],
+    )
+    def test_non_finite_spec_names_the_key(self, tmp_path, capsys, key, spec):
+        (tmp_path / "nan.csv").write_text("x,fp\n0,0.3\n0.5,nan\n1,0.3\n")
+        mapping = base_simulate_cfg(tmp_path)
+        mapping[key] = spec
+        assert run(["simulate", write_cfg(tmp_path, "c.cfg", mapping)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: {key}: ")
+        assert err.count("\n") == 1
+
 
 class TestSimulateCommand:
     def test_equilibrium_data_gives_constant_rows(self, tmp_path, capsys):

@@ -21,7 +21,7 @@ from extrusim.errors import (
 from extrusim.fields import SampledFunction, SpaceProfile, norm
 from extrusim.model import PhysicalParams, eval_g, solve_equilibrium
 from extrusim.quadrature import cumulative_integral
-from extrusim.wellposed import eps1_bound
+from extrusim.wellposed import eps1_radius
 
 UNIT = PhysicalParams()
 EQ = solve_equilibrium(UNIT, N_e=1.0, l_e=0.5)
@@ -186,7 +186,7 @@ class TestSynthesizeRamp:
         # the interface is driven by N_e g(l, b) directly, with no division
         # by g, and both traces stay inside the replay's eps1 ball
         assert interface_defect(0.49, ramp_report) <= 1e-14
-        eps1 = eps1_bound(EQ) / 3.0
+        eps1 = eps1_radius(EQ)
         assert float(np.max(np.abs(ramp_report.b_outlet.values - EQ.f_pe))) <= eps1
         assert float(np.max(np.abs(ramp_report.l.values - EQ.l_e))) <= eps1
 

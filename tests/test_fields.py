@@ -58,19 +58,6 @@ class TestSampledFunction:
         with pytest.raises(GridError):
             SampledFunction(1.0, 1.0, np.array([0.0, 1.0]))
 
-    def test_restrict_to_nodes(self):
-        f = SampledFunction.from_callable(lambda t: t * t, 0.0, 1.0, 11)
-        g = f.restrict(0.2, 0.7)
-        assert g.t_start == pytest.approx(0.2)
-        assert g.t_end == pytest.approx(0.7)
-        assert g.values.size == 6
-        assert g(0.5) == f(0.5)
-
-    def test_restrict_off_node_rejected(self):
-        f = SampledFunction.from_callable(lambda t: t, 0.0, 1.0, 11)
-        with pytest.raises(GridError):
-            f.restrict(0.0, 0.55)
-
     def test_csv_roundtrip_format(self):
         f = SampledFunction(0.0, 1.0, np.array([0.0, 0.5]))
         assert f.to_csv() == "t,value\n0,0\n1,0.5\n"
@@ -85,6 +72,13 @@ class TestSpaceProfile:
     def test_shifted_by(self):
         p = SpaceProfile.constant(0.4, 3).shifted_by(0.1)
         assert np.allclose(p.values, 0.3)
+
+    def test_is_a_sampled_function_on_the_unit_interval(self):
+        p = SpaceProfile(np.array([0.1, 0.4, 0.2, 0.3]))
+        assert isinstance(p, SampledFunction)
+        assert p.t_start == 0.0 and p.t_end == 1.0
+        assert p.dx == p.dt == pytest.approx(1.0 / 3.0)
+        assert np.array_equal(p.grid, np.linspace(0.0, 1.0, 4))
 
 
 class TestNorms:
@@ -153,18 +147,23 @@ class TestSolutionField:
                 np.zeros((3, 3), dtype=np.uint8),
             )
 
+    @pytest.mark.parametrize("tag", [2, 255, -1, 0.5, np.nan])
+    def test_unknown_provenance_tag_rejected(self, tag):
+        with pytest.raises(DomainError, match="provenance"):
+            SolutionField([0.0], [0.0, 1.0], [[0.3, 0.4]], np.array([[0, tag]]))
+
+    def test_boolean_mask_becomes_tags(self):
+        mask = np.array([[False, True], [True, True]])
+        f = SolutionField([0.0, 1.0], [0.0, 1.0], np.zeros((2, 2)), mask)
+        assert f.provenance.dtype == np.uint8
+        assert f.provenance.tolist() == [[PROVENANCE_INITIAL, PROVENANCE_BOUNDARY], [1, 1]]
+
     def test_unit_range_check(self):
         f = self._make()
         f.check_unit_range()
         bad = SolutionField(f.t_grid, f.x_grid, f.values + 1.0, f.provenance)
         with pytest.raises(DomainError):
             bad.check_unit_range()
-
-    def test_row_is_profile(self):
-        f = self._make()
-        r = f.row(1)
-        assert isinstance(r, SpaceProfile)
-        assert np.allclose(r.values, 0.25)
 
     def test_csv_long_format(self):
         t = np.array([0.0, 1.0])

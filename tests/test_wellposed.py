@@ -26,6 +26,7 @@ from extrusim.wellposed import (
     check_estimates,
     compute_delta,
     eps1_bound,
+    eps1_radius,
     local_fixed_point,
     solve_semiglobal,
 )
@@ -92,6 +93,11 @@ class TestEps1Bound:
         eq = solve_equilibrium(params, N_e=1.0, l_e=0.9)
         assert eq.f_pe == pytest.approx(1.0 / 3.0, abs=1e-15)
         assert eps1_bound(eq) == pytest.approx(0.1, abs=1e-15)
+
+    def test_working_radius_is_a_third(self):
+        # the radius every solver uses, to the bit
+        for eq in (EQ, solve_equilibrium(PhysicalParams(K_d=5.0), N_e=1.0, l_e=0.9)):
+            assert eps1_radius(eq) == eps1_bound(eq) / 3.0
 
 
 class TestComputeDelta:

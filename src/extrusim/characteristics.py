@@ -11,15 +11,19 @@ where P is the running integral of F/l and Q the running integral of
 with a Simpson-type rule on the trace grid and evaluated anywhere with a
 C1 Hermite interpolant, which keeps the analytic derivative formulas for
 the origin maps consistent with finite differences of the traced origins.
+P and Q share the trace grid, so `TraceContext._PQ` reads both from one
+cell lookup, and each context keeps the pair at t_start, where every
+curve traced back to the initial axis ends.
 
-Origins come from one broadcasting solver.  The curve reaches the start of
-the interval at beta = xi(t_start; t, x), closed form, when that lies in
-[0, 1]; otherwise it left x = 0 at the tau solving
-Q(tau) = Q(t) - x*exp(P(t)).  Q is strictly increasing (every Hermite
-cell is checked against the Fritsch-Carlson monotone region), so
-`searchsorted` on its nodes finds the cell and safeguarded Newton steps on
-that cell's Hermite cubic give tau.  The crossing time of the inlet-corner
-characteristic at x = 1 comes from the same closed form.
+Origins come from one broadcasting solver, which reads P and Q once at
+the foot points.  The curve reaches the start of the interval at
+beta = xi(t_start; t, x), closed form, when that lies in [0, 1]; otherwise
+it left x = 0 at the tau solving Q(tau) = Q(t) - x*exp(P(t)).  Q is
+strictly increasing (every Hermite cell is checked against the
+Fritsch-Carlson monotone region), so `searchsorted` on its nodes finds the
+cell and safeguarded Newton steps on that cell's Hermite cubic give tau,
+each step reading Q and its slope from one lookup.  The crossing time of
+the inlet-corner characteristic at x = 1 comes from the same closed form.
 
 A classical Runge-Kutta integration of the same ODE, and a crossing time
 marched along it, are provided as independent routes for cross-checking
@@ -35,7 +39,7 @@ import numpy as np
 
 from .errors import ConvergenceError, DivergenceError, DomainError, GridError
 from .fields import SampledFunction
-from .model import PhysicalParams, eval_F
+from .model import PhysicalParams, die_balance, eval_F
 from .quadrature import HermiteAntiderivative, cumulative_integral
 
 ORIGIN_INITIAL = "initial"
@@ -92,15 +96,15 @@ class TraceContext:
                 or other.values.size != ref.values.size
             ):
                 raise GridError("l, N, b must share one uniform grid")
-        L = self.params.L
-        if np.any(self.l.values <= 0.0) or np.any(self.l.values >= L):
+        l, N, b = self.l.values, self.N.values, self.b.values
+        if (l <= 0.0).any() or (l >= self.params.L).any():
             raise DomainError("interface trace must stay inside (0, L)")
-        if np.any(self.b.values < 0.0) or np.any(self.b.values >= 1.0):
+        if (b < 0.0).any() or (b >= 1.0).any():
             raise DomainError("die ratio trace must stay inside [0, 1)")
-        if np.any(self.N.values <= 0.0):
+        if (N <= 0.0).any():
             raise DomainError("screw speed trace must stay positive")
         # alpha_p is affine in x, so positivity on [0,1] reduces to x=0,1
-        if np.any(self.params.zeta * self.N.values - self._F_nodes <= 0.0):
+        if (self.params.zeta * N - self._F_nodes <= 0.0).any():
             raise DomainError("transport speed must stay positive up to x=1")
 
     @property
@@ -117,9 +121,8 @@ class TraceContext:
 
     @cached_property
     def _F_nodes(self) -> np.ndarray:
-        return np.asarray(
-            eval_F(self.l.values, self.N.values, self.b.values, self.params), dtype=float
-        )
+        # F = N*g; construction has checked the ranges of l and b that g needs
+        return self.N.values * die_balance(self.l.values, self.b.values, self.params)
 
     @cached_property
     def _P(self) -> HermiteAntiderivative:
@@ -132,6 +135,16 @@ class TraceContext:
         nodes = cumulative_integral(q, self.dt)
         _check_monotone(nodes, q, self.t_start, self.dt)
         return HermiteAntiderivative(self.t_start, self.dt, nodes, q)
+
+    def _PQ(self, t):
+        """P(t) and Q(t) from one cell lookup: both share the trace grid."""
+        k, s = self._P._cell(t)
+        return self._P._value(k, s), self._Q._value(k, s)
+
+    @cached_property
+    def _PQ_start(self) -> tuple:
+        """P and Q at t_start, where every curve traced to the initial axis ends."""
+        return self._PQ(self.t_start)
 
     def coefficients_at(self, sigma):
         """(A, B) of the characteristic ODE dxi/ds = A(s) - B(s)*xi at time(s) sigma."""
@@ -158,7 +171,7 @@ def _check_monotone(nodes: np.ndarray, slopes: np.ndarray, t0: float, dt: float)
     beta - 2)) >= 0.  The origin solver's `searchsorted` on the nodes of Q
     needs exactly that.
     """
-    inc = np.diff(nodes)
+    inc = nodes[1:] - nodes[:-1]
     with np.errstate(divide="ignore", invalid="ignore"):
         alpha = slopes[:-1] * dt / inc
         beta = slopes[1:] * dt / inc
@@ -180,13 +193,14 @@ def _check_monotone(nodes: np.ndarray, slopes: np.ndarray, t0: float, dt: float)
         )
 
 
+def _xi_from(x, Pt, Qt, Ps, Qs):
+    """Position at time s of the characteristic through (t, x), from P and Q at t and s."""
+    return np.asarray(x, dtype=float) * np.exp(Pt - Ps) - np.exp(-Ps) * (Qt - Qs)
+
+
 def _xi_closed(s, t, x, ctx: TraceContext):
     """Closed-form characteristic position, valid for any ordering of s, t."""
-    P = ctx._P
-    Q = ctx._Q
-    Ps = P(s)
-    Pt = P(t)
-    return np.asarray(x, dtype=float) * np.exp(Pt - Ps) - np.exp(-Ps) * (Q(t) - Q(s))
+    return _xi_from(x, *ctx._PQ(t), *ctx._PQ(s))
 
 
 def xi(s: float, t: float, x: float, ctx: TraceContext) -> float:
@@ -280,35 +294,38 @@ def crossing_time_rk4(ctx: TraceContext):
     return 0.5 * (lo + hi)
 
 
-def _boundary_times(ts: np.ndarray, xs: np.ndarray, ctx: TraceContext) -> np.ndarray:
+def _boundary_times(ts, xs, Pt, Qt, ctx: TraceContext) -> np.ndarray:
     """Times tau at which the characteristics through (ts, xs) left x = 0.
 
-    xi(tau; t, x) = 0 is Q(tau) = Q(t) - x*exp(P(t)), and Q is strictly
-    increasing, so its node values locate the cell of each root.  Newton
-    steps on that cell's Hermite cubic start from the linear interpolant of
-    the nodes; a step that leaves the sign bracket falls back to its midpoint.
+    Pt and Qt are P and Q at ts.  xi(tau; t, x) = 0 is
+    Q(tau) = Q(t) - x*exp(P(t)), and Q is strictly increasing, so its node
+    values locate the cell of each root.  Newton steps on that cell's
+    Hermite cubic start from the linear interpolant of the nodes; a step
+    that leaves the sign bracket falls back to its midpoint.
     """
     Q = ctx._Q
-    target = Q(ts) - xs * np.exp(ctx._P(ts))
-    k = np.clip(np.searchsorted(Q.nodes, target, side="right") - 1, 0, Q.nodes.size - 2)
+    target = Qt - xs * np.exp(Pt)
+    k = np.searchsorted(Q.nodes, target, side="right") - 1
+    k = np.minimum(np.maximum(k, 0), Q.nodes.size - 2)
     hi = np.minimum(Q.t0 + (k + 1) * Q.dt, ts)
     lo = np.minimum(Q.t0 + k * Q.dt, hi)
     frac = (target - Q.nodes[k]) / (Q.nodes[k + 1] - Q.nodes[k])
-    tau = np.clip(Q.t0 + (k + frac) * Q.dt, lo, hi)
+    tau = np.minimum(np.maximum(Q.t0 + (k + frac) * Q.dt, lo), hi)
     # a converged point stops moving, so each tau is independent of the batch
     done = np.zeros(tau.shape, dtype=bool)
     for _ in range(100):
-        r = Q(tau) - target
+        cell, s = Q._cell(tau)
+        r = Q._value(cell, s) - target
         lo = np.where(r < 0.0, tau, lo)
         hi = np.where(r > 0.0, tau, hi)
-        new = tau - r / Q.derivative(tau)
+        new = tau - r / Q._slope(cell, s)
         new = np.where((new >= lo) & (new <= hi), new, 0.5 * (lo + hi))
         new = np.where(done, tau, new)
         done |= np.abs(new - tau) <= 4e-16 * np.maximum(1.0, np.abs(tau))
         tau = new
-        if np.all(done):
+        if done.all():
             break
-    res = np.max(np.abs(_xi_closed(tau, ts, xs, ctx)))
+    res = np.abs(_xi_from(xs, Pt, Qt, *ctx._PQ(tau))).max()
     if res > 1e-9:
         raise DivergenceError(f"origin solver left residual {res:.3g} at the boundary crossing")
     return tau
@@ -322,16 +339,24 @@ def _origins(ts, xs, ctx: TraceContext):
     the start of the context interval inside [0, 1], and tau where it left
     through x = 0 (alpha_p > 0, so every curve has exactly one of the two).
     """
-    ts, xs = np.broadcast_arrays(np.asarray(ts, dtype=float), np.asarray(xs, dtype=float))
-    if not np.all((ts >= ctx.t_start - 1e-12) & (ts <= ctx.t_end + 1e-12)):
+    ts = np.asarray(ts, dtype=float)
+    xs = np.asarray(xs, dtype=float)
+    # a scalar x (one foot point over many times) broadcasts as it is
+    if xs.ndim:
+        ts, xs = np.broadcast_arrays(ts, xs)
+    if not ((ts >= ctx.t_start - 1e-12) & (ts <= ctx.t_end + 1e-12)).all():
         raise DomainError(f"times outside context interval [{ctx.t_start}, {ctx.t_end}]")
-    if not np.all((xs >= 0.0) & (xs <= 1.0)):
+    if not ((xs >= 0.0) & (xs <= 1.0)).all():
         raise DomainError("x must lie in [0, 1]")
-    xi0 = np.asarray(_xi_closed(ctx.t_start, ts, xs, ctx), dtype=float)
+    Pt, Qt = ctx._PQ(ts)
+    xi0 = np.asarray(_xi_from(xs, Pt, Qt, *ctx._PQ_start), dtype=float)
     is_boundary = xi0 < 0.0
     origin = np.where(is_boundary, 0.0, np.maximum(xi0, 0.0))
-    if np.any(is_boundary):
-        origin[is_boundary] = _boundary_times(ts[is_boundary], xs[is_boundary], ctx)
+    if is_boundary.any():
+        bnd = is_boundary
+        # rebound, so that P and Q at the other foot points are freed
+        Pt, Qt = Pt[bnd], Qt[bnd]
+        origin[bnd] = _boundary_times(ts[bnd], xs[bnd] if xs.ndim else xs, Pt, Qt, ctx)
     return is_boundary, origin
 
 
@@ -381,22 +406,24 @@ def crossing_time(ctx: TraceContext):
     x = 1 by the end of the context interval.
     """
     t_grid = ctx.l.grid
-    is_bnd = np.asarray(_xi_closed(ctx.t_start, t_grid, 1.0, ctx)) < 0.0
+    P0, Q0 = ctx._PQ_start
+    is_bnd = np.asarray(_xi_from(1.0, *ctx._PQ(t_grid), P0, Q0)) < 0.0
     k = int(np.argmax(is_bnd))
     if not is_bnd[k]:
         return None
     lo, hi = float(t_grid[k - 1]), float(t_grid[k])
     t = lo
+    P, Q = ctx._P, ctx._Q
     for _ in range(100):
-        r = float(_xi_closed(ctx.t_start, t, 1.0, ctx))
+        # P, Q and their slopes at t from one cell lookup
+        cell, s = P._cell(t)
+        Pt = P._value(cell, s)
+        r = float(_xi_from(1.0, Pt, Q._value(cell, s), P0, Q0))
         if r > 0.0:
             lo = t
         else:
             hi = t
-        slope = float(
-            np.exp(ctx._P(t) - ctx._P(ctx.t_start)) * ctx._P.derivative(t)
-            - np.exp(-ctx._P(ctx.t_start)) * ctx._Q.derivative(t)
-        )
+        slope = float(np.exp(Pt - P0) * P._slope(cell, s) - np.exp(-P0) * Q._slope(cell, s))
         new = t - r / slope
         if not (lo <= new <= hi):
             new = 0.5 * (lo + hi)

@@ -18,6 +18,8 @@ Blank lines and lines starting with ``#`` are skipped.  Keys:
       relative to the config file).  "eq" substitutes the equilibrium
       value of the quantity.  Profiles live on x in [0,1], time inputs
       on t in [0,T]; the sine argument is pi*x resp. pi*t/T times freq.
+      Samples must be finite; data.N positive, data.F_in nonnegative,
+      data.f0_p and data.f1_p in [0,1] and below 1 at x = 1
   numerics.dt numerics.dx
       step sizes of the output/replay grids (defaults 5e-3, 1e-2);
       dt must divide mode.T and dx the unit interval, and the grid may
@@ -49,7 +51,6 @@ from pathlib import Path
 
 import numpy as np
 
-from .control import ControlTarget, synthesize, verify_control
 from .errors import ExtrusimError, SchemaError
 from .fields import SampledFunction, SpaceProfile, csv_text, format_value
 from .model import PhysicalParams, eval_g, solve_equilibrium
@@ -112,6 +113,18 @@ _FLOAT_KEYS = {
 }
 
 _SPEC_KEYS = ("data.f0_p", "data.f1_p", "data.F_in", "data.N")
+
+# admissible samples of each function spec, and the rule a violation names
+_PROFILE_RANGE = (
+    lambda v: (v >= 0.0).all() and (v <= 1.0).all() and v[-1] < 1.0,
+    "must lie in [0, 1] and stay below 1 at x = 1",
+)
+_SPEC_RANGES = {
+    "data.f0_p": _PROFILE_RANGE,
+    "data.f1_p": _PROFILE_RANGE,
+    "data.F_in": (lambda v: (v >= 0.0).all(), "must be nonnegative"),
+    "data.N": (lambda v: (v > 0.0).all(), "must be positive"),
+}
 
 _ENUM_KEYS = {
     "mode.method": ("characteristics", "upwind"),
@@ -280,7 +293,8 @@ def _spec_samples(
 
     Formula specs are sampled on n uniform nodes; a csv spec brings its own
     samples, whose coordinates must span the same interval.  Non-finite
-    samples (nan or inf in the spec, or overflow) are a config error.
+    samples (nan or inf in the spec, or overflow) and samples outside the
+    key's admissible range (`_SPEC_RANGES`) are config errors.
     """
     head, _, arg = typed[key].partition(":")
     if head == "constant":
@@ -302,6 +316,9 @@ def _spec_samples(
             raise SchemaError(f"{key}: {kind} coordinates must span [0, {format_value(span)}]")
     if not np.all(np.isfinite(values)):
         raise SchemaError(f"{key}: {typed[key]!r} gives non-finite samples")
+    admissible, rule = _SPEC_RANGES[key]
+    if not admissible(values):
+        raise SchemaError(f"{key}: the samples of {typed[key]!r} {rule}")
     return values
 
 
@@ -402,6 +419,10 @@ def cmd_simulate(typed: dict, base_dir: Path) -> int:
 
 
 def cmd_control(typed: dict, base_dir: Path) -> int:
+    # imported here: no other subcommand needs the control module, and
+    # importing it is a measurable share of start-up
+    from .control import ControlTarget, synthesize, verify_control
+
     params, eq = _resolve_point(typed)
     T = typed["mode.T"]
     dx, n_t, n_x = _grids(typed, T)[1:]

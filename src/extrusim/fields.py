@@ -178,7 +178,7 @@ class SampledFunction:
         object.__setattr__(self, "values", values)
         if values.ndim != 1 or values.size < 2:
             raise GridError("need at least two samples")
-        if not np.all(np.isfinite(values)):
+        if not np.isfinite(values).all():
             raise DomainError("samples must be finite")
         if not (self.t_end > self.t_start):
             raise GridError(f"empty interval [{self.t_start}, {self.t_end}]")

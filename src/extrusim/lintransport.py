@@ -395,7 +395,11 @@ def derivative_fields(solution, data):
         data.params,
     )
     is_boundary, origin = backtrace_batch(tg[:, None], xg, ctx)
-    growth = np.exp(ctx._P(tg)[:, None] - ctx._P(np.where(is_boundary, origin, 0.0)))
+    # P at each origin time: the context's cached P(t_start) on the initial
+    # axis, one lookup at tau on the inflow face
+    P_origin = np.full(origin.shape, ctx._PQ_start[0])
+    P_origin[is_boundary] = ctx._P(origin[is_boundary])
+    growth = np.exp(ctx._P(tg)[:, None] - P_origin)
 
     def carried(datum_vals, inflow_vals, k):
         at_origin = np.where(

@@ -107,12 +107,17 @@ def eval_g(l, f_p1, params: PhysicalParams):
         raise DomainError("f_p1 must be a ratio in [0, 1)")
     if _any(l_arr <= 0.0) or _any(l_arr >= params.L):
         raise DomainError(f"l must lie strictly inside (0, L={params.L})")
-    remaining = params.K_d * (params.L - l_arr)
-    denom = (params.B * params.rho0 + remaining) * (1.0 - f_arr)
-    out = params.zeta * remaining / denom - params.zeta * f_arr / (1.0 - f_arr)
+    out = die_balance(l_arr, f_arr, params)
     if np.isscalar(l) and np.isscalar(f_p1):
         return float(out)
     return out
+
+
+def die_balance(l, f_p1, params: PhysicalParams):
+    """g(l, f_p1) of `eval_g` for float arrays whose ranges the caller has checked."""
+    remaining = params.K_d * (params.L - l)
+    denom = (params.B * params.rho0 + remaining) * (1.0 - f_p1)
+    return params.zeta * remaining / denom - params.zeta * f_p1 / (1.0 - f_p1)
 
 
 def eval_F(l, N, f_p1, params: PhysicalParams):

@@ -6,7 +6,9 @@ with the integrand.  ``cumulative_integral`` fills the nodes with a
 Simpson-type rule (local parabolas, exact for quadratics) and
 ``HermiteAntiderivative`` interpolates between nodes with cubic Hermite
 pieces whose slopes are the integrand samples themselves, so the result is
-C1 across the whole interval.
+C1 across the whole interval.  A cell lookup (`_cell`) gives the cell index
+and local coordinate of each time once; the value and the slope of the
+cubic are then read from it, so antiderivatives on one grid share it.
 """
 
 from __future__ import annotations
@@ -74,39 +76,49 @@ class HermiteAntiderivative:
         integrand = np.asarray(integrand, dtype=float)
         return cls(t0, dt, cumulative_integral(integrand, dt), integrand)
 
-    def __call__(self, t):
-        t_arr = np.asarray(t, dtype=float)
-        u = (t_arr - self.t0) / self.dt
-        k = np.clip(np.floor(u).astype(int), 0, self.nodes.size - 2)
-        s = u - k
+    def _cell(self, t):
+        """Cell index k and local coordinate s in [0, 1] of each t.
+
+        t outside [t0, t1] lands in the end cell, with s outside [0, 1].
+        """
+        u = (np.asarray(t, dtype=float) - self.t0) / self.dt
+        k = np.minimum(np.maximum(np.floor(u).astype(int), 0), self.nodes.size - 2)
+        return k, u - k
+
+    def _value(self, k, s):
+        """The Hermite cubic of cell k at local coordinate s."""
         h = self.dt
+        k1 = k + 1
         f0 = self.nodes[k]
-        f1 = self.nodes[k + 1]
+        f1 = self.nodes[k1]
         d0 = self.slopes[k] * h
-        d1 = self.slopes[k + 1] * h
+        d1 = self.slopes[k1] * h
         s2 = s * s
         s3 = s2 * s
-        val = (
-            f0 * (2.0 * s3 - 3.0 * s2 + 1.0)
+        s2_3 = 3.0 * s2
+        return (
+            f0 * (2.0 * s3 - s2_3 + 1.0)
             + d0 * (s3 - 2.0 * s2 + s)
-            + f1 * (-2.0 * s3 + 3.0 * s2)
+            + f1 * (-2.0 * s3 + s2_3)
             + d1 * (s3 - s2)
         )
-        if np.isscalar(t) or t_arr.ndim == 0:
-            return float(val)
-        return val
+
+    def _slope(self, k, s):
+        """The slope of the Hermite cubic of cell k at local coordinate s."""
+        k1 = k + 1
+        s_1 = s - 1.0
+        s_3 = 3.0 * s
+        return (
+            (self.nodes[k] - self.nodes[k1]) * 6.0 * s * s_1 / self.dt
+            + self.slopes[k] * (s_3 - 1.0) * s_1
+            + self.slopes[k1] * s * (s_3 - 2.0)
+        )
+
+    def __call__(self, t):
+        val = self._value(*self._cell(t))
+        return float(val) if val.ndim == 0 else val
 
     def derivative(self, t):
         """Exact slope of the interpolant at t; matches the samples at nodes."""
-        t_arr = np.asarray(t, dtype=float)
-        u = (t_arr - self.t0) / self.dt
-        k = np.clip(np.floor(u).astype(int), 0, self.nodes.size - 2)
-        s = u - k
-        val = (
-            (self.nodes[k] - self.nodes[k + 1]) * 6.0 * s * (s - 1.0) / self.dt
-            + self.slopes[k] * (3.0 * s - 1.0) * (s - 1.0)
-            + self.slopes[k + 1] * s * (3.0 * s - 2.0)
-        )
-        if np.isscalar(t) or t_arr.ndim == 0:
-            return float(val)
-        return val
+        val = self._slope(*self._cell(t))
+        return float(val) if val.ndim == 0 else val

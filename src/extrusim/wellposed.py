@@ -152,8 +152,10 @@ def _resample(sf: SampledFunction, t_start: float, t_end: float, n: int) -> Samp
 def _datum_at(data: CauchyData, is_boundary, origin):
     """Datum carried along each characteristic: f0_p at beta, inflow at tau."""
     values = np.empty(origin.shape)
-    values[~is_boundary] = data.f0_p(origin[~is_boundary])
-    values[is_boundary] = data.inflow(origin[is_boundary])
+    for on_side, datum in ((~is_boundary, data.f0_p), (is_boundary, data.inflow)):
+        # a side no characteristic came from is not evaluated
+        if on_side.any():
+            values[on_side] = datum(origin[on_side])
     return values
 
 
@@ -168,17 +170,23 @@ def _iterates(data: CauchyData, delta: float, n: int, initial):
     if initial is None:
         initial = (data.l0, float(data.f0_p.values[-1]))
     N_sf = _resample(data.N, 0.0, delta, n)
+    # every iterate lives on the grid of N_sf
+    grid, dt = N_sf.grid, N_sf.dt
     l_vals = np.full(n, float(initial[0]))
     b_vals = np.full(n, float(initial[1]))
     while True:
-        l_sf = SampledFunction(0.0, delta, l_vals)
-        ctx = TraceContext(l_sf, N_sf, SampledFunction(0.0, delta, b_vals), data.params)
-        l_next = data.l0 + cumulative_integral(ctx._F_nodes, l_sf.dt)
+        ctx = TraceContext(
+            SampledFunction(0.0, delta, l_vals),
+            N_sf,
+            SampledFunction(0.0, delta, b_vals),
+            data.params,
+        )
+        l_next = data.l0 + cumulative_integral(ctx._F_nodes, dt)
         # through this module's binding, so that a wrapper installed on it
         # (perfbench/tracer.py) sees one call per map
-        is_boundary, origin = backtrace_times(l_sf.grid, 1.0, ctx)
+        is_boundary, origin = backtrace_times(grid, 1.0, ctx)
         b_next = _datum_at(data, is_boundary, origin)
-        dist = float(max(np.max(np.abs(l_next - l_vals)), np.max(np.abs(b_next - b_vals))))
+        dist = float(max(np.abs(l_next - l_vals).max(), np.abs(b_next - b_vals).max()))
         yield ctx, l_next, b_next, dist
         l_vals, b_vals = l_next, b_next
 
@@ -260,7 +268,7 @@ def local_fixed_point(
     factors = []
     prev_dist = None
     for iterations, (_, l_vals, b_vals, dist) in enumerate(islice(steps, PICARD_MAX_ITER), 1):
-        if np.max(np.abs(l_vals - eq.l_e)) > eps1 or np.max(np.abs(b_vals - eq.f_pe)) > eps1:
+        if np.abs(l_vals - eq.l_e).max() > eps1 or np.abs(b_vals - eq.f_pe).max() > eps1:
             raise DivergenceError(f"iterate {iterations} left the eps1={eps1:.3g} ball")
         if prev_dist is not None and prev_dist > 0.0:
             factors.append(dist / prev_dist)

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from extrusim.characteristics import (
     TraceContext,
     _check_monotone,
+    _origins,
     _rk4_span,
     _xi_closed,
     backtrace,
@@ -24,6 +25,7 @@ from extrusim.characteristics import (
 from extrusim.errors import DivergenceError, DomainError, GridError
 from extrusim.fields import SampledFunction
 from extrusim.model import PhysicalParams, solve_equilibrium
+from extrusim.quadrature import HermiteAntiderivative
 
 UNIT = PhysicalParams()
 EQ = solve_equilibrium(UNIT, N_e=1.0, l_e=0.5)
@@ -34,12 +36,12 @@ def equilibrium_ctx(t_end=1.0, n=201, N=None):
     return TraceContext(mk(EQ.l_e), mk(N if N is not None else EQ.N_e), mk(EQ.f_pe), UNIT)
 
 
-def wavy_ctx(t_end=1.0, n=2001):
+def wavy_ctx(t_end=1.0, n=2001, t0=0.0):
     """Time-varying traces, still safely inside the physical ranges."""
-    tg = np.linspace(0.0, t_end, n)
-    l = SampledFunction(0.0, t_end, 0.5 + 0.05 * np.sin(1.7 * np.pi * tg + 0.3))
-    N = SampledFunction(0.0, t_end, 1.0 + 0.3 * np.sin(2.0 * np.pi * tg))
-    b = SampledFunction(0.0, t_end, EQ.f_pe + 0.05 * np.cos(2.3 * tg))
+    tg = np.linspace(0.0, t_end - t0, n)
+    l = SampledFunction(t0, t_end, 0.5 + 0.05 * np.sin(1.7 * np.pi * tg + 0.3))
+    N = SampledFunction(t0, t_end, 1.0 + 0.3 * np.sin(2.0 * np.pi * tg))
+    b = SampledFunction(t0, t_end, EQ.f_pe + 0.05 * np.cos(2.3 * tg))
     return TraceContext(l, N, b, UNIT)
 
 
@@ -344,3 +346,151 @@ class TestOriginRoundTrip:
         x_from = np.where(is_boundary, 0.0, origin)
         landed = _xi_closed(ts, t_from, x_from, ctx)
         assert np.max(np.abs(landed - xs)) <= 1e-12
+
+
+def reference_hermite(H, t):
+    """Value and slope of H at t by the clipped-index formula the one-lookup
+    kernel replaced, kept here as the bit-for-bit reference."""
+    t_arr = np.asarray(t, dtype=float)
+    u = (t_arr - H.t0) / H.dt
+    k = np.clip(np.floor(u).astype(int), 0, H.nodes.size - 2)
+    s = u - k
+    h = H.dt
+    f0 = H.nodes[k]
+    f1 = H.nodes[k + 1]
+    d0 = H.slopes[k] * h
+    d1 = H.slopes[k + 1] * h
+    s2 = s * s
+    s3 = s2 * s
+    value = (
+        f0 * (2.0 * s3 - 3.0 * s2 + 1.0)
+        + d0 * (s3 - 2.0 * s2 + s)
+        + f1 * (-2.0 * s3 + 3.0 * s2)
+        + d1 * (s3 - s2)
+    )
+    slope = (
+        (H.nodes[k] - H.nodes[k + 1]) * 6.0 * s * (s - 1.0) / H.dt
+        + H.slopes[k] * (3.0 * s - 1.0) * (s - 1.0)
+        + H.slopes[k + 1] * s * (3.0 * s - 2.0)
+    )
+    return value, slope
+
+
+def shifted_wavy_ctx():
+    """`wavy_ctx` on [0.3, 1.3], so that the cell lookup subtracts t0."""
+    return wavy_ctx(t_end=1.3, n=257, t0=0.3)
+
+
+def kernel_times(ctx):
+    """Times that probe every branch of the cell lookup, by shape."""
+    grid = ctx.l.grid
+    t0, t1 = ctx.t_start, ctx.t_end
+    edges = [
+        t0, t1,
+        np.nextafter(t0, -np.inf), np.nextafter(t1, np.inf),
+        t0 - 1e-13, t1 + 1e-13, t0 - 0.5 * ctx.dt, t1 + 0.5 * ctx.dt,
+    ]
+    rng = np.random.default_rng(11)
+    inside = rng.uniform(t0, t1, 60)
+    one_d = np.concatenate([grid, edges, inside])
+    return [
+        ("scalar", 0.5 * (t0 + t1)),
+        ("scalar node", float(grid[17])),
+        ("scalar start", t0),
+        ("scalar end", t1),
+        ("scalar below", float(np.nextafter(t0, -np.inf))),
+        ("scalar above", t1 + 1e-13),
+        ("0-d", np.asarray(grid[40])),
+        ("1-d", one_d),
+        ("2-d", np.stack([inside[:30], inside[30:]])),
+        ("2-d column", grid[::16, None]),
+    ]
+
+
+class TestOneLookupKernel:
+    """The one-lookup Hermite kernel and `TraceContext._PQ` reproduce the
+    clipped-index formula bit for bit, so outputs stay byte-identical."""
+
+    @pytest.mark.parametrize("make_ctx", [shifted_wavy_ctx, wavy_ctx])
+    def test_value_and_slope_are_bit_identical(self, make_ctx):
+        ctx = make_ctx()
+        for H in (ctx._P, ctx._Q):
+            for label, t in kernel_times(ctx):
+                value, slope = reference_hermite(H, t)
+                assert np.array_equal(H(t), value), label
+                assert np.array_equal(H.derivative(t), slope), label
+                assert np.shape(H(t)) == np.shape(value), label
+
+    def test_pair_is_bit_identical(self):
+        ctx = shifted_wavy_ctx()
+        for label, t in kernel_times(ctx):
+            P, Q = ctx._PQ(t)
+            assert np.array_equal(P, reference_hermite(ctx._P, t)[0]), label
+            assert np.array_equal(Q, reference_hermite(ctx._Q, t)[0]), label
+        P0, Q0 = ctx._PQ_start
+        assert P0 == reference_hermite(ctx._P, ctx.t_start)[0]
+        assert Q0 == reference_hermite(ctx._Q, ctx.t_start)[0]
+
+    def test_scalar_time_gives_a_float(self):
+        ctx = shifted_wavy_ctx()
+        for t in (0.7, np.asarray(0.7), np.float64(0.7)):
+            assert type(ctx._P(t)) is float
+            assert type(ctx._Q.derivative(t)) is float
+
+    def test_origins_do_not_depend_on_the_batch(self):
+        # the outlet foot points of a Picard map: early times reach the
+        # initial axis, late ones the inflow face; each part alone, the
+        # broadcast form and the scalar route give the same bits
+        ctx = shifted_wavy_ctx()
+        grid = ctx.l.grid
+        is_boundary, origin = backtrace_times(grid, 1.0, ctx)
+        assert is_boundary.any() and not is_boundary.all()
+        wide_b, wide_o = backtrace_batch(grid, np.ones(grid.size), ctx)
+        assert np.array_equal(wide_b, is_boundary) and np.array_equal(wide_o, origin)
+        for part in (~is_boundary, is_boundary):
+            part_b, part_o = backtrace_times(grid[part], 1.0, ctx)
+            assert np.array_equal(part_b, is_boundary[part])
+            assert np.array_equal(part_o, origin[part])
+        for t, ib, ov in zip(grid[::8], is_boundary[::8], origin[::8]):
+            o = backtrace(float(t), 1.0, ctx)
+            assert o.kind == ("boundary" if ib else "initial")
+            assert o.value == ov
+
+
+class TestLookupCount:
+    """One origin solve reads P and Q at the foot points once, Q and Q' once
+    per Newton step, and P and Q at the roots once for the residual check;
+    P and Q at t_start come from the per-context cache."""
+
+    @staticmethod
+    def count(monkeypatch, ctx, ts, xs):
+        ctx._PQ_start  # filled once per context, not part of a solve
+        calls = {"_cell": 0, "_slope": 0}
+        for name in calls:
+            original = getattr(HermiteAntiderivative, name)
+
+            def counted(self, *args, _name=name, _original=original):
+                calls[_name] += 1
+                return _original(self, *args)
+
+            monkeypatch.setattr(HermiteAntiderivative, name, counted)
+        is_boundary, _ = _origins(ts, xs, ctx)
+        monkeypatch.undo()
+        return calls["_cell"], calls["_slope"], int(np.count_nonzero(is_boundary))
+
+    def test_initial_origins_take_one_lookup(self, monkeypatch):
+        ctx = shifted_wavy_ctx()
+        early = np.linspace(ctx.t_start, ctx.t_start + 0.2, 40)
+        cells, newton, boundary = self.count(monkeypatch, ctx, early, 1.0)
+        assert boundary == 0
+        assert (cells, newton) == (1, 0)
+
+    @pytest.mark.parametrize("x", [1.0, np.linspace(0.0, 1.0, 7)])
+    def test_boundary_origins_take_one_lookup_per_newton_step(self, monkeypatch, x):
+        ctx = shifted_wavy_ctx()
+        ts = ctx.l.grid[:, None] if np.ndim(x) else ctx.l.grid
+        cells, newton, boundary = self.count(monkeypatch, ctx, ts, x)
+        assert boundary > 0 and newton >= 1
+        assert cells == 1 + newton + 1
+        # the start cache holds: a second solve counts the same
+        assert self.count(monkeypatch, ctx, ts, x) == (cells, newton, boundary)

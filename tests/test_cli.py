@@ -1,7 +1,10 @@
 import contextlib
 import io
 import json
+import os
 import re
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -72,6 +75,13 @@ class TestInvocation:
     def test_missing_config_file(self, tmp_path, capsys):
         assert run(["equilibrium", str(tmp_path / "nope.cfg")]) == 2
         assert "config error" in capsys.readouterr().err
+
+    def test_control_module_is_imported_by_control_only(self):
+        # importing extrusim.control is a measurable part of start-up, and
+        # only the control subcommand needs it
+        code = "import sys, extrusim.cli; assert 'extrusim.control' not in sys.modules"
+        env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
+        subprocess.run([sys.executable, "-c", code], check=True, env=env)
 
 
 class TestEquilibriumCommand:
@@ -237,7 +247,7 @@ class TestSchemaErrors:
         def unreachable(*args, **kwargs):
             raise AssertionError("control went past the replay bound")
 
-        monkeypatch.setattr(cli, "synthesize", unreachable)
+        monkeypatch.setattr(control, "synthesize", unreachable)
         monkeypatch.setattr(control, "simulate_upwind", unreachable)
         mapping = base_control_cfg(tmp_path)
         mapping["numerics.dx"] = "0.0001"
@@ -305,6 +315,53 @@ class TestSchemaErrors:
         err = capsys.readouterr().err
         assert err.startswith(f"config error: {key}: ")
         assert err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "sub,key,spec",
+        [
+            ("simulate", "data.N", "constant:-1"),
+            ("simulate", "data.F_in", "constant:-0.1"),
+            ("simulate", "data.f0_p", "constant:5"),
+            ("simulate", "data.f0_p", "linear:0.3,1"),
+            ("verify", "data.N", "linear:1,-0.5"),
+            ("verify", "data.F_in", "constant:-0.1"),
+            ("verify", "data.f0_p", "sine-perturbation:eq,-0.5"),
+            ("control", "data.f0_p", "constant:5"),
+            ("control", "data.f1_p", "constant:-0.1"),
+            ("control", "data.f1_p", "linear:0.3,1"),
+        ],
+    )
+    def test_spec_outside_its_range_names_the_key(
+        self, tmp_path, capsys, monkeypatch, sub, key, spec
+    ):
+        def unreachable(*args, **kwargs):
+            raise AssertionError("a solver ran on inadmissible data")
+
+        for name in ("solve_semiglobal", "simulate_upwind"):
+            monkeypatch.setattr(cli, name, unreachable)
+        monkeypatch.setattr(control, "synthesize", unreachable)
+        mapping = (base_control_cfg if sub == "control" else base_simulate_cfg)(tmp_path)
+        mapping[key] = spec
+        assert run([sub, write_cfg(tmp_path, "c.cfg", mapping)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: {key}: ")
+        assert repr(spec) in err and err.count("\n") == 1
+
+    def test_spec_on_the_edge_of_its_range_passes(self, tmp_path):
+        # a profile may touch 0 and 1 before x = 1, a feed rate may touch 0
+        (tmp_path / "edge.csv").write_text("x,fp\n0,0\n0.5,1\n1,0.3\n")
+        typed = {
+            "data.f0_p": "csv:edge.csv",
+            "data.F_in": "linear:0,0.5",
+            "data.N": "constant:1e-300",
+        }
+        for key, T, expected in (
+            ("data.f0_p", None, [0.0, 1.0, 0.3]),
+            ("data.F_in", 1.0, [0.0, 0.5]),
+            ("data.N", 1.0, [1e-300, 1e-300]),
+        ):
+            samples = cli._spec_samples(typed, key, F_PE, len(expected), tmp_path, T)
+            assert samples.tolist() == expected, key
 
 
 class TestSimulateCommand:

@@ -12,8 +12,8 @@ with a Simpson-type rule on the trace grid and evaluated anywhere with a
 C1 Hermite interpolant, which keeps the analytic derivative formulas for
 the origin maps consistent with finite differences of the traced origins.
 P and Q share the trace grid, so `TraceContext._PQ` reads both from one
-cell lookup, and each context keeps the pair at t_start, where every
-curve traced back to the initial axis ends.
+cell lookup and one Hermite basis, and each context keeps the pair at
+t_start, where every curve traced back to the initial axis ends.
 
 Origins come from one broadcasting solver, which reads P and Q once at
 the foot points.  The curve reaches the start of the interval at
@@ -40,7 +40,7 @@ import numpy as np
 from .errors import ConvergenceError, DivergenceError, DomainError, GridError
 from .fields import SampledFunction
 from .model import PhysicalParams, die_balance, eval_F
-from .quadrature import HermiteAntiderivative, cumulative_integral
+from .quadrature import HermiteAntiderivative, cumulative_integral, hermite_basis
 
 ORIGIN_INITIAL = "initial"
 ORIGIN_BOUNDARY = "boundary"
@@ -137,9 +137,10 @@ class TraceContext:
         return HermiteAntiderivative(self.t_start, self.dt, nodes, q)
 
     def _PQ(self, t):
-        """P(t) and Q(t) from one cell lookup: both share the trace grid."""
+        """P(t) and Q(t) from one cell lookup and one Hermite basis (one trace grid)."""
         k, s = self._P._cell(t)
-        return self._P._value(k, s), self._Q._value(k, s)
+        basis = hermite_basis(s)
+        return self._P._value(k, basis), self._Q._value(k, basis)
 
     @cached_property
     def _PQ_start(self) -> tuple:
@@ -315,7 +316,7 @@ def _boundary_times(ts, xs, Pt, Qt, ctx: TraceContext) -> np.ndarray:
     done = np.zeros(tau.shape, dtype=bool)
     for _ in range(100):
         cell, s = Q._cell(tau)
-        r = Q._value(cell, s) - target
+        r = Q._value(cell, hermite_basis(s)) - target
         lo = np.where(r < 0.0, tau, lo)
         hi = np.where(r > 0.0, tau, hi)
         new = tau - r / Q._slope(cell, s)
@@ -415,10 +416,11 @@ def crossing_time(ctx: TraceContext):
     t = lo
     P, Q = ctx._P, ctx._Q
     for _ in range(100):
-        # P, Q and their slopes at t from one cell lookup
+        # P, Q and their slopes at t from one cell lookup and one basis
         cell, s = P._cell(t)
-        Pt = P._value(cell, s)
-        r = float(_xi_from(1.0, Pt, Q._value(cell, s), P0, Q0))
+        basis = hermite_basis(s)
+        Pt = P._value(cell, basis)
+        r = float(_xi_from(1.0, Pt, Q._value(cell, basis), P0, Q0))
         if r > 0.0:
             lo = t
         else:

@@ -1,5 +1,5 @@
 """Generic linear transport along characteristics, weak-form residuals,
-energy audit, and the x-derivative fields of the filling ratio.
+and the x-derivative fields of the filling ratio.
 
 The scalar problem is
 
@@ -286,45 +286,6 @@ def weak_form_residual(u: SolutionField, p: LinearTransportProblem, test_family=
             res = term_final - term_initial - term_interior - term_boundary
             worst = max(worst, abs(res))
     return worst
-
-
-@dataclass(frozen=True)
-class EnergyAudit:
-    ratio: float
-    degenerate: bool
-    linearity_defect: float
-
-
-def energy_estimate_audit(u: SolutionField, p: LinearTransportProblem) -> EnergyAudit:
-    """Solution size against data size, plus an exact-linearity probe."""
-    tg, xg = u.t_grid, u.x_grid
-    sup_l2 = max(
-        float(np.sqrt(np.trapezoid(u.values[i] ** 2, xg))) for i in range(tg.size)
-    )
-    u0_l2 = float(np.sqrt(np.trapezoid(p.u0(xg) ** 2, xg)))
-    h_l2 = float(np.sqrt(np.trapezoid(np.asarray(p.h(tg), dtype=float) ** 2, tg)))
-    tm, xm = np.meshgrid(tg, xg, indexing="ij")
-    cv = np.asarray(p.c(tm, xm), dtype=float)
-    c_l2 = float(np.sqrt(np.trapezoid(np.trapezoid(cv**2, xg, axis=1), tg)))
-    denom = u0_l2 + h_l2 + c_l2
-    if denom == 0.0:
-        ratio, degenerate = float("nan"), True
-    else:
-        ratio, degenerate = sup_l2 / denom, False
-
-    lam = 3.0
-    scaled = LinearTransportProblem(
-        T=p.T,
-        a=p.a,
-        b=p.b,
-        c=lambda t, x: lam * np.asarray(p.c(t, x), dtype=float),
-        u0=SpaceProfile(lam * p.u0.values),
-        h=SampledFunction(p.h.t_start, p.h.t_end, lam * p.h.values),
-    )
-    u_scaled = solve_linear_transport(scaled, tg, xg)
-    scale_ref = max(float(np.max(np.abs(u.values))), 1e-300)
-    defect = float(np.max(np.abs(u_scaled.values - lam * u.values))) / (lam * scale_ref)
-    return EnergyAudit(ratio=ratio, degenerate=degenerate, linearity_defect=defect)
 
 
 @dataclass(frozen=True)

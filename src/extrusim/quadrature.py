@@ -8,7 +8,8 @@ Simpson-type rule (local parabolas, exact for quadratics) and
 pieces whose slopes are the integrand samples themselves, so the result is
 C1 across the whole interval.  A cell lookup (`_cell`) gives the cell index
 and local coordinate of each time once; the value and the slope of the
-cubic are then read from it, so antiderivatives on one grid share it.
+cubic are then read from it, so antiderivatives on one grid share it, and
+share the cubic Hermite basis at that coordinate too (`hermite_basis`).
 """
 
 from __future__ import annotations
@@ -48,6 +49,14 @@ def cumulative_integral(values: np.ndarray, dx: float) -> np.ndarray:
     return out
 
 
+def hermite_basis(s):
+    """Cubic Hermite basis at s: weights of left value, left slope, right value, right slope."""
+    s2 = s * s
+    s3 = s2 * s
+    s2_3 = 3.0 * s2
+    return 2.0 * s3 - s2_3 + 1.0, s3 - 2.0 * s2 + s, -2.0 * s3 + s2_3, s3 - s2
+
+
 class HermiteAntiderivative:
     """C1 evaluation of a running integral known at uniform nodes.
 
@@ -85,22 +94,16 @@ class HermiteAntiderivative:
         k = np.minimum(np.maximum(np.floor(u).astype(int), 0), self.nodes.size - 2)
         return k, u - k
 
-    def _value(self, k, s):
-        """The Hermite cubic of cell k at local coordinate s."""
+    def _value(self, k, basis):
+        """The Hermite cubic of cell k, from `hermite_basis` at its local coordinate."""
+        h00, h10, h01, h11 = basis
         h = self.dt
         k1 = k + 1
-        f0 = self.nodes[k]
-        f1 = self.nodes[k1]
-        d0 = self.slopes[k] * h
-        d1 = self.slopes[k1] * h
-        s2 = s * s
-        s3 = s2 * s
-        s2_3 = 3.0 * s2
         return (
-            f0 * (2.0 * s3 - s2_3 + 1.0)
-            + d0 * (s3 - 2.0 * s2 + s)
-            + f1 * (-2.0 * s3 + s2_3)
-            + d1 * (s3 - s2)
+            self.nodes[k] * h00
+            + self.slopes[k] * h * h10
+            + self.nodes[k1] * h01
+            + self.slopes[k1] * h * h11
         )
 
     def _slope(self, k, s):
@@ -115,7 +118,8 @@ class HermiteAntiderivative:
         )
 
     def __call__(self, t):
-        val = self._value(*self._cell(t))
+        k, s = self._cell(t)
+        val = self._value(k, hermite_basis(s))
         return float(val) if val.ndim == 0 else val
 
     def derivative(self, t):

@@ -8,18 +8,20 @@ b(t) = f_p(t,1).  The solver Picard-iterates the map
 
 on a short interval whose length is chosen so the map provably contracts,
 then re-roots the Cauchy data at the junction and repeats until the
-requested horizon is covered.  One sequence of iterates (`_iterates`)
-serves every use of the map: its first two steps probe the contraction
-factor, the Picard loop runs it to convergence, one more step measures the
-residual, and that step's trace context, built from the converged iterate,
-is the one the field f_p is assembled on by tracing every grid point back
-to its datum.
+requested horizon is covered.  Each segment runs one sequence of iterates
+(`_iterates`) on the interval it will actually cover, snapped to the output
+grid: `compute_delta` runs its first two maps to probe the contraction
+factor, `local_fixed_point` continues it to convergence, one more step
+measures the residual, and that step's trace context, built from the
+converged iterate, is the one the field f_p is assembled on by tracing
+every grid point back to its datum.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import InitVar, dataclass
-from itertools import islice
+from itertools import chain, islice
 from typing import NamedTuple
 
 import numpy as np
@@ -42,7 +44,7 @@ COMPAT_TOL = 1e-10
 PICARD_TOL = 1e-11
 PICARD_MAX_ITER = 100
 # the contraction interval starts at this share of the smallest
-# admissibility term, and its probe maps run on PROBE_POINTS nodes
+# admissibility term, and its maps run on at least PROBE_POINTS nodes
 DELTA_SAFETY = 0.5
 PROBE_POINTS = 65
 
@@ -191,19 +193,34 @@ def _iterates(data: CauchyData, delta: float, n: int, initial):
         l_vals, b_vals = l_next, b_next
 
 
+class Probe(NamedTuple):
+    """An accepted interval of `cells` grid steps, its first contraction
+    factor, and its iterates: `steps` replays the probe's maps, then goes
+    on with the same sequence (for one `local_fixed_point` call)."""
+
+    delta: float
+    cells: int
+    factor: float
+    steps: Iterator
+
+
 def compute_delta(
     data: CauchyData,
     eps1: float,
     T: float,
     f_norm: float | None = None,
     grid_step: float | None = None,
-) -> float:
-    """Interval length on which the solution map contracts.
+    ends: np.ndarray | None = None,
+) -> Probe:
+    """Interval on which the solution map contracts, with its live iterates.
 
     Starts from DELTA_SAFETY times the smallest of the four admissibility
     terms (horizon, boundary-characteristic travel time, and the two
-    interface travel-distance budgets), then halves until the first-iterate
-    contraction factor, measured on PROBE_POINTS nodes, is at most 1/2.
+    interface travel-distance budgets), snaps it down to a node of `ends`
+    (times from 0, grid_step apart; the inputs' grid unless given) and
+    halves it until the contraction factor of the first two maps, on
+    max(cells + 1, PROBE_POINTS) nodes, is at most 1/2.  `local_fixed_point`
+    continues the returned `Probe`'s sequence rather than starting another.
     """
     eq = data.eq
     bound = eps1_bound(eq)
@@ -223,48 +240,59 @@ def compute_delta(
     )
     delta = DELTA_SAFETY * min(terms)
     step = grid_step if grid_step is not None else data.N.dt
+    if ends is None:
+        ends = data.N.grid
     while True:
         if delta < step - 1e-12:
             raise ResolutionError(
                 f"contraction interval {delta:.3g} fell below the grid step {step:.3g}"
             )
-        factor = _probe_contraction(data, delta)
+        cells = int(np.floor(delta / step + 1e-12))
+        if cells < 1:
+            raise ResolutionError(
+                f"contraction interval {delta:.3g} below the output grid step {step:.3g}"
+            )
+        cells = min(cells, ends.size - 1)
+        snapped = float(ends[cells])
+        steps = _iterates(data, snapped, max(cells + 1, PROBE_POINTS), None)
+        head = [next(steps)]
+        d1 = head[0][3]
+        factor = 0.0
+        if d1 > PICARD_TOL:
+            head.append(next(steps))
+            factor = head[1][3] / d1
         if factor <= 0.5:
-            return float(delta)
+            return Probe(snapped, cells, factor, chain(head, steps))
         delta *= 0.5
-
-
-def _probe_contraction(data: CauchyData, delta: float) -> float:
-    """First contraction factor d2/d1 of the iterates from the data at t=0."""
-    steps = _iterates(data, delta, PROBE_POINTS, None)
-    d1 = next(steps)[3]
-    if d1 <= PICARD_TOL:
-        return 0.0
-    return next(steps)[3] / d1
 
 
 def local_fixed_point(
     data: CauchyData,
-    delta: float,
+    delta: float | Probe,
     eps1: float | None = None,
     n_t: int = 257,
     initial: tuple | None = None,
 ) -> LocalSolveReport:
     """Picard iteration for the coupled traces on [0, delta].
 
-    The initial candidate is the constant extension of the data at t=0
-    unless another admissible pair is supplied.  Iterates must stay inside
-    the eps1 ball around the equilibrium (of radius `eps1_radius` unless
-    given); the loop stops when successive iterates are within PICARD_TOL
-    in the maximum norm, and fails after PICARD_MAX_ITER maps.  The residual
-    is the distance of one more step of the same sequence, and that step's
-    trace context, built from the converged iterate, is the report's
-    `context`, on which the field is assembled.
+    `delta` is the interval length, or a `Probe` whose sequence (with its
+    n_t and initial pair) is continued.  The initial candidate is the
+    constant extension of the data at t=0 unless another admissible pair
+    is supplied.  Iterates must stay inside the eps1 ball around the
+    equilibrium (of radius `eps1_radius` unless given); the loop stops when
+    successive iterates are within PICARD_TOL in the maximum norm, and
+    fails after PICARD_MAX_ITER maps.  The residual is the distance of one
+    more step of the same sequence, and that step's trace context, built
+    from the converged iterate, is the report's `context`, on which the
+    field is assembled.
     """
     eq = data.eq
     if eps1 is None:
         eps1 = eps1_radius(eq)
-    steps = _iterates(data, delta, n_t, initial)
+    if isinstance(delta, Probe):
+        delta, steps = delta.delta, delta.steps
+    else:
+        steps = _iterates(data, delta, n_t, initial)
     factors = []
     prev_dist = None
     for iterations, (_, l_vals, b_vals, dist) in enumerate(islice(steps, PICARD_MAX_ITER), 1):
@@ -313,7 +341,8 @@ def solve_semiglobal(
 ) -> SemiglobalSolution:
     """Cover [0, T] by chained contraction intervals.
 
-    Every segment works in the eps1 ball of radius `eps1_radius`.
+    Every segment works in the eps1 ball of radius `eps1_radius` and runs
+    one sequence of iterates, from the probe's maps to the assembly context.
 
     Each junction re-roots the Cauchy data with the current interface
     position and the field row at the junction time, so consecutive
@@ -344,31 +373,23 @@ def solve_semiglobal(
     seg_data = CauchyData(data.l0, data.f0_p, F_in_g, N_g, data.params, eq)
     i_lo = 0
     while i_lo < n_t - 1:
-        # the horizon term is dropped here (inf): segments are truncated at
-        # the horizon instead, and a shorter interval contracts as well.
-        # The contraction probe may then read the inputs past their last
-        # sample, where interpolation holds the edge value; the per-segment
-        # report still certifies the factors on the actual data.
+        ends = t_grid[i_lo:] - t_grid[i_lo]
+        # the horizon term is dropped here (inf): the interval is capped at
+        # the last output node instead, and a shorter interval contracts as well
         try:
-            delta_c = compute_delta(seg_data, eps1, float("inf"), f_norm=f_norm, grid_step=dt_out)
+            probe = compute_delta(
+                seg_data, eps1, float("inf"), f_norm=f_norm, grid_step=dt_out, ends=ends
+            )
         except ResolutionError as exc:
             raise ResolutionError(f"segment {len(reports)}: {exc}") from exc
-        cells = int(np.floor(delta_c / dt_out + 1e-12))
-        if cells < 1:
-            raise ResolutionError(
-                f"segment {len(reports)}: contraction interval {delta_c:.3g} "
-                f"below the output grid step {dt_out:.3g}"
-            )
-        i_hi = min(i_lo + cells, n_t - 1)
-        delta = t_grid[i_hi] - t_grid[i_lo]
-        n_local = max(i_hi - i_lo + 1, 65)
+        i_hi = i_lo + probe.cells
         try:
-            report = local_fixed_point(seg_data, delta, eps1=eps1, n_t=n_local)
+            report = local_fixed_point(seg_data, probe, eps1=eps1)
         except (DivergenceError, ConvergenceError) as exc:
             raise type(exc)(f"segment {len(reports)} on [{t_grid[i_lo]:.6g}, "
                             f"{t_grid[i_hi]:.6g}]: {exc}") from exc
         l_seg = report.context.l
-        rows = t_grid[i_lo:i_hi + 1] - t_grid[i_lo]
+        rows = ends[:probe.cells + 1]
         seg_vals, seg_flags, seg_orig = _assemble_rows(report.context, seg_data, rows, x_grid)
         # initial-origin points inherit the tag of the row-i_lo node their
         # characteristic started from

@@ -7,7 +7,6 @@ from extrusim.lintransport import (
     LinearTransportProblem,
     check_compatibility,
     derivative_fields,
-    energy_estimate_audit,
     polynomial_trial_family,
     solve_linear_transport,
     weak_form_residual,
@@ -296,45 +295,6 @@ class TestWeakForm:
         sol = solve_linear_transport(p, np.linspace(0, 1, 11), np.linspace(0, 1, 11))
         with pytest.raises(DomainError):
             weak_form_residual(sol, p, test_family=[BadTrial()])
-
-
-class TestEnergyAudit:
-    def test_zero_data_is_degenerate(self):
-        p = unit_speed_problem(
-            SpaceProfile.constant(0.0), SampledFunction.constant(0.0, 0.0, 1.0)
-        )
-        tg = np.linspace(0.0, 1.0, 21)
-        xg = np.linspace(0.0, 1.0, 21)
-        audit = energy_estimate_audit(solve_linear_transport(p, tg, xg), p)
-        assert audit.degenerate
-        assert np.isnan(audit.ratio)
-
-    def test_ratio_stable_under_refinement(self):
-        p = unit_speed_problem(
-            SpaceProfile.constant(0.0),
-            SampledFunction.constant(0.0, 0.0, 1.0),
-            c=ONE,
-        )
-        coarse = energy_estimate_audit(
-            solve_linear_transport(p, np.linspace(0, 1, 81), np.linspace(0, 1, 51)), p
-        )
-        fine = energy_estimate_audit(
-            solve_linear_transport(p, np.linspace(0, 1, 161), np.linspace(0, 1, 101)), p
-        )
-        assert not coarse.degenerate
-        assert coarse.ratio == pytest.approx(fine.ratio, rel=0.02)
-
-    def test_scaling_data_scales_solution_exactly(self):
-        p = unit_speed_problem(
-            SpaceProfile.from_callable(lambda x: np.sin(np.pi * x), 101),
-            SampledFunction.from_callable(lambda t: 0.1 * t, 0.0, 1.0, 101),
-            b=const_coeff(0.4),
-            c=ONE,
-        )
-        tg = np.linspace(0.0, 1.0, 41)
-        xg = np.linspace(0.0, 1.0, 31)
-        audit = energy_estimate_audit(solve_linear_transport(p, tg, xg), p)
-        assert audit.linearity_defect <= 1e-12
 
 
 class TestCompatibility:

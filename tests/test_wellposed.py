@@ -15,12 +15,18 @@ from extrusim.errors import (
     ResolutionError,
 )
 from extrusim.fields import SampledFunction, SpaceProfile
-from extrusim.model import PhysicalParams, eval_F, inflow_value, solve_equilibrium
+from extrusim.model import (
+    PhysicalParams,
+    eval_F,
+    inflow_value,
+    norm_F_box,
+    solve_equilibrium,
+)
 from extrusim.quadrature import cumulative_integral
 from extrusim.wellposed import (
     PROBE_POINTS,
     CauchyData,
-    _probe_contraction,
+    _assemble_rows,
     _resample,
     assemble_field,
     check_estimates,
@@ -103,19 +109,19 @@ class TestEps1Bound:
 class TestComputeDelta:
     def test_arithmetic_of_the_four_terms(self):
         # min{1, 0.4/1.1, 0.4/2, 0.4/2} halved
-        delta = compute_delta(sine_data(0.0), 0.1, 1.0, f_norm=2.0)
+        delta = compute_delta(sine_data(0.0), 0.1, 1.0, f_norm=2.0).delta
         assert delta == pytest.approx(0.1, abs=1e-12)
 
     def test_decreasing_in_radius(self):
         data = sine_data(0.0)
-        d1 = compute_delta(data, 0.1, 1.0, f_norm=2.0)
-        d2 = compute_delta(data, 0.2, 1.0, f_norm=2.0)
+        d1 = compute_delta(data, 0.1, 1.0, f_norm=2.0).delta
+        d2 = compute_delta(data, 0.2, 1.0, f_norm=2.0).delta
         assert d2 < d1
         # with the real box norm the denominators grow too
-        assert compute_delta(data, 0.2, 1.0) < compute_delta(data, 0.1, 1.0)
+        assert compute_delta(data, 0.2, 1.0).delta < compute_delta(data, 0.1, 1.0).delta
 
     def test_horizon_binds(self):
-        delta = compute_delta(sine_data(0.0), 0.1, 0.05, f_norm=2.0)
+        delta = compute_delta(sine_data(0.0), 0.1, 0.05, f_norm=2.0).delta
         assert delta == pytest.approx(0.025, abs=1e-12)
 
     def test_radius_outside_admissible_range(self):
@@ -207,8 +213,10 @@ class TestOneIteration:
 
     def test_probe_factor_is_the_first_picard_factor(self):
         data = sine_data(0.01)
-        report = local_fixed_point(data, 0.06, n_t=PROBE_POINTS)
-        assert _probe_contraction(data, 0.06) == report.contraction_factors[0]
+        probe = compute_delta(data, eps1_radius(EQ), 0.12)
+        assert probe.cells + 1 <= PROBE_POINTS
+        report = local_fixed_point(data, probe)
+        assert probe.factor == report.contraction_factors[0]
 
     def test_assembly_matches_a_rebuilt_context(self):
         data = sine_data(0.01)
@@ -314,6 +322,138 @@ class TestSemiglobal:
                         assert not boundary[j]
 
 
+def reference_delta(data, eps1, f_norm, step):
+    """Contraction interval probed on PROBE_POINTS nodes of the unsnapped candidate."""
+    eq = data.eq
+    terms = (
+        (eq.l_e - eps1) / (UNIT.zeta * (eq.N_e + eps1)),
+        (eq.l_e - eps1) / f_norm,
+        (UNIT.L - eq.l_e - eps1) / f_norm,
+    )
+    delta = wellposed.DELTA_SAFETY * min(terms)
+    while True:
+        assert delta >= step - 1e-12
+        steps = wellposed._iterates(data, delta, PROBE_POINTS, None)
+        d1 = next(steps)[3]
+        if d1 <= wellposed.PICARD_TOL or next(steps)[3] / d1 <= 0.5:
+            return delta
+        delta *= 0.5
+
+
+def reference_semiglobal(data, T, n_t, n_x=101):
+    """Segment loop with two sequences per segment: the probe's and Picard's.
+
+    Each segment probes the contraction factor on the unsnapped interval,
+    snaps it down to an output node and caps it at the horizon, then starts
+    a fresh Picard sequence on the snapped interval.
+    """
+    eq = data.eq
+    eps1 = eps1_radius(eq)
+    f_norm = norm_F_box(UNIT, eq, eps1)
+    t_grid = np.linspace(0.0, T, n_t)
+    x_grid = np.linspace(0.0, 1.0, n_x)
+    dt_out = t_grid[1] - t_grid[0]
+    F_in_g = _resample(data.F_in, 0.0, T, n_t)
+    N_g = _resample(data.N, 0.0, T, n_t)
+    values = np.empty((n_t, n_x))
+    provenance = np.zeros((n_t, n_x), dtype=bool)
+    l_out = np.empty(n_t)
+    reports = []
+    seg_data = CauchyData(data.l0, data.f0_p, F_in_g, N_g, UNIT, eq)
+    i_lo = 0
+    while i_lo < n_t - 1:
+        delta_c = reference_delta(seg_data, eps1, f_norm, dt_out)
+        cells = int(np.floor(delta_c / dt_out + 1e-12))
+        i_hi = min(i_lo + cells, n_t - 1)
+        delta = t_grid[i_hi] - t_grid[i_lo]
+        report = local_fixed_point(seg_data, delta, eps1=eps1, n_t=max(i_hi - i_lo + 1, 65))
+        rows = t_grid[i_lo:i_hi + 1] - t_grid[i_lo]
+        seg_vals, seg_flags, seg_orig = _assemble_rows(report.context, seg_data, rows, x_grid)
+        j = np.clip(np.round(seg_orig / (x_grid[1] - x_grid[0])).astype(int), 0, n_x - 1)
+        values[i_lo:i_hi + 1] = seg_vals
+        provenance[i_lo:i_hi + 1] = seg_flags | provenance[i_lo][j]
+        l_out[i_lo:i_hi + 1] = report.context.l(rows)
+        reports.append(report)
+        if i_hi < n_t - 1:
+            seg_data = CauchyData(
+                float(report.context.l(report.context.l.t_end)),
+                SpaceProfile(values[i_hi].copy()),
+                SampledFunction(0.0, T - t_grid[i_hi], F_in_g.values[i_hi:]),
+                SampledFunction(0.0, T - t_grid[i_hi], N_g.values[i_hi:]),
+                UNIT,
+                eq,
+            )
+        i_lo = i_hi
+    return l_out, values, provenance, reports
+
+
+class TestOneSequencePerSegment:
+    """The probe's maps are the first Picard maps of each segment."""
+
+    @pytest.mark.parametrize("T, n_t", [(1.0, 201), (0.3, 61)])
+    def test_matches_the_two_sequence_loop(self, T, n_t):
+        data = sine_data(0.01)
+        sol = solve_semiglobal(data, T, n_t=n_t)
+        l_out, values, provenance, reports = reference_semiglobal(data, T, n_t)
+        np.testing.assert_array_equal(sol.l.values, l_out)
+        np.testing.assert_array_equal(sol.field.values, values)
+        np.testing.assert_array_equal(sol.field.provenance, provenance)
+        assert len(sol.reports) == len(reports) > 1
+        for got, want in zip(sol.reports, reports):
+            assert got.delta == want.delta
+            assert got.iterations == want.iterations
+            assert got.contraction_factors == want.contraction_factors
+            assert got.residual == want.residual
+        # the last segment is cut at the horizon at T = 1; 0.3 is five whole ones
+        assert (sol.reports[-1].delta < sol.reports[0].delta) == (T == 1.0)
+
+    def test_each_segment_costs_its_iterations_plus_one_map(self, monkeypatch):
+        maps, marks = [0], []
+        solve_times, delta_of = wellposed.backtrace_times, wellposed.compute_delta
+
+        def counted(*args, **kwargs):
+            maps[0] += 1
+            return solve_times(*args, **kwargs)
+
+        def marked(*args, **kwargs):
+            marks.append(maps[0])
+            return delta_of(*args, **kwargs)
+
+        monkeypatch.setattr(wellposed, "backtrace_times", counted)
+        monkeypatch.setattr(wellposed, "compute_delta", marked)
+        sol = wellposed.solve_semiglobal(sine_data(0.01), 0.3, n_t=61)
+        per_segment = np.diff(marks + [maps[0]])
+        assert len(sol.reports) > 1
+        assert list(per_segment) == [r.iterations + 1 for r in sol.reports]
+
+    def test_halving_hands_on_the_accepted_probe(self, monkeypatch):
+        probes, sequences = [], []
+        delta_of, iterates = wellposed.compute_delta, wellposed._iterates
+
+        def recorded(*args, **kwargs):
+            probes.append(delta_of(*args, **kwargs))
+            return probes[-1]
+
+        def started(data, delta, n, initial):
+            sequences.append(delta)
+            return iterates(data, delta, n, initial)
+
+        # on sine_data(0.05) the first candidate, 0.516, snaps to 0.515 and
+        # fails the probe; its half, 0.258, snaps to 0.255 and passes
+        monkeypatch.setattr(wellposed, "DELTA_SAFETY", 4.3)
+        monkeypatch.setattr(wellposed, "compute_delta", recorded)
+        monkeypatch.setattr(wellposed, "_iterates", started)
+        sol = wellposed.solve_semiglobal(sine_data(0.05), 1.0)
+        assert sequences[:2] == [0.515, 0.255]
+        assert len(sequences) > len(sol.reports)
+        t_grid = sol.field.t_grid
+        assert sol.reports[0].delta == t_grid[probes[0].cells] - t_grid[0] == 0.255
+        for probe, report in zip(probes, sol.reports, strict=True):
+            assert report.delta == probe.delta
+            assert probe.factor <= 0.5
+            assert report.contraction_factors[0] == probe.factor
+
+
 def load_tracer():
     """The perfbench tracer module, loaded from its file."""
     path = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
@@ -348,8 +488,12 @@ class TestTracerAttribution:
         m = tracer.layer_metrics(0, len(tracer.start))
         assert m["wellposed.segments"] == len(sol.reports) > 1
         assert m["wellposed.picard_iters"] == sum(r.iterations for r in sol.reports)
-        assert m["wellposed.probe_maps"] > 0
-        assert m["wellposed.picard_maps"] == m["wellposed.picard_iters"] + m["wellposed.segments"]
+        # the probe's two maps are the first Picard maps: no map runs twice
+        assert m["wellposed.probe_maps"] == 2 * m["wellposed.segments"]
+        assert (
+            m["wellposed.probe_maps"] + m["wellposed.picard_maps"]
+            == m["wellposed.picard_iters"] + m["wellposed.segments"]
+        )
 
 
 class TestEstimates:

@@ -1,0 +1,146 @@
+"""Check that two source trees give byte-identical outputs on the benchmark pools.
+
+    python3 tools/same_outputs.py <src-a> <src-b>
+
+Each argument is a directory that holds the `extrusim` package, such as the
+`src/` of this checkout and the `src/` of a clone of another commit.  Every
+input in the pools of `perfbench/workloads.py` is run once on each tree, each
+run in a fresh Python process:
+
+- `extrusim simulate` with the sim-char config and with the sim-upwind config,
+- `extrusim control` with the control config,
+- `extrusim verify` with the sim-char config of six inputs spread over its pool,
+- `solve_semiglobal` and `derivative_fields` on the regularity input.
+
+A run writes to the same paths for both trees.  Exit code, stdout, stderr and
+the sha256 of every output file (of every array, for regularity) are
+compared.  Each difference is printed, and the exit status is 1 if there is
+one.  Nothing under `perfbench/` is written.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import json
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+PERFBENCH = ROOT / "perfbench"
+
+sys.dont_write_bytecode = True
+sys.path.insert(0, str(PERFBENCH))
+import workloads  # noqa: E402
+
+# one verify run for every VERIFY_STRIDE-th sim-char input: six of 27
+VERIFY_STRIDE = 5
+
+REGULARITY = """
+import hashlib, json, sys
+sys.path.insert(0, sys.argv[1])
+import numpy as np
+import workloads
+sol, f_px, f_pxx = workloads.RegularityWorkload(json.loads(sys.argv[2]), None).op()
+for name, arr in (
+    ("l", sol.l.values),
+    ("f_p", sol.field.values),
+    ("provenance", sol.field.provenance),
+    ("f_px", f_px.values),
+    ("f_pxx", f_pxx.values),
+):
+    arr = np.ascontiguousarray(arr)
+    print(name, arr.dtype, arr.shape, hashlib.sha256(arr.tobytes()).hexdigest())
+"""
+
+
+def runs():
+    """(label, subcommand, input) of every run; regularity is not a subcommand."""
+    sims = workloads.pool("sim-char")
+    for label in ("sim-char", "sim-upwind"):
+        for params in sims:
+            yield label, "simulate", params
+    for params in workloads.pool("control"):
+        yield "control", "control", params
+    for params in sims[::VERIFY_STRIDE]:
+        yield "verify", "verify", params
+    for params in workloads.pool("regularity"):
+        yield "regularity", "regularity", params
+
+
+def config_text(label: str, params: dict, out: Path) -> str:
+    if label == "control":
+        return workloads.control_config(params, out)
+    method = "upwind" if label == "sim-upwind" else "characteristics"
+    return workloads.simulate_config(params, method, out)
+
+
+def sha_files(directory: Path) -> dict:
+    if not directory.is_dir():
+        return {}
+    return {
+        path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+        for path in sorted(directory.iterdir())
+    }
+
+
+def run_once(src: Path, work: Path, label: str, sub: str, params: dict) -> dict:
+    """Outcome of one run in a fresh process: exit code, streams, output digests."""
+    env = dict(os.environ, PYTHONPATH=str(src), PYTHONDONTWRITEBYTECODE="1")
+    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+        env[var] = "1"
+    out = work / "out"
+    shutil.rmtree(out, ignore_errors=True)
+    if sub == "regularity":
+        cmd = [sys.executable, "-c", REGULARITY, str(PERFBENCH), json.dumps(params)]
+    else:
+        cfg = work / "config.txt"
+        cfg.write_text(config_text(label, params, out))
+        cmd = [sys.executable, "-m", "extrusim.cli", sub, str(cfg)]
+    proc = subprocess.run(cmd, capture_output=True, text=True, env=env, cwd=work)
+    outcome = {
+        "exit code": proc.returncode,
+        "stdout": proc.stdout,
+        "stderr": proc.stderr,
+        "files": sha_files(out),
+    }
+    shutil.rmtree(out, ignore_errors=True)
+    return outcome
+
+
+def main(argv) -> int:
+    if len(argv) != 2:
+        print(__doc__.strip().partition("\n\n")[2].partition("\n\n")[0], file=sys.stderr)
+        return 2
+    trees = [Path(a).resolve() for a in argv]
+    for tree in trees:
+        if not (tree / "extrusim" / "__init__.py").is_file():
+            print(f"{tree}: no extrusim package here", file=sys.stderr)
+            return 2
+    counts, differing = {}, 0
+    with tempfile.TemporaryDirectory(prefix="same-outputs-") as tmp:
+        work = Path(tmp)
+        for label, sub, params in runs():
+            a, b = (run_once(tree, work, label, sub, params) for tree in trees)
+            counts.setdefault(label, [0, 0])
+            counts[label][0] += 1
+            if a != b:
+                counts[label][1] += 1
+                differing += 1
+                keys = ", ".join(k for k in a if a[k] != b[k])
+                print(f"DIFF {label} {workloads.describe(params)}: {keys}", flush=True)
+    total = sum(n for n, _ in counts.values())
+    for label, (n, bad) in counts.items():
+        print(f"{label}: {n - bad} of {n} runs identical")
+    if differing:
+        print(f"{differing} of {total} runs differ")
+        return 1
+    print(f"all {total} runs byte-identical (exit code, stdout, stderr, output sha256)")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

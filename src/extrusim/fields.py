@@ -1,4 +1,4 @@
-"""Sampled scalar functions, discrete norms, and coordinate denormalization.
+"""Sampled scalar functions, space-time fields, discrete norms and CSV text.
 
 Everything downstream works with uniformly sampled, piecewise-linear
 functions of one type, `SampledFunction`: traces in time (interface
@@ -18,7 +18,9 @@ table of three-digit groups, laid out as `%.12g` lays them out.  A value
 the block formatter cannot prove exact (zero, non-finite, outside the fixed
 notation range, a carry to the next power of ten, or within 1e-3 of a
 rounding tie) goes through `format_value` one at a time, so the text is
-that of `format(v, FLOAT_FORMAT)` for every value.  The field writer
+that of `format(v, FLOAT_FORMAT)` for every value.  The block formatter
+writes each value's text in place, into the value field of the block's
+records, so no second copy of the text is made.  The field writer
 streams: each block of rows goes to the open file as soon as it is
 formatted, so writing a field costs one block of text
 (`FIELD_BLOCK_CELLS` cells), not the whole file.
@@ -27,7 +29,7 @@ formatted, so writing a field costs one block of text
 from __future__ import annotations
 
 import io
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -88,6 +90,7 @@ _TRIPLES, _SIG = _group_tables()
 # also the longest %.12g text, as in -4.94065645841e-324.
 PREFIX_WIDTH, BODY_WIDTH = 6, 13
 VALUE_WIDTH = PREFIX_WIDTH + BODY_WIDTH
+VALUE_DTYPE = np.dtype([("prefix", f"S{PREFIX_WIDTH}"), ("body", f"V{BODY_WIDTH}")])
 _PREFIXES = np.array(
     [sign + ("0." + "0" * (-e - 1) if e < 0 else "")
      for sign in ("", "-") for e in range(E_MIN, E_MAX + 1)],
@@ -117,11 +120,14 @@ def _body_masks() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 _KEEP, _SHIFT, _POINT = _body_masks()
 
 
-def _value_chars(values) -> np.ndarray:
-    """`format_value` of each value as one NUL-padded item of VALUE_WIDTH bytes.
+def _value_chars(values, out=None) -> np.ndarray:
+    """`format_value` of each value as one NUL-padded VALUE_DTYPE item.
 
     NUL bytes may sit anywhere in an item; dropping them leaves the text.
-    Values the digit path cannot vouch for go through `format_value`.
+    Values the digit path cannot vouch for go through `format_value`.  The
+    items are written into out, a one-dimensional VALUE_DTYPE array (or
+    field of a record array) with one item per value, when it is given;
+    out is returned.
     """
     v = np.ravel(np.asarray(values, dtype=float))
     a = np.abs(v)
@@ -154,14 +160,14 @@ def _value_chars(values) -> np.ndarray:
     body = digits[1:] & np.take(_KEEP, key).view(np.uint8)
     body |= digits[:-1] & np.take(_SHIFT, key).view(np.uint8)
     body |= np.take(_POINT, key).view(np.uint8)
-    out = np.empty(v.size, [("prefix", f"S{PREFIX_WIDTH}"), ("body", f"V{BODY_WIDTH}")])
+    if out is None:
+        out = np.empty(v.size, VALUE_DTYPE)
     out["prefix"] = np.take(_PREFIXES, (e - E_MIN) + (v < 0) * (E_MAX - E_MIN + 1))
     out["body"] = body.view(f"V{BODY_WIDTH}")
-    out = out.view(f"V{VALUE_WIDTH}")
     slow = np.flatnonzero(~fast)
     if slow.size:
         texts = [format_value(x) for x in v[slow].tolist()]
-        out[slow] = np.array(texts, dtype=f"S{VALUE_WIDTH}").view(out.dtype)
+        out[slow] = np.array(texts, dtype=f"S{VALUE_WIDTH}").view(VALUE_DTYPE)
     return out
 
 
@@ -284,6 +290,7 @@ class SolutionField:
 
         A block of rows is one array of fixed-width records: the t text, the
         ",x," text, the value text and the ",tag" line end, each NUL-padded.
+        The value texts are formatted straight into the block's value field.
         Dropping the NUL bytes gives the block's lines, and each block goes to
         fh as it is formatted, so the writer holds one block of text
         (FIELD_BLOCK_CELLS cells, or one row if longer) whatever the size of
@@ -294,16 +301,18 @@ class SolutionField:
         x_texts = np.array([f",{format_value(x)}," for x in self.x_grid.tolist()], dtype="S")
         tags = np.array([f",{name}\n" for name in PROVENANCE_NAMES], dtype="S")
         record = np.dtype([("t", t_texts.dtype), ("x", x_texts.dtype),
-                           ("value", f"V{VALUE_WIDTH}"), ("tag", tags.dtype)])
+                           ("value", VALUE_DTYPE), ("tag", tags.dtype)])
         step = max(1, FIELD_BLOCK_CELLS // max(1, n_x))
         fh.write(header + "\n")
         for i in range(0, n_t, step):
             rows = slice(i, i + step)
-            block = np.empty(self.values[rows].shape, record)
-            block["t"] = t_texts[rows, None]
-            block["x"] = x_texts
-            block["value"] = _value_chars(self.values[rows]).reshape(block.shape)
-            block["tag"] = np.take(tags, self.provenance[rows])
+            values = self.values[rows]
+            block = np.empty(values.size, record)
+            cells = block.reshape(values.shape)
+            cells["t"] = t_texts[rows, None]
+            cells["x"] = x_texts
+            _value_chars(values, out=block["value"])
+            cells["tag"] = np.take(tags, self.provenance[rows])
             fh.write(block.tobytes().translate(None, b"\0").decode("ascii"))
 
     def to_csv(self, header: str = "t,x,value,provenance") -> str:
@@ -313,50 +322,23 @@ class SolutionField:
         return buf.getvalue()
 
 
-@dataclass(frozen=True)
-class PhysicalProfile:
-    """Profile mapped back to the physical axis of the machine."""
-
-    x_phys: np.ndarray
-    values: np.ndarray
-
-
 def norm(kind: str, f) -> float:
     """Discrete norm of a sampled function or profile.
 
     Linf:  max |f|
     W1inf: max(Linf, max |forward difference quotient|)
-    L2:    trapezoid rule of f^2, square-rooted
-    H2:    sqrt(L2^2 + L2(Df)^2 + L2(D2f)^2) with difference quotients
 
-    The derivative surrogates are exact for the piecewise-linear
-    interpolants these containers represent; H2 is a seminorm-inclusive
-    stand-in for the Sobolev norm of the underlying data.
+    The difference quotients are exact for the piecewise-linear
+    interpolants these containers represent.
     """
     values = np.asarray(f.values, dtype=float)
-    n = values.size
-    h = float(f.t_end - f.t_start) / (n - 1)
     if kind == "Linf":
         return float(np.max(np.abs(values)))
     if kind == "W1inf":
-        if n < 3:
+        if values.size < 3:
             raise GridError("W1inf needs at least three samples")
-        quotients = np.abs(np.diff(values)) / h
+        quotients = np.abs(np.diff(values)) / f.dt
         return float(max(np.max(np.abs(values)), np.max(quotients)))
-    if kind == "L2":
-        return float(np.sqrt(np.trapezoid(values * values, dx=h)))
-    if kind == "H2":
-        if n < 3:
-            raise GridError("H2 needs at least three samples")
-        d1 = np.diff(values) / h
-        d2 = np.diff(values, n=2) / (h * h)
-        total = np.trapezoid(values * values, dx=h)
-        total += np.trapezoid(d1 * d1, dx=h)
-        if d2.size >= 2:
-            total += np.trapezoid(d2 * d2, dx=h)
-        elif d2.size == 1:
-            total += float(d2[0] ** 2) * h
-        return float(np.sqrt(total))
     raise DomainError(f"unknown norm kind {kind!r}")
 
 
@@ -374,16 +356,3 @@ def field_norm(kind: str, field: SolutionField, shift: float = 0.0) -> float:
         return float(max(sup, sup_t, sup_x))
     raise DomainError(f"unknown field norm kind {kind!r}")
 
-
-def to_physical_coordinates(profile: SpaceProfile, l: float, zone: str, params) -> PhysicalProfile:
-    """Undo the zone normalization: PFZ covers [0,l], FFZ covers [l,L]."""
-    if not (0.0 < l < params.L):
-        raise DomainError(f"interface position l={l} outside (0, L={params.L})")
-    y = profile.grid
-    if zone == "PFZ":
-        x_phys = y * l
-    elif zone == "FFZ":
-        x_phys = l + y * (params.L - l)
-    else:
-        raise DomainError(f"zone must be 'PFZ' or 'FFZ', got {zone!r}")
-    return PhysicalProfile(x_phys=x_phys, values=profile.values.copy())

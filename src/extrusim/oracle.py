@@ -9,10 +9,13 @@ bought with grid refinement, not with scheme order.
 
 The march keeps one row per CFL step, so its memory follows the step
 count, about T*max(alpha)/(cfl*dx), not the output grid;
-`upwind_step_estimate` gives that count before the march starts.  The
-scalar state (interface, screw speed, outlet ratio, F) stays in Python
-floats, and provenance is a count of inflow-driven nodes per row rather
-than a per-step mask.
+`upwind_step_estimate` gives that count before the march starts.  That
+memory is the list of rows plus one output array: uneven steps are
+resampled from the list a block of output rows at a time, with no copy of
+the rows as one array and no column copies, and each row is released once
+no later output row reads it.  The scalar state (interface, screw speed,
+outlet ratio, F) stays in Python floats, and provenance is a count of
+inflow-driven nodes per row rather than a per-step mask.
 """
 
 from __future__ import annotations
@@ -27,6 +30,9 @@ from .fields import SampledFunction, SolutionField
 from .model import eval_F, eval_alpha_p, inflow_value, transport_speed
 
 MAX_PRINCIPLE_SLACK = 1e-12
+
+# output rows interpolated at a time when uneven CFL steps are resampled
+RESAMPLE_BLOCK_ROWS = 64
 
 
 @dataclass(frozen=True)
@@ -67,12 +73,14 @@ def simulate_upwind(data, T: float, cfg: UpwindConfig):
 
     The inflow node is set from the feed data at the new time level, the
     outlet value of the previous row drives both the interface velocity and
-    the transport speed, through one evaluation of F per step.  The march
+    the transport speed, through one evaluation of F per step.  The CFL
+    step reads the speed's extrema at the two ends of the grid.  The march
     records one row per accepted CFL step and resamples the rows onto a
-    uniform grid only when the steps came out uneven.  Each step carries
-    the inflow's influence one node further, so row k has k + 1
-    inflow-driven nodes; the provenance mask is built from that count once
-    the march is done.
+    uniform grid (`resample_rows`, bit for bit np.interp of each column)
+    only when the steps came out uneven, so it holds the rows and one output
+    array, never a column copy.  Each step carries the inflow's influence
+    one node further, so row k has k + 1 inflow-driven nodes; the
+    provenance mask is built from that count once the march is done.
     """
     if T <= 0.0:
         raise DomainError("horizon must be positive")
@@ -97,11 +105,13 @@ def simulate_upwind(data, T: float, cfg: UpwindConfig):
         b_out = float(f[-1])
         F = eval_F(l, N_now, b_out, params)
         alpha = transport_speed(x, N_now, l, F, params)
-        a_min, a_max = float(alpha.min()), float(alpha.max())
-        # min and max propagate NaN, so this rejects any non-finite speed
-        if not (a_min > 0.0 and a_max < math.inf):
+        # the speed is (zeta*N - x*F)/l with l > 0: every rounded operation is
+        # monotone in x, so on the sorted grid its extrema are at the ends.
+        # Each end is tested on its own, since min and max can hide a NaN.
+        a_first, a_last = float(alpha[0]), float(alpha[-1])
+        if not (0.0 < a_first < math.inf and 0.0 < a_last < math.inf):
             raise SchemeError("transport speed lost positivity; upwinding is invalid")
-        dt = min(cfg.cfl * cfg.dx / a_max, T - t)
+        dt = min(cfg.cfl * cfg.dx / max(a_first, a_last), T - t)
         if dt < 1e-14 * max(T, 1.0):
             # dt -> 0 happens when the state degenerates (interface collapse
             # drives the speed to infinity); the horizon is unreachable
@@ -127,19 +137,58 @@ def simulate_upwind(data, T: float, cfg: UpwindConfig):
         ls.append(l)
 
     ts = np.asarray(ts)
-    values = np.asarray(rows)
     l_vals = np.asarray(ls)
     row_of = np.arange(ts.size)
     t_grid = np.linspace(0.0, T, ts.size)
     dts = np.diff(ts)
     if np.max(dts) - np.min(dts) > 1e-9 * np.mean(dts):
         # uneven CFL steps: interpolate rows onto the uniform output grid
-        values = np.stack([np.interp(t_grid, ts, values[:, j]) for j in range(x.size)], axis=1)
+        values = resample_rows(t_grid, ts, rows)
         l_vals = np.interp(t_grid, ts, l_vals)
         row_of = np.clip(np.searchsorted(ts, t_grid), 0, ts.size - 1)
+    else:
+        values = np.asarray(rows)
+    del rows
     # output row i takes the provenance of march row row_of[i]
     field = SolutionField(t_grid, x, values, np.arange(x.size) <= row_of[:, None])
     return SampledFunction(0.0, T, l_vals), field
+
+
+def resample_rows(t_grid, ts, rows) -> np.ndarray:
+    """np.interp(t_grid, ts, column) of every column of the rows, bit for bit.
+
+    ts must increase strictly and the rows must be finite.  The rows are read
+    straight from the list, RESAMPLE_BLOCK_ROWS output rows at a time, and each
+    entry is set to None once no later output row reads it, so the rows and
+    the output are never both held whole.  The arithmetic is np.interp's: on
+    ts[j] <= t < ts[j+1] the value is (fp[j+1]-fp[j])/(ts[j+1]-ts[j]) *
+    (t-ts[j]) + fp[j], and it is fp[j] itself where t equals ts[j], where j is
+    the last node, or where t lies outside [ts[0], ts[-1]].
+    """
+    last = ts.size - 1
+    j = np.searchsorted(ts, t_grid, side="right") - 1
+    lo = np.clip(j, 0, last - 1)
+    copied = (j < 0) | (j >= last) | (ts[lo] == t_grid)
+    src = np.clip(j, 0, last)
+    out = np.empty((t_grid.size, rows[0].size))
+    released = 0
+    for start in range(0, t_grid.size, RESAMPLE_BLOCK_ROWS):
+        stop = min(start + RESAMPLE_BLOCK_ROWS, t_grid.size)
+        k = lo[start:stop]
+        left = np.array([rows[i] for i in k])
+        right = np.array([rows[i + 1] for i in k])
+        # slope * (t - ts[j]) + fp[j], computed in the output block
+        block = np.subtract(right, left, out=out[start:stop])
+        block /= (ts[k + 1] - ts[k])[:, None]
+        block *= (t_grid[start:stop] - ts[k])[:, None]
+        block += left
+        for i in start + np.flatnonzero(copied[start:stop]):
+            out[i] = rows[src[i]]
+        # lo never decreases, so no later output row reads a row before lo[stop]
+        keep = lo[stop] if stop < t_grid.size else len(rows)
+        rows[released:keep] = [None] * (keep - released)
+        released = keep
+    return out
 
 
 @dataclass(frozen=True)

@@ -25,11 +25,7 @@ from extrusim.fields import (
     format_value,
     norm,
     _value_chars,
-    to_physical_coordinates,
 )
-from extrusim.model import PhysicalParams
-
-UNIT = PhysicalParams()
 
 
 class TestSampledFunction:
@@ -86,19 +82,13 @@ class TestNorms:
         f = SampledFunction.constant(-2.5, 0.0, 4.0, 9)
         assert norm("Linf", f) == 2.5
         assert norm("W1inf", f) == 2.5
-        assert norm("L2", f) == pytest.approx(2.5 * 2.0, rel=1e-12)  # |c| sqrt(4)
-        assert norm("H2", f) == pytest.approx(2.5 * 2.0, rel=1e-12)
 
     def test_unit_ramp(self):
         f = SampledFunction(0.0, 1.0, np.linspace(0.0, 1.0, 11))
         assert norm("Linf", f) == 1.0
         assert norm("W1inf", f) == pytest.approx(1.0, rel=1e-12)
 
-    def test_sine_l2(self):
-        p = SpaceProfile.from_callable(lambda x: math.sin(math.pi * x), 1001)
-        assert norm("L2", p) == pytest.approx(math.sqrt(0.5), abs=1e-4)
-
-    @pytest.mark.parametrize("kind", ["Linf", "W1inf", "L2", "H2"])
+    @pytest.mark.parametrize("kind", ["Linf", "W1inf"])
     def test_absolute_homogeneity(self, kind):
         vals = np.sin(np.linspace(0.0, 3.0, 41)) + 0.3
         f = SampledFunction(0.0, 1.5, vals)
@@ -106,7 +96,7 @@ class TestNorms:
         g = SampledFunction(0.0, 1.5, lam * vals)
         assert norm(kind, g) == pytest.approx(abs(lam) * norm(kind, f), rel=1e-12)
 
-    @pytest.mark.parametrize("kind", ["Linf", "W1inf", "L2", "H2"])
+    @pytest.mark.parametrize("kind", ["Linf", "W1inf"])
     def test_refinement_consistency(self, kind):
         # smooth input: successive grid doublings must converge at
         # first order or better in the grid step
@@ -180,35 +170,6 @@ class TestSolutionField:
         f = self._make()
         assert field_norm("Linf", f, shift=0.25) == 0.0
         assert field_norm("W1inf", f, shift=0.25) == 0.0
-
-
-class TestPhysicalCoordinates:
-    def test_pfz_endpoints(self):
-        p = SpaceProfile.constant(0.3, 3)
-        out = to_physical_coordinates(p, 0.5, "PFZ", UNIT)
-        assert out.x_phys[0] == 0.0
-        assert out.x_phys[-1] == pytest.approx(0.5)
-
-    def test_ffz_midpoint(self):
-        p = SpaceProfile.constant(0.3, 3)
-        out = to_physical_coordinates(p, 0.4, "FFZ", UNIT)
-        assert out.x_phys[1] == pytest.approx(0.7)  # 0.4 + 0.5*0.6
-        assert out.x_phys[-1] == pytest.approx(UNIT.L)
-
-    def test_values_unchanged(self):
-        p = SpaceProfile.from_callable(lambda x: x * x, 7)
-        out = to_physical_coordinates(p, 0.25, "PFZ", UNIT)
-        assert np.array_equal(out.values, p.values)
-
-    def test_interface_outside_barrel(self):
-        p = SpaceProfile.constant(0.3)
-        with pytest.raises(DomainError):
-            to_physical_coordinates(p, 1.0, "PFZ", UNIT)
-
-    def test_unknown_zone(self):
-        p = SpaceProfile.constant(0.3)
-        with pytest.raises(DomainError):
-            to_physical_coordinates(p, 0.5, "MID", UNIT)
 
 
 def test_format_value_is_12_sig_digits():

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,17 +14,21 @@ from extrusim.fields import (
     SolutionField,
     SpaceProfile,
 )
+from extrusim import model, oracle
 from extrusim.model import (
     PhysicalParams,
     eval_alpha_p,
     eval_F,
     inflow_value,
     solve_equilibrium,
+    transport_speed,
 )
 from extrusim.oracle import (
     MAX_PRINCIPLE_SLACK,
+    RESAMPLE_BLOCK_ROWS,
     UpwindConfig,
     convergence_study,
+    resample_rows,
     simulate_upwind,
     upwind_step_estimate,
 )
@@ -248,6 +253,93 @@ class TestBitIdenticalMarch:
             reference_simulate_upwind(data, 0.5, cfg)
         with pytest.raises(SchemeError) as new:
             simulate_upwind(data, 0.5, cfg)
+        assert type(new.value) is type(ref.value)
+        assert str(new.value) == str(ref.value)
+
+
+class TestResampleRows:
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(
+        data=st.data(),
+        n_rows=st.sampled_from(
+            [2, 3, RESAMPLE_BLOCK_ROWS - 1, RESAMPLE_BLOCK_ROWS + 1, 3 * RESAMPLE_BLOCK_ROWS + 7]
+        ),
+        n_cols=st.integers(1, 6),
+        end=st.sampled_from(["ulp below", "equal", "ulp above"]),
+    )
+    def test_matches_np_interp_per_column(self, data, n_rows, n_cols, end):
+        # uneven steps; steps of 0.5 and 1 put some march times on output nodes
+        step = st.one_of(st.floats(1e-3, 2.0), st.sampled_from([0.5, 1.0]))
+        steps = data.draw(st.lists(step, min_size=n_rows - 1, max_size=n_rows - 1))
+        ts = np.concatenate(([0.0], np.cumsum(steps)))
+        # the march stops within rounding of T, on either side
+        T = {"ulp below": np.nextafter(ts[-1], math.inf), "equal": ts[-1],
+             "ulp above": np.nextafter(ts[-1], -math.inf)}[end]
+        t_grid = np.linspace(0.0, T, n_rows)
+        values = np.random.default_rng(n_rows * 7 + n_cols).uniform(0.0, 1.0, (n_rows, n_cols))
+        rows = list(values.copy())
+        out = resample_rows(t_grid, ts, rows)
+        expected = np.stack([np.interp(t_grid, ts, values[:, j]) for j in range(n_cols)], axis=1)
+        assert np.array_equal(out, expected)
+        assert all(row is None for row in rows)
+
+    def test_march_holds_the_field_about_twice(self):
+        # a sim-upwind-size march: dx = 2e-3 over T = 1, about 1,120 uneven
+        # CFL steps of 501 nodes
+        data = sine_feed_data(0.01, 0.004, 2, T=1.0, n=201)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            _, field = simulate_upwind(data, 1.0, UpwindConfig(dx=2e-3))
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert field.values.shape[0] > 1000 and field.values.shape[1] == 501
+        assert peak < 2.5 * field.values.nbytes
+
+
+class TestSpeedExtremaAtTheEnds:
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(
+        sign=st.sampled_from([-1.0, 0.0, 1.0]),
+        F_abs=st.floats(1e-12, 1e3),
+        N=st.floats(0.05, 20.0),
+        l=st.floats(1e-3, 1.0),
+        zeta=st.floats(0.1, 10.0),
+        n=st.integers(2, 600),
+    )
+    def test_min_and_max_sit_at_the_ends(self, sign, F_abs, N, l, zeta, n):
+        x = np.linspace(0.0, 1.0, n)
+        alpha = transport_speed(x, N, l, sign * F_abs, PhysicalParams(zeta=zeta))
+        ends = (alpha[0], alpha[-1])
+        assert alpha.min() == min(ends)
+        assert alpha.max() == max(ends)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, 0.0])
+    @pytest.mark.parametrize("end", [0, -1])
+    def test_bad_end_speed_raises_as_the_reference(self, monkeypatch, end, bad):
+        # the speed goes bad at one end from the first step on; both marches
+        # must stop at that step, not one later on a NaN the step let through
+        data = sine_feed_data(0.01, 0.004, 2, T=0.2)
+        speed = model.transport_speed
+        calls = []
+
+        def spoiled(*args):
+            calls.append(None)
+            alpha = speed(*args)
+            alpha[end] = bad
+            return alpha
+
+        monkeypatch.setattr(model, "transport_speed", spoiled)
+        monkeypatch.setattr(oracle, "transport_speed", spoiled)
+        cfg = UpwindConfig(dx=0.02)
+        with pytest.raises(SchemeError) as ref:
+            reference_simulate_upwind(data, 0.2, cfg)
+        assert len(calls) == 1
+        with pytest.raises(SchemeError) as new:
+            simulate_upwind(data, 0.2, cfg)
+        assert len(calls) == 2
         assert type(new.value) is type(ref.value)
         assert str(new.value) == str(ref.value)
 

@@ -16,6 +16,14 @@ A run writes to the same paths for both trees.  Exit code, stdout, stderr and
 the sha256 of every output file (of every array, for regularity) are
 compared.  Each difference is printed, and the exit status is 1 if there is
 one.  Nothing under `perfbench/` is written.
+
+For each label the largest peak RSS of a run's process is printed for both
+trees, so that a change in memory shows over the whole pool and not only on
+the inputs that the benchmark seeds select.  It is read from the run's
+resource usage (`os.wait4`), with stdout and stderr going to files, not
+pipes.  A small launcher process starts each run and reads its usage: Linux
+keeps a process's high-water RSS across exec, so a run started straight
+from this script, which has numpy loaded, would report this script's RSS.
 """
 
 from __future__ import annotations
@@ -57,6 +65,20 @@ for name, arr in (
 """
 
 
+# starts the command after the file name, writes its peak RSS in KiB to that
+# file and exits with its exit code
+LAUNCHER = """
+import os, subprocess, sys
+proc = subprocess.Popen(sys.argv[2:])
+_, status, usage = os.wait4(proc.pid, 0)
+# the child is reaped: tell Popen, so that it does not wait for it again
+proc.returncode = os.waitstatus_to_exitcode(status)
+with open(sys.argv[1], "w") as fh:
+    fh.write(str(usage.ru_maxrss))
+sys.exit(proc.returncode)
+"""
+
+
 def runs():
     """(label, subcommand, input) of every run; regularity is not a subcommand."""
     sims = workloads.pool("sim-char")
@@ -87,8 +109,9 @@ def sha_files(directory: Path) -> dict:
     }
 
 
-def run_once(src: Path, work: Path, label: str, sub: str, params: dict) -> dict:
-    """Outcome of one run in a fresh process: exit code, streams, output digests."""
+def run_once(src: Path, work: Path, label: str, sub: str, params: dict) -> tuple[dict, float]:
+    """Outcome of one run in a fresh process (exit code, streams, output
+    digests) and the process's peak RSS in MB."""
     env = dict(os.environ, PYTHONPATH=str(src), PYTHONDONTWRITEBYTECODE="1")
     for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
         env[var] = "1"
@@ -100,15 +123,19 @@ def run_once(src: Path, work: Path, label: str, sub: str, params: dict) -> dict:
         cfg = work / "config.txt"
         cfg.write_text(config_text(label, params, out))
         cmd = [sys.executable, "-m", "extrusim.cli", sub, str(cfg)]
-    proc = subprocess.run(cmd, capture_output=True, text=True, env=env, cwd=work)
+    streams = {name: work / f"{name}.txt" for name in ("stdout", "stderr")}
+    rss = work / "maxrss.txt"
+    with open(streams["stdout"], "w") as stdout, open(streams["stderr"], "w") as stderr:
+        proc = subprocess.run([sys.executable, "-c", LAUNCHER, str(rss), *cmd],
+                              stdout=stdout, stderr=stderr, env=env, cwd=work)
     outcome = {
         "exit code": proc.returncode,
-        "stdout": proc.stdout,
-        "stderr": proc.stderr,
+        **{name: path.read_text() for name, path in streams.items()},
         "files": sha_files(out),
     }
     shutil.rmtree(out, ignore_errors=True)
-    return outcome
+    # ru_maxrss is in KiB on Linux; MB as perfbench's peak_rss_mb counts them
+    return outcome, int(rss.read_text()) / 1024.0
 
 
 def main(argv) -> int:
@@ -120,13 +147,15 @@ def main(argv) -> int:
         if not (tree / "extrusim" / "__init__.py").is_file():
             print(f"{tree}: no extrusim package here", file=sys.stderr)
             return 2
-    counts, differing = {}, 0
+    counts, peaks, differing = {}, {}, 0
     with tempfile.TemporaryDirectory(prefix="same-outputs-") as tmp:
         work = Path(tmp)
         for label, sub, params in runs():
-            a, b = (run_once(tree, work, label, sub, params) for tree in trees)
+            (a, rss_a), (b, rss_b) = (run_once(tree, work, label, sub, params) for tree in trees)
             counts.setdefault(label, [0, 0])
             counts[label][0] += 1
+            peak = peaks.setdefault(label, [0.0, 0.0])
+            peak[:] = max(peak[0], rss_a), max(peak[1], rss_b)
             if a != b:
                 counts[label][1] += 1
                 differing += 1
@@ -134,7 +163,9 @@ def main(argv) -> int:
                 print(f"DIFF {label} {workloads.describe(params)}: {keys}", flush=True)
     total = sum(n for n, _ in counts.values())
     for label, (n, bad) in counts.items():
-        print(f"{label}: {n - bad} of {n} runs identical")
+        rss_a, rss_b = peaks[label]
+        print(f"{label}: {n - bad} of {n} runs identical; "
+              f"largest peak RSS {rss_a:.1f} MB -> {rss_b:.1f} MB")
     if differing:
         print(f"{differing} of {total} runs differ")
         return 1

@@ -205,20 +205,13 @@ def _xi_closed(s, t, x, ctx: TraceContext):
 
 
 def xi(s: float, t: float, x: float, ctx: TraceContext) -> float:
-    """Position at time s of the characteristic passing through (t, x), s <= t."""
-    if s > t:
-        raise DomainError(f"need s <= t, got s={s} > t={t}")
+    """Position at time s of the characteristic passing through (t, x).
+
+    s may lie before or after t: the closed form holds both ways.
+    """
     ctx._check_inside(s, t)
     if not (0.0 <= x <= 1.0):
         raise DomainError("x must lie in [0, 1]")
-    return float(_xi_closed(s, t, x, ctx))
-
-
-def xi_forward(s: float, t: float, x: float, ctx: TraceContext) -> float:
-    """Forward landing point at time s >= t of the characteristic through (t, x)."""
-    if s < t:
-        raise DomainError(f"need s >= t, got s={s} < t={t}")
-    ctx._check_inside(s, t)
     return float(_xi_closed(s, t, x, ctx))
 
 

@@ -8,9 +8,11 @@ Blank lines and lines starting with ``#`` are skipped.  Keys:
   equilibrium.N_e
       operating screw speed (required by every subcommand)
   equilibrium.l_e | equilibrium.f_pe
-      exactly one anchor for the operating point
+      exactly one anchor for the operating point; l_e, given or implied
+      by f_pe, must lie in (0, params.L)
   data.l0 data.l1
-      initial (and, for control, final) interface position
+      initial (and, for control, final) interface position, in
+      (0, params.L)
   data.f0_p data.f1_p data.F_in data.N
       function specs: "constant:<v|eq>", "linear:<v0>,<v1>",
       "sine-perturbation:<base|eq>,<amp>[,<freq>]", or "csv:<path>"
@@ -34,7 +36,12 @@ Blank lines and lines starting with ``#`` are skipped.  Keys:
   sweep.run sweep.vary.<key>
       subcommand to repeat and comma-separated values for any scalar
       key; axes combine as a full grid, first declared axis slowest,
-      into at most 1000 cases
+      into at most 1000 cases; each case config holds the swept value as
+      the shortest text that parses back to it
+
+A key the subcommand does not read is rejected: verify reads neither
+mode.method nor mode.out, equilibrium reads only params.* and
+equilibrium.*, and a sweep's other keys must be read by sweep.run.
 
 Exit codes: 0 on success, 2 for schema violations (message names the
 first offending key), 3 for solver failures.  Every CSV is written with
@@ -51,7 +58,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ExtrusimError, SchemaError
+from .errors import DomainError, ExtrusimError, SchemaError
 from .fields import SampledFunction, SpaceProfile, csv_text, format_value
 from .model import PhysicalParams, eval_g, solve_equilibrium
 from .oracle import UpwindConfig, simulate_upwind, upwind_step_estimate
@@ -152,6 +159,20 @@ _REQUIRED = {
     "sweep": ("sweep.run",),
 }
 
+# keys a subcommand reads beyond its required ones; any other key is a
+# config error.  sweep hands its other keys on to the subcommand it runs
+_POINT_KEYS = (
+    *(key for key in _FLOAT_KEYS if key.startswith("params.")),
+    *_EQ_ANCHORS,
+)
+_GRID_KEYS = ("numerics.dt", "numerics.dx")
+_OPTIONAL = {
+    "equilibrium": _POINT_KEYS,
+    "simulate": (*_POINT_KEYS, *_GRID_KEYS, "mode.method", "mode.out"),
+    "verify": (*_POINT_KEYS, *_GRID_KEYS),
+    "control": (*_POINT_KEYS, *_GRID_KEYS, "mode.out"),
+}
+
 
 def _parse_value(key: str, raw: str):
     if key in _FLOAT_KEYS:
@@ -226,7 +247,14 @@ def _check_required(sub: str, typed: dict, order: list):
         if key not in typed:
             raise SchemaError(f"{key}: required by {sub!r} but missing")
     if sub == "sweep":
+        # each case runs sweep.run on the other keys, with one value of each
+        # swept key; the cases check the rest
+        for key in order:
+            if key != "sweep.run":
+                _check_read(typed["sweep.run"], key, key.removeprefix("sweep.vary."))
         return
+    for key in order:
+        _check_read(sub, key, key)
     anchors = [k for k in order if k in _EQ_ANCHORS]
     if not anchors:
         raise SchemaError(
@@ -234,6 +262,11 @@ def _check_required(sub: str, typed: dict, order: list):
         )
     if len(anchors) > 1:
         raise SchemaError(f"{anchors[-1]}: give only one equilibrium anchor")
+
+
+def _check_read(sub: str, key: str, target: str):
+    if target not in _REQUIRED[sub] and target not in _OPTIONAL[sub]:
+        raise SchemaError(f"{key}: not read by {sub!r}")
 
 
 def _resolve_point(typed: dict):
@@ -245,12 +278,19 @@ def _resolve_point(typed: dict):
         rho0=typed.get("params.rho0", 1.0),
         V_eff=typed.get("params.V_eff", 1.0),
     )
-    eq = solve_equilibrium(
-        params,
-        N_e=typed["equilibrium.N_e"],
-        l_e=typed.get("equilibrium.l_e"),
-        f_pe=typed.get("equilibrium.f_pe"),
-    )
+    try:
+        eq = solve_equilibrium(
+            params,
+            N_e=typed["equilibrium.N_e"],
+            l_e=typed.get("equilibrium.l_e"),
+            f_pe=typed.get("equilibrium.f_pe"),
+        )
+    except DomainError as exc:
+        anchor = "equilibrium.l_e" if "equilibrium.l_e" in typed else "equilibrium.f_pe"
+        raise SchemaError(f"{anchor}: {exc}") from None
+    for key in ("data.l0", "data.l1"):
+        if key in typed and typed[key] >= params.L:
+            raise SchemaError(f"{key}: must lie in (0, params.L={format_value(params.L)})")
     return params, eq
 
 
@@ -565,7 +605,8 @@ def cmd_sweep(typed: dict, raw: dict, order: list, base_dir: Path) -> int:
         cases += 1
         case_raw = dict(base_raw)
         for key, value in zip(names, combo):
-            case_raw[key] = format_value(value)
+            # the shortest text that parses back to the value, "1" for 1.0
+            case_raw[key] = repr(value).removesuffix(".0")
         case_dir = out_root / f"case_{index:03d}"
         case_dir.mkdir(parents=True, exist_ok=True)
         case_raw["mode.out"] = str(case_dir)

@@ -216,9 +216,6 @@ class SampledFunction:
     def shifted_by(self, c: float) -> "SampledFunction":
         return SampledFunction(self.t_start, self.t_end, self.values - c)
 
-    def to_csv(self, header: str = "t,value") -> str:
-        return csv_text(header, self.grid, self.values)
-
 
 class SpaceProfile(SampledFunction):
     """Sampled function on the normalized coordinate interval [0,1]."""
@@ -237,8 +234,6 @@ class SpaceProfile(SampledFunction):
     dx = SampledFunction.dt
 
 
-PROVENANCE_INITIAL = 0
-PROVENANCE_BOUNDARY = 1
 PROVENANCE_NAMES = ("initial", "boundary")  # indexed by the tag
 
 

@@ -241,10 +241,11 @@ def polynomial_trial_family():
     return [PolyTrial(i, j) for i in range(TRIAL_DEGREE + 1) for j in range(TRIAL_DEGREE + 1)]
 
 
-def weak_form_residual(u: SolutionField, p: LinearTransportProblem, test_family=None) -> float:
+def weak_form_residual(u: SolutionField, p: LinearTransportProblem) -> float:
     """Largest weak-identity defect over the trial family and partial horizons.
 
-    For each trial function phi with phi(.,1)=0 and each tau in
+    For each trial function phi of `polynomial_trial_family` (all vanish at
+    x=1) and each tau in
     {T/4, T/2, T} (snapped to grid nodes) evaluates
 
         int u(tau) phi(tau) - int u0 phi(0)
@@ -254,8 +255,6 @@ def weak_form_residual(u: SolutionField, p: LinearTransportProblem, test_family=
     by tensor trapezoid quadrature and returns the maximum absolute value;
     a_x is the second-order difference quotient of a on the grid.
     """
-    if test_family is None:
-        test_family = polynomial_trial_family()
     tg, xg = u.t_grid, u.x_grid
     tm, xm = np.meshgrid(tg, xg, indexing="ij")
     av = np.asarray(p.a(tm, xm), dtype=float)
@@ -267,10 +266,8 @@ def weak_form_residual(u: SolutionField, p: LinearTransportProblem, test_family=
     a0 = np.asarray(p.a(tg, np.zeros_like(tg)), dtype=float)
 
     worst = 0.0
-    for trial in test_family:
+    for trial in polynomial_trial_family():
         phi = np.asarray(trial.phi(tm, xm), dtype=float)
-        if np.max(np.abs(phi[:, -1])) > 1e-12:
-            raise DomainError("trial function must vanish at x=1")
         phi_t = np.asarray(trial.phi_t(tm, xm), dtype=float)
         phi_x = np.asarray(trial.phi_x(tm, xm), dtype=float)
         interior = u.values * (phi_t + av * phi_x + axv * phi + bv * phi) + cv * phi
@@ -335,14 +332,14 @@ def derivative_fields(solution, data):
     slope at beta, or at tau the boundary value that time derivatives of
     the inflow ratio drive.  Origins and P come from one trace context on
     the solution's grids, and the provenance tags follow the origins.
+    `CauchyData` holds the order-0 corner condition; order 1 is checked here.
     """
-    for order in (0, 1):
-        chk = check_compatibility(data, order)
-        if not chk.passed:
-            raise CompatibilityError(
-                f"order-{order} corner compatibility defect {chk.defect:.3g} "
-                f"exceeds {COMPATIBILITY_TOL:.0e}"
-            )
+    chk = check_compatibility(data, 1)
+    if not chk.passed:
+        raise CompatibilityError(
+            f"order-1 corner compatibility defect {chk.defect:.3g} "
+            f"exceeds {COMPATIBILITY_TOL:.0e}"
+        )
     field = solution.field
     tg, xg = field.t_grid, field.x_grid
     T = float(tg[-1])

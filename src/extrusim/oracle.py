@@ -7,8 +7,9 @@ convex combination of neighbor values, so the scheme is monotone and makes
 a trustworthy cross-check for the characteristics machinery; accuracy is
 bought with grid refinement, not with scheme order.
 
-The march keeps one row per CFL step, so its memory follows the step
-count, about T*max(alpha)/(cfl*dx), not the output grid;
+The Courant number is the module constant CFL.  The march keeps one row
+per CFL step, so its memory follows the step count, about
+T*max(alpha)/(CFL*dx), not the output grid;
 `upwind_step_estimate` gives that count before the march starts.  That
 memory is the list of rows plus one output array: uneven steps are
 resampled from the list a block of output rows at a time, with no copy of
@@ -31,20 +32,20 @@ from .model import eval_F, eval_alpha_p, inflow_value, transport_speed
 
 MAX_PRINCIPLE_SLACK = 1e-12
 
+# Courant number of every march; in (0, 1], where the update is monotone
+CFL = 0.9
+
 # output rows interpolated at a time when uneven CFL steps are resampled
 RESAMPLE_BLOCK_ROWS = 64
 
 
 @dataclass(frozen=True)
 class UpwindConfig:
-    """Grid and Courant settings for one upwind run."""
+    """Grid of one upwind run: dx must divide the unit interval."""
 
     dx: float
-    cfl: float = 0.9
 
     def __post_init__(self):
-        if not (0.0 < self.cfl <= 1.0):
-            raise DomainError(f"cfl={self.cfl} outside (0, 1]")
         if self.dx <= 0.0:
             raise DomainError("dx must be positive")
         cells = round(1.0 / self.dx)
@@ -57,7 +58,7 @@ class UpwindConfig:
 
 
 def upwind_step_estimate(data, T: float, cfg: UpwindConfig) -> float:
-    """CFL steps of the march to T at the speed of t = 0: T*max alpha/(cfl*dx).
+    """CFL steps of the march to T at the speed of t = 0: T*max alpha/(CFL*dx).
 
     alpha_p is affine in x, so its maximum over [0, 1] sits at an end.  The
     speed moves with the state, so this sizes the march before it starts
@@ -65,7 +66,7 @@ def upwind_step_estimate(data, T: float, cfg: UpwindConfig) -> float:
     """
     N0 = float(data.N(0.0))
     alpha = eval_alpha_p(np.array([0.0, 1.0]), N0, float(data.l0), data.f0_p(1.0), data.params)
-    return T * float(alpha.max()) / (cfg.cfl * cfg.dx)
+    return T * float(alpha.max()) / (CFL * cfg.dx)
 
 
 def simulate_upwind(data, T: float, cfg: UpwindConfig):
@@ -111,7 +112,7 @@ def simulate_upwind(data, T: float, cfg: UpwindConfig):
         a_first, a_last = float(alpha[0]), float(alpha[-1])
         if not (0.0 < a_first < math.inf and 0.0 < a_last < math.inf):
             raise SchemeError("transport speed lost positivity; upwinding is invalid")
-        dt = min(cfg.cfl * cfg.dx / max(a_first, a_last), T - t)
+        dt = min(CFL * cfg.dx / max(a_first, a_last), T - t)
         if dt < 1e-14 * max(T, 1.0):
             # dt -> 0 happens when the state degenerates (interface collapse
             # drives the speed to infinity); the horizon is unreachable

@@ -8,19 +8,22 @@ b(t) = f_p(t,1).  The solver Picard-iterates the map
 
 on a short interval whose length is chosen so the map provably contracts,
 then re-roots the Cauchy data at the junction and repeats until the
-requested horizon is covered.  Each segment runs one sequence of iterates
-(`_iterates`) on the interval it will actually cover, snapped to the output
-grid: `compute_delta` runs its first two maps to probe the contraction
-factor, `local_fixed_point` continues it to convergence, one more step
-measures the residual, and that step's trace context, built from the
-converged iterate, is the one the field f_p is assembled on by tracing
-every grid point back to its datum.
+requested horizon is covered.  The interval starts from three admissibility
+terms (boundary-characteristic travel time and the two interface budgets,
+all in the eps1 ball of radius `eps1_radius`); the horizon is not a term,
+since each segment's interval is capped at the last output node.  Each
+segment runs one sequence of iterates (`_iterates`) on the interval it
+will actually cover, snapped to the output grid: `compute_delta` runs its
+first two maps to probe the contraction factor, `local_fixed_point`
+continues it to convergence, one more step measures the residual, and that
+step's trace context, built from the converged iterate, is the one the
+field f_p is assembled on by tracing every grid point back to its datum.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterator
-from dataclasses import InitVar, dataclass
+from dataclasses import dataclass
 from itertools import chain, islice
 from typing import NamedTuple
 
@@ -53,9 +56,8 @@ PROBE_POINTS = 65
 class CauchyData:
     """Initial interface position and profile plus the boundary inputs.
 
-    validate=False skips the corner-compatibility check so that defect
-    reporting code can hold intentionally inconsistent data; every solver
-    entry point assumes validated data.
+    Every instance is corner-compatible: the inflow ratio at the first
+    input time matches f0_p(0) to COMPAT_TOL.
     """
 
     l0: float
@@ -64,9 +66,8 @@ class CauchyData:
     N: SampledFunction
     params: PhysicalParams
     eq: EquilibriumPoint
-    validate: InitVar[bool] = True
 
-    def __post_init__(self, validate):
+    def __post_init__(self):
         if not (0.0 < self.l0 < self.params.L):
             raise DomainError(f"l0={self.l0} outside (0, L={self.params.L})")
         vals = self.f0_p.values
@@ -76,13 +77,11 @@ class CauchyData:
             raise DomainError("screw speed input must stay positive")
         if np.any(self.F_in.values < 0.0):
             raise DomainError("feed rate input must be nonnegative")
-        if validate:
-            corner = inflow_value(self.F_in(self.F_in.t_start), self.N(self.N.t_start), self.params)
-            gap = abs(corner - float(vals[0]))
-            if gap > COMPAT_TOL:
-                raise CompatibilityError(
-                    f"corner compatibility violated: inflow {corner:.12g} vs profile {vals[0]:.12g}"
-                )
+        corner = inflow_value(self.F_in(self.F_in.t_start), self.N(self.N.t_start), self.params)
+        if abs(corner - float(vals[0])) > COMPAT_TOL:
+            raise CompatibilityError(
+                f"corner compatibility violated: inflow {corner:.12g} vs profile {vals[0]:.12g}"
+            )
 
     def inflow(self, t):
         return inflow_value(self.F_in(t), self.N(t), self.params)
@@ -204,53 +203,30 @@ class Probe(NamedTuple):
     steps: Iterator
 
 
-def compute_delta(
-    data: CauchyData,
-    eps1: float,
-    T: float,
-    f_norm: float | None = None,
-    grid_step: float | None = None,
-    ends: np.ndarray | None = None,
-) -> Probe:
+def compute_delta(data: CauchyData, f_norm: float, ends: np.ndarray, step: float) -> Probe:
     """Interval on which the solution map contracts, with its live iterates.
 
-    Starts from DELTA_SAFETY times the smallest of the four admissibility
-    terms (horizon, boundary-characteristic travel time, and the two
-    interface travel-distance budgets), snaps it down to a node of `ends`
-    (times from 0, grid_step apart; the inputs' grid unless given) and
-    halves it until the contraction factor of the first two maps, on
-    max(cells + 1, PROBE_POINTS) nodes, is at most 1/2.  `local_fixed_point`
-    continues the returned `Probe`'s sequence rather than starting another.
+    Starts from DELTA_SAFETY times the smallest of the three admissibility
+    terms in the ball of radius `eps1_radius` (boundary-characteristic
+    travel time, and the two interface travel-distance budgets at the
+    F-box norm `f_norm`), snaps it down to a node of `ends` (times from 0,
+    `step` apart; the last node caps it) and halves it until the
+    contraction factor of the first two maps, on max(cells + 1,
+    PROBE_POINTS) nodes, is at most 1/2.  `local_fixed_point` continues the
+    returned `Probe`'s sequence rather than starting another.
     """
     eq = data.eq
-    bound = eps1_bound(eq)
-    if not (0.0 < eps1 < bound):
-        raise DomainError(f"eps1 must lie in (0, {bound:.6g})")
-    if T <= 0.0:
-        raise DomainError("horizon must be positive")
-    if f_norm is None:
-        f_norm = norm_F_box(data.params, eq, eps1)
-    zeta = data.params.zeta
-    L = data.params.L
-    terms = (
-        T,
-        (eq.l_e - eps1) / (zeta * (eq.N_e + eps1)),
+    eps1 = eps1_radius(eq)
+    delta = DELTA_SAFETY * min(
+        (eq.l_e - eps1) / (data.params.zeta * (eq.N_e + eps1)),
         (eq.l_e - eps1) / f_norm,
-        (L - eq.l_e - eps1) / f_norm,
+        (data.params.L - eq.l_e - eps1) / f_norm,
     )
-    delta = DELTA_SAFETY * min(terms)
-    step = grid_step if grid_step is not None else data.N.dt
-    if ends is None:
-        ends = data.N.grid
     while True:
-        if delta < step - 1e-12:
-            raise ResolutionError(
-                f"contraction interval {delta:.3g} fell below the grid step {step:.3g}"
-            )
         cells = int(np.floor(delta / step + 1e-12))
         if cells < 1:
             raise ResolutionError(
-                f"contraction interval {delta:.3g} below the output grid step {step:.3g}"
+                f"contraction interval {delta:.3g} fell below the grid step {step:.3g}"
             )
         cells = min(cells, ends.size - 1)
         snapped = float(ends[cells])
@@ -269,7 +245,6 @@ def compute_delta(
 def local_fixed_point(
     data: CauchyData,
     delta: float | Probe,
-    eps1: float | None = None,
     n_t: int = 257,
     initial: tuple | None = None,
 ) -> LocalSolveReport:
@@ -278,8 +253,8 @@ def local_fixed_point(
     `delta` is the interval length, or a `Probe` whose sequence (with its
     n_t and initial pair) is continued.  The initial candidate is the
     constant extension of the data at t=0 unless another admissible pair
-    is supplied.  Iterates must stay inside the eps1 ball around the
-    equilibrium (of radius `eps1_radius` unless given); the loop stops when
+    is supplied.  Iterates must stay inside the eps1 ball of radius
+    `eps1_radius` around the equilibrium; the loop stops when
     successive iterates are within PICARD_TOL in the maximum norm, and
     fails after PICARD_MAX_ITER maps.  The residual is the distance of one
     more step of the same sequence, and that step's trace context, built
@@ -287,8 +262,7 @@ def local_fixed_point(
     field is assembled.
     """
     eq = data.eq
-    if eps1 is None:
-        eps1 = eps1_radius(eq)
+    eps1 = eps1_radius(eq)
     if isinstance(delta, Probe):
         delta, steps = delta.delta, delta.steps
     else:
@@ -321,18 +295,6 @@ def _assemble_rows(ctx: TraceContext, data: CauchyData, t_rows, x_grid):
     return _datum_at(data, is_boundary, origin), is_boundary, origin
 
 
-def assemble_field(
-    report: LocalSolveReport, data: CauchyData, t_grid, x_grid
-) -> SolutionField:
-    """Evaluate f_p on a tensor grid from the converged traces."""
-    t_grid = np.asarray(t_grid, dtype=float)
-    x_grid = np.asarray(x_grid, dtype=float)
-    values, flags, _ = _assemble_rows(report.context, data, t_grid, x_grid)
-    out = SolutionField(t_grid, x_grid, values, flags)
-    out.check_unit_range()
-    return out
-
-
 def solve_semiglobal(
     data: CauchyData,
     T: float,
@@ -355,9 +317,8 @@ def solve_semiglobal(
     if T <= 0.0:
         raise DomainError("horizon must be positive")
     eq = data.eq
-    eps1 = eps1_radius(eq)
-    # the F-box bound depends on params, eq and eps1 alone: one per solve
-    f_norm = norm_F_box(data.params, eq, eps1)
+    # the F-box bound depends on params and eq alone: one per solve
+    f_norm = norm_F_box(data.params, eq, eps1_radius(eq))
     t_grid = np.linspace(0.0, T, n_t)
     x_grid = np.linspace(0.0, 1.0, n_x)
     dt_out = t_grid[1] - t_grid[0]
@@ -374,17 +335,13 @@ def solve_semiglobal(
     i_lo = 0
     while i_lo < n_t - 1:
         ends = t_grid[i_lo:] - t_grid[i_lo]
-        # the horizon term is dropped here (inf): the interval is capped at
-        # the last output node instead, and a shorter interval contracts as well
         try:
-            probe = compute_delta(
-                seg_data, eps1, float("inf"), f_norm=f_norm, grid_step=dt_out, ends=ends
-            )
+            probe = compute_delta(seg_data, f_norm, ends, dt_out)
         except ResolutionError as exc:
             raise ResolutionError(f"segment {len(reports)}: {exc}") from exc
         i_hi = i_lo + probe.cells
         try:
-            report = local_fixed_point(seg_data, probe, eps1=eps1)
+            report = local_fixed_point(seg_data, probe)
         except (DivergenceError, ConvergenceError) as exc:
             raise type(exc)(f"segment {len(reports)} on [{t_grid[i_lo]:.6g}, "
                             f"{t_grid[i_hi]:.6g}]: {exc}") from exc

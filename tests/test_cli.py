@@ -43,6 +43,13 @@ def base_simulate_cfg(tmp_path, out="out"):
     }
 
 
+def base_verify_cfg(tmp_path):
+    """The simulate config without the keys verify does not read."""
+    mapping = base_simulate_cfg(tmp_path)
+    del mapping["mode.out"]
+    return mapping
+
+
 def base_control_cfg(tmp_path, out="out"):
     return {
         "equilibrium.N_e": "1.0",
@@ -57,6 +64,14 @@ def base_control_cfg(tmp_path, out="out"):
         "mode.nu": "0.01",
         "mode.out": str(tmp_path / out),
     }
+
+
+def base_cfg(sub, tmp_path):
+    """A config that sub runs on."""
+    if sub == "equilibrium":
+        return {"equilibrium.N_e": "1.0", "equilibrium.l_e": "0.5"}
+    base = {"simulate": base_simulate_cfg, "verify": base_verify_cfg, "control": base_control_cfg}
+    return base[sub](tmp_path)
 
 
 def _no_allocation(*args, **kwargs):
@@ -193,9 +208,8 @@ class TestSchemaErrors:
     )
     def test_grid_cap_names_dt(self, tmp_path, capsys, monkeypatch, T, dt):
         monkeypatch.setattr(cli, "_cauchy_data", _no_allocation)
-        for sub, base in (("simulate", base_simulate_cfg), ("verify", base_simulate_cfg),
-                          ("control", base_control_cfg)):
-            mapping = base(tmp_path)
+        for sub in ("simulate", "verify", "control"):
+            mapping = base_cfg(sub, tmp_path)
             mapping.update({"mode.T": T, "numerics.dt": dt})
             cfg = write_cfg(tmp_path, f"{sub}.cfg", mapping)
             assert run([sub, cfg]) == 2
@@ -229,9 +243,12 @@ class TestSchemaErrors:
             raise AssertionError("upwind march started past its bound")
 
         monkeypatch.setattr(cli, "simulate_upwind", unreachable)
-        mapping = base_simulate_cfg(tmp_path)
+        if sub == "simulate":
+            mapping = base_simulate_cfg(tmp_path)
+            mapping["mode.method"] = "upwind"
+        else:
+            mapping = base_verify_cfg(tmp_path)
         mapping.update({"mode.T": "1e5", "numerics.dt": "100", "numerics.dx": "0.01"})
-        mapping["mode.method"] = "upwind"
         cfg = write_cfg(tmp_path, "c.cfg", mapping)
         assert run([sub, cfg]) == 2
         captured = capsys.readouterr()
@@ -275,7 +292,7 @@ class TestSchemaErrors:
 
     def test_tolerance_key_is_unknown(self, tmp_path, capsys):
         # no solver reads a config tolerance, so the key is rejected
-        mapping = base_simulate_cfg(tmp_path)
+        mapping = base_verify_cfg(tmp_path)
         mapping["numerics.tol"] = "1e-300"
         cfg = write_cfg(tmp_path, "c.cfg", mapping)
         assert run(["verify", cfg]) == 2
@@ -340,7 +357,7 @@ class TestSchemaErrors:
         for name in ("solve_semiglobal", "simulate_upwind"):
             monkeypatch.setattr(cli, name, unreachable)
         monkeypatch.setattr(control, "synthesize", unreachable)
-        mapping = (base_control_cfg if sub == "control" else base_simulate_cfg)(tmp_path)
+        mapping = base_cfg(sub, tmp_path)
         mapping[key] = spec
         assert run([sub, write_cfg(tmp_path, "c.cfg", mapping)]) == 2
         err = capsys.readouterr().err
@@ -362,6 +379,72 @@ class TestSchemaErrors:
         ):
             samples = cli._spec_samples(typed, key, F_PE, len(expected), tmp_path, T)
             assert samples.tolist() == expected, key
+
+    @pytest.mark.parametrize(
+        "sub,key,value",
+        [
+            ("simulate", "data.l1", "0.9"),
+            ("simulate", "mode.nu", "5"),
+            ("simulate", "sweep.run", "control"),
+            ("verify", "mode.method", "upwind"),
+            ("verify", "mode.out", "elsewhere"),
+            ("control", "data.F_in", "constant:eq"),
+            ("control", "mode.method", "upwind"),
+            ("equilibrium", "mode.T", "1.0"),
+        ],
+    )
+    def test_key_the_subcommand_does_not_read(self, tmp_path, capsys, sub, key, value):
+        mapping = base_cfg(sub, tmp_path)
+        mapping[key] = value
+        assert run([sub, write_cfg(tmp_path, "c.cfg", mapping)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"config error: {key}: not read by {sub!r}\n"
+        assert captured.out == ""
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("key", ["mode.nu", "sweep.vary.mode.nu"])
+    def test_sweep_key_its_subcommand_does_not_read(self, tmp_path, capsys, monkeypatch, key):
+        monkeypatch.setitem(cli._DISPATCH, "simulate", _no_allocation)
+        mapping = base_simulate_cfg(tmp_path, out="sweep")
+        mapping["sweep.run"] = "simulate"
+        mapping[key] = "0.01"
+        assert run(["sweep", write_cfg(tmp_path, "c.cfg", mapping)]) == 2
+        assert capsys.readouterr().err == f"config error: {key}: not read by 'simulate'\n"
+        assert not (tmp_path / "sweep").exists()
+
+    @pytest.mark.parametrize(
+        "sub,changes,key",
+        [
+            ("simulate", {"data.l0": "1.5"}, "data.l0"),
+            ("verify", {"data.l0": "1.0"}, "data.l0"),
+            ("control", {"data.l1": "1.0"}, "data.l1"),
+            ("control", {"params.L": "0.5", "equilibrium.l_e": "0.4", "data.l0": "0.5"}, "data.l0"),
+            ("simulate", {"params.L": "0.4"}, "equilibrium.l_e"),
+            ("equilibrium", {"params.L": "0.4"}, "equilibrium.l_e"),
+            # l_e = L - B*rho0*f_pe/(K_d*(1 - f_pe)) = 1 - 1.5 < 0
+            ("simulate", {"equilibrium.l_e": None, "equilibrium.f_pe": "0.6"}, "equilibrium.f_pe"),
+        ],
+    )
+    def test_position_outside_the_barrel_names_the_key(
+        self, tmp_path, capsys, monkeypatch, sub, changes, key
+    ):
+        def unreachable(*args, **kwargs):
+            raise AssertionError("a solver ran on a position outside the barrel")
+
+        for name in ("solve_semiglobal", "simulate_upwind"):
+            monkeypatch.setattr(cli, name, unreachable)
+        monkeypatch.setattr(control, "synthesize", unreachable)
+        mapping = base_cfg(sub, tmp_path)
+        for k, v in changes.items():
+            if v is None:
+                del mapping[k]
+            else:
+                mapping[k] = v
+        assert run([sub, write_cfg(tmp_path, "c.cfg", mapping)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"config error: {key}: ")
+        assert captured.err.count("\n") == 1 and captured.out == ""
+        assert not (tmp_path / "out").exists()
 
 
 class TestSimulateCommand:
@@ -459,7 +542,7 @@ class TestControlCommand:
 
 class TestVerifyCommand:
     def test_all_invariants_pass(self, tmp_path, capsys):
-        cfg = write_cfg(tmp_path, "c.cfg", base_simulate_cfg(tmp_path))
+        cfg = write_cfg(tmp_path, "c.cfg", base_verify_cfg(tmp_path))
         assert run(["verify", cfg]) == 0
         out = capsys.readouterr().out
         for name in (
@@ -479,7 +562,7 @@ class TestVerifyCommand:
 
         upwind = cli.simulate_upwind
         monkeypatch.setattr(cli, "simulate_upwind", shifted)
-        cfg = write_cfg(tmp_path, "c.cfg", base_simulate_cfg(tmp_path))
+        cfg = write_cfg(tmp_path, "c.cfg", base_verify_cfg(tmp_path))
         assert run(["verify", cfg]) == 3
         out = capsys.readouterr().out
         assert "ok fixed-point-contraction" in out
@@ -505,6 +588,22 @@ class TestSweepCommand:
         cfg3 = (root / "case_003" / "config.txt").read_text()
         assert "data.l0=0.48" in cfg0 and "equilibrium.N_e=1\n" in cfg0
         assert "data.l0=0.5" in cfg3 and "equilibrium.N_e=1.2" in cfg3
+
+    def test_swept_values_are_not_rounded(self, tmp_path, monkeypatch):
+        # 12 significant digits would write both as data.l0=0.5
+        values = [0.4999999999999999, 0.49999999999999, 0.5, 1e-5 / 3.0]
+        monkeypatch.setitem(cli._DISPATCH, "simulate", lambda typed, base_dir: 0)
+        mapping = base_simulate_cfg(tmp_path, out="sweep")
+        mapping["sweep.run"] = "simulate"
+        mapping["sweep.vary.data.l0"] = ",".join(repr(v) for v in values)
+        assert run(["sweep", write_cfg(tmp_path, "c.cfg", mapping)]) == 0
+        texts = []
+        for index, value in enumerate(values):
+            lines = (tmp_path / "sweep" / f"case_{index:03d}" / "config.txt").read_text()
+            text = next(line for line in lines.splitlines() if line.startswith("data.l0="))
+            texts.append(text)
+            assert float(text.partition("=")[2]) == value
+        assert len(set(texts)) == len(values)
 
     def _axes_cfg(self, tmp_path, *lengths):
         mapping = base_simulate_cfg(tmp_path, out="sweep")
@@ -614,7 +713,7 @@ _MUTATIONS = {
 @st.composite
 def mutated_configs(draw):
     sub = draw(st.sampled_from(["simulate", "control", "verify"]))
-    mapping = (base_control_cfg if sub == "control" else base_simulate_cfg)(Path("."))
+    mapping = base_cfg(sub, Path("."))
     mapping.update({"numerics.dt": "0.05", "numerics.dx": "0.1"})
     for key in draw(st.lists(st.sampled_from(sorted(_MUTATIONS)), max_size=4, unique=True)):
         choice = draw(st.sampled_from([None, *_MUTATIONS[key]]))
@@ -631,7 +730,8 @@ class TestContract:
     def test_mutated_configs_exit_0_2_or_3(self, case):
         sub, mapping = case
         with tempfile.TemporaryDirectory() as tmp:
-            mapping["mode.out"] = str(Path(tmp) / "out")
+            if "mode.out" in mapping:
+                mapping["mode.out"] = str(Path(tmp) / "out")
             cfg = write_cfg(Path(tmp), "c.cfg", mapping)
             sink = io.StringIO()
             with contextlib.redirect_stdout(sink), contextlib.redirect_stderr(sink):

@@ -14,8 +14,6 @@ from extrusim.fields import (
     E_MIN,
     FIELD_BLOCK_CELLS,
     FLOAT_FORMAT,
-    PROVENANCE_BOUNDARY,
-    PROVENANCE_INITIAL,
     PROVENANCE_NAMES,
     SampledFunction,
     SolutionField,
@@ -56,7 +54,7 @@ class TestSampledFunction:
 
     def test_csv_roundtrip_format(self):
         f = SampledFunction(0.0, 1.0, np.array([0.0, 0.5]))
-        assert f.to_csv() == "t,value\n0,0\n1,0.5\n"
+        assert csv_text("t,value", f.grid, f.values) == "t,value\n0,0\n1,0.5\n"
 
 
 class TestSpaceProfile:
@@ -125,7 +123,7 @@ class TestSolutionField:
         t = np.linspace(0.0, 1.0, nt)
         x = np.linspace(0.0, 1.0, nx)
         vals = np.full((nt, nx), 0.25)
-        prov = np.full((nt, nx), PROVENANCE_INITIAL, dtype=np.uint8)
+        prov = np.zeros((nt, nx), dtype=np.uint8)
         return SolutionField(t, x, vals, prov)
 
     def test_shape_mismatch(self):
@@ -146,7 +144,7 @@ class TestSolutionField:
         mask = np.array([[False, True], [True, True]])
         f = SolutionField([0.0, 1.0], [0.0, 1.0], np.zeros((2, 2)), mask)
         assert f.provenance.dtype == np.uint8
-        assert f.provenance.tolist() == [[PROVENANCE_INITIAL, PROVENANCE_BOUNDARY], [1, 1]]
+        assert f.provenance.tolist() == [[0, 1], [1, 1]]
 
     def test_unit_range_check(self):
         f = self._make()
@@ -315,7 +313,8 @@ class TestCsvText:
 
     def test_sampled_function_csv_matches_reference(self):
         f = SampledFunction(0.0, 0.3, np.array([1.0 / 3.0, -0.0, 5e-324, 1e16]))
-        assert f.to_csv() == reference_rows_csv("t,value", f.grid, f.values)
+        text = csv_text("t,value", f.grid, f.values)
+        assert text == reference_rows_csv("t,value", f.grid, f.values)
 
 
 def value_texts(values) -> list:

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from extrusim import wellposed
-from extrusim.characteristics import TraceContext, backtrace, backtrace_times, xi_forward
+from extrusim.characteristics import TraceContext, backtrace, backtrace_times, xi
 from extrusim.errors import (
     CompatibilityError,
     DivergenceError,
@@ -28,7 +28,6 @@ from extrusim.wellposed import (
     CauchyData,
     _assemble_rows,
     _resample,
-    assemble_field,
     check_estimates,
     compute_delta,
     eps1_bound,
@@ -60,13 +59,6 @@ class TestCauchyData:
         N = SampledFunction.constant(1.0, 0.0, 1.0, 11)
         with pytest.raises(CompatibilityError):
             CauchyData(0.5, f0, F_in, N, UNIT, EQ)
-
-    def test_validation_can_be_deferred(self):
-        f0 = SpaceProfile.constant(EQ.f_pe + 0.1, 11)
-        F_in = SampledFunction.constant(EQ.f_pe, 0.0, 1.0, 11)
-        N = SampledFunction.constant(1.0, 0.0, 1.0, 11)
-        data = CauchyData(0.5, f0, F_in, N, UNIT, EQ, validate=False)
-        assert data.f0_p.values[0] == pytest.approx(EQ.f_pe + 0.1)
 
     def test_interface_position_range(self):
         f0 = SpaceProfile.constant(EQ.f_pe, 11)
@@ -107,34 +99,32 @@ class TestEps1Bound:
 
 
 class TestComputeDelta:
-    def test_arithmetic_of_the_four_terms(self):
-        # min{1, 0.4/1.1, 0.4/2, 0.4/2} halved
-        delta = compute_delta(sine_data(0.0), 0.1, 1.0, f_norm=2.0).delta
-        assert delta == pytest.approx(0.1, abs=1e-12)
-
-    def test_decreasing_in_radius(self):
-        data = sine_data(0.0)
-        d1 = compute_delta(data, 0.1, 1.0, f_norm=2.0).delta
-        d2 = compute_delta(data, 0.2, 1.0, f_norm=2.0).delta
-        assert d2 < d1
-        # with the real box norm the denominators grow too
-        assert compute_delta(data, 0.2, 1.0).delta < compute_delta(data, 0.1, 1.0).delta
+    def test_arithmetic_of_the_three_terms(self):
+        ends = np.linspace(0.0, 1.0, 100_001)
+        for f_norm, half_min in (
+            # eps1 = 1/9: min{(7/18)/(10/9), (7/18)/2, (7/18)/2} halved
+            (2.0, 7.0 / 72.0),
+            # the boundary-characteristic travel time binds: 0.35 halved
+            (0.5, 0.175),
+        ):
+            delta = compute_delta(sine_data(0.0), f_norm, ends, 1e-5).delta
+            assert delta == ends[int(np.floor(half_min / 1e-5 + 1e-12))]
+            assert delta == pytest.approx(half_min, abs=1e-5)
 
     def test_horizon_binds(self):
-        delta = compute_delta(sine_data(0.0), 0.1, 0.05, f_norm=2.0).delta
-        assert delta == pytest.approx(0.025, abs=1e-12)
-
-    def test_radius_outside_admissible_range(self):
-        with pytest.raises(DomainError):
-            compute_delta(sine_data(0.0), 0.5, 1.0)
+        # the last node of ends caps the interval: six nodes 0.005 apart
+        ends = np.linspace(0.0, 0.025, 6)
+        probe = compute_delta(sine_data(0.0), 2.0, ends, 0.005)
+        assert (probe.delta, probe.cells) == (0.025, 5)
 
     def test_coarse_inputs_rejected(self):
         f0 = SpaceProfile.constant(EQ.f_pe, 11)
         F_in = SampledFunction.constant(EQ.f_pe, 0.0, 2.0, 2)  # grid step 2.0
         N = SampledFunction.constant(1.0, 0.0, 2.0, 2)
         data = CauchyData(0.5, f0, F_in, N, UNIT, EQ)
-        with pytest.raises(ResolutionError):
-            compute_delta(data, 0.1, 1.0)
+        f_norm = norm_F_box(UNIT, EQ, eps1_radius(EQ))
+        with pytest.raises(ResolutionError, match="fell below the grid step 2"):
+            compute_delta(data, f_norm, data.N.grid, data.N.dt)
 
 
 class TestLocalFixedPoint:
@@ -153,10 +143,11 @@ class TestLocalFixedPoint:
         assert report.residual <= 1e-10
 
     def test_iterate_escaping_ball_is_flagged(self):
-        # data whose own deviation exceeds the radius: the outlet trace
-        # leaves the ball as soon as the profile is carried to x=1
-        with pytest.raises(DivergenceError):
-            local_fixed_point(sine_data(0.05), 0.06, eps1=0.01)
+        # an interface 0.12 from l_e starts outside the ball of radius 1/9,
+        # so the first iterate, which keeps l(0) = l0, leaves it
+        data = dataclasses.replace(sine_data(0.01), l0=0.62)
+        with pytest.raises(DivergenceError, match="iterate 1 left the eps1=0.111 ball"):
+            local_fixed_point(data, 0.06)
 
     def test_uniqueness_of_the_fixed_point(self):
         data = sine_data(0.01)
@@ -213,7 +204,8 @@ class TestOneIteration:
 
     def test_probe_factor_is_the_first_picard_factor(self):
         data = sine_data(0.01)
-        probe = compute_delta(data, eps1_radius(EQ), 0.12)
+        ends = np.linspace(0.0, 0.06, 13)
+        probe = compute_delta(data, norm_F_box(UNIT, EQ, eps1_radius(EQ)), ends, 0.005)
         assert probe.cells + 1 <= PROBE_POINTS
         report = local_fixed_point(data, probe)
         assert probe.factor == report.contraction_factors[0]
@@ -225,10 +217,10 @@ class TestOneIteration:
         rebuilt = TraceContext(l_sf, _resample(data.N, 0.0, 0.06, l_sf.values.size), b_sf, UNIT)
         tg = np.linspace(0.0, 0.06, 13)
         xg = np.linspace(0.0, 1.0, 101)
-        got = assemble_field(report, data, tg, xg)
-        want = assemble_field(dataclasses.replace(report, context=rebuilt), data, tg, xg)
-        np.testing.assert_array_equal(got.values, want.values)
-        np.testing.assert_array_equal(got.provenance, want.provenance)
+        got = _assemble_rows(report.context, data, tg, xg)
+        want = _assemble_rows(rebuilt, data, tg, xg)
+        for got_part, want_part in zip(got, want, strict=True):
+            np.testing.assert_array_equal(got_part, want_part)
 
 
 class TestAssembleField:
@@ -236,15 +228,19 @@ class TestAssembleField:
         data = sine_data(0.01)
         report = local_fixed_point(data, 0.06)
         xg = np.linspace(0.0, 1.0, 41)
-        fld = assemble_field(report, data, np.linspace(0.0, 0.06, 7), xg)
-        assert np.max(np.abs(fld.values[0] - data.f0_p(xg))) == 0.0
-        assert np.all(fld.provenance[0] == 0)
+        values, is_boundary, _ = _assemble_rows(
+            report.context, data, np.linspace(0.0, 0.06, 7), xg
+        )
+        assert np.max(np.abs(values[0] - data.f0_p(xg))) == 0.0
+        assert not is_boundary[0].any()
 
     def test_equilibrium_field_constant(self):
         data = sine_data(0.0)
         report = local_fixed_point(data, 0.06)
-        fld = assemble_field(report, data, np.linspace(0.0, 0.06, 7), np.linspace(0.0, 1.0, 41))
-        assert np.max(np.abs(fld.values - EQ.f_pe)) <= 1e-14
+        values, _, _ = _assemble_rows(
+            report.context, data, np.linspace(0.0, 0.06, 7), np.linspace(0.0, 1.0, 41)
+        )
+        assert np.max(np.abs(values - EQ.f_pe)) <= 1e-14
 
     def test_constancy_along_characteristics(self):
         data = sine_data(0.01)
@@ -258,7 +254,7 @@ class TestAssembleField:
         rng = np.random.default_rng(5)
         xg = np.linspace(0.0, 1.0, 101)
         tg = np.linspace(0.0, 0.06, 31)
-        fld = assemble_field(report, data, tg, xg)
+        values, _, _ = _assemble_rows(report.context, data, tg, xg)
         for _ in range(100):
             i = rng.integers(0, tg.size)
             j = rng.integers(0, xg.size)
@@ -267,7 +263,7 @@ class TestAssembleField:
                 datum = data.f0_p(origin.beta)
             else:
                 datum = data.inflow(origin.tau)
-            assert abs(fld.values[i, j] - datum) <= 1e-8
+            assert abs(values[i, j] - datum) <= 1e-8
 
 
 class TestSemiglobal:
@@ -309,7 +305,7 @@ class TestSemiglobal:
         )
         dx = sol.field.x_grid[1] - sol.field.x_grid[0]
         for i, t in enumerate(sol.field.t_grid):
-            sep = xi_forward(float(t), 0.0, 0.0, ctx)
+            sep = xi(float(t), 0.0, 0.0, ctx)
             boundary = sol.field.provenance[i] == 1
             if sep >= 1.0 + dx:
                 assert np.all(boundary)
@@ -366,7 +362,7 @@ def reference_semiglobal(data, T, n_t, n_x=101):
         cells = int(np.floor(delta_c / dt_out + 1e-12))
         i_hi = min(i_lo + cells, n_t - 1)
         delta = t_grid[i_hi] - t_grid[i_lo]
-        report = local_fixed_point(seg_data, delta, eps1=eps1, n_t=max(i_hi - i_lo + 1, 65))
+        report = local_fixed_point(seg_data, delta, n_t=max(i_hi - i_lo + 1, 65))
         rows = t_grid[i_lo:i_hi + 1] - t_grid[i_lo]
         seg_vals, seg_flags, seg_orig = _assemble_rows(report.context, seg_data, rows, x_grid)
         j = np.clip(np.round(seg_orig / (x_grid[1] - x_grid[0])).astype(int), 0, n_x - 1)

@@ -10,6 +10,7 @@ run in a fresh Python process:
 - `extrusim simulate` with the sim-char config and with the sim-upwind config,
 - `extrusim control` with the control config,
 - `extrusim verify` with the sim-char config of six inputs spread over its pool,
+  less the `mode.method` and `mode.out` keys, which verify does not read,
 - `solve_semiglobal` and `derivative_fields` on the regularity input.
 
 A run writes to the same paths for both trees.  Exit code, stdout, stderr and
@@ -97,7 +98,11 @@ def config_text(label: str, params: dict, out: Path) -> str:
     if label == "control":
         return workloads.control_config(params, out)
     method = "upwind" if label == "sim-upwind" else "characteristics"
-    return workloads.simulate_config(params, method, out)
+    text = workloads.simulate_config(params, method, out)
+    if label == "verify":
+        lines = text.splitlines(keepends=True)
+        text = "".join(line for line in lines if not line.startswith(("mode.method=", "mode.out=")))
+    return text
 
 
 def sha_files(directory: Path) -> dict:

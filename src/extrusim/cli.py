@@ -37,7 +37,10 @@ Blank lines and lines starting with ``#`` are skipped.  Keys:
       subcommand to repeat and comma-separated values for any scalar
       key; axes combine as a full grid, first declared axis slowest,
       into at most 1000 cases; each case config holds the swept value as
-      the shortest text that parses back to it
+      the shortest text that parses back to it; the keys of every case,
+      a swept key in place of a plain one of the same name, must hold
+      what sweep.run requires, one anchor included, and this is checked
+      before any case runs
 
 A key the subcommand does not read is rejected: verify reads neither
 mode.method nor mode.out, equilibrium reads only params.* and
@@ -54,7 +57,10 @@ import itertools
 import json
 import math
 import sys
+from collections.abc import Callable
+from dataclasses import fields
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -63,8 +69,6 @@ from .fields import SampledFunction, SpaceProfile, csv_text, format_value
 from .model import PhysicalParams, eval_g, solve_equilibrium
 from .oracle import UpwindConfig, simulate_upwind, upwind_step_estimate
 from .wellposed import CauchyData, solve_semiglobal
-
-COMMANDS = ("equilibrium", "simulate", "control", "verify", "sweep")
 
 USAGE = "usage: extrusim <equilibrium|simulate|control|verify|sweep> <config>"
 
@@ -101,25 +105,52 @@ def _grid_step(v):
     return v
 
 
-_FLOAT_KEYS = {
-    "params.zeta": _positive,
-    "params.L": _positive,
-    "params.K_d": _positive,
-    "params.B": _positive,
-    "params.rho0": _positive,
-    "params.V_eff": _positive,
-    "equilibrium.N_e": _positive,
-    "equilibrium.l_e": _positive,
-    "equilibrium.f_pe": _unit_open,
-    "data.l0": _positive,
-    "data.l1": _positive,
-    "mode.T": _positive,
-    "mode.nu": _positive,
-    "numerics.dt": _positive,
-    "numerics.dx": _grid_step,
-}
+def _spec(raw):
+    head = raw.partition(":")[0]
+    if head not in _SPEC_HEADS:
+        raise ValueError(f"unknown function spec {head!r}; use one of {', '.join(_SPEC_HEADS)}")
+    return raw
 
-_SPEC_KEYS = ("data.f0_p", "data.f1_p", "data.F_in", "data.N")
+
+def _one_of(*choices):
+    def check(raw):
+        if raw not in choices:
+            raise ValueError(f"must be one of {', '.join(choices)}")
+        return raw
+
+    return check
+
+
+class _Key(NamedTuple):
+    number: bool  # parsed as a float before its check; only numbers are swept
+    check: Callable  # returns the value or raises ValueError naming the rule
+    required_by: tuple  # subcommands that fail without the key
+    optional_for: tuple  # subcommands that read the key if it is given
+
+
+_RUNS = ("simulate", "verify", "control")
+_POINT = ("equilibrium", *_RUNS)
+
+# every accepted key; a missing required key is reported in this order
+_KEYS = {
+    **{f"params.{f.name}": _Key(True, _positive, (), _POINT) for f in fields(PhysicalParams)},
+    "equilibrium.N_e": _Key(True, _positive, _POINT, ()),
+    "equilibrium.l_e": _Key(True, _positive, (), _POINT),
+    "equilibrium.f_pe": _Key(True, _unit_open, (), _POINT),
+    "data.l0": _Key(True, _positive, _RUNS, ()),
+    "data.l1": _Key(True, _positive, ("control",), ()),
+    "data.f0_p": _Key(False, _spec, _RUNS, ()),
+    "data.f1_p": _Key(False, _spec, ("control",), ()),
+    "data.F_in": _Key(False, _spec, ("simulate", "verify"), ()),
+    "data.N": _Key(False, _spec, ("simulate", "verify"), ()),
+    "numerics.dt": _Key(True, _positive, (), _RUNS),
+    "numerics.dx": _Key(True, _grid_step, (), _RUNS),
+    "mode.T": _Key(True, _positive, _RUNS, ()),
+    "mode.nu": _Key(True, _positive, ("control",), ()),
+    "mode.method": _Key(False, _one_of("characteristics", "upwind"), (), ("simulate",)),
+    "mode.out": _Key(False, str, (), ("simulate", "control")),
+    "sweep.run": _Key(False, _one_of("simulate", "control"), ("sweep",), ()),
+}
 
 # admissible samples of each function spec, and the rule a violation names
 _PROFILE_RANGE = (
@@ -133,81 +164,26 @@ _SPEC_RANGES = {
     "data.N": (lambda v: (v > 0.0).all(), "must be positive"),
 }
 
-_ENUM_KEYS = {
-    "mode.method": ("characteristics", "upwind"),
-    "sweep.run": ("simulate", "control"),
-}
-
-_STR_KEYS = ("mode.out",)
-
 _EQ_ANCHORS = ("equilibrium.l_e", "equilibrium.f_pe")
-
-# keys checked for presence per subcommand, in reporting order
-_REQUIRED = {
-    "equilibrium": ("equilibrium.N_e",),
-    "simulate": ("equilibrium.N_e", "data.l0", "data.f0_p", "data.F_in", "data.N", "mode.T"),
-    "verify": ("equilibrium.N_e", "data.l0", "data.f0_p", "data.F_in", "data.N", "mode.T"),
-    "control": (
-        "equilibrium.N_e",
-        "data.l0",
-        "data.l1",
-        "data.f0_p",
-        "data.f1_p",
-        "mode.T",
-        "mode.nu",
-    ),
-    "sweep": ("sweep.run",),
-}
-
-# keys a subcommand reads beyond its required ones; any other key is a
-# config error.  sweep hands its other keys on to the subcommand it runs
-_POINT_KEYS = (
-    *(key for key in _FLOAT_KEYS if key.startswith("params.")),
-    *_EQ_ANCHORS,
-)
-_GRID_KEYS = ("numerics.dt", "numerics.dx")
-_OPTIONAL = {
-    "equilibrium": _POINT_KEYS,
-    "simulate": (*_POINT_KEYS, *_GRID_KEYS, "mode.method", "mode.out"),
-    "verify": (*_POINT_KEYS, *_GRID_KEYS),
-    "control": (*_POINT_KEYS, *_GRID_KEYS, "mode.out"),
-}
 
 
 def _parse_value(key: str, raw: str):
-    if key in _FLOAT_KEYS:
-        try:
-            v = float(raw)
-        except ValueError:
-            raise SchemaError(f"{key}: expected a number, got {raw!r}") from None
-        try:
-            return _FLOAT_KEYS[key](v)
-        except ValueError as exc:
-            raise SchemaError(f"{key}: {exc}") from None
-    if key in _SPEC_KEYS:
-        head = raw.partition(":")[0]
-        if head not in _SPEC_HEADS:
-            raise SchemaError(
-                f"{key}: unknown function spec {head!r}; use one of {', '.join(_SPEC_HEADS)}"
-            )
-        return raw
-    if key in _ENUM_KEYS:
-        if raw not in _ENUM_KEYS[key]:
-            raise SchemaError(f"{key}: must be one of {', '.join(_ENUM_KEYS[key])}")
-        return raw
-    if key in _STR_KEYS:
-        return raw
     if key.startswith("sweep.vary."):
-        target = key[len("sweep.vary.") :]
-        if target not in _FLOAT_KEYS:
+        target = key.removeprefix("sweep.vary.")
+        if target not in _KEYS or not _KEYS[target].number:
             raise SchemaError(f"{key}: can only sweep scalar keys, not {target!r}")
-        values = []
-        for part in raw.split(","):
-            values.append(_parse_value(target, part.strip()))
-        if not values:
-            raise SchemaError(f"{key}: empty value list")
-        return values
-    raise SchemaError(f"{key}: unknown key")
+        return [_parse_value(target, part.strip()) for part in raw.split(",")]
+    if key not in _KEYS:
+        raise SchemaError(f"{key}: unknown key")
+    entry = _KEYS[key]
+    try:
+        value = float(raw) if entry.number else raw
+    except ValueError:
+        raise SchemaError(f"{key}: expected a number, got {raw!r}") from None
+    try:
+        return entry.check(value)
+    except ValueError as exc:
+        raise SchemaError(f"{key}: {exc}") from None
 
 
 def _parse_lines(lines, source: str):
@@ -243,19 +219,22 @@ def parse_config(path: Path):
 
 
 def _check_required(sub: str, typed: dict, order: list):
-    for key in _REQUIRED[sub]:
-        if key not in typed:
+    """Check that sub reads every key given, and is given every key it
+    requires and exactly one equilibrium anchor."""
+    given = dict(zip(order, order))
+    if sub == "sweep" and "sweep.run" in typed:
+        # each case runs sweep.run on the other keys, a swept key in place
+        # of a plain one of the same name
+        sub = typed["sweep.run"]
+        given = {key.removeprefix("sweep.vary."): key for key in order if key != "sweep.run"}
+    for key, entry in _KEYS.items():
+        if sub in entry.required_by and key not in given:
             raise SchemaError(f"{key}: required by {sub!r} but missing")
-    if sub == "sweep":
-        # each case runs sweep.run on the other keys, with one value of each
-        # swept key; the cases check the rest
-        for key in order:
-            if key != "sweep.run":
-                _check_read(typed["sweep.run"], key, key.removeprefix("sweep.vary."))
-        return
-    for key in order:
-        _check_read(sub, key, key)
-    anchors = [k for k in order if k in _EQ_ANCHORS]
+    for target, key in given.items():
+        entry = _KEYS.get(target)
+        if entry is None or sub not in entry.required_by + entry.optional_for:
+            raise SchemaError(f"{key}: not read by {sub!r}")
+    anchors = [key for target, key in given.items() if target in _EQ_ANCHORS]
     if not anchors:
         raise SchemaError(
             "equilibrium.l_e: exactly one of equilibrium.l_e/equilibrium.f_pe is required"
@@ -264,19 +243,9 @@ def _check_required(sub: str, typed: dict, order: list):
         raise SchemaError(f"{anchors[-1]}: give only one equilibrium anchor")
 
 
-def _check_read(sub: str, key: str, target: str):
-    if target not in _REQUIRED[sub] and target not in _OPTIONAL[sub]:
-        raise SchemaError(f"{key}: not read by {sub!r}")
-
-
 def _resolve_point(typed: dict):
     params = PhysicalParams(
-        zeta=typed.get("params.zeta", 1.0),
-        L=typed.get("params.L", 1.0),
-        K_d=typed.get("params.K_d", 1.0),
-        B=typed.get("params.B", 1.0),
-        rho0=typed.get("params.rho0", 1.0),
-        V_eff=typed.get("params.V_eff", 1.0),
+        **{key.removeprefix("params."): v for key, v in typed.items() if key.startswith("params.")}
     )
     try:
         eq = solve_equilibrium(
@@ -378,7 +347,7 @@ def _sine_args(arg: str, key: str, substitute: float):
 def _grids(typed: dict, T: float):
     dt = typed.get("numerics.dt", 5e-3)
     dx = typed.get("numerics.dx", 1e-2)
-    n_x = max(2, int(round(1.0 / dx)) + 1)
+    n_x = round(1.0 / dx) + 1
     steps = T / dt
     if not (math.isfinite(steps) and (steps + 1.0) * n_x <= MAX_GRID_POINTS):
         raise SchemaError(
@@ -388,8 +357,7 @@ def _grids(typed: dict, T: float):
     cells = round(steps)
     if cells < 1 or abs(cells * dt - T) > 1e-9 * T:
         raise SchemaError(f"numerics.dt: {format_value(dt)} must divide mode.T={format_value(T)}")
-    n_t = cells + 1
-    return dt, dx, n_t, n_x
+    return dx, cells + 1, n_x
 
 
 def _out_dir(typed: dict) -> Path:
@@ -436,7 +404,7 @@ def cmd_equilibrium(typed: dict, base_dir: Path) -> int:
 def cmd_simulate(typed: dict, base_dir: Path) -> int:
     params, eq = _resolve_point(typed)
     T = typed["mode.T"]
-    _, dx, n_t, n_x = _grids(typed, T)
+    dx, n_t, n_x = _grids(typed, T)
     data = _cauchy_data(typed, params, eq, T, n_t, n_x, base_dir)
     method = typed.get("mode.method", "characteristics")
     if method == "characteristics":
@@ -465,7 +433,7 @@ def cmd_control(typed: dict, base_dir: Path) -> int:
 
     params, eq = _resolve_point(typed)
     T = typed["mode.T"]
-    dx, n_t, n_x = _grids(typed, T)[1:]
+    dx, n_t, n_x = _grids(typed, T)
     target = ControlTarget(
         l0=typed["data.l0"],
         l1=typed["data.l1"],
@@ -518,7 +486,7 @@ class _CheckFailure(ExtrusimError):
 def cmd_verify(typed: dict, base_dir: Path) -> int:
     params, eq = _resolve_point(typed)
     T = typed["mode.T"]
-    _, dx, n_t, n_x = _grids(typed, T)
+    dx, n_t, n_x = _grids(typed, T)
     failures = 0
 
     def report(name: str, fn):
@@ -583,11 +551,7 @@ def cmd_verify(typed: dict, base_dir: Path) -> int:
 
 def cmd_sweep(typed: dict, raw: dict, order: list, base_dir: Path) -> int:
     run_sub = typed["sweep.run"]
-    axes = [
-        (key[len("sweep.vary.") :], typed[key])
-        for key in order
-        if key.startswith("sweep.vary.")
-    ]
+    axes = [(k.removeprefix("sweep.vary."), typed[k]) for k in order if k.startswith("sweep.vary.")]
     total = math.prod(len(values) for _, values in axes)
     if total > MAX_SWEEP_CASES:
         longest = max(axes, key=lambda axis: len(axis[1]))[0]
@@ -600,9 +564,7 @@ def cmd_sweep(typed: dict, raw: dict, order: list, base_dir: Path) -> int:
     names = [key for key, _ in axes]
     grids = [values for _, values in axes]
     failures = 0
-    cases = 0
     for index, combo in enumerate(itertools.product(*grids)):
-        cases += 1
         case_raw = dict(base_raw)
         for key, value in zip(names, combo):
             # the shortest text that parses back to the value, "1" for 1.0
@@ -613,10 +575,7 @@ def cmd_sweep(typed: dict, raw: dict, order: list, base_dir: Path) -> int:
         config_text = "\n".join(f"{k}={case_raw[k]}" for k in sorted(case_raw)) + "\n"
         _write(case_dir / "config.txt", config_text)
         try:
-            case_typed, _, case_order = _parse_lines(
-                config_text.splitlines(), str(case_dir / "config.txt")
-            )
-            _check_required(run_sub, case_typed, case_order)
+            case_typed = _parse_lines(config_text.splitlines(), str(case_dir / "config.txt"))[0]
             code = _DISPATCH[run_sub](case_typed, base_dir)
         except SchemaError as exc:
             print(f"{case_dir.name}: config error: {exc}", file=sys.stderr)
@@ -629,7 +588,7 @@ def cmd_sweep(typed: dict, raw: dict, order: list, base_dir: Path) -> int:
         if code != 0:
             failures += 1
         print(f"{case_dir.name}: done")
-    print(f"{cases} cases, {failures} failed")
+    print(f"{total} cases, {failures} failed")
     return 3 if failures else 0
 
 
@@ -647,7 +606,7 @@ def run(argv) -> int:
         print(__doc__.partition("\n")[2])
         return 0
     sub = argv[0]
-    if sub not in COMMANDS:
+    if sub not in (*_DISPATCH, "sweep"):
         print(f"unknown subcommand {sub!r}\n{USAGE}", file=sys.stderr)
         return 2
     if len(argv) != 2:

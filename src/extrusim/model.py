@@ -208,6 +208,16 @@ def _g_partials(l, f_p1, params: PhysicalParams):
     return dg_dl, dg_df
 
 
+def eps1_bound(eq: EquilibriumPoint) -> float:
+    """Strict upper bound for the admissible deviation radius around eq."""
+    return float(min(eq.l_e, eq.params.L - eq.l_e, eq.f_pe, 1.0 - eq.f_pe))
+
+
+def eps1_radius(eq: EquilibriumPoint) -> float:
+    """Radius of the eps1 ball the solvers work in: a third of `eps1_bound`."""
+    return eps1_bound(eq) / 3.0
+
+
 def norm_F_box(params: PhysicalParams, eq: EquilibriumPoint, eps1: float) -> float:
     """Sampled bound for the W1-infinity size of F over an eps1 box.
 
@@ -220,7 +230,7 @@ def norm_F_box(params: PhysicalParams, eq: EquilibriumPoint, eps1: float) -> flo
     """
     if eps1 < 0.0:
         raise DomainError("eps1 must be nonnegative")
-    bound = min(eq.l_e, params.L - eq.l_e, eq.f_pe, 1.0 - eq.f_pe)
+    bound = eps1_bound(eq)
     if eps1 >= bound:
         raise DomainError(f"eps1={eps1} must stay below min(l_e, L-l_e, f_pe, 1-f_pe)={bound:.6g}")
     ls = np.linspace(eq.l_e - eps1, eq.l_e + eps1, F_BOX_SAMPLES)

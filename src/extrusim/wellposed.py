@@ -39,6 +39,7 @@ from .errors import (
 )
 from .fields import SampledFunction, SolutionField, SpaceProfile, field_norm, norm
 from .model import EquilibriumPoint, PhysicalParams, inflow_value, norm_F_box
+from .model import eps1_bound, eps1_radius  # noqa: F401  (callers import eps1_bound from here)
 from .quadrature import cumulative_integral
 
 COMPAT_TOL = 1e-10
@@ -133,16 +134,6 @@ class EstimateAudit:
     @property
     def ratio_fp(self) -> float:
         return self.dev_fp / self.eps
-
-
-def eps1_bound(eq: EquilibriumPoint) -> float:
-    """Strict upper bound for the admissible deviation radius around eq."""
-    return float(min(eq.l_e, eq.params.L - eq.l_e, eq.f_pe, 1.0 - eq.f_pe))
-
-
-def eps1_radius(eq: EquilibriumPoint) -> float:
-    """Radius of the eps1 ball the solvers work in: a third of `eps1_bound`."""
-    return eps1_bound(eq) / 3.0
 
 
 def _resample(sf: SampledFunction, t_start: float, t_end: float, n: int) -> SampledFunction:

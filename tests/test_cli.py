@@ -78,6 +78,50 @@ def _no_allocation(*args, **kwargs):
     raise AssertionError("grid arrays allocated before the grid cap was checked")
 
 
+_PARAMS = ("params.zeta", "params.L", "params.K_d", "params.B", "params.rho0", "params.V_eff")
+_ANCHORS = ("equilibrium.l_e", "equilibrium.f_pe")
+_GRIDS = ("numerics.dt", "numerics.dx")
+
+# keys each runnable subcommand requires, in the order a missing one is
+# reported, and the keys it may also set; every other key is not read
+_READS = {
+    "equilibrium": (("equilibrium.N_e",), (*_PARAMS, *_ANCHORS)),
+    "simulate": (
+        ("equilibrium.N_e", "data.l0", "data.f0_p", "data.F_in", "data.N", "mode.T"),
+        (*_PARAMS, *_ANCHORS, *_GRIDS, "mode.method", "mode.out"),
+    ),
+    "verify": (
+        ("equilibrium.N_e", "data.l0", "data.f0_p", "data.F_in", "data.N", "mode.T"),
+        (*_PARAMS, *_ANCHORS, *_GRIDS),
+    ),
+    "control": (
+        ("equilibrium.N_e", "data.l0", "data.l1", "data.f0_p", "data.f1_p", "mode.T", "mode.nu"),
+        (*_PARAMS, *_ANCHORS, *_GRIDS, "mode.out"),
+    ),
+}
+
+# a value that parses for every accepted key
+_VALID = {
+    **dict.fromkeys(_PARAMS, "1.0"),
+    "equilibrium.N_e": "1.0",
+    "equilibrium.l_e": "0.5",
+    "equilibrium.f_pe": "0.3",
+    "data.l0": "0.5",
+    "data.l1": "0.5",
+    "data.f0_p": "constant:eq",
+    "data.f1_p": "constant:eq",
+    "data.F_in": "constant:eq",
+    "data.N": "constant:eq",
+    "numerics.dt": "0.05",
+    "numerics.dx": "0.1",
+    "mode.T": "1.0",
+    "mode.nu": "0.01",
+    "mode.method": "upwind",
+    "mode.out": "out",
+    "sweep.run": "simulate",
+}
+
+
 class TestInvocation:
     def test_no_arguments_prints_usage(self, capsys):
         assert run([]) == 0
@@ -231,7 +275,7 @@ class TestSchemaErrors:
         # dx = 1 gives two nodes, so T/dt = MAX/2 - 1 steps fill the cap exactly
         steps = MAX_GRID_POINTS // 2 - 1
         typed = {"numerics.dt": 1.0, "numerics.dx": 1.0}
-        assert cli._grids(typed, float(steps))[2:] == (steps + 1, 2)
+        assert cli._grids(typed, float(steps))[1:] == (steps + 1, 2)
         with pytest.raises(SchemaError, match="numerics.dt"):
             cli._grids(typed, float(steps + 1))
 
@@ -401,6 +445,31 @@ class TestSchemaErrors:
         assert captured.err == f"config error: {key}: not read by {sub!r}\n"
         assert captured.out == ""
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("sub", sorted(_READS))
+    def test_key_matrix(self, tmp_path, capsys, monkeypatch, sub):
+        monkeypatch.setitem(cli._DISPATCH, sub, lambda typed, base_dir: 0)
+        required, optional = _READS[sub]
+        base = {key: _VALID[key] for key in (*required, "equilibrium.l_e")}
+
+        def outcome(mapping):
+            code = run([sub, write_cfg(tmp_path, "c.cfg", mapping)])
+            return code, capsys.readouterr().err
+
+        for key, value in _VALID.items():
+            mapping = dict(base)
+            if key in _ANCHORS:
+                del mapping["equilibrium.l_e"]
+            mapping[key] = value
+            if key in required or key in optional:
+                assert outcome(mapping) == (0, ""), key
+            else:
+                assert outcome(mapping) == (2, f"config error: {key}: not read by {sub!r}\n")
+        for i, key in enumerate(required):
+            missing = f"config error: {key}: required by {sub!r} but missing\n"
+            for dropped in ((key,), required[i:]):
+                mapping = {k: v for k, v in base.items() if k not in dropped}
+                assert outcome(mapping) == (2, missing)
 
     @pytest.mark.parametrize("key", ["mode.nu", "sweep.vary.mode.nu"])
     def test_sweep_key_its_subcommand_does_not_read(self, tmp_path, capsys, monkeypatch, key):
@@ -638,6 +707,49 @@ class TestSweepCommand:
         assert cli.MAX_SWEEP_CASES == 1000
         assert not (tmp_path / "sweep").exists()
 
+    @pytest.mark.parametrize(
+        "dropped,message",
+        [
+            ("mode.T", "mode.T: required by 'simulate' but missing"),
+            (
+                "equilibrium.l_e",
+                "equilibrium.l_e: exactly one of equilibrium.l_e/equilibrium.f_pe is required",
+            ),
+        ],
+        ids=["no-horizon", "no-anchor"],
+    )
+    def test_missing_key_fails_before_any_case(
+        self, tmp_path, capsys, monkeypatch, dropped, message
+    ):
+        monkeypatch.setitem(cli._DISPATCH, "simulate", _no_allocation)
+        mapping = base_simulate_cfg(tmp_path, out="sweep")
+        mapping["sweep.run"] = "simulate"
+        mapping["sweep.vary.data.l0"] = "0.48,0.5"
+        del mapping[dropped]
+        assert run(["sweep", write_cfg(tmp_path, "c.cfg", mapping)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"config error: {message}\n"
+        assert captured.out == ""
+        assert not (tmp_path / "sweep").exists()
+
+    @pytest.mark.parametrize(
+        "key,plain", [("mode.T", None), ("equilibrium.l_e", "0.5")], ids=["swept-only", "both"]
+    )
+    def test_swept_key_counts_once(self, tmp_path, capsys, monkeypatch, key, plain):
+        seen = []
+        monkeypatch.setitem(
+            cli._DISPATCH, "simulate", lambda typed, base_dir: seen.append(typed[key]) or 0
+        )
+        mapping = base_simulate_cfg(tmp_path, out="sweep")
+        mapping.pop(key)
+        if plain is not None:
+            mapping[key] = plain
+        mapping["sweep.run"] = "simulate"
+        mapping[f"sweep.vary.{key}"] = "0.4,0.6"
+        assert run(["sweep", write_cfg(tmp_path, "c.cfg", mapping)]) == 0
+        assert seen == [0.4, 0.6]
+        assert capsys.readouterr().out.endswith("2 cases, 0 failed\n")
+
     def test_sweeping_function_spec_rejected(self, tmp_path, capsys):
         mapping = base_simulate_cfg(tmp_path)
         mapping["sweep.run"] = "simulate"
@@ -670,10 +782,7 @@ class TestHelpText:
         assert run(["--help"]) == 0
         key_pattern = r"\b(?:params|equilibrium|data|numerics|mode|sweep)\.[\w<>.]*\w>?"
         named = set(re.findall(key_pattern, capsys.readouterr().out))
-        accepted = (
-            set(cli._FLOAT_KEYS) | set(cli._SPEC_KEYS) | set(cli._ENUM_KEYS) | set(cli._STR_KEYS)
-        )
-        assert named - {"sweep.vary.<key>"} == accepted
+        assert named - {"sweep.vary.<key>"} == set(cli._KEYS)
         assert "sweep.vary.<key>" in named
         for key in sorted(named - {"sweep.vary.<key>"}):
             try:

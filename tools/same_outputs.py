@@ -18,6 +18,15 @@ the sha256 of every output file (of every array, for regularity) are
 compared.  Each difference is printed, and the exit status is 1 if there is
 one.  Nothing under `perfbench/` is written.
 
+The `config` label runs a matrix of configs through `extrusim.cli.run`, all
+in one process per tree, on the coarse grids of `tests/test_cli.py`: the base
+config of each of the five subcommands (a sweep once with `sweep.run=simulate`
+and once with `sweep.run=control`) with one key dropped, or set to one value
+of that file's `_MUTATIONS` or of `SWEEP_MUTATIONS` below.  It runs in a
+temporary working directory, since `mode.out` defaults to `.`.  The path of
+that directory is replaced by `<work>` in the streams and in the output files
+before they are compared, and each differing config is printed.
+
 For each label the largest peak RSS of a run's process is printed for both
 trees, so that a change in memory shows over the whole pool and not only on
 the inputs that the benchmark seeds select.  It is read from the run's
@@ -40,6 +49,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 PERFBENCH = ROOT / "perfbench"
+TESTS = ROOT / "tests"
 
 sys.dont_write_bytecode = True
 sys.path.insert(0, str(PERFBENCH))
@@ -63,6 +73,26 @@ for name, arr in (
 ):
     arr = np.ascontiguousarray(arr)
     print(name, arr.dtype, arr.shape, hashlib.sha256(arr.tobytes()).hexdigest())
+"""
+
+
+# values of the sweep keys, set on every base config of the config matrix
+SWEEP_MUTATIONS = {
+    "sweep.run": ["simulate", "control", "verify"],
+    "sweep.vary.mode.T": ["0.5,1.0", "0.5,x"],
+    "sweep.vary.equilibrium.l_e": ["0.45,0.5"],
+    "sweep.vary.equilibrium.f_pe": ["0.3"],
+    "sweep.vary.mode.nu": ["0.01,0.02"],
+    "sweep.vary.data.f0_p": ["constant:eq"],
+}
+
+# runs the config matrix on the extrusim that PYTHONPATH names and prints the
+# outcomes as JSON
+CONFIG = """
+import sys
+sys.path[:0] = sys.argv[1:3]
+import same_outputs
+same_outputs.config_outcomes()
 """
 
 
@@ -143,6 +173,73 @@ def run_once(src: Path, work: Path, label: str, sub: str, params: dict) -> tuple
     return outcome, int(rss.read_text()) / 1024.0
 
 
+def config_matrix(work: Path):
+    """(name, subcommand, mapping) of every config of the `config` label."""
+    import test_cli
+
+    coarse = {"numerics.dt": "0.05", "numerics.dx": "0.1"}
+    bases = [("equilibrium", "equilibrium", test_cli.base_cfg("equilibrium", work))]
+    for sub in ("simulate", "verify", "control"):
+        bases.append((sub, sub, {**test_cli.base_cfg(sub, work), **coarse}))
+    for sub in ("simulate", "control"):
+        base = {**test_cli.base_cfg(sub, work), **coarse}
+        base.update({"sweep.run": sub, "sweep.vary.data.l0": "0.48,0.49"})
+        bases.append((f"sweep({sub})", "sweep", base))
+    mutations = {**test_cli._MUTATIONS, **SWEEP_MUTATIONS}
+    for label, sub, base in bases:
+        for key in dict.fromkeys([*base, *mutations]):
+            if key in base:
+                yield f"{label} drop {key}", sub, {k: v for k, v in base.items() if k != key}
+            for value in mutations.get(key, ()):
+                yield f"{label} {key}={value}", sub, {**base, key: value}
+
+
+def config_outcomes():
+    """Print the outcome of every config of `config_matrix`, run in the
+    working directory, as one JSON object."""
+    import contextlib
+    import io
+
+    from extrusim.cli import run
+
+    work = Path.cwd()
+    outcomes = {}
+    for name, sub, mapping in config_matrix(work):
+        cfg = work / "c.cfg"
+        cfg.write_text("".join(f"{k}={v}\n" for k, v in mapping.items()))
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+            code = run([sub, str(cfg)])
+        cfg.unlink()
+        files = {}
+        for path in sorted(p for p in work.rglob("*") if p.is_file()):
+            text = path.read_bytes().replace(bytes(work), b"<work>")
+            files[str(path.relative_to(work))] = hashlib.sha256(text).hexdigest()
+        for entry in work.iterdir():
+            if entry.is_dir():
+                shutil.rmtree(entry)
+            else:
+                entry.unlink()
+        outcomes[name] = {
+            "exit code": code,
+            **{k: v.getvalue().replace(str(work), "<work>") for k, v in
+               (("stdout", stdout), ("stderr", stderr))},
+            "files": files,
+        }
+    json.dump(outcomes, sys.stdout)
+
+
+def run_configs(src: Path, work: Path) -> dict:
+    """Outcomes of the config matrix on one tree, in a fresh process."""
+    env = dict(os.environ, PYTHONPATH=str(src), PYTHONDONTWRITEBYTECODE="1")
+    cwd = work / "config"
+    cwd.mkdir()
+    proc = subprocess.run([sys.executable, "-c", CONFIG, str(ROOT / "tools"), str(TESTS)],
+                          stdout=subprocess.PIPE, env=env, cwd=cwd, check=True)
+    shutil.rmtree(cwd)
+    return json.loads(proc.stdout)
+
+
 def main(argv) -> int:
     if len(argv) != 2:
         print(__doc__.strip().partition("\n\n")[2].partition("\n\n")[0], file=sys.stderr)
@@ -166,15 +263,26 @@ def main(argv) -> int:
                 differing += 1
                 keys = ", ".join(k for k in a if a[k] != b[k])
                 print(f"DIFF {label} {workloads.describe(params)}: {keys}", flush=True)
+        configs = [run_configs(tree, work) for tree in trees]
     total = sum(n for n, _ in counts.values())
     for label, (n, bad) in counts.items():
         rss_a, rss_b = peaks[label]
         print(f"{label}: {n - bad} of {n} runs identical; "
               f"largest peak RSS {rss_a:.1f} MB -> {rss_b:.1f} MB")
-    if differing:
-        print(f"{differing} of {total} runs differ")
+    configs_differing = 0
+    for name, a in configs[0].items():
+        b = configs[1][name]
+        if a != b:
+            configs_differing += 1
+            keys = ", ".join(k for k in a if a[k] != b[k])
+            print(f"DIFF config {name}: {keys} (exit {a['exit code']} -> {b['exit code']})")
+    n_configs = len(configs[0])
+    print(f"config: {n_configs - configs_differing} of {n_configs} configs identical")
+    if differing or configs_differing:
+        print(f"{differing} of {total} runs and {configs_differing} of {n_configs} configs differ")
         return 1
-    print(f"all {total} runs byte-identical (exit code, stdout, stderr, output sha256)")
+    print(f"all {total} runs and {n_configs} configs byte-identical "
+          "(exit code, stdout, stderr, output sha256)")
     return 0
 
 

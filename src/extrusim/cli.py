@@ -24,12 +24,12 @@ Blank lines and lines starting with ``#`` are skipped.  Keys:
       data.f0_p and data.f1_p in [0,1] and below 1 at x = 1
   numerics.dt numerics.dx
       step sizes of the output/replay grids (defaults 5e-3, 1e-2);
-      dt must divide mode.T and dx the unit interval, and the grid may
-      hold at most 10^7 points, (T/dt + 1) * (1/dx + 1); the upwind
-      march (simulate with mode.method=upwind, verify, and the replay of
-      control) keeps one row per CFL step, about
+      dt must divide mode.T and dx the unit interval (control: dx <= 0.5),
+      and the grid may hold at most 10^7 points, (T/dt + 1) * (1/dx + 1);
+      the upwind march (simulate with mode.method=upwind, verify, and the
+      replay of control) keeps one row per CFL step, about
       T * max alpha(0) / (0.9 * dx) steps, and steps * (1/dx + 1) may not
-      pass 10^7 either
+      pass 10^7 either; a march that outgrows this estimate stops, exit 3
   mode.T mode.nu mode.method mode.out
       horizon, control deviation budget, simulate method
       (characteristics|upwind), output directory (default ".")
@@ -58,7 +58,7 @@ import json
 import math
 import sys
 from collections.abc import Callable
-from dataclasses import fields
+from dataclasses import astuple, fields
 from pathlib import Path
 from typing import NamedTuple
 
@@ -67,16 +67,12 @@ import numpy as np
 from .errors import DomainError, ExtrusimError, SchemaError
 from .fields import SampledFunction, SpaceProfile, csv_text, format_value
 from .model import PhysicalParams, eval_g, solve_equilibrium
-from .oracle import UpwindConfig, simulate_upwind, upwind_step_estimate
+from .oracle import MAX_GRID_POINTS, UpwindConfig, simulate_upwind, upwind_step_estimate
 from .wellposed import CauchyData, solve_semiglobal
 
 USAGE = "usage: extrusim <equilibrium|simulate|control|verify|sweep> <config>"
 
 _SPEC_HEADS = ("constant", "linear", "sine-perturbation", "csv")
-
-# largest n_t * n_x an output or replay grid may have (8 bytes a value, so
-# 80 MB a field array); a finer dt or dx is a config error, not an allocation
-MAX_GRID_POINTS = 10**7
 
 # most cases one sweep may run; case directories are numbered case_000 to
 # case_999
@@ -220,7 +216,7 @@ def parse_config(path: Path):
 
 def _check_required(sub: str, typed: dict, order: list):
     """Check that sub reads every key given, and is given every key it
-    requires and exactly one equilibrium anchor."""
+    requires, exactly one equilibrium anchor and, for control, dx <= 0.5."""
     given = dict(zip(order, order))
     if sub == "sweep" and "sweep.run" in typed:
         # each case runs sweep.run on the other keys, a swept key in place
@@ -241,6 +237,9 @@ def _check_required(sub: str, typed: dict, order: list):
         )
     if len(anchors) > 1:
         raise SchemaError(f"{anchors[-1]}: give only one equilibrium anchor")
+    dx_key = given.get("numerics.dx")
+    if sub == "control" and dx_key and np.max(typed[dx_key]) > 0.5:
+        raise SchemaError(f"{dx_key}: control needs dx <= 0.5, three nodes for its W1inf norms")
 
 
 def _resolve_point(typed: dict):
@@ -371,13 +370,14 @@ def _write(path: Path, text: str):
         fh.write(text)
 
 
-def _check_march(data, T: float, cfg: UpwindConfig):
+def _check_march(l0: float, f0_p, N0: float, params, T: float, cfg: UpwindConfig):
     """Refuse an upwind march whose rows would overflow MAX_GRID_POINTS.
 
     The march stores one row per CFL step, and the step follows the speed,
-    not numerics.dt; the count is estimated from the speed at t = 0.
+    not numerics.dt; the count is estimated from the speed at t = 0, so a
+    march that would take long on few nodes fails before any solver runs.
     """
-    steps = upwind_step_estimate(data, T, cfg)
+    steps = upwind_step_estimate(l0, f0_p, N0, params, T, cfg)
     if steps * cfg.n_nodes > MAX_GRID_POINTS:
         raise SchemaError(
             f"numerics.dx: the upwind march to mode.T={format_value(T)} takes about "
@@ -406,17 +406,17 @@ def cmd_simulate(typed: dict, base_dir: Path) -> int:
     T = typed["mode.T"]
     dx, n_t, n_x = _grids(typed, T)
     data = _cauchy_data(typed, params, eq, T, n_t, n_x, base_dir)
-    method = typed.get("mode.method", "characteristics")
-    if method == "characteristics":
+    if typed.get("mode.method", "characteristics") == "characteristics":
         sol = solve_semiglobal(data, T, n_t=n_t, n_x=n_x)
-        t, l_vals, field = sol.l.grid, sol.l.values, sol.field
+        l, field = sol.l, sol.field
     else:
         cfg = UpwindConfig(dx=dx)
-        _check_march(data, T, cfg)
-        l_tr, field = simulate_upwind(data, T, cfg)
-        t = field.t_grid
-        l_vals = l_tr(t)
-    trace = csv_text("t,l,fp_at_1,N,F_in", t, l_vals, field.values[:, -1], data.N(t), data.F_in(t))
+        _check_march(data.l0, data.f0_p, data.N(0.0), params, T, cfg)
+        l, field = simulate_upwind(data, T, cfg)
+    # both solvers sample l on the field's time grid
+    t = field.t_grid
+    fp_at_1 = field.values[:, -1]
+    trace = csv_text("t,l,fp_at_1,N,F_in", t, l.values, fp_at_1, data.N(t), data.F_in(t))
     out = _out_dir(typed)
     _write(out / "trace.csv", trace)
     with open(out / "field.csv", "w", newline="\n") as fh:
@@ -424,6 +424,11 @@ def cmd_simulate(typed: dict, base_dir: Path) -> int:
     print(f"wrote {out / 'trace.csv'} ({t.size} rows)")
     print(f"wrote {out / 'field.csv'} ({t.size * field.x_grid.size} rows)")
     return 0
+
+
+# the fields of the synthesis report that control prints as its JSON summary
+_SUMMARY_FIELDS = ("iterations", "residual", "t0", "t1", "amplitude", "final_errors",
+                   "control_size")
 
 
 def cmd_control(typed: dict, base_dir: Path) -> int:
@@ -443,110 +448,77 @@ def cmd_control(typed: dict, base_dir: Path) -> int:
         nu=typed["mode.nu"],
     )
     # verify_control replays the controls with the upwind march from the
-    # target's initial state, screw at N_e and feed at f0_p(0); bound that
-    # march before synthesizing
-    feed0 = float(target.f0_p.values[0]) * params.rho0 * params.V_eff * eq.N_e
-    F_in = SampledFunction.constant(feed0, 0.0, T)
-    N = SampledFunction.constant(eq.N_e, 0.0, T)
-    _check_march(CauchyData(target.l0, target.f0_p, F_in, N, params, eq), T, UpwindConfig(dx=dx))
+    # target's initial state, screw at N_e; bound that march before synthesizing
+    _check_march(target.l0, target.f0_p, eq.N_e, params, T, UpwindConfig(dx=dx))
     report = synthesize(target, params, eq)
     cert = verify_control(target, report, params, eq, dx=dx, n_t=n_t, n_x=n_x)
     out = _out_dir(typed)
     controls = csv_text("t,N,F_in", report.N.grid, report.N.values, report.F_in.values)
     _write(out / "controls.csv", controls)
-    cert_fields = (
-        ("char_l_error", cert.char_l_error),
-        ("char_fp_error", cert.char_fp_error),
-        ("upwind_l_error", cert.upwind_l_error),
-        ("upwind_fp_error", cert.upwind_fp_error),
-        ("nfn_value", cert.nfn_value),
-        ("nfn_ratio", cert.nfn_ratio),
-    )
-    header = ",".join(name for name, _ in cert_fields)
-    _write(out / "certificate.csv", csv_text(header, *([v] for _, v in cert_fields)))
-    summary = {
-        "iterations": report.iterations,
-        "residual": report.residual,
-        "t0": report.t0,
-        "t1": report.t1,
-        "amplitude": report.amplitude,
-        "final_errors": list(report.final_errors),
-        "control_size": report.control_size,
-    }
+    header = ",".join(f.name for f in fields(cert))
+    _write(out / "certificate.csv", csv_text(header, *([v] for v in astuple(cert))))
+    summary = {name: getattr(report, name) for name in _SUMMARY_FIELDS}
     print(json.dumps(summary, sort_keys=True))
     print(f"wrote {out / 'controls.csv'} ({report.N.grid.size} rows)")
     print(f"wrote {out / 'certificate.csv'}")
     return 0
 
 
-class _CheckFailure(ExtrusimError):
-    """An invariant of the verify subcommand does not hold."""
+def _verdict(name: str, failure, detail: str | None = None) -> bool:
+    """Print the line of one verify check, FAIL and the failure if there is
+    one, else ok and the detail; returns whether the check failed."""
+    if failure is not None:
+        print(f"FAIL {name}: {failure}")
+    else:
+        print(f"ok {name}" + (f" ({detail})" if detail else ""))
+    return failure is not None
 
 
 def cmd_verify(typed: dict, base_dir: Path) -> int:
     params, eq = _resolve_point(typed)
     T = typed["mode.T"]
     dx, n_t, n_x = _grids(typed, T)
-    failures = 0
-
-    def report(name: str, fn):
-        nonlocal failures
-        try:
-            detail = fn()
-        except ExtrusimError as exc:
-            failures += 1
-            print(f"FAIL {name}: {exc}")
-            return
-        print(f"ok {name}" + (f" ({detail})" if detail else ""))
-
-    def check_identity():
-        residual = abs(eval_g(eq.l_e, eq.f_pe, params))
-        if residual > 1e-12:
-            raise _CheckFailure(f"equilibrium residual {residual:.3g}")
-        return f"residual {residual:.3g}"
-
     data = _cauchy_data(typed, params, eq, T, n_t, n_x, base_dir)
     upwind = UpwindConfig(dx=dx)
-    _check_march(data, T, upwind)
-    state = {}
-
-    def check_contraction():
+    _check_march(data.l0, data.f0_p, data.N(0.0), params, T, upwind)
+    residual = abs(eval_g(eq.l_e, eq.f_pe, params))
+    failed = _verdict(
+        "equilibrium-identity",
+        f"equilibrium residual {residual:.3g}" if residual > 1e-12 else None,
+        f"residual {residual:.3g}",
+    )
+    # a solver that raises fails the check it serves and ends the sequence,
+    # since the checks after it read its result
+    check = "fixed-point-contraction"
+    try:
         sol = solve_semiglobal(data, T, n_t=n_t, n_x=n_x)
-        state["sol"] = sol
-        worst = 0.0
-        for seg in sol.reports:
-            tail = seg.contraction_factors[1:]
-            if tail:
-                worst = max(worst, max(tail))
-        if worst > 0.5 + 1e-9:
-            raise _CheckFailure(f"contraction factor {worst:.3g} above 1/2")
-        return f"{len(sol.reports)} segments, worst factor {worst:.3g}"
-
-    def check_cross_validation():
-        sol = state["sol"]
+        worst = max([0.0, *(f for seg in sol.reports for f in seg.contraction_factors[1:])])
+        failed |= _verdict(
+            check,
+            f"contraction factor {worst:.3g} above 1/2" if worst > 0.5 + 1e-9 else None,
+            f"{len(sol.reports)} segments, worst factor {worst:.3g}",
+        )
+        check = "cross-validation"
         l_up, field_up = simulate_upwind(data, T, upwind)
-        state["upwind"] = field_up
         dev_l = float(np.max(np.abs(sol.l.values - l_up(sol.l.grid))))
         final_up = np.interp(sol.field.x_grid, field_up.x_grid, field_up.values[-1])
         dev_fp = float(np.max(np.abs(sol.field.values[-1] - final_up)))
-        if dev_l > 5e-3:
-            raise _CheckFailure(f"interface deviation {dev_l:.3g}")
-        if dev_fp > 5e-3:
-            raise _CheckFailure(f"final profile deviation {dev_fp:.3g}")
-        return f"interface {dev_l:.3g}, profile {dev_fp:.3g}"
-
-    def check_ranges():
-        state["sol"].field.check_unit_range()
-        state["upwind"].check_unit_range()
-        return None
-
-    report("equilibrium-identity", check_identity)
-    report("fixed-point-contraction", check_contraction)
-    if "sol" in state:
-        report("cross-validation", check_cross_validation)
-        if "upwind" in state:
-            report("ratio-range", check_ranges)
-    return 3 if failures else 0
+        failed |= _verdict(
+            check,
+            f"interface deviation {dev_l:.3g}" if dev_l > 5e-3
+            else f"final profile deviation {dev_fp:.3g}" if dev_fp > 5e-3
+            else None,
+            f"interface {dev_l:.3g}, profile {dev_fp:.3g}",
+        )
+        # solve_semiglobal refuses a field outside [0, 1]: only the upwind
+        # field is checked
+        check = "ratio-range"
+        field_up.check_unit_range()
+        _verdict(check, None)
+    except ExtrusimError as exc:
+        _verdict(check, exc)
+        return 3
+    return 3 if failed else 0
 
 
 def cmd_sweep(typed: dict, raw: dict, order: list, base_dir: Path) -> int:
@@ -561,33 +533,25 @@ def cmd_sweep(typed: dict, raw: dict, order: list, base_dir: Path) -> int:
         )
     base_raw = {k: v for k, v in raw.items() if not k.startswith("sweep.")}
     out_root = _out_dir(typed)
-    names = [key for key, _ in axes]
-    grids = [values for _, values in axes]
     failures = 0
-    for index, combo in enumerate(itertools.product(*grids)):
-        case_raw = dict(base_raw)
-        for key, value in zip(names, combo):
-            # the shortest text that parses back to the value, "1" for 1.0
-            case_raw[key] = repr(value).removesuffix(".0")
+    for index, combo in enumerate(itertools.product(*(values for _, values in axes))):
         case_dir = out_root / f"case_{index:03d}"
         case_dir.mkdir(parents=True, exist_ok=True)
-        case_raw["mode.out"] = str(case_dir)
+        # each swept value as the shortest text that parses back to it, "1" for 1.0
+        swept = {key: repr(value).removesuffix(".0") for (key, _), value in zip(axes, combo)}
+        case_raw = {**base_raw, **swept, "mode.out": str(case_dir)}
         config_text = "\n".join(f"{k}={case_raw[k]}" for k in sorted(case_raw)) + "\n"
         _write(case_dir / "config.txt", config_text)
         try:
             case_typed = _parse_lines(config_text.splitlines(), str(case_dir / "config.txt"))[0]
-            code = _DISPATCH[run_sub](case_typed, base_dir)
-        except SchemaError as exc:
-            print(f"{case_dir.name}: config error: {exc}", file=sys.stderr)
-            failures += 1
-            continue
+            # simulate and control return 0 or raise
+            _DISPATCH[run_sub](case_typed, base_dir)
         except ExtrusimError as exc:
-            print(f"{case_dir.name}: error: {exc}", file=sys.stderr)
+            kind = "config error" if isinstance(exc, SchemaError) else "error"
+            print(f"{case_dir.name}: {kind}: {exc}", file=sys.stderr)
             failures += 1
-            continue
-        if code != 0:
-            failures += 1
-        print(f"{case_dir.name}: done")
+        else:
+            print(f"{case_dir.name}: done")
     print(f"{total} cases, {failures} failed")
     return 3 if failures else 0
 

@@ -53,10 +53,10 @@ from .errors import (
     FeasibilityError,
 )
 from .fields import SampledFunction, SpaceProfile, norm
-from .model import EquilibriumPoint, PhysicalParams, _g_partials, eval_g, inflow_value
+from .model import EquilibriumPoint, PhysicalParams, _g_partials, eps1_radius, eval_g, inflow_value
 from .oracle import UpwindConfig, simulate_upwind
 from .quadrature import cumulative_integral
-from .wellposed import CauchyData, eps1_radius, solve_semiglobal
+from .wellposed import CauchyData, solve_semiglobal
 
 
 def critical_time(eq: EquilibriumPoint) -> float:

@@ -10,7 +10,8 @@ bought with grid refinement, not with scheme order.
 The Courant number is the module constant CFL.  The march keeps one row
 per CFL step, so its memory follows the step count, about
 T*max(alpha)/(CFL*dx), not the output grid;
-`upwind_step_estimate` gives that count before the march starts.  That
+`upwind_step_estimate` gives that count before the march starts, and the
+march stops once its rows hold more than MAX_GRID_POINTS values.  That
 memory is the list of rows plus one output array: uneven steps are
 resampled from the list a block of output rows at a time, with no copy of
 the rows as one array and no column copies, and each row is released once
@@ -35,6 +36,10 @@ MAX_PRINCIPLE_SLACK = 1e-12
 # Courant number of every march; in (0, 1], where the update is monotone
 CFL = 0.9
 
+# largest n_t * n_x an output grid or the rows of a march may have (8 bytes
+# a value, so 80 MB a field array)
+MAX_GRID_POINTS = 10**7
+
 # output rows interpolated at a time when uneven CFL steps are resampled
 RESAMPLE_BLOCK_ROWS = 64
 
@@ -57,15 +62,15 @@ class UpwindConfig:
         return round(1.0 / self.dx) + 1
 
 
-def upwind_step_estimate(data, T: float, cfg: UpwindConfig) -> float:
+def upwind_step_estimate(l0: float, f0_p, N0: float, params, T: float, cfg: UpwindConfig) -> float:
     """CFL steps of the march to T at the speed of t = 0: T*max alpha/(CFL*dx).
 
-    alpha_p is affine in x, so its maximum over [0, 1] sits at an end.  The
-    speed moves with the state, so this sizes the march before it starts
-    rather than bounding it.
+    The speed at t = 0 reads the interface l0, the outlet ratio f0_p(1) and
+    the screw speed N0.  alpha_p is affine in x, so its maximum over [0, 1]
+    sits at an end.  The speed moves with the state, so this sizes the march
+    before it starts; the march itself stops at MAX_GRID_POINTS.
     """
-    N0 = float(data.N(0.0))
-    alpha = eval_alpha_p(np.array([0.0, 1.0]), N0, float(data.l0), data.f0_p(1.0), data.params)
+    alpha = eval_alpha_p(np.array([0.0, 1.0]), float(N0), float(l0), f0_p(1.0), params)
     return T * float(alpha.max()) / (CFL * cfg.dx)
 
 
@@ -82,6 +87,8 @@ def simulate_upwind(data, T: float, cfg: UpwindConfig):
     array, never a column copy.  Each step carries the inflow's influence
     one node further, so row k has k + 1 inflow-driven nodes; the
     provenance mask is built from that count once the march is done.
+    A march whose rows would hold more than MAX_GRID_POINTS values stops
+    with a SchemeError.
     """
     if T <= 0.0:
         raise DomainError("horizon must be positive")
@@ -101,8 +108,15 @@ def simulate_upwind(data, T: float, cfg: UpwindConfig):
     ls = [l]
     lo = float(min(f.min(), data.inflow(0.0)))
     hi = float(max(f.max(), data.inflow(0.0)))
+    max_rows = MAX_GRID_POINTS // cfg.n_nodes
 
     while t < T - 1e-12 * T:
+        # one more step keeps len(rows) + 1 rows
+        if len(rows) >= max_rows:
+            raise SchemeError(
+                f"upwind march stopped at t={t:.6g}: {len(rows)} CFL steps on {cfg.n_nodes} "
+                f"nodes pass MAX_GRID_POINTS={MAX_GRID_POINTS}"
+            )
         b_out = float(f[-1])
         F = eval_F(l, N_now, b_out, params)
         alpha = transport_speed(x, N_now, l, F, params)

@@ -38,8 +38,7 @@ from .errors import (
     ResolutionError,
 )
 from .fields import SampledFunction, SolutionField, SpaceProfile, field_norm, norm
-from .model import EquilibriumPoint, PhysicalParams, inflow_value, norm_F_box
-from .model import eps1_bound, eps1_radius  # noqa: F401  (callers import eps1_bound from here)
+from .model import EquilibriumPoint, PhysicalParams, eps1_radius, inflow_value, norm_F_box
 from .quadrature import cumulative_integral
 
 COMPAT_TOL = 1e-10

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from extrusim import cli, control
+from extrusim import cli, control, oracle
 from extrusim.cli import MAX_GRID_POINTS, run
 from extrusim.errors import SchemaError
 from extrusim.fields import SolutionField
@@ -357,6 +357,69 @@ class TestSchemaErrors:
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize(
+        "key,spec,message",
+        [
+            ("data.f0_p", "constant:x", "expected a number or 'eq', got 'x'"),
+            ("data.N", "linear:eq,y", "expected a number or 'eq', got 'y'"),
+            ("data.f0_p", "sine-perturbation:eq", "sine-perturbation takes base,amp[,freq]"),
+            ("data.F_in", "sine-perturbation:eq,0,1,2", "sine-perturbation takes base,amp[,freq]"),
+            ("data.f0_p", "sine-perturbation:eq,a", "expected numeric amplitude/frequency"),
+            ("data.N", "sine-perturbation:eq,0.01,b", "expected numeric amplitude/frequency"),
+            ("data.f0_p", "csv:text.csv", "text.csv did not parse as a two-column CSV"),
+            ("data.f0_p", "csv:one_row.csv", "one_row.csv must hold two columns and at least two"),
+            ("data.N", "csv:three_columns.csv", "three_columns.csv must hold two columns"),
+            ("data.f0_p", "csv:uneven.csv", "coordinates in {tmp}/uneven.csv must be uniform"),
+            ("data.f0_p", "csv:half.csv", "profile coordinates must span [0, 1]"),
+            ("data.F_in", "csv:unit.csv", "time coordinates must span [0, 0.5]"),
+        ],
+    )
+    def test_malformed_spec_names_the_key(self, tmp_path, capsys, key, spec, message):
+        files = {
+            "text.csv": "x,fp\n0,a\n1,b\n",
+            "one_row.csv": "x,fp\n0,0.3\n",
+            "three_columns.csv": "t,N,F\n0,1,1\n0.5,1,1\n",
+            "uneven.csv": "x,fp\n0,0.3\n0.2,0.3\n1,0.3\n",
+            "half.csv": "x,fp\n0,0.3\n0.25,0.3\n0.5,0.3\n",
+            "unit.csv": "t,N\n0,1\n1,1\n",
+        }
+        for name, text in files.items():
+            (tmp_path / name).write_text(text)
+        mapping = base_simulate_cfg(tmp_path)
+        mapping[key] = spec
+        assert run(["simulate", write_cfg(tmp_path, "c.cfg", mapping)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: {key}: ") and err.count("\n") == 1
+        assert message.format(tmp=tmp_path) in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "sub,changes,key",
+        [
+            ("control", {"numerics.dx": "1.0"}, "numerics.dx"),
+            ("sweep", {"numerics.dx": "1.0"}, "numerics.dx"),
+            ("sweep", {"sweep.vary.numerics.dx": "0.5,1"}, "sweep.vary.numerics.dx"),
+        ],
+        ids=["control", "sweep", "swept"],
+    )
+    def test_control_needs_three_nodes(self, tmp_path, capsys, monkeypatch, sub, changes, key):
+        # the W1inf norms of the control's profiles need three samples
+        def unreachable(*args, **kwargs):
+            raise AssertionError("control ran on a grid of two nodes")
+
+        monkeypatch.setattr(control, "synthesize", unreachable)
+        mapping = base_control_cfg(tmp_path)
+        if sub == "sweep":
+            mapping.update({"sweep.run": "control", "sweep.vary.data.l0": "0.48,0.49"})
+        mapping.update(changes)
+        assert run([sub, write_cfg(tmp_path, "c.cfg", mapping)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == (
+            f"config error: {key}: control needs dx <= 0.5, three nodes for its W1inf norms\n"
+        )
+        assert captured.out == ""
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
         "key,spec",
         [
             ("data.f0_p", "constant:nan"),
@@ -567,6 +630,27 @@ class TestSimulateCommand:
         cfg = write_cfg(tmp_path, "c.cfg", mapping)
         assert run(["simulate", cfg]) == 0
 
+    def test_march_stops_at_the_grid_cap(self, tmp_path, capsys, monkeypatch):
+        # the speed at t = 0 sizes the march at about 2,222 CFL steps on 1001
+        # nodes, but the interface falls and the speed grows: uncapped, the
+        # march keeps about 29,700 rows before its step collapses at t = 0.106
+        assert cli.MAX_GRID_POINTS is oracle.MAX_GRID_POINTS
+        monkeypatch.setattr(oracle, "MAX_GRID_POINTS", 3_000_000)
+        mapping = base_simulate_cfg(tmp_path)
+        mapping.update({
+            "data.f0_p": "constant:0.9",
+            "data.F_in": "constant:0.9",
+            "numerics.dx": "0.001",
+            "numerics.dt": "0.005",
+            "mode.T": "0.15",
+            "mode.method": "upwind",
+        })
+        assert run(["simulate", write_cfg(tmp_path, "c.cfg", mapping)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: upwind march stopped at t=")
+        assert "2997 CFL steps on 1001 nodes pass MAX_GRID_POINTS=3000000" in err
+        assert not (tmp_path / "out").exists()
+
     def test_incompatible_corner_is_solver_error(self, tmp_path, capsys):
         mapping = base_simulate_cfg(tmp_path)
         mapping["data.f0_p"] = "constant:0.4"
@@ -636,6 +720,56 @@ class TestVerifyCommand:
         out = capsys.readouterr().out
         assert "ok fixed-point-contraction" in out
         assert "FAIL cross-validation: final profile deviation 0.01" in out
+
+    @pytest.mark.parametrize(
+        "changes,lines",
+        [
+            (
+                {"numerics.dt": "0.1"},
+                ["FAIL fixed-point-contraction: segment 0: contraction interval 0.06 fell below "
+                 "the grid step 0.1"],
+            ),
+            (
+                {"data.l0": "0.62"},
+                ["FAIL fixed-point-contraction: segment 0 on [0, 0.06]: iterate 1 left the "
+                 "eps1=0.111 ball"],
+            ),
+            (
+                {"data.N": "sine-perturbation:eq,0.5,3"},
+                [
+                    "ok fixed-point-contraction (9 segments, worst factor 0.0372)",
+                    "FAIL cross-validation: final profile deviation 0.0503",
+                    "ok ratio-range",
+                ],
+            ),
+            (
+                {"data.F_in": "sine-perturbation:eq,0.3,3", "numerics.dx": "0.5"},
+                [
+                    "ok fixed-point-contraction (9 segments, worst factor 0.0289)",
+                    "FAIL cross-validation: interface deviation 0.0106",
+                    "ok ratio-range",
+                ],
+            ),
+        ],
+        ids=["coarse-dt", "eps1-ball", "profile-deviation", "interface-deviation"],
+    )
+    def test_failed_check_lines(self, tmp_path, capsys, changes, lines):
+        # a solver that raises ends the checks; a deviation does not
+        mapping = {**base_verify_cfg(tmp_path), **changes}
+        assert run(["verify", write_cfg(tmp_path, "c.cfg", mapping)]) == 3
+        out = capsys.readouterr().out.splitlines()
+        assert out[0].startswith("ok equilibrium-identity (residual ")
+        assert out[1:] == lines
+
+    def test_march_cap_fails_cross_validation(self, tmp_path, capsys, monkeypatch):
+        # the march of the base config keeps about 57 rows of 51 nodes
+        monkeypatch.setattr(oracle, "MAX_GRID_POINTS", 2000)
+        assert run(["verify", write_cfg(tmp_path, "c.cfg", base_verify_cfg(tmp_path))]) == 3
+        out = capsys.readouterr().out.splitlines()
+        assert out[1].startswith("ok fixed-point-contraction")
+        assert out[2].startswith("FAIL cross-validation: upwind march stopped at t=")
+        assert out[2].endswith("39 CFL steps on 51 nodes pass MAX_GRID_POINTS=2000")
+        assert len(out) == 3
 
 
 class TestSweepCommand:
@@ -749,6 +883,22 @@ class TestSweepCommand:
         assert run(["sweep", write_cfg(tmp_path, "c.cfg", mapping)]) == 0
         assert seen == [0.4, 0.6]
         assert capsys.readouterr().out.endswith("2 cases, 0 failed\n")
+
+    def test_failed_cases_are_counted(self, tmp_path, capsys):
+        # l0 = 0.62 leaves the solver's eps1 ball; l0 = 1.5 lies outside the barrel
+        mapping = base_simulate_cfg(tmp_path, out="sweep")
+        mapping["sweep.run"] = "simulate"
+        mapping["sweep.vary.data.l0"] = "0.5,0.62,1.5"
+        assert run(["sweep", write_cfg(tmp_path, "c.cfg", mapping)]) == 3
+        captured = capsys.readouterr()
+        out = [line for line in captured.out.splitlines() if not line.startswith("wrote ")]
+        assert out == ["case_000: done", "3 cases, 2 failed"]
+        err = captured.err.splitlines()
+        assert err[0].startswith("case_001: error: segment 0 on [0, 0.06]: iterate 1 left")
+        assert err[1] == "case_002: config error: data.l0: must lie in (0, params.L=1)"
+        assert len(err) == 2
+        assert (tmp_path / "sweep" / "case_000" / "trace.csv").exists()
+        assert not (tmp_path / "sweep" / "case_001" / "trace.csv").exists()
 
     def test_sweeping_function_spec_rejected(self, tmp_path, capsys):
         mapping = base_simulate_cfg(tmp_path)

@@ -2,6 +2,8 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from extrusim import control
 from extrusim.characteristics import TraceContext, backtrace, backtrace_times, crossing_time_rk4
@@ -19,9 +21,8 @@ from extrusim.errors import (
     FeasibilityError,
 )
 from extrusim.fields import SampledFunction, SpaceProfile, norm
-from extrusim.model import PhysicalParams, eval_g, solve_equilibrium
+from extrusim.model import PhysicalParams, eps1_radius, eval_g, solve_equilibrium
 from extrusim.quadrature import cumulative_integral
-from extrusim.wellposed import eps1_radius
 
 UNIT = PhysicalParams()
 EQ = solve_equilibrium(UNIT, N_e=1.0, l_e=0.5)
@@ -381,6 +382,51 @@ class TestDeviationScaling:
             f"nFN ratio drifts {drift:.1%} under nu-halving "
             f"({ratio_full:.6g} -> {ratio_half:.6g}); bound 20%"
         )
+
+
+# a profile deviation a*wave(k*pi*x), wave sin or cos, whose W1inf norm is the
+# given share of 0.8*nu
+waves = st.tuples(
+    st.sampled_from(["sin", "cos"]),
+    st.integers(1, 3),
+    st.floats(0.05, 0.99),
+    st.sampled_from([1.0, -1.0]),
+)
+
+
+def near_target(offsets, profiles, nu):
+    """Target with the interface offsets and profile waves in shares of 0.8*nu."""
+    x = np.linspace(0.0, 1.0, 257)
+    devs = []
+    for wave, k, share, sign in profiles:
+        shape = SpaceProfile(getattr(np, wave)(k * np.pi * x))
+        devs.append(sign * share * 0.8 * nu / norm("W1inf", shape) * shape.values)
+    (d0, d1), (f0, f1) = offsets, devs
+    return ControlTarget(
+        l0=EQ.l_e + 0.8 * nu * d0,
+        l1=EQ.l_e + 0.8 * nu * d1,
+        f0_p=SpaceProfile(EQ.f_pe + f0),
+        f1_p=SpaceProfile(EQ.f_pe + f1),
+        T=1.0,
+        nu=nu,
+    )
+
+
+class TestExactControllability:
+    # exact controllability near the equilibrium: synthesis lands on every
+    # target in the 0.8*nu ball, and the control size is O(nu)
+    @settings(max_examples=16, deadline=None, derandomize=True)
+    @given(
+        offsets=st.tuples(st.floats(-0.99, 0.99), st.floats(-0.99, 0.99)),
+        profiles=st.tuples(waves, waves),
+    )
+    def test_synthesis_reaches_targets_near_equilibrium(self, offsets, profiles):
+        report = synthesize(near_target(offsets, profiles, NU), UNIT, EQ)
+        half = synthesize(near_target(offsets, profiles, NU / 2.0), UNIT, EQ)
+        assert max(report.final_errors) <= 1e-12
+        assert max(half.final_errors) <= 1e-12
+        ratio, ratio_half = report.control_size / NU, half.control_size / (NU / 2.0)
+        assert abs(ratio_half - ratio) <= 0.2 * ratio
 
 
 class TestOptions:

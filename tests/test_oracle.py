@@ -11,6 +11,7 @@ from extrusim.fields import SampledFunction, SolutionField, SpaceProfile
 from extrusim import model, oracle
 from extrusim.model import (
     PhysicalParams,
+    eps1_bound,
     eval_alpha_p,
     eval_F,
     inflow_value,
@@ -26,7 +27,7 @@ from extrusim.oracle import (
     simulate_upwind,
     upwind_step_estimate,
 )
-from extrusim.wellposed import CauchyData, eps1_bound, solve_semiglobal
+from extrusim.wellposed import CauchyData, solve_semiglobal
 
 UNIT = PhysicalParams()
 EQ = solve_equilibrium(UNIT, N_e=1.0, l_e=0.5)
@@ -370,7 +371,7 @@ class TestStepEstimate:
         data = make_data(lambda x: EQ.f_pe + 0.0 * np.asarray(x, float))
         cfg = UpwindConfig(dx=0.02)
         _, field = simulate_upwind(data, 0.3, cfg)
-        steps = upwind_step_estimate(data, 0.3, cfg)
+        steps = upwind_step_estimate(data.l0, data.f0_p, data.N(0.0), data.params, 0.3, cfg)
         assert field.t_grid.size - 1 == math.ceil(steps - 1e-9)
 
 

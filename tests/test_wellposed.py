@@ -17,6 +17,8 @@ from extrusim.errors import (
 from extrusim.fields import SampledFunction, SpaceProfile
 from extrusim.model import (
     PhysicalParams,
+    eps1_bound,
+    eps1_radius,
     eval_F,
     inflow_value,
     norm_F_box,
@@ -30,8 +32,6 @@ from extrusim.wellposed import (
     _resample,
     check_estimates,
     compute_delta,
-    eps1_bound,
-    eps1_radius,
     local_fixed_point,
     solve_semiglobal,
 )

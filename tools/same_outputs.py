@@ -22,7 +22,9 @@ The `config` label runs a matrix of configs through `extrusim.cli.run`, all
 in one process per tree, on the coarse grids of `tests/test_cli.py`: the base
 config of each of the five subcommands (a sweep once with `sweep.run=simulate`
 and once with `sweep.run=control`) with one key dropped, or set to one value
-of that file's `_MUTATIONS` or of `SWEEP_MUTATIONS` below.  It runs in a
+of that file's `_MUTATIONS` or of `SWEEP_MUTATIONS` below, and the verify
+configs of `VERIFY_FAILS`, which end in FAIL lines that no one-key change of
+the coarse verify config reaches.  It runs in a
 temporary working directory, since `mode.out` defaults to `.`.  The path of
 that directory is replaced by `<work>` in the streams and in the output files
 before they are compared, and each differing config is printed.
@@ -85,6 +87,17 @@ SWEEP_MUTATIONS = {
     "sweep.vary.mode.nu": ["0.01,0.02"],
     "sweep.vary.data.f0_p": ["constant:eq"],
 }
+
+# changes to the verify config of `tests/test_cli.py`, on its own grids, each
+# ending in a FAIL line of a kind that no one-key mutation gives
+VERIFY_FAILS = [
+    # cross-validation: final profile deviation
+    {"data.N": "sine-perturbation:eq,0.5,3"},
+    # cross-validation: interface deviation
+    {"data.F_in": "sine-perturbation:eq,0.3,3", "numerics.dx": "0.5"},
+    # fixed-point-contraction: the data at a junction is rejected
+    {"data.N": "sine-perturbation:eq,0.9,2"},
+]
 
 # runs the config matrix on the extrusim that PYTHONPATH names and prints the
 # outcomes as JSON
@@ -192,6 +205,9 @@ def config_matrix(work: Path):
                 yield f"{label} drop {key}", sub, {k: v for k, v in base.items() if k != key}
             for value in mutations.get(key, ()):
                 yield f"{label} {key}={value}", sub, {**base, key: value}
+    for changes in VERIFY_FAILS:
+        name = " ".join(f"{key}={value}" for key, value in changes.items())
+        yield f"verify(fine) {name}", "verify", {**test_cli.base_cfg("verify", work), **changes}
 
 
 def config_outcomes():

@@ -12,18 +12,22 @@ with a Simpson-type rule on the trace grid and evaluated anywhere with a
 C1 Hermite interpolant, which keeps the analytic derivative formulas for
 the origin maps consistent with finite differences of the traced origins.
 P and Q share the trace grid, so `TraceContext._PQ` reads both from one
-cell lookup and one Hermite basis, and each context keeps the pair at
-t_start, where every curve traced back to the initial axis ends.
+cell lookup and one Hermite basis.  At the grid's own node times P and Q
+are the stored node values, with no lookup; the pair at t_start, where
+every curve traced back to the initial axis ends, is the first of them.
 
-Origins come from one broadcasting solver, which reads P and Q once at
-the foot points.  The curve reaches the start of the interval at
-beta = xi(t_start; t, x), closed form, when that lies in [0, 1]; otherwise
-it left x = 0 at the tau solving Q(tau) = Q(t) - x*exp(P(t)).  Q is
-strictly increasing (every Hermite cell is checked against the
-Fritsch-Carlson monotone region), so `searchsorted` on its nodes finds the
-cell and safeguarded Newton steps on that cell's Hermite cubic give tau,
-each step reading Q and its slope from one lookup.  The crossing time of
-the inlet-corner characteristic at x = 1 comes from the same closed form.
+Origins come from one solver with two entries: `backtrace_batch` reads P
+and Q once at any foot points, and `backtrace_times`, for one x at the
+node times (the outlet of every Picard map), reads the nodes.  The curve
+reaches the start of the interval at beta = xi(t_start; t, x), closed
+form, when that lies in [0, 1]; otherwise it left x = 0 at the tau
+solving Q(tau) = Q(t) - x*exp(P(t)).  Q is strictly increasing (every
+Hermite cell is checked against the Fritsch-Carlson monotone region), so
+`searchsorted` on its nodes finds the cell and safeguarded Newton steps on
+that cell's Hermite cubic give tau, each step reading Q and its slope from
+one lookup.  The crossing time of the inlet-corner characteristic at x = 1
+comes from the same closed form, bracketed by the outlet node times, where
+P and Q are again the nodes.
 
 A classical Runge-Kutta integration of the same ODE, and a crossing time
 marched along it, are provided as independent routes for cross-checking
@@ -97,14 +101,14 @@ class TraceContext:
             ):
                 raise GridError("l, N, b must share one uniform grid")
         l, N, b = self.l.values, self.N.values, self.b.values
-        if (l <= 0.0).any() or (l >= self.params.L).any():
+        if not (l.min() > 0.0 and l.max() < self.params.L):
             raise DomainError("interface trace must stay inside (0, L)")
-        if (b < 0.0).any() or (b >= 1.0).any():
+        if not (b.min() >= 0.0 and b.max() < 1.0):
             raise DomainError("die ratio trace must stay inside [0, 1)")
-        if (N <= 0.0).any():
+        if not N.min() > 0.0:
             raise DomainError("screw speed trace must stay positive")
         # alpha_p is affine in x, so positivity on [0,1] reduces to x=0,1
-        if (self.params.zeta * N - self._F_nodes <= 0.0).any():
+        if not (self.params.zeta * N - self._F_nodes).min() > 0.0:
             raise DomainError("transport speed must stay positive up to x=1")
 
     @property
@@ -144,8 +148,9 @@ class TraceContext:
 
     @cached_property
     def _PQ_start(self) -> tuple:
-        """P and Q at t_start, where every curve traced to the initial axis ends."""
-        return self._PQ(self.t_start)
+        """P and Q at t_start, where every curve traced to the initial axis ends
+        (the first node, where the Hermite cubics take their node values)."""
+        return self._P.nodes[0], self._Q.nodes[0]
 
     def coefficients_at(self, sigma):
         """(A, B) of the characteristic ODE dxi/ds = A(s) - B(s)*xi at time(s) sigma."""
@@ -325,6 +330,15 @@ def _boundary_times(ts, xs, Pt, Qt, ctx: TraceContext) -> np.ndarray:
     return tau
 
 
+def _initial_origins(xs, Pt, Qt, ctx: TraceContext):
+    """(is_boundary, beta) of the characteristics through xs at the times where
+    P and Q are Pt and Qt; beta is 0 where the curve left through x = 0,
+    for the caller to fill in tau."""
+    xi0 = np.asarray(_xi_from(xs, Pt, Qt, *ctx._PQ_start), dtype=float)
+    is_boundary = xi0 < 0.0
+    return is_boundary, np.where(is_boundary, 0.0, np.maximum(xi0, 0.0))
+
+
 def _origins(ts, xs, ctx: TraceContext):
     """Trace the characteristics through (ts, xs) back to their origins.
 
@@ -343,9 +357,7 @@ def _origins(ts, xs, ctx: TraceContext):
     if not ((xs >= 0.0) & (xs <= 1.0)).all():
         raise DomainError("x must lie in [0, 1]")
     Pt, Qt = ctx._PQ(ts)
-    xi0 = np.asarray(_xi_from(xs, Pt, Qt, *ctx._PQ_start), dtype=float)
-    is_boundary = xi0 < 0.0
-    origin = np.where(is_boundary, 0.0, np.maximum(xi0, 0.0))
+    is_boundary, origin = _initial_origins(xs, Pt, Qt, ctx)
     if is_boundary.any():
         bnd = is_boundary
         # rebound, so that P and Q at the other foot points are freed
@@ -354,10 +366,28 @@ def _origins(ts, xs, ctx: TraceContext):
     return is_boundary, origin
 
 
-# public names of the one solver: a grid of foot points, or one foot point
-# over many times.  `backtrace` calls `_origins` directly, so that a wrapper
-# installed on a public name sees every origin once.
-backtrace_batch = backtrace_times = _origins
+# public name of the solver for any foot points.  `backtrace` calls
+# `_origins` directly, so that a wrapper installed on a public name sees
+# every origin once.
+backtrace_batch = _origins
+
+
+def backtrace_times(x: float, ctx: TraceContext):
+    """Origins of the characteristics through x at every node time of ctx.
+
+    At its own node times P and Q are the stored node values, so only the
+    origins on the inflow face take cell lookups, in their Newton steps.
+    This is the origin call of every solution map, at the outlet x = 1.
+    Returns (is_boundary, origin) as `backtrace_batch` does.
+    """
+    if not 0.0 <= x <= 1.0:
+        raise DomainError("x must lie in [0, 1]")
+    Pt, Qt = ctx._P.nodes, ctx._Q.nodes
+    is_boundary, origin = _initial_origins(x, Pt, Qt, ctx)
+    if is_boundary.any():
+        bnd = is_boundary
+        origin[bnd] = _boundary_times(ctx.l.grid[bnd], x, Pt[bnd], Qt[bnd], ctx)
+    return is_boundary, origin
 
 
 def backtrace(t: float, x: float, ctx: TraceContext) -> CharOrigin:
@@ -401,7 +431,8 @@ def crossing_time(ctx: TraceContext):
     """
     t_grid = ctx.l.grid
     P0, Q0 = ctx._PQ_start
-    is_bnd = np.asarray(_xi_from(1.0, *ctx._PQ(t_grid), P0, Q0)) < 0.0
+    # P and Q at the node times are the stored node values
+    is_bnd = _xi_from(1.0, ctx._P.nodes, ctx._Q.nodes, P0, Q0) < 0.0
     k = int(np.argmax(is_bnd))
     if not is_bnd[k]:
         return None

@@ -439,11 +439,19 @@ def cmd_control(typed: dict, base_dir: Path) -> int:
     params, eq = _resolve_point(typed)
     T = typed["mode.T"]
     dx, n_t, n_x = _grids(typed, T)
+    profiles = {}
+    for key in ("data.f0_p", "data.f1_p"):
+        values = _spec_samples(typed, key, eq.f_pe, n_x, base_dir)
+        # a csv spec brings its own samples; formula specs have n_x >= 3
+        if values.size < 3:
+            raise SchemaError(f"{key}: control needs three samples for its W1inf norms, "
+                              f"{typed[key]!r} gives {values.size}")
+        profiles[key] = SpaceProfile(values)
     target = ControlTarget(
         l0=typed["data.l0"],
         l1=typed["data.l1"],
-        f0_p=SpaceProfile(_spec_samples(typed, "data.f0_p", eq.f_pe, n_x, base_dir)),
-        f1_p=SpaceProfile(_spec_samples(typed, "data.f1_p", eq.f_pe, n_x, base_dir)),
+        f0_p=profiles["data.f0_p"],
+        f1_p=profiles["data.f1_p"],
         T=T,
         nu=typed["mode.nu"],
     )

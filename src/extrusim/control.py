@@ -214,7 +214,7 @@ def _candidate_field(T, a_vals, b_vals, N_vals, params):
         ctx = TraceContext(a_sf, n_sf, b_sf, params)
     except DomainError as exc:
         raise DivergenceError(f"candidate coefficients rejected: {exc}") from exc
-    is_bnd, origin = backtrace_times(ctx.l.grid, 1.0, ctx)
+    is_bnd, origin = backtrace_times(1.0, ctx)
     t0 = crossing_time(ctx)
     if t0 is None:
         raise FeasibilityError("the inlet-corner characteristic never reaches the outlet")

@@ -162,7 +162,7 @@ def _iterates(data: CauchyData, delta: float, n: int, initial):
         initial = (data.l0, float(data.f0_p.values[-1]))
     N_sf = _resample(data.N, 0.0, delta, n)
     # every iterate lives on the grid of N_sf
-    grid, dt = N_sf.grid, N_sf.dt
+    dt = N_sf.dt
     l_vals = np.full(n, float(initial[0]))
     b_vals = np.full(n, float(initial[1]))
     while True:
@@ -173,9 +173,10 @@ def _iterates(data: CauchyData, delta: float, n: int, initial):
             data.params,
         )
         l_next = data.l0 + cumulative_integral(ctx._F_nodes, dt)
-        # through this module's binding, so that a wrapper installed on it
-        # (perfbench/tracer.py) sees one call per map
-        is_boundary, origin = backtrace_times(grid, 1.0, ctx)
+        # outlet origins at the context's node times, P and Q from its nodes;
+        # called through this module's binding, so that a wrapper installed
+        # on it (perfbench/tracer.py) sees one call per map
+        is_boundary, origin = backtrace_times(1.0, ctx)
         b_next = _datum_at(data, is_boundary, origin)
         dist = float(max(np.abs(l_next - l_vals).max(), np.abs(b_next - b_vals).max()))
         yield ctx, l_next, b_next, dist
@@ -349,14 +350,18 @@ def solve_semiglobal(
         if i_hi < n_t - 1:
             junction_profile = SpaceProfile(values[i_hi].copy())
             l_junction = float(l_seg(l_seg.t_end))
-            seg_data = CauchyData(
-                l_junction,
-                junction_profile,
-                SampledFunction(0.0, T - t_grid[i_hi], F_in_g.values[i_hi:]),
-                SampledFunction(0.0, T - t_grid[i_hi], N_g.values[i_hi:]),
-                data.params,
-                eq,
-            )
+            try:
+                seg_data = CauchyData(
+                    l_junction,
+                    junction_profile,
+                    SampledFunction(0.0, T - t_grid[i_hi], F_in_g.values[i_hi:]),
+                    SampledFunction(0.0, T - t_grid[i_hi], N_g.values[i_hi:]),
+                    data.params,
+                    eq,
+                )
+            except (DomainError, CompatibilityError) as exc:
+                raise type(exc)(f"segment {len(reports)} at the junction "
+                                f"t={t_grid[i_hi]:.6g}: {exc}") from exc
         i_lo = i_hi
 
     field = SolutionField(t_grid, x_grid, values, provenance)

@@ -1,6 +1,8 @@
 """Characteristic tracing against the closed-form equilibrium picture and
 an independent Runge-Kutta integration on wavy coefficient traces."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -12,6 +14,7 @@ from extrusim.characteristics import (
     _origins,
     _rk4_span,
     _xi_closed,
+    _xi_from,
     backtrace,
     backtrace_batch,
     backtrace_times,
@@ -24,7 +27,7 @@ from extrusim.characteristics import (
 )
 from extrusim.errors import DivergenceError, DomainError, GridError
 from extrusim.fields import SampledFunction
-from extrusim.model import PhysicalParams, solve_equilibrium
+from extrusim.model import PhysicalParams, die_balance, solve_equilibrium
 from extrusim.quadrature import HermiteAntiderivative
 
 UNIT = PhysicalParams()
@@ -88,6 +91,35 @@ class TestTraceContext:
         mk = lambda v: SampledFunction.constant(v, 0.0, 1.0, 11)
         with pytest.raises(DomainError):
             TraceContext(mk(0.5), mk(-1.0), mk(0.3), UNIT)
+
+    @pytest.mark.parametrize(
+        "trace,value,message",
+        [
+            ("l", 0.0, "interface trace must stay inside (0, L)"),
+            ("l", 1.0, "interface trace must stay inside (0, L)"),
+            ("b", 1.0, "die ratio trace must stay inside [0, 1)"),
+            ("N", 0.0, "screw speed trace must stay positive"),
+        ],
+    )
+    def test_each_range_rejects_its_end_value(self, trace, value, message):
+        # one node of eleven sits on the excluded end of its range
+        values = {"l": np.full(11, 0.5), "N": np.ones(11), "b": np.full(11, 0.3)}
+        values[trace][7] = value
+        l, N, b = (SampledFunction(0.0, 1.0, values[name]) for name in ("l", "N", "b"))
+        with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+            TraceContext(l, N, b, UNIT)
+
+    def test_zero_speed_at_the_outlet_is_rejected(self):
+        # with K_d = 1e20 and b = 0 the die balance rounds to g = zeta, so
+        # zeta*N - F is exactly 0 on the outlet
+        params = PhysicalParams(K_d=1e20)
+        l = SampledFunction(0.0, 1.0, np.linspace(0.3, 0.7, 11))
+        N = SampledFunction.constant(1.0, 0.0, 1.0, 11)
+        b = SampledFunction.constant(0.0, 0.0, 1.0, 11)
+        speed = params.zeta * N.values - N.values * die_balance(l.values, b.values, params)
+        assert speed.min() == 0.0
+        with pytest.raises(DomainError, match=r"^transport speed must stay positive up to x=1$"):
+            TraceContext(l, N, b, params)
 
 
 class TestEquilibriumPicture:
@@ -256,7 +288,7 @@ class TestBatch:
             np.testing.assert_array_equal(row_b, is_boundary[i])
             np.testing.assert_array_equal(row_o, origin[i])
         for j, x in enumerate(xs):
-            col_b, col_o = backtrace_times(ts, float(x), ctx)
+            col_b, col_o = backtrace_batch(ts, float(x), ctx)
             np.testing.assert_array_equal(col_b, is_boundary[:, j])
             np.testing.assert_array_equal(col_o, origin[:, j])
 
@@ -354,6 +386,33 @@ class TestOriginRoundTrip:
         assert np.max(np.abs(landed - xs)) <= 1e-12
 
 
+class TestNodeTimeRoute:
+    """`backtrace_times` reads P and Q at the context's node times from the
+    stored nodes, where `backtrace_batch` evaluates the Hermite cubics; the
+    two differ in the last bits, so the origins agree to a few ulps."""
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(ctx=sine_contexts(), x=st.one_of(st.just(1.0), st.floats(0.0, 1.0)))
+    def test_matches_the_general_route(self, ctx, x):
+        is_boundary, origin = backtrace_times(x, ctx)
+        ref_boundary, ref_origin = backtrace_batch(ctx.l.grid, x, ctx)
+        # a curve within 1e-12 of the inlet corner may fall either way
+        xi0 = _xi_from(x, ctx._P.nodes, ctx._Q.nodes, *ctx._PQ_start)
+        clear = np.abs(xi0) > 1e-12
+        assert np.array_equal(is_boundary[clear], ref_boundary[clear])
+        same = is_boundary == ref_boundary
+        # ulps at the scale max(1, |origin|): over 400 contexts the gap
+        # reached 4.5 on the initial axis and 8 on the inflow face
+        ulp = np.spacing(np.maximum(1.0, np.abs(ref_origin[same])))
+        assert np.all(np.abs(origin[same] - ref_origin[same]) <= 16.0 * ulp)
+
+    def test_rejects_a_foot_point_off_the_strip(self):
+        ctx = wavy_ctx()
+        for x in (-1e-12, 1.0 + 1e-12):
+            with pytest.raises(DomainError, match=r"^x must lie in \[0, 1\]$"):
+                backtrace_times(x, ctx)
+
+
 def reference_hermite(H, t):
     """Value and slope of H at t by the clipped-index formula the one-lookup
     kernel replaced, kept here as the bit-for-bit reference."""
@@ -449,12 +508,12 @@ class TestOneLookupKernel:
         # broadcast form and the scalar route give the same bits
         ctx = shifted_wavy_ctx()
         grid = ctx.l.grid
-        is_boundary, origin = backtrace_times(grid, 1.0, ctx)
+        is_boundary, origin = backtrace_batch(grid, 1.0, ctx)
         assert is_boundary.any() and not is_boundary.all()
         wide_b, wide_o = backtrace_batch(grid, np.ones(grid.size), ctx)
         assert np.array_equal(wide_b, is_boundary) and np.array_equal(wide_o, origin)
         for part in (~is_boundary, is_boundary):
-            part_b, part_o = backtrace_times(grid[part], 1.0, ctx)
+            part_b, part_o = backtrace_batch(grid[part], 1.0, ctx)
             assert np.array_equal(part_b, is_boundary[part])
             assert np.array_equal(part_o, origin[part])
         for t, ib, ov in zip(grid[::8], is_boundary[::8], origin[::8]):

@@ -419,6 +419,32 @@ class TestSchemaErrors:
         assert captured.out == ""
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("key", ["data.f0_p", "data.f1_p"])
+    def test_control_needs_three_csv_samples(self, tmp_path, capsys, monkeypatch, key):
+        # a csv profile brings its own samples, whatever numerics.dx is
+        def unreachable(*args, **kwargs):
+            raise AssertionError("control synthesized from a profile of two samples")
+
+        monkeypatch.setattr(control, "synthesize", unreachable)
+        (tmp_path / "two.csv").write_text(f"x,fp\n0,{F_PE - 0.01!r}\n1,{F_PE - 0.01!r}\n")
+        mapping = base_control_cfg(tmp_path)
+        mapping[key] = "csv:two.csv"
+        assert run(["control", write_cfg(tmp_path, "c.cfg", mapping)]) == 2
+        captured = capsys.readouterr()
+        message = f"{key}: control needs three samples for its W1inf norms, 'csv:two.csv' gives 2"
+        assert captured.err == f"config error: {message}\n"
+        assert captured.out == ""
+        assert not (tmp_path / "out").exists()
+        # each case of a control sweep reads the same file and fails the same way
+        mapping.update({"sweep.run": "control", "sweep.vary.data.l0": "0.48,0.49"})
+        assert run(["sweep", write_cfg(tmp_path, "c.cfg", mapping)]) == 3
+        captured = capsys.readouterr()
+        assert captured.err.splitlines() == [
+            f"case_000: config error: {message}",
+            f"case_001: config error: {message}",
+        ]
+        assert captured.out.splitlines() == ["2 cases, 2 failed"]
+
     @pytest.mark.parametrize(
         "key,spec",
         [
@@ -750,8 +776,15 @@ class TestVerifyCommand:
                     "ok ratio-range",
                 ],
             ),
+            (
+                # N dips to 0.1, so the inflow ratio passes 1 and the field row
+                # at the end of segment 5 is no admissible Cauchy data
+                {"data.N": "sine-perturbation:eq,0.9,2"},
+                ["FAIL fixed-point-contraction: segment 6 at the junction t=0.36: initial "
+                 "profile must take values in [0,1] with f0_p(1) < 1"],
+            ),
         ],
-        ids=["coarse-dt", "eps1-ball", "profile-deviation", "interface-deviation"],
+        ids=["coarse-dt", "eps1-ball", "profile-deviation", "interface-deviation", "junction"],
     )
     def test_failed_check_lines(self, tmp_path, capsys, changes, lines):
         # a solver that raises ends the checks; a deviation does not

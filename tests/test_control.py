@@ -6,7 +6,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from extrusim import control
-from extrusim.characteristics import TraceContext, backtrace, backtrace_times, crossing_time_rk4
+from extrusim.characteristics import (
+    TraceContext,
+    backtrace,
+    backtrace_batch,
+    backtrace_times,
+    crossing_time_rk4,
+)
 from extrusim.control import (
     ControlTarget,
     critical_time,
@@ -244,7 +250,7 @@ class TestSynthesizeWide:
         assert rep.b_outlet.values[-1] == pytest.approx(tgt.f1_p(1.0), abs=1e-15)
         # before t0 the outlet shows the initial profile carried along the
         # characteristics of the accepted candidate
-        is_bnd, origin = backtrace_times(rep.b_outlet.grid, 1.0, report_context(rep))
+        is_bnd, origin = backtrace_times(1.0, report_context(rep))
         carried = tgt.f0_p(origin[~is_bnd])
         assert float(np.ptp(carried)) > 1e-3
         assert float(np.max(np.abs(rep.b_outlet.values[~is_bnd] - carried))) <= 1e-10
@@ -264,7 +270,7 @@ class TestLandmarkGeometry:
     def test_outlet_origins_monotone(self, ramp_report):
         ctx = TraceContext(ramp_report.l, ramp_report.N, ramp_report.b_outlet, UNIT)
         ts = np.linspace(ramp_report.t0 + 1e-6, 1.0, 400)
-        is_boundary, origins = backtrace_times(ts, 1.0, ctx)
+        is_boundary, origins = backtrace_batch(ts, 1.0, ctx)
         assert np.all(is_boundary)
         assert np.all(np.diff(origins) > 0.0)
         assert origins[0] >= 0.0

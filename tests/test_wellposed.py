@@ -171,7 +171,7 @@ def reference_picard(data, delta, n):
         l_sf = SampledFunction(0.0, delta, l_vals)
         ctx = TraceContext(l_sf, N_sf, SampledFunction(0.0, delta, b_vals), UNIT)
         F_vals = np.asarray(eval_F(l_vals, N_vals, b_vals, UNIT), dtype=float)
-        is_boundary, origin = backtrace_times(l_sf.grid, 1.0, ctx)
+        is_boundary, origin = backtrace_times(1.0, ctx)
         b_new = np.where(is_boundary, data.inflow(origin), data.f0_p(origin))
         return data.l0 + cumulative_integral(F_vals, l_sf.dt), b_new
 

@@ -16,7 +16,11 @@ run in a fresh Python process:
 A run writes to the same paths for both trees.  Exit code, stdout, stderr and
 the sha256 of every output file (of every array, for regularity) are
 compared.  Each difference is printed, and the exit status is 1 if there is
-one.  Nothing under `perfbench/` is written.
+one.  Nothing under `perfbench/` is written.  For an output file that
+differs, the largest absolute difference of each numeric CSV column (each
+array, for regularity) that differs is printed under it, with the count of
+entries that differ, so that a change in the last digit reads apart from a
+real one.
 
 The `config` label runs a matrix of configs through `extrusim.cli.run`, all
 in one process per tree, on the coarse grids of `tests/test_cli.py`: the base
@@ -49,6 +53,8 @@ import sys
 import tempfile
 from pathlib import Path
 
+import numpy as np
+
 ROOT = Path(__file__).resolve().parents[1]
 PERFBENCH = ROOT / "perfbench"
 TESTS = ROOT / "tests"
@@ -60,12 +66,14 @@ import workloads  # noqa: E402
 # one verify run for every VERIFY_STRIDE-th sim-char input: six of 27
 VERIFY_STRIDE = 5
 
+# prints the sha256 of each array and saves it to the directory argv[3]
 REGULARITY = """
-import hashlib, json, sys
+import hashlib, json, os, sys
 sys.path.insert(0, sys.argv[1])
 import numpy as np
 import workloads
 sol, f_px, f_pxx = workloads.RegularityWorkload(json.loads(sys.argv[2]), None).op()
+os.makedirs(sys.argv[3])
 for name, arr in (
     ("l", sol.l.values),
     ("f_p", sol.field.values),
@@ -75,6 +83,7 @@ for name, arr in (
 ):
     arr = np.ascontiguousarray(arr)
     print(name, arr.dtype, arr.shape, hashlib.sha256(arr.tobytes()).hexdigest())
+    np.save(os.path.join(sys.argv[3], name + ".npy"), arr)
 """
 
 
@@ -103,9 +112,10 @@ VERIFY_FAILS = [
 # outcomes as JSON
 CONFIG = """
 import sys
+from pathlib import Path
 sys.path[:0] = sys.argv[1:3]
 import same_outputs
-same_outputs.config_outcomes()
+same_outputs.config_outcomes(Path(sys.argv[3]))
 """
 
 
@@ -157,16 +167,19 @@ def sha_files(directory: Path) -> dict:
     }
 
 
-def run_once(src: Path, work: Path, label: str, sub: str, params: dict) -> tuple[dict, float]:
+def run_once(
+    src: Path, work: Path, label: str, sub: str, params: dict, keep: Path
+) -> tuple[dict, float]:
     """Outcome of one run in a fresh process (exit code, streams, output
-    digests) and the process's peak RSS in MB."""
+    digests) and the process's peak RSS in MB.  The output directory is
+    moved to keep, for `size_differences`."""
     env = dict(os.environ, PYTHONPATH=str(src), PYTHONDONTWRITEBYTECODE="1")
     for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
         env[var] = "1"
     out = work / "out"
     shutil.rmtree(out, ignore_errors=True)
     if sub == "regularity":
-        cmd = [sys.executable, "-c", REGULARITY, str(PERFBENCH), json.dumps(params)]
+        cmd = [sys.executable, "-c", REGULARITY, str(PERFBENCH), json.dumps(params), str(out)]
     else:
         cfg = work / "config.txt"
         cfg.write_text(config_text(label, params, out))
@@ -181,7 +194,9 @@ def run_once(src: Path, work: Path, label: str, sub: str, params: dict) -> tuple
         **{name: path.read_text() for name, path in streams.items()},
         "files": sha_files(out),
     }
-    shutil.rmtree(out, ignore_errors=True)
+    shutil.rmtree(keep, ignore_errors=True)
+    if out.is_dir():
+        out.rename(keep)
     # ru_maxrss is in KiB on Linux; MB as perfbench's peak_rss_mb counts them
     return outcome, int(rss.read_text()) / 1024.0
 
@@ -210,9 +225,10 @@ def config_matrix(work: Path):
         yield f"verify(fine) {name}", "verify", {**test_cli.base_cfg("verify", work), **changes}
 
 
-def config_outcomes():
+def config_outcomes(keep: Path):
     """Print the outcome of every config of `config_matrix`, run in the
-    working directory, as one JSON object."""
+    working directory, as one JSON object.  The files that the config
+    numbered n writes are moved to keep/n, for `size_differences`."""
     import contextlib
     import io
 
@@ -231,11 +247,10 @@ def config_outcomes():
         for path in sorted(p for p in work.rglob("*") if p.is_file()):
             text = path.read_bytes().replace(bytes(work), b"<work>")
             files[str(path.relative_to(work))] = hashlib.sha256(text).hexdigest()
+        dest = keep / str(len(outcomes))
+        dest.mkdir(parents=True)
         for entry in work.iterdir():
-            if entry.is_dir():
-                shutil.rmtree(entry)
-            else:
-                entry.unlink()
+            entry.rename(dest / entry.name)
         outcomes[name] = {
             "exit code": code,
             **{k: v.getvalue().replace(str(work), "<work>") for k, v in
@@ -245,15 +260,57 @@ def config_outcomes():
     json.dump(outcomes, sys.stdout)
 
 
-def run_configs(src: Path, work: Path) -> dict:
-    """Outcomes of the config matrix on one tree, in a fresh process."""
+def run_configs(src: Path, work: Path, keep: Path) -> dict:
+    """Outcomes of the config matrix on one tree, in a fresh process; the
+    files of each config are kept under keep."""
     env = dict(os.environ, PYTHONPATH=str(src), PYTHONDONTWRITEBYTECODE="1")
     cwd = work / "config"
     cwd.mkdir()
-    proc = subprocess.run([sys.executable, "-c", CONFIG, str(ROOT / "tools"), str(TESTS)],
-                          stdout=subprocess.PIPE, env=env, cwd=cwd, check=True)
+    proc = subprocess.run([sys.executable, "-c", CONFIG, str(ROOT / "tools"), str(TESTS),
+                           str(keep)], stdout=subprocess.PIPE, env=env, cwd=cwd, check=True)
     shutil.rmtree(cwd)
     return json.loads(proc.stdout)
+
+
+def numeric_columns(path: Path) -> dict:
+    """The numeric columns of a CSV file by header name, or a saved array."""
+    if path.suffix == ".npy":
+        return {"": np.load(path).astype(float)}
+    if path.suffix != ".csv":
+        return {}
+    header, *rows = path.read_text().splitlines()
+    cells = [row.split(",") for row in rows]
+    columns = {}
+    for j, name in enumerate(header.split(",")):
+        try:
+            columns[name] = np.array([row[j] for row in cells], dtype=float)
+        except (ValueError, IndexError):
+            continue  # text, such as a provenance tag
+    return columns
+
+
+def size_differences(dir_a: Path, dir_b: Path) -> list[str]:
+    """For each file under both directories whose bytes differ, one line per
+    numeric column or array that differs: the largest absolute difference
+    and the count of entries that differ."""
+    lines = []
+    for path_a in sorted(p for p in dir_a.rglob("*") if p.is_file()):
+        rel = path_a.relative_to(dir_a)
+        path_b = dir_b / rel
+        if not path_b.is_file() or path_a.read_bytes() == path_b.read_bytes():
+            continue
+        cols_b = numeric_columns(path_b)
+        for name, a in numeric_columns(path_a).items():
+            b = cols_b.get(name)
+            label = f"{rel} {name}".rstrip()
+            if b is None or a.shape != b.shape:
+                lines.append(f"  {label}: shape {a.shape} -> {None if b is None else b.shape}")
+                continue
+            differ = int(np.count_nonzero(a != b))
+            if differ:
+                lines.append(f"  {label}: largest |difference| {np.abs(a - b).max():.3g}, "
+                             f"{differ} of {a.size} differ")
+    return lines
 
 
 def main(argv) -> int:
@@ -268,8 +325,11 @@ def main(argv) -> int:
     counts, peaks, differing = {}, {}, 0
     with tempfile.TemporaryDirectory(prefix="same-outputs-") as tmp:
         work = Path(tmp)
+        keeps = [work / f"kept-{i}" for i in range(2)]
         for label, sub, params in runs():
-            (a, rss_a), (b, rss_b) = (run_once(tree, work, label, sub, params) for tree in trees)
+            (a, rss_a), (b, rss_b) = (
+                run_once(tree, work, label, sub, params, keep) for tree, keep in zip(trees, keeps)
+            )
             counts.setdefault(label, [0, 0])
             counts[label][0] += 1
             peak = peaks.setdefault(label, [0.0, 0.0])
@@ -278,20 +338,30 @@ def main(argv) -> int:
                 counts[label][1] += 1
                 differing += 1
                 keys = ", ".join(k for k in a if a[k] != b[k])
-                print(f"DIFF {label} {workloads.describe(params)}: {keys}", flush=True)
-        configs = [run_configs(tree, work) for tree in trees]
+                print(f"DIFF {label} {workloads.describe(params)}: {keys}")
+                for line in size_differences(*keeps):
+                    print(line)
+                sys.stdout.flush()
+        config_keeps = [work / f"config-kept-{i}" for i in range(2)]
+        configs = [run_configs(tree, work, keep) for tree, keep in zip(trees, config_keeps)]
+        # the sizes of each differing config, read while its files are kept
+        config_sizes = {
+            name: size_differences(*(keep / str(index) for keep in config_keeps))
+            for index, (name, a) in enumerate(configs[0].items())
+            if a != configs[1][name]
+        }
     total = sum(n for n, _ in counts.values())
     for label, (n, bad) in counts.items():
         rss_a, rss_b = peaks[label]
         print(f"{label}: {n - bad} of {n} runs identical; "
               f"largest peak RSS {rss_a:.1f} MB -> {rss_b:.1f} MB")
-    configs_differing = 0
-    for name, a in configs[0].items():
-        b = configs[1][name]
-        if a != b:
-            configs_differing += 1
-            keys = ", ".join(k for k in a if a[k] != b[k])
-            print(f"DIFF config {name}: {keys} (exit {a['exit code']} -> {b['exit code']})")
+    configs_differing = len(config_sizes)
+    for name, sizes in config_sizes.items():
+        a, b = configs[0][name], configs[1][name]
+        keys = ", ".join(k for k in a if a[k] != b[k])
+        print(f"DIFF config {name}: {keys} (exit {a['exit code']} -> {b['exit code']})")
+        for line in sizes:
+            print(line)
     n_configs = len(configs[0])
     print(f"config: {n_configs - configs_differing} of {n_configs} configs identical")
     if differing or configs_differing:

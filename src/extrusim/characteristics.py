@@ -17,17 +17,19 @@ are the stored node values, with no lookup; the pair at t_start, where
 every curve traced back to the initial axis ends, is the first of them.
 
 Origins come from one solver with two entries: `backtrace_batch` reads P
-and Q once at any foot points, and `backtrace_times`, for one x at the
-node times (the outlet of every Picard map), reads the nodes.  The curve
+and Q once at any foot points, at the foot times before they broadcast
+against the foot positions (so a column of row times against a row of x
+reads them once per row), and `backtrace_times`, for one x at the node
+times (the outlet of every Picard map), reads the nodes.  The curve
 reaches the start of the interval at beta = xi(t_start; t, x), closed
 form, when that lies in [0, 1]; otherwise it left x = 0 at the tau
 solving Q(tau) = Q(t) - x*exp(P(t)).  Q is strictly increasing (every
 Hermite cell is checked against the Fritsch-Carlson monotone region), so
 `searchsorted` on its nodes finds the cell and safeguarded Newton steps on
 that cell's Hermite cubic give tau, each step reading Q and its slope from
-one lookup.  The crossing time of the inlet-corner characteristic at x = 1
-comes from the same closed form, bracketed by the outlet node times, where
-P and Q are again the nodes.
+one lookup, for the roots that have not converged.  The crossing time of
+the inlet-corner characteristic at x = 1 comes from the same closed form,
+bracketed by the outlet node times, where P and Q are again the nodes.
 
 A classical Runge-Kutta integration of the same ODE, and a crossing time
 marched along it, are provided as independent routes for cross-checking
@@ -176,11 +178,21 @@ def _check_monotone(nodes: np.ndarray, slopes: np.ndarray, t0: float, dt: float)
     alpha + 2 beta <= 3, or alpha - (2 alpha + beta - 3)^2 / (3 (alpha +
     beta - 2)) >= 0.  The origin solver's `searchsorted` on the nodes of Q
     needs exactly that.
+
+    The region contains the square 0 <= alpha, beta <= 3 (Fritsch & Carlson's
+    sufficient condition), which smooth traces meet on every cell, so the
+    test first checks m_k > 0 and 0 <= q dt <= 3 (Q_{k+1} - Q_k) at both ends
+    of every cell, with no division, and returns when all hold.  Otherwise
+    the four clauses decide, and the first cell outside is reported.
     """
     inc = nodes[1:] - nodes[:-1]
+    ends = slopes * dt
+    cap = 3.0 * inc
+    if ends.min() >= 0.0 and ((inc > 0.0) & (ends[:-1] <= cap) & (ends[1:] <= cap)).all():
+        return
     with np.errstate(divide="ignore", invalid="ignore"):
-        alpha = slopes[:-1] * dt / inc
-        beta = slopes[1:] * dt / inc
+        alpha = ends[:-1] / inc
+        beta = ends[1:] / inc
     excess = alpha + beta - 2.0
     left = 2.0 * alpha + beta - 3.0
     inside = (
@@ -296,11 +308,15 @@ def crossing_time_rk4(ctx: TraceContext):
 def _boundary_times(ts, xs, Pt, Qt, ctx: TraceContext) -> np.ndarray:
     """Times tau at which the characteristics through (ts, xs) left x = 0.
 
-    Pt and Qt are P and Q at ts.  xi(tau; t, x) = 0 is
-    Q(tau) = Q(t) - x*exp(P(t)), and Q is strictly increasing, so its node
-    values locate the cell of each root.  Newton steps on that cell's
-    Hermite cubic start from the linear interpolant of the nodes; a step
-    that leaves the sign bracket falls back to its midpoint.
+    Pt and Qt are P and Q at ts, 1-d arrays (xs may be a scalar).
+    xi(tau; t, x) = 0 is Q(tau) = Q(t) - x*exp(P(t)), and Q is strictly
+    increasing, so its node values locate the cell of each root.  Newton
+    steps on that cell's Hermite cubic start from the linear interpolant of
+    the nodes; a step that leaves the sign bracket falls back to its
+    midpoint.  A root stops when its step moves it by at most 4e-16 (relative
+    above 1), or after 100 steps.  The steps run only on the roots still
+    moving, so each root's iterates are those of its own solve, whatever
+    else the batch holds.
     """
     Q = ctx._Q
     target = Qt - xs * np.exp(Pt)
@@ -310,20 +326,20 @@ def _boundary_times(ts, xs, Pt, Qt, ctx: TraceContext) -> np.ndarray:
     lo = np.minimum(Q.t0 + k * Q.dt, hi)
     frac = (target - Q.nodes[k]) / (Q.nodes[k + 1] - Q.nodes[k])
     tau = np.minimum(np.maximum(Q.t0 + (k + frac) * Q.dt, lo), hi)
-    # a converged point stops moving, so each tau is independent of the batch
-    done = np.zeros(tau.shape, dtype=bool)
+    # the moving roots: their places in tau, iterates, brackets and targets
+    live, t, goal = np.arange(tau.size), tau, target
     for _ in range(100):
-        cell, s = Q._cell(tau)
-        r = Q._value(cell, hermite_basis(s)) - target
-        lo = np.where(r < 0.0, tau, lo)
-        hi = np.where(r > 0.0, tau, hi)
-        new = tau - r / Q._slope(cell, s)
+        cell, s = Q._cell(t)
+        r = Q._value(cell, hermite_basis(s)) - goal
+        lo = np.where(r < 0.0, t, lo)
+        hi = np.where(r > 0.0, t, hi)
+        new = t - r / Q._slope(cell, s)
         new = np.where((new >= lo) & (new <= hi), new, 0.5 * (lo + hi))
-        new = np.where(done, tau, new)
-        done |= np.abs(new - tau) <= 4e-16 * np.maximum(1.0, np.abs(tau))
-        tau = new
-        if done.all():
+        moving = ~(np.abs(new - t) <= 4e-16 * np.maximum(1.0, np.abs(t)))
+        tau[live] = new
+        if not moving.any():
             break
+        live, t, lo, hi, goal = live[moving], new[moving], lo[moving], hi[moving], goal[moving]
     res = np.abs(_xi_from(xs, Pt, Qt, *ctx._PQ(tau))).max()
     if res > 1e-9:
         raise DivergenceError(f"origin solver left residual {res:.3g} at the boundary crossing")
@@ -349,14 +365,16 @@ def _origins(ts, xs, ctx: TraceContext):
     """
     ts = np.asarray(ts, dtype=float)
     xs = np.asarray(xs, dtype=float)
-    # a scalar x (one foot point over many times) broadcasts as it is
-    if xs.ndim:
-        ts, xs = np.broadcast_arrays(ts, xs)
     if not ((ts >= ctx.t_start - 1e-12) & (ts <= ctx.t_end + 1e-12)).all():
         raise DomainError(f"times outside context interval [{ctx.t_start}, {ctx.t_end}]")
     if not ((xs >= 0.0) & (xs <= 1.0)).all():
         raise DomainError("x must lie in [0, 1]")
+    # P and Q at the foot times as given: a (rows, 1) column of times reads
+    # them once per row, not once per point of the rows x xs batch
     Pt, Qt = ctx._PQ(ts)
+    # a scalar x (one foot point over many times) broadcasts as it is
+    if xs.ndim:
+        ts, xs, Pt, Qt = np.broadcast_arrays(ts, xs, Pt, Qt)
     is_boundary, origin = _initial_origins(xs, Pt, Qt, ctx)
     if is_boundary.any():
         bnd = is_boundary

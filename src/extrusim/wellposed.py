@@ -52,12 +52,31 @@ DELTA_SAFETY = 0.5
 PROBE_POINTS = 65
 
 
+def inflow_peak(F_in: SampledFunction, N: SampledFunction, params: PhysicalParams):
+    """Largest inflow ratio F_in/(rho0*V_eff*N) over the inputs' interval, and
+    the first time it is reached.
+
+    Between the joint nodes of the two piecewise-linear inputs the ratio is
+    a linear-fractional function of t with a positive denominator, so it is
+    monotone there and its maximum lies on a node.  N must be positive.
+    """
+    if (F_in.t_start, F_in.t_end, F_in.values.size) == (N.t_start, N.t_end, N.values.size):
+        t, f, n = None, F_in.values, N.values
+    else:
+        t = np.union1d(F_in.grid, N.grid)
+        f, n = F_in(t), N(t)
+    ratio = f / (params.rho0 * params.V_eff * n)
+    k = int(np.argmax(ratio))
+    return float(ratio[k]), F_in.t_start + k * F_in.dt if t is None else float(t[k])
+
+
 @dataclass(frozen=True)
 class CauchyData:
     """Initial interface position and profile plus the boundary inputs.
 
     Every instance is corner-compatible: the inflow ratio at the first
-    input time matches f0_p(0) to COMPAT_TOL.
+    input time matches f0_p(0) to COMPAT_TOL.  The inflow ratio, the
+    boundary value of f_p, stays below 1 on the whole input interval.
     """
 
     l0: float
@@ -77,6 +96,10 @@ class CauchyData:
             raise DomainError("screw speed input must stay positive")
         if np.any(self.F_in.values < 0.0):
             raise DomainError("feed rate input must be nonnegative")
+        peak, t_peak = inflow_peak(self.F_in, self.N, self.params)
+        if peak >= 1.0:
+            raise DomainError(f"inflow ratio F_in/(rho0*V_eff*N) reaches {peak:.6g} at "
+                              f"t={t_peak:.6g}; it must stay below 1")
         corner = inflow_value(self.F_in(self.F_in.t_start), self.N(self.N.t_start), self.params)
         if abs(corner - float(vals[0])) > COMPAT_TOL:
             raise CompatibilityError(

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from extrusim.characteristics import (
     TraceContext,
+    _boundary_times,
     _check_monotone,
     _origins,
     _rk4_span,
@@ -28,7 +29,7 @@ from extrusim.characteristics import (
 from extrusim.errors import DivergenceError, DomainError, GridError
 from extrusim.fields import SampledFunction
 from extrusim.model import PhysicalParams, die_balance, solve_equilibrium
-from extrusim.quadrature import HermiteAntiderivative
+from extrusim.quadrature import HermiteAntiderivative, hermite_basis
 
 UNIT = PhysicalParams()
 EQ = solve_equilibrium(UNIT, N_e=1.0, l_e=0.5)
@@ -349,6 +350,40 @@ class TestQMonotonicity:
                 inside = False
             assert inside == (low > 0.0), (alpha, beta)
 
+    @pytest.mark.parametrize("inc", [1.0, 0.1, 7.3])
+    def test_square_edges_pass(self, inc):
+        # the square 0 <= alpha, beta <= 3 lies in the region, so its edges
+        # and the points just inside them pass, each with slopes q dt tested
+        # against 3 (Q_{k+1} - Q_k) as given: at inc = 0.1, 3 * inc rounds
+        # up, so alpha reads 3.0000000000000004 after a division
+        top = 3.0 * inc
+        below = np.nextafter(top, 0.0)
+        ends = [0.0, 1e-300, 0.5 * top, below, top]
+        nodes = np.array([0.0, inc, 2.0 * inc])
+        for left in ends:
+            for right in ends:
+                _check_monotone(nodes, np.array([left, right, left]), 0.0, 1.0)
+
+    @pytest.mark.parametrize(
+        "alpha,beta,inside",
+        [
+            # past the square's corners (3, 0) and (0, 3) the region ends
+            (3.001, 0.0, False),
+            (0.0, 3.001, False),
+            # past its side alpha = 3 the ellipse clause still holds
+            (3.0 + 1e-9, 1.5, True),
+            (3.5, 1.0, True),
+            (-1e-300, 1.0, False),
+        ],
+    )
+    def test_points_off_the_square_take_the_four_clauses(self, alpha, beta, inside):
+        nodes, slopes = np.array([0.0, 1.0]), np.array([alpha, beta])
+        if inside:
+            _check_monotone(nodes, slopes, 0.0, 1.0)
+        else:
+            with pytest.raises(DivergenceError, match=r"^Q is not monotone on the cell at t=0: "):
+                _check_monotone(nodes, slopes, 0.0, 1.0)
+
 
 @st.composite
 def sine_contexts(draw):
@@ -559,3 +594,97 @@ class TestLookupCount:
         assert cells == 1 + newton + 1
         # the start cache holds: a second solve counts the same
         assert self.count(monkeypatch, ctx, ts, x) == (cells, newton, boundary)
+
+
+def reference_boundary_times(ts, xs, Pt, Qt, ctx, live=None):
+    """The Newton loop that runs every step on every root, converged or not,
+    kept as the bit-for-bit reference of `_boundary_times`.  When live is a
+    list, the count of roots not yet converged before each step is appended."""
+    Q = ctx._Q
+    target = Qt - xs * np.exp(Pt)
+    k = np.searchsorted(Q.nodes, target, side="right") - 1
+    k = np.minimum(np.maximum(k, 0), Q.nodes.size - 2)
+    hi = np.minimum(Q.t0 + (k + 1) * Q.dt, ts)
+    lo = np.minimum(Q.t0 + k * Q.dt, hi)
+    frac = (target - Q.nodes[k]) / (Q.nodes[k + 1] - Q.nodes[k])
+    tau = np.minimum(np.maximum(Q.t0 + (k + frac) * Q.dt, lo), hi)
+    done = np.zeros(tau.shape, dtype=bool)
+    for _ in range(100):
+        if live is not None:
+            live.append(int(np.count_nonzero(~done)))
+        cell, s = Q._cell(tau)
+        r = Q._value(cell, hermite_basis(s)) - target
+        lo = np.where(r < 0.0, tau, lo)
+        hi = np.where(r > 0.0, tau, hi)
+        new = tau - r / Q._slope(cell, s)
+        new = np.where((new >= lo) & (new <= hi), new, 0.5 * (lo + hi))
+        new = np.where(done, tau, new)
+        done |= np.abs(new - tau) <= 4e-16 * np.maximum(1.0, np.abs(tau))
+        tau = new
+        if done.all():
+            break
+    return tau
+
+
+def boundary_feet(ctx, ts, xs):
+    """(ts, xs, Pt, Qt) of the foot points of the ts x xs batch whose
+    characteristics left through x = 0, as 1-d arrays."""
+    t_b, x_b = np.broadcast_arrays(ts[:, None], xs)
+    P, Q = ctx._PQ(t_b)
+    bnd = _xi_from(x_b, P, Q, *ctx._PQ_start) < 0.0
+    return t_b[bnd], x_b[bnd], P[bnd], Q[bnd]
+
+
+class TestActiveNewton:
+    """Newton steps run only on the roots that have not converged, and P and
+    Q are read at the foot times before they broadcast against x; the
+    origins stay those of the loop over every root, bit for bit."""
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(ctx=sine_contexts(), n_t=st.integers(1, 9), n_x=st.integers(1, 12),
+           seed=st.integers(0, 2**32 - 1))
+    def test_roots_and_batches_are_bit_identical(self, ctx, n_t, n_x, seed):
+        rng = np.random.default_rng(seed)
+        # node times and times between them; x = 0 and 1 included
+        ts = np.concatenate([rng.choice(ctx.l.grid, n_t), rng.uniform(ctx.t_start, ctx.t_end, n_t)])
+        xs = np.concatenate([[0.0, 1.0], rng.uniform(0.0, 1.0, n_x)])
+        feet = boundary_feet(ctx, ts, xs)
+        if feet[0].size:
+            tau = _boundary_times(*feet, ctx)
+            assert np.array_equal(tau, reference_boundary_times(*feet, ctx))
+            # each root alone gives the same bits as in the batch
+            for i in rng.choice(tau.size, min(tau.size, 5), replace=False):
+                one = [a[i : i + 1] for a in feet]
+                assert np.array_equal(_boundary_times(*one, ctx), tau[i : i + 1])
+        is_boundary, origin = backtrace_batch(ts[:, None], xs, ctx)
+        assert origin.shape == (ts.size, xs.size)
+        for i, t in enumerate(ts):
+            for j, x in enumerate(xs):
+                o = backtrace(float(t), float(x), ctx)
+                assert o.is_initial != is_boundary[i, j] and o.value == origin[i, j]
+
+    def test_lookups_see_the_rows_and_then_the_moving_roots(self, monkeypatch):
+        ctx = shifted_wavy_ctx()
+        ts = ctx.l.grid[::4, None]
+        xs = np.linspace(0.0, 1.0, 33)
+        ctx._PQ_start  # filled once per context, not part of a solve
+        sizes = []
+        original = HermiteAntiderivative._cell
+
+        def counted(self, t):
+            sizes.append(np.size(t))
+            return original(self, t)
+
+        monkeypatch.setattr(HermiteAntiderivative, "_cell", counted)
+        is_boundary, _ = backtrace_batch(ts, xs, ctx)
+        monkeypatch.undo()
+        live = []
+        reference_boundary_times(*boundary_feet(ctx, ts[:, 0], xs), ctx, live)
+        boundary = int(np.count_nonzero(is_boundary))
+        # P and Q at the foot times: one lookup of the rows, not rows x xs
+        assert sizes[0] == ts.shape[0]
+        # one lookup per Newton step, of the roots still moving, and the
+        # residual check of every root
+        assert sizes[1:] == [*live, boundary]
+        assert live[0] == boundary and live[-1] < boundary
+        assert all(a >= b for a, b in zip(live, live[1:]))

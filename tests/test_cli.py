@@ -497,6 +497,46 @@ class TestSchemaErrors:
         assert err.startswith(f"config error: {key}: ")
         assert repr(spec) in err and err.count("\n") == 1
 
+    @pytest.mark.parametrize(
+        "sub,changes,peak",
+        [
+            # N dips to 0.1, so the ratio f_pe/N passes 1 on the way
+            ("simulate", {"data.N": "sine-perturbation:eq,0.9,2"}, "3.27517 at t=0.37"),
+            ("simulate", {"data.N": "sine-perturbation:eq,0.9,2", "mode.method": "upwind"},
+             "3.27517 at t=0.37"),
+            ("verify", {"data.N": "sine-perturbation:eq,0.9,2"}, "3.27517 at t=0.37"),
+            # a ratio of exactly 1 is rejected too
+            ("simulate", {"data.F_in": "linear:eq,1", "data.N": "constant:1"}, "1 at t=0.5"),
+            # a csv N on its own three samples: the peak is on its middle node
+            ("verify", {"data.N": "csv:dip.csv"}, "1.66667 at t=0.25"),
+        ],
+        ids=["simulate", "upwind", "verify", "exactly-one", "csv"],
+    )
+    def test_inflow_ratio_at_or_above_one_names_the_inputs(
+        self, tmp_path, capsys, monkeypatch, sub, changes, peak
+    ):
+        def unreachable(*args, **kwargs):
+            raise AssertionError("a solver ran on an inflow ratio above 1")
+
+        for name in ("solve_semiglobal", "simulate_upwind"):
+            monkeypatch.setattr(cli, name, unreachable)
+        (tmp_path / "dip.csv").write_text("t,N\n0,1\n0.25,0.2\n0.5,1\n")
+        mapping = {**base_cfg(sub, tmp_path), **changes}
+        assert run([sub, write_cfg(tmp_path, "c.cfg", mapping)]) == 2
+        captured = capsys.readouterr()
+        message = (f"config error: data.F_in, data.N: the inflow ratio F_in/(rho0*V_eff*N) "
+                   f"reaches {peak}; it must stay below 1")
+        assert captured.err == f"{message}\n"
+        assert captured.out == ""
+        assert not (tmp_path / "out").exists()
+        # each case of a sweep fails the same way
+        if sub == "simulate":
+            mapping.update({"sweep.run": "simulate", "sweep.vary.data.l0": "0.49,0.5"})
+            assert run(["sweep", write_cfg(tmp_path, "c.cfg", mapping)]) == 3
+            captured = capsys.readouterr()
+            assert captured.err.splitlines() == [f"case_000: {message}", f"case_001: {message}"]
+            assert captured.out.splitlines() == ["2 cases, 2 failed"]
+
     def test_spec_on_the_edge_of_its_range_passes(self, tmp_path):
         # a profile may touch 0 and 1 before x = 1, a feed rate may touch 0
         (tmp_path / "edge.csv").write_text("x,fp\n0,0\n0.5,1\n1,0.3\n")
@@ -748,20 +788,23 @@ class TestVerifyCommand:
         assert "FAIL cross-validation: final profile deviation 0.01" in out
 
     @pytest.mark.parametrize(
-        "changes,lines",
+        "changes,code,lines",
         [
             (
                 {"numerics.dt": "0.1"},
+                3,
                 ["FAIL fixed-point-contraction: segment 0: contraction interval 0.06 fell below "
                  "the grid step 0.1"],
             ),
             (
                 {"data.l0": "0.62"},
+                3,
                 ["FAIL fixed-point-contraction: segment 0 on [0, 0.06]: iterate 1 left the "
                  "eps1=0.111 ball"],
             ),
             (
                 {"data.N": "sine-perturbation:eq,0.5,3"},
+                3,
                 [
                     "ok fixed-point-contraction (9 segments, worst factor 0.0372)",
                     "FAIL cross-validation: final profile deviation 0.0503",
@@ -770,6 +813,7 @@ class TestVerifyCommand:
             ),
             (
                 {"data.F_in": "sine-perturbation:eq,0.3,3", "numerics.dx": "0.5"},
+                3,
                 [
                     "ok fixed-point-contraction (9 segments, worst factor 0.0289)",
                     "FAIL cross-validation: interface deviation 0.0106",
@@ -777,22 +821,25 @@ class TestVerifyCommand:
                 ],
             ),
             (
-                # N dips to 0.1, so the inflow ratio passes 1 and the field row
-                # at the end of segment 5 is no admissible Cauchy data
+                # N dips to 0.1, so the inflow ratio passes 1: a config error
+                # before any check
                 {"data.N": "sine-perturbation:eq,0.9,2"},
-                ["FAIL fixed-point-contraction: segment 6 at the junction t=0.36: initial "
-                 "profile must take values in [0,1] with f0_p(1) < 1"],
+                2,
+                [],
             ),
         ],
         ids=["coarse-dt", "eps1-ball", "profile-deviation", "interface-deviation", "junction"],
     )
-    def test_failed_check_lines(self, tmp_path, capsys, changes, lines):
+    def test_failed_check_lines(self, tmp_path, capsys, changes, code, lines):
         # a solver that raises ends the checks; a deviation does not
         mapping = {**base_verify_cfg(tmp_path), **changes}
-        assert run(["verify", write_cfg(tmp_path, "c.cfg", mapping)]) == 3
+        assert run(["verify", write_cfg(tmp_path, "c.cfg", mapping)]) == code
         out = capsys.readouterr().out.splitlines()
-        assert out[0].startswith("ok equilibrium-identity (residual ")
-        assert out[1:] == lines
+        if code == 2:
+            assert out == lines
+        else:
+            assert out[0].startswith("ok equilibrium-identity (residual ")
+            assert out[1:] == lines
 
     def test_march_cap_fails_cross_validation(self, tmp_path, capsys, monkeypatch):
         # the march of the base config keeps about 57 rows of 51 nodes

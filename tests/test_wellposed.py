@@ -74,6 +74,39 @@ class TestCauchyData:
         with pytest.raises(DomainError):
             CauchyData(0.5, f0, F_in, N, UNIT, EQ)
 
+    @pytest.mark.parametrize("n_N", [11, 7])
+    def test_inflow_ratio_must_stay_below_one(self, n_N):
+        # N falls linearly from 1 to 0.2 while F_in holds the equilibrium
+        # feed: the ratio passes 1 where N < f_pe, first on the node t = 0.9
+        f0 = SpaceProfile.constant(EQ.f_pe, 11)
+        F_in = SampledFunction.constant(EQ.f_pe, 0.0, 1.0, 11)
+        N = SampledFunction(0.0, 1.0, np.linspace(1.0, 0.2, n_N))
+        assert wellposed.inflow_peak(F_in, N, UNIT) == (EQ.f_pe / 0.2, 1.0)
+        with pytest.raises(DomainError, match=r"^inflow ratio F_in/\(rho0\*V_eff\*N\) "
+                                              r"reaches 1\.66667 at t=1; it must stay below 1$"):
+            CauchyData(0.5, f0, F_in, N, UNIT, EQ)
+        # a ratio of exactly 1 is rejected too, one just below it is not
+        for top in (1.0, np.nextafter(1.0, 0.0)):
+            F_top = SampledFunction(0.0, 1.0, np.r_[EQ.f_pe, top * np.ones(10)])
+            N_one = SampledFunction.constant(1.0, 0.0, 1.0, n_N)
+            assert wellposed.inflow_peak(F_top, N_one, UNIT) == (top, 0.1)
+            if top == 1.0:
+                with pytest.raises(DomainError, match=r"reaches 1 at t=0\.1;"):
+                    CauchyData(0.5, f0, F_top, N_one, UNIT, EQ)
+            else:
+                CauchyData(0.5, f0, F_top, N_one, UNIT, EQ)
+
+    def test_inflow_peak_between_unshared_nodes_lies_on_a_node(self):
+        # N on 5 nodes, F_in on 4: the ratio of the two piecewise-linear
+        # inputs is largest on a node of one of them
+        F_in = SampledFunction(0.0, 1.0, np.array([0.30, 0.45, 0.20, 0.35]))
+        N = SampledFunction(0.0, 1.0, np.array([1.0, 0.6, 1.2, 0.5, 0.9]))
+        peak, t_peak = wellposed.inflow_peak(F_in, N, UNIT)
+        fine = np.linspace(0.0, 1.0, 120_001)
+        ratio = F_in(fine) / N(fine)
+        assert peak == pytest.approx(ratio.max(), rel=1e-12)
+        assert t_peak in np.union1d(F_in.grid, N.grid)
+
 
 class TestEps1Bound:
     def test_unit_equilibrium(self):

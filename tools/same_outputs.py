@@ -27,8 +27,8 @@ in one process per tree, on the coarse grids of `tests/test_cli.py`: the base
 config of each of the five subcommands (a sweep once with `sweep.run=simulate`
 and once with `sweep.run=control`) with one key dropped, or set to one value
 of that file's `_MUTATIONS` or of `SWEEP_MUTATIONS` below, and the verify
-configs of `VERIFY_FAILS`, which end in FAIL lines that no one-key change of
-the coarse verify config reaches.  It runs in a
+configs of `VERIFY_FAILS`, which end in FAIL lines or config errors that no
+one-key change of the coarse verify config reaches.  It runs in a
 temporary working directory, since `mode.out` defaults to `.`.  The path of
 that directory is replaced by `<work>` in the streams and in the output files
 before they are compared, and each differing config is printed.
@@ -98,13 +98,13 @@ SWEEP_MUTATIONS = {
 }
 
 # changes to the verify config of `tests/test_cli.py`, on its own grids, each
-# ending in a FAIL line of a kind that no one-key mutation gives
+# ending in a FAIL line or config error of a kind that no one-key mutation gives
 VERIFY_FAILS = [
     # cross-validation: final profile deviation
     {"data.N": "sine-perturbation:eq,0.5,3"},
     # cross-validation: interface deviation
     {"data.F_in": "sine-perturbation:eq,0.3,3", "numerics.dx": "0.5"},
-    # fixed-point-contraction: the data at a junction is rejected
+    # the inflow ratio passes 1: a config error (exit 2) before any check
     {"data.N": "sine-perturbation:eq,0.9,2"},
 ]
 

@@ -68,7 +68,7 @@ from .errors import DomainError, ExtrusimError, SchemaError
 from .fields import SampledFunction, SpaceProfile, csv_text, format_value
 from .model import PhysicalParams, eval_g, solve_equilibrium
 from .oracle import MAX_GRID_POINTS, UpwindConfig, simulate_upwind, upwind_step_estimate
-from .wellposed import CauchyData, inflow_peak, solve_semiglobal
+from .wellposed import CauchyData, solve_semiglobal
 
 USAGE = "usage: extrusim <equilibrium|simulate|control|verify|sweep> <config>"
 
@@ -391,12 +391,12 @@ def _cauchy_data(typed: dict, params, eq, T: float, n_t: int, n_x: int, base_dir
     feed_eq = eq.f_pe * params.rho0 * params.V_eff * eq.N_e
     F_in = SampledFunction(0.0, T, _spec_samples(typed, "data.F_in", feed_eq, n_t, base_dir, T))
     N = SampledFunction(0.0, T, _spec_samples(typed, "data.N", eq.N_e, n_t, base_dir, T))
-    # the inflow ratio is the boundary value of f_p, so it must stay below 1
-    peak, t_peak = inflow_peak(F_in, N, params)
-    if peak >= 1.0:
-        raise SchemaError(f"data.F_in, data.N: the inflow ratio F_in/(rho0*V_eff*N) reaches "
-                          f"{peak:.6g} at t={t_peak:.6g}; it must stay below 1")
-    return CauchyData(typed["data.l0"], f0, F_in, N, params, eq)
+    # the spec ranges and _resolve_point leave one DomainError to CauchyData:
+    # an inflow ratio F_in/(rho0*V_eff*N) at or above 1
+    try:
+        return CauchyData(typed["data.l0"], f0, F_in, N, params, eq)
+    except DomainError as exc:
+        raise SchemaError(f"data.F_in, data.N: {exc}") from None
 
 
 def cmd_equilibrium(typed: dict, base_dir: Path) -> int:

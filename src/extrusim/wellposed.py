@@ -60,14 +60,12 @@ def inflow_peak(F_in: SampledFunction, N: SampledFunction, params: PhysicalParam
     a linear-fractional function of t with a positive denominator, so it is
     monotone there and its maximum lies on a node.  N must be positive.
     """
-    if (F_in.t_start, F_in.t_end, F_in.values.size) == (N.t_start, N.t_end, N.values.size):
-        t, f, n = None, F_in.values, N.values
-    else:
-        t = np.union1d(F_in.grid, N.grid)
-        f, n = F_in(t), N(t)
-    ratio = f / (params.rho0 * params.V_eff * n)
-    k = int(np.argmax(ratio))
-    return float(ratio[k]), F_in.t_start + k * F_in.dt if t is None else float(t[k])
+    # the joint nodes, unsorted: a first np.sort or np.union1d in the
+    # process pages in sort code (np.union1d imports numpy.ma too)
+    t = np.concatenate((F_in.grid, N.grid))
+    ratio = F_in(t) / (params.rho0 * params.V_eff * N(t))
+    peak = ratio.max()
+    return float(peak), float(t[ratio == peak].min())
 
 
 @dataclass(frozen=True)

@@ -524,7 +524,7 @@ class TestSchemaErrors:
         mapping = {**base_cfg(sub, tmp_path), **changes}
         assert run([sub, write_cfg(tmp_path, "c.cfg", mapping)]) == 2
         captured = capsys.readouterr()
-        message = (f"config error: data.F_in, data.N: the inflow ratio F_in/(rho0*V_eff*N) "
+        message = (f"config error: data.F_in, data.N: inflow ratio F_in/(rho0*V_eff*N) "
                    f"reaches {peak}; it must stay below 1")
         assert captured.err == f"{message}\n"
         assert captured.out == ""

@@ -326,6 +326,28 @@ class TestSemiglobal:
         expected = np.array([data.inflow(t) for t in tg[1:]])
         assert np.max(np.abs(sol.field.values[1:, 0] - expected)) <= 1e-9
 
+    @pytest.mark.parametrize("error", [DomainError, CompatibilityError])
+    def test_rejected_junction_names_its_segment_and_time(self, monkeypatch, error):
+        # no admissible input is known to reach this, so the first junction's
+        # CauchyData, the second built, is made to fail: the message gains
+        # the segment and time
+        built = []
+
+        def reject_junction(*args):
+            built.append(args)
+            if len(built) == 2:
+                raise error("junction data rejected")
+            return CauchyData(*args)
+
+        data = sine_data(0.0)
+        t_junction = solve_semiglobal(data, 2.0).reports[0].delta
+        monkeypatch.setattr(wellposed, "CauchyData", reject_junction)
+        with pytest.raises(error) as info:
+            solve_semiglobal(data, 2.0)
+        message = f"segment 1 at the junction t={t_junction:.6g}: junction data rejected"
+        assert str(info.value) == message
+        assert type(info.value.__cause__) is error
+
     def test_provenance_tracks_the_separating_characteristic(self):
         data = sine_data(0.01)
         sol = solve_semiglobal(data, 1.0)

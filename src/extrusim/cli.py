@@ -56,6 +56,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import os
 import sys
 from collections.abc import Callable
 from dataclasses import astuple, fields
@@ -359,9 +360,21 @@ def _grids(typed: dict, T: float):
     return dx, cells + 1, n_x
 
 
-def _out_dir(typed: dict) -> Path:
+def _out_path(typed: dict) -> Path:
+    """The directory mode.out names, checked before any solver runs: it, or
+    else the nearest of its parents that exists, must be a directory."""
     out = Path(typed.get("mode.out", "."))
-    out.mkdir(parents=True, exist_ok=True)
+    existing = next((p for p in (out, *out.parents) if os.path.exists(p)), out)
+    if not os.path.isdir(existing):
+        raise SchemaError(f"mode.out: {existing} is not a directory")
+    return out
+
+
+def _make_dir(out: Path) -> Path:
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise SchemaError(f"mode.out: cannot make {out}: {exc.strerror or exc}") from None
     return out
 
 
@@ -407,6 +420,7 @@ def cmd_equilibrium(typed: dict, base_dir: Path) -> int:
 
 
 def cmd_simulate(typed: dict, base_dir: Path) -> int:
+    out = _out_path(typed)
     params, eq = _resolve_point(typed)
     T = typed["mode.T"]
     dx, n_t, n_x = _grids(typed, T)
@@ -422,9 +436,9 @@ def cmd_simulate(typed: dict, base_dir: Path) -> int:
     t = field.t_grid
     fp_at_1 = field.values[:, -1]
     trace = csv_text("t,l,fp_at_1,N,F_in", t, l.values, fp_at_1, data.N(t), data.F_in(t))
-    out = _out_dir(typed)
+    _make_dir(out)
     _write(out / "trace.csv", trace)
-    with open(out / "field.csv", "w", newline="\n") as fh:
+    with open(out / "field.csv", "wb") as fh:
         field.write_csv(fh, header="t,x,fp,provenance")
     print(f"wrote {out / 'trace.csv'} ({t.size} rows)")
     print(f"wrote {out / 'field.csv'} ({t.size * field.x_grid.size} rows)")
@@ -441,6 +455,7 @@ def cmd_control(typed: dict, base_dir: Path) -> int:
     # importing it is a measurable share of start-up
     from .control import ControlTarget, synthesize, verify_control
 
+    out = _out_path(typed)
     params, eq = _resolve_point(typed)
     T = typed["mode.T"]
     dx, n_t, n_x = _grids(typed, T)
@@ -465,7 +480,7 @@ def cmd_control(typed: dict, base_dir: Path) -> int:
     _check_march(target.l0, target.f0_p, eq.N_e, params, T, UpwindConfig(dx=dx))
     report = synthesize(target, params, eq)
     cert = verify_control(target, report, params, eq, dx=dx, n_t=n_t, n_x=n_x)
-    out = _out_dir(typed)
+    _make_dir(out)
     controls = csv_text("t,N,F_in", report.N.grid, report.N.values, report.F_in.values)
     _write(out / "controls.csv", controls)
     header = ",".join(f.name for f in fields(cert))
@@ -545,7 +560,7 @@ def cmd_sweep(typed: dict, raw: dict, order: list, base_dir: Path) -> int:
             f"MAX_SWEEP_CASES={MAX_SWEEP_CASES}"
         )
     base_raw = {k: v for k, v in raw.items() if not k.startswith("sweep.")}
-    out_root = _out_dir(typed)
+    out_root = _make_dir(_out_path(typed))
     failures = 0
     for index, combo in enumerate(itertools.product(*(values for _, values in axes))):
         case_dir = out_root / f"case_{index:03d}"

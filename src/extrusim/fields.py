@@ -10,19 +10,23 @@ below exact rather than approximate.
 
 CSV contract, shared by every file the CLI writes: a header line, then one
 line per row; values carry 12 significant digits (`FLOAT_FORMAT`) with a
-plain '.' and lines end in LF.  Each float is formatted exactly once.  The
-field writer formats each t once per row and each x once with
-`format_value`, and the field values in numpy blocks (`_value_chars`): a
-value's 12 digits come from one product by an exact power of ten and a
+plain '.' and lines end in LF.  Each float is formatted exactly once: the
+values of every CSV by one block formatter (`_value_chars`), and the t and
+x of the field's rows and columns by `format_value`.  The block formatter
+takes a value's 12 digits from one product by an exact power of ten and a
 table of three-digit groups, laid out as `%.12g` lays them out.  A value
 the block formatter cannot prove exact (zero, non-finite, outside the fixed
 notation range, a carry to the next power of ten, or within 1e-3 of a
 rounding tie) goes through `format_value` one at a time, so the text is
-that of `format(v, FLOAT_FORMAT)` for every value.  The block formatter
-writes each value's text in place, into the value field of the block's
-records, so no second copy of the text is made.  The field writer
-streams: each block of rows goes to the open file as soon as it is
-formatted, so writing a field costs one block of text
+that of `format(v, FLOAT_FORMAT)` for every value.  Every table lookup of
+the formatter copies items of 1, 4, 8 or 16 bytes, the widths that numpy's
+take moves as whole words; items of other widths it moves with one memmove
+call each, at two to three times the cost.  The block formatter writes each
+value's text in place, into the value field of the block's records, so no
+second copy of the text is made.  The field writer
+(`SolutionField.write_csv`) streams bytes: each block of rows goes to the
+open binary file as soon as it is formatted, from one block array made
+once per field, so writing a field costs one block of text
 (`FIELD_BLOCK_CELLS` cells), not the whole file.
 """
 
@@ -51,13 +55,6 @@ def format_value(x: float) -> str:
     return format(float(x), FLOAT_FORMAT)
 
 
-def csv_text(header: str, *columns) -> str:
-    """CSV text of a header line and one line per row of equal-length columns."""
-    line = ",".join([f"%{FLOAT_FORMAT}"] * len(columns)) + "\n"
-    rows = zip(*(np.asarray(c, dtype=float).tolist() for c in columns), strict=True)
-    return "".join([header + "\n", *(line % row for row in rows)])
-
-
 # Block formatting of field values.  For |v| with e = floor(log10|v|) in
 # [E_MIN, E_MAX], %.12g prints fixed notation from D = rint(|v| * 10^(11-e)),
 # the 12 significant digits.  10^k is exact for k <= 15 and the product is
@@ -74,21 +71,27 @@ _POW10 = np.array([float(10**k) for k in range(E_MAX - E_MIN + 1)])
 def _group_tables() -> tuple[np.ndarray, np.ndarray]:
     """The text of each three-digit group 000..999, and the significant digits table.
 
-    sig[k][g] counts the significant digits of D up to its k-th group when
-    that group is g, and is 0 when g is 0.
+    Each group's text is a uint32 whose bytes read "ddd" and a NUL, so a
+    value's four groups fill one 16-byte slot.  sig[k][g] counts the
+    significant digits of D up to its k-th group when that group is g, and
+    is 0 when g is 0.
     """
     digits = np.arange(1000)[:, None] // np.array([100, 10, 1]) % 10
-    text = (digits + ord("0")).astype(np.uint8).view("S3")[:, 0]
+    text = np.zeros((1000, 4), np.uint8)
+    text[:, :3] = digits + ord("0")
     last = np.max(np.where(digits > 0, np.arange(1, 4), 0), axis=1)
     sig = np.where(last > 0, last + np.arange(0, 12, 3)[:, None], 0)
-    return text, sig.astype(np.int8)
+    return text.view("<u4")[:, 0], sig.astype(np.int8)
 
 
 _TRIPLES, _SIG = _group_tables()
 # a value's text: a prefix (sign, and "0." and zeros when e < 0), then a body
-# that holds the digits and the point; NUL bytes pad both.  VALUE_WIDTH is
-# also the longest %.12g text, as in -4.94065645841e-324.
-PREFIX_WIDTH, BODY_WIDTH = 6, 13
+# that holds the digits and the point; NUL bytes pad both.  The widths are
+# powers of two because numpy's take moves items of 1, 2, 4, 8 or 16 bytes as
+# whole words and items of any other width with one memmove call each, two
+# to three times slower.  VALUE_WIDTH also holds the longest %.12g text, as
+# in -4.94065645841e-324.
+PREFIX_WIDTH, BODY_WIDTH = 8, 16
 VALUE_WIDTH = PREFIX_WIDTH + BODY_WIDTH
 VALUE_DTYPE = np.dtype([("prefix", f"S{PREFIX_WIDTH}"), ("body", f"V{BODY_WIDTH}")])
 _PREFIXES = np.array(
@@ -101,17 +104,25 @@ _PREFIXES = np.array(
 def _body_masks() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Byte masks (keep, shift, point) of the body, indexed by (e - E_MIN) * 13 + sig.
 
-    Body byte j is digit j where keep is set, digit j-1 where shift is, and
-    else the byte of point (the point or NUL).  The integer digits stay
-    whole; the fraction ends at the last significant digit, and the point
-    stands only before a fraction digit.
+    Digit k of the 12 sits at byte 4*(k//3) + k%3 of the group slots, with
+    a NUL after every third digit.  Body byte j is byte j of the slots where
+    keep is set, byte j-1 of them where shift is, and else the byte of point
+    (the point or NUL).  The integer digits stay whole; the fraction ends at
+    the last significant digit, and the point stands after digit e only
+    before a fraction digit.  The point takes the byte after digit e, and
+    every fraction digit moves one byte right, within its group's slot: the
+    byte after a digit is the next digit's or the group's NUL.
     """
-    e, sig, j = np.ix_(np.arange(E_MIN, E_MAX + 1), np.arange(13), np.arange(BODY_WIDTH))
+    e, sig, k, j = np.ix_(np.arange(E_MIN, E_MAX + 1), np.arange(13), np.arange(12),
+                          np.arange(BODY_WIDTH))
+    slot = 4 * (k // 3) + k % 3
     fraction = (e >= 0) & (sig > e + 1)
-    keep = np.where(e < 0, j < sig, j <= e)
-    shift = fraction & (j >= e + 2) & (j <= sig)
-    point = np.where(fraction & (j == e + 1), ord("."), 0)
-    masks = (np.where(keep, 0xFF, 0), np.where(shift, 0xFF, 0), point)
+    shown = k < np.where(e < 0, sig, np.maximum(e + 1, sig))
+    moved = fraction & (k > e)
+    keep = np.any(shown & ~moved & (j == slot), axis=2)
+    shift = np.any(shown & moved & (j == slot + 1), axis=2)
+    point = np.any(fraction & (k == e) & (j == slot + 1), axis=2)
+    masks = (keep * 0xFF, shift * 0xFF, point * ord("."))
     return tuple(
         m.astype(np.uint8).reshape(-1, BODY_WIDTH).view(f"V{BODY_WIDTH}")[:, 0] for m in masks
     )
@@ -120,29 +131,17 @@ def _body_masks() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 _KEEP, _SHIFT, _POINT = _body_masks()
 
 
-def _value_chars(values, out=None) -> np.ndarray:
-    """`format_value` of each value as one NUL-padded VALUE_DTYPE item.
+def _digit_slots(d):
+    """The 12 digits of each whole d in [1e11, 1e12) in its four group slots,
+    as two little-endian 64-bit words, and the count of its significant digits.
 
-    NUL bytes may sit anywhere in an item; dropping them leaves the text.
-    Values the digit path cannot vouch for go through `format_value`.  The
-    items are written into out, a one-dimensional VALUE_DTYPE array (or
-    field of a record array) with one item per value, when it is given;
-    out is returned.
+    A function of its own so that the group indices, the largest temporary,
+    are freed before `_value_chars` applies its masks.
     """
-    v = np.ravel(np.asarray(values, dtype=float))
-    a = np.abs(v)
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        e = np.floor(np.log10(a))
-        fast = (e >= E_MIN) & (e <= E_MAX)
-        e = np.where(fast, e, 0.0).astype(np.intp)
-        m = a * np.take(_POW10, E_MAX - e)
-        d = np.rint(m)
-        fast &= (d >= 1e11) & (d < 1e12) & (np.abs(m - d) < TIE_MARGIN)
-    d[~fast] = 1e11  # keeps the lookups below in range; the fallback rewrites these items
-    # D's three-digit groups, most significant first.  floor(d / 1000) is exact
+    # d's three-digit groups, most significant first.  floor(d / 1000) is exact
     # for a whole d below 1e12: the quotient rounds by less than 1e-7, and a
     # quotient that is not whole lies 1e-3 or more from every integer.
-    groups = np.empty((v.size, 4), np.intp)
+    groups = np.empty((d.size, 4), np.intp)
     for k in range(3, 0, -1):
         q = np.floor(d / 1000.0)
         groups[:, k] = d - 1000.0 * q
@@ -151,24 +150,62 @@ def _value_chars(values, out=None) -> np.ndarray:
     sig = np.take(_SIG[0], groups[:, 0])
     for k in range(1, 4):
         np.maximum(sig, np.take(_SIG[k], groups[:, k]), out=sig)
-    # each value's 12 digits and a NUL from byte 1 on; from byte 0 on, the
-    # same bytes read one place to the right
-    digits = np.zeros(v.size * BODY_WIDTH + 1, np.uint8)
-    slots = digits[1:].view([("digits", "S12"), ("pad", f"V{BODY_WIDTH - 12}")])
-    slots["digits"] = np.take(_TRIPLES, groups).view("S12")[:, 0]
+    return np.take(_TRIPLES, groups).view("<u8"), sig
+
+
+def _value_chars(values, out=None) -> np.ndarray:
+    """`format_value` of each value as one NUL-padded VALUE_DTYPE item.
+
+    NUL bytes may sit anywhere in an item; dropping them leaves the text.
+    Every lookup copies items of a power-of-two width, and the body's masks
+    apply to the digit slots as two 64-bit words, in place where they can.
+    Values the digit path cannot vouch for go through `format_value`.  The
+    items are written into out, a one-dimensional VALUE_DTYPE array (or
+    field of a record array) with one item per value, when it is given; out
+    is returned.
+    """
+    v = np.ravel(np.asarray(values, dtype=float))
+    m = np.abs(v)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        e = np.floor(np.log10(m))
+        fast = (e >= E_MIN) & (e <= E_MAX)
+        e = np.where(fast, e, 0.0).astype(np.intp)
+        m *= np.take(_POW10, E_MAX - e)
+        d = np.rint(m)
+        fast &= (d >= 1e11) & (d < 1e12) & (np.abs(m - d) < TIE_MARGIN)
+    d[~fast] = 1e11  # keeps the lookups below in range; the fallback rewrites these items
+    words, sig = _digit_slots(d)
+    # a byte moves one to the right as its word shifts left by 8 bits, and no
+    # shifted byte leaves its group's slot
     key = (e - E_MIN) * 13 + sig
-    body = digits[1:] & np.take(_KEEP, key).view(np.uint8)
-    body |= digits[:-1] & np.take(_SHIFT, key).view(np.uint8)
-    body |= np.take(_POINT, key).view(np.uint8)
+    body = words & np.take(_KEEP, key).view("<u8").reshape(words.shape)
+    words <<= 8
+    words &= np.take(_SHIFT, key).view("<u8").reshape(words.shape)
+    body |= words
+    body |= np.take(_POINT, key).view("<u8").reshape(words.shape)
     if out is None:
         out = np.empty(v.size, VALUE_DTYPE)
     out["prefix"] = np.take(_PREFIXES, (e - E_MIN) + (v < 0) * (E_MAX - E_MIN + 1))
-    out["body"] = body.view(f"V{BODY_WIDTH}")
+    out["body"] = body.view(f"V{BODY_WIDTH}")[:, 0]
     slow = np.flatnonzero(~fast)
     if slow.size:
         texts = [format_value(x) for x in v[slow].tolist()]
         out[slow] = np.array(texts, dtype=f"S{VALUE_WIDTH}").view(VALUE_DTYPE)
     return out
+
+
+def csv_text(header: str, *columns) -> str:
+    """CSV text of a header line and one line per row of equal-length columns.
+
+    The rows are one array of records, a value text (`_value_chars`) and its
+    "," or line end each, so every CSV formats its values one way.
+    """
+    values = np.column_stack([np.asarray(c, dtype=float) for c in columns])
+    cells = np.empty(values.shape, [("value", VALUE_DTYPE), ("end", "S1")])
+    _value_chars(values, out=cells.reshape(-1)["value"])
+    cells["end"] = b","
+    cells["end"][:, -1] = b"\n"
+    return f"{header}\n" + cells.tobytes().translate(None, b"\0").decode("ascii")
 
 
 @dataclass(frozen=True)
@@ -281,15 +318,18 @@ class SolutionField:
             raise DomainError(f"field leaves [0,1]: range [{lo:.6g}, {hi:.6g}]")
 
     def write_csv(self, fh, header: str = "t,x,value,provenance") -> None:
-        """Write one line "t,x,value,tag" per grid point to fh, rows of t outermost.
+        """Write one line "t,x,value,tag" per grid point to the binary file fh,
+        rows of t outermost.
 
         A block of rows is one array of fixed-width records: the t text, the
         ",x," text, the value text and the ",tag" line end, each NUL-padded.
-        The value texts are formatted straight into the block's value field.
-        Dropping the NUL bytes gives the block's lines, and each block goes to
-        fh as it is formatted, so the writer holds one block of text
-        (FIELD_BLOCK_CELLS cells, or one row if longer) whatever the size of
-        the field.
+        One block array serves every block, and the last block is a slice of
+        it; every block holds whole rows, so its x texts are set once.  The
+        value texts are formatted straight into the block's value field.
+        Dropping the NUL bytes gives the block's lines as bytes, and each
+        block goes to fh as it is formatted, so the writer holds one block of
+        text (FIELD_BLOCK_CELLS cells, or one row if longer) whatever the size
+        of the field.
         """
         n_t, n_x = self.values.shape
         t_texts = np.array([format_value(t) for t in self.t_grid.tolist()], dtype="S")
@@ -298,23 +338,23 @@ class SolutionField:
         record = np.dtype([("t", t_texts.dtype), ("x", x_texts.dtype),
                            ("value", VALUE_DTYPE), ("tag", tags.dtype)])
         step = max(1, FIELD_BLOCK_CELLS // max(1, n_x))
-        fh.write(header + "\n")
+        records = np.empty((min(step, n_t), n_x), record)
+        records["x"] = x_texts
+        fh.write(f"{header}\n".encode())
         for i in range(0, n_t, step):
             rows = slice(i, i + step)
             values = self.values[rows]
-            block = np.empty(values.size, record)
-            cells = block.reshape(values.shape)
-            cells["t"] = t_texts[rows, None]
-            cells["x"] = x_texts
-            _value_chars(values, out=block["value"])
-            cells["tag"] = np.take(tags, self.provenance[rows])
-            fh.write(block.tobytes().translate(None, b"\0").decode("ascii"))
+            block = records[:len(values)]
+            block["t"] = t_texts[rows, None]
+            _value_chars(values, out=block.reshape(-1)["value"])
+            block["tag"] = np.take(tags, self.provenance[rows])
+            fh.write(block.tobytes().translate(None, b"\0"))
 
     def to_csv(self, header: str = "t,x,value,provenance") -> str:
         """The text `write_csv` writes, as one string."""
-        buf = io.StringIO()
+        buf = io.BytesIO()
         self.write_csv(buf, header)
-        return buf.getvalue()
+        return buf.getvalue().decode("ascii")
 
 
 def norm(kind: str, f) -> float:

@@ -76,18 +76,22 @@ class EquilibriumPoint:
 
 
 def _float64(v):
-    """v as float64: a numpy scalar for a float, an array otherwise.
+    """v as float64: a float as it is, anything else as an array.
 
-    A numpy scalar rounds and raises floating-point flags as a 0-d array
-    does, at a fraction of the call overhead, which scalar loops such as
-    the upwind march pay once per step.
+    Python floats round as float64 arrays do, at a fraction of numpy's call
+    overhead, which scalar loops such as the upwind march pay once per step.
+    Their overflow gives inf silently, as numpy's does under the errstate of
+    the callers that allow it.  The checks below keep every divisor
+    positive, so both give the same bits and the same errors; only in
+    `eval_g`, for B*rho0 below 2^-1021, could a product underflow to a zero
+    divisor, where a float raises ZeroDivisionError and numpy returns inf.
     """
-    return np.float64(v) if isinstance(v, float) else np.asarray(v, dtype=float)
+    return v if isinstance(v, float) else np.asarray(v, dtype=float)
 
 
 def _any(mask) -> bool:
-    """np.any, without its reduction call on a numpy scalar."""
-    return bool(mask) if mask.ndim == 0 else bool(mask.any())
+    """np.any, without its reduction call on a scalar comparison."""
+    return bool(mask) if isinstance(mask, (bool, np.bool_)) else bool(mask.any())
 
 
 def eval_g(l, f_p1, params: PhysicalParams):
@@ -138,9 +142,7 @@ def eval_alpha_p(x, N, l, f_p1, params: PhysicalParams):
         raise DomainError("x is a normalized position in [0, 1]")
     F = eval_F(l, N, f_p1, params)
     out = transport_speed(x_arr, _float64(N), l_arr, F, params)
-    if out.ndim == 0:
-        return float(out)
-    return out
+    return float(out) if np.ndim(out) == 0 else out
 
 
 def transport_speed(x, N, l, F, params: PhysicalParams):
@@ -154,10 +156,11 @@ def inflow_value(F_in, N, params: PhysicalParams):
     The caller is responsible for checking the result lands in (0,1)
     before using it as boundary data.
     """
-    N_arr = _float64(N)
-    if _any(N_arr <= 0.0):
+    # the divisor is checked, not N: a product that underflows is zero too
+    rate = params.rho0 * params.V_eff * _float64(N)
+    if _any(rate <= 0.0):
         raise DomainError("N must be positive to define the fed ratio")
-    out = _float64(F_in) / (params.rho0 * params.V_eff * N_arr)
+    out = _float64(F_in) / rate
     if np.isscalar(F_in) and np.isscalar(N):
         return float(out)
     return out

@@ -16,7 +16,9 @@ memory is the list of rows plus one output array: uneven steps are
 resampled from the list a block of output rows at a time, with no copy of
 the rows as one array and no column copies, and each row is released once
 no later output row reads it.  The scalar state (interface, screw speed,
-outlet ratio, F) stays in Python floats, and provenance is a count of
+outlet ratio, F, the inflow value and the range of the data) stays in
+Python floats, and `eval_F` and `inflow_value` compute on those floats,
+without numpy's per-call overhead on scalars.  Provenance is a count of
 inflow-driven nodes per row rather than a per-step mask.
 """
 
@@ -142,9 +144,9 @@ def simulate_upwind(data, T: float, cfg: UpwindConfig):
             raise SchemeError(f"interface position {l:.6g} left (0, L)")
         t += dt
         N_now = float(np.interp(t, N_grid, N_vals))
-        f_new[0] = inflow_value(float(np.interp(t, F_grid, F_vals)), N_now, params)
-        lo = min(lo, f_new[0])
-        hi = max(hi, f_new[0])
+        f_new[0] = inflow = inflow_value(float(np.interp(t, F_grid, F_vals)), N_now, params)
+        lo = min(lo, inflow)
+        hi = max(hi, inflow)
 
         f = f_new
         rows.append(f)

@@ -644,6 +644,36 @@ class TestSchemaErrors:
         assert captured.err.count("\n") == 1 and captured.out == ""
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("sub", ["simulate", "control", "sweep"])
+    @pytest.mark.parametrize("below", [False, True])
+    def test_output_path_that_is_a_file(self, tmp_path, capsys, monkeypatch, sub, below):
+        def unreachable(*args, **kwargs):
+            raise AssertionError("a solver ran before mode.out was checked")
+
+        for name in ("solve_semiglobal", "simulate_upwind"):
+            monkeypatch.setattr(cli, name, unreachable)
+        monkeypatch.setattr(control, "synthesize", unreachable)
+        blocker = tmp_path / "out"
+        blocker.write_text("a file\n")
+        mapping = base_cfg("control" if sub == "control" else "simulate", tmp_path)
+        if sub == "sweep":
+            mapping["sweep.run"] = "simulate"
+            mapping["sweep.vary.data.l0"] = "0.48,0.5"
+        mapping["mode.out"] = str(blocker / "sub" if below else blocker)
+        assert run([sub, write_cfg(tmp_path, "c.cfg", mapping)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"config error: mode.out: {blocker} is not a directory\n"
+        assert captured.out == ""
+        assert blocker.read_text() == "a file\n"
+
+    def test_output_path_that_cannot_be_made(self, tmp_path, capsys):
+        # a name longer than the file system allows passes the check and
+        # fails only when the directory is made
+        mapping = base_simulate_cfg(tmp_path, out="x" * 300)
+        assert run(["simulate", write_cfg(tmp_path, "c.cfg", mapping)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: mode.out: cannot make ") and err.count("\n") == 1
+
 
 class TestSimulateCommand:
     def test_equilibrium_data_gives_constant_rows(self, tmp_path, capsys):

@@ -285,7 +285,7 @@ class TestFieldCsvStreaming:
         path = tmp_path / "field.csv"
         tracemalloc.start()
         try:
-            with open(path, "w", newline="\n") as fh:
+            with open(path, "wb") as fh:
                 before = tracemalloc.get_traced_memory()[0]
                 tracemalloc.reset_peak()
                 field.write_csv(fh, header="t,x,fp,provenance")
@@ -361,6 +361,18 @@ class TestValueChars:
     @given(st.lists(st.integers(-(10**12) + 1, 10**12 - 1), min_size=1, max_size=40))
     def test_integers_below_1e12(self, ints):
         assert_formats_like_format([float(i) for i in ints])
+
+    def test_every_mask_key(self, monkeypatch):
+        # each exponent e and each count s of significant digits, both signs:
+        # with e >= 0 and s > e + 1 the point lands in a group's NUL gap when
+        # e + 1 is a multiple of 3 (314.7) and takes a digit's byte otherwise
+        # (3.7); none of these values may leave the digit path
+        calls = []
+        monkeypatch.setattr(fields, "format_value", lambda x: calls.append(x) or format_value(x))
+        values = [float(f"{'314159265358'[:s - 1]}7e{e - s + 1}")
+                  for e in range(E_MIN, E_MAX + 1) for s in range(1, 13)]
+        assert_formats_like_format(values + [-v for v in values])
+        assert calls == []
 
     def test_fast_path_formats_a_field_block(self, monkeypatch):
         # an all-fallback formatter writes the same bytes; only this count tells

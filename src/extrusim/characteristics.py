@@ -7,10 +7,11 @@ through (t, x) solves a scalar linear ODE and has the closed form
     xi(s; t, x) = x * exp(P(t) - P(s)) - exp(-P(s)) * (Q(t) - Q(s)),
 
 where P is the running integral of F/l and Q the running integral of
-(zeta*N/l) * exp(P).  Both accumulations are computed once per context
-with a Simpson-type rule on the trace grid and evaluated anywhere with a
-C1 Hermite interpolant, which keeps the analytic derivative formulas for
-the origin maps consistent with finite differences of the traced origins.
+(zeta*N/l) * exp(P).  A context computes both in one pass over its node
+arrays with a Simpson-type rule (P in one 2-d call with the running
+integral of F) and reads them off the nodes from C1 Hermite interpolants
+built on first use, which keeps the analytic derivative formulas for the
+origin maps consistent with finite differences of the traced origins.
 P and Q share the trace grid, so `TraceContext._PQ` reads both from one
 cell lookup and one Hermite basis.  At the grid's own node times P and Q
 are the stored node values, with no lookup; the pair at t_start, where
@@ -79,68 +80,78 @@ class CharOrigin:
         return self.value
 
 
-@dataclass(frozen=True)
 class TraceContext:
     """Coefficient traces that determine the characteristic field.
 
     l, N and b must share one uniform time grid; between samples they are
     the piecewise-linear interpolants from `fields`.  Construction checks
     the ranges that make the transport speed positive on the whole strip.
+
+    Both constructors run one pass over node arrays (`_fill`): the range
+    checks, F, the running integrals of F and F/l (the latter is P) from one
+    2-d `cumulative_integral`, then Q and its monotone check.  `from_nodes`
+    takes l and b as one (2, n) block, as the solution map holds its iterate.
+    The views `l`, `N`, `b` and the Hermite `_P`, `_Q` are built on first use.
     """
 
-    l: SampledFunction
-    N: SampledFunction
-    b: SampledFunction
-    params: PhysicalParams
+    def __init__(self, l: SampledFunction, N: SampledFunction, b: SampledFunction,
+                 params: PhysicalParams):
+        if any(abs(o.t_start - l.t_start) > 1e-12 or abs(o.t_end - l.t_end) > 1e-12
+               or o.values.size != l.values.size for o in (N, b)):
+            raise GridError("l, N, b must share one uniform grid")
+        self._fill(l.t_start, l.t_end, np.stack((l.values, b.values)), N.values, params)
+        # the views are given, so they are not rebuilt from the nodes
+        self.l, self.N, self.b = l, N, b
 
-    def __post_init__(self):
-        ref = self.l
-        for other in (self.N, self.b):
-            if (
-                abs(other.t_start - ref.t_start) > 1e-12
-                or abs(other.t_end - ref.t_end) > 1e-12
-                or other.values.size != ref.values.size
-            ):
-                raise GridError("l, N, b must share one uniform grid")
-        l, N, b = self.l.values, self.N.values, self.b.values
-        if not (l.min() > 0.0 and l.max() < self.params.L):
+    @classmethod
+    def from_nodes(cls, t_start: float, t_end: float, lb: np.ndarray, N: np.ndarray,
+                   params: PhysicalParams) -> "TraceContext":
+        """Context of l = lb[0], b = lb[1] and N on len(N) uniform nodes of
+        [t_start, t_end]; the arrays are kept, not copied."""
+        ctx = cls.__new__(cls)
+        ctx._fill(t_start, t_end, lb, N, params)
+        return ctx
+
+    def _fill(self, t_start, t_end, lb, N, params):
+        l, b = lb
+        (l_min, b_min), (l_max, b_max) = lb.min(axis=1), lb.max(axis=1)
+        if not (l_min > 0.0 and l_max < params.L):
             raise DomainError("interface trace must stay inside (0, L)")
-        if not (b.min() >= 0.0 and b.max() < 1.0):
+        if not (b_min >= 0.0 and b_max < 1.0):
             raise DomainError("die ratio trace must stay inside [0, 1)")
         if not N.min() > 0.0:
             raise DomainError("screw speed trace must stay positive")
+        dt = (t_end - t_start) / (N.size - 1)
+        zeta_N = params.zeta * N
+        # F = N*g, and F/l the integrand of P; the ranges g needs are checked
+        rates = np.empty(lb.shape)
+        F = np.multiply(N, die_balance(l, b, params), out=rates[0])
         # alpha_p is affine in x, so positivity on [0,1] reduces to x=0,1
-        if not (self.params.zeta * N - self._F_nodes).min() > 0.0:
+        if not (zeta_N - F).min() > 0.0:
             raise DomainError("transport speed must stay positive up to x=1")
+        np.divide(F, l, out=rates[1])
+        displacement, P = cumulative_integral(rates, dt)
+        q = zeta_N / l * np.exp(P)
+        Q = cumulative_integral(q, dt)
+        _check_monotone(Q, q, t_start, dt)
+        self.t_start, self.t_end, self.dt, self.params = t_start, t_end, dt, params
+        self.lb, self.N_nodes, self._F_nodes, self._rates, self._q = lb, N, F, rates, q
+        # the running integral of F is the interface displacement since t_start
+        self._displacement, self._P_nodes, self._Q_nodes = displacement, P, Q
+        # P and Q at t_start, where every curve traced to the initial axis ends
+        self._PQ_start = (P[0], Q[0])
 
-    @property
-    def t_start(self) -> float:
-        return self.l.t_start
-
-    @property
-    def t_end(self) -> float:
-        return self.l.t_end
-
-    @property
-    def dt(self) -> float:
-        return self.l.dt
-
-    @cached_property
-    def _F_nodes(self) -> np.ndarray:
-        # F = N*g; construction has checked the ranges of l and b that g needs
-        return self.N.values * die_balance(self.l.values, self.b.values, self.params)
+    l = cached_property(lambda self: SampledFunction(self.t_start, self.t_end, self.lb[0]))
+    N = cached_property(lambda self: SampledFunction(self.t_start, self.t_end, self.N_nodes))
+    b = cached_property(lambda self: SampledFunction(self.t_start, self.t_end, self.lb[1]))
 
     @cached_property
     def _P(self) -> HermiteAntiderivative:
-        p = self._F_nodes / self.l.values
-        return HermiteAntiderivative.from_samples(self.t_start, self.dt, p)
+        return HermiteAntiderivative(self.t_start, self.dt, self._P_nodes, self._rates[1])
 
     @cached_property
     def _Q(self) -> HermiteAntiderivative:
-        q = (self.params.zeta * self.N.values / self.l.values) * np.exp(self._P.nodes)
-        nodes = cumulative_integral(q, self.dt)
-        _check_monotone(nodes, q, self.t_start, self.dt)
-        return HermiteAntiderivative(self.t_start, self.dt, nodes, q)
+        return HermiteAntiderivative(self.t_start, self.dt, self._Q_nodes, self._q)
 
     def _PQ(self, t):
         """P(t) and Q(t) from one cell lookup and one Hermite basis (one trace grid)."""
@@ -148,17 +159,9 @@ class TraceContext:
         basis = hermite_basis(s)
         return self._P._value(k, basis), self._Q._value(k, basis)
 
-    @cached_property
-    def _PQ_start(self) -> tuple:
-        """P and Q at t_start, where every curve traced to the initial axis ends
-        (the first node, where the Hermite cubics take their node values)."""
-        return self._P.nodes[0], self._Q.nodes[0]
-
     def coefficients_at(self, sigma):
         """(A, B) of the characteristic ODE dxi/ds = A(s) - B(s)*xi at time(s) sigma."""
-        l_s = self.l(sigma)
-        n_s = self.N(sigma)
-        b_s = self.b(sigma)
+        l_s, n_s, b_s = self.l(sigma), self.N(sigma), self.b(sigma)
         F_s = eval_F(l_s, n_s, b_s, self.params)
         return self.params.zeta * n_s / l_s, F_s / l_s
 
@@ -187,8 +190,9 @@ def _check_monotone(nodes: np.ndarray, slopes: np.ndarray, t0: float, dt: float)
     """
     inc = nodes[1:] - nodes[:-1]
     ends = slopes * dt
-    cap = 3.0 * inc
-    if ends.min() >= 0.0 and ((inc > 0.0) & (ends[:-1] <= cap) & (ends[1:] <= cap)).all():
+    if ends.min() >= 0.0 and inc.min() > 0.0 and (
+        np.maximum(ends[:-1], ends[1:]) <= 3.0 * inc
+    ).all():
         return
     with np.errstate(divide="ignore", invalid="ignore"):
         alpha = ends[:-1] / inc
@@ -400,7 +404,7 @@ def backtrace_times(x: float, ctx: TraceContext):
     """
     if not 0.0 <= x <= 1.0:
         raise DomainError("x must lie in [0, 1]")
-    Pt, Qt = ctx._P.nodes, ctx._Q.nodes
+    Pt, Qt = ctx._P_nodes, ctx._Q_nodes
     is_boundary, origin = _initial_origins(x, Pt, Qt, ctx)
     if is_boundary.any():
         bnd = is_boundary
@@ -450,7 +454,7 @@ def crossing_time(ctx: TraceContext):
     t_grid = ctx.l.grid
     P0, Q0 = ctx._PQ_start
     # P and Q at the node times are the stored node values
-    is_bnd = _xi_from(1.0, ctx._P.nodes, ctx._Q.nodes, P0, Q0) < 0.0
+    is_bnd = _xi_from(1.0, ctx._P_nodes, ctx._Q_nodes, P0, Q0) < 0.0
     k = int(np.argmax(is_bnd))
     if not is_bnd[k]:
         return None

@@ -560,11 +560,16 @@ def cmd_sweep(typed: dict, raw: dict, order: list, base_dir: Path) -> int:
             f"MAX_SWEEP_CASES={MAX_SWEEP_CASES}"
         )
     base_raw = {k: v for k, v in raw.items() if not k.startswith("sweep.")}
-    out_root = _make_dir(_out_path(typed))
+    out_root = _out_path(typed)
+    case_dirs = [out_root / f"case_{index:03d}" for index in range(total)]
+    # a case path that a file holds ends the sweep before anything is made
+    taken = [path for path in case_dirs if os.path.exists(path) and not os.path.isdir(path)]
+    if taken:
+        raise SchemaError(f"mode.out: {taken[0]} is not a directory")
+    _make_dir(out_root)
     failures = 0
-    for index, combo in enumerate(itertools.product(*(values for _, values in axes))):
-        case_dir = out_root / f"case_{index:03d}"
-        case_dir.mkdir(parents=True, exist_ok=True)
+    for case_dir, combo in zip(case_dirs, itertools.product(*(values for _, values in axes))):
+        _make_dir(case_dir)
         # each swept value as the shortest text that parses back to it, "1" for 1.0
         swept = {key: repr(value).removesuffix(".0") for (key, _), value in zip(axes, combo)}
         case_raw = {**base_raw, **swept, "mode.out": str(case_dir)}

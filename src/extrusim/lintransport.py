@@ -346,12 +346,8 @@ def derivative_fields(solution, data):
     zeta = data.params.zeta
     N_vals = np.asarray(data.N(tg), dtype=float)
     l_vals = np.asarray(solution.l(tg), dtype=float)
-    ctx = TraceContext(
-        SampledFunction(0.0, T, l_vals),
-        SampledFunction(0.0, T, N_vals),
-        SampledFunction(0.0, T, field.values[:, -1]),
-        data.params,
-    )
+    ctx = TraceContext.from_nodes(0.0, T, np.stack((l_vals, field.values[:, -1])), N_vals,
+                                  data.params)
     is_boundary, origin = backtrace_batch(tg[:, None], xg, ctx)
     # P at each origin time: the context's cached P(t_start) on the initial
     # axis, one lookup at tau on the inflow face

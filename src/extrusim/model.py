@@ -120,8 +120,9 @@ def eval_g(l, f_p1, params: PhysicalParams):
 def die_balance(l, f_p1, params: PhysicalParams):
     """g(l, f_p1) of `eval_g` for float arrays whose ranges the caller has checked."""
     remaining = params.K_d * (params.L - l)
-    denom = (params.B * params.rho0 + remaining) * (1.0 - f_p1)
-    return params.zeta * remaining / denom - params.zeta * f_p1 / (1.0 - f_p1)
+    empty = 1.0 - f_p1
+    denom = (params.B * params.rho0 + remaining) * empty
+    return params.zeta * remaining / denom - params.zeta * f_p1 / empty
 
 
 def eval_F(l, N, f_p1, params: PhysicalParams):

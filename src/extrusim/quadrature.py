@@ -6,10 +6,12 @@ with the integrand.  ``cumulative_integral`` fills the nodes with a
 Simpson-type rule (local parabolas, exact for quadratics) and
 ``HermiteAntiderivative`` interpolates between nodes with cubic Hermite
 pieces whose slopes are the integrand samples themselves, so the result is
-C1 across the whole interval.  A cell lookup (`_cell`) gives the cell index
-and local coordinate of each time once; the value and the slope of the
-cubic are then read from it, so antiderivatives on one grid share it, and
-share the cubic Hermite basis at that coordinate too (`hermite_basis`).
+C1 across the whole interval.  ``cumulative_integral`` also takes a 2-d
+block and integrates its rows in one call, each bit for bit as alone.  A
+cell lookup (`_cell`) gives the cell index and local coordinate of each
+time once; the value and the slope of the cubic are then read from it,
+so antiderivatives on one grid share it, and share the cubic Hermite
+basis at that coordinate too (`hermite_basis`).
 """
 
 from __future__ import annotations
@@ -23,29 +25,34 @@ def cumulative_integral(values: np.ndarray, dx: float) -> np.ndarray:
     Each cell integral comes from the parabola through the three nearest
     samples; interior cells average the left- and right-leaning parabolas.
     Matches the classical composite Simpson rule to fourth order while
-    providing a value at every node, not just every other one.
+    providing a value at every node, not just every other one.  The rows of
+    a 2-d block are integrated along the last axis, each bit for bit as alone.
     """
     f = np.asarray(values, dtype=float)
-    if f.ndim != 1 or f.size < 2:
-        raise ValueError("need a 1d array with at least two samples")
+    if f.ndim not in (1, 2) or f.shape[-1] < 2:
+        raise ValueError("need a 1d or 2d array with at least two samples per row")
     if dx <= 0.0:
         raise ValueError("dx must be positive")
-    n = f.size
-    inc = np.empty(n - 1)
+    n = f.shape[-1]
+    out = np.empty(f.shape)
     if n == 2:
         # only two samples: trapezoid is all we have
-        inc[0] = 0.5 * dx * (f[0] + f[1])
+        out[..., 1] = 0.5 * dx * (f[..., 0] + f[..., 1])
     else:
+        flat = np.ravel(f)
+        f0, f1, f2 = flat[:-2], 8.0 * flat[1:-1], flat[2:]
         # parabola through (k, k+1, k+2) integrated over [k, k+1]
-        right = dx / 12.0 * (5.0 * f[:-2] + 8.0 * f[1:-1] - f[2:])
+        right = dx / 12.0 * (5.0 * f0 + f1 - f2)
         # parabola through (k-1, k, k+1) integrated over [k, k+1]
-        left = dx / 12.0 * (-f[:-2] + 8.0 * f[1:-1] + 5.0 * f[2:])
-        inc[0] = right[0]
-        inc[-1] = left[-1]
-        inc[1:-1] = 0.5 * (left[:-1] + right[1:])
-    out = np.empty(n)
-    out[0] = 0.0
-    np.cumsum(inc, out=out[1:])
+        left = dx / 12.0 * (f1 - f0 + 5.0 * f2)
+        # interior cells average the two; the cells that straddle two rows
+        # are overwritten by the end cells and the zero start of each row
+        out.reshape(-1)[2:-1] = 0.5 * (left[:-1] + right[1:])
+        out[..., 1] = right[::n]
+        out[..., -1] = left[n - 3::n]
+    out[..., 0] = 0.0
+    inc = out[..., 1:]
+    np.add.accumulate(inc, axis=-1, out=inc)
     return out
 
 
@@ -74,16 +81,7 @@ class HermiteAntiderivative:
             raise ValueError("nodes and slopes must be matching 1d arrays")
         if dt <= 0.0:
             raise ValueError("dt must be positive")
-        self.t0 = float(t0)
-        self.dt = float(dt)
-        self.nodes = nodes
-        self.slopes = slopes
-        self.t1 = self.t0 + self.dt * (nodes.size - 1)
-
-    @classmethod
-    def from_samples(cls, t0: float, dt: float, integrand: np.ndarray) -> "HermiteAntiderivative":
-        integrand = np.asarray(integrand, dtype=float)
-        return cls(t0, dt, cumulative_integral(integrand, dt), integrand)
+        self.t0, self.dt, self.nodes, self.slopes = float(t0), float(dt), nodes, slopes
 
     def _cell(self, t):
         """Cell index k and local coordinate s in [0, 1] of each t.

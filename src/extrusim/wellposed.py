@@ -18,6 +18,10 @@ first two maps to probe the contraction factor, `local_fixed_point`
 continues it to convergence, one more step measures the residual, and that
 step's trace context, built from the converged iterate, is the one the
 field f_p is assembled on by tracing every grid point back to its datum.
+A map is one pass over node arrays: the iterate (l, b) is one (2, n) block,
+its context comes from `TraceContext.from_nodes`, one 2-d running integral
+gives both the interface displacement and P, and no `SampledFunction` or
+Hermite object is built until assembly looks up times between nodes.
 """
 
 from __future__ import annotations
@@ -39,7 +43,6 @@ from .errors import (
 )
 from .fields import SampledFunction, SolutionField, SpaceProfile, field_norm, norm
 from .model import EquilibriumPoint, PhysicalParams, eps1_radius, inflow_value, norm_F_box
-from .quadrature import cumulative_integral
 
 COMPAT_TOL = 1e-10
 # Picard iteration stops once successive iterates are within PICARD_TOL,
@@ -162,46 +165,41 @@ def _resample(sf: SampledFunction, t_start: float, t_end: float, n: int) -> Samp
 
 
 def _datum_at(data: CauchyData, is_boundary, origin):
-    """Datum carried along each characteristic: f0_p at beta, inflow at tau."""
-    values = np.empty(origin.shape)
-    for on_side, datum in ((~is_boundary, data.f0_p), (is_boundary, data.inflow)):
-        # a side no characteristic came from is not evaluated
-        if on_side.any():
-            values[on_side] = datum(origin[on_side])
+    """Datum carried along each characteristic: f0_p at beta, inflow at tau
+    (f0_p is read at every origin, and the inflow replaces it at each tau)."""
+    values = data.f0_p(origin)
+    if is_boundary.any():
+        values[is_boundary] = data.inflow(origin[is_boundary])
     return values
 
 
 def _iterates(data: CauchyData, delta: float, n: int, initial):
     """Picard iterates of the solution map on n nodes of [0, delta].
 
-    Starts from the constant pair `initial` (the data at t=0 if None).  Each
-    step builds the trace context of the current iterate (l, b) and yields
-    (ctx, l_next, b_next, dist), where dist is the maximum-norm distance
-    between the two iterates.
+    Starts from the constant pair `initial` (the data at t=0 if None).  The
+    iterate (l, b) is one (2, n) block and a map is one pass over node arrays:
+    the context of the block (`TraceContext.from_nodes`, whose running
+    integrals give P and the interface displacement), the outlet origins and
+    their datum.  Yields (ctx, next block, deviation, dist), in the maximum
+    norm: the next block's distance from the equilibrium and from this one.
     """
     if initial is None:
         initial = (data.l0, float(data.f0_p.values[-1]))
-    N_sf = _resample(data.N, 0.0, delta, n)
-    # every iterate lives on the grid of N_sf
-    dt = N_sf.dt
-    l_vals = np.full(n, float(initial[0]))
-    b_vals = np.full(n, float(initial[1]))
+    N = data.N(np.linspace(0.0, delta, n))
+    center = np.array([[data.eq.l_e], [data.eq.f_pe]])
+    lb = np.empty((2, n))
+    lb[0], lb[1] = initial
     while True:
-        ctx = TraceContext(
-            SampledFunction(0.0, delta, l_vals),
-            N_sf,
-            SampledFunction(0.0, delta, b_vals),
-            data.params,
-        )
-        l_next = data.l0 + cumulative_integral(ctx._F_nodes, dt)
+        ctx = TraceContext.from_nodes(0.0, delta, lb, N, data.params)
+        nxt = np.empty((2, n))
+        np.add(data.l0, ctx._displacement, out=nxt[0])
         # outlet origins at the context's node times, P and Q from its nodes;
         # called through this module's binding, so that a wrapper installed
         # on it (perfbench/tracer.py) sees one call per map
         is_boundary, origin = backtrace_times(1.0, ctx)
-        b_next = _datum_at(data, is_boundary, origin)
-        dist = float(max(np.abs(l_next - l_vals).max(), np.abs(b_next - b_vals).max()))
-        yield ctx, l_next, b_next, dist
-        l_vals, b_vals = l_next, b_next
+        nxt[1] = _datum_at(data, is_boundary, origin)
+        yield ctx, nxt, float(np.abs(nxt - center).max()), float(np.abs(nxt - lb).max())
+        lb = nxt
 
 
 class Probe(NamedTuple):
@@ -281,20 +279,14 @@ def local_fixed_point(
         steps = _iterates(data, delta, n_t, initial)
     factors = []
     prev_dist = None
-    for iterations, (_, l_vals, b_vals, dist) in enumerate(islice(steps, PICARD_MAX_ITER), 1):
-        if np.abs(l_vals - eq.l_e).max() > eps1 or np.abs(b_vals - eq.f_pe).max() > eps1:
+    for iterations, (_, _, deviation, dist) in enumerate(islice(steps, PICARD_MAX_ITER), 1):
+        if deviation > eps1:
             raise DivergenceError(f"iterate {iterations} left the eps1={eps1:.3g} ball")
         if prev_dist is not None and prev_dist > 0.0:
             factors.append(dist / prev_dist)
         if dist <= PICARD_TOL:
             context, _, _, residual = next(steps)
-            return LocalSolveReport(
-                delta=delta,
-                iterations=iterations,
-                contraction_factors=tuple(factors),
-                context=context,
-                residual=residual,
-            )
+            return LocalSolveReport(delta, iterations, tuple(factors), context, residual)
         prev_dist = dist
     raise ConvergenceError(
         f"no fixed point within {PICARD_MAX_ITER} iterations (last step {dist:.3g})"
@@ -320,9 +312,10 @@ def solve_semiglobal(
 
     Each junction re-roots the Cauchy data with the current interface
     position and the field row at the junction time, so consecutive
-    segments share that row exactly: a segment rewrites its first row with
-    the same values, since xi(0; 0, x) = x and the junction profile is read
-    at its own nodes.  Provenance is propagated globally: a point fed from
+    segments share that row exactly, and a segment past the first assembles
+    only the rows after it: its own first row would repeat the stored one
+    bit for bit, since xi(0; 0, x) = x and the junction profile is read at
+    its own nodes.  Provenance is propagated globally: a point fed from
     a segment's first row inherits the tag of the node its characteristic
     came from, and row 0 is all initial.
     """
@@ -358,28 +351,26 @@ def solve_semiglobal(
             raise type(exc)(f"segment {len(reports)} on [{t_grid[i_lo]:.6g}, "
                             f"{t_grid[i_hi]:.6g}]: {exc}") from exc
         l_seg = report.context.l
-        rows = ends[:probe.cells + 1]
+        # past segment 0 the first row is the stored junction row
+        first = int(i_lo > 0)
+        rows = ends[first:probe.cells + 1]
         seg_vals, seg_flags, seg_orig = _assemble_rows(report.context, seg_data, rows, x_grid)
         # initial-origin points inherit the tag of the row-i_lo node their
         # characteristic started from
         j = np.clip(np.round(seg_orig / (x_grid[1] - x_grid[0])).astype(int), 0, n_x - 1)
-        values[i_lo:i_hi + 1] = seg_vals
-        provenance[i_lo:i_hi + 1] = seg_flags | provenance[i_lo][j]
-        l_out[i_lo:i_hi + 1] = l_seg(rows)
+        values[i_lo + first:i_hi + 1] = seg_vals
+        provenance[i_lo + first:i_hi + 1] = seg_flags | provenance[i_lo][j]
+        l_out[i_lo + first:i_hi + 1] = l_seg(rows)
         reports.append(report)
 
         if i_hi < n_t - 1:
             junction_profile = SpaceProfile(values[i_hi].copy())
-            l_junction = float(l_seg(l_seg.t_end))
+            l_junction, rest = float(l_seg(l_seg.t_end)), T - t_grid[i_hi]
             try:
-                seg_data = CauchyData(
-                    l_junction,
-                    junction_profile,
-                    SampledFunction(0.0, T - t_grid[i_hi], F_in_g.values[i_hi:]),
-                    SampledFunction(0.0, T - t_grid[i_hi], N_g.values[i_hi:]),
-                    data.params,
-                    eq,
-                )
+                seg_data = CauchyData(l_junction, junction_profile,
+                                      SampledFunction(0.0, rest, F_in_g.values[i_hi:]),
+                                      SampledFunction(0.0, rest, N_g.values[i_hi:]),
+                                      data.params, eq)
             except (DomainError, CompatibilityError) as exc:
                 raise type(exc)(f"segment {len(reports)} at the junction "
                                 f"t={t_grid[i_hi]:.6g}: {exc}") from exc

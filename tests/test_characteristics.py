@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from extrusim.characteristics import (
     TraceContext,
@@ -29,7 +30,7 @@ from extrusim.characteristics import (
 from extrusim.errors import DivergenceError, DomainError, GridError
 from extrusim.fields import SampledFunction
 from extrusim.model import PhysicalParams, die_balance, solve_equilibrium
-from extrusim.quadrature import HermiteAntiderivative, hermite_basis
+from extrusim.quadrature import HermiteAntiderivative, cumulative_integral, hermite_basis
 
 UNIT = PhysicalParams()
 EQ = solve_equilibrium(UNIT, N_e=1.0, l_e=0.5)
@@ -318,13 +319,13 @@ class TestQMonotonicity:
 
     def test_step_in_screw_speed_raises(self):
         # N jumps 1 -> 30 at node 40 of 101: the parabolic cell rule gives
-        # Q a decreasing node increment on cell 38
+        # Q a decreasing node increment on cell 38, which the context's node
+        # pass rejects before any origin is solved on it
         N = np.ones(101)
         N[40:] = 30.0
         mk = lambda v: SampledFunction.constant(v, 0.0, 1.0, 101)
-        ctx = TraceContext(mk(EQ.l_e), SampledFunction(0.0, 1.0, N), mk(EQ.f_pe), UNIT)
         with pytest.raises(DivergenceError, match=r"t=0\.38: \(alpha, beta\)"):
-            backtrace_batch(1.0, np.linspace(0.0, 1.0, 11), ctx)
+            TraceContext(mk(EQ.l_e), SampledFunction(0.0, 1.0, N), mk(EQ.f_pe), UNIT)
 
     def test_smooth_context_passes(self):
         ctx = wavy_ctx()
@@ -505,6 +506,52 @@ def kernel_times(ctx):
         ("2-d", np.stack([inside[:30], inside[30:]])),
         ("2-d column", grid[::16, None]),
     ]
+
+
+def reference_cumulative_integral(f, dx):
+    """The 1-d running integral as it was before the rule took 2-d blocks,
+    kept as the bit-for-bit reference."""
+    n = f.size
+    inc = np.empty(n - 1)
+    if n == 2:
+        inc[0] = 0.5 * dx * (f[0] + f[1])
+    else:
+        right = dx / 12.0 * (5.0 * f[:-2] + 8.0 * f[1:-1] - f[2:])
+        left = dx / 12.0 * (-f[:-2] + 8.0 * f[1:-1] + 5.0 * f[2:])
+        inc[0] = right[0]
+        inc[-1] = left[-1]
+        inc[1:-1] = 0.5 * (left[:-1] + right[1:])
+    out = np.empty(n)
+    out[0] = 0.0
+    np.cumsum(inc, out=out[1:])
+    return out
+
+
+class TestStackedIntegral:
+    """The rows of a 2-d `cumulative_integral` are the 1-d calls on them, and
+    those are the rule they replaced, bit for bit."""
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(
+        values=st.tuples(st.integers(1, 4), st.integers(2, 70)).flatmap(
+            lambda shape: arrays(np.float64, shape, elements=st.floats(-1e6, 1e6))
+        ),
+        dx=st.floats(1e-6, 10.0),
+    )
+    def test_rows_are_the_1d_calls(self, values, dx):
+        block = cumulative_integral(values, dx)
+        assert block.shape == values.shape
+        # the same bits whatever the memory order of the block
+        assert cumulative_integral(np.asfortranarray(values), dx).tobytes() == block.tobytes()
+        for row, got in zip(values, block):
+            one = cumulative_integral(row, dx)
+            assert one.tobytes() == got.tobytes()
+            assert one.tobytes() == reference_cumulative_integral(row, dx).tobytes()
+
+    @pytest.mark.parametrize("shape", [(1,), (3, 1), (2, 2, 5), ()])
+    def test_shapes_without_a_row_of_two_samples_rejected(self, shape):
+        with pytest.raises(ValueError, match="at least two samples per row"):
+            cumulative_integral(np.zeros(shape), 0.1)
 
 
 class TestOneLookupKernel:

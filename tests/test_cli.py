@@ -1010,6 +1010,25 @@ class TestSweepCommand:
         assert (tmp_path / "sweep" / "case_000" / "trace.csv").exists()
         assert not (tmp_path / "sweep" / "case_001" / "trace.csv").exists()
 
+    @pytest.mark.parametrize("blocked", [0, 2])
+    def test_case_path_held_by_a_file(self, tmp_path, capsys, monkeypatch, blocked):
+        # a file where a case directory goes is a config error naming it,
+        # found before any case directory is made or any case runs
+        monkeypatch.setitem(cli._DISPATCH, "simulate", _no_allocation)
+        mapping = base_simulate_cfg(tmp_path, out="sweep")
+        mapping["sweep.run"] = "simulate"
+        mapping["sweep.vary.data.l0"] = "0.48,0.49,0.5"
+        root = tmp_path / "sweep"
+        root.mkdir()
+        blocker = root / f"case_{blocked:03d}"
+        blocker.write_text("a file\n")
+        assert run(["sweep", write_cfg(tmp_path, "c.cfg", mapping)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"config error: mode.out: {blocker} is not a directory\n"
+        assert captured.out == ""
+        assert [p.name for p in root.iterdir()] == [blocker.name]
+        assert blocker.read_text() == "a file\n"
+
     def test_sweeping_function_spec_rejected(self, tmp_path, capsys):
         mapping = base_simulate_cfg(tmp_path)
         mapping["sweep.run"] = "simulate"

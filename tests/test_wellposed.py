@@ -1,12 +1,13 @@
 import dataclasses
 import importlib
-import importlib.util
+import re
+import types
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from extrusim import wellposed
+from extrusim import characteristics, wellposed
 from extrusim.characteristics import TraceContext, backtrace, backtrace_times, xi
 from extrusim.errors import (
     CompatibilityError,
@@ -505,12 +506,219 @@ class TestOneSequencePerSegment:
             assert report.contraction_factors[0] == probe.factor
 
 
+def wavy_inflow_data(amp=0.004, freq=3):
+    """sine_data(0.01) with a feed rate that varies in time, so that outlet
+    origins on the inflow face carry different data; compatible at t = 0."""
+    t = np.linspace(0.0, 2.0, 401)
+    feed = EQ.f_pe * UNIT.rho0 * UNIT.V_eff * EQ.N_e * (1.0 + amp * np.sin(freq * np.pi * t))
+    return dataclasses.replace(sine_data(0.01), F_in=SampledFunction(0.0, 2.0, feed))
+
+
+def reference_datum_at(data, is_boundary, origin):
+    """Datum carried along each characteristic: f0_p at beta, inflow at tau."""
+    values = np.empty(origin.shape)
+    for on_side, datum in ((~is_boundary, data.f0_p), (is_boundary, data.inflow)):
+        # a side no characteristic came from is not evaluated
+        if on_side.any():
+            values[on_side] = datum(origin[on_side])
+    return values
+
+
+def reference_iterates(data, delta, n, initial):
+    """The solution map before it ran as one pass over node arrays, kept as
+    the bit-for-bit reference: per map two `SampledFunction`s and a context
+    built from them, separate 1-d running integrals, and the datum by masks.
+    Yields (ctx, l_next, b_next, dist)."""
+    if initial is None:
+        initial = (data.l0, float(data.f0_p.values[-1]))
+    N_sf = _resample(data.N, 0.0, delta, n)
+    # every iterate lives on the grid of N_sf
+    dt = N_sf.dt
+    l_vals = np.full(n, float(initial[0]))
+    b_vals = np.full(n, float(initial[1]))
+    while True:
+        ctx = TraceContext(
+            SampledFunction(0.0, delta, l_vals),
+            N_sf,
+            SampledFunction(0.0, delta, b_vals),
+            data.params,
+        )
+        l_next = data.l0 + cumulative_integral(ctx._F_nodes, dt)
+        is_boundary, origin = backtrace_times(1.0, ctx)
+        b_next = reference_datum_at(data, is_boundary, origin)
+        dist = float(max(np.abs(l_next - l_vals).max(), np.abs(b_next - b_vals).max()))
+        yield ctx, l_next, b_next, dist
+        l_vals, b_vals = l_next, b_next
+
+
+def reference_steps(data, delta, n, initial):
+    """`reference_iterates` in the form `_iterates` yields, with the eps1-ball
+    distance taken per trace, as `local_fixed_point` took it."""
+    eq = data.eq
+    for ctx, l_next, b_next, dist in reference_iterates(data, delta, n, initial):
+        deviation = max(np.abs(l_next - eq.l_e).max(), np.abs(b_next - eq.f_pe).max())
+        yield ctx, np.stack((l_next, b_next)), float(deviation), dist
+
+
+def reference_PQ_nodes(l, N, b, dt):
+    """P and Q at the nodes, each integrated alone from F evaluated on its own."""
+    P = cumulative_integral(np.asarray(eval_F(l, N, b, UNIT)) / l, dt)
+    return P, cumulative_integral(UNIT.zeta * N / l * np.exp(P), dt)
+
+
+MAP_CASES = {
+    # a probe-sized interval: every outlet origin on the initial axis
+    "short": (sine_data(0.01), 0.06, 65, None),
+    # outlet origins past t = 0.5 on the inflow face, with a varying feed
+    "inflow-face": (wavy_inflow_data(), 0.6, 65, None),
+    "long": (wavy_inflow_data(0.008, 2), 0.8, 129, None),
+    "given-start": (sine_data(0.02), 0.3, 33, (EQ.l_e + 0.01, EQ.f_pe - 0.01)),
+}
+
+
+class TestOnePassMap:
+    """The map as one pass over node arrays reproduces the map it replaced
+    bit for bit, and raises each error of a trace context as it did."""
+
+    @pytest.mark.parametrize("case", MAP_CASES)
+    def test_iterates_are_bit_identical(self, case):
+        data, delta, n, initial = MAP_CASES[case]
+        got = wellposed._iterates(data, delta, n, initial)
+        want = reference_iterates(data, delta, n, initial)
+        inflow_face = False
+        for _ in range(8):
+            ctx, block, deviation, dist = next(got)
+            ref_ctx, l_next, b_next, ref_dist = next(want)
+            assert block.shape == (2, n)
+            assert block[0].tobytes() == l_next.tobytes()
+            assert block[1].tobytes() == b_next.tobytes()
+            assert dist == ref_dist
+            assert deviation == max(np.abs(l_next - EQ.l_e).max(), np.abs(b_next - EQ.f_pe).max())
+            P, Q = reference_PQ_nodes(ref_ctx.l.values, ref_ctx.N.values, ref_ctx.b.values, ctx.dt)
+            for nodes in (ctx._P_nodes, ctx._P.nodes, ref_ctx._P.nodes):
+                assert nodes.tobytes() == P.tobytes()
+            for nodes in (ctx._Q_nodes, ctx._Q.nodes, ref_ctx._Q.nodes):
+                assert nodes.tobytes() == Q.tobytes()
+            # the lazily built views hold the iterate and the resampled N
+            assert ctx.l.values.tobytes() == ref_ctx.l.values.tobytes()
+            assert ctx.b.values.tobytes() == ref_ctx.b.values.tobytes()
+            assert ctx.N.values.tobytes() == ref_ctx.N.values.tobytes()
+            inflow_face |= bool(backtrace_times(1.0, ctx)[0].any())
+        assert inflow_face == (delta > 0.5)
+
+    @pytest.mark.parametrize("case", MAP_CASES)
+    def test_report_is_bit_identical(self, case, monkeypatch):
+        data, delta, n, initial = MAP_CASES[case]
+        report = local_fixed_point(data, delta, n, initial)
+        monkeypatch.setattr(wellposed, "_iterates", reference_steps)
+        want = local_fixed_point(data, delta, n, initial)
+        assert report.iterations == want.iterations
+        assert report.contraction_factors == want.contraction_factors
+        assert report.residual == want.residual
+        for name in ("_P_nodes", "_Q_nodes", "_F_nodes"):
+            assert getattr(report.context, name).tobytes() == getattr(want.context, name).tobytes()
+        assert report.context.lb.tobytes() == want.context.lb.tobytes()
+
+    @pytest.mark.parametrize("data, T", [(sine_data(0.01), 1.0), (wavy_inflow_data(), 2.0)])
+    def test_solution_is_bit_identical(self, data, T, monkeypatch):
+        sol = solve_semiglobal(data, T)
+        monkeypatch.setattr(wellposed, "_iterates", reference_steps)
+        want = solve_semiglobal(data, T)
+        assert sol.l.values.tobytes() == want.l.values.tobytes()
+        assert sol.field.values.tobytes() == want.field.values.tobytes()
+        assert np.array_equal(sol.field.provenance, want.field.provenance)
+        assert len(sol.reports) == len(want.reports) > 1
+        for got, ref in zip(sol.reports, want.reports):
+            assert (got.delta, got.iterations, got.contraction_factors, got.residual) == (
+                ref.delta, ref.iterations, ref.contraction_factors, ref.residual
+            )
+
+    @staticmethod
+    def error_case(name):
+        """(data, delta, n, initial) whose first map fails in its context."""
+        data = sine_data(0.0)
+        if name == "interface":
+            return data, 0.06, 65, (UNIT.L, EQ.f_pe)
+        if name == "die ratio":
+            return data, 0.06, 65, (EQ.l_e, 1.0)
+        if name == "screw speed":
+            # CauchyData rejects such an N, so it is put in past the check
+            N = np.ones(401)
+            N[2:5] = 0.0
+            object.__setattr__(data, "N", SampledFunction(0.0, 2.0, N))
+            return data, 0.06, 65, None
+        if name == "transport speed":
+            # with K_d = 1e20 and b = 0 the die balance rounds to g = zeta
+            return dataclasses.replace(data, params=PhysicalParams(K_d=1e20)), 0.06, 65, (0.5, 0.0)
+        # N jumps 1 -> 30 at node 40 of 101: Q decreases on cell 38
+        N = np.ones(101)
+        N[40:] = 30.0
+        return dataclasses.replace(data, N=SampledFunction(0.0, 1.0, N)), 1.0, 101, (EQ.l_e, EQ.f_pe)
+
+    @pytest.mark.parametrize(
+        "name, error, message",
+        [
+            ("interface", DomainError, "interface trace must stay inside (0, L)"),
+            ("die ratio", DomainError, "die ratio trace must stay inside [0, 1)"),
+            ("screw speed", DomainError, "screw speed trace must stay positive"),
+            ("transport speed", DomainError, "transport speed must stay positive up to x=1"),
+            ("Q", DivergenceError, "Q is not monotone on the cell at t=0.38: "),
+        ],
+    )
+    def test_each_context_error_is_raised(self, name, error, message):
+        data, delta, n, initial = self.error_case(name)
+        with pytest.raises(error) as want:
+            next(reference_iterates(data, delta, n, initial))
+        assert str(want.value).startswith(message)
+        pattern = f"^{re.escape(str(want.value))}$"
+        with pytest.raises(error, match=pattern):
+            next(wellposed._iterates(data, delta, n, initial))
+        with pytest.raises(error, match=pattern):
+            local_fixed_point(data, delta, n, initial)
+
+
+class TestJunctionRows:
+    """Past segment 0 assembly starts one row after the junction: the row it
+    would rewrite is the stored junction row, bit for bit (xi(0; 0, x) = x,
+    and the junction profile is read at its own nodes).  The whole solution
+    against the full-row assembly is `test_matches_the_two_sequence_loop`."""
+
+    @pytest.mark.parametrize("data", [sine_data(0.01), wavy_inflow_data()])
+    def test_skipped_row_is_the_stored_row(self, data, monkeypatch):
+        calls = []
+        assemble = wellposed._assemble_rows
+
+        def recorded(ctx, seg_data, t_rows, x_grid):
+            calls.append((ctx, seg_data, np.array(t_rows)))
+            return assemble(ctx, seg_data, t_rows, x_grid)
+
+        monkeypatch.setattr(wellposed, "_assemble_rows", recorded)
+        sol = solve_semiglobal(data, 2.0)
+        tg, xg = sol.field.t_grid, sol.field.x_grid
+        prov = sol.field.provenance.astype(bool)
+        assert len(calls) == len(sol.reports) > 1
+        i_lo = 0
+        for k, (ctx, seg_data, rows) in enumerate(calls):
+            cells = round(sol.reports[k].delta / (tg[1] - tg[0]))
+            ends = tg[i_lo:] - tg[i_lo]
+            assert rows.tobytes() == ends[int(k > 0):cells + 1].tobytes()
+            # the full-row assembly's first row, tags propagated as the solver does
+            vals, flags, orig = assemble(ctx, seg_data, ends[:1], xg)
+            j = np.clip(np.round(orig[0] / (xg[1] - xg[0])).astype(int), 0, xg.size - 1)
+            assert vals[0].tobytes() == sol.field.values[i_lo].tobytes()
+            assert np.array_equal(flags[0] | prov[i_lo][j], prov[i_lo])
+            assert ctx.l(0.0) == sol.l.values[i_lo]
+            i_lo += cells
+        assert i_lo == tg.size - 1
+
+
 def load_tracer():
-    """The perfbench tracer module, loaded from its file."""
+    """The perfbench tracer module, compiled from its source text: nothing
+    under perfbench/ is written, not even a bytecode cache."""
     path = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
-    spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
+    module = types.ModuleType("perfbench_tracer")
+    module.__file__ = str(path)
+    exec(compile(path.read_text(), str(path), "exec"), module.__dict__)
     return module
 
 
@@ -527,6 +735,29 @@ class TestTracerAttribution:
                 for part in path.split("."):
                     target = getattr(target, part)
                 assert callable(target), f"{layer}.{path}"
+
+    def test_traced_names_are_where_install_reads_them(self):
+        # install wraps owner.__dict__[attr] of each TRACED entry, so a name
+        # that a refactor drops, inherits or moves fails here, not in a
+        # traced benchmark run
+        tracer = load_tracer().Tracer()
+        targets = list(tracer._targets())
+        assert len(targets) == len(tracer.names)
+        originals = {}
+        for name, (home, owner, attr, _) in zip(tracer.names, targets):
+            assert home.__name__ == f"extrusim.{name.partition('.')[0]}", name
+            assert callable(owner.__dict__.get(attr)), name
+            originals[name] = owner.__dict__[attr]
+        # the maps are counted by backtrace_times under wellposed's binding
+        assert wellposed.backtrace_times is characteristics.backtrace_times
+        tracer.install()
+        try:
+            assert wellposed.backtrace_times is characteristics.backtrace_times
+            assert wellposed.backtrace_times is not originals["characteristics.backtrace_times"]
+        finally:
+            tracer.uninstall()
+        for name, (_, owner, attr, _) in zip(tracer.names, targets):
+            assert owner.__dict__[attr] is originals[name], name
 
     def test_one_residual_map_per_segment(self):
         tracer = load_tracer().Tracer()

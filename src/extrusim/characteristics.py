@@ -330,6 +330,7 @@ def _boundary_times(ts, xs, Pt, Qt, ctx: TraceContext) -> np.ndarray:
     lo = np.minimum(Q.t0 + k * Q.dt, hi)
     frac = (target - Q.nodes[k]) / (Q.nodes[k + 1] - Q.nodes[k])
     tau = np.minimum(np.maximum(Q.t0 + (k + frac) * Q.dt, lo), hi)
+    del k, frac  # only the first iterate reads them; not held through the steps
     # the moving roots: their places in tau, iterates, brackets and targets
     live, t, goal = np.arange(tau.size), tau, target
     for _ in range(100):

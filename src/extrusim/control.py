@@ -15,7 +15,8 @@ Quasilinear Hyperbolic Systems, 2010), with the interface left free:
     [t0, T], so it vanishes before T.
   * The interface solves dl/dt = N_e g(l, b) from l0.  The amplitude A is
     shot (Newton, with the sensitivity dl/dA) until l(T) = l1; no PDE
-    solve is needed for this.
+    solve is needed for this.  A Picard sweep of l and dl/dA is one pass
+    over node arrays; a failed one names the candidate, sweep, time and l.
   * t0 depends on the characteristic field, which depends on (l, b), so
     the passes repeat on each new candidate until b is a fixed point.
     t0 comes from the closed form xi(0; t0, 1) = 0
@@ -51,9 +52,10 @@ from .errors import (
     DomainError,
     ExtrusimError,
     FeasibilityError,
+    SingularityError,
 )
 from .fields import SampledFunction, SpaceProfile, norm
-from .model import EquilibriumPoint, PhysicalParams, _g_partials, eps1_radius, eval_g, inflow_value
+from .model import EquilibriumPoint, PhysicalParams, eps1_radius, inflow_value
 from .oracle import UpwindConfig, simulate_upwind
 from .quadrature import cumulative_integral
 from .wellposed import CauchyData, solve_semiglobal
@@ -207,11 +209,8 @@ REPLAY_DT = 1.0 / 800.0
 def _candidate_field(T, a_vals, b_vals, N_vals, params):
     """Characteristic field of a candidate: its context, the origins of the
     outlet nodes and the crossing time t0 of the inlet-corner characteristic."""
-    a_sf = SampledFunction(0.0, T, a_vals)
-    b_sf = SampledFunction(0.0, T, b_vals)
-    n_sf = SampledFunction(0.0, T, N_vals)
     try:
-        ctx = TraceContext(a_sf, n_sf, b_sf, params)
+        ctx = TraceContext.from_nodes(0.0, T, np.stack((a_vals, b_vals)), N_vals, params)
     except DomainError as exc:
         raise DivergenceError(f"candidate coefficients rejected: {exc}") from exc
     is_bnd, origin = backtrace_times(1.0, ctx)
@@ -227,20 +226,43 @@ def _interface(l0, b_vals, phi_vals, l_start, N_e, dt, params):
     l = l0 + integral N_e g(l, b), the fixed point the replay solver also
     iterates (same node quadrature), solved by Picard sweeps from l_start;
     s = dl/dA solves the linearized equation with the bump phi as source.
+    b is checked once, as `eval_g` checks it.  A sweep shares K_d(L - l),
+    D = B*rho0 + K_d(L - l) and D(1 - b) between g and its partials, in the
+    operation order of `die_balance` and `_g_partials`, so the bits are
+    theirs, and integrates N_e g and N_e (g_l s + g_b phi) as one block.
     """
-    l = l_start
-    s = np.zeros_like(l)
-    for _ in range(PICARD_MAX_ITER):
-        dg_dl, dg_df = _g_partials(l, b_vals, params)
-        l_new = l0 + cumulative_integral(N_e * eval_g(l, b_vals, params), dt)
-        s_new = cumulative_integral(N_e * (dg_dl * s + dg_df * phi_vals), dt)
-        step = max(
-            np.max(np.abs(l_new - l)) / max(1.0, np.max(np.abs(l_new))),
-            np.max(np.abs(s_new - s)) / max(1.0, np.max(np.abs(s_new))),
-        )
-        l, s = l_new, s_new
+    if (b_vals >= 1.0).any():
+        raise SingularityError("f_p1 >= 1 makes the die balance singular")
+    if (b_vals < 0.0).any():
+        raise DomainError("f_p1 must be a ratio in [0, 1)")
+    zeta, K_d, L, B_rho0 = params.zeta, params.K_d, params.L, params.B * params.rho0
+    empty = 1.0 - b_vals
+    outflow = zeta * b_vals / empty
+    # the numerators of g_l = dg/dl and g_b = dg/db
+    c_l, c_b = -zeta * K_d * params.B * params.rho0, -zeta * params.B * params.rho0
+    ls = np.stack((l_start, np.zeros_like(l_start)))  # the iterate (l, s)
+    rates = np.empty(ls.shape)
+    for sweep in range(1, PICARD_MAX_ITER + 1):
+        l, s = ls
+        outside = (l <= 0.0) | (l >= L)
+        if outside.any():
+            i = int(outside.argmax())
+            raise DomainError(f"interface sweep {sweep}: l={l[i]:.6g} at t={i * dt:.6g} "
+                              f"lies outside (0, L={L})")
+        remaining = K_d * (L - l)
+        D = B_rho0 + remaining
+        D_empty = D * empty
+        np.multiply(N_e, zeta * remaining / D_empty - outflow, out=rates[0])
+        np.multiply(N_e, c_l / (D * D * empty) * s + c_b / (D_empty * empty) * phi_vals,
+                    out=rates[1])
+        nxt = cumulative_integral(rates, dt)
+        nxt[0] += l0
+        # each row's largest move, relative to max(1, its largest value)
+        (dl, ds), (nl, ns) = np.abs(nxt - ls).max(axis=1), np.abs(nxt).max(axis=1)
+        step = max(dl / max(1.0, nl), ds / max(1.0, ns))
+        ls = nxt
         if step <= 1e-15:
-            return l, s
+            return nxt[0], nxt[1]
     raise ConvergenceError(f"interface sweep did not settle (last step {step:.3e})")
 
 
@@ -257,12 +279,15 @@ def _check_reach(A, b_vals, l_vals, eq, eps1):
         )
 
 
-def _shoot(l0, l1, base, phi, A, l_start, eq, eps1, dt, params):
+def _shoot(l0, l1, base, phi, A, l_start, eq, eps1, dt, params, stage):
     """Newton on the bump amplitude A until the interface lands on l1."""
     for _ in range(SHOOT_MAX_ITER):
         b_vals = base + A * phi
         _check_reach(A, b_vals, l_start, eq, eps1)
-        l_vals, sens = _interface(l0, b_vals, phi, l_start, eq.N_e, dt, params)
+        try:
+            l_vals, sens = _interface(l0, b_vals, phi, l_start, eq.N_e, dt, params)
+        except (DomainError, ConvergenceError) as exc:
+            raise type(exc)(f"{stage}, amplitude A={A:.6g}: {exc}") from exc
         _check_reach(A, b_vals, l_vals, eq, eps1)
         miss = float(l_vals[-1]) - l1
         if abs(miss) <= SHOOT_TOL * max(1.0, abs(l1)):
@@ -297,7 +322,8 @@ def synthesize(
     targets whose outlet bump leaves the admissible range (the message
     names the amplitude), ConvergenceError when the passes or the shooting
     hit their caps, and DivergenceError when a candidate trace is rejected
-    by the characteristic machinery.
+    by the characteristic machinery; an interface sweep's error names its
+    candidate.
     """
     validate_target(target, params, eq)
     T_e = critical_time(eq)
@@ -318,8 +344,10 @@ def synthesize(
     # first candidate: the outlet holds its initial value, no bump
     b_vals = np.full(n_t, float(f0_p.values[-1]))
     A = 0.0
-    flat = np.full(n_t, l0)
-    l_vals, _ = _interface(l0, b_vals, np.zeros(n_t), flat, eq.N_e, dt, params)
+    try:
+        l_vals, _ = _interface(l0, b_vals, np.zeros(n_t), np.full(n_t, l0), eq.N_e, dt, params)
+    except (DomainError, ConvergenceError) as exc:
+        raise type(exc)(f"first candidate: {exc}") from exc
     factors: list[float] = []
     prev_dist = None
     for iterations in range(1, SYNTH_MAX_ITER + 1):
@@ -330,7 +358,8 @@ def synthesize(
         w = np.clip((t_grid - t0) / (BUMP_WINDOW * (T - t0)), 0.0, 1.0)
         phi = np.sin(np.pi * w) ** 2
         base = np.where(is_bnd, v0 + (v1 - v0) * s * s * (3.0 - 2.0 * s), f0_p(origin))
-        A, b_new, l_vals = _shoot(l0, l1, base, phi, A, l_vals, eq, eps1, dt, params)
+        A, b_new, l_vals = _shoot(l0, l1, base, phi, A, l_vals, eq, eps1, dt, params,
+                                   f"pass {iterations}")
         dist = float(np.max(np.abs(b_new - b_vals)))
         if prev_dist is not None and prev_dist > 0.0:
             factors.append(dist / prev_dist)

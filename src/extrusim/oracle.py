@@ -8,18 +8,14 @@ a trustworthy cross-check for the characteristics machinery; accuracy is
 bought with grid refinement, not with scheme order.
 
 The Courant number is the module constant CFL.  The march keeps one row
-per CFL step, so its memory follows the step count, about
-T*max(alpha)/(CFL*dx), not the output grid;
-`upwind_step_estimate` gives that count before the march starts, and the
-march stops once its rows hold more than MAX_GRID_POINTS values.  That
-memory is the list of rows plus one output array: uneven steps are
-resampled from the list a block of output rows at a time, with no copy of
-the rows as one array and no column copies, and each row is released once
-no later output row reads it.  The scalar state (interface, screw speed,
-outlet ratio, F, the inflow value and the range of the data) stays in
-Python floats, and `eval_F` and `inflow_value` compute on those floats,
-without numpy's per-call overhead on scalars.  Provenance is a count of
-inflow-driven nodes per row rather than a per-step mask.
+per CFL step, about T*max(alpha)/(CFL*dx) of them, which
+`upwind_step_estimate` gives before it starts.  The scalar state
+(interface, screw speed, outlet ratio, F, the inflow value and the data's
+range) stays in Python floats, on which `eval_F` and `inflow_value` skip
+numpy's per-call overhead.  A step writes its Courant factors and its
+update into two buffers made once per march, so the row it keeps is its
+only new array.  Provenance is a count of inflow-driven nodes per row
+rather than a per-step mask.
 """
 
 from __future__ import annotations
@@ -111,6 +107,8 @@ def simulate_upwind(data, T: float, cfg: UpwindConfig):
     lo = float(min(f.min(), data.inflow(0.0)))
     hi = float(max(f.max(), data.inflow(0.0)))
     max_rows = MAX_GRID_POINTS // cfg.n_nodes
+    # the Courant factors and the update of a step, rewritten every step
+    lam, update = np.empty(x.size - 1), np.empty(x.size - 1)
 
     while t < T - 1e-12 * T:
         # one more step keeps len(rows) + 1 rows
@@ -133,10 +131,11 @@ def simulate_upwind(data, T: float, cfg: UpwindConfig):
             # dt -> 0 happens when the state degenerates (interface collapse
             # drives the speed to infinity); the horizon is unreachable
             raise SchemeError(f"CFL time step collapsed at t={t:.6g}")
-        lam = dt / cfg.dx * alpha[1:]
-
+        np.multiply(dt / cfg.dx, alpha[1:], out=lam)
+        np.subtract(f[1:], f[:-1], out=update)
+        update *= lam
         f_new = np.empty_like(f)
-        f_new[1:] = f[1:] - lam * (f[1:] - f[:-1])
+        np.subtract(f[1:], update, out=f_new[1:])
         if f_new[1:].min() < lo - MAX_PRINCIPLE_SLACK or f_new[1:].max() > hi + MAX_PRINCIPLE_SLACK:
             raise SchemeError("discrete maximum principle violated")
         l += dt * F

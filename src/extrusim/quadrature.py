@@ -7,11 +7,12 @@ Simpson-type rule (local parabolas, exact for quadratics) and
 ``HermiteAntiderivative`` interpolates between nodes with cubic Hermite
 pieces whose slopes are the integrand samples themselves, so the result is
 C1 across the whole interval.  ``cumulative_integral`` also takes a 2-d
-block and integrates its rows in one call, each bit for bit as alone.  A
-cell lookup (`_cell`) gives the cell index and local coordinate of each
-time once; the value and the slope of the cubic are then read from it,
-so antiderivatives on one grid share it, and share the cubic Hermite
-basis at that coordinate too (`hermite_basis`).
+block and integrates its rows in one call, each bit for bit as alone, and
+builds both stencils in place from one 5 f.  A cell lookup (`_cell`)
+gives the cell index and local coordinate of each time once; the value
+and the slope of the cubic are then read from it, so antiderivatives on
+one grid share it, and share the cubic Hermite basis at that coordinate
+too (`hermite_basis`).
 """
 
 from __future__ import annotations
@@ -40,14 +41,20 @@ def cumulative_integral(values: np.ndarray, dx: float) -> np.ndarray:
         out[..., 1] = 0.5 * dx * (f[..., 0] + f[..., 1])
     else:
         flat = np.ravel(f)
-        f0, f1, f2 = flat[:-2], 8.0 * flat[1:-1], flat[2:]
-        # parabola through (k, k+1, k+2) integrated over [k, k+1]
-        right = dx / 12.0 * (5.0 * f0 + f1 - f2)
-        # parabola through (k-1, k, k+1) integrated over [k, k+1]
-        left = dx / 12.0 * (f1 - f0 + 5.0 * f2)
+        five, eight, scale = 5.0 * flat, 8.0 * flat[1:-1], dx / 12.0
+        # on [k, k+1] the parabola through (k, k+1, k+2) integrates to right,
+        # dx/12 (5 f_k + 8 f_k+1 - f_k+2), and the one through (k-1, k, k+1)
+        # to left, dx/12 (8 f_k - f_k-1 + 5 f_k+1), built in the buffer of 8 f
+        right = np.add(five[:-2], eight)
+        left = np.subtract(eight, flat[:-2], out=eight)
+        right -= flat[2:]
+        left += five[2:]
+        right *= scale
+        left *= scale
         # interior cells average the two; the cells that straddle two rows
         # are overwritten by the end cells and the zero start of each row
-        out.reshape(-1)[2:-1] = 0.5 * (left[:-1] + right[1:])
+        mid = np.add(left[:-1], right[1:], out=out.reshape(-1)[2:-1])
+        mid *= 0.5
         out[..., 1] = right[::n]
         out[..., -1] = left[n - 3::n]
     out[..., 0] = 0.0

@@ -548,6 +548,19 @@ class TestStackedIntegral:
             assert one.tobytes() == got.tobytes()
             assert one.tobytes() == reference_cumulative_integral(row, dx).tobytes()
 
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_synthesis_size_blocks_are_the_old_rule(self, seed):
+        # the (2, 2049) block of an interface sweep: N_e g and the
+        # sensitivity source, one smooth and one with a kink and rough noise
+        t = np.linspace(0.0, 1.0, 2049)
+        rng = np.random.default_rng(seed)
+        block = np.stack((np.sin(3.0 * t + seed) * 1e-2,
+                          np.abs(t - 0.5) + rng.uniform(-1.0, 1.0, t.size)))
+        dx = t[1]
+        got = cumulative_integral(block, dx)
+        for row, out in zip(block, got):
+            assert out.tobytes() == reference_cumulative_integral(row, dx).tobytes()
+
     @pytest.mark.parametrize("shape", [(1,), (3, 1), (2, 2, 5), ()])
     def test_shapes_without_a_row_of_two_samples_rejected(self, shape):
         with pytest.raises(ValueError, match="at least two samples per row"):

@@ -788,6 +788,21 @@ class TestControlCommand:
         assert run(["control", cfg]) == 3
         assert "critical time 0.5" in capsys.readouterr().err
 
+    def test_long_horizon_failure_names_its_stage(self, tmp_path, capsys):
+        # over T = 10 the Picard sweeps of the flat first candidate swing the
+        # interface out of (0, L) before they settle; T = 5 synthesizes
+        mapping = base_control_cfg(tmp_path)
+        mapping["mode.T"] = "10"
+        cfg = write_cfg(tmp_path, "c.cfg", mapping)
+        assert run(["control", cfg]) == 3
+        err = capsys.readouterr().err
+        assert err == (
+            "error: first candidate: interface sweep 3: l=-0.000537245 at t=9.56055 "
+            "lies outside (0, L=1.0)\n"
+        )
+        mapping["mode.T"] = "5"
+        assert run(["control", write_cfg(tmp_path, "c5.cfg", mapping)]) == 0
+
 
 class TestVerifyCommand:
     def test_all_invariants_pass(self, tmp_path, capsys):

@@ -1,4 +1,5 @@
 import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -22,12 +23,14 @@ from extrusim.control import (
     verify_control,
 )
 from extrusim.errors import (
+    ConvergenceError,
     DivergenceError,
     DomainError,
     FeasibilityError,
+    SingularityError,
 )
 from extrusim.fields import SampledFunction, SpaceProfile, norm
-from extrusim.model import PhysicalParams, eps1_radius, eval_g, solve_equilibrium
+from extrusim.model import PhysicalParams, _g_partials, eps1_radius, eval_g, solve_equilibrium
 from extrusim.quadrature import cumulative_integral
 
 UNIT = PhysicalParams()
@@ -449,3 +452,117 @@ class TestOptions:
         rep = synthesize(ramp_target, UNIT, EQ)
         assert abs(rep.l.values[-1] - 0.51) <= 1e-12
         assert rep.b_outlet.values[0] == EQ.f_pe - NU
+
+
+def reference_interface(l0, b_vals, phi_vals, l_start, N_e, dt, params):
+    """The interface sweep as it was before it ran as one pass over node
+    arrays (eval_g, _g_partials and two running integrals a sweep), kept as
+    the bit-for-bit reference."""
+    l = l_start
+    s = np.zeros_like(l)
+    for _ in range(control.PICARD_MAX_ITER):
+        dg_dl, dg_df = _g_partials(l, b_vals, params)
+        l_new = l0 + cumulative_integral(N_e * eval_g(l, b_vals, params), dt)
+        s_new = cumulative_integral(N_e * (dg_dl * s + dg_df * phi_vals), dt)
+        step = max(
+            np.max(np.abs(l_new - l)) / max(1.0, np.max(np.abs(l_new))),
+            np.max(np.abs(s_new - s)) / max(1.0, np.max(np.abs(s_new))),
+        )
+        l, s = l_new, s_new
+        if step <= 1e-15:
+            return l, s
+    raise ConvergenceError(f"interface sweep did not settle (last step {step:.3e})")
+
+
+def bump_interface_args(b_shift=0.0):
+    """A hand-made outlet trace with a bump, as `synthesize` passes it."""
+    t = np.linspace(0.0, 1.0, control.SYNTH_N_T)
+    phi = np.sin(np.pi * np.clip((t - 0.4) / 0.5, 0.0, 1.0)) ** 2
+    b = EQ.f_pe - NU + 0.004 * phi + b_shift
+    return 0.49, b, phi, np.full(t.size, 0.49), EQ.N_e, t[1], UNIT
+
+
+class TestOnePassInterface:
+    """`control._interface` gives the reference sweep's bits and errors."""
+
+    def test_six_calls_of_a_control_run_are_bit_identical(self, monkeypatch):
+        # the seed-1 control workload: a centred step of 0.0165
+        calls = []
+        interface = control._interface
+
+        def recorded(*args):
+            out = interface(*args)
+            calls.append((args, out))
+            return out
+
+        monkeypatch.setattr(control, "_interface", recorded)
+        prof = SpaceProfile.constant(0.3233333333333333, 257)
+        synthesize(ControlTarget(0.49175, 0.50825, prof, prof, 1.0, NU), UNIT, EQ)
+        assert len(calls) == 6
+        for args, (l, s) in calls:
+            l_ref, s_ref = reference_interface(*args)
+            assert l.tobytes() == l_ref.tobytes()
+            assert s.tobytes() == s_ref.tobytes()
+
+    def test_bump_trace_is_bit_identical(self):
+        args = bump_interface_args()
+        (l, s), (l_ref, s_ref) = control._interface(*args), reference_interface(*args)
+        assert s_ref[-1] != 0.0
+        assert l.tobytes() == l_ref.tobytes()
+        assert s.tobytes() == s_ref.tobytes()
+
+    @pytest.mark.parametrize(
+        "b_shift, error", [(1.0, SingularityError), (-1.0, DomainError)]
+    )
+    def test_bad_outlet_ratio_raises_as_the_reference(self, b_shift, error):
+        args = bump_interface_args(b_shift)
+        with pytest.raises(error) as ref:
+            reference_interface(*args)
+        with pytest.raises(error) as new:
+            control._interface(*args)
+        assert type(new.value) is type(ref.value)
+        assert str(new.value) == str(ref.value)
+
+    def test_sweep_cap_raises_as_the_reference(self, monkeypatch):
+        monkeypatch.setattr(control, "PICARD_MAX_ITER", 3)
+        args = bump_interface_args()
+        with pytest.raises(ConvergenceError) as ref:
+            reference_interface(*args)
+        with pytest.raises(ConvergenceError) as new:
+            control._interface(*args)
+        assert str(new.value) == str(ref.value)
+
+    def test_interface_leaving_the_machine_names_sweep_time_and_value(self):
+        # over a long horizon the Picard iterates swing past the walls
+        # before they settle: the first node outside (0, L) is named
+        l0, b, phi, _, N_e, _, params = bump_interface_args()
+        dt = 10.0 / (b.size - 1)
+        args = (l0, b, phi, np.full(b.size, l0), N_e, dt, params)
+        with pytest.raises(DomainError, match="strictly inside"):
+            reference_interface(*args)
+        with pytest.raises(DomainError) as new:
+            control._interface(*args)
+        message = str(new.value)
+        match = re.fullmatch(
+            r"interface sweep (\d+): l=(\S+) at t=(\S+) lies outside \(0, L=1\.0\)", message
+        )
+        assert match, message
+        sweep, value, t = int(match[1]), float(match[2]), float(match[3])
+        assert sweep > 1 and not 0.0 < value < 1.0 and 0.0 < t <= 10.0
+
+    def test_synthesis_names_the_failing_pass(self, monkeypatch):
+        # an interface error past the first candidate names the pass and A
+        interface = control._interface
+        calls = []
+
+        def failing(*args):
+            calls.append(None)
+            if len(calls) == 2:
+                raise DomainError("interface sweep 1: stand-in")
+            return interface(*args)
+
+        monkeypatch.setattr(control, "_interface", failing)
+        prof = const_profile(EQ.f_pe - NU)
+        stage = r"^pass 1, amplitude A=0: interface sweep 1: stand-in$"
+        with pytest.raises(DomainError, match=stage):
+            synthesize(ControlTarget(0.49, 0.51, prof, prof, 1.0, NU), UNIT, EQ)

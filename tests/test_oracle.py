@@ -228,6 +228,12 @@ class TestBitIdenticalMarch:
         data = sine_feed_data(0.01, 0.006, 2, T=0.5, n_amp=0.05)
         self._assert_same(data, 0.5, UpwindConfig(dx=0.01), resampled=True)
 
+    def test_falling_screw_and_fast_feed_on_a_fine_grid(self):
+        # N falls while F_in swings at frequency 5, so the speed, the CFL step
+        # and the inflow node change every step, over 400 cells
+        data = sine_feed_data(0.02, 0.01, 5, T=0.4, n=81, n_amp=-0.06)
+        self._assert_same(data, 0.4, UpwindConfig(dx=0.0025), resampled=True)
+
     def test_runaway_interface_raises_the_same_error(self):
         c = 0.95 / (UNIT.rho0 * UNIT.V_eff)
         data = CauchyData(

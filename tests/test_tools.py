@@ -1,0 +1,83 @@
+import types
+from pathlib import Path
+
+import pytest
+
+
+def load_bench_pairs():
+    """tools/bench_pairs.py, compiled from its source text: nothing under
+    tools/ is written, not even a bytecode cache."""
+    path = Path(__file__).resolve().parents[1] / "tools" / "bench_pairs.py"
+    module = types.ModuleType("tools_bench_pairs")
+    module.__file__ = str(path)
+    exec(compile(path.read_text(), str(path), "exec"), module.__dict__)
+    return module
+
+
+compare = load_bench_pairs().compare
+
+# ten parent runs: median 14.5, quartiles 12.25 and 16.75, so the IQR is 4.5
+PARENT = [10.0, 11.0, 12.0, 13.0, 14.0, 15.0, 16.0, 17.0, 18.0, 19.0]
+
+
+def shifted(values, by):
+    return [v + by for v in values]
+
+
+class TestCompare:
+    """The verdicts of `tools/bench_pairs.compare`: a claim needs nine tenths
+    of the pairs and a median gap beyond the parent's interquartile range."""
+
+    def test_spread_of_each_side(self):
+        row = compare(PARENT, shifted(PARENT, -5.0), "lower")
+        assert row["parent"] == {"median": 14.5, "q1": 12.25, "q3": 16.75}
+        assert row["change"] == {"median": 9.5, "q1": 7.25, "q3": 11.75}
+        assert row["parent_iqr"] == 4.5
+        assert row["median_gap"] == 5.0
+
+    def test_lower_is_better(self):
+        row = compare(PARENT, shifted(PARENT, -5.0), "lower")
+        assert (row["wins"], row["losses"], row["ties"]) == (10, 0, 0)
+        assert row["verdict"] == "better"
+
+    def test_higher_is_worse_when_lower_is_better(self):
+        row = compare(PARENT, shifted(PARENT, 5.0), "lower")
+        assert (row["wins"], row["losses"], row["ties"]) == (0, 10, 0)
+        assert row["verdict"] == "worse"
+
+    @pytest.mark.parametrize("gap", [4.0, 4.5])
+    def test_gap_within_the_parent_iqr_claims_nothing(self, gap):
+        # every pair is a win, but the medians are at most the IQR, 4.5, apart
+        row = compare(PARENT, shifted(PARENT, -gap), "lower")
+        assert (row["wins"], row["median_gap"]) == (10, gap)
+        assert row["verdict"] == "no claim"
+        assert compare(PARENT, shifted(PARENT, gap), "lower")["verdict"] == "no claim"
+
+    def test_ties_count_for_neither_side(self):
+        row = compare(PARENT, list(PARENT), "lower")
+        assert (row["wins"], row["losses"], row["ties"]) == (0, 0, 10)
+        assert row["verdict"] == "no claim"
+
+    @pytest.mark.parametrize("ties, verdict", [(1, "better"), (2, "no claim")])
+    def test_nine_tenths_of_the_pairs_make_a_claim(self, ties, verdict):
+        # the tied pairs are the slowest, so the change's median stays 9.5
+        change = shifted(PARENT, -5.0)
+        change[-ties:] = PARENT[-ties:]
+        row = compare(PARENT, change, "lower")
+        assert (row["wins"], row["ties"], row["median_gap"]) == (10 - ties, ties, 5.0)
+        assert row["verdict"] == verdict
+
+    @pytest.mark.parametrize(
+        "change, verdict, wins, losses",
+        [(1.0, "better", 10, 0), (0.9, "no claim", 0, 0), (0.8, "worse", 0, 10)],
+    )
+    def test_ok_share_is_better_higher(self, change, verdict, wins, losses):
+        # a parent that never varies has an IQR of 0, so any steady gap counts
+        row = compare([0.9] * 10, [change] * 10, "higher")
+        assert (row["wins"], row["losses"]) == (wins, losses)
+        assert row["verdict"] == verdict
+
+    def test_end_to_end_directions(self):
+        directions = load_bench_pairs().END_TO_END
+        assert directions["ok_share"] == "higher"
+        assert {d for name, d in directions.items() if name != "ok_share"} == {"lower"}

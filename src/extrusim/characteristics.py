@@ -31,6 +31,7 @@ that cell's Hermite cubic give tau, each step reading Q and its slope from
 one lookup, for the roots that have not converged.  The crossing time of
 the inlet-corner characteristic at x = 1 comes from the same closed form,
 bracketed by the outlet node times, where P and Q are again the nodes.
+Other modules reach P and Q only through `xi`, `carry` and `flow_stretch`.
 
 A classical Runge-Kutta integration of the same ODE, and a crossing time
 marched along it, are provided as independent routes for cross-checking
@@ -114,32 +115,39 @@ class TraceContext:
 
     def _fill(self, t_start, t_end, lb, N, params):
         l, b = lb
+        dt = (t_end - t_start) / (N.size - 1)
+        self.t_start, self.t_end, self.dt, self.params = t_start, t_end, dt, params
         (l_min, b_min), (l_max, b_max) = lb.min(axis=1), lb.max(axis=1)
         if not (l_min > 0.0 and l_max < params.L):
-            raise DomainError("interface trace must stay inside (0, L)")
+            raise self._range_error("interface trace must stay inside (0, L)", "l", l, l_min <= 0.0)
         if not (b_min >= 0.0 and b_max < 1.0):
-            raise DomainError("die ratio trace must stay inside [0, 1)")
+            raise self._range_error("die ratio trace must stay inside [0, 1)", "b", b, b_min < 0.0)
         if not N.min() > 0.0:
-            raise DomainError("screw speed trace must stay positive")
-        dt = (t_end - t_start) / (N.size - 1)
+            raise self._range_error("screw speed trace must stay positive", "N", N, True)
         zeta_N = params.zeta * N
         # F = N*g, and F/l the integrand of P; the ranges g needs are checked
         rates = np.empty(lb.shape)
         F = np.multiply(N, die_balance(l, b, params), out=rates[0])
         # alpha_p is affine in x, so positivity on [0,1] reduces to x=0,1
         if not (zeta_N - F).min() > 0.0:
-            raise DomainError("transport speed must stay positive up to x=1")
+            raise self._range_error("transport speed must stay positive up to x=1", "zeta*N - F",
+                                    zeta_N - F, True)
         np.divide(F, l, out=rates[1])
         displacement, P = cumulative_integral(rates, dt)
         q = zeta_N / l * np.exp(P)
         Q = cumulative_integral(q, dt)
         _check_monotone(Q, q, t_start, dt)
-        self.t_start, self.t_end, self.dt, self.params = t_start, t_end, dt, params
         self.lb, self.N_nodes, self._F_nodes, self._rates, self._q = lb, N, F, rates, q
         # the running integral of F is the interface displacement since t_start
         self._displacement, self._P_nodes, self._Q_nodes = displacement, P, Q
         # P and Q at t_start, where every curve traced to the initial axis ends
         self._PQ_start = (P[0], Q[0])
+
+    def _range_error(self, message, name, values, low) -> DomainError:
+        """Range error naming the trace's least value (or greatest) and its time."""
+        i = int(values.argmin() if low else values.argmax())
+        t = self.t_start + i * self.dt
+        return DomainError(f"{message}: {name}={values[i]:.6g} at t={t:.6g}")
 
     l = cached_property(lambda self: SampledFunction(self.t_start, self.t_end, self.lb[0]))
     N = cached_property(lambda self: SampledFunction(self.t_start, self.t_end, self.N_nodes))
@@ -165,10 +173,16 @@ class TraceContext:
         F_s = eval_F(l_s, n_s, b_s, self.params)
         return self.params.zeta * n_s / l_s, F_s / l_s
 
-    def _check_inside(self, *times: float) -> None:
-        for t in times:
-            if t < self.t_start - 1e-12 or t > self.t_end + 1e-12:
-                raise DomainError(f"time {t} outside context interval [{self.t_start}, {self.t_end}]")
+    def _check_foot(self, x, *times) -> None:
+        """Foot points (t, x), scalars or arrays, must lie on the context's strip."""
+        for t in map(np.asarray, times):
+            inside = (t >= self.t_start - 1e-12) & (t <= self.t_end + 1e-12)
+            if not inside.all():
+                raise DomainError(f"time {t[~inside][0]} outside context interval "
+                                  f"[{self.t_start}, {self.t_end}]")
+        x = np.asarray(x)
+        if not ((x >= 0.0) & (x <= 1.0)).all():
+            raise DomainError("x must lie in [0, 1]")
 
 
 def _check_monotone(nodes: np.ndarray, slopes: np.ndarray, t0: float, dt: float) -> None:
@@ -220,20 +234,14 @@ def _xi_from(x, Pt, Qt, Ps, Qs):
     return np.asarray(x, dtype=float) * np.exp(Pt - Ps) - np.exp(-Ps) * (Qt - Qs)
 
 
-def _xi_closed(s, t, x, ctx: TraceContext):
-    """Closed-form characteristic position, valid for any ordering of s, t."""
-    return _xi_from(x, *ctx._PQ(t), *ctx._PQ(s))
-
-
-def xi(s: float, t: float, x: float, ctx: TraceContext) -> float:
+def xi(s, t, x, ctx: TraceContext):
     """Position at time s of the characteristic passing through (t, x).
 
-    s may lie before or after t: the closed form holds both ways.
+    s, t and x may be arrays, and s may lie before or after t (closed form).
     """
-    ctx._check_inside(s, t)
-    if not (0.0 <= x <= 1.0):
-        raise DomainError("x must lie in [0, 1]")
-    return float(_xi_closed(s, t, x, ctx))
+    ctx._check_foot(x, s, t)
+    out = _xi_from(x, *ctx._PQ(t), *ctx._PQ(s))
+    return float(out) if out.ndim == 0 else out
 
 
 def _rk4_span(ctx: TraceContext, t_from: float, x_from: float, t_to: float) -> float:
@@ -266,9 +274,7 @@ def xi_rk4(s: float, t: float, x: float, ctx: TraceContext) -> float:
     """Runge-Kutta route to xi(s; t, x), stepping at the ctx grid step."""
     if s > t:
         raise DomainError(f"need s <= t, got s={s} > t={t}")
-    ctx._check_inside(s, t)
-    if not (0.0 <= x <= 1.0):
-        raise DomainError("x must lie in [0, 1]")
+    ctx._check_foot(x, s, t)
     return _rk4_span(ctx, t, x, s)
 
 
@@ -370,10 +376,7 @@ def _origins(ts, xs, ctx: TraceContext):
     """
     ts = np.asarray(ts, dtype=float)
     xs = np.asarray(xs, dtype=float)
-    if not ((ts >= ctx.t_start - 1e-12) & (ts <= ctx.t_end + 1e-12)).all():
-        raise DomainError(f"times outside context interval [{ctx.t_start}, {ctx.t_end}]")
-    if not ((xs >= 0.0) & (xs <= 1.0)).all():
-        raise DomainError("x must lie in [0, 1]")
+    ctx._check_foot(xs, ts)
     # P and Q at the foot times as given: a (rows, 1) column of times reads
     # them once per row, not once per point of the rows x xs batch
     Pt, Qt = ctx._PQ(ts)
@@ -413,6 +416,25 @@ def backtrace_times(x: float, ctx: TraceContext):
     return is_boundary, origin
 
 
+def carry(is_boundary, origin, initial, inflow):
+    """Datum carried along the characteristics with origins (is_boundary,
+    origin) of `backtrace_batch`: `initial` is read at every origin, and
+    `inflow` overwrites it at each tau."""
+    values = initial(origin)
+    if is_boundary.any():
+        values[is_boundary] = inflow(origin[is_boundary])
+    return values
+
+
+def flow_stretch(t, is_boundary, origin, ctx: TraceContext):
+    """exp(P(t) - P(s0)), the flow's stretch of x along the characteristics
+    through foot times t with origins (is_boundary, origin) of `backtrace_batch`:
+    s0 is t_start (P stored) on the initial axis, tau on the inflow face."""
+    P_origin = np.full(origin.shape, ctx._PQ_start[0])
+    P_origin[is_boundary] = ctx._P(origin[is_boundary])
+    return np.exp(ctx._P(t) - P_origin)
+
+
 def backtrace(t: float, x: float, ctx: TraceContext) -> CharOrigin:
     """Origin of the characteristic through (t, x): Initial(beta) or Boundary(tau)."""
     is_boundary, origin = _origins(t, x, ctx)
@@ -430,8 +452,7 @@ def dtau_dx(t: float, x: float, ctx: TraceContext) -> float:
     origin = backtrace(t, x, ctx)
     if origin.is_initial:
         raise DomainError("characteristic originates from the initial axis; tau undefined")
-    tau = origin.value
-    return float(-np.exp(ctx._P(t)) / ctx._Q.derivative(tau))
+    return float(-np.exp(ctx._P(t)) / ctx._Q.derivative(origin.value))
 
 
 def dbeta_dx(t: float, x: float, ctx: TraceContext) -> float:
@@ -439,7 +460,7 @@ def dbeta_dx(t: float, x: float, ctx: TraceContext) -> float:
     origin = backtrace(t, x, ctx)
     if not origin.is_initial:
         raise DomainError("characteristic originates from the boundary; beta undefined")
-    return float(np.exp(ctx._P(t) - ctx._P(ctx.t_start)))
+    return float(flow_stretch(t, False, np.asarray(origin.value), ctx))
 
 
 def crossing_time(ctx: TraceContext):

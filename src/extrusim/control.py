@@ -16,7 +16,8 @@ Quasilinear Hyperbolic Systems, 2010), with the interface left free:
   * The interface solves dl/dt = N_e g(l, b) from l0.  The amplitude A is
     shot (Newton, with the sensitivity dl/dA) until l(T) = l1; no PDE
     solve is needed for this.  A Picard sweep of l and dl/dA is one pass
-    over node arrays; a failed one names the candidate, sweep, time and l.
+    over node arrays (g from `model.die_kernel`); a failed one names the
+    candidate, sweep, time and l.
   * t0 depends on the characteristic field, which depends on (l, b), so
     the passes repeat on each new candidate until b is a fixed point.
     t0 comes from the closed form xi(0; t0, 1) = 0
@@ -24,8 +25,8 @@ Quasilinear Hyperbolic Systems, 2010), with the interface left free:
   * The feed rate prints b backwards: the characteristic through (t, 1),
     t >= t0, left the inlet at tau(t), so the inflow ratio at tau(t) is
     b(t), up to t1 = tau(T).  After t1 the inflow is f1_p at the landing
-    point at time T, so the final profile is reproduced along
-    characteristics.
+    point at time T (`xi`), so the final profile is reproduced along
+    characteristics (read back with `carry`).
 
 A target is out of reach when the required outlet trace or interface
 leaves the eps1 ball of the equilibrium that the replay solver works in;
@@ -41,10 +42,11 @@ import numpy as np
 
 from .characteristics import (
     TraceContext,
-    _xi_closed,
     backtrace_batch,
     backtrace_times,
+    carry,
     crossing_time,
+    xi,
 )
 from .errors import (
     ConvergenceError,
@@ -55,7 +57,7 @@ from .errors import (
     SingularityError,
 )
 from .fields import SampledFunction, SpaceProfile, norm
-from .model import EquilibriumPoint, PhysicalParams, eps1_radius, inflow_value
+from .model import EquilibriumPoint, PhysicalParams, die_kernel, eps1_radius, inflow_value
 from .oracle import UpwindConfig, simulate_upwind
 from .quadrature import cumulative_integral
 from .wellposed import CauchyData, solve_semiglobal
@@ -226,35 +228,28 @@ def _interface(l0, b_vals, phi_vals, l_start, N_e, dt, params):
     l = l0 + integral N_e g(l, b), the fixed point the replay solver also
     iterates (same node quadrature), solved by Picard sweeps from l_start;
     s = dl/dA solves the linearized equation with the bump phi as source.
-    b is checked once, as `eval_g` checks it.  A sweep shares K_d(L - l),
-    D = B*rho0 + K_d(L - l) and D(1 - b) between g and its partials, in the
-    operation order of `die_balance` and `_g_partials`, so the bits are
-    theirs, and integrates N_e g and N_e (g_l s + g_b phi) as one block.
+    b is checked once, as `eval_g` checks it, and 1 - b and zeta*b/(1 - b)
+    are computed once; each sweep takes g and its partials from one
+    `die_kernel` call and integrates N_e g and N_e (g_l s + g_b phi) as one block.
     """
     if (b_vals >= 1.0).any():
         raise SingularityError("f_p1 >= 1 makes the die balance singular")
     if (b_vals < 0.0).any():
         raise DomainError("f_p1 must be a ratio in [0, 1)")
-    zeta, K_d, L, B_rho0 = params.zeta, params.K_d, params.L, params.B * params.rho0
     empty = 1.0 - b_vals
-    outflow = zeta * b_vals / empty
-    # the numerators of g_l = dg/dl and g_b = dg/db
-    c_l, c_b = -zeta * K_d * params.B * params.rho0, -zeta * params.B * params.rho0
+    outflow = params.zeta * b_vals / empty
     ls = np.stack((l_start, np.zeros_like(l_start)))  # the iterate (l, s)
     rates = np.empty(ls.shape)
     for sweep in range(1, PICARD_MAX_ITER + 1):
         l, s = ls
-        outside = (l <= 0.0) | (l >= L)
+        outside = (l <= 0.0) | (l >= params.L)
         if outside.any():
             i = int(outside.argmax())
             raise DomainError(f"interface sweep {sweep}: l={l[i]:.6g} at t={i * dt:.6g} "
-                              f"lies outside (0, L={L})")
-        remaining = K_d * (L - l)
-        D = B_rho0 + remaining
-        D_empty = D * empty
-        np.multiply(N_e, zeta * remaining / D_empty - outflow, out=rates[0])
-        np.multiply(N_e, c_l / (D * D * empty) * s + c_b / (D_empty * empty) * phi_vals,
-                    out=rates[1])
+                              f"lies outside (0, L={params.L})")
+        g, g_l, g_b = die_kernel(l, empty, outflow, params, slopes=True)
+        np.multiply(N_e, g, out=rates[0])
+        np.multiply(N_e, g_l * s + g_b * phi_vals, out=rates[1])
         nxt = cumulative_integral(rates, dt)
         nxt[0] += l0
         # each row's largest move, relative to max(1, its largest value)
@@ -381,22 +376,15 @@ def synthesize(
     b_pts = np.concatenate([[v0], b_vals[is_bnd]])
 
     def boundary_ratio(ts: np.ndarray) -> np.ndarray:
-        """Inflow filling ratio: outlet trace printed backwards, then the target."""
-        ts = np.asarray(ts, dtype=float)
-        landing = np.clip(np.asarray(_xi_closed(T, ts, 0.0, ctx), dtype=float), 0.0, 1.0)
-        return np.where(ts <= t1, np.interp(ts, tau_pts, b_pts), f1_p(landing))
+        """Inflow filling ratio at ts in [0, T]: outlet trace printed backwards, then the target."""
+        return np.where(ts <= t1, np.interp(ts, tau_pts, b_pts), f1_p(xi(T, ts, 0.0, ctx)))
 
     r_vals = boundary_ratio(t_grid)
     F_in_vals = r_vals * params.rho0 * params.V_eff * N_vals
 
     # internal consistency: read the final state back through the candidate field
     x_probe = np.linspace(0.0, 1.0, FINAL_PROBE_POINTS)
-    probe_bnd, probe_org = backtrace_batch(T, x_probe, ctx)
-    final_vals = np.where(
-        probe_bnd,
-        boundary_ratio(probe_org),
-        f0_p(np.clip(probe_org, 0.0, 1.0)),
-    )
+    final_vals = carry(*backtrace_batch(T, x_probe, ctx), f0_p, boundary_ratio)
     err_fp = float(np.max(np.abs(final_vals - f1_p(x_probe))))
     err_l = abs(float(l_vals[-1]) - l1)
 

@@ -357,6 +357,18 @@ class SolutionField:
         return buf.getvalue().decode("ascii")
 
 
+def _norm(kind: str, values: np.ndarray, *steps: float) -> float:
+    """Linf (max |values|) or W1inf (also max |difference| / step along each
+    axis, steps in order); max |d| / step is max(|d| / step) bit for bit, as
+    rounded division by a positive step is monotone."""
+    if kind not in ("Linf", "W1inf"):
+        raise DomainError(f"unknown norm kind {kind!r}")
+    sup = np.max(np.abs(values))
+    for axis, step in enumerate(steps if kind == "W1inf" else ()):
+        sup = max(sup, np.max(np.abs(np.diff(values, axis=axis))) / step)
+    return float(sup)
+
+
 def norm(kind: str, f) -> float:
     """Discrete norm of a sampled function or profile.
 
@@ -367,27 +379,14 @@ def norm(kind: str, f) -> float:
     interpolants these containers represent.
     """
     values = np.asarray(f.values, dtype=float)
-    if kind == "Linf":
-        return float(np.max(np.abs(values)))
-    if kind == "W1inf":
-        if values.size < 3:
-            raise GridError("W1inf needs at least three samples")
-        quotients = np.abs(np.diff(values)) / f.dt
-        return float(max(np.max(np.abs(values)), np.max(quotients)))
-    raise DomainError(f"unknown norm kind {kind!r}")
+    if kind == "W1inf" and values.size < 3:
+        raise GridError("W1inf needs at least three samples")
+    return _norm(kind, values, f.dt)
 
 
 def field_norm(kind: str, field: SolutionField, shift: float = 0.0) -> float:
     """Linf or W1inf of a space-time field (optionally around a constant)."""
-    values = field.values - shift
-    if kind == "Linf":
-        return float(np.max(np.abs(values)))
-    if kind == "W1inf":
-        dt = field.t_grid[1] - field.t_grid[0]
-        dx = field.x_grid[1] - field.x_grid[0]
-        sup = np.max(np.abs(values))
-        sup_t = np.max(np.abs(np.diff(values, axis=0))) / dt if values.shape[0] > 1 else 0.0
-        sup_x = np.max(np.abs(np.diff(values, axis=1))) / dx if values.shape[1] > 1 else 0.0
-        return float(max(sup, sup_t, sup_x))
-    raise DomainError(f"unknown field norm kind {kind!r}")
+    t, x = field.t_grid, field.x_grid
+    steps = (t[1] - t[0], x[1] - x[0]) if kind == "W1inf" else ()
+    return _norm(kind, field.values - shift, *steps)
 

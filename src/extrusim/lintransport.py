@@ -14,7 +14,8 @@ and stands as an independent check of the closed forms.
 
 The derivative fields of the filling ratio need no marching: their speed
 is the filling ratio's own, so they are closed form along the origins that
-`characteristics` solves for, scaled by exp(P) growth factors.
+`characteristics` solves for, carried by `carry` and scaled by powers of
+`flow_stretch`.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .characteristics import TraceContext, backtrace_batch
+from .characteristics import TraceContext, backtrace_batch, carry, flow_stretch
 from .errors import CompatibilityError, DomainError, GridError
 from .fields import SampledFunction, SolutionField, SpaceProfile
 from .model import inflow_value
@@ -349,18 +350,11 @@ def derivative_fields(solution, data):
     ctx = TraceContext.from_nodes(0.0, T, np.stack((l_vals, field.values[:, -1])), N_vals,
                                   data.params)
     is_boundary, origin = backtrace_batch(tg[:, None], xg, ctx)
-    # P at each origin time: the context's cached P(t_start) on the initial
-    # axis, one lookup at tau on the inflow face
-    P_origin = np.full(origin.shape, ctx._PQ_start[0])
-    P_origin[is_boundary] = ctx._P(origin[is_boundary])
-    growth = np.exp(ctx._P(tg)[:, None] - P_origin)
+    growth = flow_stretch(tg[:, None], is_boundary, origin, ctx)
 
     def carried(datum_vals, inflow_vals, k):
-        at_origin = np.where(
-            is_boundary,
-            SampledFunction(0.0, T, inflow_vals)(origin),
-            SpaceProfile(datum_vals)(origin),
-        )
+        at_origin = carry(is_boundary, origin, SpaceProfile(datum_vals),
+                          SampledFunction(0.0, T, inflow_vals))
         return SolutionField(tg, xg, at_origin * growth**k, is_boundary)
 
     r_vals = inflow_value(np.asarray(data.F_in(tg), dtype=float), N_vals, data.params)

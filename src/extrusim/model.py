@@ -119,10 +119,23 @@ def eval_g(l, f_p1, params: PhysicalParams):
 
 def die_balance(l, f_p1, params: PhysicalParams):
     """g(l, f_p1) of `eval_g` for float arrays whose ranges the caller has checked."""
-    remaining = params.K_d * (params.L - l)
     empty = 1.0 - f_p1
-    denom = (params.B * params.rho0 + remaining) * empty
-    return params.zeta * remaining / denom - params.zeta * f_p1 / empty
+    return die_kernel(l, empty, params.zeta * f_p1 / empty, params)
+
+
+def die_kernel(l, empty, outflow, params: PhysicalParams, slopes: bool = False):
+    """g, or with slopes (g, dg/dl, dg/df_p1), from l, empty = 1 - f_p1 and
+    outflow = zeta*f_p1/empty; K_d*(L - l), D = B*rho0 + K_d*(L - l) and D*empty
+    are shared, and a caller sweeping l over one f_p1 reuses empty and outflow."""
+    remaining = params.K_d * (params.L - l)
+    D = params.B * params.rho0 + remaining
+    D_empty = D * empty
+    g = params.zeta * remaining / D_empty - outflow
+    if not slopes:
+        return g
+    dg_dl = -params.zeta * params.K_d * params.B * params.rho0 / (D * D * empty)
+    dg_df = -params.zeta * params.B * params.rho0 / (D_empty * empty)
+    return g, dg_dl, dg_df
 
 
 def eval_F(l, N, f_p1, params: PhysicalParams):
@@ -203,15 +216,6 @@ def solve_equilibrium(
     return EquilibriumPoint(l_e=float(l_e), N_e=float(N_e), f_pe=float(f_pe), params=params)
 
 
-def _g_partials(l, f_p1, params: PhysicalParams):
-    # d g/dl and dg/df along the closed forms; D = B*rho0 + K_d*(L-l)
-    D = params.B * params.rho0 + params.K_d * (params.L - l)
-    one_minus = 1.0 - f_p1
-    dg_dl = -params.zeta * params.K_d * params.B * params.rho0 / (D * D * one_minus)
-    dg_df = -params.zeta * params.B * params.rho0 / (D * one_minus * one_minus)
-    return dg_dl, dg_df
-
-
 def eps1_bound(eq: EquilibriumPoint) -> float:
     """Strict upper bound for the admissible deviation radius around eq."""
     return float(min(eq.l_e, eq.params.L - eq.l_e, eq.f_pe, 1.0 - eq.f_pe))
@@ -240,9 +244,11 @@ def norm_F_box(params: PhysicalParams, eq: EquilibriumPoint, eps1: float) -> flo
     ls = np.linspace(eq.l_e - eps1, eq.l_e + eps1, F_BOX_SAMPLES)
     Ns = np.linspace(eq.N_e - eps1, eq.N_e + eps1, F_BOX_SAMPLES)
     fs = np.linspace(eq.f_pe - eps1, eq.f_pe + eps1, F_BOX_SAMPLES)
-    lg, fg = np.meshgrid(ls, fs, indexing="ij")
-    g = eval_g(lg, fg, params)
-    dg_dl, dg_df = _g_partials(lg, fg, params)
+    # the box lies inside the ranges g needs (eps1 is below the bound); the
+    # (l, f) grid is a broadcast, so the terms of one axis are computed once
+    lg, fg = ls[:, None], fs[None, :]
+    empty = 1.0 - fg
+    g, dg_dl, dg_df = die_kernel(lg, empty, params.zeta * fg / empty, params, slopes=True)
     n_hi = np.max(np.abs(Ns))
     # F = N*g; partials: F_l = N*g_l, F_N = g, F_f = N*g_f.  N enters each
     # term monotonically so the N axis reduces to its endpoints.

@@ -22,6 +22,7 @@ A map is one pass over node arrays: the iterate (l, b) is one (2, n) block,
 its context comes from `TraceContext.from_nodes`, one 2-d running integral
 gives both the interface displacement and P, and no `SampledFunction` or
 Hermite object is built until assembly looks up times between nodes.
+Maps and assembly carry data with `carry`; an error in a segment names it.
 """
 
 from __future__ import annotations
@@ -33,12 +34,13 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .characteristics import TraceContext, backtrace_batch, backtrace_times
+from .characteristics import TraceContext, backtrace_batch, backtrace_times, carry
 from .errors import (
     CompatibilityError,
     ConvergenceError,
     DivergenceError,
     DomainError,
+    ExtrusimError,
     ResolutionError,
 )
 from .fields import SampledFunction, SolutionField, SpaceProfile, field_norm, norm
@@ -66,7 +68,7 @@ def inflow_peak(F_in: SampledFunction, N: SampledFunction, params: PhysicalParam
     # the joint nodes, unsorted: a first np.sort or np.union1d in the
     # process pages in sort code (np.union1d imports numpy.ma too)
     t = np.concatenate((F_in.grid, N.grid))
-    ratio = F_in(t) / (params.rho0 * params.V_eff * N(t))
+    ratio = inflow_value(F_in(t), N(t), params)
     peak = ratio.max()
     return float(peak), float(t[ratio == peak].min())
 
@@ -164,15 +166,6 @@ def _resample(sf: SampledFunction, t_start: float, t_end: float, n: int) -> Samp
     return SampledFunction(t_start, t_end, np.asarray(sf(grid), dtype=float))
 
 
-def _datum_at(data: CauchyData, is_boundary, origin):
-    """Datum carried along each characteristic: f0_p at beta, inflow at tau
-    (f0_p is read at every origin, and the inflow replaces it at each tau)."""
-    values = data.f0_p(origin)
-    if is_boundary.any():
-        values[is_boundary] = data.inflow(origin[is_boundary])
-    return values
-
-
 def _iterates(data: CauchyData, delta: float, n: int, initial):
     """Picard iterates of the solution map on n nodes of [0, delta].
 
@@ -197,7 +190,7 @@ def _iterates(data: CauchyData, delta: float, n: int, initial):
         # called through this module's binding, so that a wrapper installed
         # on it (perfbench/tracer.py) sees one call per map
         is_boundary, origin = backtrace_times(1.0, ctx)
-        nxt[1] = _datum_at(data, is_boundary, origin)
+        nxt[1] = carry(is_boundary, origin, data.f0_p, data.inflow)
         yield ctx, nxt, float(np.abs(nxt - center).max()), float(np.abs(nxt - lb).max())
         lb = nxt
 
@@ -296,7 +289,7 @@ def local_fixed_point(
 def _assemble_rows(ctx: TraceContext, data: CauchyData, t_rows, x_grid):
     """Datum transport to each requested row; returns values, flags, origins."""
     is_boundary, origin = backtrace_batch(np.asarray(t_rows, dtype=float)[:, None], x_grid, ctx)
-    return _datum_at(data, is_boundary, origin), is_boundary, origin
+    return carry(is_boundary, origin, data.f0_p, data.inflow), is_boundary, origin
 
 
 def solve_semiglobal(
@@ -342,12 +335,12 @@ def solve_semiglobal(
         ends = t_grid[i_lo:] - t_grid[i_lo]
         try:
             probe = compute_delta(seg_data, f_norm, ends, dt_out)
-        except ResolutionError as exc:
-            raise ResolutionError(f"segment {len(reports)}: {exc}") from exc
+        except ExtrusimError as exc:
+            raise type(exc)(f"segment {len(reports)}: {exc}") from exc
         i_hi = i_lo + probe.cells
         try:
             report = local_fixed_point(seg_data, probe)
-        except (DivergenceError, ConvergenceError) as exc:
+        except ExtrusimError as exc:
             raise type(exc)(f"segment {len(reports)} on [{t_grid[i_lo]:.6g}, "
                             f"{t_grid[i_hi]:.6g}]: {exc}") from exc
         l_seg = report.context.l
@@ -364,16 +357,11 @@ def solve_semiglobal(
         reports.append(report)
 
         if i_hi < n_t - 1:
-            junction_profile = SpaceProfile(values[i_hi].copy())
             l_junction, rest = float(l_seg(l_seg.t_end)), T - t_grid[i_hi]
-            try:
-                seg_data = CauchyData(l_junction, junction_profile,
-                                      SampledFunction(0.0, rest, F_in_g.values[i_hi:]),
-                                      SampledFunction(0.0, rest, N_g.values[i_hi:]),
-                                      data.params, eq)
-            except (DomainError, CompatibilityError) as exc:
-                raise type(exc)(f"segment {len(reports)} at the junction "
-                                f"t={t_grid[i_hi]:.6g}: {exc}") from exc
+            seg_data = CauchyData(l_junction, SpaceProfile(values[i_hi].copy()),
+                                  SampledFunction(0.0, rest, F_in_g.values[i_hi:]),
+                                  SampledFunction(0.0, rest, N_g.values[i_hi:]),
+                                  data.params, eq)
         i_lo = i_hi
 
     field = SolutionField(t_grid, x_grid, values, provenance)

@@ -15,7 +15,6 @@ from extrusim.characteristics import (
     _check_monotone,
     _origins,
     _rk4_span,
-    _xi_closed,
     _xi_from,
     backtrace,
     backtrace_batch,
@@ -24,6 +23,7 @@ from extrusim.characteristics import (
     crossing_time_rk4,
     dbeta_dx,
     dtau_dx,
+    flow_stretch,
     xi,
     xi_rk4,
 )
@@ -104,11 +104,13 @@ class TestTraceContext:
         ],
     )
     def test_each_range_rejects_its_end_value(self, trace, value, message):
-        # one node of eleven sits on the excluded end of its range
+        # one node of eleven sits on the excluded end of its range; the
+        # message names that value and its time
         values = {"l": np.full(11, 0.5), "N": np.ones(11), "b": np.full(11, 0.3)}
         values[trace][7] = value
         l, N, b = (SampledFunction(0.0, 1.0, values[name]) for name in ("l", "N", "b"))
-        with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+        detail = f"{message}: {trace}={value:.6g} at t=0.7"
+        with pytest.raises(DomainError, match=f"^{re.escape(detail)}$"):
             TraceContext(l, N, b, UNIT)
 
     def test_zero_speed_at_the_outlet_is_rejected(self):
@@ -119,8 +121,9 @@ class TestTraceContext:
         N = SampledFunction.constant(1.0, 0.0, 1.0, 11)
         b = SampledFunction.constant(0.0, 0.0, 1.0, 11)
         speed = params.zeta * N.values - N.values * die_balance(l.values, b.values, params)
-        assert speed.min() == 0.0
-        with pytest.raises(DomainError, match=r"^transport speed must stay positive up to x=1$"):
+        assert speed.min() == speed[0] == 0.0
+        message = r"^transport speed must stay positive up to x=1: zeta\*N - F=0 at t=0$"
+        with pytest.raises(DomainError, match=message):
             TraceContext(l, N, b, params)
 
 
@@ -199,7 +202,7 @@ class TestInvariants:
         # forward landing point, and tracing it back returns x
         ctx = wavy_ctx()
         for s, t, x in [(0.9, 0.7, 0.2), (0.95, 0.0, 0.0), (0.5, 0.25, 1.0)]:
-            assert xi(s, t, x, ctx) == float(_xi_closed(s, t, x, ctx))
+            assert xi(s, t, x, ctx) == float(_xi_from(x, *ctx._PQ(t), *ctx._PQ(s)))
         landing = xi(0.9, 0.7, 0.2, ctx)
         assert 0.2 < landing < 1.0
         assert xi(0.7, 0.9, landing, ctx) == pytest.approx(0.2, abs=1e-12)
@@ -418,8 +421,46 @@ class TestOriginRoundTrip:
         # the closed form run forward from (t_start, beta) or (tau, 0)
         t_from = np.where(is_boundary, origin, ctx.t_start)
         x_from = np.where(is_boundary, 0.0, origin)
-        landed = _xi_closed(ts, t_from, x_from, ctx)
+        landed = xi(ts, t_from, x_from, ctx)
         assert np.max(np.abs(landed - xs)) <= 1e-12
+
+
+def reference_growth(ts, is_boundary, origin, ctx):
+    """The flow stretch as `derivative_fields` computed it before
+    `flow_stretch`, for a 1-d array of row times, kept as the bit-for-bit
+    reference."""
+    P_origin = np.full(origin.shape, ctx._PQ_start[0])
+    P_origin[is_boundary] = ctx._P(origin[is_boundary])
+    return np.exp(ctx._P(ts)[:, None] - P_origin)
+
+
+def reference_dbeta_dx(t, ctx):
+    """`dbeta_dx` before `flow_stretch`, past its origin check."""
+    return float(np.exp(ctx._P(t) - ctx._P(ctx.t_start)))
+
+
+class TestFlowStretch:
+    """`flow_stretch` gives the bits of the two forms it replaced."""
+
+    def check(self, ctx, ts, xs):
+        is_boundary, origin = backtrace_batch(ts[:, None], xs, ctx)
+        new = flow_stretch(ts[:, None], is_boundary, origin, ctx)
+        assert new.tobytes() == reference_growth(ts, is_boundary, origin, ctx).tobytes()
+        for t, row_boundary in zip(ts, is_boundary):
+            for x in xs[~row_boundary]:
+                assert dbeta_dx(t, x, ctx) == reference_dbeta_dx(t, ctx)
+        return is_boundary
+
+    def test_wavy_rows_on_both_faces(self):
+        ctx = wavy_ctx()
+        is_boundary = self.check(ctx, np.linspace(0.0, 1.0, 21), np.linspace(0.0, 1.0, 11))
+        assert is_boundary.any() and not is_boundary.all()
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(ctx=sine_contexts(), seed=st.integers(0, 2**32 - 1))
+    def test_sine_contexts(self, ctx, seed):
+        rng = np.random.default_rng(seed)
+        self.check(ctx, rng.uniform(ctx.t_start, ctx.t_end, 12), rng.uniform(0.0, 1.0, 7))
 
 
 class TestNodeTimeRoute:

@@ -762,6 +762,33 @@ class TestSimulateCommand:
         assert b"0.333333333333" in blob  # 12 significant digits
 
 
+    def test_error_inside_a_segment_names_the_segment(self, tmp_path, capsys):
+        # a full feed: the second probe map swings the interface out of the
+        # machine, and the error names the segment, the value and its time
+        mapping = dict(segment_error_cfg(), **{"mode.out": str(tmp_path / "out")})
+        assert run(["simulate", write_cfg(tmp_path, "c.cfg", mapping)]) == 3
+        assert capsys.readouterr().err == f"error: {SEGMENT_ERROR}\n"
+        assert not (tmp_path / "out").exists()
+
+
+def segment_error_cfg():
+    """Inputs on which segment 0 of the characteristic solver fails."""
+    return {
+        "equilibrium.N_e": "1",
+        "equilibrium.l_e": "0.5",
+        "data.l0": "0.5",
+        "data.f0_p": "constant:0.99",
+        "data.F_in": "constant:0.99",
+        "data.N": "constant:eq",
+        "numerics.dt": "0.005",
+        "numerics.dx": "0.01",
+        "mode.T": "1",
+    }
+
+
+SEGMENT_ERROR = "segment 0: interface trace must stay inside (0, L): l=-3.44 at t=0.06"
+
+
 class TestControlCommand:
     def test_writes_controls_and_certificate(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, "c.cfg", base_control_cfg(tmp_path))
@@ -816,6 +843,11 @@ class TestVerifyCommand:
             "ratio-range",
         ):
             assert f"ok {name}" in out
+
+    def test_error_inside_a_segment_names_the_segment(self, tmp_path, capsys):
+        assert run(["verify", write_cfg(tmp_path, "c.cfg", segment_error_cfg())]) == 3
+        out = capsys.readouterr().out
+        assert f"FAIL fixed-point-contraction: {SEGMENT_ERROR}\n" in out
 
     def test_failed_check_exits_3(self, tmp_path, capsys, monkeypatch):
         # an upwind field shifted by 0.01 fails the 5e-3 cross-validation

@@ -9,9 +9,11 @@ from hypothesis import strategies as st
 from extrusim import control
 from extrusim.characteristics import (
     TraceContext,
+    _xi_from,
     backtrace,
     backtrace_batch,
     backtrace_times,
+    carry,
     crossing_time_rk4,
 )
 from extrusim.control import (
@@ -30,7 +32,7 @@ from extrusim.errors import (
     SingularityError,
 )
 from extrusim.fields import SampledFunction, SpaceProfile, norm
-from extrusim.model import PhysicalParams, _g_partials, eps1_radius, eval_g, solve_equilibrium
+from extrusim.model import PhysicalParams, eps1_radius, eval_g, solve_equilibrium
 from extrusim.quadrature import cumulative_integral
 
 UNIT = PhysicalParams()
@@ -454,14 +456,24 @@ class TestOptions:
         assert rep.b_outlet.values[0] == EQ.f_pe - NU
 
 
+def reference_g_partials(l, f_p1, params):
+    """dg/dl and dg/df as `model._g_partials` computed them, before g and its
+    partials had one kernel."""
+    D = params.B * params.rho0 + params.K_d * (params.L - l)
+    one_minus = 1.0 - f_p1
+    dg_dl = -params.zeta * params.K_d * params.B * params.rho0 / (D * D * one_minus)
+    dg_df = -params.zeta * params.B * params.rho0 / (D * one_minus * one_minus)
+    return dg_dl, dg_df
+
+
 def reference_interface(l0, b_vals, phi_vals, l_start, N_e, dt, params):
     """The interface sweep as it was before it ran as one pass over node
-    arrays (eval_g, _g_partials and two running integrals a sweep), kept as
-    the bit-for-bit reference."""
+    arrays (eval_g, the partials of `reference_g_partials` and two running
+    integrals a sweep), kept as the bit-for-bit reference."""
     l = l_start
     s = np.zeros_like(l)
     for _ in range(control.PICARD_MAX_ITER):
-        dg_dl, dg_df = _g_partials(l, b_vals, params)
+        dg_dl, dg_df = reference_g_partials(l, b_vals, params)
         l_new = l0 + cumulative_integral(N_e * eval_g(l, b_vals, params), dt)
         s_new = cumulative_integral(N_e * (dg_dl * s + dg_df * phi_vals), dt)
         step = max(
@@ -566,3 +578,65 @@ class TestOnePassInterface:
         stage = r"^pass 1, amplitude A=0: interface sweep 1: stand-in$"
         with pytest.raises(DomainError, match=stage):
             synthesize(ControlTarget(0.49, 0.51, prof, prof, 1.0, NU), UNIT, EQ)
+
+
+def reference_printing(report, target, params):
+    """The inflow printing and final-state read-back of `synthesize` before
+    `characteristics.carry` and the array `xi`, kept as the bit-for-bit
+    reference: the boundary ratio from the closed form with the landing
+    clipped, evaluated at every probe origin, and f0_p at the clipped
+    origins.  Returns (inflow ratio on the grid, read-back values)."""
+    T = target.T
+    l_vals, b_vals, N_vals = report.l.values, report.b_outlet.values, report.N.values
+    ctx = TraceContext.from_nodes(0.0, T, np.stack((l_vals, b_vals)), N_vals, params)
+    is_bnd, origin = backtrace_times(1.0, ctx)
+    t1 = float(origin[-1])
+    tau_pts = np.concatenate([[0.0], origin[is_bnd]])
+    b_pts = np.concatenate([[float(target.f0_p.values[0])], b_vals[is_bnd]])
+
+    def boundary_ratio(ts):
+        ts = np.asarray(ts, dtype=float)
+        landing = np.clip(np.asarray(_xi_from(0.0, *ctx._PQ(ts), *ctx._PQ(T)), dtype=float),
+                          0.0, 1.0)
+        return np.where(ts <= t1, np.interp(ts, tau_pts, b_pts), target.f1_p(landing))
+
+    x_probe = np.linspace(0.0, 1.0, control.FINAL_PROBE_POINTS)
+    probe_bnd, probe_org = backtrace_batch(T, x_probe, ctx)
+    final_vals = np.where(probe_bnd, boundary_ratio(probe_org),
+                          target.f0_p(np.clip(probe_org, 0.0, 1.0)))
+    return boundary_ratio(np.linspace(0.0, T, l_vals.size)), final_vals
+
+
+class TestOneCarryReadBack:
+    """`synthesize` prints the inflow through `characteristics.xi` on an
+    array of times and reads the final state back with `carry`, with the
+    bits of the reference."""
+
+    @pytest.mark.parametrize(
+        "l0, l1, T, wave",
+        [(0.49175, 0.50825, 1.0, 0.0), (0.495, 0.505, 0.8, 0.0), (0.49, 0.51, 1.0, 0.005)],
+    )
+    def test_printing_and_read_back_are_bit_identical(self, monkeypatch, l0, l1, T, wave):
+        # the first case is the seed-1 control workload, a centred step of
+        # 0.0165; a wave in the final profile makes the landing points count
+        calls = []
+
+        def recorded(*args):
+            out = carry(*args)
+            calls.append((args[0].copy(), out.copy()))
+            return out
+
+        monkeypatch.setattr(control, "carry", recorded)
+        prof = SpaceProfile.constant(0.3233333333333333, 257)
+        final = SpaceProfile.from_callable(lambda x: prof(x) + wave * np.sin(np.pi * x), 257)
+        target = ControlTarget(l0, l1, prof, final, T, NU if wave == 0.0 else 0.05)
+        report = synthesize(target, UNIT, EQ)
+        r_ref, final_ref = reference_printing(report, target, UNIT)
+        F_in_ref = r_ref * UNIT.rho0 * UNIT.V_eff * report.N.values
+        assert report.F_in.values.tobytes() == F_in_ref.tobytes()
+        [(probe_bnd, final_vals)] = calls
+        # past the critical time every curve at T entered through the inlet
+        assert probe_bnd.all()
+        assert final_vals.tobytes() == final_ref.tobytes()
+        x_probe = np.linspace(0.0, 1.0, control.FINAL_PROBE_POINTS)
+        assert report.final_errors[1] == float(np.max(np.abs(final_ref - final(x_probe))))

@@ -170,6 +170,55 @@ class TestSolutionField:
         assert field_norm("W1inf", f, shift=0.25) == 0.0
 
 
+def reference_norm(f):
+    """`norm` W1inf before its shared helper: every quotient, then the max."""
+    values = np.asarray(f.values, dtype=float)
+    quotients = np.abs(np.diff(values)) / f.dt
+    return float(max(np.max(np.abs(values)), np.max(quotients)))
+
+
+def reference_field_norm(field, shift=0.0):
+    """`field_norm` W1inf before its shared helper."""
+    values = field.values - shift
+    dt = field.t_grid[1] - field.t_grid[0]
+    dx = field.x_grid[1] - field.x_grid[0]
+    sup = np.max(np.abs(values))
+    sup_t = np.max(np.abs(np.diff(values, axis=0))) / dt if values.shape[0] > 1 else 0.0
+    sup_x = np.max(np.abs(np.diff(values, axis=1))) / dx if values.shape[1] > 1 else 0.0
+    return float(max(sup, sup_t, sup_x))
+
+
+class TestW1infNorms:
+    """Both W1inf norms read max |difference| / step from one helper, with
+    the bits of the per-quotient forms they replaced."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(
+        values=arrays(np.float64, st.integers(3, 60), elements=st.floats(-1e3, 1e3)),
+        t_end=st.floats(1e-3, 1e3),
+    )
+    def test_sampled_function(self, values, t_end):
+        f = SampledFunction(0.0, t_end, values)
+        assert norm("W1inf", f) == reference_norm(f)
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(
+        shape=st.tuples(st.integers(2, 12), st.integers(2, 12)),
+        seed=st.integers(0, 2**32 - 1),
+        ends=st.tuples(st.floats(1e-3, 1e3), st.floats(1e-3, 1e3)),
+        scale=st.floats(1e-6, 1e3),
+    )
+    def test_field(self, shape, seed, ends, scale):
+        rng = np.random.default_rng(seed)
+        values = scale * rng.standard_normal(shape)
+        field = SolutionField(np.linspace(0.0, ends[0], shape[0]),
+                              np.linspace(0.0, ends[1], shape[1]),
+                              values, np.zeros(shape, dtype=bool))
+        shift = float(values.flat[0])
+        assert field_norm("W1inf", field) == reference_field_norm(field)
+        assert field_norm("W1inf", field, shift=shift) == reference_field_norm(field, shift)
+
+
 def test_format_value_is_12_sig_digits():
     assert format_value(1.0 / 3.0) == "0.333333333333"
     assert format_value(2.0) == "2"

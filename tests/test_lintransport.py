@@ -3,10 +3,12 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+from extrusim.characteristics import TraceContext, backtrace_batch
 from extrusim.errors import CompatibilityError, DomainError, GridError
-from extrusim.fields import SampledFunction, SpaceProfile
+from extrusim.fields import SampledFunction, SolutionField, SpaceProfile
 from extrusim.lintransport import (
     LinearTransportProblem,
+    _dt_quotient,
     check_compatibility,
     derivative_fields,
     polynomial_trial_family,
@@ -420,3 +422,97 @@ class TestDerivativeFields:
         sol = solve_semiglobal(data, 0.05, n_t=21, n_x=41)
         with pytest.raises(CompatibilityError):
             derivative_fields(sol, data)
+
+
+def reference_derivative_fields(solution, data):
+    """`derivative_fields` before `characteristics.carry` and `flow_stretch`,
+    past its corner check, kept as the bit-for-bit reference: the stretch
+    from P read off the context, and both data read at every origin."""
+    field = solution.field
+    tg, xg = field.t_grid, field.x_grid
+    T = float(tg[-1])
+    zeta = data.params.zeta
+    N_vals = np.asarray(data.N(tg), dtype=float)
+    l_vals = np.asarray(solution.l(tg), dtype=float)
+    ctx = TraceContext.from_nodes(0.0, T, np.stack((l_vals, field.values[:, -1])), N_vals,
+                                  data.params)
+    is_boundary, origin = backtrace_batch(tg[:, None], xg, ctx)
+    P_origin = np.full(origin.shape, ctx._PQ_start[0])
+    P_origin[is_boundary] = ctx._P(origin[is_boundary])
+    growth = np.exp(ctx._P(tg)[:, None] - P_origin)
+
+    def carried(datum_vals, inflow_vals, k):
+        at_origin = np.where(
+            is_boundary,
+            SampledFunction(0.0, T, inflow_vals)(origin),
+            SpaceProfile(datum_vals)(origin),
+        )
+        return SolutionField(tg, xg, at_origin * growth**k, is_boundary)
+
+    r_vals = inflow_value(np.asarray(data.F_in(tg), dtype=float), N_vals, data.params)
+    dt_out = tg[1] - tg[0]
+    r1 = _dt_quotient(r_vals, dt_out)
+    ratio_lN = l_vals / (zeta * N_vals)
+    w = ratio_lN * r1
+    h1_vals = -w
+    h2_vals = -ratio_lN * (ctx._F_nodes / (zeta * N_vals) * r1 - _dt_quotient(w, dt_out))
+    dx0 = data.f0_p.dx
+    d1_vals = np.gradient(data.f0_p.values, dx0, edge_order=2)
+    d2_vals = np.gradient(d1_vals, dx0, edge_order=2)
+    return carried(d1_vals, h1_vals, 1), carried(d2_vals, h2_vals, 2)
+
+
+def regularity_data(amp, lo, width):
+    """The regularity benchmark input: a sin^2 bump of the given amplitude on
+    [lo, lo + width] over the equilibrium ratio, on 401 nodes, with constant
+    feed and screw speed on [0, 0.5]."""
+    x = np.linspace(0.0, 1.0, 401)
+    s = np.clip((x - lo) / width, 0.0, 1.0)
+    bump = EQ.f_pe + np.where((x >= lo) & (x < lo + width), amp * np.sin(np.pi * s) ** 2, 0.0)
+    return CauchyData(
+        EQ.l_e,
+        SpaceProfile(bump),
+        SampledFunction.constant(EQ.f_pe * UNIT.rho0 * UNIT.V_eff * EQ.N_e, 0.0, 0.5, 101),
+        SampledFunction.constant(EQ.N_e, 0.0, 0.5, 101),
+        UNIT,
+        EQ,
+    )
+
+
+class TestOneCarryAndStretch:
+    """The derivative fields carry their data with `characteristics.carry`
+    and scale them by `flow_stretch`, with the bits of the old fields."""
+
+    def check(self, data, T, n_t, n_x):
+        sol = solve_semiglobal(data, T, n_t=n_t, n_x=n_x)
+        new = derivative_fields(sol, data)
+        ref = reference_derivative_fields(sol, data)
+        for got, want in zip(new, ref, strict=True):
+            assert got.values.tobytes() == want.values.tobytes()
+            assert got.provenance.tobytes() == want.provenance.tobytes()
+        prov = new[0].provenance
+        assert prov.any() and not prov.all()
+        return new
+
+    def test_regularity_pool_input_5(self):
+        # amp 0.005 on [0.3, 0.9], the sixth input of the regularity pool
+        self.check(regularity_data(0.005, 0.3, 0.6), 0.5, 101, 401)
+
+    def test_varying_feed_carries_nonzero_inflow_values(self):
+        T = 0.12
+        feed_eq = EQ.f_pe * UNIT.rho0 * UNIT.V_eff * EQ.N_e
+
+        def feed(t):
+            return feed_eq + 0.004 * np.sin(np.pi * np.clip((t - 0.03) / 0.09, 0, 1)) ** 2
+
+        data = CauchyData(
+            EQ.l_e,
+            outlet_safe_bump(0.02, support=(0.3, 0.9), n=1001),
+            SampledFunction.from_callable(feed, 0.0, T, 101),
+            SampledFunction.constant(EQ.N_e, 0.0, T, 101),
+            UNIT,
+            EQ,
+        )
+        fx, fxx = self.check(data, T, 49, 201)
+        bnd = fx.provenance.astype(bool)
+        assert np.abs(fx.values[bnd]).max() > 0.0 and np.abs(fxx.values[bnd]).max() > 0.0

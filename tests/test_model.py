@@ -9,6 +9,8 @@ from extrusim.errors import DomainError, ExtrusimError, SingularityError
 from extrusim.model import (
     EquilibriumPoint,
     PhysicalParams,
+    die_balance,
+    die_kernel,
     eval_F,
     eval_alpha_p,
     eval_g,
@@ -217,3 +219,81 @@ class TestNormFBox:
         fs = eq_unit.f_pe + rng.uniform(-eps1, eps1, 10_000)
         F = eval_F(ls, ns, fs, UNIT)
         assert np.max(np.abs(F)) <= bound
+
+
+def reference_die_balance(l, f_p1, params):
+    """g as `die_balance` computed it before the kernel, kept as the
+    bit-for-bit reference."""
+    remaining = params.K_d * (params.L - l)
+    empty = 1.0 - f_p1
+    denom = (params.B * params.rho0 + remaining) * empty
+    return params.zeta * remaining / denom - params.zeta * f_p1 / empty
+
+
+def reference_g_partials(l, f_p1, params):
+    """dg/dl and dg/df as `_g_partials` computed them before the kernel
+    (`norm_F_box` now takes them from the kernel)."""
+    D = params.B * params.rho0 + params.K_d * (params.L - l)
+    one_minus = 1.0 - f_p1
+    dg_dl = -params.zeta * params.K_d * params.B * params.rho0 / (D * D * one_minus)
+    dg_df = -params.zeta * params.B * params.rho0 / (D * one_minus * one_minus)
+    return dg_dl, dg_df
+
+
+positive = st.floats(0.05, 20.0)
+
+
+@st.composite
+def in_range_arrays(draw):
+    """Parameters, and l in (0, L) and f_p1 in [0, 1) as float arrays."""
+    params = PhysicalParams(zeta=draw(positive), L=draw(positive), K_d=draw(positive),
+                            B=draw(positive), rho0=draw(positive))
+    seed = draw(st.integers(0, 2**32 - 1))
+    rng = np.random.default_rng(seed)
+    n = draw(st.integers(1, 300))
+    l = params.L * rng.uniform(1e-6, 1.0 - 1e-6, n)
+    f = rng.uniform(0.0, 0.999, n)
+    f[rng.random(n) < 0.1] = 0.0
+    return params, l, f
+
+
+class TestDieKernel:
+    """g and its partials come from one kernel, `die_kernel`, with the bits
+    of the formulas it replaced."""
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(case=in_range_arrays())
+    def test_balance_and_partials_are_the_old_bits(self, case):
+        params, l, f = case
+        g = die_balance(l, f, params)
+        assert g.tobytes() == reference_die_balance(l, f, params).tobytes()
+        empty = 1.0 - f
+        full = die_kernel(l, empty, params.zeta * f / empty, params, slopes=True)
+        assert full[0].tobytes() == g.tobytes()
+        for new, old in zip(full[1:], reference_g_partials(l, f, params), strict=True):
+            assert new.tobytes() == old.tobytes()
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(case=in_range_arrays())
+    def test_python_floats_give_the_array_bits(self, case):
+        # the upwind march evaluates g on Python floats
+        params, l, f = case
+        for l_i, f_i, g_i in zip(l.tolist(), f.tolist(), die_balance(l, f, params).tolist()):
+            assert die_balance(l_i, f_i, params) == g_i
+            assert eval_g(l_i, f_i, params) == reference_die_balance(l_i, f_i, params)
+
+    def test_norm_F_box_is_the_old_bits(self):
+        # norm_F_box takes g and both partials from one kernel call, not
+        # from eval_g and the old partials
+        for params in (UNIT, PhysicalParams(zeta=0.7, L=2.0, K_d=3.0, B=0.4, rho0=1.3)):
+            eq = solve_equilibrium(params, N_e=1.2, l_e=0.45 * params.L)
+            for eps1 in (0.0, 0.01, 0.1):
+                ls = np.linspace(eq.l_e - eps1, eq.l_e + eps1, 101)
+                fs = np.linspace(eq.f_pe - eps1, eq.f_pe + eps1, 101)
+                lg, fg = np.meshgrid(ls, fs, indexing="ij")
+                g = reference_die_balance(lg, fg, params)
+                dg_dl, dg_df = reference_g_partials(lg, fg, params)
+                n_hi = np.max(np.abs(np.linspace(eq.N_e - eps1, eq.N_e + eps1, 101)))
+                sups = (n_hi * np.max(np.abs(g)), n_hi * np.max(np.abs(dg_dl)),
+                        np.max(np.abs(g)), n_hi * np.max(np.abs(dg_df)))
+                assert norm_F_box(params, eq, eps1) == float(1.25 * max(sups))

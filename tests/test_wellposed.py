@@ -7,13 +7,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from extrusim import characteristics, wellposed
+from extrusim import characteristics, cli, wellposed
 from extrusim.characteristics import TraceContext, backtrace, backtrace_times, xi
 from extrusim.errors import (
     CompatibilityError,
     DivergenceError,
     DomainError,
     ResolutionError,
+    SingularityError,
 )
 from extrusim.fields import SampledFunction, SpaceProfile
 from extrusim.model import (
@@ -301,6 +302,28 @@ class TestAssembleField:
 
 
 class TestSemiglobal:
+    @pytest.mark.parametrize("error", [DomainError, DivergenceError, SingularityError])
+    @pytest.mark.parametrize(
+        "stage, prefix",
+        [("compute_delta", r"segment 1: "), ("local_fixed_point", r"segment 1 on \[0\.06, 0\.12\]: ")],
+    )
+    def test_any_error_in_a_segment_names_it(self, monkeypatch, stage, prefix, error):
+        # the second segment's stage fails: the error keeps its type and its
+        # cause, and gains the segment (and, past the probe, its interval)
+        real = getattr(wellposed, stage)
+        calls = []
+
+        def failing(*args):
+            calls.append(None)
+            if len(calls) == 2:
+                raise error("stand-in")
+            return real(*args)
+
+        monkeypatch.setattr(wellposed, stage, failing)
+        with pytest.raises(error, match=f"^{prefix}stand-in$") as info:
+            solve_semiglobal(sine_data(0.01), 2.0)
+        assert type(info.value.__cause__) is error
+
     def test_equilibrium_constant_solution(self):
         sol = solve_semiglobal(sine_data(0.0), 2.0)
         assert np.max(np.abs(sol.l.values - EQ.l_e)) == 0.0
@@ -326,28 +349,6 @@ class TestSemiglobal:
         tg = sol.field.t_grid
         expected = np.array([data.inflow(t) for t in tg[1:]])
         assert np.max(np.abs(sol.field.values[1:, 0] - expected)) <= 1e-9
-
-    @pytest.mark.parametrize("error", [DomainError, CompatibilityError])
-    def test_rejected_junction_names_its_segment_and_time(self, monkeypatch, error):
-        # no admissible input is known to reach this, so the first junction's
-        # CauchyData, the second built, is made to fail: the message gains
-        # the segment and time
-        built = []
-
-        def reject_junction(*args):
-            built.append(args)
-            if len(built) == 2:
-                raise error("junction data rejected")
-            return CauchyData(*args)
-
-        data = sine_data(0.0)
-        t_junction = solve_semiglobal(data, 2.0).reports[0].delta
-        monkeypatch.setattr(wellposed, "CauchyData", reject_junction)
-        with pytest.raises(error) as info:
-            solve_semiglobal(data, 2.0)
-        message = f"segment 1 at the junction t={t_junction:.6g}: junction data rejected"
-        assert str(info.value) == message
-        assert type(info.value.__cause__) is error
 
     def test_provenance_tracks_the_separating_characteristic(self):
         data = sine_data(0.01)
@@ -522,6 +523,51 @@ def reference_datum_at(data, is_boundary, origin):
         if on_side.any():
             values[on_side] = datum(origin[on_side])
     return values
+
+
+# the sim-char benchmark input of seed 1
+SIM_CHAR_SEED_1 = {
+    "equilibrium.N_e": "1.0",
+    "equilibrium.l_e": "0.5",
+    "data.l0": "0.5",
+    "data.f0_p": "sine-perturbation:eq,0.01",
+    "data.F_in": "sine-perturbation:eq,0.0,2",
+    "data.N": "constant:eq",
+    "numerics.dt": "0.005",
+    "numerics.dx": "0.01",
+    "mode.T": "1.0",
+    "mode.method": "characteristics",
+}
+
+
+class TestOneCarry:
+    """Maps and assembly carry the datum with `characteristics.carry`, with
+    the bits of the masked reference."""
+
+    def test_seed_1_sim_char_solve(self, tmp_path, monkeypatch):
+        calls = []
+
+        def recorded(is_boundary, origin, initial, inflow):
+            out = characteristics.carry(is_boundary, origin, initial, inflow)
+            calls.append((is_boundary.copy(), origin.copy(), initial, inflow.__self__, out.copy()))
+            return out
+
+        monkeypatch.setattr(wellposed, "carry", recorded)
+        mapping = dict(SIM_CHAR_SEED_1, **{"mode.out": str(tmp_path / "out")})
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text("".join(f"{k} = {v}\n" for k, v in mapping.items()))
+        assert cli.run(["simulate", str(cfg)]) == 0
+        maps = [call for call in calls if call[1].ndim == 1]
+        rows = [call for call in calls if call[1].ndim == 2]
+        assert len(maps) > 100 and len(rows) > 10
+        for is_boundary, origin, initial, data, out in calls:
+            assert initial is data.f0_p
+            assert out.tobytes() == reference_datum_at(data, is_boundary, origin).tobytes()
+        # a segment is shorter than the outlet transit time, so only the
+        # rows reach the inflow face (the maps' inflow face is
+        # `TestOnePassMap`'s long-interval case)
+        assert not any(call[0].any() for call in maps)
+        assert all(call[0].any() and not call[0].all() for call in rows)
 
 
 def reference_iterates(data, delta, n, initial):

@@ -452,7 +452,8 @@ def dtau_dx(t: float, x: float, ctx: TraceContext) -> float:
     origin = backtrace(t, x, ctx)
     if origin.is_initial:
         raise DomainError("characteristic originates from the initial axis; tau undefined")
-    return float(-np.exp(ctx._P(t)) / ctx._Q.derivative(origin.value))
+    tau = origin.value
+    return float(-np.exp(ctx._P(t)) / ctx._Q.derivative(tau))
 
 
 def dbeta_dx(t: float, x: float, ctx: TraceContext) -> float:

@@ -357,8 +357,9 @@ def solve_semiglobal(
         reports.append(report)
 
         if i_hi < n_t - 1:
+            junction_profile = SpaceProfile(values[i_hi].copy())
             l_junction, rest = float(l_seg(l_seg.t_end)), T - t_grid[i_hi]
-            seg_data = CauchyData(l_junction, SpaceProfile(values[i_hi].copy()),
+            seg_data = CauchyData(l_junction, junction_profile,
                                   SampledFunction(0.0, rest, F_in_g.values[i_hi:]),
                                   SampledFunction(0.0, rest, N_g.values[i_hi:]),
                                   data.params, eq)

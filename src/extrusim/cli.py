@@ -54,7 +54,6 @@ first offending key), 3 for solver failures.  Every CSV is written with
 from __future__ import annotations
 
 import itertools
-import json
 import math
 import os
 import sys
@@ -67,9 +66,8 @@ import numpy as np
 
 from .errors import DomainError, ExtrusimError, SchemaError
 from .fields import SampledFunction, SpaceProfile, csv_text, format_value
-from .model import PhysicalParams, eval_g, solve_equilibrium
+from .model import CauchyData, PhysicalParams, eval_g, solve_equilibrium
 from .oracle import MAX_GRID_POINTS, UpwindConfig, simulate_upwind, upwind_step_estimate
-from .wellposed import CauchyData, solve_semiglobal
 
 USAGE = "usage: extrusim <equilibrium|simulate|control|verify|sweep> <config>"
 
@@ -426,6 +424,9 @@ def cmd_simulate(typed: dict, base_dir: Path) -> int:
     dx, n_t, n_x = _grids(typed, T)
     data = _cauchy_data(typed, params, eq, T, n_t, n_x, base_dir)
     if typed.get("mode.method", "characteristics") == "characteristics":
+        # imported here, by the branch that runs it: see cmd_control
+        from .wellposed import solve_semiglobal
+
         sol = solve_semiglobal(data, T, n_t=n_t, n_x=n_x)
         l, field = sol.l, sol.field
     else:
@@ -451,8 +452,12 @@ _SUMMARY_FIELDS = ("iterations", "residual", "t0", "t1", "amplitude", "final_err
 
 
 def cmd_control(typed: dict, base_dir: Path) -> int:
-    # imported here: no other subcommand needs the control module, and
-    # importing it is a measurable share of start-up
+    # the rule for every import inside a subcommand: a solver module, or a
+    # library that one subcommand alone uses (json here), is imported by the
+    # subcommand that runs it, not at module level; the config checks need
+    # none of them, and importing them is a measurable share of start-up
+    import json
+
     from .control import ControlTarget, synthesize, verify_control
 
     out = _out_path(typed)
@@ -515,6 +520,9 @@ def cmd_verify(typed: dict, base_dir: Path) -> int:
         f"equilibrium residual {residual:.3g}" if residual > 1e-12 else None,
         f"residual {residual:.3g}",
     )
+    # imported once the config is checked, as in cmd_control
+    from .wellposed import solve_semiglobal
+
     # a solver that raises fails the check it serves and ends the sequence,
     # since the checks after it read its result
     check = "fixed-point-contraction"

@@ -13,8 +13,11 @@ inside the partially filled zone is transported with the normalized speed
     alpha_p(x) = (zeta*N - x*F) / l,
 
 and the filling ratio fed at the hopper is F_in / (rho0 * V_eff * N).
-This module holds those algebraic pieces plus the equilibrium algebra;
-everything is pure and numpy-broadcastable.
+This module holds those algebraic pieces plus the equilibrium algebra,
+which are pure and numpy-broadcastable, and the Cauchy data of the
+coupled problem, (l0, f0_p, F_in, N) with their admissibility checks
+(`CauchyData`, `inflow_peak`).  It needs no solver, so a process that
+only checks data or runs the upwind oracle loads none.
 """
 
 from __future__ import annotations
@@ -23,12 +26,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, SingularityError
+from .errors import CompatibilityError, DomainError, SingularityError
+from .fields import SampledFunction, SpaceProfile
 
 # norm_F_box samples each axis of the eps1 box at F_BOX_SAMPLES points and
 # inflates the sampled supremum by F_BOX_SAFETY
 F_BOX_SAMPLES = 101
 F_BOX_SAFETY = 1.25
+COMPAT_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -178,6 +183,62 @@ def inflow_value(F_in, N, params: PhysicalParams):
     if np.isscalar(F_in) and np.isscalar(N):
         return float(out)
     return out
+
+
+def inflow_peak(F_in: SampledFunction, N: SampledFunction, params: PhysicalParams):
+    """Largest inflow ratio F_in/(rho0*V_eff*N) over the inputs' interval, and
+    the first time it is reached.
+
+    Between the joint nodes of the two piecewise-linear inputs the ratio is
+    a linear-fractional function of t with a positive denominator, so it is
+    monotone there and its maximum lies on a node.  N must be positive.
+    """
+    # the joint nodes, unsorted: a first np.sort or np.union1d in the
+    # process pages in sort code (np.union1d imports numpy.ma too)
+    t = np.concatenate((F_in.grid, N.grid))
+    ratio = inflow_value(F_in(t), N(t), params)
+    peak = ratio.max()
+    return float(peak), float(t[ratio == peak].min())
+
+
+@dataclass(frozen=True)
+class CauchyData:
+    """Initial interface position and profile plus the boundary inputs.
+
+    Every instance is corner-compatible: the inflow ratio at the first
+    input time matches f0_p(0) to COMPAT_TOL.  The inflow ratio, the
+    boundary value of f_p, stays below 1 on the whole input interval.
+    """
+
+    l0: float
+    f0_p: SpaceProfile
+    F_in: SampledFunction
+    N: SampledFunction
+    params: PhysicalParams
+    eq: EquilibriumPoint
+
+    def __post_init__(self):
+        if not (0.0 < self.l0 < self.params.L):
+            raise DomainError(f"l0={self.l0} outside (0, L={self.params.L})")
+        vals = self.f0_p.values
+        if np.min(vals) < 0.0 or np.max(vals) > 1.0 or vals[-1] >= 1.0:
+            raise DomainError("initial profile must take values in [0,1] with f0_p(1) < 1")
+        if np.any(self.N.values <= 0.0):
+            raise DomainError("screw speed input must stay positive")
+        if np.any(self.F_in.values < 0.0):
+            raise DomainError("feed rate input must be nonnegative")
+        peak, t_peak = inflow_peak(self.F_in, self.N, self.params)
+        if peak >= 1.0:
+            raise DomainError(f"inflow ratio F_in/(rho0*V_eff*N) reaches {peak:.6g} at "
+                              f"t={t_peak:.6g}; it must stay below 1")
+        corner = inflow_value(self.F_in(self.F_in.t_start), self.N(self.N.t_start), self.params)
+        if abs(corner - float(vals[0])) > COMPAT_TOL:
+            raise CompatibilityError(
+                f"corner compatibility violated: inflow {corner:.12g} vs profile {vals[0]:.12g}"
+            )
+
+    def inflow(self, t):
+        return inflow_value(self.F_in(t), self.N(t), self.params)
 
 
 def solve_equilibrium(

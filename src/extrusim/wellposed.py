@@ -7,8 +7,8 @@ b(t) = f_p(t,1).  The solver Picard-iterates the map
     b   |->  datum carried to (t,1) along the characteristic
 
 on a short interval whose length is chosen so the map provably contracts,
-then re-roots the Cauchy data at the junction and repeats until the
-requested horizon is covered.  The interval starts from three admissibility
+then re-roots the Cauchy data (`model.CauchyData`, checked there) at the
+junction and repeats until the requested horizon is covered.  The interval starts from three admissibility
 terms (boundary-characteristic travel time and the two interface budgets,
 all in the eps1 ball of radius `eps1_radius`); the horizon is not a term,
 since each segment's interval is capped at the last output node.  Each
@@ -36,7 +36,6 @@ import numpy as np
 
 from .characteristics import TraceContext, backtrace_batch, backtrace_times, carry
 from .errors import (
-    CompatibilityError,
     ConvergenceError,
     DivergenceError,
     DomainError,
@@ -44,9 +43,10 @@ from .errors import (
     ResolutionError,
 )
 from .fields import SampledFunction, SolutionField, SpaceProfile, field_norm, norm
-from .model import EquilibriumPoint, PhysicalParams, eps1_radius, inflow_value, norm_F_box
+# the Cauchy data and their checks live in model, which loads no solver;
+# wellposed.CauchyData and wellposed.inflow_peak are the same objects
+from .model import CauchyData, EquilibriumPoint, eps1_radius, inflow_peak, norm_F_box
 
-COMPAT_TOL = 1e-10
 # Picard iteration stops once successive iterates are within PICARD_TOL,
 # within PICARD_MAX_ITER maps
 PICARD_TOL = 1e-11
@@ -55,62 +55,6 @@ PICARD_MAX_ITER = 100
 # admissibility term, and its maps run on at least PROBE_POINTS nodes
 DELTA_SAFETY = 0.5
 PROBE_POINTS = 65
-
-
-def inflow_peak(F_in: SampledFunction, N: SampledFunction, params: PhysicalParams):
-    """Largest inflow ratio F_in/(rho0*V_eff*N) over the inputs' interval, and
-    the first time it is reached.
-
-    Between the joint nodes of the two piecewise-linear inputs the ratio is
-    a linear-fractional function of t with a positive denominator, so it is
-    monotone there and its maximum lies on a node.  N must be positive.
-    """
-    # the joint nodes, unsorted: a first np.sort or np.union1d in the
-    # process pages in sort code (np.union1d imports numpy.ma too)
-    t = np.concatenate((F_in.grid, N.grid))
-    ratio = inflow_value(F_in(t), N(t), params)
-    peak = ratio.max()
-    return float(peak), float(t[ratio == peak].min())
-
-
-@dataclass(frozen=True)
-class CauchyData:
-    """Initial interface position and profile plus the boundary inputs.
-
-    Every instance is corner-compatible: the inflow ratio at the first
-    input time matches f0_p(0) to COMPAT_TOL.  The inflow ratio, the
-    boundary value of f_p, stays below 1 on the whole input interval.
-    """
-
-    l0: float
-    f0_p: SpaceProfile
-    F_in: SampledFunction
-    N: SampledFunction
-    params: PhysicalParams
-    eq: EquilibriumPoint
-
-    def __post_init__(self):
-        if not (0.0 < self.l0 < self.params.L):
-            raise DomainError(f"l0={self.l0} outside (0, L={self.params.L})")
-        vals = self.f0_p.values
-        if np.min(vals) < 0.0 or np.max(vals) > 1.0 or vals[-1] >= 1.0:
-            raise DomainError("initial profile must take values in [0,1] with f0_p(1) < 1")
-        if np.any(self.N.values <= 0.0):
-            raise DomainError("screw speed input must stay positive")
-        if np.any(self.F_in.values < 0.0):
-            raise DomainError("feed rate input must be nonnegative")
-        peak, t_peak = inflow_peak(self.F_in, self.N, self.params)
-        if peak >= 1.0:
-            raise DomainError(f"inflow ratio F_in/(rho0*V_eff*N) reaches {peak:.6g} at "
-                              f"t={t_peak:.6g}; it must stay below 1")
-        corner = inflow_value(self.F_in(self.F_in.t_start), self.N(self.N.t_start), self.params)
-        if abs(corner - float(vals[0])) > COMPAT_TOL:
-            raise CompatibilityError(
-                f"corner compatibility violated: inflow {corner:.12g} vs profile {vals[0]:.12g}"
-            )
-
-    def inflow(self, t):
-        return inflow_value(self.F_in(t), self.N(t), self.params)
 
 
 @dataclass(frozen=True)

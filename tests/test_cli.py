@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from extrusim import cli, control, oracle
+from extrusim import cli, control, model, oracle, wellposed
 from extrusim.cli import MAX_GRID_POINTS, run
 from extrusim.errors import SchemaError
 from extrusim.fields import SolutionField
@@ -141,6 +141,60 @@ class TestInvocation:
         code = "import sys, extrusim.cli; assert 'extrusim.control' not in sys.modules"
         env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
         subprocess.run([sys.executable, "-c", code], check=True, env=env)
+
+
+def modules_after(code):
+    """The module names in sys.modules once `code` has run in a fresh
+    interpreter that imports extrusim from this checkout."""
+    script = f"{code}\nimport sys\nprint(' '.join(sys.modules))"
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
+    proc = subprocess.run([sys.executable, "-c", script], check=True, env=env,
+                          capture_output=True, text=True)
+    return set(proc.stdout.splitlines()[-1].split())
+
+
+def package_modules(names):
+    return {name.removeprefix("extrusim.") for name in names if name.startswith("extrusim")}
+
+
+def run_code(sub, cfg, code):
+    return f"from extrusim import cli\nassert cli.run([{sub!r}, {cfg!r}]) == {code}"
+
+
+SOLVER_MODULES = {"wellposed", "characteristics", "quadrature", "control", "lintransport"}
+
+
+class TestStartupImports:
+    """cli imports at module level only what its config checks need; a solver
+    module is imported by the subcommand that runs it."""
+
+    def test_cli_loads_only_what_its_checks_need(self):
+        names = modules_after("import extrusim.cli")
+        assert package_modules(names) == {"extrusim", "cli", "errors", "fields", "model", "oracle"}
+        assert "json" not in names
+
+    @pytest.mark.parametrize(
+        "sub,changes,code",
+        [
+            ("simulate", {"mode.method": "upwind"}, 0),
+            ("equilibrium", {}, 0),
+            # an inflow ratio above 1 is a config error of the characteristics path
+            ("simulate", {"data.N": "sine-perturbation:eq,0.9,2"}, 2),
+        ],
+        ids=["upwind", "equilibrium", "config-error"],
+    )
+    def test_paths_without_a_solver_load_no_solver_module(self, tmp_path, sub, changes, code):
+        cfg = write_cfg(tmp_path, "c.cfg", {**base_cfg(sub, tmp_path), **changes})
+        assert not package_modules(modules_after(run_code(sub, cfg, code))) & SOLVER_MODULES
+
+    def test_characteristics_simulate_loads_its_solver_only(self, tmp_path):
+        cfg = write_cfg(tmp_path, "c.cfg", base_simulate_cfg(tmp_path))
+        loaded = package_modules(modules_after(run_code("simulate", cfg, 0)))
+        assert loaded & SOLVER_MODULES == {"wellposed", "characteristics", "quadrature"}
+
+    def test_wellposed_names_the_cauchy_data_of_model(self):
+        assert wellposed.CauchyData is model.CauchyData
+        assert wellposed.inflow_peak is model.inflow_peak
 
 
 class TestEquilibriumCommand:
@@ -487,8 +541,8 @@ class TestSchemaErrors:
         def unreachable(*args, **kwargs):
             raise AssertionError("a solver ran on inadmissible data")
 
-        for name in ("solve_semiglobal", "simulate_upwind"):
-            monkeypatch.setattr(cli, name, unreachable)
+        monkeypatch.setattr(wellposed, "solve_semiglobal", unreachable)
+        monkeypatch.setattr(cli, "simulate_upwind", unreachable)
         monkeypatch.setattr(control, "synthesize", unreachable)
         mapping = base_cfg(sub, tmp_path)
         mapping[key] = spec
@@ -518,8 +572,8 @@ class TestSchemaErrors:
         def unreachable(*args, **kwargs):
             raise AssertionError("a solver ran on an inflow ratio above 1")
 
-        for name in ("solve_semiglobal", "simulate_upwind"):
-            monkeypatch.setattr(cli, name, unreachable)
+        monkeypatch.setattr(wellposed, "solve_semiglobal", unreachable)
+        monkeypatch.setattr(cli, "simulate_upwind", unreachable)
         (tmp_path / "dip.csv").write_text("t,N\n0,1\n0.25,0.2\n0.5,1\n")
         mapping = {**base_cfg(sub, tmp_path), **changes}
         assert run([sub, write_cfg(tmp_path, "c.cfg", mapping)]) == 2
@@ -629,8 +683,8 @@ class TestSchemaErrors:
         def unreachable(*args, **kwargs):
             raise AssertionError("a solver ran on a position outside the barrel")
 
-        for name in ("solve_semiglobal", "simulate_upwind"):
-            monkeypatch.setattr(cli, name, unreachable)
+        monkeypatch.setattr(wellposed, "solve_semiglobal", unreachable)
+        monkeypatch.setattr(cli, "simulate_upwind", unreachable)
         monkeypatch.setattr(control, "synthesize", unreachable)
         mapping = base_cfg(sub, tmp_path)
         for k, v in changes.items():
@@ -650,8 +704,8 @@ class TestSchemaErrors:
         def unreachable(*args, **kwargs):
             raise AssertionError("a solver ran before mode.out was checked")
 
-        for name in ("solve_semiglobal", "simulate_upwind"):
-            monkeypatch.setattr(cli, name, unreachable)
+        monkeypatch.setattr(wellposed, "solve_semiglobal", unreachable)
+        monkeypatch.setattr(cli, "simulate_upwind", unreachable)
         monkeypatch.setattr(control, "synthesize", unreachable)
         blocker = tmp_path / "out"
         blocker.write_text("a file\n")

@@ -81,3 +81,34 @@ class TestCompare:
         directions = load_bench_pairs().END_TO_END
         assert directions["ok_share"] == "higher"
         assert {d for name, d in directions.items() if name != "ok_share"} == {"lower"}
+
+
+# -X importtime lines of `import numpy; import extrusim.cli`, shortened; an
+# indented name is an import nested in the one below it
+IMPORTTIME = """\
+import time: self [us] | cumulative | imported package
+import time:       309 |        309 | encodings.utf_8
+import time:       912 |       1530 |     numpy._utils
+import time:      1768 |     255038 | numpy
+import time:       305 |        305 | extrusim
+import time:      9686 |       9686 |   extrusim.model
+import time:     10275 |      41786 | extrusim.cli
+"""
+parse_importtime = load_bench_pairs().parse_importtime
+
+
+class TestParseImporttime:
+    """`tools/bench_pairs.parse_importtime` reads the cumulative microseconds
+    of top-level imports only."""
+
+    def test_cumulative_of_each_top_level_import(self):
+        assert parse_importtime(IMPORTTIME) == {"numpy": 255038, "extrusim.cli": 41786}
+
+    def test_nested_line_is_not_top_level(self):
+        assert parse_importtime(IMPORTTIME, names=("extrusim",)) == {"extrusim": 305}
+        with pytest.raises(ValueError, match="extrusim.model"):
+            parse_importtime(IMPORTTIME, names=("extrusim.model",))
+
+    def test_missing_import_is_an_error(self):
+        with pytest.raises(ValueError, match="extrusim.cli"):
+            parse_importtime(IMPORTTIME.replace("extrusim.cli", "other"))

@@ -17,17 +17,25 @@ change wins at least nine tenths of the pairs and the medians differ by
 more than the parent's interquartile range; a loss is the same with the
 sides swapped.  The verdict is printed per metric.
 
+After each benchmark run, the same side's import times are read once from
+`python -X importtime -c "import numpy; import extrusim.cli"` with that
+checkout's `src` on PYTHONPATH and the caller's environment otherwise, so
+that bytecode writing stays off as it does in `perfbench/run.py`.  The
+cumulative microseconds of `numpy` and of `extrusim.cli` are stored per
+run, and their medians are printed.
+
 The results are merged into the JSON file at `--out` (default `BENCH.json`
 at the root of this repository) under `<workload>` and `seed <seed>`, so
 that one file can collect several workloads and seeds.  The entry holds
 every run of both sides, in order, with the Python and NumPy versions and
-the CPU count that `perfbench/run.py` reported.
+the CPU count that `perfbench/run.py` reported, and the import times.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import statistics
 import subprocess
 import sys
@@ -44,6 +52,8 @@ END_TO_END = {
 }
 SIDES = ("parent", "change")
 CLAIM_SHARE = 0.9
+# the modules whose cumulative import time is recorded, in import order
+IMPORTS = ("numpy", "extrusim.cli")
 
 
 def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
@@ -61,6 +71,34 @@ def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
     metrics = {name: result["metrics"][name]["value"] for name in END_TO_END}
     return {"metrics": metrics, "env": env, "failed": result["failed"],
             "attempted": result["attempted"]}
+
+
+def parse_importtime(text: str, names=IMPORTS) -> dict:
+    """The cumulative microseconds of each top-level import in names, read
+    from the `-X importtime` lines of text."""
+    found = {}
+    for line in text.splitlines():
+        fields = line.removeprefix("import time:").split("|")
+        # a top-level import has no indent before its name
+        if line.startswith("import time:") and len(fields) == 3 and fields[2][1:] in names:
+            found[fields[2][1:]] = int(fields[1])
+    missing = [name for name in names if name not in found]
+    if missing:
+        raise ValueError(f"no top-level importtime line for {', '.join(missing)}")
+    return found
+
+
+def import_times(checkout: Path) -> dict:
+    """Cumulative import microseconds of IMPORTS in a fresh interpreter that
+    imports extrusim from checkout."""
+    env = {**os.environ, "PYTHONPATH": str(checkout / "src")}
+    code = "; ".join(f"import {name}" for name in IMPORTS)
+    proc = subprocess.run([sys.executable, "-X", "importtime", "-c", code], env=env,
+                          capture_output=True, text=True, check=False)
+    if proc.returncode != 0:
+        raise RuntimeError(f"{checkout}: importing {', '.join(IMPORTS)} exited "
+                           f"{proc.returncode}:\n{proc.stderr}")
+    return parse_importtime(proc.stderr)
 
 
 def spread(values: list) -> dict:
@@ -107,10 +145,13 @@ def main(argv=None) -> int:
         return 2
 
     runs = {side: [] for side in SIDES}
+    imports = {side: {name: [] for name in IMPORTS} for side in SIDES}
     for k in range(args.pairs):
         order = SIDES if k % 2 == 0 else SIDES[::-1]
         for side in order:
             runs[side].append(run_once(checkouts[side], args.workload, args.seed, args.seconds))
+            for name, us in import_times(checkouts[side]).items():
+                imports[side][name].append(us)
         pair = ", ".join(f"{side} {runs[side][-1]['metrics']['run_s']:.6f}" for side in order)
         print(f"pair {k + 1}/{args.pairs} run_s: {pair}", flush=True)
 
@@ -124,6 +165,9 @@ def main(argv=None) -> int:
         print(f"{name:12s} parent {p['median']:.6g} [{p['q1']:.6g}, {p['q3']:.6g}]  "
               f"change {c['median']:.6g} [{c['q1']:.6g}, {c['q3']:.6g}]  "
               f"wins {row['wins']}/{args.pairs} ({row['ties']} ties)  {row['verdict']}")
+    for name in IMPORTS:
+        medians = "  ".join(f"{side} {statistics.median(imports[side][name]):.0f}" for side in SIDES)
+        print(f"import {name} cumulative us, median: {medians}")
 
     out = args.out.resolve()
     bench = json.loads(out.read_text()) if out.is_file() else {}
@@ -134,6 +178,7 @@ def main(argv=None) -> int:
         "env": {side: sorted({run["env"] for run in runs[side]}) for side in SIDES},
         "failed": {side: [f"{run['failed']}/{run['attempted']}" for run in runs[side]] for side in SIDES},
         "metrics": metrics,
+        "import_us": imports,
     }
     out.write_text(json.dumps(bench, indent=1, sort_keys=True) + "\n")
     print(f"wrote {out}")

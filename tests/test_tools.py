@@ -105,10 +105,12 @@ class TestParseImporttime:
         assert parse_importtime(IMPORTTIME) == {"numpy": 255038, "extrusim.cli": 41786}
 
     def test_nested_line_is_not_top_level(self):
-        assert parse_importtime(IMPORTTIME, names=("extrusim",)) == {"extrusim": 305}
-        with pytest.raises(ValueError, match="extrusim.model"):
-            parse_importtime(IMPORTTIME, names=("extrusim.model",))
+        # extrusim.cli imported by another module: no top-level line of its own
+        nested = IMPORTTIME.replace("| extrusim.cli", "|   extrusim.cli")
+        nested += "import time:       200 |      41986 | other\n"
+        with pytest.raises(ValueError, match="extrusim.cli"):
+            parse_importtime(nested)
 
     def test_missing_import_is_an_error(self):
-        with pytest.raises(ValueError, match="extrusim.cli"):
-            parse_importtime(IMPORTTIME.replace("extrusim.cli", "other"))
+        with pytest.raises(ValueError, match="numpy"):
+            parse_importtime(IMPORTTIME.replace("| numpy\n", "| other\n"))

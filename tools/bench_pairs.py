@@ -73,16 +73,17 @@ def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
             "attempted": result["attempted"]}
 
 
-def parse_importtime(text: str, names=IMPORTS) -> dict:
-    """The cumulative microseconds of each top-level import in names, read
+def parse_importtime(text: str) -> dict:
+    """The cumulative microseconds of each top-level import in IMPORTS, read
     from the `-X importtime` lines of text."""
     found = {}
     for line in text.splitlines():
-        fields = line.removeprefix("import time:").split("|")
-        # a top-level import has no indent before its name
-        if line.startswith("import time:") and len(fields) == 3 and fields[2][1:] in names:
-            found[fields[2][1:]] = int(fields[1])
-    missing = [name for name in names if name not in found]
+        if line.startswith("import time:"):
+            _, cumulative, name = line.split("|")
+            # one space before a top-level import's name, more before a nested one
+            if name[1:] in IMPORTS:
+                found[name[1:]] = int(cumulative)
+    missing = [name for name in IMPORTS if name not in found]
     if missing:
         raise ValueError(f"no top-level importtime line for {', '.join(missing)}")
     return found

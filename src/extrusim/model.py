@@ -80,25 +80,6 @@ class EquilibriumPoint:
             raise DomainError(f"not an equilibrium: |F| = {residual:.3e} > 1e-12")
 
 
-def _float64(v):
-    """v as float64: a float as it is, anything else as an array.
-
-    Python floats round as float64 arrays do, at a fraction of numpy's call
-    overhead, which scalar loops such as the upwind march pay once per step.
-    Their overflow gives inf silently, as numpy's does under the errstate of
-    the callers that allow it.  The checks below keep every divisor
-    positive, so both give the same bits and the same errors; only in
-    `eval_g`, for B*rho0 below 2^-1021, could a product underflow to a zero
-    divisor, where a float raises ZeroDivisionError and numpy returns inf.
-    """
-    return v if isinstance(v, float) else np.asarray(v, dtype=float)
-
-
-def _any(mask) -> bool:
-    """np.any, without its reduction call on a scalar comparison."""
-    return bool(mask) if isinstance(mask, (bool, np.bool_)) else bool(mask.any())
-
-
 def eval_g(l, f_p1, params: PhysicalParams):
     """Interface velocity per unit screw speed.
 
@@ -108,13 +89,13 @@ def eval_g(l, f_p1, params: PhysicalParams):
     Positive when the die is under-filled relative to the equilibrium of
     the current interface position, negative when over-filled.
     """
-    l_arr = _float64(l)
-    f_arr = _float64(f_p1)
-    if _any(f_arr >= 1.0):
+    l_arr = np.asarray(l, dtype=float)
+    f_arr = np.asarray(f_p1, dtype=float)
+    if (f_arr >= 1.0).any():
         raise SingularityError("f_p1 >= 1 makes the die balance singular")
-    if _any(f_arr < 0.0):
+    if (f_arr < 0.0).any():
         raise DomainError("f_p1 must be a ratio in [0, 1)")
-    if _any(l_arr <= 0.0) or _any(l_arr >= params.L):
+    if (l_arr <= 0.0).any() or (l_arr >= params.L).any():
         raise DomainError(f"l must lie strictly inside (0, L={params.L})")
     out = die_balance(l_arr, f_arr, params)
     if np.isscalar(l) and np.isscalar(f_p1):
@@ -151,16 +132,24 @@ def eval_F(l, N, f_p1, params: PhysicalParams):
     return np.asarray(N, dtype=float) * g
 
 
+def float_F(l: float, N: float, f_p1: float, params: PhysicalParams) -> float:
+    """eval_F on Python floats as float arithmetic: N*die_balance inside
+    eval_g's ranges; outside them eval_F, with eval_g's checks and errors."""
+    if 0.0 <= f_p1 < 1.0 and 0.0 < l < params.L:
+        return N * die_balance(l, f_p1, params)
+    return eval_F(l, N, f_p1, params)
+
+
 def eval_alpha_p(x, N, l, f_p1, params: PhysicalParams):
     """Normalized transport speed (zeta*N - x*F)/l in the partially filled zone."""
-    l_arr = _float64(l)
-    if _any(l_arr <= 0.0):
+    l_arr = np.asarray(l, dtype=float)
+    if (l_arr <= 0.0).any():
         raise DomainError("l must be positive")
-    x_arr = _float64(x)
-    if _any(x_arr < 0.0) or _any(x_arr > 1.0):
+    x_arr = np.asarray(x, dtype=float)
+    if (x_arr < 0.0).any() or (x_arr > 1.0).any():
         raise DomainError("x is a normalized position in [0, 1]")
     F = eval_F(l, N, f_p1, params)
-    out = transport_speed(x_arr, _float64(N), l_arr, F, params)
+    out = transport_speed(x_arr, np.asarray(N, dtype=float), l_arr, F, params)
     return float(out) if np.ndim(out) == 0 else out
 
 
@@ -176,13 +165,20 @@ def inflow_value(F_in, N, params: PhysicalParams):
     before using it as boundary data.
     """
     # the divisor is checked, not N: a product that underflows is zero too
-    rate = params.rho0 * params.V_eff * _float64(N)
-    if _any(rate <= 0.0):
+    rate = params.rho0 * params.V_eff * np.asarray(N, dtype=float)
+    if (rate <= 0.0).any():
         raise DomainError("N must be positive to define the fed ratio")
-    out = _float64(F_in) / rate
+    out = np.asarray(F_in, dtype=float) / rate
     if np.isscalar(F_in) and np.isscalar(N):
         return float(out)
     return out
+
+
+def float_inflow(F_in: float, N: float, params: PhysicalParams) -> float:
+    """inflow_value on Python floats as float arithmetic; a divisor that
+    inflow_value rejects goes to it, for its error."""
+    rate = params.rho0 * params.V_eff * N
+    return F_in / rate if rate > 0.0 else inflow_value(F_in, N, params)
 
 
 def inflow_peak(F_in: SampledFunction, N: SampledFunction, params: PhysicalParams):
@@ -231,7 +227,7 @@ class CauchyData:
         if peak >= 1.0:
             raise DomainError(f"inflow ratio F_in/(rho0*V_eff*N) reaches {peak:.6g} at "
                               f"t={t_peak:.6g}; it must stay below 1")
-        corner = inflow_value(self.F_in(self.F_in.t_start), self.N(self.N.t_start), self.params)
+        corner = float_inflow(self.F_in(self.F_in.t_start), self.N(self.N.t_start), self.params)
         if abs(corner - float(vals[0])) > COMPAT_TOL:
             raise CompatibilityError(
                 f"corner compatibility violated: inflow {corner:.12g} vs profile {vals[0]:.12g}"

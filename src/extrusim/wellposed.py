@@ -22,7 +22,8 @@ A map is one pass over node arrays: the iterate (l, b) is one (2, n) block,
 its context comes from `TraceContext.from_nodes`, one 2-d running integral
 gives both the interface displacement and P, and no `SampledFunction` or
 Hermite object is built until assembly looks up times between nodes.
-Maps and assembly carry data with `carry`; an error in a segment names it.
+Maps and assembly carry data with `carry`; an error in a segment names it
+and, past segment 0, its start on the run's clock.
 """
 
 from __future__ import annotations
@@ -280,7 +281,9 @@ def solve_semiglobal(
         try:
             probe = compute_delta(seg_data, f_norm, ends, dt_out)
         except ExtrusimError as exc:
-            raise type(exc)(f"segment {len(reports)}: {exc}") from exc
+            # a segment's times are on its own clock; its start places them on the run's
+            start = f" from t={t_grid[i_lo]:.6g}" if i_lo else ""
+            raise type(exc)(f"segment {len(reports)}{start}: {exc}") from exc
         i_hi = i_lo + probe.cells
         try:
             report = local_fixed_point(seg_data, probe)

@@ -14,6 +14,8 @@ from extrusim.model import (
     eval_F,
     eval_alpha_p,
     eval_g,
+    float_F,
+    float_inflow,
     inflow_value,
     norm_F_box,
     solve_equilibrium,
@@ -155,6 +157,34 @@ class TestScalarPath:
                 assert scalar == _outcome(fn, *(a(v) for v in args), params)
                 if scalar[0] == "ok":
                     assert type(fn(*args, params)) is float
+
+
+class TestFloatEntryPoints:
+    """The upwind march's F and inflow ratio on Python floats: the bits and
+    the errors of eval_F and inflow_value, and a Python float as the result."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(
+        N=st.floats(-1.0, 5.0),
+        l=st.floats(-0.2, 1.2),
+        f=st.floats(-0.2, 1.2),
+        F_in=st.floats(0.0, 3.0),
+        K_d=st.floats(0.1, 10.0),
+    )
+    def test_same_outcome_as_the_general_functions(self, N, l, f, F_in, K_d):
+        params = PhysicalParams(K_d=K_d, B=0.7, zeta=1.3)
+        for fast, general, args in ((float_F, eval_F, (l, N, f)),
+                                    (float_inflow, inflow_value, (F_in, N))):
+            outcome = _outcome(fast, *args, params)
+            assert outcome == _outcome(general, *args, params)
+            if outcome[0] == "ok":
+                assert type(fast(*args, params)) is float
+
+    @pytest.mark.parametrize("l, N, f", [(math.nan, 1.0, 0.3), (0.5, math.nan, 0.3),
+                                         (0.5, 1.0, math.nan), (1.0, 1.0, 0.3), (0.5, 1.0, 1.0)])
+    def test_nan_and_range_edges(self, l, N, f):
+        assert _outcome(float_F, l, N, f, UNIT) == _outcome(eval_F, l, N, f, UNIT)
+        assert _outcome(float_inflow, f, N, UNIT) == _outcome(inflow_value, f, N, UNIT)
 
 
 class TestSolveEquilibrium:

@@ -1,11 +1,13 @@
 import math
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from extrusim.control import ControlTarget, synthesize
 from extrusim.errors import DomainError, SchemeError
 from extrusim.fields import SampledFunction, SolutionField, SpaceProfile
 from extrusim import model, oracle
@@ -23,6 +25,7 @@ from extrusim.oracle import (
     RESAMPLE_BLOCK_ROWS,
     UpwindConfig,
     convergence_study,
+    input_reader,
     resample_rows,
     simulate_upwind,
     upwind_step_estimate,
@@ -234,6 +237,52 @@ class TestBitIdenticalMarch:
         data = sine_feed_data(0.02, 0.01, 5, T=0.4, n=81, n_amp=-0.06)
         self._assert_same(data, 0.4, UpwindConfig(dx=0.0025), resampled=True)
 
+    def test_varying_screw_speed_read_on_its_nodes(self, monkeypatch):
+        # at the equilibrium the speed is 2 at both ends, so with CFL 0.5 and
+        # dx = 2^-5 every step is 2^-7 and every march time is an input node;
+        # N and F_in zigzag, off equilibrium at the odd nodes, which no step reads
+        monkeypatch.setattr(oracle, "CFL", 0.5)
+        n_in, T = 41, 12 * 2.0**-7
+        zig = np.arange(n_in) % 2
+        feed = EQ.f_pe * UNIT.rho0 * UNIT.V_eff * EQ.N_e
+        data = CauchyData(
+            EQ.l_e,
+            SpaceProfile.from_callable(lambda x: EQ.f_pe + 0.05 * smooth_bump(1.5 * x), 51),
+            SampledFunction(0.0, (n_in - 1) * 2.0**-8, feed * (1.0 - 0.01 * zig)),
+            SampledFunction(0.0, (n_in - 1) * 2.0**-8, EQ.N_e * (1.0 + 0.01 * zig)),
+            UNIT,
+            EQ,
+        )
+        cfg = UpwindConfig(dx=2.0**-5)
+        self._assert_same(data, T, cfg, resampled=False)
+        _, field = simulate_upwind(data, T, cfg)
+        assert field.t_grid.size == 13
+        assert np.isin(field.t_grid, data.N.grid[::2]).all()
+
+    def test_inputs_of_two_samples(self):
+        # one cell per input: every read but the ends interpolates in it, and
+        # the last march time may round past its end
+        feed = EQ.f_pe * UNIT.rho0 * UNIT.V_eff * EQ.N_e
+        data = CauchyData(
+            EQ.l_e,
+            SpaceProfile(EQ.f_pe + 0.01 * np.sin(np.pi * np.linspace(0.0, 1.0, 101))),
+            SampledFunction(0.0, 0.5, [feed, 1.03 * feed]),
+            SampledFunction(0.0, 0.5, [EQ.N_e, 1.04 * EQ.N_e]),
+            UNIT,
+            EQ,
+        )
+        self._assert_same(data, 0.5, UpwindConfig(dx=0.01), resampled=True)
+
+    def test_control_replay_size(self):
+        # the replay march of `verify_control` on the README control target:
+        # 101 nodes to T = 1, on the 2,049-node inputs that synthesize returns
+        prof = SpaceProfile.constant(EQ.f_pe - 0.01, 257)
+        target = ControlTarget(l0=0.491, l1=0.509, f0_p=prof, f1_p=prof, T=1.0, nu=0.01)
+        report = synthesize(target, UNIT, EQ)
+        assert report.N.values.size == report.F_in.values.size == 2049
+        data = CauchyData(target.l0, prof, report.F_in, report.N, UNIT, EQ)
+        self._assert_same(data, 1.0, UpwindConfig(dx=0.01), resampled=True)
+
     def test_runaway_interface_raises_the_same_error(self):
         c = 0.95 / (UNIT.rho0 * UNIT.V_eff)
         data = CauchyData(
@@ -251,6 +300,63 @@ class TestBitIdenticalMarch:
             simulate_upwind(data, 0.5, cfg)
         assert type(new.value) is type(ref.value)
         assert str(new.value) == str(ref.value)
+
+
+def _same_bits(a: float, b) -> bool:
+    return float(a).hex() == float(b).hex()
+
+
+class TestInputReader:
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(
+        data=st.data(),
+        n=st.integers(2, 300),
+        t_start=st.sampled_from([0.0, 0.25]),
+        length=st.floats(1e-3, 10.0),
+    )
+    def test_matches_np_interp(self, data, n, t_start, length):
+        # few distinct values, so that neighbouring samples are often equal
+        value = st.one_of(st.sampled_from([0.0, 0.3, 1.0]), st.floats(-5.0, 5.0))
+        values = data.draw(st.lists(value, min_size=n, max_size=n))
+        fn = SampledFunction(t_start, t_start + length, values)
+        grid = fn.grid
+        i = data.draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=20))
+        u = data.draw(st.lists(st.floats(0.0, 1.0), min_size=len(i), max_size=len(i)))
+        inner = [grid[k] + w * (grid[min(k + 1, n - 1)] - grid[k]) for k, w in zip(i, u)]
+        nodes = grid[i]
+        ends = [grid[0], grid[-1],
+                np.nextafter(grid[0], -math.inf), np.nextafter(grid[-1], math.inf)]
+        times = np.concatenate((
+            nodes, np.nextafter(nodes, -math.inf), np.nextafter(nodes, math.inf), inner, ends
+        ))
+        read = input_reader(fn)
+        # increasing, as the march issues them
+        for t in np.sort(times).tolist():
+            assert _same_bits(read(t), np.interp(t, grid, fn.values)), t
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(data=st.data(), n=st.integers(2, 300), steps=st.integers(1, 400))
+    def test_march_times(self, data, n, steps):
+        # uneven positive steps whose sum lands on T, or rounds an ulp past it
+        T = data.draw(st.floats(0.05, 3.0))
+        fn = SampledFunction(0.0, T, np.random.default_rng(n).uniform(0.2, 1.2, n))
+        weights = np.random.default_rng(steps).uniform(0.5, 1.5, steps)
+        times = np.cumsum(weights / weights.sum() * T).tolist()
+        times[-1] = data.draw(st.sampled_from([T, np.nextafter(T, math.inf)]))
+        read = input_reader(fn)
+        for t in [0.0] + times:
+            assert _same_bits(read(t), np.interp(t, fn.grid, fn.values)), t
+
+    @pytest.mark.parametrize("values", [[2.0, 2.0], [2.0, -1.0]])
+    def test_nan_fallback(self, values):
+        # on a cell wider than the largest double, t - t_j overflows near its
+        # right end and the zero slope makes slope*(t - t_j) NaN; np.interp
+        # then reads from t_j+1.  No uniform grid spans such a cell, so the
+        # input is a bare namespace
+        fn = SimpleNamespace(grid=np.array([-1e308, 1e308]), values=np.array(values))
+        read = input_reader(fn)
+        for t in (-0.9e308, -1.0, 0.0, 0.9e308):
+            assert _same_bits(read(t), np.interp(t, fn.grid, fn.values)), t
 
 
 class TestResampleRows:

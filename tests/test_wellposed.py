@@ -305,7 +305,10 @@ class TestSemiglobal:
     @pytest.mark.parametrize("error", [DomainError, DivergenceError, SingularityError])
     @pytest.mark.parametrize(
         "stage, prefix",
-        [("compute_delta", r"segment 1: "), ("local_fixed_point", r"segment 1 on \[0\.06, 0\.12\]: ")],
+        [
+            ("compute_delta", r"segment 1 from t=0\.06: "),
+            ("local_fixed_point", r"segment 1 on \[0\.06, 0\.12\]: "),
+        ],
     )
     def test_any_error_in_a_segment_names_it(self, monkeypatch, stage, prefix, error):
         # the second segment's stage fails: the error keeps its type and its

@@ -11,7 +11,11 @@ run in a fresh Python process:
 - `extrusim control` with the control config,
 - `extrusim verify` with the sim-char config of six inputs spread over its pool,
   less the `mode.method` and `mode.out` keys, which verify does not read,
-- `solve_semiglobal` and `derivative_fields` on the regularity input.
+- `solve_semiglobal` and `derivative_fields` on the regularity input,
+- under the `upwind-varying-N` label, `extrusim simulate` with the sim-upwind
+  config of three inputs spread over its pool and a screw speed that varies
+  (`VARYING_N`), so that the upwind march reads N between its nodes, as no
+  pool config does.
 
 A run writes to the same paths for both trees.  Exit code, stdout, stderr and
 the sha256 of every output file (of every array, for regularity) are
@@ -65,6 +69,11 @@ import workloads  # noqa: E402
 
 # one verify run for every VERIFY_STRIDE-th sim-char input: six of 27
 VERIFY_STRIDE = 5
+
+# one upwind-varying-N run for every VARYING_N_STRIDE-th sim-upwind input:
+# three of 27, each with this screw speed in place of the pools' constant one
+VARYING_N_STRIDE = 13
+VARYING_N = "data.N=sine-perturbation:eq,0.02,2"
 
 # prints the sha256 of each array and saves it to the directory argv[3]
 REGULARITY = """
@@ -145,13 +154,18 @@ def runs():
         yield "verify", "verify", params
     for params in workloads.pool("regularity"):
         yield "regularity", "regularity", params
+    for params in sims[::VARYING_N_STRIDE]:
+        yield "upwind-varying-N", "simulate", params
 
 
 def config_text(label: str, params: dict, out: Path) -> str:
     if label == "control":
         return workloads.control_config(params, out)
-    method = "upwind" if label == "sim-upwind" else "characteristics"
+    method = "upwind" if label in ("sim-upwind", "upwind-varying-N") else "characteristics"
     text = workloads.simulate_config(params, method, out)
+    if label == "upwind-varying-N":
+        assert "data.N=constant:eq" in text, "the sim-upwind config no longer holds a constant N"
+        text = text.replace("data.N=constant:eq", VARYING_N)
     if label == "verify":
         lines = text.splitlines(keepends=True)
         text = "".join(line for line in lines if not line.startswith(("mode.method=", "mode.out=")))

@@ -23,16 +23,21 @@ the formatter copies items of 1, 4, 8 or 16 bytes, the widths that numpy's
 take moves as whole words; items of other widths it moves with one memmove
 call each, at two to three times the cost.  The block formatter writes each
 value's text in place, into the value field of the block's records, so no
-second copy of the text is made.  The field writer
-(`SolutionField.write_csv`) streams bytes: each block of rows goes to the
-open binary file as soon as it is formatted, from one block array made
-once per field, so writing a field costs one block of text
-(`FIELD_BLOCK_CELLS` cells), not the whole file.
+second copy of the text is made.  The records of every CSV view one
+bytearray (`_record_block`), and the text is that bytearray with its NUL
+padding dropped by its own `translate` (`_compact`), with no copy of the
+records made first.  The field writer (`SolutionField.write_csv`) streams
+bytes: each block of rows goes to the open binary file as soon as it is
+formatted, from one block made once per field, so writing a field costs
+one block of records and its text (`FIELD_BLOCK_CELLS` cells), not the
+whole file.  The writer's cost is partly fixed per block, so fewer, larger
+blocks are faster.
 """
 
 from __future__ import annotations
 
 import io
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -48,7 +53,14 @@ UNIT_RANGE_SLACK = 1e-9
 
 
 # cells of the field formatted and written at a time: sets the writer's memory
-FIELD_BLOCK_CELLS = 4096
+# (a block's records and its text: 0.70 MB traced for the 5,010-cell blocks
+# of a 1,125 x 501 field) and its number of blocks, each of which costs a
+# fixed time of its own
+FIELD_BLOCK_CELLS = 5120
+
+# the floating-point warnings the block formatter expects (log10 of 0,
+# products with non-finite values); its callers run it under this state
+_QUIET = {"divide": "ignore", "invalid": "ignore", "over": "ignore"}
 
 
 def format_value(x: float) -> str:
@@ -147,10 +159,10 @@ def _digit_slots(d):
         groups[:, k] = d - 1000.0 * q
         d = q
     groups[:, 0] = d
-    sig = np.take(_SIG[0], groups[:, 0])
+    sig = _SIG[0].take(groups[:, 0])
     for k in range(1, 4):
-        np.maximum(sig, np.take(_SIG[k], groups[:, k]), out=sig)
-    return np.take(_TRIPLES, groups).view("<u8"), sig
+        np.maximum(sig, _SIG[k].take(groups[:, k]), out=sig)
+    return _TRIPLES.take(groups).view("<u8"), sig
 
 
 def _value_chars(values, out=None) -> np.ndarray:
@@ -162,50 +174,70 @@ def _value_chars(values, out=None) -> np.ndarray:
     Values the digit path cannot vouch for go through `format_value`.  The
     items are written into out, a one-dimensional VALUE_DTYPE array (or
     field of a record array) with one item per value, when it is given; out
-    is returned.
+    is returned.  Run it under `np.errstate(**_QUIET)`: the caller enters
+    that state once for all its blocks.
     """
     v = np.ravel(np.asarray(values, dtype=float))
     m = np.abs(v)
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        e = np.floor(np.log10(m))
-        fast = (e >= E_MIN) & (e <= E_MAX)
-        e = np.where(fast, e, 0.0).astype(np.intp)
-        m *= np.take(_POW10, E_MAX - e)
-        d = np.rint(m)
-        fast &= (d >= 1e11) & (d < 1e12) & (np.abs(m - d) < TIE_MARGIN)
+    e = np.floor(np.log10(m))
+    fast = (e >= E_MIN) & (e <= E_MAX)
+    e = np.where(fast, e, 0.0).astype(np.intp)
+    m *= _POW10.take(E_MAX - e)
+    d = np.rint(m)
+    fast &= (d >= 1e11) & (d < 1e12) & (np.abs(m - d) < TIE_MARGIN)
+    del m
     d[~fast] = 1e11  # keeps the lookups below in range; the fallback rewrites these items
     words, sig = _digit_slots(d)
     # a byte moves one to the right as its word shifts left by 8 bits, and no
     # shifted byte leaves its group's slot
     key = (e - E_MIN) * 13 + sig
-    body = words & np.take(_KEEP, key).view("<u8").reshape(words.shape)
+    body = words & _KEEP.take(key).view("<u8").reshape(words.shape)
     words <<= 8
-    words &= np.take(_SHIFT, key).view("<u8").reshape(words.shape)
+    words &= _SHIFT.take(key).view("<u8").reshape(words.shape)
     body |= words
-    body |= np.take(_POINT, key).view("<u8").reshape(words.shape)
+    body |= _POINT.take(key).view("<u8").reshape(words.shape)
     if out is None:
         out = np.empty(v.size, VALUE_DTYPE)
-    out["prefix"] = np.take(_PREFIXES, (e - E_MIN) + (v < 0) * (E_MAX - E_MIN + 1))
+    out["prefix"] = _PREFIXES.take((e - E_MIN) + (v < 0) * (E_MAX - E_MIN + 1))
     out["body"] = body.view(f"V{BODY_WIDTH}")[:, 0]
-    slow = np.flatnonzero(~fast)
+    slow = (~fast).nonzero()[0]
     if slow.size:
         texts = [format_value(x) for x in v[slow].tolist()]
         out[slow] = np.array(texts, dtype=f"S{VALUE_WIDTH}").view(VALUE_DTYPE)
     return out
 
 
+def _record_block(shape, dtype) -> tuple[bytearray, np.ndarray]:
+    """A zeroed bytearray and a record array of the given shape that views it.
+
+    The records are written through the array, and `_compact` reads their
+    text from the bytearray itself, so no copy of the records is made.
+    """
+    dtype = np.dtype(dtype)
+    buf = bytearray(math.prod(shape) * dtype.itemsize)
+    return buf, np.frombuffer(buf, dtype).reshape(shape)
+
+
+def _compact(buf: bytearray, nbytes: int) -> bytearray:
+    """The first nbytes of buf with their NUL bytes dropped: the whole of buf
+    by its own translate, a shorter prefix through a copy of that prefix."""
+    return (buf if nbytes == len(buf) else buf[:nbytes]).translate(None, b"\0")
+
+
 def csv_text(header: str, *columns) -> str:
     """CSV text of a header line and one line per row of equal-length columns.
 
     The rows are one array of records, a value text (`_value_chars`) and its
-    "," or line end each, so every CSV formats its values one way.
+    "," or line end each, so every CSV formats its values one way and drops
+    its padding one way (`_compact`).
     """
     values = np.column_stack([np.asarray(c, dtype=float) for c in columns])
-    cells = np.empty(values.shape, [("value", VALUE_DTYPE), ("end", "S1")])
-    _value_chars(values, out=cells.reshape(-1)["value"])
+    buf, cells = _record_block(values.shape, [("value", VALUE_DTYPE), ("end", "S1")])
+    with np.errstate(**_QUIET):
+        _value_chars(values, out=cells.reshape(-1)["value"])
     cells["end"] = b","
     cells["end"][:, -1] = b"\n"
-    return f"{header}\n" + cells.tobytes().translate(None, b"\0").decode("ascii")
+    return f"{header}\n" + _compact(buf, len(buf)).decode("ascii")
 
 
 @dataclass(frozen=True)
@@ -323,13 +355,14 @@ class SolutionField:
 
         A block of rows is one array of fixed-width records: the t text, the
         ",x," text, the value text and the ",tag" line end, each NUL-padded.
-        One block array serves every block, and the last block is a slice of
-        it; every block holds whole rows, so its x texts are set once.  The
-        value texts are formatted straight into the block's value field.
-        Dropping the NUL bytes gives the block's lines as bytes, and each
-        block goes to fh as it is formatted, so the writer holds one block of
-        text (FIELD_BLOCK_CELLS cells, or one row if longer) whatever the size
-        of the field.
+        One block of records (`_record_block`) serves every block of rows,
+        and the last block is a prefix of it; every block holds whole rows,
+        so its x texts are set once.  The value texts are formatted straight
+        into the block's value field.  Dropping the NUL bytes (`_compact`)
+        gives the block's lines as bytes, and each block goes to fh as it is
+        formatted, so the writer holds one block of records and its text
+        (FIELD_BLOCK_CELLS cells, or one row if longer) whatever the size of
+        the field.
         """
         n_t, n_x = self.values.shape
         t_texts = np.array([format_value(t) for t in self.t_grid.tolist()], dtype="S")
@@ -338,17 +371,19 @@ class SolutionField:
         record = np.dtype([("t", t_texts.dtype), ("x", x_texts.dtype),
                            ("value", VALUE_DTYPE), ("tag", tags.dtype)])
         step = max(1, FIELD_BLOCK_CELLS // max(1, n_x))
-        records = np.empty((min(step, n_t), n_x), record)
+        buf, records = _record_block((min(step, n_t), n_x), record)
         records["x"] = x_texts
+        value_items = records.reshape(-1)["value"]
         fh.write(f"{header}\n".encode())
-        for i in range(0, n_t, step):
-            rows = slice(i, i + step)
-            values = self.values[rows]
-            block = records[:len(values)]
-            block["t"] = t_texts[rows, None]
-            _value_chars(values, out=block.reshape(-1)["value"])
-            block["tag"] = np.take(tags, self.provenance[rows])
-            fh.write(block.tobytes().translate(None, b"\0"))
+        with np.errstate(**_QUIET):
+            for i in range(0, n_t, step):
+                rows = slice(i, i + step)
+                values = self.values[rows]
+                block = records[:len(values)]
+                block["t"] = t_texts[rows, None]
+                _value_chars(values, out=value_items[:values.size])
+                block["tag"] = tags.take(self.provenance[rows])
+                fh.write(_compact(buf, block.nbytes))
 
     def to_csv(self, header: str = "t,x,value,provenance") -> str:
         """The text `write_csv` writes, as one string."""

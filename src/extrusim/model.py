@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CompatibilityError, DomainError, SingularityError
+from .errors import CompatibilityError, DomainError, GridError, SingularityError
 from .fields import SampledFunction, SpaceProfile
 
 # norm_F_box samples each axis of the eps1 box at F_BOX_SAMPLES points and
@@ -204,6 +204,8 @@ class CauchyData:
     Every instance is corner-compatible: the inflow ratio at the first
     input time matches f0_p(0) to COMPAT_TOL.  The inflow ratio, the
     boundary value of f_p, stays below 1 on the whole input interval.
+    The checks come in two parts: those of the inputs (`_check_inputs`) and
+    those of the start (`_check_start`), which `rerooted` runs alone.
     """
 
     l0: float
@@ -214,11 +216,10 @@ class CauchyData:
     eq: EquilibriumPoint
 
     def __post_init__(self):
-        if not (0.0 < self.l0 < self.params.L):
-            raise DomainError(f"l0={self.l0} outside (0, L={self.params.L})")
-        vals = self.f0_p.values
-        if np.min(vals) < 0.0 or np.max(vals) > 1.0 or vals[-1] >= 1.0:
-            raise DomainError("initial profile must take values in [0,1] with f0_p(1) < 1")
+        self._check_inputs()
+        self._check_start()
+
+    def _check_inputs(self):
         if np.any(self.N.values <= 0.0):
             raise DomainError("screw speed input must stay positive")
         if np.any(self.F_in.values < 0.0):
@@ -227,11 +228,37 @@ class CauchyData:
         if peak >= 1.0:
             raise DomainError(f"inflow ratio F_in/(rho0*V_eff*N) reaches {peak:.6g} at "
                               f"t={t_peak:.6g}; it must stay below 1")
+
+    def _check_start(self):
+        if not (0.0 < self.l0 < self.params.L):
+            raise DomainError(f"l0={self.l0} outside (0, L={self.params.L})")
+        vals = self.f0_p.values
+        if np.min(vals) < 0.0 or np.max(vals) > 1.0 or vals[-1] >= 1.0:
+            raise DomainError("initial profile must take values in [0,1] with f0_p(1) < 1")
         corner = float_inflow(self.F_in(self.F_in.t_start), self.N(self.N.t_start), self.params)
         if abs(corner - float(vals[0])) > COMPAT_TOL:
             raise CompatibilityError(
                 f"corner compatibility violated: inflow {corner:.12g} vs profile {vals[0]:.12g}"
             )
+
+    def rerooted(self, l0: float, f0_p: SpaceProfile, node: int) -> "CauchyData":
+        """The data that start from (l0, f0_p) at input node `node`, on a
+        clock that starts there.
+
+        F_in and N must share one grid.  The new inputs are their samples
+        from that node on, pieces of inputs this instance has checked, so
+        only the start checks run.
+        """
+        F_in, N = self.F_in, self.N
+        if (N.t_start, N.t_end, N.values.size) != (F_in.t_start, F_in.t_end, F_in.values.size):
+            raise GridError("rerooting needs F_in and N on one grid")
+        rest = F_in.t_end - F_in.grid[node]
+        data = object.__new__(CauchyData)
+        vars(data).update(l0=l0, f0_p=f0_p, F_in=SampledFunction(0.0, rest, F_in.values[node:]),
+                          N=SampledFunction(0.0, rest, N.values[node:]),
+                          params=self.params, eq=self.eq)
+        data._check_start()
+        return data
 
     def inflow(self, t):
         return inflow_value(self.F_in(t), self.N(t), self.params)

@@ -7,11 +7,12 @@ b(t) = f_p(t,1).  The solver Picard-iterates the map
     b   |->  datum carried to (t,1) along the characteristic
 
 on a short interval whose length is chosen so the map provably contracts,
-then re-roots the Cauchy data (`model.CauchyData`, checked there) at the
-junction and repeats until the requested horizon is covered.  The interval starts from three admissibility
-terms (boundary-characteristic travel time and the two interface budgets,
-all in the eps1 ball of radius `eps1_radius`); the horizon is not a term,
-since each segment's interval is capped at the last output node.  Each
+then re-roots the Cauchy data (`model.CauchyData.rerooted`, which checks
+only the new start) at the junction and repeats until the requested
+horizon is covered.  The interval starts from three admissibility terms
+(boundary-characteristic travel time and the two interface budgets, all in
+the eps1 ball of radius `eps1_radius`); the horizon is not a term, since
+each segment's interval is capped at the last output node.  Each
 segment runs one sequence of iterates (`_iterates`) on the interval it
 will actually cover, snapped to the output grid: `compute_delta` runs its
 first two maps to probe the contraction factor, `local_fixed_point`
@@ -249,7 +250,8 @@ def solve_semiglobal(
     one sequence of iterates, from the probe's maps to the assembly context.
 
     Each junction re-roots the Cauchy data with the current interface
-    position and the field row at the junction time, so consecutive
+    position and the field row at the junction time (the inputs from there
+    on are those checked once for the run), so consecutive
     segments share that row exactly, and a segment past the first assembles
     only the rows after it: its own first row would repeat the stored one
     bit for bit, since xi(0; 0, x) = x and the junction profile is read at
@@ -274,7 +276,7 @@ def solve_semiglobal(
     l_out = np.empty(n_t)
     reports = []
 
-    seg_data = CauchyData(data.l0, data.f0_p, F_in_g, N_g, data.params, eq)
+    run_data = seg_data = CauchyData(data.l0, data.f0_p, F_in_g, N_g, data.params, eq)
     i_lo = 0
     while i_lo < n_t - 1:
         ends = t_grid[i_lo:] - t_grid[i_lo]
@@ -304,12 +306,9 @@ def solve_semiglobal(
         reports.append(report)
 
         if i_hi < n_t - 1:
-            junction_profile = SpaceProfile(values[i_hi].copy())
-            l_junction, rest = float(l_seg(l_seg.t_end)), T - t_grid[i_hi]
-            seg_data = CauchyData(l_junction, junction_profile,
-                                  SampledFunction(0.0, rest, F_in_g.values[i_hi:]),
-                                  SampledFunction(0.0, rest, N_g.values[i_hi:]),
-                                  data.params, eq)
+            # the inputs from the junction on were checked with run_data
+            seg_data = run_data.rerooted(float(l_seg(l_seg.t_end)),
+                                         SpaceProfile(values[i_hi].copy()), i_hi)
         i_lo = i_hi
 
     field = SolutionField(t_grid, x_grid, values, provenance)

@@ -1,3 +1,4 @@
+import io
 import math
 import tracemalloc
 
@@ -22,6 +23,7 @@ from extrusim.fields import (
     field_norm,
     format_value,
     norm,
+    _QUIET,
     _value_chars,
 )
 
@@ -348,6 +350,45 @@ class TestFieldCsvStreaming:
         assert blob == reference_field_csv(field, header="t,x,fp,provenance").encode()
 
 
+
+class CountingWrites(io.BytesIO):
+    def __init__(self):
+        super().__init__()
+        self.writes = 0
+
+    def write(self, data):
+        self.writes += 1
+        return super().write(data)
+
+
+class TestFieldCsvBlocks:
+    """The writer's block edges, with blocks of a few cells; values include
+    the edge values that leave the digit path."""
+
+    @pytest.mark.parametrize("block_cells, shape, blocks", [
+        (3, (3, 5), 3),  # a row longer than a block: one row per block
+        (6, (4, 3), 2),  # rows that fill the last block exactly
+        (6, (5, 3), 3),  # a partial last block of one row
+        (6, (1, 3), 1),  # a single row, shorter than a block
+        (2, (1, 7), 1),  # a single row, longer than a block
+    ], ids=["row-longer-than-block", "last-block-full", "partial-last-block",
+            "single-row", "single-long-row"])
+    def test_blocks_match_the_reference(self, monkeypatch, block_cells, shape, blocks):
+        monkeypatch.setattr(fields, "FIELD_BLOCK_CELLS", block_cells)
+        rng = np.random.default_rng(block_cells * 100 + shape[0])
+        values = rng.standard_normal(shape)
+        values.flat[::2] = (EDGE_VALUES * shape[0] * shape[1])[:values.size][::2]
+        field = SolutionField(rng.uniform(0.0, 1.0, shape[0]), rng.uniform(0.0, 1.0, shape[1]),
+                              values, rng.integers(0, 2, shape))
+        fh = CountingWrites()
+        field.write_csv(fh)
+        assert fh.getvalue() == reference_field_csv(field).encode()
+        assert fh.writes == 1 + blocks  # the header, then one write per block
+        columns = (field.t_grid, *values.T)
+        header = ",".join(f"c{k}" for k in range(len(columns)))
+        assert csv_text(header, *columns) == reference_rows_csv(header, *columns)
+
+
 class TestCsvText:
     def test_matches_row_join_reference(self):
         cols = (np.linspace(0.0, 1.0, 4), np.array(EDGE_VALUES[:4]), [1.0 / 3.0, 2, -0.0, 1e16])
@@ -367,8 +408,11 @@ class TestCsvText:
 
 
 def value_texts(values) -> list:
-    """The text of each item `_value_chars` makes, NUL bytes dropped."""
-    return [item.tobytes().replace(b"\0", b"").decode() for item in _value_chars(values)]
+    """The text of each item `_value_chars` makes, NUL bytes dropped, under
+    the floating-point state its callers give it."""
+    with np.errstate(**_QUIET):
+        items = _value_chars(values)
+    return [item.tobytes().replace(b"\0", b"").decode() for item in items]
 
 
 def assert_formats_like_format(values):

@@ -7,12 +7,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from extrusim import characteristics, cli, wellposed
+from extrusim import characteristics, cli, model, wellposed
 from extrusim.characteristics import TraceContext, backtrace, backtrace_times, xi
 from extrusim.errors import (
     CompatibilityError,
     DivergenceError,
     DomainError,
+    GridError,
     ResolutionError,
     SingularityError,
 )
@@ -759,6 +760,70 @@ class TestJunctionRows:
             assert ctx.l(0.0) == sol.l.values[i_lo]
             i_lo += cells
         assert i_lo == tg.size - 1
+
+
+
+def varying_run_data(n=11):
+    """Data whose F_in and N share one n-node grid and vary in time, with
+    the inflow ratio pinned at f_pe, as `solve_semiglobal` resamples them."""
+    t = np.linspace(0.0, 1.0, n)
+    N = EQ.N_e * (1.0 + 0.1 * t)
+    feed = EQ.f_pe * UNIT.rho0 * UNIT.V_eff * N
+    return CauchyData(0.5, SpaceProfile.constant(EQ.f_pe, 11),
+                      SampledFunction(0.0, 1.0, feed), SampledFunction(0.0, 1.0, N), UNIT, EQ)
+
+
+class TestRerooted:
+    """A junction's data: the stored inputs from the junction node on, and
+    only the start checks, each with the message of a full construction."""
+
+    def test_inputs_are_the_stored_samples(self):
+        run = varying_run_data()
+        profile = SpaceProfile.constant(EQ.f_pe, 11)
+        seg = run.rerooted(0.45, profile, 4)
+        rest = run.F_in.t_end - run.F_in.grid[4]
+        full = CauchyData(0.45, profile, SampledFunction(0.0, rest, run.F_in.values[4:]),
+                          SampledFunction(0.0, rest, run.N.values[4:]), UNIT, EQ)
+        for a, b in ((seg.F_in, full.F_in), (seg.N, full.N)):
+            assert (a.t_start, a.t_end) == (b.t_start, b.t_end) == (0.0, rest)
+            assert a.values.tobytes() == b.values.tobytes()
+        assert (seg.l0, seg.f0_p, seg.params, seg.eq) == (0.45, profile, UNIT, EQ)
+
+    def test_full_outlet_rejected(self):
+        full_outlet = SpaceProfile(np.linspace(EQ.f_pe, 1.0, 11))
+        with pytest.raises(DomainError, match=r"^initial profile must take values in "
+                                              r"\[0,1\] with f0_p\(1\) < 1$"):
+            varying_run_data().rerooted(0.5, full_outlet, 3)
+
+    def test_corner_mismatch_rejected(self):
+        with pytest.raises(CompatibilityError, match=r"^corner compatibility violated: "
+                                                     r"inflow 0\.33333\d* vs profile 0\.43333"):
+            varying_run_data().rerooted(0.5, SpaceProfile.constant(EQ.f_pe + 0.1, 11), 3)
+
+    @pytest.mark.parametrize("l", [0.0, 1.0, -0.25, 1.5])
+    def test_interface_outside_the_zone_rejected(self, l):
+        with pytest.raises(DomainError, match=rf"^l0={l} outside \(0, L=1\.0\)$"):
+            varying_run_data().rerooted(l, SpaceProfile.constant(EQ.f_pe, 11), 3)
+
+    def test_inputs_on_two_grids_rejected(self):
+        run = varying_run_data()
+        coarse = dataclasses.replace(run, N=SampledFunction.constant(EQ.N_e, 0.0, 1.0, 6))
+        with pytest.raises(GridError, match="one grid"):
+            coarse.rerooted(0.5, SpaceProfile.constant(EQ.f_pe, 11), 3)
+
+    @pytest.mark.parametrize("data", [sine_data(0.01), wavy_inflow_data()])
+    def test_inflow_peak_runs_once_per_solve(self, data, monkeypatch):
+        calls = []
+        peak = model.inflow_peak
+
+        def counted(F_in, N, params):
+            calls.append(F_in.values.size)
+            return peak(F_in, N, params)
+
+        monkeypatch.setattr(model, "inflow_peak", counted)
+        sol = solve_semiglobal(data, 1.0)
+        assert len(sol.reports) > 1
+        assert calls == [201]
 
 
 def load_tracer():

@@ -24,6 +24,14 @@ that bytecode writing stays off as it does in `perfbench/run.py`.  The
 cumulative microseconds of `numpy` and of `extrusim.cli` are stored per
 run, and their medians are printed.
 
+After each benchmark run, the same side's working set is read once too:
+`tracemalloc`'s peak over one operation after a warm-up, in MB, in a
+fresh interpreter that builds the workload from that checkout's
+`perfbench/workloads.py` with its `src` on PYTHONPATH.  It is stored
+among the metrics as `traced_peak_mb`, beside `peak_rss_mb`, which moves
+with allocator layout as well as with the working set, and it gets the
+same comparison.
+
 The results are merged into the JSON file at `--out` (default `BENCH.json`
 at the root of this repository) under `<workload>` and `seed <seed>`, so
 that one file can collect several workloads and seeds.  The entry holds
@@ -50,6 +58,8 @@ END_TO_END = {
     "peak_rss_mb": "lower",
     "ok_share": "higher",
 }
+# the working-set figure stored beside them (`working_set_mb`); lower is better
+WORKING_SET = "traced_peak_mb"
 SIDES = ("parent", "change")
 CLAIM_SHARE = 0.9
 # the modules whose cumulative import time is recorded, in import order
@@ -102,6 +112,38 @@ def import_times(checkout: Path) -> dict:
     return parse_importtime(proc.stderr)
 
 
+# one warm-up operation, then tracemalloc's peak over one more, in a process
+# that imports the workload code of the checkout it runs in
+WORKING_SET_CODE = """
+import sys, tempfile, tracemalloc
+from pathlib import Path
+sys.path.insert(0, "perfbench")
+import workloads
+name, seed = sys.argv[1], int(sys.argv[2])
+with tempfile.TemporaryDirectory() as work:
+    wl = workloads.make(name, workloads.draw(name, seed), Path(work))
+    wl.settle(wl.op(), keep=False)
+    tracemalloc.start()
+    result = wl.op()
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    wl.settle(result, keep=False)
+print(peak)
+"""
+
+
+def working_set_mb(checkout: Path, workload: str, seed: int) -> float:
+    """tracemalloc's peak over one operation of workload after a warm-up, in
+    MB, measured in a fresh interpreter on checkout's perfbench and src."""
+    env = {**os.environ, "PYTHONPATH": str(checkout / "src")}
+    proc = subprocess.run([sys.executable, "-c", WORKING_SET_CODE, workload, str(seed)],
+                          cwd=checkout, env=env, capture_output=True, text=True, check=False)
+    if proc.returncode != 0:
+        raise RuntimeError(f"{checkout}: the working-set run exited {proc.returncode}:\n"
+                           f"{proc.stderr}")
+    return int(proc.stdout.split()[-1]) / 2**20
+
+
 def spread(values: list) -> dict:
     q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
     return {"median": median, "q1": q1, "q3": q3}
@@ -150,7 +192,9 @@ def main(argv=None) -> int:
     for k in range(args.pairs):
         order = SIDES if k % 2 == 0 else SIDES[::-1]
         for side in order:
-            runs[side].append(run_once(checkouts[side], args.workload, args.seed, args.seconds))
+            run = run_once(checkouts[side], args.workload, args.seed, args.seconds)
+            run["metrics"][WORKING_SET] = working_set_mb(checkouts[side], args.workload, args.seed)
+            runs[side].append(run)
             for name, us in import_times(checkouts[side]).items():
                 imports[side][name].append(us)
         pair = ", ".join(f"{side} {runs[side][-1]['metrics']['run_s']:.6f}" for side in order)
@@ -158,7 +202,7 @@ def main(argv=None) -> int:
 
     metrics = {}
     print(f"{args.workload} seed {args.seed}: {args.pairs} pairs of {args.seconds:g} s runs")
-    for name, better in END_TO_END.items():
+    for name, better in {**END_TO_END, WORKING_SET: "lower"}.items():
         values = {side: [run["metrics"][name] for run in runs[side]] for side in SIDES}
         row = compare(values["parent"], values["change"], better)
         metrics[name] = {**row, "runs": values}

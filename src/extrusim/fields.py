@@ -185,7 +185,7 @@ def _value_chars(values, out=None) -> np.ndarray:
     m *= _POW10.take(E_MAX - e)
     d = np.rint(m)
     fast &= (d >= 1e11) & (d < 1e12) & (np.abs(m - d) < TIE_MARGIN)
-    del m
+    del m  # 8 bytes a value fewer at the formatter's peak, in `_digit_slots`
     d[~fast] = 1e11  # keeps the lookups below in range; the fallback rewrites these items
     words, sig = _digit_slots(d)
     # a byte moves one to the right as its word shifts left by 8 bits, and no

@@ -114,3 +114,19 @@ class TestParseImporttime:
     def test_missing_import_is_an_error(self):
         with pytest.raises(ValueError, match="numpy"):
             parse_importtime(IMPORTTIME.replace("| numpy\n", "| other\n"))
+
+
+class TestWorkingSet:
+    """`tools/bench_pairs.working_set_mb` reads one operation's tracemalloc
+    peak from a fresh interpreter on a checkout's perfbench and src."""
+
+    def test_regularity_peak_of_this_checkout(self):
+        bench_pairs = load_bench_pairs()
+        peak = bench_pairs.working_set_mb(bench_pairs.ROOT, "regularity", 1)
+        # the regularity operation holds a few 101 x 401 fields
+        assert 1.0 < peak < 50.0
+
+    def test_unknown_workload_is_an_error(self):
+        bench_pairs = load_bench_pairs()
+        with pytest.raises(RuntimeError, match="working-set run exited 1"):
+            bench_pairs.working_set_mb(bench_pairs.ROOT, "no-such-workload", 1)

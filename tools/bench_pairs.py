@@ -58,7 +58,8 @@ END_TO_END = {
     "peak_rss_mb": "lower",
     "ok_share": "higher",
 }
-# the working-set figure stored beside them (`working_set_mb`); lower is better
+# the name under which the working-set figure (`working_set_mb`) is stored
+# beside them; lower is better
 WORKING_SET = "traced_peak_mb"
 SIDES = ("parent", "change")
 CLAIM_SHARE = 0.9
@@ -134,8 +135,9 @@ print(peak)
 
 def working_set_mb(checkout: Path, workload: str, seed: int) -> float:
     """tracemalloc's peak over one operation of workload after a warm-up, in
-    MB, measured in a fresh interpreter on checkout's perfbench and src."""
-    env = {**os.environ, "PYTHONPATH": str(checkout / "src")}
+    MB, measured in a fresh interpreter on checkout's perfbench and src,
+    which writes no bytecode there."""
+    env = {**os.environ, "PYTHONPATH": str(checkout / "src"), "PYTHONDONTWRITEBYTECODE": "1"}
     proc = subprocess.run([sys.executable, "-c", WORKING_SET_CODE, workload, str(seed)],
                           cwd=checkout, env=env, capture_output=True, text=True, check=False)
     if proc.returncode != 0:

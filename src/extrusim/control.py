@@ -436,14 +436,17 @@ def verify_control(
     and its ratio to the deviation budget nu.
 
     The replay carries its own discretization error into the interface.
-    The semi-global solver re-roots the profile at each junction by linear
-    interpolation on its n_x grid, so that error falls like dx^2, and it
-    represents the inputs piecewise-linearly on its n_t grid, an O(dt^2)
-    term.  On the unit-scale target 0.49 -> 0.51 at nu = 0.01 the interface
-    error is 7.1e-8, 2.3e-8, 7.2e-9 and 9.7e-10 at n_x = 201, 401, 801 and
-    1601 (n_t = 801); the defaults keep it well below 1e-8 there.  The
-    default n_t holds the replay time step at REPLAY_DT whatever the
-    horizon, so the certificate means the same on long targets.
+    The semi-global solver restarts at each junction from the profile
+    stored on its n_x grid, read by linear interpolation, so that error
+    falls like dx^2; it reads the controls at their own samples, so n_t
+    adds no input term.  On the unit-scale target 0.49 -> 0.51 at nu = 0.01
+    the interface error is 7.8e-8, 3.0e-8, 6.1e-9 and 5.5e-10 at n_x = 201,
+    401, 801 and 1601 (n_t = 801); the defaults keep it well below 1e-8
+    there.  At n_x = 101 and n_t = 101, 51 and 21 (the CLI's grids at
+    numerics.dx = 0.01 and numerics.dt = 0.01, 0.02 and 0.05) it is 4.59e-7,
+    4.59e-7 and 4.93e-7.  The default n_t holds the replay time step at
+    REPLAY_DT whatever the horizon, so the certificate means the same on
+    long targets.
     """
     try:
         data = CauchyData(

@@ -22,11 +22,11 @@ only checks data or runs the upwind oracle loads none.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import CompatibilityError, DomainError, GridError, SingularityError
+from .errors import CompatibilityError, DomainError, SingularityError
 from .fields import SampledFunction, SpaceProfile
 
 # norm_F_box samples each axis of the eps1 box at F_BOX_SAMPLES points and
@@ -201,11 +201,13 @@ def inflow_peak(F_in: SampledFunction, N: SampledFunction, params: PhysicalParam
 class CauchyData:
     """Initial interface position and profile plus the boundary inputs.
 
-    Every instance is corner-compatible: the inflow ratio at the first
-    input time matches f0_p(0) to COMPAT_TOL.  The inflow ratio, the
-    boundary value of f_p, stays below 1 on the whole input interval.
-    The checks come in two parts: those of the inputs (`_check_inputs`) and
-    those of the start (`_check_start`), which `rerooted` runs alone.
+    Every instance is corner-compatible: the inflow ratio at the start time
+    t0 matches f0_p(0) to COMPAT_TOL.  The inflow ratio, the boundary value
+    of f_p, stays below 1 on the whole input interval.  The data start at
+    t0 = 0; only `restarted`, the junction of the semi-global solver, sets a
+    later start, and the inputs are always read at run times.  The checks
+    come in two parts: those of the inputs (`_check_inputs`) and those of
+    the start (`_check_start`), which `restarted` runs alone.
     """
 
     l0: float
@@ -214,6 +216,7 @@ class CauchyData:
     N: SampledFunction
     params: PhysicalParams
     eq: EquilibriumPoint
+    t0: float = field(default=0.0, init=False)
 
     def __post_init__(self):
         self._check_inputs()
@@ -235,28 +238,17 @@ class CauchyData:
         vals = self.f0_p.values
         if np.min(vals) < 0.0 or np.max(vals) > 1.0 or vals[-1] >= 1.0:
             raise DomainError("initial profile must take values in [0,1] with f0_p(1) < 1")
-        corner = float_inflow(self.F_in(self.F_in.t_start), self.N(self.N.t_start), self.params)
+        corner = float_inflow(self.F_in(self.t0), self.N(self.t0), self.params)
         if abs(corner - float(vals[0])) > COMPAT_TOL:
             raise CompatibilityError(
                 f"corner compatibility violated: inflow {corner:.12g} vs profile {vals[0]:.12g}"
             )
 
-    def rerooted(self, l0: float, f0_p: SpaceProfile, node: int) -> "CauchyData":
-        """The data that start from (l0, f0_p) at input node `node`, on a
-        clock that starts there.
-
-        F_in and N must share one grid.  The new inputs are their samples
-        from that node on, pieces of inputs this instance has checked, so
-        only the start checks run.
-        """
-        F_in, N = self.F_in, self.N
-        if (N.t_start, N.t_end, N.values.size) != (F_in.t_start, F_in.t_end, F_in.values.size):
-            raise GridError("rerooting needs F_in and N on one grid")
-        rest = F_in.t_end - F_in.grid[node]
+    def restarted(self, t0: float, l0: float, f0_p: SpaceProfile) -> "CauchyData":
+        """The data that start from (l0, f0_p) at time t0, with the same
+        inputs: those this instance has checked, so only the start checks run."""
         data = object.__new__(CauchyData)
-        vars(data).update(l0=l0, f0_p=f0_p, F_in=SampledFunction(0.0, rest, F_in.values[node:]),
-                          N=SampledFunction(0.0, rest, N.values[node:]),
-                          params=self.params, eq=self.eq)
+        vars(data).update(vars(self), t0=t0, l0=l0, f0_p=f0_p)
         data._check_start()
         return data
 

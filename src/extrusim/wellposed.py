@@ -7,12 +7,15 @@ b(t) = f_p(t,1).  The solver Picard-iterates the map
     b   |->  datum carried to (t,1) along the characteristic
 
 on a short interval whose length is chosen so the map provably contracts,
-then re-roots the Cauchy data (`model.CauchyData.rerooted`, which checks
-only the new start) at the junction and repeats until the requested
-horizon is covered.  The interval starts from three admissibility terms
-(boundary-characteristic travel time and the two interface budgets, all in
-the eps1 ball of radius `eps1_radius`); the horizon is not a term, since
-each segment's interval is capped at the last output node.  Each
+then restarts the Cauchy data at the junction (`model.CauchyData.restarted`,
+which replaces the start time, interface position and profile, and checks
+only those) and repeats until the requested horizon is covered.  Every
+segment runs on the run's clock: its trace contexts span its own
+[t_lo, t_hi] and read the inputs at run times.  The interval starts from
+three admissibility terms (boundary-characteristic travel time and the two
+interface budgets, all in the eps1 ball of radius `eps1_radius`); the
+horizon is not a term, since each segment's interval is capped at the
+last output node.  Each
 segment runs one sequence of iterates (`_iterates`) on the interval it
 will actually cover, snapped to the output grid: `compute_delta` runs its
 first two maps to probe the contraction factor, `local_fixed_point`
@@ -24,7 +27,8 @@ its context comes from `TraceContext.from_nodes`, one 2-d running integral
 gives both the interface displacement and P, and no `SampledFunction` or
 Hermite object is built until assembly looks up times between nodes.
 Maps and assembly carry data with `carry`; an error in a segment names it
-and, past segment 0, its start on the run's clock.
+and, past segment 0, its start, and the times inside its message are run
+times too.
 """
 
 from __future__ import annotations
@@ -107,29 +111,25 @@ class EstimateAudit:
         return self.dev_fp / self.eps
 
 
-def _resample(sf: SampledFunction, t_start: float, t_end: float, n: int) -> SampledFunction:
-    grid = np.linspace(t_start, t_end, n)
-    return SampledFunction(t_start, t_end, np.asarray(sf(grid), dtype=float))
+def _iterates(data: CauchyData, t_end: float, n: int, initial):
+    """Picard iterates of the solution map on n nodes of [data.t0, t_end].
 
-
-def _iterates(data: CauchyData, delta: float, n: int, initial):
-    """Picard iterates of the solution map on n nodes of [0, delta].
-
-    Starts from the constant pair `initial` (the data at t=0 if None).  The
-    iterate (l, b) is one (2, n) block and a map is one pass over node arrays:
-    the context of the block (`TraceContext.from_nodes`, whose running
-    integrals give P and the interface displacement), the outlet origins and
-    their datum.  Yields (ctx, next block, deviation, dist), in the maximum
-    norm: the next block's distance from the equilibrium and from this one.
+    Starts from the constant pair `initial` (the data at t0 if None) and
+    reads N at the node times.  The iterate (l, b) is one (2, n) block and
+    a map is one pass over node arrays: the context of the block
+    (`TraceContext.from_nodes`, whose running integrals give P and the
+    interface displacement), the outlet origins and their datum.  Yields
+    (ctx, next block, deviation, dist), in the maximum norm: the next
+    block's distance from the equilibrium and from this one.
     """
     if initial is None:
         initial = (data.l0, float(data.f0_p.values[-1]))
-    N = data.N(np.linspace(0.0, delta, n))
+    N = data.N(np.linspace(data.t0, t_end, n))
     center = np.array([[data.eq.l_e], [data.eq.f_pe]])
     lb = np.empty((2, n))
     lb[0], lb[1] = initial
     while True:
-        ctx = TraceContext.from_nodes(0.0, delta, lb, N, data.params)
+        ctx = TraceContext.from_nodes(data.t0, t_end, lb, N, data.params)
         nxt = np.empty((2, n))
         np.add(data.l0, ctx._displacement, out=nxt[0])
         # outlet origins at the context's node times, P and Q from its nodes;
@@ -158,8 +158,8 @@ def compute_delta(data: CauchyData, f_norm: float, ends: np.ndarray, step: float
     Starts from DELTA_SAFETY times the smallest of the three admissibility
     terms in the ball of radius `eps1_radius` (boundary-characteristic
     travel time, and the two interface travel-distance budgets at the
-    F-box norm `f_norm`), snaps it down to a node of `ends` (times from 0,
-    `step` apart; the last node caps it) and halves it until the
+    F-box norm `f_norm`), snaps it down to a node of `ends` (run times from
+    data.t0, `step` apart; the last node caps it) and halves it until the
     contraction factor of the first two maps, on max(cells + 1,
     PROBE_POINTS) nodes, is at most 1/2.  `local_fixed_point` continues the
     returned `Probe`'s sequence rather than starting another.
@@ -178,8 +178,7 @@ def compute_delta(data: CauchyData, f_norm: float, ends: np.ndarray, step: float
                 f"contraction interval {delta:.3g} fell below the grid step {step:.3g}"
             )
         cells = min(cells, ends.size - 1)
-        snapped = float(ends[cells])
-        steps = _iterates(data, snapped, max(cells + 1, PROBE_POINTS), None)
+        steps = _iterates(data, float(ends[cells]), max(cells + 1, PROBE_POINTS), None)
         head = [next(steps)]
         d1 = head[0][3]
         factor = 0.0
@@ -187,7 +186,7 @@ def compute_delta(data: CauchyData, f_norm: float, ends: np.ndarray, step: float
             head.append(next(steps))
             factor = head[1][3] / d1
         if factor <= 0.5:
-            return Probe(snapped, cells, factor, chain(head, steps))
+            return Probe(float(ends[cells] - data.t0), cells, factor, chain(head, steps))
         delta *= 0.5
 
 
@@ -197,11 +196,11 @@ def local_fixed_point(
     n_t: int = 257,
     initial: tuple | None = None,
 ) -> LocalSolveReport:
-    """Picard iteration for the coupled traces on [0, delta].
+    """Picard iteration for the coupled traces on [t0, t0 + delta], t0 = data.t0.
 
     `delta` is the interval length, or a `Probe` whose sequence (with its
     n_t and initial pair) is continued.  The initial candidate is the
-    constant extension of the data at t=0 unless another admissible pair
+    constant extension of the data at t0 unless another admissible pair
     is supplied.  Iterates must stay inside the eps1 ball of radius
     `eps1_radius` around the equilibrium; the loop stops when
     successive iterates are within PICARD_TOL in the maximum norm, and
@@ -215,7 +214,7 @@ def local_fixed_point(
     if isinstance(delta, Probe):
         delta, steps = delta.delta, delta.steps
     else:
-        steps = _iterates(data, delta, n_t, initial)
+        steps = _iterates(data, data.t0 + delta, n_t, initial)
     factors = []
     prev_dist = None
     for iterations, (_, _, deviation, dist) in enumerate(islice(steps, PICARD_MAX_ITER), 1):
@@ -247,15 +246,17 @@ def solve_semiglobal(
     """Cover [0, T] by chained contraction intervals.
 
     Every segment works in the eps1 ball of radius `eps1_radius` and runs
-    one sequence of iterates, from the probe's maps to the assembly context.
+    one sequence of iterates, from the probe's maps to the assembly context,
+    on the run's clock: its contexts span its own [t_lo, t_hi] and read the
+    inputs at run times.
 
-    Each junction re-roots the Cauchy data with the current interface
-    position and the field row at the junction time (the inputs from there
-    on are those checked once for the run), so consecutive
+    Each junction restarts the data (`CauchyData.restarted`) at its time,
+    with the current interface position and the field row stored there; the
+    inputs stay those checked once for the run.  So consecutive
     segments share that row exactly, and a segment past the first assembles
     only the rows after it: its own first row would repeat the stored one
-    bit for bit, since xi(0; 0, x) = x and the junction profile is read at
-    its own nodes.  Provenance is propagated globally: a point fed from
+    bit for bit, since xi(t_lo; t_lo, x) = x and the junction profile is read
+    at its own nodes.  Provenance is propagated globally: a point fed from
     a segment's first row inherits the tag of the node its characteristic
     came from, and row 0 is all initial.
     """
@@ -267,23 +268,18 @@ def solve_semiglobal(
     t_grid = np.linspace(0.0, T, n_t)
     x_grid = np.linspace(0.0, 1.0, n_x)
     dt_out = t_grid[1] - t_grid[0]
-    # inputs resampled once so every junction lands on a shared grid node
-    F_in_g = _resample(data.F_in, 0.0, T, n_t)
-    N_g = _resample(data.N, 0.0, T, n_t)
 
     values = np.empty((n_t, n_x))
     provenance = np.zeros((n_t, n_x), dtype=bool)
     l_out = np.empty(n_t)
     reports = []
 
-    run_data = seg_data = CauchyData(data.l0, data.f0_p, F_in_g, N_g, data.params, eq)
+    seg_data = data
     i_lo = 0
     while i_lo < n_t - 1:
-        ends = t_grid[i_lo:] - t_grid[i_lo]
         try:
-            probe = compute_delta(seg_data, f_norm, ends, dt_out)
+            probe = compute_delta(seg_data, f_norm, t_grid[i_lo:], dt_out)
         except ExtrusimError as exc:
-            # a segment's times are on its own clock; its start places them on the run's
             start = f" from t={t_grid[i_lo]:.6g}" if i_lo else ""
             raise type(exc)(f"segment {len(reports)}{start}: {exc}") from exc
         i_hi = i_lo + probe.cells
@@ -295,7 +291,7 @@ def solve_semiglobal(
         l_seg = report.context.l
         # past segment 0 the first row is the stored junction row
         first = int(i_lo > 0)
-        rows = ends[first:probe.cells + 1]
+        rows = t_grid[i_lo + first:i_hi + 1]
         seg_vals, seg_flags, seg_orig = _assemble_rows(report.context, seg_data, rows, x_grid)
         # initial-origin points inherit the tag of the row-i_lo node their
         # characteristic started from
@@ -306,9 +302,8 @@ def solve_semiglobal(
         reports.append(report)
 
         if i_hi < n_t - 1:
-            # the inputs from the junction on were checked with run_data
-            seg_data = run_data.rerooted(float(l_seg(l_seg.t_end)),
-                                         SpaceProfile(values[i_hi].copy()), i_hi)
+            seg_data = seg_data.restarted(float(t_grid[i_hi]), float(l_seg.values[-1]),
+                                          SpaceProfile(values[i_hi].copy()))
         i_lo = i_hi
 
     field = SolutionField(t_grid, x_grid, values, provenance)

@@ -13,7 +13,6 @@ from extrusim.errors import (
     CompatibilityError,
     DivergenceError,
     DomainError,
-    GridError,
     ResolutionError,
     SingularityError,
 )
@@ -32,7 +31,6 @@ from extrusim.wellposed import (
     PROBE_POINTS,
     CauchyData,
     _assemble_rows,
-    _resample,
     check_estimates,
     compute_delta,
     local_fixed_point,
@@ -250,7 +248,8 @@ class TestOneIteration:
         data = sine_data(0.01)
         report = local_fixed_point(data, 0.06)
         l_sf, b_sf = report.context.l, report.context.b
-        rebuilt = TraceContext(l_sf, _resample(data.N, 0.0, 0.06, l_sf.values.size), b_sf, UNIT)
+        N_sf = SampledFunction(0.0, 0.06, data.N(l_sf.grid))
+        rebuilt = TraceContext(l_sf, N_sf, b_sf, UNIT)
         tg = np.linspace(0.0, 0.06, 13)
         xg = np.linspace(0.0, 1.0, 101)
         got = _assemble_rows(report.context, data, tg, xg)
@@ -390,7 +389,7 @@ def reference_delta(data, eps1, f_norm, step):
     delta = wellposed.DELTA_SAFETY * min(terms)
     while True:
         assert delta >= step - 1e-12
-        steps = wellposed._iterates(data, delta, PROBE_POINTS, None)
+        steps = wellposed._iterates(data, data.t0 + delta, PROBE_POINTS, None)
         d1 = next(steps)[3]
         if d1 <= wellposed.PICARD_TOL or next(steps)[3] / d1 <= 0.5:
             return delta
@@ -402,7 +401,7 @@ def reference_semiglobal(data, T, n_t, n_x=101):
 
     Each segment probes the contraction factor on the unsnapped interval,
     snaps it down to an output node and caps it at the horizon, then starts
-    a fresh Picard sequence on the snapped interval.
+    a fresh Picard sequence on the snapped interval, on the run's clock.
     """
     eq = data.eq
     eps1 = eps1_radius(eq)
@@ -410,13 +409,11 @@ def reference_semiglobal(data, T, n_t, n_x=101):
     t_grid = np.linspace(0.0, T, n_t)
     x_grid = np.linspace(0.0, 1.0, n_x)
     dt_out = t_grid[1] - t_grid[0]
-    F_in_g = _resample(data.F_in, 0.0, T, n_t)
-    N_g = _resample(data.N, 0.0, T, n_t)
     values = np.empty((n_t, n_x))
     provenance = np.zeros((n_t, n_x), dtype=bool)
     l_out = np.empty(n_t)
     reports = []
-    seg_data = CauchyData(data.l0, data.f0_p, F_in_g, N_g, UNIT, eq)
+    seg_data = data
     i_lo = 0
     while i_lo < n_t - 1:
         delta_c = reference_delta(seg_data, eps1, f_norm, dt_out)
@@ -424,7 +421,7 @@ def reference_semiglobal(data, T, n_t, n_x=101):
         i_hi = min(i_lo + cells, n_t - 1)
         delta = t_grid[i_hi] - t_grid[i_lo]
         report = local_fixed_point(seg_data, delta, n_t=max(i_hi - i_lo + 1, 65))
-        rows = t_grid[i_lo:i_hi + 1] - t_grid[i_lo]
+        rows = t_grid[i_lo:i_hi + 1]
         seg_vals, seg_flags, seg_orig = _assemble_rows(report.context, seg_data, rows, x_grid)
         j = np.clip(np.round(seg_orig / (x_grid[1] - x_grid[0])).astype(int), 0, n_x - 1)
         values[i_lo:i_hi + 1] = seg_vals
@@ -432,14 +429,9 @@ def reference_semiglobal(data, T, n_t, n_x=101):
         l_out[i_lo:i_hi + 1] = report.context.l(rows)
         reports.append(report)
         if i_hi < n_t - 1:
-            seg_data = CauchyData(
-                float(report.context.l(report.context.l.t_end)),
-                SpaceProfile(values[i_hi].copy()),
-                SampledFunction(0.0, T - t_grid[i_hi], F_in_g.values[i_hi:]),
-                SampledFunction(0.0, T - t_grid[i_hi], N_g.values[i_hi:]),
-                UNIT,
-                eq,
-            )
+            seg_data = seg_data.restarted(float(t_grid[i_hi]),
+                                          float(report.context.l(report.context.l.t_end)),
+                                          SpaceProfile(values[i_hi].copy()))
         i_lo = i_hi
     return l_out, values, provenance, reports
 
@@ -574,23 +566,25 @@ class TestOneCarry:
         assert all(call[0].any() and not call[0].all() for call in rows)
 
 
-def reference_iterates(data, delta, n, initial):
+def reference_iterates(data, t_end, n, initial):
     """The solution map before it ran as one pass over node arrays, kept as
     the bit-for-bit reference: per map two `SampledFunction`s and a context
     built from them, separate 1-d running integrals, and the datum by masks.
+    The maps run on [data.t0, t_end] and read N at their node times.
     Yields (ctx, l_next, b_next, dist)."""
     if initial is None:
         initial = (data.l0, float(data.f0_p.values[-1]))
-    N_sf = _resample(data.N, 0.0, delta, n)
+    t0 = data.t0
+    N_sf = SampledFunction(t0, t_end, data.N(np.linspace(t0, t_end, n)))
     # every iterate lives on the grid of N_sf
     dt = N_sf.dt
     l_vals = np.full(n, float(initial[0]))
     b_vals = np.full(n, float(initial[1]))
     while True:
         ctx = TraceContext(
-            SampledFunction(0.0, delta, l_vals),
+            SampledFunction(t0, t_end, l_vals),
             N_sf,
-            SampledFunction(0.0, delta, b_vals),
+            SampledFunction(t0, t_end, b_vals),
             data.params,
         )
         l_next = data.l0 + cumulative_integral(ctx._F_nodes, dt)
@@ -601,11 +595,11 @@ def reference_iterates(data, delta, n, initial):
         l_vals, b_vals = l_next, b_next
 
 
-def reference_steps(data, delta, n, initial):
+def reference_steps(data, t_end, n, initial):
     """`reference_iterates` in the form `_iterates` yields, with the eps1-ball
     distance taken per trace, as `local_fixed_point` took it."""
     eq = data.eq
-    for ctx, l_next, b_next, dist in reference_iterates(data, delta, n, initial):
+    for ctx, l_next, b_next, dist in reference_iterates(data, t_end, n, initial):
         deviation = max(np.abs(l_next - eq.l_e).max(), np.abs(b_next - eq.f_pe).max())
         yield ctx, np.stack((l_next, b_next)), float(deviation), dist
 
@@ -729,9 +723,10 @@ class TestOnePassMap:
 
 class TestJunctionRows:
     """Past segment 0 assembly starts one row after the junction: the row it
-    would rewrite is the stored junction row, bit for bit (xi(0; 0, x) = x,
-    and the junction profile is read at its own nodes).  The whole solution
-    against the full-row assembly is `test_matches_the_two_sequence_loop`."""
+    would rewrite is the stored junction row, bit for bit (xi(t_lo; t_lo, x)
+    = x, and the junction profile is read at its own nodes).  The whole
+    solution against the full-row assembly is
+    `test_matches_the_two_sequence_loop`."""
 
     @pytest.mark.parametrize("data", [sine_data(0.01), wavy_inflow_data()])
     def test_skipped_row_is_the_stored_row(self, data, monkeypatch):
@@ -750,69 +745,72 @@ class TestJunctionRows:
         i_lo = 0
         for k, (ctx, seg_data, rows) in enumerate(calls):
             cells = round(sol.reports[k].delta / (tg[1] - tg[0]))
-            ends = tg[i_lo:] - tg[i_lo]
-            assert rows.tobytes() == ends[int(k > 0):cells + 1].tobytes()
+            # rows, context and data are on the run's clock
+            assert rows.tobytes() == tg[i_lo + int(k > 0):i_lo + cells + 1].tobytes()
+            assert (ctx.t_start, ctx.t_end) == (seg_data.t0, tg[i_lo + cells]) == (tg[i_lo], ctx.t_end)
             # the full-row assembly's first row, tags propagated as the solver does
-            vals, flags, orig = assemble(ctx, seg_data, ends[:1], xg)
+            vals, flags, orig = assemble(ctx, seg_data, tg[i_lo:i_lo + 1], xg)
             j = np.clip(np.round(orig[0] / (xg[1] - xg[0])).astype(int), 0, xg.size - 1)
             assert vals[0].tobytes() == sol.field.values[i_lo].tobytes()
             assert np.array_equal(flags[0] | prov[i_lo][j], prov[i_lo])
-            assert ctx.l(0.0) == sol.l.values[i_lo]
+            assert ctx.l(tg[i_lo]) == sol.l.values[i_lo]
             i_lo += cells
         assert i_lo == tg.size - 1
 
 
-
 def varying_run_data(n=11):
-    """Data whose F_in and N share one n-node grid and vary in time, with
-    the inflow ratio pinned at f_pe, as `solve_semiglobal` resamples them."""
+    """Data on [0, 1] whose F_in and N share one n-node grid and vary in
+    time; the inflow ratio is f_pe*(1 + 0.3 t), compatible at t = 0."""
     t = np.linspace(0.0, 1.0, n)
     N = EQ.N_e * (1.0 + 0.1 * t)
-    feed = EQ.f_pe * UNIT.rho0 * UNIT.V_eff * N
+    feed = EQ.f_pe * UNIT.rho0 * UNIT.V_eff * N * (1.0 + 0.3 * t)
     return CauchyData(0.5, SpaceProfile.constant(EQ.f_pe, 11),
                       SampledFunction(0.0, 1.0, feed), SampledFunction(0.0, 1.0, N), UNIT, EQ)
 
 
-class TestRerooted:
-    """A junction's data: the stored inputs from the junction node on, and
-    only the start checks, each with the message of a full construction."""
+class TestRestarted:
+    """A junction's data: the run's inputs and a later start, with only the
+    start checks, each with the message of a full construction; the corner
+    is read at the junction time."""
 
-    def test_inputs_are_the_stored_samples(self):
+    def test_inputs_are_the_run_inputs(self):
         run = varying_run_data()
-        profile = SpaceProfile.constant(EQ.f_pe, 11)
-        seg = run.rerooted(0.45, profile, 4)
-        rest = run.F_in.t_end - run.F_in.grid[4]
-        full = CauchyData(0.45, profile, SampledFunction(0.0, rest, run.F_in.values[4:]),
-                          SampledFunction(0.0, rest, run.N.values[4:]), UNIT, EQ)
-        for a, b in ((seg.F_in, full.F_in), (seg.N, full.N)):
-            assert (a.t_start, a.t_end) == (b.t_start, b.t_end) == (0.0, rest)
-            assert a.values.tobytes() == b.values.tobytes()
-        assert (seg.l0, seg.f0_p, seg.params, seg.eq) == (0.45, profile, UNIT, EQ)
+        assert run.t0 == 0.0
+        profile = SpaceProfile.constant(run.inflow(0.4), 11)
+        seg = run.restarted(0.4, 0.45, profile)
+        assert seg.F_in is run.F_in and seg.N is run.N
+        assert (seg.t0, seg.l0, seg.f0_p, seg.params, seg.eq) == (0.4, 0.45, profile, UNIT, EQ)
+        assert (run.t0, run.l0) == (0.0, 0.5)
 
     def test_full_outlet_rejected(self):
         full_outlet = SpaceProfile(np.linspace(EQ.f_pe, 1.0, 11))
         with pytest.raises(DomainError, match=r"^initial profile must take values in "
                                               r"\[0,1\] with f0_p\(1\) < 1$"):
-            varying_run_data().rerooted(0.5, full_outlet, 3)
+            varying_run_data().restarted(0.4, 0.5, full_outlet)
 
     def test_corner_mismatch_rejected(self):
+        # the inflow ratio at t = 0.4 is f_pe*1.12 = 0.37333
         with pytest.raises(CompatibilityError, match=r"^corner compatibility violated: "
-                                                     r"inflow 0\.33333\d* vs profile 0\.43333"):
-            varying_run_data().rerooted(0.5, SpaceProfile.constant(EQ.f_pe + 0.1, 11), 3)
+                                                     r"inflow 0\.37333\d* vs profile 0\.33333"):
+            varying_run_data().restarted(0.4, 0.5, SpaceProfile.constant(EQ.f_pe, 11))
 
     @pytest.mark.parametrize("l", [0.0, 1.0, -0.25, 1.5])
     def test_interface_outside_the_zone_rejected(self, l):
+        run = varying_run_data()
         with pytest.raises(DomainError, match=rf"^l0={l} outside \(0, L=1\.0\)$"):
-            varying_run_data().rerooted(l, SpaceProfile.constant(EQ.f_pe, 11), 3)
+            run.restarted(0.4, l, SpaceProfile.constant(run.inflow(0.4), 11))
 
-    def test_inputs_on_two_grids_rejected(self):
+    def test_inputs_on_two_grids_are_read_at_the_junction_time(self):
+        # N on 6 nodes and F_in on 11: t = 0.35 is a node of neither
         run = varying_run_data()
         coarse = dataclasses.replace(run, N=SampledFunction.constant(EQ.N_e, 0.0, 1.0, 6))
-        with pytest.raises(GridError, match="one grid"):
-            coarse.rerooted(0.5, SpaceProfile.constant(EQ.f_pe, 11), 3)
+        ratio = float(coarse.F_in(0.35)) / (UNIT.rho0 * UNIT.V_eff * EQ.N_e)
+        assert coarse.restarted(0.35, 0.5, SpaceProfile.constant(ratio, 11)).t0 == 0.35
+        with pytest.raises(CompatibilityError, match=f"inflow {ratio:.12g} vs"):
+            coarse.restarted(0.35, 0.5, SpaceProfile.constant(EQ.f_pe, 11))
 
     @pytest.mark.parametrize("data", [sine_data(0.01), wavy_inflow_data()])
-    def test_inflow_peak_runs_once_per_solve(self, data, monkeypatch):
+    def test_inflow_peak_is_never_called_inside_the_solve(self, data, monkeypatch):
         calls = []
         peak = model.inflow_peak
 
@@ -823,7 +821,44 @@ class TestRerooted:
         monkeypatch.setattr(model, "inflow_peak", counted)
         sol = solve_semiglobal(data, 1.0)
         assert len(sol.reports) > 1
-        assert calls == [201]
+        assert calls == []
+
+
+def fine_input_data(N_of_t, T=1.0, n=2049):
+    """sine_data(0.01) with N = N_of_t(t) sampled on n nodes of [0, T] and
+    the feed that keeps the inflow ratio at f_pe."""
+    t = np.linspace(0.0, T, n)
+    N = N_of_t(t)
+    feed = EQ.f_pe * UNIT.rho0 * UNIT.V_eff * N
+    return dataclasses.replace(sine_data(0.01), F_in=SampledFunction(0.0, T, feed),
+                               N=SampledFunction(0.0, T, N))
+
+
+class TestRunClock:
+    """Every segment runs on the run's clock and reads the inputs at run times."""
+
+    def test_segment_contexts_read_N_at_their_node_times(self):
+        data = fine_input_data(lambda t: EQ.N_e * (1.0 + 0.002 * np.sin(3.0 * np.pi * t)))
+        sol = solve_semiglobal(data, 1.0, n_t=101)
+        tg = sol.field.t_grid
+        assert len(sol.reports) > 2
+        i_lo = 0
+        for report in sol.reports:
+            ctx = report.context
+            i_hi = i_lo + round(report.delta / (tg[1] - tg[0]))
+            assert (ctx.t_start, ctx.t_end) == (tg[i_lo], tg[i_hi])
+            assert ctx.N_nodes.tobytes() == data.N(ctx.l.grid).tobytes()
+            i_lo = i_hi
+
+    def test_range_error_in_segment_2_names_a_run_time(self):
+        # N jumps from 1 to 1000 after t = 0.125, inside segment 2, [0.12, 0.18]:
+        # the probe's second map drives the interface out of (0, L)
+        data = fine_input_data(lambda t: np.where(t <= 0.125, 1.0, 1000.0), T=2.0, n=201)
+        with pytest.raises(DomainError, match=r"^segment 2 from t=0\.12: interface trace "
+                                              r"must stay inside \(0, L\): ") as info:
+            solve_semiglobal(data, 2.0)
+        t = float(re.search(r"at t=(\S+)$", str(info.value)).group(1))
+        assert 0.12 <= t <= 0.18
 
 
 def load_tracer():

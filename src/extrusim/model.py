@@ -252,6 +252,16 @@ class CauchyData:
         data._check_start()
         return data
 
+    def check_horizon(self, T: float):
+        """Refuse a run on [0, T] that is empty or passes the samples of an
+        input, where the input would hold its end value rather than be read."""
+        if T <= 0.0:
+            raise DomainError("horizon must be positive")
+        for name, sf in (("feed rate F_in", self.F_in), ("screw speed N", self.N)):
+            if not (sf.t_start <= 0.0 and T <= sf.t_end):
+                raise DomainError(f"horizon [0, {T:.6g}] runs past the {name} input, sampled "
+                                  f"on [{sf.t_start:.6g}, {sf.t_end:.6g}]")
+
     def inflow(self, t):
         return inflow_value(self.F_in(t), self.N(t), self.params)
 

@@ -85,8 +85,7 @@ def simulate_upwind(data, T: float, cfg: UpwindConfig):
     node further, so row k has k + 1 inflow-driven nodes.  A march whose
     rows would hold more than MAX_GRID_POINTS values stops with a SchemeError.
     """
-    if T <= 0.0:
-        raise DomainError("horizon must be positive")
+    data.check_horizon(T)
     params = data.params
     x = np.linspace(0.0, 1.0, cfg.n_nodes)
     f = np.asarray(data.f0_p(x), dtype=float)

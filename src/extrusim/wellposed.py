@@ -260,8 +260,7 @@ def solve_semiglobal(
     a segment's first row inherits the tag of the node its characteristic
     came from, and row 0 is all initial.
     """
-    if T <= 0.0:
-        raise DomainError("horizon must be positive")
+    data.check_horizon(T)
     eq = data.eq
     # the F-box bound depends on params and eq alone: one per solve
     f_norm = norm_F_box(data.params, eq, eps1_radius(eq))

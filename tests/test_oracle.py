@@ -207,6 +207,13 @@ class TestSimulateUpwind:
         with pytest.raises(DomainError):
             simulate_upwind(data, 0.0, UpwindConfig(dx=0.02))
 
+    def test_horizon_past_the_inputs_is_refused(self):
+        # the inputs end at 0.6: the march would hold their last samples
+        data = make_data(lambda x: EQ.f_pe + 0.0 * np.asarray(x, float))
+        with pytest.raises(DomainError, match=r"^horizon \[0, 0\.8\] runs past the feed rate "
+                                              r"F_in input, sampled on \[0, 0\.6\]$"):
+            simulate_upwind(data, 0.8, UpwindConfig(dx=0.02))
+
 
 class TestBitIdenticalMarch:
     def _assert_same(self, data, T, cfg, resampled):

@@ -336,6 +336,17 @@ class TestSemiglobal:
         cells = round(sol.reports[0].delta / dt_out)
         assert len(sol.reports) == int(np.ceil((sol.field.t_grid.size - 1) / cells))
 
+    @pytest.mark.parametrize("short, name", [("F_in", "feed rate F_in"), ("N", "screw speed N")])
+    def test_horizon_past_an_input_is_refused(self, short, name):
+        # one input ends at 1: past it, it would hold its last sample
+        data = sine_data(0.01)
+        cut = getattr(data, short)
+        data = dataclasses.replace(data, **{short: SampledFunction(0.0, 1.0, cut.values[:201])})
+        with pytest.raises(DomainError, match=rf"^horizon \[0, 1\.5\] runs past the {name} "
+                                              r"input, sampled on \[0, 1\]$"):
+            solve_semiglobal(data, 1.5)
+        assert solve_semiglobal(data, 1.0).field.t_grid[-1] == 1.0
+
     def test_horizon_below_contraction_interval(self):
         sol = solve_semiglobal(sine_data(0.0), 0.04, n_t=5)
         assert len(sol.reports) == 1

@@ -40,7 +40,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .characteristics import TraceContext, backtrace_batch, backtrace_times, carry
+from .characteristics import TraceContext, backtrace_batch, backtrace_times, carry, xi
 from .errors import (
     ConvergenceError,
     DivergenceError,
@@ -256,9 +256,11 @@ def solve_semiglobal(
     segments share that row exactly, and a segment past the first assembles
     only the rows after it: its own first row would repeat the stored one
     bit for bit, since xi(t_lo; t_lo, x) = x and the junction profile is read
-    at its own nodes.  Provenance is propagated globally: a point fed from
-    a segment's first row inherits the tag of the node its characteristic
-    came from, and row 0 is all initial.
+    at its own nodes.  Provenance is exact: each junction carries the
+    position of the inlet-corner characteristic, advanced by the closed-form
+    forward map `xi` and capped at 1, and a point whose characteristic
+    starts on a segment's first row is boundary-fed exactly when it starts
+    below that position.  Row 0 is all initial.
     """
     data.check_horizon(T)
     eq = data.eq
@@ -274,6 +276,8 @@ def solve_semiglobal(
     reports = []
 
     seg_data = data
+    # the inlet-corner characteristic at the segment's start
+    front = 0.0
     i_lo = 0
     while i_lo < n_t - 1:
         try:
@@ -292,15 +296,13 @@ def solve_semiglobal(
         first = int(i_lo > 0)
         rows = t_grid[i_lo + first:i_hi + 1]
         seg_vals, seg_flags, seg_orig = _assemble_rows(report.context, seg_data, rows, x_grid)
-        # initial-origin points inherit the tag of the row-i_lo node their
-        # characteristic started from
-        j = np.clip(np.round(seg_orig / (x_grid[1] - x_grid[0])).astype(int), 0, n_x - 1)
         values[i_lo + first:i_hi + 1] = seg_vals
-        provenance[i_lo + first:i_hi + 1] = seg_flags | provenance[i_lo][j]
+        provenance[i_lo + first:i_hi + 1] = seg_flags | (seg_orig < front)
         l_out[i_lo + first:i_hi + 1] = l_seg(rows)
         reports.append(report)
 
         if i_hi < n_t - 1:
+            front = min(1.0, xi(t_grid[i_hi], t_grid[i_lo], front, report.context))
             seg_data = seg_data.restarted(float(t_grid[i_hi]), float(l_seg.values[-1]),
                                           SpaceProfile(values[i_hi].copy()))
         i_lo = i_hi

@@ -389,6 +389,22 @@ class TestSemiglobal:
                         assert not boundary[j]
 
 
+class TestExactProvenance:
+    """A point is boundary-fed exactly when its characteristic starts below
+    the inlet-corner characteristic, so the tags do not depend on the grid."""
+
+    def test_tags_agree_at_the_shared_nodes(self):
+        data = dataclasses.replace(sine_data(0.015), F_in=wavy_inflow_data(0.008, 1).F_in)
+        tags = []
+        for n_t in (201, 801):
+            for n_x in (101, 1601):
+                prov = solve_semiglobal(data, 1.0, n_t=n_t, n_x=n_x).field.provenance
+                tags.append(prov[::(n_t - 1) // 200, ::(n_x - 1) // 100])
+        assert 0 < tags[0].sum() < tags[0].size
+        for other in tags[1:]:
+            np.testing.assert_array_equal(other, tags[0])
+
+
 def reference_delta(data, eps1, f_norm, step):
     """Contraction interval probed on PROBE_POINTS nodes of the unsnapped candidate."""
     eq = data.eq
@@ -751,7 +767,6 @@ class TestJunctionRows:
         monkeypatch.setattr(wellposed, "_assemble_rows", recorded)
         sol = solve_semiglobal(data, 2.0)
         tg, xg = sol.field.t_grid, sol.field.x_grid
-        prov = sol.field.provenance.astype(bool)
         assert len(calls) == len(sol.reports) > 1
         i_lo = 0
         for k, (ctx, seg_data, rows) in enumerate(calls):
@@ -759,11 +774,11 @@ class TestJunctionRows:
             # rows, context and data are on the run's clock
             assert rows.tobytes() == tg[i_lo + int(k > 0):i_lo + cells + 1].tobytes()
             assert (ctx.t_start, ctx.t_end) == (seg_data.t0, tg[i_lo + cells]) == (tg[i_lo], ctx.t_end)
-            # the full-row assembly's first row, tags propagated as the solver does
+            # the full-row assembly's first row: its characteristics start at
+            # their own nodes, on the initial axis
             vals, flags, orig = assemble(ctx, seg_data, tg[i_lo:i_lo + 1], xg)
-            j = np.clip(np.round(orig[0] / (xg[1] - xg[0])).astype(int), 0, xg.size - 1)
             assert vals[0].tobytes() == sol.field.values[i_lo].tobytes()
-            assert np.array_equal(flags[0] | prov[i_lo][j], prov[i_lo])
+            assert not flags[0].any() and orig[0].tobytes() == xg.tobytes()
             assert ctx.l(tg[i_lo]) == sol.l.values[i_lo]
             i_lo += cells
         assert i_lo == tg.size - 1

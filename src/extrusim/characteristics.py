@@ -90,8 +90,9 @@ class TraceContext:
 
     Both constructors run one pass over node arrays (`_fill`): the range
     checks, F, the running integrals of F and F/l (the latter is P) from one
-    2-d `cumulative_integral`, then Q and its monotone check.  `from_nodes`
-    takes l and b as one (2, n) block, as the solution map holds its iterate.
+    2-d `cumulative_integral`, the range of P, then Q and its monotone
+    check.  `from_nodes` takes l and b as one (2, n) block, as the solution
+    map holds its iterate.
     The views `l`, `N`, `b` and the Hermite `_P`, `_Q` are built on first use.
     """
 
@@ -134,6 +135,11 @@ class TraceContext:
                                     zeta_N - F, True)
         np.divide(F, l, out=rates[1])
         displacement, P = cumulative_integral(rates, dt)
+        # exp(P) scales q, Q and every origin; with |P| within about half the
+        # exponent range of a float, they stay finite and nonzero
+        if not np.abs(P).max() <= 354.0:
+            raise self._range_error("P, the integral of F/l, must stay inside [-354, 354]",
+                                    "P", P, P.min() < -P.max())
         q = zeta_N / l * np.exp(P)
         Q = cumulative_integral(q, dt)
         _check_monotone(Q, q, t_start, dt)

@@ -126,6 +126,17 @@ class TestTraceContext:
         with pytest.raises(DomainError, match=message):
             TraceContext(l, N, b, params)
 
+    @pytest.mark.parametrize("b, sign", [(0.3, 1.0), (0.7, -1.0)])
+    def test_P_past_the_float_range_is_rejected(self, b, sign):
+        # on l = 1e-6, F/l is of order 1e5, positive below b = 1/2 and negative
+        # above, so P leaves [-354, 354] before exp(P) can overflow or
+        # underflow; the message names its extreme, at the end of [0.5, 0.56]
+        lb = np.stack((np.full(65, 1e-6), np.full(65, b)))
+        message = r"^P, the integral of F/l, must stay inside \[-354, 354\]: P=(\S+) at t=0\.56$"
+        with pytest.raises(DomainError, match=message) as info:
+            TraceContext.from_nodes(0.5, 0.56, lb, np.ones(65), UNIT)
+        assert sign * float(re.match(message, str(info.value)).group(1)) > 1e4
+
 
 class TestEquilibriumPicture:
     """At (l_e, N_e, f_pe) the speed is constant 2, so xi = x - 2(t-s)."""

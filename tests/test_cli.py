@@ -1226,3 +1226,17 @@ class TestContract:
             with contextlib.redirect_stdout(sink), contextlib.redirect_stderr(sink):
                 code = run([sub, cfg])
         assert code in (0, 2, 3)
+
+    @pytest.mark.parametrize("l0", ["1e-6", "1e-12"])
+    def test_tiny_interface_is_a_range_error(self, tmp_path, l0):
+        # F/l is of order 1/l0, so P, its integral, passes the float range in
+        # segment 0; run in a fresh interpreter, whose stderr shows warnings
+        mapping = dict(base_simulate_cfg(tmp_path), **{"data.l0": l0})
+        cfg = write_cfg(tmp_path, "c.cfg", mapping)
+        env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
+        proc = subprocess.run([sys.executable, "-m", "extrusim.cli", "simulate", cfg], env=env,
+                              capture_output=True, text=True)
+        assert proc.returncode == 3
+        assert re.fullmatch(r"error: segment 0: P, the integral of F/l, must stay inside "
+                            r"\[-354, 354\]: P=\S+ at t=\S+\n", proc.stderr)
+        assert "Warning" not in proc.stderr and "nan" not in proc.stderr

@@ -15,13 +15,13 @@ segment runs on the run's clock: its trace contexts span its own
 three admissibility terms (boundary-characteristic travel time and the two
 interface budgets, all in the eps1 ball of radius `eps1_radius`); the
 horizon is not a term, since each segment's interval is capped at the
-last output node.  Each
-segment runs one sequence of iterates (`_iterates`) on the interval it
-will actually cover, snapped to the output grid: `compute_delta` runs its
-first two maps to probe the contraction factor, `local_fixed_point`
-continues it to convergence, one more step measures the residual, and that
-step's trace context, built from the converged iterate, is the one the
-field f_p is assembled on by tracing every grid point back to its datum.
+last output node.  Each segment runs one sequence of iterates
+(`_iterates`) on the interval it will actually cover, snapped to the
+output grid: `compute_delta` runs its first two maps to probe the
+contraction factor, `local_fixed_point` continues it to convergence, one
+more step measures the residual, and that step's trace context, built
+from the converged iterate, is the one the field f_p is assembled on by
+tracing every grid point back to its datum.
 A map is one pass over node arrays: the iterate (l, b) is one (2, n) block,
 its context comes from `TraceContext.from_nodes`, one 2-d running integral
 gives both the interface displacement and P, and no `SampledFunction` or
@@ -178,7 +178,8 @@ def compute_delta(data: CauchyData, f_norm: float, ends: np.ndarray, step: float
                 f"contraction interval {delta:.3g} fell below the grid step {step:.3g}"
             )
         cells = min(cells, ends.size - 1)
-        steps = _iterates(data, float(ends[cells]), max(cells + 1, PROBE_POINTS), None)
+        t_hi = float(ends[cells])
+        steps = _iterates(data, t_hi, max(cells + 1, PROBE_POINTS), None)
         head = [next(steps)]
         d1 = head[0][3]
         factor = 0.0
@@ -186,7 +187,7 @@ def compute_delta(data: CauchyData, f_norm: float, ends: np.ndarray, step: float
             head.append(next(steps))
             factor = head[1][3] / d1
         if factor <= 0.5:
-            return Probe(float(ends[cells] - data.t0), cells, factor, chain(head, steps))
+            return Probe(t_hi - data.t0, cells, factor, chain(head, steps))
         delta *= 0.5
 
 
@@ -276,7 +277,7 @@ def solve_semiglobal(
     reports = []
 
     seg_data = data
-    # the inlet-corner characteristic at the segment's start
+    # position at the segment's start of the characteristic from the inlet corner
     front = 0.0
     i_lo = 0
     while i_lo < n_t - 1:

@@ -773,7 +773,7 @@ class TestJunctionRows:
             cells = round(sol.reports[k].delta / (tg[1] - tg[0]))
             # rows, context and data are on the run's clock
             assert rows.tobytes() == tg[i_lo + int(k > 0):i_lo + cells + 1].tobytes()
-            assert (ctx.t_start, ctx.t_end) == (seg_data.t0, tg[i_lo + cells]) == (tg[i_lo], ctx.t_end)
+            assert (seg_data.t0, ctx.t_start, ctx.t_end) == (tg[i_lo], tg[i_lo], tg[i_lo + cells])
             # the full-row assembly's first row: its characteristics start at
             # their own nodes, on the initial axis
             vals, flags, orig = assemble(ctx, seg_data, tg[i_lo:i_lo + 1], xg)

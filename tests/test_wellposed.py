@@ -794,18 +794,18 @@ def varying_run_data(n=11):
                       SampledFunction(0.0, 1.0, feed), SampledFunction(0.0, 1.0, N), UNIT, EQ)
 
 
-class TestRestarted:
-    """A junction's data: the run's inputs and a later start, with only the
-    start checks, each with the message of a full construction; the corner
-    is read at the junction time."""
+class TestRerooted:
+    """The data a junction re-roots on (`CauchyData.restarted`): the run's
+    inputs and a later start, with only the start checks, each with the
+    message of a full construction; the corner is read at the junction time."""
 
-    def test_inputs_are_the_run_inputs(self):
+    def test_inputs_are_the_stored_samples(self):
         run = varying_run_data()
-        assert run.t0 == 0.0
         profile = SpaceProfile.constant(run.inflow(0.4), 11)
         seg = run.restarted(0.4, 0.45, profile)
         assert seg.F_in is run.F_in and seg.N is run.N
         assert (seg.t0, seg.l0, seg.f0_p, seg.params, seg.eq) == (0.4, 0.45, profile, UNIT, EQ)
+        # the run's data keep their start
         assert (run.t0, run.l0) == (0.0, 0.5)
 
     def test_full_outlet_rejected(self):
@@ -836,7 +836,8 @@ class TestRestarted:
             coarse.restarted(0.35, 0.5, SpaceProfile.constant(EQ.f_pe, 11))
 
     @pytest.mark.parametrize("data", [sine_data(0.01), wavy_inflow_data()])
-    def test_inflow_peak_is_never_called_inside_the_solve(self, data, monkeypatch):
+    def test_inflow_peak_runs_once_per_solve(self, data, monkeypatch):
+        # once when the caller builds the data, never inside the solve
         calls = []
         peak = model.inflow_peak
 
@@ -845,9 +846,11 @@ class TestRestarted:
             return peak(F_in, N, params)
 
         monkeypatch.setattr(model, "inflow_peak", counted)
+        data = dataclasses.replace(data)
+        assert calls == [401]
         sol = solve_semiglobal(data, 1.0)
         assert len(sol.reports) > 1
-        assert calls == []
+        assert calls == [401]
 
 
 def fine_input_data(N_of_t, T=1.0, n=2049):

@@ -14,22 +14,23 @@ built on first use, which keeps the analytic derivative formulas for the
 origin maps consistent with finite differences of the traced origins.
 P and Q share the trace grid, so `TraceContext._PQ` reads both from one
 cell lookup and one Hermite basis.  At the grid's own node times P and Q
-are the stored node values, with no lookup; the pair at t_start, where
-every curve traced back to the initial axis ends, is the first of them.
+are the stored node values, with no lookup.  Both integrals start at the
+context's t_start, so P(t_start) = Q(t_start) = 0 exactly: a curve traced
+back to the initial axis reaches it at beta = x*exp(P(t)) - Q(t).
 
 Origins come from one solver with two entries: `backtrace_batch` reads P
 and Q once at any foot points, at the foot times before they broadcast
 against the foot positions (so a column of row times against a row of x
 reads them once per row), and `backtrace_times`, for one x at the node
 times (the outlet of every Picard map), reads the nodes.  The curve
-reaches the start of the interval at beta = xi(t_start; t, x), closed
-form, when that lies in [0, 1]; otherwise it left x = 0 at the tau
+reaches the start of the interval at beta = xi(t_start; t, x) =
+x*exp(P(t)) - Q(t) when that lies in [0, 1]; otherwise it left x = 0 at the tau
 solving Q(tau) = Q(t) - x*exp(P(t)).  Q is strictly increasing (every
 Hermite cell is checked against the Fritsch-Carlson monotone region), so
 `searchsorted` on its nodes finds the cell and safeguarded Newton steps on
 that cell's Hermite cubic give tau, each step reading Q and its slope from
 one lookup, for the roots that have not converged.  The crossing time of
-the inlet-corner characteristic at x = 1 comes from the same closed form,
+the inlet-corner characteristic at x = 1 solves exp(P(t)) = Q(t),
 bracketed by the outlet node times, where P and Q are again the nodes.
 Other modules reach P and Q only through `xi`, `carry` and `flow_stretch`.
 
@@ -146,8 +147,6 @@ class TraceContext:
         self.lb, self.N_nodes, self._F_nodes, self._rates, self._q = lb, N, F, rates, q
         # the running integral of F is the interface displacement since t_start
         self._displacement, self._P_nodes, self._Q_nodes = displacement, P, Q
-        # P and Q at t_start, where every curve traced to the initial axis ends
-        self._PQ_start = (P[0], Q[0])
 
     def _range_error(self, message, name, values, low) -> DomainError:
         """Range error naming the trace's least value (or greatest) and its time."""
@@ -363,11 +362,12 @@ def _boundary_times(ts, xs, Pt, Qt, ctx: TraceContext) -> np.ndarray:
     return tau
 
 
-def _initial_origins(xs, Pt, Qt, ctx: TraceContext):
+def _initial_origins(xs, Pt, Qt):
     """(is_boundary, beta) of the characteristics through xs at the times where
-    P and Q are Pt and Qt; beta is 0 where the curve left through x = 0,
-    for the caller to fill in tau."""
-    xi0 = np.asarray(_xi_from(xs, Pt, Qt, *ctx._PQ_start), dtype=float)
+    P and Q are Pt and Qt; beta = xs*exp(Pt) - Qt, since P and Q vanish at
+    t_start, and is 0 where the curve left through x = 0, for the caller to
+    fill in tau."""
+    xi0 = np.asarray(xs * np.exp(Pt) - Qt, dtype=float)
     is_boundary = xi0 < 0.0
     return is_boundary, np.where(is_boundary, 0.0, np.maximum(xi0, 0.0))
 
@@ -389,7 +389,7 @@ def _origins(ts, xs, ctx: TraceContext):
     # a scalar x (one foot point over many times) broadcasts as it is
     if xs.ndim:
         ts, xs, Pt, Qt = np.broadcast_arrays(ts, xs, Pt, Qt)
-    is_boundary, origin = _initial_origins(xs, Pt, Qt, ctx)
+    is_boundary, origin = _initial_origins(xs, Pt, Qt)
     if is_boundary.any():
         bnd = is_boundary
         # rebound, so that P and Q at the other foot points are freed
@@ -415,7 +415,7 @@ def backtrace_times(x: float, ctx: TraceContext):
     if not 0.0 <= x <= 1.0:
         raise DomainError("x must lie in [0, 1]")
     Pt, Qt = ctx._P_nodes, ctx._Q_nodes
-    is_boundary, origin = _initial_origins(x, Pt, Qt, ctx)
+    is_boundary, origin = _initial_origins(x, Pt, Qt)
     if is_boundary.any():
         bnd = is_boundary
         origin[bnd] = _boundary_times(ctx.l.grid[bnd], x, Pt[bnd], Qt[bnd], ctx)
@@ -435,8 +435,8 @@ def carry(is_boundary, origin, initial, inflow):
 def flow_stretch(t, is_boundary, origin, ctx: TraceContext):
     """exp(P(t) - P(s0)), the flow's stretch of x along the characteristics
     through foot times t with origins (is_boundary, origin) of `backtrace_batch`:
-    s0 is t_start (P stored) on the initial axis, tau on the inflow face."""
-    P_origin = np.full(origin.shape, ctx._PQ_start[0])
+    s0 is t_start (P = 0) on the initial axis, tau on the inflow face."""
+    P_origin = np.zeros(origin.shape)
     P_origin[is_boundary] = ctx._P(origin[is_boundary])
     return np.exp(ctx._P(t) - P_origin)
 
@@ -473,7 +473,7 @@ def dbeta_dx(t: float, x: float, ctx: TraceContext) -> float:
 def crossing_time(ctx: TraceContext):
     """Time at which the characteristic from the inlet corner reaches x = 1.
 
-    Solves xi(t_start; t0, 1) = 0 in closed form.  The outlet nodes of the
+    Solves xi(t_start; t, 1) = exp(P(t)) - Q(t) = 0.  The outlet nodes of the
     context grid bracket the root: the last one whose characteristic starts
     on the initial axis and the first one whose characteristic left the
     inflow face.  Newton steps on the Hermite P and Q stay inside that
@@ -481,9 +481,8 @@ def crossing_time(ctx: TraceContext):
     x = 1 by the end of the context interval.
     """
     t_grid = ctx.l.grid
-    P0, Q0 = ctx._PQ_start
     # P and Q at the node times are the stored node values
-    is_bnd = _xi_from(1.0, ctx._P_nodes, ctx._Q_nodes, P0, Q0) < 0.0
+    is_bnd = np.exp(ctx._P_nodes) - ctx._Q_nodes < 0.0
     k = int(np.argmax(is_bnd))
     if not is_bnd[k]:
         return None
@@ -494,13 +493,13 @@ def crossing_time(ctx: TraceContext):
         # P, Q and their slopes at t from one cell lookup and one basis
         cell, s = P._cell(t)
         basis = hermite_basis(s)
-        Pt = P._value(cell, basis)
-        r = float(_xi_from(1.0, Pt, Q._value(cell, basis), P0, Q0))
+        exp_P = np.exp(P._value(cell, basis))
+        r = float(exp_P - Q._value(cell, basis))
         if r > 0.0:
             lo = t
         else:
             hi = t
-        slope = float(np.exp(Pt - P0) * P._slope(cell, s) - np.exp(-P0) * Q._slope(cell, s))
+        slope = float(exp_P * P._slope(cell, s) - Q._slope(cell, s))
         new = t - r / slope
         if not (lo <= new <= hi):
             new = 0.5 * (lo + hi)

@@ -28,6 +28,7 @@ from .characteristics import TraceContext, backtrace_batch, carry, flow_stretch
 from .errors import CompatibilityError, DomainError, GridError
 from .fields import SampledFunction, SolutionField, SpaceProfile
 from .model import inflow_value
+from .quadrature import hermite_basis
 
 # highest power of t and of x in the weak-form trial family
 TRIAL_DEGREE = 3
@@ -65,19 +66,11 @@ class LinearTransportProblem:
                 raise DomainError(f"coefficient {name} must be finite")
 
 
-def _hermite_mid(y_lo, y_hi, m_lo, m_hi, width):
-    # midpoint of the cubic matching values and slopes at both ends
-    return 0.5 * (y_lo + y_hi) + 0.125 * width * (m_lo - m_hi)
-
-
-def _hermite_eval(sigma, s_lo, s_hi, y_lo, y_hi, m_lo, m_hi):
-    w = s_hi - s_lo
-    z = (sigma - s_lo) / w
-    h00 = (1.0 + 2.0 * z) * (1.0 - z) ** 2
-    h10 = z * (1.0 - z) ** 2
-    h01 = z * z * (3.0 - 2.0 * z)
-    h11 = z * z * (z - 1.0)
-    return h00 * y_lo + w * h10 * m_lo + h01 * y_hi + w * h11 * m_hi
+def _dense_output(z, width, y_lo, y_hi, m_lo, m_hi):
+    """The cubic matching values y and slopes m at both ends of a step of the
+    given width, at local coordinate z in [0, 1]."""
+    h00, h10, h01, h11 = hermite_basis(z)
+    return h00 * y_lo + width * h10 * m_lo + h01 * y_hi + width * h11 * m_hi
 
 
 def solve_linear_transport(p: LinearTransportProblem, t_grid, x_grid) -> SolutionField:
@@ -126,7 +119,7 @@ def solve_linear_transport(p: LinearTransportProblem, t_grid, x_grid) -> Solutio
         a_new = np.asarray(p.a(s_new, X_new), dtype=float)
         if np.any(a_new <= 0.0) or np.any(a1 <= 0.0):
             raise DomainError("transport coefficient a must stay positive")
-        X_mid = _hermite_mid(X_new, Xa, a_new, a1, dt)
+        X_mid = _dense_output(0.5, dt, X_new, Xa, a_new, a1)
 
         hit = X_new < 0.0
         keep = ~hit
@@ -199,7 +192,8 @@ def _boundary_value(p, tau, s, x_s, a_s, x_new, a_new, s_new, B, I):
     """Datum pickup at the inflow face plus the partial-interval integrals."""
     width = s - tau
     sig_m = 0.5 * (tau + s)
-    x_m = _hermite_eval(sig_m, s_new, s, x_new, x_s, a_new, a_s)
+    step = s - s_new
+    x_m = _dense_output((sig_m - s_new) / step, step, x_new, x_s, a_new, a_s)
     x_tau = np.zeros_like(tau)
     b_s = np.asarray(p.b(s, x_s), dtype=float)
     b_m = np.asarray(p.b(sig_m, x_m), dtype=float)

@@ -29,9 +29,8 @@ import numpy as np
 from .errors import CompatibilityError, DomainError, SingularityError
 from .fields import SampledFunction, SpaceProfile
 
-# norm_F_box samples each axis of the eps1 box at F_BOX_SAMPLES points and
-# inflates the sampled supremum by F_BOX_SAFETY
-F_BOX_SAMPLES = 101
+# norm_F_box's margin over the supremum of F on the eps1 box; it sets the
+# length of the interval on which the solution map contracts
 F_BOX_SAFETY = 1.25
 COMPAT_TOL = 1e-10
 
@@ -313,33 +312,32 @@ def eps1_radius(eq: EquilibriumPoint) -> float:
 
 
 def norm_F_box(params: PhysicalParams, eq: EquilibriumPoint, eps1: float) -> float:
-    """Sampled bound for the W1-infinity size of F over an eps1 box.
+    """Bound for the W1-infinity size of F over an eps1 box.
 
     Takes the supremum of |F| and its three partials over the box
-    |l - l_e| <= eps1, |N - N_e| <= eps1, |f - f_pe| <= eps1, evaluated on
-    a grid of F_BOX_SAMPLES points per axis with the analytic derivatives
-    of F, then inflates by the safety factor F_BOX_SAFETY.  The ratio axis
-    is deliberately boxed around f_pe: g blows up as the ratio approaches
-    1, and the fixed-point argument never leaves the eps1 ball anyway.
+    |l - l_e| <= eps1, |N - N_e| <= eps1, |f - f_pe| <= eps1 with the
+    analytic derivatives of F, times the margin F_BOX_SAFETY.  On the box
+    g falls in l and in f, while |dg/dl| and |dg/df| rise in both, and N
+    enters each term as a factor, so every supremum lies on a corner: g and
+    its partials are evaluated on the 2 x 2 (l, f) corners and N at its two
+    ends.  The ratio axis is deliberately boxed around f_pe: g blows up as
+    the ratio approaches 1, and the fixed-point argument never leaves the
+    eps1 ball anyway.
     """
     if eps1 < 0.0:
         raise DomainError("eps1 must be nonnegative")
     bound = eps1_bound(eq)
     if eps1 >= bound:
         raise DomainError(f"eps1={eps1} must stay below min(l_e, L-l_e, f_pe, 1-f_pe)={bound:.6g}")
-    ls = np.linspace(eq.l_e - eps1, eq.l_e + eps1, F_BOX_SAMPLES)
-    Ns = np.linspace(eq.N_e - eps1, eq.N_e + eps1, F_BOX_SAMPLES)
-    fs = np.linspace(eq.f_pe - eps1, eq.f_pe + eps1, F_BOX_SAMPLES)
-    # the box lies inside the ranges g needs (eps1 is below the bound); the
-    # (l, f) grid is a broadcast, so the terms of one axis are computed once
-    lg, fg = ls[:, None], fs[None, :]
+    # the box lies inside the ranges g needs (eps1 is below the bound)
+    lg = np.array([[eq.l_e - eps1], [eq.l_e + eps1]])
+    fg = np.array([eq.f_pe - eps1, eq.f_pe + eps1])
     empty = 1.0 - fg
     g, dg_dl, dg_df = die_kernel(lg, empty, params.zeta * fg / empty, params, slopes=True)
-    n_hi = np.max(np.abs(Ns))
-    # F = N*g; partials: F_l = N*g_l, F_N = g, F_f = N*g_f.  N enters each
-    # term monotonically so the N axis reduces to its endpoints.
-    sup_F = n_hi * np.max(np.abs(g))
+    n_hi = max(abs(eq.N_e - eps1), abs(eq.N_e + eps1))
+    # F = N*g; partials: F_l = N*g_l, F_N = g, F_f = N*g_f
+    sup_g = np.max(np.abs(g))
+    sup_F = n_hi * sup_g
     sup_Fl = n_hi * np.max(np.abs(dg_dl))
-    sup_FN = np.max(np.abs(g))
     sup_Ff = n_hi * np.max(np.abs(dg_df))
-    return float(F_BOX_SAFETY * max(sup_F, sup_Fl, sup_FN, sup_Ff))
+    return float(F_BOX_SAFETY * max(sup_F, sup_Fl, sup_g, sup_Ff))

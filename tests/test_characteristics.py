@@ -440,7 +440,7 @@ def reference_growth(ts, is_boundary, origin, ctx):
     """The flow stretch as `derivative_fields` computed it before
     `flow_stretch`, for a 1-d array of row times, kept as the bit-for-bit
     reference."""
-    P_origin = np.full(origin.shape, ctx._PQ_start[0])
+    P_origin = np.full(origin.shape, ctx._P_nodes[0])
     P_origin[is_boundary] = ctx._P(origin[is_boundary])
     return np.exp(ctx._P(ts)[:, None] - P_origin)
 
@@ -485,7 +485,7 @@ class TestNodeTimeRoute:
         is_boundary, origin = backtrace_times(x, ctx)
         ref_boundary, ref_origin = backtrace_batch(ctx.l.grid, x, ctx)
         # a curve within 1e-12 of the inlet corner may fall either way
-        xi0 = _xi_from(x, ctx._P.nodes, ctx._Q.nodes, *ctx._PQ_start)
+        xi0 = _xi_from(x, ctx._P.nodes, ctx._Q.nodes, ctx._P_nodes[0], ctx._Q_nodes[0])
         clear = np.abs(xi0) > 1e-12
         assert np.array_equal(is_boundary[clear], ref_boundary[clear])
         same = is_boundary == ref_boundary
@@ -532,6 +532,33 @@ def reference_hermite(H, t):
 def shifted_wavy_ctx():
     """`wavy_ctx` on [0.3, 1.3], so that the cell lookup subtracts t0."""
     return wavy_ctx(t_end=1.3, n=257, t0=0.3)
+
+
+class TestIntegralsStartAtZero:
+    """P and Q are running integrals from the context's start, so their first
+    nodes are exactly 0.0, from either constructor: the origin solver and
+    the crossing time take P(t_start) = Q(t_start) = 0 without reading them."""
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(ctx=sine_contexts())
+    def test_first_nodes_are_zero(self, ctx):
+        rebuilt = TraceContext.from_nodes(ctx.t_start, ctx.t_end, ctx.lb, ctx.N_nodes, UNIT)
+        for made in (ctx, rebuilt):
+            for nodes in (made._P_nodes, made._Q_nodes):
+                assert nodes[0] == 0.0 and not np.signbit(nodes[0])
+        assert np.array_equal(rebuilt._P_nodes, ctx._P_nodes)
+        assert np.array_equal(rebuilt._Q_nodes, ctx._Q_nodes)
+
+    @pytest.mark.parametrize("make_ctx", [equilibrium_ctx, wavy_ctx, shifted_wavy_ctx])
+    def test_first_nodes_are_zero_on_fixed_traces(self, make_ctx):
+        ctx = make_ctx()
+        assert (ctx._P_nodes[0], ctx._Q_nodes[0]) == (0.0, 0.0)
+        # the origins on the initial axis are the closed form with P, Q = 0 at the start
+        P, Q = ctx._P_nodes, ctx._Q_nodes
+        is_boundary, origin = backtrace_times(1.0, ctx)
+        full = _xi_from(1.0, P, Q, P[0], Q[0])
+        assert np.array_equal(is_boundary, full < 0.0)
+        assert np.array_equal(origin[~is_boundary], full[~is_boundary])
 
 
 def kernel_times(ctx):
@@ -639,9 +666,11 @@ class TestOneLookupKernel:
             P, Q = ctx._PQ(t)
             assert np.array_equal(P, reference_hermite(ctx._P, t)[0]), label
             assert np.array_equal(Q, reference_hermite(ctx._Q, t)[0]), label
-        P0, Q0 = ctx._PQ_start
-        assert P0 == reference_hermite(ctx._P, ctx.t_start)[0]
-        assert Q0 == reference_hermite(ctx._Q, ctx.t_start)[0]
+        # both integrals start at the context's start, where the closed
+        # forms of the origins take them to be exactly zero
+        P0, Q0 = ctx._PQ(ctx.t_start)
+        assert P0 == reference_hermite(ctx._P, ctx.t_start)[0] == 0.0
+        assert Q0 == reference_hermite(ctx._Q, ctx.t_start)[0] == 0.0
 
     def test_scalar_time_gives_a_float(self):
         ctx = shifted_wavy_ctx()
@@ -672,11 +701,10 @@ class TestOneLookupKernel:
 class TestLookupCount:
     """One origin solve reads P and Q at the foot points once, Q and Q' once
     per Newton step, and P and Q at the roots once for the residual check;
-    P and Q at t_start come from the per-context cache."""
+    at t_start P and Q are zero and take no lookup."""
 
     @staticmethod
     def count(monkeypatch, ctx, ts, xs):
-        ctx._PQ_start  # filled once per context, not part of a solve
         calls = {"_cell": 0, "_slope": 0}
         for name in calls:
             original = getattr(HermiteAntiderivative, name)
@@ -704,7 +732,7 @@ class TestLookupCount:
         cells, newton, boundary = self.count(monkeypatch, ctx, ts, x)
         assert boundary > 0 and newton >= 1
         assert cells == 1 + newton + 1
-        # the start cache holds: a second solve counts the same
+        # a second solve counts the same
         assert self.count(monkeypatch, ctx, ts, x) == (cells, newton, boundary)
 
 
@@ -743,7 +771,7 @@ def boundary_feet(ctx, ts, xs):
     characteristics left through x = 0, as 1-d arrays."""
     t_b, x_b = np.broadcast_arrays(ts[:, None], xs)
     P, Q = ctx._PQ(t_b)
-    bnd = _xi_from(x_b, P, Q, *ctx._PQ_start) < 0.0
+    bnd = _xi_from(x_b, P, Q, ctx._P_nodes[0], ctx._Q_nodes[0]) < 0.0
     return t_b[bnd], x_b[bnd], P[bnd], Q[bnd]
 
 
@@ -779,7 +807,6 @@ class TestActiveNewton:
         ctx = shifted_wavy_ctx()
         ts = ctx.l.grid[::4, None]
         xs = np.linspace(0.0, 1.0, 33)
-        ctx._PQ_start  # filled once per context, not part of a solve
         sizes = []
         original = HermiteAntiderivative._cell
 

@@ -16,7 +16,7 @@ from pathlib import Path
 import extrusim
 
 PACKAGE = Path(extrusim.__file__).resolve().parent
-PQ_ATTRIBUTES = {"_P", "_Q", "_PQ", "_PQ_start", "_P_nodes", "_Q_nodes"}
+PQ_ATTRIBUTES = {"_P", "_Q", "_PQ", "_P_nodes", "_Q_nodes"}
 PQ_OWNERS = {"characteristics.py", "quadrature.py"}
 DIE_CONSTANTS = {"K_d", "B"}
 
@@ -71,12 +71,12 @@ def test_the_checks_see_each_kind_of_access(tmp_path):
     (tmp_path / "user.py").write_text(
         "from .characteristics import _xi_from, xi\n"
         "g = params.K_d\n"
-        "p0 = ctx._PQ_start[0]\n"
+        "p0 = ctx._PQ(0.0)[0]\n"
         "ctx._P_nodes[1] = 0.0\n"
     )
     assert pq_reads(tmp_path) == [
         ("user.py", 1, "import _xi_from"),
-        ("user.py", 3, "._PQ_start"),
+        ("user.py", 3, "._PQ"),
         ("user.py", 4, "._P_nodes"),
     ]
     assert die_constant_reads(tmp_path) == [("user.py", 2, "K_d")]

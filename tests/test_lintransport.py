@@ -437,7 +437,7 @@ def reference_derivative_fields(solution, data):
     ctx = TraceContext.from_nodes(0.0, T, np.stack((l_vals, field.values[:, -1])), N_vals,
                                   data.params)
     is_boundary, origin = backtrace_batch(tg[:, None], xg, ctx)
-    P_origin = np.full(origin.shape, ctx._PQ_start[0])
+    P_origin = np.full(origin.shape, ctx._P_nodes[0])
     P_origin[is_boundary] = ctx._P(origin[is_boundary])
     growth = np.exp(ctx._P(tg)[:, None] - P_origin)
 

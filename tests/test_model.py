@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from extrusim.errors import DomainError, ExtrusimError, SingularityError
@@ -11,6 +11,7 @@ from extrusim.model import (
     PhysicalParams,
     die_balance,
     die_kernel,
+    eps1_bound,
     eval_F,
     eval_alpha_p,
     eval_g,
@@ -270,6 +271,20 @@ def reference_g_partials(l, f_p1, params):
     return dg_dl, dg_df
 
 
+def reference_norm_F_box(params, eq, eps1):
+    """`norm_F_box` as it sampled the eps1 box, 101 points an axis, before it
+    took the corners, kept as the bit-for-bit reference."""
+    ls = np.linspace(eq.l_e - eps1, eq.l_e + eps1, 101)
+    fs = np.linspace(eq.f_pe - eps1, eq.f_pe + eps1, 101)
+    lg, fg = np.meshgrid(ls, fs, indexing="ij")
+    g = reference_die_balance(lg, fg, params)
+    dg_dl, dg_df = reference_g_partials(lg, fg, params)
+    n_hi = np.max(np.abs(np.linspace(eq.N_e - eps1, eq.N_e + eps1, 101)))
+    sups = (n_hi * np.max(np.abs(g)), n_hi * np.max(np.abs(dg_dl)),
+            np.max(np.abs(g)), n_hi * np.max(np.abs(dg_df)))
+    return float(1.25 * max(sups))
+
+
 positive = st.floats(0.05, 20.0)
 
 
@@ -314,16 +329,23 @@ class TestDieKernel:
 
     def test_norm_F_box_is_the_old_bits(self):
         # norm_F_box takes g and both partials from one kernel call, not
-        # from eval_g and the old partials
+        # from eval_g and the old partials, and only on the box's corners
         for params in (UNIT, PhysicalParams(zeta=0.7, L=2.0, K_d=3.0, B=0.4, rho0=1.3)):
             eq = solve_equilibrium(params, N_e=1.2, l_e=0.45 * params.L)
             for eps1 in (0.0, 0.01, 0.1):
-                ls = np.linspace(eq.l_e - eps1, eq.l_e + eps1, 101)
-                fs = np.linspace(eq.f_pe - eps1, eq.f_pe + eps1, 101)
-                lg, fg = np.meshgrid(ls, fs, indexing="ij")
-                g = reference_die_balance(lg, fg, params)
-                dg_dl, dg_df = reference_g_partials(lg, fg, params)
-                n_hi = np.max(np.abs(np.linspace(eq.N_e - eps1, eq.N_e + eps1, 101)))
-                sups = (n_hi * np.max(np.abs(g)), n_hi * np.max(np.abs(dg_dl)),
-                        np.max(np.abs(g)), n_hi * np.max(np.abs(dg_df)))
-                assert norm_F_box(params, eq, eps1) == float(1.25 * max(sups))
+                assert norm_F_box(params, eq, eps1) == reference_norm_F_box(params, eq, eps1)
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(params=st.builds(PhysicalParams, zeta=positive, L=positive, K_d=positive,
+                            B=positive, rho0=positive),
+           N_e=st.floats(0.01, 20.0), place=st.floats(0.001, 0.999),
+           share=st.floats(0.0, 0.999))
+    def test_corner_bound_is_the_sampled_bound(self, params, N_e, place, share):
+        # the supremum of the 101 x 101 sampled (l, f) box lies on its corners
+        try:
+            eq = solve_equilibrium(params, N_e=N_e, l_e=place * params.L)
+        except DomainError:
+            # f_pe near 1 can leave a residual above EquilibriumPoint's 1e-12
+            assume(False)
+        eps1 = share * eps1_bound(eq)
+        assert norm_F_box(params, eq, eps1) == reference_norm_F_box(params, eq, eps1)

@@ -90,9 +90,9 @@ class TraceContext:
     the ranges that make the transport speed positive on the whole strip.
 
     Both constructors run one pass over node arrays (`_fill`): the range
-    checks, F, the running integrals of F and F/l (the latter is P) from one
-    2-d `cumulative_integral`, the range of P, then Q and its monotone
-    check.  `from_nodes` takes l and b as one (2, n) block, as the solution
+    checks, F, F/l and its finiteness, the running integrals of F and F/l
+    (the latter is P) from one 2-d `cumulative_integral`, the range of P,
+    then Q and its monotone check.  `from_nodes` takes l and b as one (2, n) block, as the solution
     map holds its iterate.
     The views `l`, `N`, `b` and the Hermite `_P`, `_Q` are built on first use.
     """
@@ -134,7 +134,12 @@ class TraceContext:
         if not (zeta_N - F).min() > 0.0:
             raise self._range_error("transport speed must stay positive up to x=1", "zeta*N - F",
                                     zeta_N - F, True)
-        np.divide(F, l, out=rates[1])
+        # F/l overflows on a subnormal l; checked before it is integrated
+        with np.errstate(over="ignore"):
+            np.divide(F, l, out=rates[1])
+        if not np.isfinite(rates[1]).all():
+            raise self._range_error("F/l, the rate of P, must stay finite", "F/l", rates[1],
+                                    rates[1].min() == -np.inf)
         displacement, P = cumulative_integral(rates, dt)
         # exp(P) scales q, Q and every origin; with |P| within about half the
         # exponent range of a float, they stay finite and nonzero

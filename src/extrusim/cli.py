@@ -21,7 +21,8 @@ Blank lines and lines starting with ``#`` are skipped.  Keys:
       value of the quantity.  Profiles live on x in [0,1], time inputs
       on t in [0,T]; the sine argument is pi*x resp. pi*t/T times freq.
       Samples must be finite; data.N positive, data.F_in nonnegative,
-      data.f0_p and data.f1_p in [0,1] and below 1 at x = 1
+      data.f0_p and data.f1_p in [0,1] and below 1 at x = 1 (control:
+      in [0, 1) everywhere)
   numerics.dt numerics.dx
       step sizes of the output/replay grids (defaults 5e-3, 1e-2);
       dt must divide mode.T and dx the unit interval (control: dx <= 0.5),
@@ -467,6 +468,9 @@ def cmd_control(typed: dict, base_dir: Path) -> int:
     profiles = {}
     for key in ("data.f0_p", "data.f1_p"):
         values = _spec_samples(typed, key, eq.f_pe, n_x, base_dir)
+        # the ratios the synthesis steers between stay below 1 everywhere
+        if values.max() >= 1.0:
+            raise SchemaError(f"{key}: control needs the samples of {typed[key]!r} in [0, 1)")
         # a csv spec brings its own samples; formula specs have n_x >= 3
         if values.size < 3:
             raise SchemaError(f"{key}: control needs three samples for its W1inf norms, "

@@ -231,6 +231,8 @@ def _interface(l0, b_vals, phi_vals, l_start, N_e, dt, params):
     b is checked once, as `eval_g` checks it, and 1 - b and zeta*b/(1 - b)
     are computed once; each sweep takes g and its partials from one
     `die_kernel` call and integrates N_e g and N_e (g_l s + g_b phi) as one block.
+    The sweeps stop at a step of 1e-15, or at the rounding floor of the
+    running integral: a step of at most 1e-13 that no longer shrinks.
     """
     if (b_vals >= 1.0).any():
         raise SingularityError("f_p1 >= 1 makes the die balance singular")
@@ -240,6 +242,7 @@ def _interface(l0, b_vals, phi_vals, l_start, N_e, dt, params):
     outflow = params.zeta * b_vals / empty
     ls = np.stack((l_start, np.zeros_like(l_start)))  # the iterate (l, s)
     rates = np.empty(ls.shape)
+    last = np.inf
     for sweep in range(1, PICARD_MAX_ITER + 1):
         l, s = ls
         outside = (l <= 0.0) | (l >= params.L)
@@ -256,8 +259,9 @@ def _interface(l0, b_vals, phi_vals, l_start, N_e, dt, params):
         (dl, ds), (nl, ns) = np.abs(nxt - ls).max(axis=1), np.abs(nxt).max(axis=1)
         step = max(dl / max(1.0, nl), ds / max(1.0, ns))
         ls = nxt
-        if step <= 1e-15:
+        if step <= 1e-15 or last <= step <= 1e-13:
             return nxt[0], nxt[1]
+        last = step
     raise ConvergenceError(f"interface sweep did not settle (last step {step:.3e})")
 
 

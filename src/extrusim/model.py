@@ -191,7 +191,9 @@ def inflow_peak(F_in: SampledFunction, N: SampledFunction, params: PhysicalParam
     # the joint nodes, unsorted: a first np.sort or np.union1d in the
     # process pages in sort code (np.union1d imports numpy.ma too)
     t = np.concatenate((F_in.grid, N.grid))
-    ratio = inflow_value(F_in(t), N(t), params)
+    # a ratio past the float range reads inf, which the caller refuses
+    with np.errstate(over="ignore"):
+        ratio = inflow_value(F_in(t), N(t), params)
     peak = ratio.max()
     return float(peak), float(t[ratio == peak].min())
 

@@ -549,17 +549,6 @@ class TestIntegralsStartAtZero:
         assert np.array_equal(rebuilt._P_nodes, ctx._P_nodes)
         assert np.array_equal(rebuilt._Q_nodes, ctx._Q_nodes)
 
-    @pytest.mark.parametrize("make_ctx", [equilibrium_ctx, wavy_ctx, shifted_wavy_ctx])
-    def test_first_nodes_are_zero_on_fixed_traces(self, make_ctx):
-        ctx = make_ctx()
-        assert (ctx._P_nodes[0], ctx._Q_nodes[0]) == (0.0, 0.0)
-        # the origins on the initial axis are the closed form with P, Q = 0 at the start
-        P, Q = ctx._P_nodes, ctx._Q_nodes
-        is_boundary, origin = backtrace_times(1.0, ctx)
-        full = _xi_from(1.0, P, Q, P[0], Q[0])
-        assert np.array_equal(is_boundary, full < 0.0)
-        assert np.array_equal(origin[~is_boundary], full[~is_boundary])
-
 
 def kernel_times(ctx):
     """Times that probe every branch of the cell lookup, by shape."""

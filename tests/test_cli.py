@@ -884,6 +884,38 @@ class TestControlCommand:
         mapping["mode.T"] = "5"
         assert run(["control", write_cfg(tmp_path, "c5.cfg", mapping)]) == 0
 
+    @pytest.mark.parametrize("T, nfn_ratio", [("6", 1.26980156353), ("7", 1.31482240277)])
+    def test_sweeps_stop_at_their_rounding_floor(self, tmp_path, capsys, T, nfn_ratio):
+        # at T = 6 and 7 the interface sweeps of the synthesis settle with a
+        # step just above 1e-15 that no longer shrinks
+        mapping = base_control_cfg(tmp_path)
+        mapping["mode.T"] = T
+        assert run(["control", write_cfg(tmp_path, "c.cfg", mapping)]) == 0
+        assert capsys.readouterr().err == ""
+        cert = (tmp_path / "out" / "certificate.csv").read_text().splitlines()
+        values = dict(zip(cert[0].split(","), map(float, cert[1].split(","))))
+        # the certificate bounds of the benchmark's control check
+        assert values["char_l_error"] <= 1e-6 and values["char_fp_error"] <= 1e-6
+        assert values["upwind_l_error"] <= 5e-3 and values["upwind_fp_error"] <= 5e-3
+        assert values["nfn_ratio"] == pytest.approx(nfn_ratio, rel=1e-9)
+
+    @pytest.mark.parametrize("key", ["data.f0_p", "data.f1_p"])
+    def test_profile_that_reaches_1_is_a_config_error(self, tmp_path, capsys, monkeypatch, key):
+        # simulate admits a profile of 1 away from x = 1; the ratios that
+        # control steers between stay below 1 everywhere
+        def unreachable(*args, **kwargs):
+            raise AssertionError("control synthesized from a profile that reaches 1")
+
+        monkeypatch.setattr(control, "synthesize", unreachable)
+        mapping = base_control_cfg(tmp_path)
+        mapping[key] = f"linear:1,{F_PE - 0.01!r}"
+        assert run(["control", write_cfg(tmp_path, "c.cfg", mapping)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == (f"config error: {key}: control needs the samples of "
+                                f"'linear:1,{F_PE - 0.01!r}' in [0, 1)\n")
+        assert captured.out == ""
+        assert not (tmp_path / "out").exists()
+
 
 class TestVerifyCommand:
     def test_all_invariants_pass(self, tmp_path, capsys):
@@ -1227,16 +1259,38 @@ class TestContract:
                 code = run([sub, cfg])
         assert code in (0, 2, 3)
 
-    @pytest.mark.parametrize("l0", ["1e-6", "1e-12"])
-    def test_tiny_interface_is_a_range_error(self, tmp_path, l0):
-        # F/l is of order 1/l0, so P, its integral, passes the float range in
-        # segment 0; run in a fresh interpreter, whose stderr shows warnings
-        mapping = dict(base_simulate_cfg(tmp_path), **{"data.l0": l0})
+    @staticmethod
+    def fresh_simulate(tmp_path, **keys):
+        """simulate on the base config with keys replaced, in a fresh
+        interpreter, whose stderr shows warnings."""
+        mapping = dict(base_simulate_cfg(tmp_path), **keys)
         cfg = write_cfg(tmp_path, "c.cfg", mapping)
         env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
         proc = subprocess.run([sys.executable, "-m", "extrusim.cli", "simulate", cfg], env=env,
                               capture_output=True, text=True)
+        assert "Warning" not in proc.stderr and "nan" not in proc.stderr
+        return proc
+
+    @pytest.mark.parametrize("l0", ["1e-6", "1e-12"])
+    def test_tiny_interface_is_a_range_error(self, tmp_path, l0):
+        # F/l is of order 1/l0, so P, its integral, passes the float range in
+        # segment 0
+        proc = self.fresh_simulate(tmp_path, **{"data.l0": l0})
         assert proc.returncode == 3
         assert re.fullmatch(r"error: segment 0: P, the integral of F/l, must stay inside "
                             r"\[-354, 354\]: P=\S+ at t=\S+\n", proc.stderr)
-        assert "Warning" not in proc.stderr and "nan" not in proc.stderr
+
+    def test_subnormal_interface_is_a_range_error_on_F_over_l(self, tmp_path):
+        # F/l overflows at t = 0, before P is integrated
+        proc = self.fresh_simulate(tmp_path, **{"data.l0": "5e-324"})
+        assert proc.returncode == 3
+        assert proc.stderr == ("error: segment 0: F/l, the rate of P, must stay finite: "
+                               "F/l=inf at t=0\n")
+
+    def test_inflow_ratio_past_the_float_range_is_a_config_error(self, tmp_path):
+        # F_in/(rho0*V_eff*N) overflows from t = 0.01 on
+        proc = self.fresh_simulate(tmp_path, **{"params.V_eff": "1e-300",
+                                                "data.F_in": "linear:0,1e300"})
+        assert proc.returncode == 2
+        assert proc.stderr == ("config error: data.F_in, data.N: inflow ratio "
+                               "F_in/(rho0*V_eff*N) reaches inf at t=0.01; it must stay below 1\n")

@@ -1,3 +1,8 @@
+import importlib.util
+import os
+import py_compile
+import subprocess
+import sys
 import types
 from pathlib import Path
 
@@ -130,3 +135,56 @@ class TestWorkingSet:
         bench_pairs = load_bench_pairs()
         with pytest.raises(RuntimeError, match="working-set run exited 1"):
             bench_pairs.working_set_mb(bench_pairs.ROOT, "no-such-workload", 1)
+
+
+class TestFreshPythonEnv:
+    """Every process of `tools/bench_pairs.py` compiles its modules from
+    source: bytecode writing is off and the bytecode cache is a new empty
+    directory, so a `__pycache__` left in a checkout is never read."""
+
+    @staticmethod
+    def imported_x(tmp_path, env):
+        proc = subprocess.run([sys.executable, "-c", "import mod; print(mod.X)"], env=env,
+                              capture_output=True, text=True, check=True)
+        return proc.stdout.strip()
+
+    def test_stale_bytecode_is_not_read(self, tmp_path):
+        # bytecode of older source, cached with an unchecked hash, so that a
+        # plain import takes it without looking at the source
+        source = tmp_path / "mod.py"
+        source.write_text("X = 'stale'\n")
+        cached = Path(importlib.util.cache_from_source(str(source)))
+        py_compile.compile(str(source), cfile=str(cached), doraise=True,
+                           invalidation_mode=py_compile.PycInvalidationMode.UNCHECKED_HASH)
+        source.write_text("X = 'source'\n")
+        plain = {k: v for k, v in os.environ.items() if k != "PYTHONPYCACHEPREFIX"}
+        assert self.imported_x(tmp_path, {**plain, "PYTHONPATH": str(tmp_path)}) == "stale"
+        with load_bench_pairs().fresh_python_env(PYTHONPATH=str(tmp_path)) as env:
+            assert env["PYTHONDONTWRITEBYTECODE"] == "1"
+            cache = Path(env["PYTHONPYCACHEPREFIX"])
+            assert self.imported_x(tmp_path, env) == "source"
+            assert list(cache.iterdir()) == []
+        assert not cache.exists()
+        assert [p.name for p in cached.parent.iterdir()] == [cached.name]
+
+    def test_each_process_gets_a_fresh_cache(self, monkeypatch):
+        bench_pairs = load_bench_pairs()
+        caches = []
+
+        def fake_run(args, **kwargs):
+            env = kwargs["env"]
+            assert env["PYTHONDONTWRITEBYTECODE"] == "1"
+            cache = Path(env["PYTHONPYCACHEPREFIX"])
+            assert cache.is_dir() and list(cache.iterdir()) == []
+            caches.append(cache)
+            return subprocess.CompletedProcess(args, 1, "", "")
+
+        monkeypatch.setattr(bench_pairs.subprocess, "run", fake_run)
+        root = bench_pairs.ROOT
+        for call in (lambda: bench_pairs.run_once(root, "regularity", 1, 1.0),
+                     lambda: bench_pairs.import_times(root),
+                     lambda: bench_pairs.working_set_mb(root, "regularity", 1)):
+            with pytest.raises(RuntimeError):
+                call()
+        assert len(set(caches)) == 3
+        assert not any(cache.exists() for cache in caches)

@@ -17,10 +17,15 @@ change wins at least nine tenths of the pairs and the medians differ by
 more than the parent's interquartile range; a loss is the same with the
 sides swapped.  The verdict is printed per metric.
 
+Every process the script starts runs with bytecode writing off
+(PYTHONDONTWRITEBYTECODE=1) and with PYTHONPYCACHEPREFIX set to a fresh
+empty directory (`fresh_python_env`), so that Python compiles each source
+and reads no `__pycache__` left in a checkout by tests or an earlier
+import: both sides import from source, whatever was run in them before.
+
 After each benchmark run, the same side's import times are read once from
 `python -X importtime -c "import numpy; import extrusim.cli"` with that
-checkout's `src` on PYTHONPATH and the caller's environment otherwise, so
-that bytecode writing stays off as it does in `perfbench/run.py`.  The
+checkout's `src` on PYTHONPATH and the caller's environment otherwise.  The
 cumulative microseconds of `numpy` and of `extrusim.cli` are stored per
 run, and their medians are printed.
 
@@ -47,6 +52,8 @@ import os
 import statistics
 import subprocess
 import sys
+import tempfile
+from contextlib import contextmanager
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -67,11 +74,23 @@ CLAIM_SHARE = 0.9
 IMPORTS = ("numpy", "extrusim.cli")
 
 
+@contextmanager
+def fresh_python_env(**extra):
+    """The caller's environment with extra set, bytecode writing off and
+    Python's bytecode cache moved to a new empty directory, which is removed
+    on exit: a Python started with it compiles every module from source."""
+    with tempfile.TemporaryDirectory(prefix="bench-pycache-") as cache:
+        yield {**os.environ, **extra, "PYTHONDONTWRITEBYTECODE": "1",
+               "PYTHONPYCACHEPREFIX": cache}
+
+
 def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
     """One benchmark run in checkout: its metric values and environment line."""
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
            "--seconds", str(seconds), "--trace", "0"]
-    proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True, check=False)
+    with fresh_python_env() as env:
+        proc = subprocess.run(cmd, cwd=checkout, env=env, capture_output=True, text=True,
+                              check=False)
     lines = proc.stdout.splitlines()
     if proc.returncode != 0 or not lines:
         raise RuntimeError(f"{checkout}: perfbench/run.py exited {proc.returncode}:\n{proc.stderr}")
@@ -103,10 +122,10 @@ def parse_importtime(text: str) -> dict:
 def import_times(checkout: Path) -> dict:
     """Cumulative import microseconds of IMPORTS in a fresh interpreter that
     imports extrusim from checkout."""
-    env = {**os.environ, "PYTHONPATH": str(checkout / "src")}
     code = "; ".join(f"import {name}" for name in IMPORTS)
-    proc = subprocess.run([sys.executable, "-X", "importtime", "-c", code], env=env,
-                          capture_output=True, text=True, check=False)
+    with fresh_python_env(PYTHONPATH=str(checkout / "src")) as env:
+        proc = subprocess.run([sys.executable, "-X", "importtime", "-c", code], env=env,
+                              capture_output=True, text=True, check=False)
     if proc.returncode != 0:
         raise RuntimeError(f"{checkout}: importing {', '.join(IMPORTS)} exited "
                            f"{proc.returncode}:\n{proc.stderr}")
@@ -135,11 +154,10 @@ print(peak)
 
 def working_set_mb(checkout: Path, workload: str, seed: int) -> float:
     """tracemalloc's peak over one operation of workload after a warm-up, in
-    MB, measured in a fresh interpreter on checkout's perfbench and src,
-    which writes no bytecode there."""
-    env = {**os.environ, "PYTHONPATH": str(checkout / "src"), "PYTHONDONTWRITEBYTECODE": "1"}
-    proc = subprocess.run([sys.executable, "-c", WORKING_SET_CODE, workload, str(seed)],
-                          cwd=checkout, env=env, capture_output=True, text=True, check=False)
+    MB, measured in a fresh interpreter on checkout's perfbench and src."""
+    with fresh_python_env(PYTHONPATH=str(checkout / "src")) as env:
+        proc = subprocess.run([sys.executable, "-c", WORKING_SET_CODE, workload, str(seed)],
+                              cwd=checkout, env=env, capture_output=True, text=True, check=False)
     if proc.returncode != 0:
         raise RuntimeError(f"{checkout}: the working-set run exited {proc.returncode}:\n"
                            f"{proc.stderr}")

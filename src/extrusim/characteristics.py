@@ -24,8 +24,8 @@ against the foot positions (so a column of row times against a row of x
 reads them once per row), and `backtrace_times`, for one x at the node
 times (the outlet of every Picard map), reads the nodes.  The curve
 reaches the start of the interval at beta = xi(t_start; t, x) =
-x*exp(P(t)) - Q(t) when that lies in [0, 1]; otherwise it left x = 0 at the tau
-solving Q(tau) = Q(t) - x*exp(P(t)).  Q is strictly increasing (every
+x*exp(P(t)) - Q(t) when that lies in [0, 1]; otherwise it left x = 0 at
+the tau solving Q(tau) = Q(t) - x*exp(P(t)).  Q is strictly increasing (every
 Hermite cell is checked against the Fritsch-Carlson monotone region), so
 `searchsorted` on its nodes finds the cell and safeguarded Newton steps on
 that cell's Hermite cubic give tau, each step reading Q and its slope from
@@ -92,8 +92,8 @@ class TraceContext:
     Both constructors run one pass over node arrays (`_fill`): the range
     checks, F, F/l and its finiteness, the running integrals of F and F/l
     (the latter is P) from one 2-d `cumulative_integral`, the range of P,
-    then Q and its monotone check.  `from_nodes` takes l and b as one (2, n) block, as the solution
-    map holds its iterate.
+    then Q and its monotone check.  `from_nodes` takes l and b as one
+    (2, n) block, as the solution map holds its iterate.
     The views `l`, `N`, `b` and the Hermite `_P`, `_Q` are built on first use.
     """
 

@@ -1,8 +1,4 @@
-import importlib.util
-import os
-import py_compile
 import subprocess
-import sys
 import types
 from pathlib import Path
 
@@ -137,46 +133,40 @@ class TestWorkingSet:
             bench_pairs.working_set_mb(bench_pairs.ROOT, "no-such-workload", 1)
 
 
-class TestFreshPythonEnv:
-    """Every process of `tools/bench_pairs.py` compiles its modules from
-    source: bytecode writing is off and the bytecode cache is a new empty
-    directory, so a `__pycache__` left in a checkout is never read."""
+
+class TestBytecode:
+    """`tools/bench_pairs.py` measures both sides importing the checkouts'
+    modules from source: it refuses a checkout that holds bytecode of them,
+    and no process it starts writes any."""
 
     @staticmethod
-    def imported_x(tmp_path, env):
-        proc = subprocess.run([sys.executable, "-c", "import mod; print(mod.X)"], env=env,
-                              capture_output=True, text=True, check=True)
-        return proc.stdout.strip()
+    def checkout(root):
+        (root / "perfbench").mkdir(parents=True)
+        (root / "perfbench" / "run.py").write_text("")
+        (root / "src" / "extrusim").mkdir(parents=True)
+        return root
 
-    def test_stale_bytecode_is_not_read(self, tmp_path):
-        # bytecode of older source, cached with an unchecked hash, so that a
-        # plain import takes it without looking at the source
-        source = tmp_path / "mod.py"
-        source.write_text("X = 'stale'\n")
-        cached = Path(importlib.util.cache_from_source(str(source)))
-        py_compile.compile(str(source), cfile=str(cached), doraise=True,
-                           invalidation_mode=py_compile.PycInvalidationMode.UNCHECKED_HASH)
-        source.write_text("X = 'source'\n")
-        plain = {k: v for k, v in os.environ.items() if k != "PYTHONPYCACHEPREFIX"}
-        assert self.imported_x(tmp_path, {**plain, "PYTHONPATH": str(tmp_path)}) == "stale"
-        with load_bench_pairs().fresh_python_env(PYTHONPATH=str(tmp_path)) as env:
-            assert env["PYTHONDONTWRITEBYTECODE"] == "1"
-            cache = Path(env["PYTHONPYCACHEPREFIX"])
-            assert self.imported_x(tmp_path, env) == "source"
-            assert list(cache.iterdir()) == []
-        assert not cache.exists()
-        assert [p.name for p in cached.parent.iterdir()] == [cached.name]
-
-    def test_each_process_gets_a_fresh_cache(self, monkeypatch):
+    @pytest.mark.parametrize("tree", ["src/extrusim", "perfbench"])
+    def test_checkout_with_cached_bytecode_is_refused(self, tmp_path, capsys, tree):
+        parent, change = self.checkout(tmp_path / "parent"), self.checkout(tmp_path / "change")
+        cache = change / tree / "__pycache__"
+        cache.mkdir()
         bench_pairs = load_bench_pairs()
-        caches = []
+        assert bench_pairs.cached_bytecode(parent) == []
+        assert bench_pairs.cached_bytecode(change) == [cache]
+        out = tmp_path / "BENCH.json"
+        assert bench_pairs.main([str(parent), str(change), "sim-char", "1", "2", "1",
+                                 "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"change: {cache} holds bytecode") and err.count("\n") == 1
+        assert not out.exists()
+
+    def test_every_process_writes_no_bytecode(self, monkeypatch):
+        bench_pairs = load_bench_pairs()
+        envs = []
 
         def fake_run(args, **kwargs):
-            env = kwargs["env"]
-            assert env["PYTHONDONTWRITEBYTECODE"] == "1"
-            cache = Path(env["PYTHONPYCACHEPREFIX"])
-            assert cache.is_dir() and list(cache.iterdir()) == []
-            caches.append(cache)
+            envs.append(kwargs["env"])
             return subprocess.CompletedProcess(args, 1, "", "")
 
         monkeypatch.setattr(bench_pairs.subprocess, "run", fake_run)
@@ -186,5 +176,5 @@ class TestFreshPythonEnv:
                      lambda: bench_pairs.working_set_mb(root, "regularity", 1)):
             with pytest.raises(RuntimeError):
                 call()
-        assert len(set(caches)) == 3
-        assert not any(cache.exists() for cache in caches)
+        assert [env["PYTHONDONTWRITEBYTECODE"] for env in envs] == ["1", "1", "1"]
+        assert [env.get("PYTHONPATH") for env in envs[1:]] == [str(root / "src")] * 2

@@ -17,11 +17,12 @@ change wins at least nine tenths of the pairs and the medians differ by
 more than the parent's interquartile range; a loss is the same with the
 sides swapped.  The verdict is printed per metric.
 
-Every process the script starts runs with bytecode writing off
-(PYTHONDONTWRITEBYTECODE=1) and with PYTHONPYCACHEPREFIX set to a fresh
-empty directory (`fresh_python_env`), so that Python compiles each source
-and reads no `__pycache__` left in a checkout by tests or an earlier
-import: both sides import from source, whatever was run in them before.
+Both sides must import the checkout's modules from source, as a fresh
+clone does: a checkout whose `src` or `perfbench` holds a `__pycache__`
+(left by tests or an earlier import) is refused, and every process the
+script starts runs with bytecode writing off (PYTHONDONTWRITEBYTECODE=1,
+`bytecode_off_env`), so that none is written during the pairs.  The
+caches of numpy and the standard library are read as usual.
 
 After each benchmark run, the same side's import times are read once from
 `python -X importtime -c "import numpy; import extrusim.cli"` with that
@@ -52,8 +53,6 @@ import os
 import statistics
 import subprocess
 import sys
-import tempfile
-from contextlib import contextmanager
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -74,23 +73,24 @@ CLAIM_SHARE = 0.9
 IMPORTS = ("numpy", "extrusim.cli")
 
 
-@contextmanager
-def fresh_python_env(**extra):
-    """The caller's environment with extra set, bytecode writing off and
-    Python's bytecode cache moved to a new empty directory, which is removed
-    on exit: a Python started with it compiles every module from source."""
-    with tempfile.TemporaryDirectory(prefix="bench-pycache-") as cache:
-        yield {**os.environ, **extra, "PYTHONDONTWRITEBYTECODE": "1",
-               "PYTHONPYCACHEPREFIX": cache}
+def bytecode_off_env(**extra) -> dict:
+    """The caller's environment with extra set and bytecode writing off."""
+    return {**os.environ, **extra, "PYTHONDONTWRITEBYTECODE": "1"}
+
+
+def cached_bytecode(checkout: Path) -> list:
+    """The `__pycache__` directories under checkout's src and perfbench,
+    whose bytecode a run would import in place of the sources."""
+    return sorted(path for tree in ("src", "perfbench")
+                  for path in (checkout / tree).rglob("__pycache__"))
 
 
 def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
     """One benchmark run in checkout: its metric values and environment line."""
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
            "--seconds", str(seconds), "--trace", "0"]
-    with fresh_python_env() as env:
-        proc = subprocess.run(cmd, cwd=checkout, env=env, capture_output=True, text=True,
-                              check=False)
+    proc = subprocess.run(cmd, cwd=checkout, env=bytecode_off_env(), capture_output=True,
+                          text=True, check=False)
     lines = proc.stdout.splitlines()
     if proc.returncode != 0 or not lines:
         raise RuntimeError(f"{checkout}: perfbench/run.py exited {proc.returncode}:\n{proc.stderr}")
@@ -123,9 +123,9 @@ def import_times(checkout: Path) -> dict:
     """Cumulative import microseconds of IMPORTS in a fresh interpreter that
     imports extrusim from checkout."""
     code = "; ".join(f"import {name}" for name in IMPORTS)
-    with fresh_python_env(PYTHONPATH=str(checkout / "src")) as env:
-        proc = subprocess.run([sys.executable, "-X", "importtime", "-c", code], env=env,
-                              capture_output=True, text=True, check=False)
+    env = bytecode_off_env(PYTHONPATH=str(checkout / "src"))
+    proc = subprocess.run([sys.executable, "-X", "importtime", "-c", code], env=env,
+                          capture_output=True, text=True, check=False)
     if proc.returncode != 0:
         raise RuntimeError(f"{checkout}: importing {', '.join(IMPORTS)} exited "
                            f"{proc.returncode}:\n{proc.stderr}")
@@ -155,9 +155,9 @@ print(peak)
 def working_set_mb(checkout: Path, workload: str, seed: int) -> float:
     """tracemalloc's peak over one operation of workload after a warm-up, in
     MB, measured in a fresh interpreter on checkout's perfbench and src."""
-    with fresh_python_env(PYTHONPATH=str(checkout / "src")) as env:
-        proc = subprocess.run([sys.executable, "-c", WORKING_SET_CODE, workload, str(seed)],
-                              cwd=checkout, env=env, capture_output=True, text=True, check=False)
+    env = bytecode_off_env(PYTHONPATH=str(checkout / "src"))
+    proc = subprocess.run([sys.executable, "-c", WORKING_SET_CODE, workload, str(seed)],
+                          cwd=checkout, env=env, capture_output=True, text=True, check=False)
     if proc.returncode != 0:
         raise RuntimeError(f"{checkout}: the working-set run exited {proc.returncode}:\n"
                            f"{proc.stderr}")
@@ -202,6 +202,12 @@ def main(argv=None) -> int:
     for side, path in checkouts.items():
         if not (path / "perfbench" / "run.py").is_file():
             print(f"{side}: no perfbench/run.py under {path}", file=sys.stderr)
+            return 2
+        cached = cached_bytecode(path)
+        if cached:
+            print(f"{side}: {cached[0]} holds bytecode that a run would import in place of "
+                  f"the sources; remove the __pycache__ directories under {path}",
+                  file=sys.stderr)
             return 2
     if args.pairs < 2:
         print("pairs: need at least two pairs for quartiles", file=sys.stderr)

@@ -313,7 +313,8 @@ class SolutionField:
     provenance[i,j] records whether the characteristic through
     (t_grid[i], x_grid[j]) originates from the initial profile (0) or from
     the inflow boundary (1).  Producers pass the boolean mask "entered
-    through x = 0", stored as uint8 tags; any other tag is a DomainError.
+    through x = 0", stored as uint8 tags (a view of the mask, not a copy);
+    any other tag is a DomainError.
     The container is also reused for derived fields (spatial derivatives),
     which are signed, so the unit-range check for filling ratios is a
     separate method rather than a constructor invariant.
@@ -336,10 +337,15 @@ class SolutionField:
             raise GridError(f"values shape {values.shape} does not match grids")
         if tags.shape != values.shape:
             raise GridError("provenance shape does not match values")
-        if not np.all((tags == 0) | (tags == 1)):
+        if tags.dtype == np.bool_:
+            tags = tags.view(np.uint8)
+        # min and max reductions make no field-sized boolean array: a NaN tag or
+        # value reaches both, and an infinite value one of them
+        whole = tags.dtype.kind in "biu" or np.array_equal(tags, np.floor(tags))
+        if tags.size and not (tags.min() >= 0 and tags.max() <= 1 and whole):
             raise DomainError("provenance tags must be 0 (initial) or 1 (boundary)")
         object.__setattr__(self, "provenance", tags.astype(np.uint8, copy=False))
-        if not np.all(np.isfinite(values)):
+        if values.size and not (-math.inf < values.min() and values.max() < math.inf):
             raise DomainError("field values must be finite")
 
     def check_unit_range(self) -> None:

@@ -9,11 +9,14 @@ bought with grid refinement, not with scheme order.
 
 The Courant number is the module constant CFL.  The march keeps one row
 per CFL step, about T*max(alpha)/(CFL*dx) of them, which
-`upwind_step_estimate` gives before it starts.  A step takes F at the
-previous row's outlet value, the speed on the grid and the CFL step from the
-speed's two ends; it writes its Courant factors and update into two buffers
-made once per march, keeps the new row, its only new array, and sets the
-inflow node from N and F_in at the new t.  Its scalars are Python floats
+`upwind_step_estimate` gives before it starts.  The rows live in one 2-D
+buffer, sized from the first step's dt with ROW_MARGIN to spare, and the
+field is that buffer, resampled in place when the steps are uneven.  A step
+takes F at the previous row's outlet value, the speed on the grid and the
+CFL step from the speed's two ends; it writes its Courant factors and update
+into two buffers made once per march and the new row into its row of the
+buffer, so it makes no new array, and sets the inflow node from N and F_in
+at the new t.  Its scalars are Python floats
 (`input_reader`, `model.float_F`, `model.float_inflow`): on the sim-upwind
 input, 1,122 steps of 501 nodes, a step takes 12.8 us, against 17.3 us
 through np.interp and numpy scalars (2 vCPUs, Python 3.11.7, NumPy 2.4.6).
@@ -43,6 +46,11 @@ MAX_GRID_POINTS = 10**7
 
 # output rows interpolated at a time when uneven CFL steps are resampled
 RESAMPLE_BLOCK_ROWS = 64
+
+# share of rows the march's buffer holds beyond the (T - t)/dt of its first
+# step, and grows by when the march outruns it (the 27 benchmark inputs take
+# 1.005 to 1.019 times the steps of their first dt)
+ROW_MARGIN = 0.125
 
 
 @dataclass(frozen=True)
@@ -79,11 +87,16 @@ def simulate_upwind(data, T: float, cfg: UpwindConfig):
     """March the coupled system to time T; returns (l trace, ratio field).
 
     The outlet value of the previous row drives both the interface velocity
-    and the transport speed.  The rows are resampled onto a uniform grid
-    (`resample_rows`, bit for bit np.interp of each column) only when the
-    steps came out uneven.  Each step carries the inflow's influence one
-    node further, so row k has k + 1 inflow-driven nodes.  A march whose
-    rows would hold more than MAX_GRID_POINTS values stops with a SchemeError.
+    and the transport speed.  Each step writes its row straight into one
+    buffer, made once the first step's dt is known with room for (T - t)/dt
+    rows and a ROW_MARGIN share more, and grown by that share, with one copy,
+    only if the march outruns it.  The rows are resampled onto a uniform grid
+    in that buffer (`resample_rows`, bit for bit np.interp of each column)
+    only when the steps came out uneven, so the field's values are the
+    buffer's first rows and the field is held once.  Each step carries the
+    inflow's influence one node further, so row k has k + 1 inflow-driven
+    nodes.  A march whose rows would hold more than MAX_GRID_POINTS values
+    stops with a SchemeError.
     """
     data.check_horizon(T)
     params = data.params
@@ -95,7 +108,9 @@ def simulate_upwind(data, T: float, cfg: UpwindConfig):
     read_N, read_F_in = input_reader(data.N), input_reader(data.F_in)
     N_now = read_N(t)
 
-    rows, ts, ls = [f], [t], [l]
+    ts, ls = [t], [l]
+    # the march's rows; one row until the first step sizes the buffer
+    rows = f[None, :]
     lo = float(min(f.min(), data.inflow(0.0)))
     hi = float(max(f.max(), data.inflow(0.0)))
     max_rows = MAX_GRID_POINTS // cfg.n_nodes
@@ -103,10 +118,11 @@ def simulate_upwind(data, T: float, cfg: UpwindConfig):
     lam, update = np.empty(x.size - 1), np.empty(x.size - 1)
 
     while t < T - 1e-12 * T:
-        # one more step keeps len(rows) + 1 rows
-        if len(rows) >= max_rows:
+        # this step writes row k, so the march keeps k + 1 rows
+        k = len(ts)
+        if k >= max_rows:
             raise SchemeError(
-                f"upwind march stopped at t={t:.6g}: {len(rows)} CFL steps on {cfg.n_nodes} "
+                f"upwind march stopped at t={t:.6g}: {k} CFL steps on {cfg.n_nodes} "
                 f"nodes pass MAX_GRID_POINTS={MAX_GRID_POINTS}"
             )
         F = float_F(l, N_now, f.item(-1), params)
@@ -122,10 +138,20 @@ def simulate_upwind(data, T: float, cfg: UpwindConfig):
             # dt -> 0 happens when the state degenerates (interface collapse
             # drives the speed to infinity); the horizon is unreachable
             raise SchemeError(f"CFL time step collapsed at t={t:.6g}")
+        if k == 1:
+            # the first step's dt sizes the buffer: (T - t)/dt steps and a margin
+            size = min(max_rows, math.ceil((1.0 + ROW_MARGIN) * (T - t) / dt) + 1)
+            rows = np.empty((size, x.size))
+            rows[0] = f
+        elif k == len(rows):
+            # the march outran its buffer: grow it by the margin, with one copy
+            grown = np.empty((min(max_rows, k + max(int(ROW_MARGIN * k), 1)), x.size))
+            grown[:k] = rows
+            rows = grown
         np.multiply(dt / cfg.dx, alpha[1:], out=lam)
         np.subtract(f[1:], f[:-1], out=update)
         update *= lam
-        f_new = np.empty_like(f)
+        f_new = rows[k]
         inner = np.subtract(f[1:], update, out=f_new[1:])
         if (np.minimum.reduce(inner) < lo - MAX_PRINCIPLE_SLACK
                 or np.maximum.reduce(inner) > hi + MAX_PRINCIPLE_SLACK):
@@ -140,23 +166,20 @@ def simulate_upwind(data, T: float, cfg: UpwindConfig):
         hi = max(hi, inflow)
 
         f = f_new
-        rows.append(f)
         ts.append(t)
         ls.append(l)
 
     ts = np.asarray(ts)
+    values = rows[:ts.size]
     l_vals = np.asarray(ls)
     row_of = np.arange(ts.size)
     t_grid = np.linspace(0.0, T, ts.size)
     dts = np.diff(ts)
     if np.max(dts) - np.min(dts) > 1e-9 * np.mean(dts):
         # uneven CFL steps: interpolate rows onto the uniform output grid
-        values = resample_rows(t_grid, ts, rows)
+        resample_rows(t_grid, ts, values)
         l_vals = np.interp(t_grid, ts, l_vals)
         row_of = np.clip(np.searchsorted(ts, t_grid), 0, ts.size - 1)
-    else:
-        values = np.asarray(rows)
-    del rows
     # output row i takes the provenance of march row row_of[i]
     field = SolutionField(t_grid, x, values, np.arange(x.size) <= row_of[:, None])
     return SampledFunction(0.0, T, l_vals), field
@@ -182,41 +205,51 @@ def input_reader(fn):
     return read
 
 
-def resample_rows(t_grid, ts, rows) -> np.ndarray:
-    """np.interp(t_grid, ts, column) of every column of the rows, bit for bit.
+def resample_rows(t_grid, ts, rows) -> None:
+    """Overwrite rows[i], the row at ts[i], with np.interp(t_grid[i], ts, column)
+    of every column, bit for bit.
 
-    ts must increase strictly and the rows must be finite.  The rows are read
-    straight from the list, RESAMPLE_BLOCK_ROWS output rows at a time, and each
-    entry is set to None once no later output row reads it, so the rows and
-    the output are never both held whole.  The arithmetic is np.interp's: on
-    ts[j] <= t < ts[j+1] the value is (fp[j+1]-fp[j])/(ts[j+1]-ts[j]) *
-    (t-ts[j]) + fp[j], and it is fp[j] itself where t equals ts[j], where j is
-    the last node, or where t lies outside [ts[0], ts[-1]].
+    t_grid and ts have one entry per row, and ts must increase strictly and
+    the rows must be finite.  RESAMPLE_BLOCK_ROWS output rows are made at a
+    time, from copies of the two rows each one reads.  Before a block
+    overwrites its rows, it sets aside a copy of each of them that a later
+    output row still reads, and a set-aside row is dropped once no later
+    output row reads it.  Where the march times lead the output grid, output
+    row i reads rows before i, which are set aside; where they lag it, it
+    reads rows from i on, which are not yet overwritten.  The arithmetic is
+    np.interp's: on ts[j] <= t < ts[j+1] the value is
+    (fp[j+1]-fp[j])/(ts[j+1]-ts[j]) * (t-ts[j]) + fp[j], and it is fp[j]
+    itself where t equals ts[j], where j is the last node, or where t lies
+    outside [ts[0], ts[-1]].
     """
     last = ts.size - 1
     j = np.searchsorted(ts, t_grid, side="right") - 1
     lo = np.clip(j, 0, last - 1)
     copied = (j < 0) | (j >= last) | (ts[lo] == t_grid)
-    src = np.clip(j, 0, last)
-    out = np.empty((t_grid.size, rows[0].size))
-    released = 0
+    # output row i reads rows lo[i] and lo[i] + 1; reader holds the last
+    # output row that reads each row, or -1
+    reader = np.full(ts.size, -1)
+    np.maximum.at(reader, lo, np.arange(t_grid.size))
+    np.maximum.at(reader, lo + 1, np.arange(t_grid.size))
+    aside = {}
     for start in range(0, t_grid.size, RESAMPLE_BLOCK_ROWS):
         stop = min(start + RESAMPLE_BLOCK_ROWS, t_grid.size)
         k = lo[start:stop]
-        left = np.array([rows[i] for i in k])
-        right = np.array([rows[i + 1] for i in k])
-        # slope * (t - ts[j]) + fp[j], computed in the output block
-        block = np.subtract(right, left, out=out[start:stop])
+        # rows before start are overwritten; those still read were set aside
+        left = np.array([aside[i] if i < start else rows[i] for i in k])
+        right = np.array([aside[i + 1] if i + 1 < start else rows[i + 1] for i in k])
+        for i in [i for i in aside if reader[i] < stop]:
+            del aside[i]
+        for i in start + np.flatnonzero(reader[start:stop] >= stop):
+            aside[i] = rows[i].copy()
+        # slope * (t - ts[j]) + fp[j], computed in the block's own rows
+        block = np.subtract(right, left, out=rows[start:stop])
         block /= (ts[k + 1] - ts[k])[:, None]
         block *= (t_grid[start:stop] - ts[k])[:, None]
         block += left
-        for i in start + np.flatnonzero(copied[start:stop]):
-            out[i] = rows[src[i]]
-        # lo never decreases, so no later output row reads a row before lo[stop]
-        keep = lo[stop] if stop < t_grid.size else len(rows)
-        rows[released:keep] = [None] * (keep - released)
-        released = keep
-    return out
+        # a copied row is its left row, or its right row past the last node
+        for i in np.flatnonzero(copied[start:stop]):
+            block[i] = right[i] if j[start + i] >= last else left[i]
 
 
 @dataclass(frozen=True)

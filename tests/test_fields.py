@@ -142,11 +142,38 @@ class TestSolutionField:
         with pytest.raises(DomainError, match="provenance"):
             SolutionField([0.0], [0.0, 1.0], [[0.3, 0.4]], np.array([[0, tag]]))
 
+    @pytest.mark.parametrize("tag", [2, 0.5, np.nan])
+    @pytest.mark.parametrize("at", [0, -1])
+    def test_bad_tag_message(self, tag, at):
+        tags = np.zeros((3, 4))
+        tags.flat[at] = tag
+        with pytest.raises(DomainError) as exc:
+            SolutionField(np.linspace(0.0, 1.0, 3), np.linspace(0.0, 1.0, 4), np.zeros((3, 4)), tags)
+        assert str(exc.value) == "provenance tags must be 0 (initial) or 1 (boundary)"
+
+    def test_boolean_mask_with_other_bytes_rejected(self):
+        # a bool array whose bytes are not 0 or 1, made through a view
+        mask = np.array([[0, 2]], dtype=np.uint8).view(np.bool_)
+        with pytest.raises(DomainError, match="provenance"):
+            SolutionField([0.0], [0.0, 1.0], [[0.3, 0.4]], mask)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("at", [0, 5, -1])
+    def test_nonfinite_value_message(self, bad, at):
+        values = np.full((3, 4), 0.25)
+        values.flat[at] = bad
+        with pytest.raises(DomainError) as exc:
+            SolutionField(np.linspace(0.0, 1.0, 3), np.linspace(0.0, 1.0, 4), values,
+                          np.zeros((3, 4), dtype=bool))
+        assert str(exc.value) == "field values must be finite"
+
     def test_boolean_mask_becomes_tags(self):
         mask = np.array([[False, True], [True, True]])
         f = SolutionField([0.0, 1.0], [0.0, 1.0], np.zeros((2, 2)), mask)
         assert f.provenance.dtype == np.uint8
         assert f.provenance.tolist() == [[0, 1], [1, 1]]
+        # the tags view the mask's bytes rather than copy them
+        assert np.shares_memory(f.provenance, mask)
 
     def test_unit_range_check(self):
         f = self._make()

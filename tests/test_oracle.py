@@ -290,6 +290,40 @@ class TestBitIdenticalMarch:
         data = CauchyData(target.l0, prof, report.F_in, report.N, UNIT, EQ)
         self._assert_same(data, 1.0, UpwindConfig(dx=0.01), resampled=True)
 
+    @staticmethod
+    def _first_step_rows(data, T, cfg):
+        # the rows the march's buffer is made with: (T - t)/dt of the first
+        # step and a ROW_MARGIN share more
+        steps = upwind_step_estimate(data.l0, data.f0_p, data.N(0.0), data.params, T, cfg)
+        return math.ceil((1.0 + oracle.ROW_MARGIN) * steps) + 1
+
+    def test_rising_screw_outruns_the_buffer(self):
+        # N rises by 40% over the run, and the speed with it: the march takes
+        # about 1.2 times the steps of its first dt, past the buffer's margin,
+        # and grows the buffer on the way
+        T = 0.5
+        feed = EQ.f_pe * UNIT.rho0 * UNIT.V_eff * EQ.N_e
+        data = CauchyData(
+            EQ.l_e,
+            SpaceProfile(EQ.f_pe + 0.01 * np.sin(np.pi * np.linspace(0.0, 1.0, 101))),
+            SampledFunction.constant(feed, 0.0, T, 11),
+            SampledFunction(0.0, T, EQ.N_e * np.linspace(1.0, 1.4, 101)),
+            UNIT,
+            EQ,
+        )
+        cfg = UpwindConfig(dx=0.01)
+        self._assert_same(data, T, cfg, resampled=True)
+        _, field = simulate_upwind(data, T, cfg)
+        assert field.t_grid.size > self._first_step_rows(data, T, cfg)
+
+    def test_buffer_without_margin_grows_row_by_row(self, monkeypatch):
+        data = sine_feed_data(0.01, 0.006, 2, T=0.5, n_amp=0.05)
+        cfg = UpwindConfig(dx=0.01)
+        monkeypatch.setattr(oracle, "ROW_MARGIN", 0.0)
+        self._assert_same(data, 0.5, cfg, resampled=True)
+        _, field = simulate_upwind(data, 0.5, cfg)
+        assert field.t_grid.size > self._first_step_rows(data, 0.5, cfg)
+
     def test_runaway_interface_raises_the_same_error(self):
         c = 0.95 / (UNIT.rho0 * UNIT.V_eff)
         data = CauchyData(
@@ -386,13 +420,38 @@ class TestResampleRows:
              "ulp above": np.nextafter(ts[-1], -math.inf)}[end]
         t_grid = np.linspace(0.0, T, n_rows)
         values = np.random.default_rng(n_rows * 7 + n_cols).uniform(0.0, 1.0, (n_rows, n_cols))
-        rows = list(values.copy())
-        out = resample_rows(t_grid, ts, rows)
-        expected = np.stack([np.interp(t_grid, ts, values[:, j]) for j in range(n_cols)], axis=1)
-        assert np.array_equal(out, expected)
-        assert all(row is None for row in rows)
+        self._assert_matches(t_grid, ts, values)
 
-    def test_march_holds_the_field_about_twice(self):
+    @staticmethod
+    def _assert_matches(t_grid, ts, values):
+        rows = values.copy()
+        assert resample_rows(t_grid, ts, rows) is None
+        expected = np.stack(
+            [np.interp(t_grid, ts, values[:, j]) for j in range(values.shape[1])], axis=1
+        )
+        assert np.array_equal(rows, expected)
+
+    @pytest.mark.parametrize("shape", ["lead", "lag", "cross"])
+    @pytest.mark.parametrize("n_rows", [2 * RESAMPLE_BLOCK_ROWS + 1, 5 * RESAMPLE_BLOCK_ROWS + 3])
+    def test_march_times_lead_lag_and_cross_the_grid(self, shape, n_rows):
+        # steps that shrink put the march times ahead of the uniform grid, so
+        # output rows read rows their block has already passed (set aside);
+        # steps that grow put them behind it, and steps that swing both ways
+        # cross it
+        u = np.linspace(0.0, 1.0, n_rows - 1)
+        steps = {"lead": 2.0 - 1.5 * u, "lag": 0.5 + 1.5 * u,
+                 "cross": 1.0 + 0.8 * np.sin(3.0 * np.pi * u)}[shape]
+        ts = np.concatenate(([0.0], np.cumsum(steps)))
+        t_grid = np.linspace(0.0, ts[-1], n_rows)
+        lo = np.clip(np.searchsorted(ts, t_grid, side="right") - 1, 0, n_rows - 2)
+        behind = lo < np.arange(n_rows) - np.arange(n_rows) % RESAMPLE_BLOCK_ROWS
+        ahead = lo > np.arange(n_rows)
+        assert {"lead": behind.any(), "lag": ahead.any(),
+                "cross": ahead.any() and (lo < np.arange(n_rows)).any()}[shape]
+        values = np.random.default_rng(n_rows).uniform(0.0, 1.0, (n_rows, 3))
+        self._assert_matches(t_grid, ts, values)
+
+    def test_march_holds_the_field_once(self):
         # a sim-upwind-size march: dx = 2e-3 over T = 1, about 1,120 uneven
         # CFL steps of 501 nodes
         data = sine_feed_data(0.01, 0.004, 2, T=1.0, n=201)
@@ -405,7 +464,7 @@ class TestResampleRows:
         finally:
             tracemalloc.stop()
         assert field.values.shape[0] > 1000 and field.values.shape[1] == 501
-        assert peak < 2.5 * field.values.nbytes
+        assert peak < 1.5 * field.values.nbytes
 
 
 class TestSpeedExtremaAtTheEnds:

@@ -74,9 +74,13 @@ class EquilibriumPoint:
             raise DomainError(f"N_e={self.N_e} must be positive")
         if not (0.0 < self.f_pe < 1.0):
             raise DomainError(f"f_pe={self.f_pe} outside (0, 1)")
+        # F = N*g, and g is the difference of two terms of size
+        # zeta*f_pe/(1 - f_pe), so F rounds on the scale of N times that term
+        scale = self.N_e * self.params.zeta * self.f_pe / (1.0 - self.f_pe)
+        tol = 1e-12 * max(1.0, scale)
         residual = abs(eval_F(self.l_e, self.N_e, self.f_pe, self.params))
-        if residual > 1e-12:
-            raise DomainError(f"not an equilibrium: |F| = {residual:.3e} > 1e-12")
+        if residual > tol:
+            raise DomainError(f"not an equilibrium: |F| = {residual:.3e} > {tol:.3g}")
 
 
 def eval_g(l, f_p1, params: PhysicalParams):
@@ -118,8 +122,11 @@ def die_kernel(l, empty, outflow, params: PhysicalParams, slopes: bool = False):
     g = params.zeta * remaining / D_empty - outflow
     if not slopes:
         return g
-    dg_dl = -params.zeta * params.K_d * params.B * params.rho0 / (D * D * empty)
-    dg_df = -params.zeta * params.B * params.rho0 / (D_empty * empty)
+    # with a huge B*rho0, D*D overflows and the slopes underflow toward 0;
+    # the reach check that follows names the failure
+    with np.errstate(over="ignore"):
+        dg_dl = -params.zeta * params.K_d * params.B * params.rho0 / (D * D * empty)
+        dg_df = -params.zeta * params.B * params.rho0 / (D_empty * empty)
     return g, dg_dl, dg_df
 
 

@@ -218,6 +218,19 @@ class TestEquilibriumCommand:
         assert "l_e=0.5" in capsys.readouterr().out
 
 
+    def test_large_anchor_rounds_within_its_scale(self, tmp_path, capsys):
+        # g is the difference of two terms of 420 here, and the solved point
+        # leaves |F| at about two ulps of N_e*420, above 1e-12
+        cfg = write_cfg(tmp_path, "eq.cfg", {
+            "params.zeta": "2", "params.L": "7", "params.K_d": "10", "params.B": "0.25",
+            "equilibrium.N_e": "9", "equilibrium.l_e": "1.75",
+        })
+        assert run(["equilibrium", cfg]) == 0
+        captured = capsys.readouterr()
+        assert captured.out == "l_e=1.75\nN_e=9\nf_pe=0.9952606635\n"
+        assert captured.err == ""
+
+
 class TestSchemaErrors:
     def test_unknown_key(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, "c.cfg", {"equilibrium.N_e": "1.0", "bogus.key": "1"})
@@ -1260,16 +1273,31 @@ class TestContract:
         assert code in (0, 2, 3)
 
     @staticmethod
-    def fresh_simulate(tmp_path, **keys):
-        """simulate on the base config with keys replaced, in a fresh
-        interpreter, whose stderr shows warnings."""
-        mapping = dict(base_simulate_cfg(tmp_path), **keys)
+    def fresh_simulate(tmp_path, sub="simulate", **keys):
+        """sub (simulate by default) on its base config with keys replaced,
+        in a fresh interpreter, whose stderr shows warnings."""
+        mapping = dict(base_cfg(sub, tmp_path), **keys)
         cfg = write_cfg(tmp_path, "c.cfg", mapping)
         env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
-        proc = subprocess.run([sys.executable, "-m", "extrusim.cli", "simulate", cfg], env=env,
+        proc = subprocess.run([sys.executable, "-m", "extrusim.cli", sub, cfg], env=env,
                               capture_output=True, text=True)
         assert "Warning" not in proc.stderr and "nan" not in proc.stderr
         return proc
+
+    def test_huge_die_resistance_is_out_of_reach_without_warnings(self, tmp_path):
+        # B*rho0 = 1e300 squares past the float range in the die kernel's
+        # l-slope, which underflows toward 0; eps1 is of order 1e-301, so the
+        # empty profile is out of reach from the first candidate
+        proc = self.fresh_simulate(tmp_path, "control", **{
+            "params.B": "1e300", "data.f0_p": "constant:0", "data.f1_p": "constant:0",
+        })
+        assert proc.returncode == 3
+        assert proc.stderr == (
+            "error: target out of reach: bump amplitude A=0 moves the outlet ratio to [0, 0] "
+            "and the interface to [0.49, 0.49]; both must stay within eps1=1.66667e-301 of "
+            "the equilibrium (5e-301, 0.5)\n"
+        )
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("l0", ["1e-6", "1e-12"])
     def test_tiny_interface_is_a_range_error(self, tmp_path, l0):

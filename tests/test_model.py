@@ -225,6 +225,21 @@ class TestEquilibriumPoint:
         with pytest.raises(DomainError):
             EquilibriumPoint(l_e=1.5, N_e=1.0, f_pe=0.3, params=UNIT)
 
+    def test_unit_scale_anchor_keeps_its_tolerance(self):
+        # N_e*zeta*f_pe/(1 - f_pe) = 0.5 at f_pe = 1/3: the bound stays 1e-12
+        with pytest.raises(DomainError, match=r"^not an equilibrium: \|F\| = \S+ > 1e-12$"):
+            EquilibriumPoint(l_e=0.5, N_e=1.0, f_pe=1.0 / 3.0 + 1e-11, params=UNIT)
+
+    def test_tolerance_scales_with_the_outflow_term(self):
+        # g is the difference of two terms of zeta*f_pe/(1 - f_pe) = 420, so
+        # F rounds by ulps of N_e*420 = 3780 at the solved point, and the
+        # bound is 1e-12 of that; a point off by 1e-9 in f_pe still fails it
+        params = PhysicalParams(zeta=2.0, L=7.0, K_d=10.0, B=0.25)
+        eq = solve_equilibrium(params, N_e=9.0, l_e=1.75)
+        assert abs(eval_F(eq.l_e, eq.N_e, eq.f_pe, params)) > 1e-12
+        with pytest.raises(DomainError, match=r"^not an equilibrium: \|F\| = \S+ > 3\.78e-09$"):
+            EquilibriumPoint(l_e=eq.l_e, N_e=eq.N_e, f_pe=eq.f_pe - 1e-9, params=params)
+
 
 class TestNormFBox:
     def test_degenerate_box(self, eq_unit):

@@ -7,10 +7,11 @@ through (t, x) solves a scalar linear ODE and has the closed form
     xi(s; t, x) = x * exp(P(t) - P(s)) - exp(-P(s)) * (Q(t) - Q(s)),
 
 where P is the running integral of F/l and Q the running integral of
-(zeta*N/l) * exp(P).  A context computes both in one pass over its node
-arrays with a Simpson-type rule (P in one 2-d call with the running
-integral of F) and reads them off the nodes from C1 Hermite interpolants
-built on first use, which keeps the analytic derivative formulas for the
+(zeta*N/l) * exp(P).  A context is built from node arrays, l and b as one
+(2, n) block and N.  It computes both in one pass over them with a
+Simpson-type rule (P in one 2-d call with the running integral of F) and
+reads them off the nodes from C1 Hermite interpolants built on first
+use, which keeps the analytic derivative formulas for the
 origin maps consistent with finite differences of the traced origins.
 P and Q share the trace grid, so `TraceContext._PQ` reads both from one
 cell lookup and one Hermite basis.  At the grid's own node times P and Q
@@ -46,7 +47,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import ConvergenceError, DivergenceError, DomainError, GridError
+from .errors import ConvergenceError, DivergenceError, DomainError
 from .fields import SampledFunction
 from .model import PhysicalParams, die_balance, eval_F
 from .quadrature import HermiteAntiderivative, cumulative_integral, hermite_basis
@@ -85,37 +86,21 @@ class CharOrigin:
 class TraceContext:
     """Coefficient traces that determine the characteristic field.
 
-    l, N and b must share one uniform time grid; between samples they are
-    the piecewise-linear interpolants from `fields`.  Construction checks
-    the ranges that make the transport speed positive on the whole strip.
+    l = lb[0], b = lb[1] and N are node values on len(N) uniform nodes of
+    [t_start, t_end], as the solution map holds its iterate; the arrays are
+    kept, not copied.  Between nodes the traces are the piecewise-linear
+    interpolants from `fields`.  Construction checks the ranges that make
+    the transport speed positive on the whole strip.
 
-    Both constructors run one pass over node arrays (`_fill`): the range
-    checks, F, F/l and its finiteness, the running integrals of F and F/l
-    (the latter is P) from one 2-d `cumulative_integral`, the range of P,
-    then Q and its monotone check.  `from_nodes` takes l and b as one
-    (2, n) block, as the solution map holds its iterate.
-    The views `l`, `N`, `b` and the Hermite `_P`, `_Q` are built on first use.
+    Construction is one pass over the node arrays: the range checks, F, F/l
+    and its finiteness, the running integrals of F and F/l (the latter is P)
+    from one 2-d `cumulative_integral`, the range of P, then Q and its
+    monotone check.  The views `l`, `N`, `b` and the Hermite `_P`, `_Q` are
+    built on first use.
     """
 
-    def __init__(self, l: SampledFunction, N: SampledFunction, b: SampledFunction,
+    def __init__(self, t_start: float, t_end: float, lb: np.ndarray, N: np.ndarray,
                  params: PhysicalParams):
-        if any(abs(o.t_start - l.t_start) > 1e-12 or abs(o.t_end - l.t_end) > 1e-12
-               or o.values.size != l.values.size for o in (N, b)):
-            raise GridError("l, N, b must share one uniform grid")
-        self._fill(l.t_start, l.t_end, np.stack((l.values, b.values)), N.values, params)
-        # the views are given, so they are not rebuilt from the nodes
-        self.l, self.N, self.b = l, N, b
-
-    @classmethod
-    def from_nodes(cls, t_start: float, t_end: float, lb: np.ndarray, N: np.ndarray,
-                   params: PhysicalParams) -> "TraceContext":
-        """Context of l = lb[0], b = lb[1] and N on len(N) uniform nodes of
-        [t_start, t_end]; the arrays are kept, not copied."""
-        ctx = cls.__new__(cls)
-        ctx._fill(t_start, t_end, lb, N, params)
-        return ctx
-
-    def _fill(self, t_start, t_end, lb, N, params):
         l, b = lb
         dt = (t_end - t_start) / (N.size - 1)
         self.t_start, self.t_end, self.dt, self.params = t_start, t_end, dt, params

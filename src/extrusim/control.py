@@ -212,7 +212,7 @@ def _candidate_field(T, a_vals, b_vals, N_vals, params):
     """Characteristic field of a candidate: its context, the origins of the
     outlet nodes and the crossing time t0 of the inlet-corner characteristic."""
     try:
-        ctx = TraceContext.from_nodes(0.0, T, np.stack((a_vals, b_vals)), N_vals, params)
+        ctx = TraceContext(0.0, T, np.stack((a_vals, b_vals)), N_vals, params)
     except DomainError as exc:
         raise DivergenceError(f"candidate coefficients rejected: {exc}") from exc
     is_bnd, origin = backtrace_times(1.0, ctx)

@@ -6,7 +6,10 @@ position, screw speed, feed rate, die ratio) and, fixed on [0, 1] as
 `SpaceProfile`, profiles in the normalized space coordinate.  Linear
 interpolants live in W1-infinity, which is exactly the regularity class the
 data is supposed to carry, and they make the difference-quotient norms
-below exact rather than approximate.
+below exact rather than approximate.  A function reads its samples with
+np.interp; at a Python float, as the upwind march reads its inputs once a
+step, it reads them in float arithmetic by bisection over node lists, with
+np.interp's arithmetic bit for bit.
 
 CSV contract, shared by every file the CLI writes: a header line, then one
 line per row; values carry 12 significant digits (`FLOAT_FORMAT`) with a
@@ -38,6 +41,7 @@ from __future__ import annotations
 
 import io
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -275,7 +279,26 @@ class SampledFunction:
     def dt(self) -> float:
         return (self.t_end - self.t_start) / (self.values.size - 1)
 
+    @cached_property
+    def _nodes(self) -> tuple:
+        """grid and values as lists of Python floats, for scalar reads."""
+        return self.grid.tolist(), self.values.tolist()
+
     def __call__(self, t):
+        """np.interp of the samples at t.  A Python float t that is not NaN is
+        read in Python floats, bit for bit np.interp: its end and node cases,
+        its slope formula and its NaN fallback."""
+        if type(t) is float and t == t:
+            grid, vals = self._nodes
+            j = max(bisect_right(grid, t) - 1, 0)
+            if j == len(vals) - 1 or grid[j] >= t:
+                return vals[j]
+            slope = (vals[j + 1] - vals[j]) / (grid[j + 1] - grid[j])
+            value = slope * (t - grid[j]) + vals[j]
+            if value == value:
+                return value
+            value = slope * (t - grid[j + 1]) + vals[j + 1]
+            return vals[j] if value != value and vals[j] == vals[j + 1] else value
         t_arr = np.asarray(t, dtype=float)
         out = np.interp(t_arr, self.grid, self.values)
         if np.isscalar(t) or t_arr.ndim == 0:

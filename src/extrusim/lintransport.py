@@ -341,8 +341,7 @@ def derivative_fields(solution, data):
     zeta = data.params.zeta
     N_vals = np.asarray(data.N(tg), dtype=float)
     l_vals = np.asarray(solution.l(tg), dtype=float)
-    ctx = TraceContext.from_nodes(0.0, T, np.stack((l_vals, field.values[:, -1])), N_vals,
-                                  data.params)
+    ctx = TraceContext(0.0, T, np.stack((l_vals, field.values[:, -1])), N_vals, data.params)
     is_boundary, origin = backtrace_batch(tg[:, None], xg, ctx)
     growth = flow_stretch(tg[:, None], is_boundary, origin, ctx)
 

@@ -14,7 +14,9 @@ inside the partially filled zone is transported with the normalized speed
 
 and the filling ratio fed at the hopper is F_in / (rho0 * V_eff * N).
 This module holds those algebraic pieces plus the equilibrium algebra,
-which are pure and numpy-broadcastable, and the Cauchy data of the
+which are pure and numpy-broadcastable (on Python floats, `eval_F` and
+`inflow_value` compute in float arithmetic, the operations of their array
+path, as the upwind march calls them once a step), and the Cauchy data of the
 coupled problem, (l0, f0_p, F_in, N) with their admissibility checks
 (`CauchyData`, `inflow_peak`).  It needs no solver, so a process that
 only checks data or runs the upwind oracle loads none.
@@ -131,19 +133,16 @@ def die_kernel(l, empty, outflow, params: PhysicalParams, slopes: bool = False):
 
 
 def eval_F(l, N, f_p1, params: PhysicalParams):
-    """Interface velocity N*g(l, f_p1)."""
+    """Interface velocity N*g(l, f_p1).  Python floats inside eval_g's ranges
+    take float arithmetic, the operations of the array path; every other
+    input takes eval_g's checks and errors."""
+    if (type(l) is float and type(N) is float and type(f_p1) is float
+            and 0.0 <= f_p1 < 1.0 and 0.0 < l < params.L):
+        return N * die_balance(l, f_p1, params)
     g = eval_g(l, f_p1, params)
     if np.isscalar(g) and np.isscalar(N):
         return float(N * g)
     return np.asarray(N, dtype=float) * g
-
-
-def float_F(l: float, N: float, f_p1: float, params: PhysicalParams) -> float:
-    """eval_F on Python floats as float arithmetic: N*die_balance inside
-    eval_g's ranges; outside them eval_F, with eval_g's checks and errors."""
-    if 0.0 <= f_p1 < 1.0 and 0.0 < l < params.L:
-        return N * die_balance(l, f_p1, params)
-    return eval_F(l, N, f_p1, params)
 
 
 def eval_alpha_p(x, N, l, f_p1, params: PhysicalParams):
@@ -168,8 +167,13 @@ def inflow_value(F_in, N, params: PhysicalParams):
     """Filling ratio fed at the hopper, F_in/(rho0*V_eff*N).
 
     The caller is responsible for checking the result lands in (0,1)
-    before using it as boundary data.
+    before using it as boundary data.  Python floats with a positive divisor
+    take float arithmetic, the operations of the array path.
     """
+    if type(F_in) is float and type(N) is float:
+        rate = params.rho0 * params.V_eff * N
+        if rate > 0.0:
+            return F_in / rate
     # the divisor is checked, not N: a product that underflows is zero too
     rate = params.rho0 * params.V_eff * np.asarray(N, dtype=float)
     if (rate <= 0.0).any():
@@ -178,13 +182,6 @@ def inflow_value(F_in, N, params: PhysicalParams):
     if np.isscalar(F_in) and np.isscalar(N):
         return float(out)
     return out
-
-
-def float_inflow(F_in: float, N: float, params: PhysicalParams) -> float:
-    """inflow_value on Python floats as float arithmetic; a divisor that
-    inflow_value rejects goes to it, for its error."""
-    rate = params.rho0 * params.V_eff * N
-    return F_in / rate if rate > 0.0 else inflow_value(F_in, N, params)
 
 
 def inflow_peak(F_in: SampledFunction, N: SampledFunction, params: PhysicalParams):
@@ -246,7 +243,7 @@ class CauchyData:
         vals = self.f0_p.values
         if np.min(vals) < 0.0 or np.max(vals) > 1.0 or vals[-1] >= 1.0:
             raise DomainError("initial profile must take values in [0,1] with f0_p(1) < 1")
-        corner = float_inflow(self.F_in(self.t0), self.N(self.t0), self.params)
+        corner = self.inflow(self.t0)
         if abs(corner - float(vals[0])) > COMPAT_TOL:
             raise CompatibilityError(
                 f"corner compatibility violated: inflow {corner:.12g} vs profile {vals[0]:.12g}"

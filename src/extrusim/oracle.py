@@ -16,24 +16,23 @@ takes F at the previous row's outlet value, the speed on the grid and the
 CFL step from the speed's two ends; it writes its Courant factors and update
 into two buffers made once per march and the new row into its row of the
 buffer, so it makes no new array, and sets the inflow node from N and F_in
-at the new t.  Its scalars are Python floats
-(`input_reader`, `model.float_F`, `model.float_inflow`): on the sim-upwind
-input, 1,122 steps of 501 nodes, a step takes 12.8 us, against 17.3 us
-through np.interp and numpy scalars (2 vCPUs, Python 3.11.7, NumPy 2.4.6).
+at the new t.  Its scalars are Python floats, which `SampledFunction`,
+`model.eval_F` and `model.inflow_value` read and compute in float
+arithmetic, bit for bit their array paths; a step calls eval_F and
+inflow_value once each.
 Provenance is a count of inflow-driven nodes per row, not a per-step mask.
 """
 
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DomainError, SchemeError
 from .fields import SampledFunction, SolutionField
-from .model import eval_alpha_p, float_F, float_inflow, transport_speed
+from .model import eval_alpha_p, eval_F, inflow_value, transport_speed
 
 MAX_PRINCIPLE_SLACK = 1e-12
 
@@ -105,8 +104,7 @@ def simulate_upwind(data, T: float, cfg: UpwindConfig):
     l = float(data.l0)
     t = 0.0
     # N at the new time level serves both the inflow node and the next step
-    read_N, read_F_in = input_reader(data.N), input_reader(data.F_in)
-    N_now = read_N(t)
+    N_now = data.N(t)
 
     ts, ls = [t], [l]
     # the march's rows; one row until the first step sizes the buffer
@@ -125,7 +123,7 @@ def simulate_upwind(data, T: float, cfg: UpwindConfig):
                 f"upwind march stopped at t={t:.6g}: {k} CFL steps on {cfg.n_nodes} "
                 f"nodes pass MAX_GRID_POINTS={MAX_GRID_POINTS}"
             )
-        F = float_F(l, N_now, f.item(-1), params)
+        F = eval_F(l, N_now, f.item(-1), params)
         alpha = transport_speed(x, N_now, l, F, params)
         # the speed is (zeta*N - x*F)/l with l > 0: every rounded operation is
         # monotone in x, so on the sorted grid its extrema are at the ends.
@@ -160,8 +158,8 @@ def simulate_upwind(data, T: float, cfg: UpwindConfig):
         if not (0.0 < l < params.L):
             raise SchemeError(f"interface position {l:.6g} left (0, L)")
         t += dt
-        N_now = read_N(t)
-        f_new[0] = inflow = float_inflow(read_F_in(t), N_now, params)
+        N_now = data.N(t)
+        f_new[0] = inflow = inflow_value(data.F_in(t), N_now, params)
         lo = min(lo, inflow)
         hi = max(hi, inflow)
 
@@ -183,26 +181,6 @@ def simulate_upwind(data, T: float, cfg: UpwindConfig):
     # output row i takes the provenance of march row row_of[i]
     field = SolutionField(t_grid, x, values, np.arange(x.size) <= row_of[:, None])
     return SampledFunction(0.0, T, l_vals), field
-
-
-def input_reader(fn):
-    """t -> fn(t) for a t that is not NaN, bit for bit np.interp in Python
-    floats: its end and node cases, its slope formula and its NaN fallback."""
-    grid, vals = fn.grid.tolist(), fn.values.tolist()
-    last = len(vals) - 1
-
-    def read(t: float) -> float:
-        j = max(bisect_right(grid, t) - 1, 0)
-        if j == last or grid[j] >= t:
-            return vals[j]
-        slope = (vals[j + 1] - vals[j]) / (grid[j + 1] - grid[j])
-        value = slope * (t - grid[j]) + vals[j]
-        if value == value:
-            return value
-        value = slope * (t - grid[j + 1]) + vals[j + 1]
-        return vals[j] if value != value and vals[j] == vals[j + 1] else value
-
-    return read
 
 
 def resample_rows(t_grid, ts, rows) -> None:

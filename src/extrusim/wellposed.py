@@ -23,7 +23,7 @@ more step measures the residual, and that step's trace context, built
 from the converged iterate, is the one the field f_p is assembled on by
 tracing every grid point back to its datum.
 A map is one pass over node arrays: the iterate (l, b) is one (2, n) block,
-its context comes from `TraceContext.from_nodes`, one 2-d running integral
+its context is a `TraceContext` of the block, one 2-d running integral
 gives both the interface displacement and P, and no `SampledFunction` or
 Hermite object is built until assembly looks up times between nodes.
 Maps and assembly carry data with `carry`; an error in a segment names it
@@ -117,7 +117,7 @@ def _iterates(data: CauchyData, t_end: float, n: int, initial):
     Starts from the constant pair `initial` (the data at t0 if None) and
     reads N at the node times.  The iterate (l, b) is one (2, n) block and
     a map is one pass over node arrays: the context of the block
-    (`TraceContext.from_nodes`, whose running integrals give P and the
+    (a `TraceContext`, whose running integrals give P and the
     interface displacement), the outlet origins and their datum.  Yields
     (ctx, next block, deviation, dist), in the maximum norm: the next
     block's distance from the equilibrium and from this one.
@@ -129,7 +129,7 @@ def _iterates(data: CauchyData, t_end: float, n: int, initial):
     lb = np.empty((2, n))
     lb[0], lb[1] = initial
     while True:
-        ctx = TraceContext.from_nodes(data.t0, t_end, lb, N, data.params)
+        ctx = TraceContext(data.t0, t_end, lb, N, data.params)
         nxt = np.empty((2, n))
         np.add(data.l0, ctx._displacement, out=nxt[0])
         # outlet origins at the context's node times, P and Q from its nodes;

@@ -56,10 +56,10 @@ def sine_data(amp, T_inputs=2.0):
 
 def wavy_ctx(n=1001):
     tg = np.linspace(0.0, 1.0, n)
-    l = SampledFunction(0.0, 1.0, 0.5 + 0.05 * np.sin(1.7 * np.pi * tg + 0.3))
-    N = SampledFunction(0.0, 1.0, 1.0 + 0.3 * np.sin(2.0 * np.pi * tg))
-    b = SampledFunction(0.0, 1.0, EQ.f_pe + 0.05 * np.cos(2.3 * tg))
-    return TraceContext(l, N, b, UNIT)
+    l = 0.5 + 0.05 * np.sin(1.7 * np.pi * tg + 0.3)
+    N = 1.0 + 0.3 * np.sin(2.0 * np.pi * tg)
+    b = EQ.f_pe + 0.05 * np.cos(2.3 * tg)
+    return TraceContext(0.0, 1.0, np.stack((l, b)), N, UNIT)
 
 
 def bump_data(amp, support, n):

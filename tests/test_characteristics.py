@@ -27,8 +27,7 @@ from extrusim.characteristics import (
     xi,
     xi_rk4,
 )
-from extrusim.errors import DivergenceError, DomainError, GridError
-from extrusim.fields import SampledFunction
+from extrusim.errors import DivergenceError, DomainError
 from extrusim.model import PhysicalParams, die_balance, solve_equilibrium
 from extrusim.quadrature import HermiteAntiderivative, cumulative_integral, hermite_basis
 
@@ -37,17 +36,22 @@ EQ = solve_equilibrium(UNIT, N_e=1.0, l_e=0.5)
 
 
 def equilibrium_ctx(t_end=1.0, n=201, N=None):
-    mk = lambda v: SampledFunction.constant(v, 0.0, t_end, n)
-    return TraceContext(mk(EQ.l_e), mk(N if N is not None else EQ.N_e), mk(EQ.f_pe), UNIT)
+    lb = np.stack((np.full(n, EQ.l_e), np.full(n, EQ.f_pe)))
+    return TraceContext(0.0, t_end, lb, np.full(n, N if N is not None else EQ.N_e), UNIT)
 
 
 def wavy_ctx(t_end=1.0, n=2001, t0=0.0):
     """Time-varying traces, still safely inside the physical ranges."""
     tg = np.linspace(0.0, t_end - t0, n)
-    l = SampledFunction(t0, t_end, 0.5 + 0.05 * np.sin(1.7 * np.pi * tg + 0.3))
-    N = SampledFunction(t0, t_end, 1.0 + 0.3 * np.sin(2.0 * np.pi * tg))
-    b = SampledFunction(t0, t_end, EQ.f_pe + 0.05 * np.cos(2.3 * tg))
-    return TraceContext(l, N, b, UNIT)
+    l = 0.5 + 0.05 * np.sin(1.7 * np.pi * tg + 0.3)
+    N = 1.0 + 0.3 * np.sin(2.0 * np.pi * tg)
+    b = EQ.f_pe + 0.05 * np.cos(2.3 * tg)
+    return TraceContext(t0, t_end, np.stack((l, b)), N, UNIT)
+
+
+def constant_ctx(l, N, b):
+    """Context of constant traces on eleven nodes of [0, 1]."""
+    return TraceContext(0.0, 1.0, np.stack((np.full(11, l), np.full(11, b))), np.full(11, N), UNIT)
 
 
 def reference_rk4_span(ctx, t_from, x_from, t_to):
@@ -70,29 +74,19 @@ def reference_rk4_span(ctx, t_from, x_from, t_to):
 
 
 class TestTraceContext:
-    def test_grid_mismatch(self):
-        l = SampledFunction.constant(0.5, 0.0, 1.0, 11)
-        N = SampledFunction.constant(1.0, 0.0, 1.0, 21)
-        b = SampledFunction.constant(0.3, 0.0, 1.0, 11)
-        with pytest.raises(GridError):
-            TraceContext(l, N, b, UNIT)
-
     def test_interface_range(self):
-        mk = lambda v: SampledFunction.constant(v, 0.0, 1.0, 11)
         with pytest.raises(DomainError):
-            TraceContext(mk(1.0), mk(1.0), mk(0.3), UNIT)
+            constant_ctx(1.0, 1.0, 0.3)
 
     def test_die_ratio_range(self):
-        mk = lambda v: SampledFunction.constant(v, 0.0, 1.0, 11)
         with pytest.raises(DomainError):
-            TraceContext(mk(0.5), mk(1.0), mk(1.0), UNIT)
+            constant_ctx(0.5, 1.0, 1.0)
 
     def test_transport_speed_must_stay_positive(self):
         # a huge die ratio drives F so negative that zeta*N - F < 0 is
         # impossible; instead stall the screw to kill the speed
-        mk = lambda v: SampledFunction.constant(v, 0.0, 1.0, 11)
         with pytest.raises(DomainError):
-            TraceContext(mk(0.5), mk(-1.0), mk(0.3), UNIT)
+            constant_ctx(0.5, -1.0, 0.3)
 
     @pytest.mark.parametrize(
         "trace,value,message",
@@ -108,23 +102,20 @@ class TestTraceContext:
         # message names that value and its time
         values = {"l": np.full(11, 0.5), "N": np.ones(11), "b": np.full(11, 0.3)}
         values[trace][7] = value
-        l, N, b = (SampledFunction(0.0, 1.0, values[name]) for name in ("l", "N", "b"))
         detail = f"{message}: {trace}={value:.6g} at t=0.7"
         with pytest.raises(DomainError, match=f"^{re.escape(detail)}$"):
-            TraceContext(l, N, b, UNIT)
+            TraceContext(0.0, 1.0, np.stack((values["l"], values["b"])), values["N"], UNIT)
 
     def test_zero_speed_at_the_outlet_is_rejected(self):
         # with K_d = 1e20 and b = 0 the die balance rounds to g = zeta, so
         # zeta*N - F is exactly 0 on the outlet
         params = PhysicalParams(K_d=1e20)
-        l = SampledFunction(0.0, 1.0, np.linspace(0.3, 0.7, 11))
-        N = SampledFunction.constant(1.0, 0.0, 1.0, 11)
-        b = SampledFunction.constant(0.0, 0.0, 1.0, 11)
-        speed = params.zeta * N.values - N.values * die_balance(l.values, b.values, params)
+        l, N, b = np.linspace(0.3, 0.7, 11), np.ones(11), np.zeros(11)
+        speed = params.zeta * N - N * die_balance(l, b, params)
         assert speed.min() == speed[0] == 0.0
         message = r"^transport speed must stay positive up to x=1: zeta\*N - F=0 at t=0$"
         with pytest.raises(DomainError, match=message):
-            TraceContext(l, N, b, params)
+            TraceContext(0.0, 1.0, np.stack((l, b)), N, params)
 
     @pytest.mark.parametrize("b, sign", [(0.3, 1.0), (0.7, -1.0)])
     def test_P_past_the_float_range_is_rejected(self, b, sign):
@@ -134,7 +125,7 @@ class TestTraceContext:
         lb = np.stack((np.full(65, 1e-6), np.full(65, b)))
         message = r"^P, the integral of F/l, must stay inside \[-354, 354\]: P=(\S+) at t=0\.56$"
         with pytest.raises(DomainError, match=message) as info:
-            TraceContext.from_nodes(0.5, 0.56, lb, np.ones(65), UNIT)
+            TraceContext(0.5, 0.56, lb, np.ones(65), UNIT)
         assert sign * float(re.match(message, str(info.value)).group(1)) > 1e4
 
 
@@ -337,9 +328,9 @@ class TestQMonotonicity:
         # pass rejects before any origin is solved on it
         N = np.ones(101)
         N[40:] = 30.0
-        mk = lambda v: SampledFunction.constant(v, 0.0, 1.0, 101)
+        lb = np.stack((np.full(101, EQ.l_e), np.full(101, EQ.f_pe)))
         with pytest.raises(DivergenceError, match=r"t=0\.38: \(alpha, beta\)"):
-            TraceContext(mk(EQ.l_e), SampledFunction(0.0, 1.0, N), mk(EQ.f_pe), UNIT)
+            TraceContext(0.0, 1.0, lb, N, UNIT)
 
     def test_smooth_context_passes(self):
         ctx = wavy_ctx()
@@ -412,9 +403,10 @@ def sine_contexts(draw):
         a = draw(st.floats(0.0, amp))
         freq = draw(st.floats(0.0, 12.0))
         phase = draw(st.floats(0.0, 6.3))
-        traces.append(SampledFunction(t0, t0 + T, base + a * np.sin(freq * tg + phase)))
+        traces.append(base + a * np.sin(freq * tg + phase))
+    l, N, b = traces
     try:
-        ctx = TraceContext(*traces, UNIT)
+        ctx = TraceContext(t0, t0 + T, np.stack((l, b)), N, UNIT)
         ctx._Q
     except (DomainError, DivergenceError):
         assume(False)
@@ -542,7 +534,7 @@ class TestIntegralsStartAtZero:
     @settings(max_examples=100, deadline=None, derandomize=True)
     @given(ctx=sine_contexts())
     def test_first_nodes_are_zero(self, ctx):
-        rebuilt = TraceContext.from_nodes(ctx.t_start, ctx.t_end, ctx.lb, ctx.N_nodes, UNIT)
+        rebuilt = TraceContext(ctx.t_start, ctx.t_end, ctx.lb, ctx.N_nodes, UNIT)
         for made in (ctx, rebuilt):
             for nodes in (made._P_nodes, made._Q_nodes):
                 assert nodes[0] == 0.0 and not np.signbit(nodes[0])

@@ -88,7 +88,8 @@ def wide_report():
 
 
 def report_context(rep):
-    return TraceContext(rep.l, rep.N, rep.b_outlet, UNIT)
+    lb = np.stack((rep.l.values, rep.b_outlet.values))
+    return TraceContext(rep.l.t_start, rep.l.t_end, lb, rep.N.values, UNIT)
 
 
 def interface_defect(l0, rep):
@@ -273,7 +274,7 @@ class TestSynthesizeWide:
 
 class TestLandmarkGeometry:
     def test_outlet_origins_monotone(self, ramp_report):
-        ctx = TraceContext(ramp_report.l, ramp_report.N, ramp_report.b_outlet, UNIT)
+        ctx = report_context(ramp_report)
         ts = np.linspace(ramp_report.t0 + 1e-6, 1.0, 400)
         is_boundary, origins = backtrace_batch(ts, 1.0, ctx)
         assert np.all(is_boundary)
@@ -588,7 +589,7 @@ def reference_printing(report, target, params):
     origins.  Returns (inflow ratio on the grid, read-back values)."""
     T = target.T
     l_vals, b_vals, N_vals = report.l.values, report.b_outlet.values, report.N.values
-    ctx = TraceContext.from_nodes(0.0, T, np.stack((l_vals, b_vals)), N_vals, params)
+    ctx = TraceContext(0.0, T, np.stack((l_vals, b_vals)), N_vals, params)
     is_bnd, origin = backtrace_times(1.0, ctx)
     t1 = float(origin[-1])
     tau_pts = np.concatenate([[0.0], origin[is_bnd]])

@@ -434,8 +434,7 @@ def reference_derivative_fields(solution, data):
     zeta = data.params.zeta
     N_vals = np.asarray(data.N(tg), dtype=float)
     l_vals = np.asarray(solution.l(tg), dtype=float)
-    ctx = TraceContext.from_nodes(0.0, T, np.stack((l_vals, field.values[:, -1])), N_vals,
-                                  data.params)
+    ctx = TraceContext(0.0, T, np.stack((l_vals, field.values[:, -1])), N_vals, data.params)
     is_boundary, origin = backtrace_batch(tg[:, None], xg, ctx)
     P_origin = np.full(origin.shape, ctx._P_nodes[0])
     P_origin[is_boundary] = ctx._P(origin[is_boundary])

@@ -15,8 +15,6 @@ from extrusim.model import (
     eval_F,
     eval_alpha_p,
     eval_g,
-    float_F,
-    float_inflow,
     inflow_value,
     norm_F_box,
     solve_equilibrium,
@@ -161,8 +159,9 @@ class TestScalarPath:
 
 
 class TestFloatEntryPoints:
-    """The upwind march's F and inflow ratio on Python floats: the bits and
-    the errors of eval_F and inflow_value, and a Python float as the result."""
+    """eval_F and inflow_value on Python floats, as the upwind march calls
+    them: the bits and the errors of their array path, and a Python float as
+    the result."""
 
     @settings(max_examples=300, deadline=None, derandomize=True)
     @given(
@@ -174,18 +173,18 @@ class TestFloatEntryPoints:
     )
     def test_same_outcome_as_the_general_functions(self, N, l, f, F_in, K_d):
         params = PhysicalParams(K_d=K_d, B=0.7, zeta=1.3)
-        for fast, general, args in ((float_F, eval_F, (l, N, f)),
-                                    (float_inflow, inflow_value, (F_in, N))):
-            outcome = _outcome(fast, *args, params)
-            assert outcome == _outcome(general, *args, params)
+        for fn, args in ((eval_F, (l, N, f)), (inflow_value, (F_in, N))):
+            outcome = _outcome(fn, *args, params)
+            assert outcome == _outcome(fn, *(np.array([v]) for v in args), params)
             if outcome[0] == "ok":
-                assert type(fast(*args, params)) is float
+                assert type(fn(*args, params)) is float
 
     @pytest.mark.parametrize("l, N, f", [(math.nan, 1.0, 0.3), (0.5, math.nan, 0.3),
                                          (0.5, 1.0, math.nan), (1.0, 1.0, 0.3), (0.5, 1.0, 1.0)])
     def test_nan_and_range_edges(self, l, N, f):
-        assert _outcome(float_F, l, N, f, UNIT) == _outcome(eval_F, l, N, f, UNIT)
-        assert _outcome(float_inflow, f, N, UNIT) == _outcome(inflow_value, f, N, UNIT)
+        a = np.array
+        assert _outcome(eval_F, l, N, f, UNIT) == _outcome(eval_F, a([l]), a([N]), a([f]), UNIT)
+        assert _outcome(inflow_value, f, N, UNIT) == _outcome(inflow_value, a([f]), a([N]), UNIT)
 
 
 class TestSolveEquilibrium:

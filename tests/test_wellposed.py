@@ -197,17 +197,15 @@ def reference_picard(data, delta, n):
     Returns (iterations, factors, converged l, converged b, residual).
     """
     N_vals = data.N(np.linspace(0.0, delta, n))
-    N_sf = SampledFunction(0.0, delta, N_vals)
     l_vals = np.full(n, data.l0)
     b_vals = np.full(n, float(data.f0_p.values[-1]))
 
     def apply_map(l_vals, b_vals):
-        l_sf = SampledFunction(0.0, delta, l_vals)
-        ctx = TraceContext(l_sf, N_sf, SampledFunction(0.0, delta, b_vals), UNIT)
+        ctx = TraceContext(0.0, delta, np.stack((l_vals, b_vals)), N_vals, UNIT)
         F_vals = np.asarray(eval_F(l_vals, N_vals, b_vals, UNIT), dtype=float)
         is_boundary, origin = backtrace_times(1.0, ctx)
         b_new = np.where(is_boundary, data.inflow(origin), data.f0_p(origin))
-        return data.l0 + cumulative_integral(F_vals, l_sf.dt), b_new
+        return data.l0 + cumulative_integral(F_vals, ctx.dt), b_new
 
     factors, prev = [], None
     for iterations in range(1, 101):
@@ -247,9 +245,7 @@ class TestOneIteration:
     def test_assembly_matches_a_rebuilt_context(self):
         data = sine_data(0.01)
         report = local_fixed_point(data, 0.06)
-        l_sf, b_sf = report.context.l, report.context.b
-        N_sf = SampledFunction(0.0, 0.06, data.N(l_sf.grid))
-        rebuilt = TraceContext(l_sf, N_sf, b_sf, UNIT)
+        rebuilt = TraceContext(0.0, 0.06, report.context.lb, data.N(report.context.l.grid), UNIT)
         tg = np.linspace(0.0, 0.06, 13)
         xg = np.linspace(0.0, 1.0, 101)
         got = _assemble_rows(report.context, data, tg, xg)
@@ -280,12 +276,8 @@ class TestAssembleField:
     def test_constancy_along_characteristics(self):
         data = sine_data(0.01)
         report = local_fixed_point(data, 0.06)
-        ctx = TraceContext(
-            report.context.l,
-            SampledFunction.constant(EQ.N_e, 0.0, 0.06, report.context.l.values.size),
-            report.context.b,
-            UNIT,
-        )
+        lb = report.context.lb
+        ctx = TraceContext(0.0, 0.06, lb, np.full(lb.shape[1], EQ.N_e), UNIT)
         rng = np.random.default_rng(5)
         xg = np.linspace(0.0, 1.0, 101)
         tg = np.linspace(0.0, 0.06, 31)
@@ -368,12 +360,8 @@ class TestSemiglobal:
         data = sine_data(0.01)
         sol = solve_semiglobal(data, 1.0)
         nT = sol.field.t_grid.size
-        ctx = TraceContext(
-            sol.l,
-            SampledFunction.constant(EQ.N_e, 0.0, 1.0, nT),
-            SampledFunction(0.0, 1.0, sol.field.values[:, -1].copy()),
-            UNIT,
-        )
+        lb = np.stack((sol.l.values, sol.field.values[:, -1]))
+        ctx = TraceContext(0.0, 1.0, lb, np.full(nT, EQ.N_e), UNIT)
         dx = sol.field.x_grid[1] - sol.field.x_grid[0]
         for i, t in enumerate(sol.field.t_grid):
             sep = xi(float(t), 0.0, 0.0, ctx)
@@ -608,12 +596,7 @@ def reference_iterates(data, t_end, n, initial):
     l_vals = np.full(n, float(initial[0]))
     b_vals = np.full(n, float(initial[1]))
     while True:
-        ctx = TraceContext(
-            SampledFunction(t0, t_end, l_vals),
-            N_sf,
-            SampledFunction(t0, t_end, b_vals),
-            data.params,
-        )
+        ctx = TraceContext(t0, t_end, np.stack((l_vals, b_vals)), N_sf.values, data.params)
         l_next = data.l0 + cumulative_integral(ctx._F_nodes, dt)
         is_boundary, origin = backtrace_times(1.0, ctx)
         b_next = reference_datum_at(data, is_boundary, origin)

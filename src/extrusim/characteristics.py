@@ -218,10 +218,10 @@ def _check_monotone(nodes: np.ndarray, slopes: np.ndarray, t0: float, dt: float)
     bad = np.nonzero(~((inc > 0.0) & (alpha >= 0.0) & (beta >= 0.0) & inside))[0]
     if bad.size:
         k = int(bad[0])
-        raise DivergenceError(
-            f"Q is not monotone on the cell at t={t0 + k * dt:.6g}: "
-            f"(alpha, beta) = ({alpha[k]:.6g}, {beta[k]:.6g})"
-        )
+        cell = f"Q is not monotone on the cell at t={t0 + k * dt:.6g}"
+        if inc[k] == 0.0:
+            raise DivergenceError(f"{cell}: its increment is 0")
+        raise DivergenceError(f"{cell}: (alpha, beta) = ({alpha[k]:.6g}, {beta[k]:.6g})")
 
 
 def _xi_from(x, Pt, Qt, Ps, Qs):

@@ -265,6 +265,29 @@ def _interface(l0, b_vals, phi_vals, l_start, N_e, dt, params):
     raise ConvergenceError(f"interface sweep did not settle (last step {step:.3e})")
 
 
+def _forward_march(l0, b, N_e, dt, n, params):
+    """Heun march of l' = N_e g(l, b) on n nodes of step dt from l0, for a
+    constant outlet ratio b, in Python floats: a start for the interface
+    sweeps that is near their fixed point on the whole horizon.  From a step
+    that would leave (0, L) on, it holds its last value inside, and the
+    sweeps name the failure."""
+    empty = 1.0 - b
+    outflow = params.zeta * b / empty
+    out = np.empty(n)
+    l = out[0] = l0
+    for i in range(1, n):
+        rate = N_e * die_kernel(l, empty, outflow, params)
+        guess = l + dt * rate
+        nxt = math.nan
+        if 0.0 < guess < params.L:
+            nxt = l + 0.5 * dt * (rate + N_e * die_kernel(guess, empty, outflow, params))
+        if not 0.0 < nxt < params.L:
+            out[i:] = l
+            break
+        out[i] = l = nxt
+    return out
+
+
 def _check_reach(A, b_vals, l_vals, eq, eps1):
     """The outlet and interface traces must stay in the replay's eps1 ball."""
     dev_b = float(np.max(np.abs(b_vals - eq.f_pe)))
@@ -340,11 +363,14 @@ def synthesize(
     v0 = float(f0_p.values[0])
     v1 = float(f1_p.values[-1])
 
-    # first candidate: the outlet holds its initial value, no bump
-    b_vals = np.full(n_t, float(f0_p.values[-1]))
+    # first candidate: the outlet holds its initial value, no bump; its
+    # sweeps start from a forward march of the interface
+    b_out = float(f0_p.values[-1])
+    b_vals = np.full(n_t, b_out)
     A = 0.0
+    l_start = _forward_march(l0, b_out, eq.N_e, dt, n_t, params)
     try:
-        l_vals, _ = _interface(l0, b_vals, np.zeros(n_t), np.full(n_t, l0), eq.N_e, dt, params)
+        l_vals, _ = _interface(l0, b_vals, np.zeros(n_t), l_start, eq.N_e, dt, params)
     except (DomainError, ConvergenceError) as exc:
         raise type(exc)(f"first candidate: {exc}") from exc
     factors: list[float] = []

@@ -24,6 +24,7 @@ only checks data or runs the upwind oracle loads none.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -74,15 +75,25 @@ class EquilibriumPoint:
             raise DomainError(f"l_e={self.l_e} outside (0, L={self.params.L})")
         if self.N_e <= 0.0:
             raise DomainError(f"N_e={self.N_e} must be positive")
+        # zeta*N_e scales the transport speed; the solvers divide by it
+        if not self.params.zeta * self.N_e > 0.0:
+            raise DomainError(f"zeta*N_e, the scale of the transport speed, underflows to 0 "
+                              f"(zeta={self.params.zeta}, N_e={self.N_e})")
         if not (0.0 < self.f_pe < 1.0):
             raise DomainError(f"f_pe={self.f_pe} outside (0, 1)")
-        # F = N*g, and g is the difference of two terms of size
-        # zeta*f_pe/(1 - f_pe), so F rounds on the scale of N times that term
+        residual, bound = self.residual()
+        if residual > bound:
+            raise DomainError(f"not an equilibrium: |F| = {residual:.3e} > {bound:.3g}")
+
+    def residual(self) -> tuple[float, float]:
+        """|F(l_e, N_e, f_pe)| and the bound an equilibrium holds it to.
+
+        F = N*g, and g is the difference of two terms of size
+        zeta*f_pe/(1 - f_pe), so F rounds on the scale of N times that term:
+        the bound is 1e-12*max(1, N_e*zeta*f_pe/(1 - f_pe)).
+        """
         scale = self.N_e * self.params.zeta * self.f_pe / (1.0 - self.f_pe)
-        tol = 1e-12 * max(1.0, scale)
-        residual = abs(eval_F(self.l_e, self.N_e, self.f_pe, self.params))
-        if residual > tol:
-            raise DomainError(f"not an equilibrium: |F| = {residual:.3e} > {tol:.3g}")
+        return abs(eval_F(self.l_e, self.N_e, self.f_pe, self.params)), 1e-12 * max(1.0, scale)
 
 
 def eval_g(l, f_p1, params: PhysicalParams):
@@ -126,9 +137,17 @@ def die_kernel(l, empty, outflow, params: PhysicalParams, slopes: bool = False):
         return g
     # with a huge B*rho0, D*D overflows and the slopes underflow toward 0;
     # the reach check that follows names the failure
-    with np.errstate(over="ignore"):
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         dg_dl = -params.zeta * params.K_d * params.B * params.rho0 / (D * D * empty)
         dg_df = -params.zeta * params.B * params.rho0 / (D_empty * empty)
+        if not (np.isfinite(dg_dl).all() and np.isfinite(dg_df).all()):
+            # K_d*B*rho0 or D*D passed the float range (inf/inf or 0/0): the
+            # same slopes from the shares K_d/D and B*rho0/D, which stay in it
+            die_share = 1.0 / (1.0 + remaining / (params.B * params.rho0))
+            dg_dl = np.where(np.isfinite(dg_dl), dg_dl,
+                             -params.zeta * (params.K_d / D) * die_share / empty)
+            dg_df = np.where(np.isfinite(dg_df), dg_df,
+                             -params.zeta * die_share / (empty * empty))
     return g, dg_dl, dg_df
 
 
@@ -295,7 +314,11 @@ def solve_equilibrium(
         if not (0.0 < l_e < params.L):
             raise DomainError(f"l_e={l_e} outside (0, L)")
         remaining = params.K_d * (params.L - l_e)
-        f_pe = remaining / (params.B * params.rho0 + remaining)
+        D = params.B * params.rho0 + remaining
+        if not 0.0 < D < math.inf:
+            raise DomainError(f"no admissible equilibrium: B*rho0 + K_d*(L - l_e) = {D:.6g} "
+                              f"leaves the float range")
+        f_pe = remaining / D
     else:
         if not (0.0 < f_pe < 1.0):
             raise DomainError(f"f_pe={f_pe} outside (0, 1)")
@@ -343,7 +366,12 @@ def norm_F_box(params: PhysicalParams, eq: EquilibriumPoint, eps1: float) -> flo
     n_hi = max(abs(eq.N_e - eps1), abs(eq.N_e + eps1))
     # F = N*g; partials: F_l = N*g_l, F_N = g, F_f = N*g_f
     sup_g = np.max(np.abs(g))
-    sup_F = n_hi * sup_g
-    sup_Fl = n_hi * np.max(np.abs(dg_dl))
-    sup_Ff = n_hi * np.max(np.abs(dg_df))
-    return float(F_BOX_SAFETY * max(sup_F, sup_Fl, sup_g, sup_Ff))
+    # a product past the float range reads inf, and np.max keeps a NaN, so
+    # the check below refuses either
+    with np.errstate(over="ignore"):
+        sups = (n_hi * sup_g, n_hi * np.max(np.abs(dg_dl)), sup_g, n_hi * np.max(np.abs(dg_df)))
+        bound = float(F_BOX_SAFETY * np.max(sups))
+    if not math.isfinite(bound):
+        raise DomainError(f"the W1inf size of F on the eps1 box (eps1={eps1:.6g}) passes the "
+                          f"float range")
+    return bound

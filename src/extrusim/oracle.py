@@ -78,8 +78,12 @@ def upwind_step_estimate(l0: float, f0_p, N0: float, params, T: float, cfg: Upwi
     sits at an end.  The speed moves with the state, so this sizes the march
     before it starts; the march itself stops at MAX_GRID_POINTS.
     """
-    alpha = eval_alpha_p(np.array([0.0, 1.0]), float(N0), float(l0), f0_p(1.0), params)
-    return T * float(alpha.max()) / (CFL * cfg.dx)
+    # a speed past the float range (zeta*N0 or 1/l0 too large) reads inf, or
+    # NaN from inf - inf; either march is endless
+    with np.errstate(over="ignore", invalid="ignore"):
+        alpha = eval_alpha_p(np.array([0.0, 1.0]), float(N0), float(l0), f0_p(1.0), params)
+    top = float(alpha.max())
+    return T * top / (CFL * cfg.dx) if top == top else math.inf
 
 
 def simulate_upwind(data, T: float, cfg: UpwindConfig):

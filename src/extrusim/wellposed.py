@@ -172,12 +172,12 @@ def compute_delta(data: CauchyData, f_norm: float, ends: np.ndarray, step: float
         (data.params.L - eq.l_e - eps1) / f_norm,
     )
     while True:
-        cells = int(np.floor(delta / step + 1e-12))
+        # the last node caps the interval, also one past the float range
+        cells = int(min(np.floor(delta / step + 1e-12), ends.size - 1))
         if cells < 1:
             raise ResolutionError(
                 f"contraction interval {delta:.3g} fell below the grid step {step:.3g}"
             )
-        cells = min(cells, ends.size - 1)
         t_hi = float(ends[cells])
         steps = _iterates(data, t_hi, max(cells + 1, PROBE_POINTS), None)
         head = [next(steps)]

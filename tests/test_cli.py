@@ -6,6 +6,8 @@ import re
 import subprocess
 import sys
 import tempfile
+import warnings
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -883,24 +885,27 @@ class TestControlCommand:
         assert "critical time 0.5" in capsys.readouterr().err
 
     def test_long_horizon_failure_names_its_stage(self, tmp_path, capsys):
-        # over T = 10 the Picard sweeps of the flat first candidate swing the
-        # interface out of (0, L) before they settle; T = 5 synthesizes
+        # over T = 10 the Picard sweeps of the first pass swing the interface
+        # out of (0, L) before they settle; T = 5 synthesizes
         mapping = base_control_cfg(tmp_path)
         mapping["mode.T"] = "10"
         cfg = write_cfg(tmp_path, "c.cfg", mapping)
         assert run(["control", cfg]) == 3
         err = capsys.readouterr().err
         assert err == (
-            "error: first candidate: interface sweep 3: l=-0.000537245 at t=9.56055 "
+            "error: pass 1, amplitude A=0.0391445: interface sweep 3: l=1.00001 at t=9.45312 "
             "lies outside (0, L=1.0)\n"
         )
         mapping["mode.T"] = "5"
         assert run(["control", write_cfg(tmp_path, "c5.cfg", mapping)]) == 0
 
-    @pytest.mark.parametrize("T, nfn_ratio", [("6", 1.26980156353), ("7", 1.31482240277)])
+    @pytest.mark.parametrize("T, nfn_ratio", [("6", 1.26980156353), ("7", 1.31482240277),
+                                              ("8", 1.69689897331)])
     def test_sweeps_stop_at_their_rounding_floor(self, tmp_path, capsys, T, nfn_ratio):
         # at T = 6 and 7 the interface sweeps of the synthesis settle with a
-        # step just above 1e-15 that no longer shrinks
+        # step just above 1e-15 that no longer shrinks; at T = 8 the first
+        # candidate's sweeps settle from a forward march of the interface,
+        # where from the flat l0 they swung out of (0, L)
         mapping = base_control_cfg(tmp_path)
         mapping["mode.T"] = T
         assert run(["control", write_cfg(tmp_path, "c.cfg", mapping)]) == 0
@@ -1016,6 +1021,17 @@ class TestVerifyCommand:
         else:
             assert out[0].startswith("ok equilibrium-identity (residual ")
             assert out[1:] == lines
+
+    def test_equilibrium_inside_the_scaled_bound_passes(self, tmp_path, capsys):
+        # at zeta = 1e5 the two terms of g are of size 5e4 and |g| rounds to
+        # 1.46e-11; verify holds it to the bound `equilibrium` accepts it by
+        changes = {"params.zeta": "100000", "numerics.dt": "1e-7", "numerics.dx": "0.1",
+                   "mode.T": "1e-5"}
+        mapping = {**base_verify_cfg(tmp_path), **changes}
+        assert run(["verify", write_cfg(tmp_path, "c.cfg", mapping)]) == 0
+        out = capsys.readouterr().out.splitlines()
+        assert out[0] == "ok equilibrium-identity (residual 1.46e-11)"
+        assert [line.split()[0] for line in out] == ["ok"] * 4
 
     def test_march_cap_fails_cross_validation(self, tmp_path, capsys, monkeypatch):
         # the march of the base config keeps about 57 rows of 51 nodes
@@ -1258,19 +1274,93 @@ def mutated_configs(draw):
     return sub, mapping
 
 
+# extreme but legal values: tiny and huge constants, the screw speed, l0
+# near 0 and near L, and sine inputs of very high frequency
+_EXTREMES = {
+    **{key: ["5e-324", "1e-300", "1e-150", "1e150", "1e300", "1.7e308"]
+       for key in (*_PARAMS, "equilibrium.N_e")},
+    "data.l0": ["5e-324", "1e-300", "1e-12", "0.999999999999"],
+    "data.f0_p": ["sine-perturbation:eq,0.01,1e6", "sine-perturbation:eq,0.01,1e300"],
+    "data.F_in": ["sine-perturbation:eq,0.004,1e6", "sine-perturbation:eq,0.004,1e300"],
+    "data.N": ["sine-perturbation:eq,0.01,1e300", "linear:1e-300,1"],
+}
+
+
+@st.composite
+def extreme_configs(draw):
+    """A coarse base config of simulate, control or verify with one or two
+    of the keys it reads set to an extreme value."""
+    sub = draw(st.sampled_from(["simulate", "control", "verify"]))
+    mapping = base_cfg(sub, Path("."))
+    mapping.update({"numerics.dt": "0.05", "numerics.dx": "0.1"})
+    keys = sorted(set(_EXTREMES) & set(chain(*_READS[sub])))
+    for key in draw(st.lists(st.sampled_from(keys), min_size=1, max_size=2, unique=True)):
+        mapping[key] = draw(st.sampled_from(_EXTREMES[key]))
+    return sub, mapping
+
+
+def run_quietly(sub, mapping):
+    """Exit code and output of sub on mapping, in a temporary directory
+    whose path is dropped from the output."""
+    with tempfile.TemporaryDirectory() as tmp:
+        if "mode.out" in mapping:
+            mapping["mode.out"] = str(Path(tmp) / "out")
+        cfg = write_cfg(Path(tmp), "c.cfg", mapping)
+        sink = io.StringIO()
+        with contextlib.redirect_stdout(sink), contextlib.redirect_stderr(sink):
+            code = run([sub, cfg])
+    return code, sink.getvalue().replace(tmp, "<work>")
+
+
 class TestContract:
     @settings(max_examples=80, deadline=None, derandomize=True)
     @given(mutated_configs())
     def test_mutated_configs_exit_0_2_or_3(self, case):
         sub, mapping = case
-        with tempfile.TemporaryDirectory() as tmp:
-            if "mode.out" in mapping:
-                mapping["mode.out"] = str(Path(tmp) / "out")
-            cfg = write_cfg(Path(tmp), "c.cfg", mapping)
-            sink = io.StringIO()
-            with contextlib.redirect_stdout(sink), contextlib.redirect_stderr(sink):
-                code = run([sub, cfg])
+        code, _ = run_quietly(sub, mapping)
         assert code in (0, 2, 3)
+
+    @settings(max_examples=120, deadline=None, derandomize=True)
+    @given(extreme_configs())
+    def test_extreme_configs_exit_0_2_or_3_without_warnings(self, case):
+        # a numpy warning is raised as an error in this suite, and no
+        # message may carry a NaN
+        sub, mapping = case
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out = run_quietly(sub, mapping)
+        assert code in (0, 2, 3)
+        assert not re.search(r"\bnan\b", out, re.IGNORECASE), out
+
+    @pytest.mark.parametrize("sub, keys, code, last", [
+        # K_d*B*rho0 and D*D pass the float range in the die kernel's l-slope,
+        # which then comes from the shares K_d/D and B*rho0/D
+        ("simulate", {"params.K_d": "1e300", "params.B": "1e300"}, 0,
+         "wrote <work>/out/field.csv (2601 rows)"),
+        ("verify", {"params.K_d": "1e-300", "params.B": "1e-300"}, 0, "ok ratio-range"),
+        # F on the eps1 box passes the float range
+        ("simulate", {"params.zeta": "1e300", "equilibrium.N_e": "1e150"}, 3,
+         "error: the W1inf size of F on the eps1 box (eps1=0.111111) passes the float range"),
+        # the transport speed at t = 0 passes the float range
+        ("verify", {"params.zeta": "1e300", "equilibrium.N_e": "1e150"}, 2,
+         "config error: numerics.dx: the upwind march to mode.T=0.5 takes about inf CFL "
+         "steps on 51 nodes, more than MAX_GRID_POINTS=10000000; coarsen numerics.dx or "
+         "shorten mode.T"),
+        # Q's increments underflow to 0
+        ("simulate", {"equilibrium.N_e": "5e-324", "params.B": "1e300"}, 3,
+         "error: segment 0: Q is not monotone on the cell at t=0: its increment is 0"),
+        ("equilibrium", {"params.K_d": "1e300", "params.L": "1e300"}, 2,
+         "config error: equilibrium.l_e: no admissible equilibrium: B*rho0 + K_d*(L - l_e) = "
+         "inf leaves the float range"),
+        ("control", {"params.zeta": "5e-324", "equilibrium.N_e": "5e-324"}, 2,
+         "config error: equilibrium.l_e: zeta*N_e, the scale of the transport speed, "
+         "underflows to 0 (zeta=5e-324, N_e=5e-324)"),
+    ])
+    def test_extreme_values_are_named_without_warnings(self, sub, keys, code, last):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got, out = run_quietly(sub, dict(base_cfg(sub, Path(".")), **keys))
+        assert (got, out.splitlines()[-1]) == (code, last)
 
     @staticmethod
     def fresh_simulate(tmp_path, sub="simulate", **keys):

@@ -341,6 +341,31 @@ class TestDieKernel:
             assert die_balance(l_i, f_i, params) == g_i
             assert eval_g(l_i, f_i, params) == reference_die_balance(l_i, f_i, params)
 
+    @pytest.mark.parametrize("scale", [1e300, 1e-300])
+    def test_slopes_past_the_float_range_are_the_scaled_slopes(self, scale):
+        # g and its partials see K_d and B*rho0 only through their ratio; at
+        # 1e300 or 1e-300 times the unit constants K_d*B*rho0 and D*D pass
+        # the float range, and the l-slope comes from the shares K_d/D and
+        # B*rho0/D
+        params = PhysicalParams(K_d=scale, B=scale)
+        l, f = np.array([[0.3], [0.6]]), np.array([0.2, 0.5])
+        empty = 1.0 - f
+        got = die_kernel(l, empty, f / empty, params, slopes=True)
+        want = die_kernel(l, empty, f / empty, UNIT, slopes=True)
+        for new, unit in zip(got, want, strict=True):
+            np.testing.assert_allclose(new, unit, rtol=1e-14)
+        eq = solve_equilibrium(params, N_e=1.0, l_e=0.5)
+        unit_eq = solve_equilibrium(UNIT, N_e=1.0, l_e=0.5)
+        assert norm_F_box(params, eq, 0.1) == pytest.approx(norm_F_box(UNIT, unit_eq, 0.1),
+                                                            rel=1e-14)
+
+    def test_norm_F_box_past_the_float_range_is_refused(self):
+        params = PhysicalParams(zeta=1e300)
+        eq = solve_equilibrium(params, N_e=1e150, l_e=0.5)
+        with pytest.raises(DomainError, match="^the W1inf size of F on the eps1 box "
+                                              r"\(eps1=0\.1\) passes the float range$"):
+            norm_F_box(params, eq, 0.1)
+
     def test_norm_F_box_is_the_old_bits(self):
         # norm_F_box takes g and both partials from one kernel call, not
         # from eval_g and the old partials, and only on the box's corners

@@ -17,7 +17,9 @@ Quasilinear Hyperbolic Systems, 2010), with the interface left free:
     shot (Newton, with the sensitivity dl/dA) until l(T) = l1; no PDE
     solve is needed for this.  A Picard sweep of l and dl/dA is one pass
     over node arrays (g from `model.die_kernel`); a failed one names the
-    candidate, sweep, time and l.
+    candidate, sweep, time and l.  The first candidate's sweeps start from
+    a forward Heun march of the interface, each later one's from the
+    previous interface.
   * t0 depends on the characteristic field, which depends on (l, b), so
     the passes repeat on each new candidate until b is a fixed point.
     t0 comes from the closed form xi(0; t0, 1) = 0

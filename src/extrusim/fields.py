@@ -281,17 +281,20 @@ class SampledFunction:
 
     @cached_property
     def _nodes(self) -> tuple:
-        """grid and values as lists of Python floats, for scalar reads."""
-        return self.grid.tolist(), self.values.tolist()
+        """grid and values as lists of Python floats, and the last index, for
+        scalar reads."""
+        return self.grid.tolist(), self.values.tolist(), self.values.size - 1
 
     def __call__(self, t):
         """np.interp of the samples at t.  A Python float t that is not NaN is
         read in Python floats, bit for bit np.interp: its end and node cases,
         its slope formula and its NaN fallback."""
         if type(t) is float and t == t:
-            grid, vals = self._nodes
-            j = max(bisect_right(grid, t) - 1, 0)
-            if j == len(vals) - 1 or grid[j] >= t:
+            grid, vals, last = self._nodes
+            j = bisect_right(grid, t) - 1
+            if j < 0:
+                return vals[0]
+            if j == last or grid[j] >= t:
                 return vals[j]
             slope = (vals[j + 1] - vals[j]) / (grid[j + 1] - grid[j])
             value = slope * (t - grid[j]) + vals[j]

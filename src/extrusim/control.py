@@ -18,8 +18,10 @@ Quasilinear Hyperbolic Systems, 2010), with the interface left free:
     solve is needed for this.  A Picard sweep of l and dl/dA is one pass
     over node arrays (g from `model.die_kernel`); a failed one names the
     candidate, sweep, time and l.  The first candidate's sweeps start from
-    a forward Heun march of the interface, each later one's from the
-    previous interface.
+    a forward Heun march of the interface.  Each later solve starts from
+    the last one's pair (l, s), with l advanced along s by the Newton step
+    dA of the amplitude: (l + dA*s, s), the first-order prediction of the
+    new interface.
   * t0 depends on the characteristic field, which depends on (l, b), so
     the passes repeat on each new candidate until b is a fixed point.
     t0 comes from the closed form xi(0; t0, 1) = 0
@@ -224,12 +226,13 @@ def _candidate_field(T, a_vals, b_vals, N_vals, params):
     return ctx, is_bnd, origin, t0
 
 
-def _interface(l0, b_vals, phi_vals, l_start, N_e, dt, params):
+def _interface(l0, b_vals, phi_vals, start, N_e, dt, params):
     """Interface trace driven by the outlet trace b, and its bump sensitivity.
 
     l = l0 + integral N_e g(l, b), the fixed point the replay solver also
-    iterates (same node quadrature), solved by Picard sweeps from l_start;
-    s = dl/dA solves the linearized equation with the bump phi as source.
+    iterates (same node quadrature), and s = dl/dA, which solves the
+    linearized equation with the bump phi as source, are solved together by
+    Picard sweeps from the pair start = (l, s).
     b is checked once, as `eval_g` checks it, and 1 - b and zeta*b/(1 - b)
     are computed once; each sweep takes g and its partials from one
     `die_kernel` call and integrates N_e g and N_e (g_l s + g_b phi) as one block.
@@ -242,7 +245,7 @@ def _interface(l0, b_vals, phi_vals, l_start, N_e, dt, params):
         raise DomainError("f_p1 must be a ratio in [0, 1)")
     empty = 1.0 - b_vals
     outflow = params.zeta * b_vals / empty
-    ls = np.stack((l_start, np.zeros_like(l_start)))  # the iterate (l, s)
+    ls = np.stack(start)  # the iterate (l, s)
     rates = np.empty(ls.shape)
     last = np.inf
     for sweep in range(1, PICARD_MAX_ITER + 1):
@@ -303,21 +306,31 @@ def _check_reach(A, b_vals, l_vals, eq, eps1):
         )
 
 
-def _shoot(l0, l1, base, phi, A, l_start, eq, eps1, dt, params, stage):
-    """Newton on the bump amplitude A until the interface lands on l1."""
+def _shoot(l0, l1, base, phi, A, start, eq, eps1, dt, params, stage):
+    """Newton on the bump amplitude A until the interface lands on l1.
+
+    The first solve starts from the pair start = (l, s).  After a miss the
+    step is dA = -miss/s(T), and the next solve starts from (l + dA*s, s),
+    the first-order prediction of the new interface and the last
+    sensitivity; from the unshifted l if that prediction leaves (0, L).
+    Returns A, the outlet trace and the converged pair (l, s)."""
+    l_vals, sens = start
     for _ in range(SHOOT_MAX_ITER):
         b_vals = base + A * phi
-        _check_reach(A, b_vals, l_start, eq, eps1)
+        _check_reach(A, b_vals, l_vals, eq, eps1)
         try:
-            l_vals, sens = _interface(l0, b_vals, phi, l_start, eq.N_e, dt, params)
+            l_vals, sens = _interface(l0, b_vals, phi, start, eq.N_e, dt, params)
         except (DomainError, ConvergenceError) as exc:
             raise type(exc)(f"{stage}, amplitude A={A:.6g}: {exc}") from exc
         _check_reach(A, b_vals, l_vals, eq, eps1)
         miss = float(l_vals[-1]) - l1
         if abs(miss) <= SHOOT_TOL * max(1.0, abs(l1)):
-            return A, b_vals, l_vals
-        A -= miss / float(sens[-1])
-        l_start = l_vals
+            return A, b_vals, (l_vals, sens)
+        step = -miss / float(sens[-1])
+        A += step
+        guess = l_vals + step * sens
+        inside = ((guess > 0.0) & (guess < params.L)).all()
+        start = (guess if inside else l_vals, sens)
     raise ConvergenceError(
         f"amplitude shooting did not land the interface on l1={l1} "
         f"(last miss {miss:.3e} at A={A:.6g})"
@@ -371,22 +384,24 @@ def synthesize(
     b_vals = np.full(n_t, b_out)
     A = 0.0
     l_start = _forward_march(l0, b_out, eq.N_e, dt, n_t, params)
+    zeros = np.zeros(n_t)
     try:
-        l_vals, _ = _interface(l0, b_vals, np.zeros(n_t), l_start, eq.N_e, dt, params)
+        # with no bump the sensitivity stays 0: the start of pass 1
+        ls = _interface(l0, b_vals, zeros, (l_start, zeros), eq.N_e, dt, params)
     except (DomainError, ConvergenceError) as exc:
         raise type(exc)(f"first candidate: {exc}") from exc
     factors: list[float] = []
     prev_dist = None
     for iterations in range(1, SYNTH_MAX_ITER + 1):
-        _, is_bnd, origin, t0 = _candidate_field(T, l_vals, b_vals, N_vals, params)
+        _, is_bnd, origin, t0 = _candidate_field(T, ls[0], b_vals, N_vals, params)
         # initial profile carried to the outlet before t0; after it a
         # smoothstep v0 -> v1 plus the bump that steers l(T) onto l1
         s = np.clip((t_grid - t0) / (T - t0), 0.0, 1.0)
         w = np.clip((t_grid - t0) / (BUMP_WINDOW * (T - t0)), 0.0, 1.0)
         phi = np.sin(np.pi * w) ** 2
         base = np.where(is_bnd, v0 + (v1 - v0) * s * s * (3.0 - 2.0 * s), f0_p(origin))
-        A, b_new, l_vals = _shoot(l0, l1, base, phi, A, l_vals, eq, eps1, dt, params,
-                                   f"pass {iterations}")
+        A, b_new, ls = _shoot(l0, l1, base, phi, A, ls, eq, eps1, dt, params,
+                              f"pass {iterations}")
         dist = float(np.max(np.abs(b_new - b_vals)))
         if prev_dist is not None and prev_dist > 0.0:
             factors.append(dist / prev_dist)
@@ -402,6 +417,7 @@ def synthesize(
 
     # print the inflow on the accepted candidate: b backwards along the
     # outlet characteristics up to t1, the target profile after it
+    l_vals = ls[0]
     ctx, is_bnd, origin, t0 = _candidate_field(T, l_vals, b_vals, N_vals, params)
     t1 = float(origin[-1])
     tau_pts = np.concatenate([[0.0], origin[is_bnd]])

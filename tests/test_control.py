@@ -467,12 +467,12 @@ def reference_g_partials(l, f_p1, params):
     return dg_dl, dg_df
 
 
-def reference_interface(l0, b_vals, phi_vals, l_start, N_e, dt, params):
+def reference_interface(l0, b_vals, phi_vals, start, N_e, dt, params):
     """The interface sweep as it was before it ran as one pass over node
     arrays (eval_g, the partials of `reference_g_partials` and two running
-    integrals a sweep), kept as the bit-for-bit reference."""
-    l = l_start
-    s = np.zeros_like(l)
+    integrals a sweep), from the same (l, s) start, kept as the bit-for-bit
+    reference."""
+    l, s = start
     for _ in range(control.PICARD_MAX_ITER):
         dg_dl, dg_df = reference_g_partials(l, b_vals, params)
         l_new = l0 + cumulative_integral(N_e * eval_g(l, b_vals, params), dt)
@@ -492,7 +492,7 @@ def bump_interface_args(b_shift=0.0):
     t = np.linspace(0.0, 1.0, control.SYNTH_N_T)
     phi = np.sin(np.pi * np.clip((t - 0.4) / 0.5, 0.0, 1.0)) ** 2
     b = EQ.f_pe - NU + 0.004 * phi + b_shift
-    return 0.49, b, phi, np.full(t.size, 0.49), EQ.N_e, t[1], UNIT
+    return 0.49, b, phi, (np.full(t.size, 0.49), np.zeros(t.size)), EQ.N_e, t[1], UNIT
 
 
 class TestOnePassInterface:
@@ -550,7 +550,7 @@ class TestOnePassInterface:
         # before they settle: the first node outside (0, L) is named
         l0, b, phi, _, N_e, _, params = bump_interface_args()
         dt = 10.0 / (b.size - 1)
-        args = (l0, b, phi, np.full(b.size, l0), N_e, dt, params)
+        args = (l0, b, phi, (np.full(b.size, l0), np.zeros(b.size)), N_e, dt, params)
         with pytest.raises(DomainError, match="strictly inside"):
             reference_interface(*args)
         with pytest.raises(DomainError) as new:
@@ -579,6 +579,22 @@ class TestOnePassInterface:
         stage = r"^pass 1, amplitude A=0: interface sweep 1: stand-in$"
         with pytest.raises(DomainError, match=stage):
             synthesize(ControlTarget(0.49, 0.51, prof, prof, 1.0, NU), UNIT, EQ)
+
+    def test_each_solve_starts_from_the_last_one(self, monkeypatch):
+        # the README example: 80 sweeps when every solve restarted s from 0
+        # and l from the unshifted last interface, 58 from (l + dA*s, s)
+        die_kernel = control.die_kernel
+        sweeps = []
+
+        def counted(*args, **kwargs):
+            if kwargs.get("slopes"):
+                sweeps.append(None)
+            return die_kernel(*args, **kwargs)
+
+        monkeypatch.setattr(control, "die_kernel", counted)
+        prof = SpaceProfile.constant(0.3233333333333333, 257)
+        synthesize(ControlTarget(0.49, 0.51, prof, prof, 1.0, NU), UNIT, EQ)
+        assert len(sweeps) <= 60
 
 
 def reference_printing(report, target, params):

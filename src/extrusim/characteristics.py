@@ -195,7 +195,9 @@ def _check_monotone(nodes: np.ndarray, slopes: np.ndarray, t0: float, dt: float)
     sufficient condition), which smooth traces meet on every cell, so the
     test first checks m_k > 0 and 0 <= q dt <= 3 (Q_{k+1} - Q_k) at both ends
     of every cell, with no division, and returns when all hold.  Otherwise
-    the four clauses decide, and the first cell outside is reported.
+    a q or Q that is not finite is named first (q before Q, since Q
+    integrates q), then the four clauses decide, and the first cell outside
+    is reported.
     """
     inc = nodes[1:] - nodes[:-1]
     ends = slopes * dt
@@ -203,18 +205,27 @@ def _check_monotone(nodes: np.ndarray, slopes: np.ndarray, t0: float, dt: float)
         np.maximum(ends[:-1], ends[1:]) <= 3.0 * inc
     ).all():
         return
-    with np.errstate(divide="ignore", invalid="ignore"):
+    for name, what, values in (("q", "the slope of Q", slopes), ("Q", "the integral of q", nodes)):
+        finite = np.isfinite(values)
+        if not finite.all():
+            # an infinity is named before a NaN, which arithmetic on it makes
+            infinite = np.isinf(values)
+            i = int(infinite.argmax() if infinite.any() else finite.argmin())
+            value = f"={values[i]:.6g}" if infinite[i] else " is undefined"
+            raise DivergenceError(f"{name}, {what}, must stay finite: "
+                                  f"{name}{value} at t={t0 + i * dt:.6g}")
+    with np.errstate(all="ignore"):
         alpha = ends[:-1] / inc
         beta = ends[1:] / inc
-    excess = alpha + beta - 2.0
-    left = 2.0 * alpha + beta - 3.0
-    inside = (
-        (excess <= 0.0)
-        | (left <= 0.0)
-        | (alpha + 2.0 * beta <= 3.0)
-        # the last clause with (alpha + beta - 2) > 0 multiplied through
-        | (3.0 * alpha * excess >= left * left)
-    )
+        excess = alpha + beta - 2.0
+        left = 2.0 * alpha + beta - 3.0
+        inside = (
+            (excess <= 0.0)
+            | (left <= 0.0)
+            | (alpha + 2.0 * beta <= 3.0)
+            # the last clause with (alpha + beta - 2) > 0 multiplied through
+            | (3.0 * alpha * excess >= left * left)
+        )
     bad = np.nonzero(~((inc > 0.0) & (alpha >= 0.0) & (beta >= 0.0) & inside))[0]
     if bad.size:
         k = int(bad[0])

@@ -254,8 +254,12 @@ def _resolve_point(typed: dict):
             f_pe=typed.get("equilibrium.f_pe"),
         )
     except DomainError as exc:
-        anchor = "equilibrium.l_e" if "equilibrium.l_e" in typed else "equilibrium.f_pe"
-        raise SchemaError(f"{anchor}: {exc}") from None
+        if not params.zeta * typed["equilibrium.N_e"] > 0.0:
+            # the scale of the transport speed underflows, whatever the anchor
+            keys = "equilibrium.N_e, params.zeta"
+        else:
+            keys = "equilibrium.l_e" if "equilibrium.l_e" in typed else "equilibrium.f_pe"
+        raise SchemaError(f"{keys}: {exc}") from None
     for key in ("data.l0", "data.l1"):
         if key in typed and typed[key] >= params.L:
             raise SchemaError(f"{key}: must lie in (0, params.L={format_value(params.L)})")

@@ -2,6 +2,7 @@
 an independent Runge-Kutta integration on wavy coefficient traces."""
 
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -331,6 +332,25 @@ class TestQMonotonicity:
         lb = np.stack((np.full(101, EQ.l_e), np.full(101, EQ.f_pe)))
         with pytest.raises(DivergenceError, match=r"t=0\.38: \(alpha, beta\)"):
             TraceContext(0.0, 1.0, lb, N, UNIT)
+
+    @pytest.mark.parametrize("nodes, slopes, message", [
+        # an infinite slope, which the four clauses took as monotone
+        ([0.0, 1.0, 2.0], [1.0, np.inf, 1.0], "q, the slope of Q, must stay finite: q=inf at t=2.5"),
+        ([0.0, 1.0, 2.0], [1.0, np.nan, 1.0], "q, the slope of Q, must stay finite: q is undefined "
+                                              "at t=2.5"),
+        # an infinite increment of Q: (alpha, beta) read (-0, nan), and q is named first
+        ([0.0, np.inf], [-1.0, np.inf], "q, the slope of Q, must stay finite: q=inf at t=2.5"),
+        ([0.0, -np.inf], [1.0, 1.0], "Q, the integral of q, must stay finite: Q=-inf at t=2.5"),
+        # (alpha, beta) read (nan, nan)
+        ([0.0, 1.0, np.nan], [1.0, 1.0, 1.0], "Q, the integral of q, must stay finite: Q is "
+                                              "undefined at t=3"),
+    ])
+    def test_non_finite_Q_or_q_is_named(self, nodes, slopes, message):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DivergenceError) as exc:
+                _check_monotone(np.array(nodes), np.array(slopes), 2.0, 0.5)
+        assert str(exc.value) == message
 
     def test_smooth_context_passes(self):
         ctx = wavy_ctx()

@@ -1355,8 +1355,8 @@ class TestContract:
          "config error: equilibrium.l_e: no admissible equilibrium: B*rho0 + K_d*(L - l_e) = "
          "inf leaves the float range"),
         ("control", {"params.zeta": "5e-324", "equilibrium.N_e": "5e-324"}, 2,
-         "config error: equilibrium.l_e: zeta*N_e, the scale of the transport speed, "
-         "underflows to 0 (zeta=5e-324, N_e=5e-324)"),
+         "config error: equilibrium.N_e, params.zeta: zeta*N_e, the scale of the transport "
+         "speed, underflows to 0 (zeta=5e-324, N_e=5e-324)"),
     ])
     def test_extreme_values_are_named_without_warnings(self, sub, keys, code, last):
         with warnings.catch_warnings():

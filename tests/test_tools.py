@@ -5,14 +5,21 @@ from pathlib import Path
 import pytest
 
 
-def load_bench_pairs():
-    """tools/bench_pairs.py, compiled from its source text: nothing under
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def load_tool(name):
+    """tools/<name>.py, compiled from its source text: nothing under
     tools/ is written, not even a bytecode cache."""
-    path = Path(__file__).resolve().parents[1] / "tools" / "bench_pairs.py"
-    module = types.ModuleType("tools_bench_pairs")
+    path = ROOT / "tools" / f"{name}.py"
+    module = types.ModuleType(f"tools_{name}")
     module.__file__ = str(path)
     exec(compile(path.read_text(), str(path), "exec"), module.__dict__)
     return module
+
+
+def load_bench_pairs():
+    return load_tool("bench_pairs")
 
 
 compare = load_bench_pairs().compare
@@ -132,6 +139,25 @@ class TestWorkingSet:
         with pytest.raises(RuntimeError, match="working-set run exited 1"):
             bench_pairs.working_set_mb(bench_pairs.ROOT, "no-such-workload", 1)
 
+
+
+class TestControlHorizons:
+    """`tools/same_outputs.py` runs the README control example at each
+    horizon under the control-horizons label."""
+
+    def test_each_run_is_the_readme_example(self, tmp_path):
+        same_outputs = load_tool("same_outputs")
+        readme = (ROOT / "README.md").read_text()
+        example = readme.split("Example, steering the interface")[1].split("```")[1].split()
+        runs = [(label, params) for label, _, params in same_outputs.runs()
+                if label == "control-horizons"]
+        assert [params["mode.T"] for _, params in runs] == same_outputs.CONTROL_HORIZONS
+        for label, params in runs:
+            T = params["mode.T"]
+            expected = [line.replace("mode.T=1.0", f"mode.T={T}")
+                        .replace("mode.out=out", f"mode.out={tmp_path}") for line in example]
+            text = same_outputs.config_text(label, params, tmp_path)
+            assert sorted(text.splitlines()) == sorted(expected)
 
 
 class TestBytecode:

@@ -15,7 +15,10 @@ run in a fresh Python process:
 - under the `upwind-varying-N` label, `extrusim simulate` with the sim-upwind
   config of three inputs spread over its pool and a screw speed that varies
   (`VARYING_N`), so that the upwind march reads N between its nodes, as no
-  pool config does.
+  pool config does,
+- under the `control-horizons` label, `extrusim control` on the README
+  example (`README_CONTROL`) at each horizon of `CONTROL_HORIZONS`, so that a
+  last-bit move of a long-horizon synthesis shows, as no pool config runs one.
 
 A run writes to the same paths for both trees.  Exit code, stdout, stderr and
 the sha256 of every output file (of every array, for regularity) are
@@ -74,6 +77,21 @@ VERIFY_STRIDE = 5
 # three of 27, each with this screw speed in place of the pools' constant one
 VARYING_N_STRIDE = 13
 VARYING_N = "data.N=sine-perturbation:eq,0.02,2"
+
+# the control example of README.md, run under the control-horizons label at
+# each of these mode.T
+README_CONTROL = {
+    "equilibrium.N_e": "1.0",
+    "equilibrium.l_e": "0.5",
+    "data.l0": "0.49",
+    "data.l1": "0.51",
+    "data.f0_p": "constant:0.3233333333333333",
+    "data.f1_p": "constant:0.3233333333333333",
+    "numerics.dt": "0.01",
+    "numerics.dx": "0.01",
+    "mode.nu": "0.01",
+}
+CONTROL_HORIZONS = ["1", "2", "3", "5", "6", "7", "8", "10", "20"]
 
 # prints the sha256 of each array and saves it to the directory argv[3]
 REGULARITY = """
@@ -156,11 +174,16 @@ def runs():
         yield "regularity", "regularity", params
     for params in sims[::VARYING_N_STRIDE]:
         yield "upwind-varying-N", "simulate", params
+    for T in CONTROL_HORIZONS:
+        yield "control-horizons", "control", {"mode.T": T}
 
 
 def config_text(label: str, params: dict, out: Path) -> str:
     if label == "control":
         return workloads.control_config(params, out)
+    if label == "control-horizons":
+        mapping = {**README_CONTROL, **params, "mode.out": out}
+        return "".join(f"{key}={value}\n" for key, value in mapping.items())
     method = "upwind" if label in ("sim-upwind", "upwind-varying-N") else "characteristics"
     text = workloads.simulate_config(params, method, out)
     if label == "upwind-varying-N":

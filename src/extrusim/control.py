@@ -387,21 +387,21 @@ def synthesize(
     zeros = np.zeros(n_t)
     try:
         # with no bump the sensitivity stays 0: the start of pass 1
-        ls = _interface(l0, b_vals, zeros, (l_start, zeros), eq.N_e, dt, params)
+        l_vals, sens = _interface(l0, b_vals, zeros, (l_start, zeros), eq.N_e, dt, params)
     except (DomainError, ConvergenceError) as exc:
         raise type(exc)(f"first candidate: {exc}") from exc
     factors: list[float] = []
     prev_dist = None
     for iterations in range(1, SYNTH_MAX_ITER + 1):
-        _, is_bnd, origin, t0 = _candidate_field(T, ls[0], b_vals, N_vals, params)
+        _, is_bnd, origin, t0 = _candidate_field(T, l_vals, b_vals, N_vals, params)
         # initial profile carried to the outlet before t0; after it a
         # smoothstep v0 -> v1 plus the bump that steers l(T) onto l1
         s = np.clip((t_grid - t0) / (T - t0), 0.0, 1.0)
         w = np.clip((t_grid - t0) / (BUMP_WINDOW * (T - t0)), 0.0, 1.0)
         phi = np.sin(np.pi * w) ** 2
         base = np.where(is_bnd, v0 + (v1 - v0) * s * s * (3.0 - 2.0 * s), f0_p(origin))
-        A, b_new, ls = _shoot(l0, l1, base, phi, A, ls, eq, eps1, dt, params,
-                              f"pass {iterations}")
+        A, b_new, (l_vals, sens) = _shoot(l0, l1, base, phi, A, (l_vals, sens), eq, eps1,
+                                          dt, params, f"pass {iterations}")
         dist = float(np.max(np.abs(b_new - b_vals)))
         if prev_dist is not None and prev_dist > 0.0:
             factors.append(dist / prev_dist)
@@ -417,7 +417,6 @@ def synthesize(
 
     # print the inflow on the accepted candidate: b backwards along the
     # outlet characteristics up to t1, the target profile after it
-    l_vals = ls[0]
     ctx, is_bnd, origin, t0 = _candidate_field(T, l_vals, b_vals, N_vals, params)
     t1 = float(origin[-1])
     tau_pts = np.concatenate([[0.0], origin[is_bnd]])

@@ -580,6 +580,10 @@ class TestOnePassInterface:
         with pytest.raises(DomainError, match=stage):
             synthesize(ControlTarget(0.49, 0.51, prof, prof, 1.0, NU), UNIT, EQ)
 
+
+class TestWarmStart:
+    """Each interface solve of the shooting starts from the last one."""
+
     def test_each_solve_starts_from_the_last_one(self, monkeypatch):
         # the README example: 80 sweeps when every solve restarted s from 0
         # and l from the unshifted last interface, 58 from (l + dA*s, s)
@@ -595,6 +599,31 @@ class TestOnePassInterface:
         prof = SpaceProfile.constant(0.3233333333333333, 257)
         synthesize(ControlTarget(0.49, 0.51, prof, prof, 1.0, NU), UNIT, EQ)
         assert len(sweeps) <= 60
+
+    @pytest.mark.parametrize("peak, predicted", [(1.0, True), (40.0, False)])
+    def test_a_prediction_outside_the_machine_falls_back(self, monkeypatch, peak, predicted):
+        # the first solve misses l1 = 0.5 by 0.02 with s(T) = 1, so dA = -0.02:
+        # l + dA*s stays inside (0, L) for a peak of s of 1 and leaves it
+        # for 40, where the next solve starts from the unshifted l
+        l_first = np.array([0.49, 0.5, 0.5, 0.5, 0.52])
+        s_first = np.array([0.0, peak, 0.0, 0.0, 1.0])
+        starts = []
+
+        def interface(l0, b_vals, phi_vals, start, N_e, dt, params):
+            starts.append(start)
+            return (l_first, s_first) if len(starts) == 1 else (np.full(5, 0.5), s_first)
+
+        monkeypatch.setattr(control, "_interface", interface)
+        base, phi = np.full(5, EQ.f_pe), np.zeros(5)
+        start = (np.full(5, 0.49), np.zeros(5))
+        A, _, (l, _) = control._shoot(0.49, 0.5, base, phi, 0.0, start, EQ, eps1_radius(EQ),
+                                      0.25, UNIT, "pass 1")
+        step = -(l_first[-1] - 0.5) / s_first[-1]
+        assert len(starts) == 2 and A == step and l[-1] == 0.5
+        l_next, s_next = starts[1]
+        expected = l_first + step * s_first if predicted else l_first
+        assert l_next.tobytes() == expected.tobytes()
+        assert s_next is s_first
 
 
 def reference_printing(report, target, params):

@@ -314,7 +314,8 @@ def _shoot(l0, l1, base, phi, A, start, eq, eps1, dt, params, stage):
     the first-order prediction of the new interface and the last
     sensitivity; from the unshifted l if that prediction leaves (0, L).
     Returns A, the outlet trace and the converged pair (l, s)."""
-    l_vals, sens = start
+    # a new b is checked beside the last solved interface, not a prediction
+    l_vals = start[0]
     for _ in range(SHOOT_MAX_ITER):
         b_vals = base + A * phi
         _check_reach(A, b_vals, l_vals, eq, eps1)

@@ -232,12 +232,19 @@ def _interface(l0, b_vals, phi_vals, start, N_e, dt, params):
     l = l0 + integral N_e g(l, b), the fixed point the replay solver also
     iterates (same node quadrature), and s = dl/dA, which solves the
     linearized equation with the bump phi as source, are solved together by
-    Picard sweeps from the pair start = (l, s).
+    Newton steps from the pair start = (l, s).
     b is checked once, as `eval_g` checks it, and 1 - b and zeta*b/(1 - b)
-    are computed once; each sweep takes g and its partials from one
-    `die_kernel` call and integrates N_e g and N_e (g_l s + g_b phi) as one block.
-    The sweeps stop at a step of 1e-15, or at the rounding floor of the
-    running integral: a step of at most 1e-13 that no longer shrinks.
+    are computed once.  A step takes g and its partials from one
+    `die_kernel` call and integrates N_e g, N_e (g_l s + g_b phi) and
+    a = N_e g_l as one block: the Picard image (l, s)' of the pair, its
+    residual r = (l, s)' - (l, s), and A, the integral of a.  The linearized
+    equation d = r + integral a d of the step (the l-dependence of the
+    sensitivity's rates left out) is solved in closed form through its
+    integrating factor, d = r + e^A integral e^-A a r, with the same node
+    quadrature; where e^-A overflows, the step is the Picard image.
+    The steps stop at a residual of 1e-15, or at the rounding floor of the
+    running integral: a residual of at most 1e-13 that no longer shrinks;
+    the Picard image of the last pair is returned.
     """
     if (b_vals >= 1.0).any():
         raise SingularityError("f_p1 >= 1 makes the die balance singular")
@@ -246,7 +253,7 @@ def _interface(l0, b_vals, phi_vals, start, N_e, dt, params):
     empty = 1.0 - b_vals
     outflow = params.zeta * b_vals / empty
     ls = np.stack(start)  # the iterate (l, s)
-    rates = np.empty(ls.shape)
+    rates = np.empty((3, ls.shape[1]))
     last = np.inf
     for sweep in range(1, PICARD_MAX_ITER + 1):
         l, s = ls
@@ -256,41 +263,29 @@ def _interface(l0, b_vals, phi_vals, start, N_e, dt, params):
             raise DomainError(f"interface sweep {sweep}: l={l[i]:.6g} at t={i * dt:.6g} "
                               f"lies outside (0, L={params.L})")
         g, g_l, g_b = die_kernel(l, empty, outflow, params, slopes=True)
+        slope = np.multiply(N_e, g_l, out=rates[2])
         np.multiply(N_e, g, out=rates[0])
         np.multiply(N_e, g_l * s + g_b * phi_vals, out=rates[1])
         nxt = cumulative_integral(rates, dt)
         nxt[0] += l0
+        image, A = nxt[:2], nxt[2]
+        res = np.subtract(image, ls, out=ls)
         # each row's largest move, relative to max(1, its largest value)
-        (dl, ds), (nl, ns) = np.abs(nxt - ls).max(axis=1), np.abs(nxt).max(axis=1)
+        (dl, ds), (nl, ns) = np.abs(res).max(axis=1), np.abs(image).max(axis=1)
         step = max(dl / max(1.0, nl), ds / max(1.0, ns))
-        ls = nxt
         if step <= 1e-15 or last <= step <= 1e-13:
-            return nxt[0], nxt[1]
+            return image[0], image[1]
         last = step
+        # e^-A overflows and e^A underflows on long horizons: the correction
+        # is then not finite, and the Picard image stands
+        with np.errstate(over="ignore", invalid="ignore"):
+            res *= slope * np.exp(-A)
+            correction = cumulative_integral(res, dt)
+            correction *= np.exp(A)
+        if np.isfinite(correction).all():
+            image += correction
+        ls = image
     raise ConvergenceError(f"interface sweep did not settle (last step {step:.3e})")
-
-
-def _forward_march(l0, b, N_e, dt, n, params):
-    """Heun march of l' = N_e g(l, b) on n nodes of step dt from l0, for a
-    constant outlet ratio b, in Python floats: a start for the interface
-    sweeps that is near their fixed point on the whole horizon.  From a step
-    that would leave (0, L) on, it holds its last value inside, and the
-    sweeps name the failure."""
-    empty = 1.0 - b
-    outflow = params.zeta * b / empty
-    out = np.empty(n)
-    l = out[0] = l0
-    for i in range(1, n):
-        rate = N_e * die_kernel(l, empty, outflow, params)
-        guess = l + dt * rate
-        nxt = math.nan
-        if 0.0 < guess < params.L:
-            nxt = l + 0.5 * dt * (rate + N_e * die_kernel(guess, empty, outflow, params))
-        if not 0.0 < nxt < params.L:
-            out[i:] = l
-            break
-        out[i] = l = nxt
-    return out
 
 
 def _check_reach(A, b_vals, l_vals, eq, eps1):
@@ -380,15 +375,14 @@ def synthesize(
     v1 = float(f1_p.values[-1])
 
     # first candidate: the outlet holds its initial value, no bump; its
-    # sweeps start from a forward march of the interface
-    b_out = float(f0_p.values[-1])
-    b_vals = np.full(n_t, b_out)
+    # solve starts from the flat l0
+    b_vals = np.full(n_t, float(f0_p.values[-1]))
     A = 0.0
-    l_start = _forward_march(l0, b_out, eq.N_e, dt, n_t, params)
     zeros = np.zeros(n_t)
     try:
         # with no bump the sensitivity stays 0: the start of pass 1
-        l_vals, sens = _interface(l0, b_vals, zeros, (l_start, zeros), eq.N_e, dt, params)
+        l_vals, sens = _interface(l0, b_vals, zeros, (np.full(n_t, l0), zeros), eq.N_e, dt,
+                                  params)
     except (DomainError, ConvergenceError) as exc:
         raise type(exc)(f"first candidate: {exc}") from exc
     factors: list[float] = []

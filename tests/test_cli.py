@@ -885,15 +885,18 @@ class TestControlCommand:
         assert "critical time 0.5" in capsys.readouterr().err
 
     def test_long_horizon_failure_names_its_stage(self, tmp_path, capsys):
-        # over T = 20 the Picard sweeps of the first pass stall above their
-        # rounding floor; T = 5 synthesizes
+        # over T = 20 every interface solve settles, and the bump that
+        # lands l(T) on l1 leaves the eps1 ball: the reach error names its
+        # amplitude; T = 5 synthesizes
         mapping = base_control_cfg(tmp_path)
         mapping["mode.T"] = "20"
         cfg = write_cfg(tmp_path, "c.cfg", mapping)
         assert run(["control", cfg]) == 3
         err = capsys.readouterr().err
         assert err == (
-            "error: pass 1, amplitude A=0: interface sweep did not settle (last step 2.589e-12)\n"
+            "error: target out of reach: bump amplitude A=0.190643 moves the outlet ratio to "
+            "[0.323333, 0.513977] and the interface to [0.49, 0.522167]; both must stay within "
+            "eps1=0.111111 of the equilibrium (0.333333, 0.5)\n"
         )
         mapping["mode.T"] = "5"
         assert run(["control", write_cfg(tmp_path, "c5.cfg", mapping)]) == 0
@@ -901,13 +904,11 @@ class TestControlCommand:
     @pytest.mark.parametrize("T, nfn_ratio", [("6", 1.26980156353), ("7", 1.31482240277),
                                               ("8", 1.69689897331), ("10", 2.66750715092)])
     def test_sweeps_stop_at_their_rounding_floor(self, tmp_path, capsys, T, nfn_ratio):
-        # at T = 6 and 7 the interface sweeps of the synthesis settle with a
-        # step just above 1e-15 that no longer shrinks; at T = 8 the first
-        # candidate's sweeps settle from a forward march of the interface,
-        # where from the flat l0 they swung out of (0, L); at T = 10 the
-        # sweeps of pass 1 settle from the first candidate's interface
-        # advanced along its sensitivity, where from the unshifted one they
-        # swung out of (0, L)
+        # the interface solves stop at a step of 1e-15 or at the rounding
+        # floor of their running integral, which steps just above 1e-15
+        # reach from T = 6 on; at T = 8 and 10 plain Picard sweeps from the
+        # flat l0, or from the unshifted interface of the last solve, swung
+        # out of (0, L), where the Newton steps settle
         mapping = base_control_cfg(tmp_path)
         mapping["mode.T"] = T
         assert run(["control", write_cfg(tmp_path, "c.cfg", mapping)]) == 0

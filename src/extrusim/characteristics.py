@@ -194,17 +194,22 @@ def _check_monotone(nodes: np.ndarray, slopes: np.ndarray, t0: float, dt: float)
     The region contains the square 0 <= alpha, beta <= 3 (Fritsch & Carlson's
     sufficient condition), which smooth traces meet on every cell, so the
     test first checks m_k > 0 and 0 <= q dt <= 3 (Q_{k+1} - Q_k) at both ends
-    of every cell, with no division, and returns when all hold.  Otherwise
-    a q or Q that is not finite is named first (q before Q, since Q
-    integrates q), then the four clauses decide, and the first cell outside
-    is reported.
+    of every cell, with no division, and returns when all hold.  Q is a
+    running integral of q from 0, so its last node is finite exactly when
+    every q and Q is: the test first reads that node, and takes the node
+    differences only when it is finite.  Otherwise a q or Q that is not
+    finite is named first (q before Q, since Q integrates q), then the four
+    clauses decide, and the first cell outside is reported.
     """
-    inc = nodes[1:] - nodes[:-1]
     ends = slopes * dt
-    if ends.min() >= 0.0 and inc.min() > 0.0 and (
-        np.maximum(ends[:-1], ends[1:]) <= 3.0 * inc
-    ).all():
-        return
+    # an infinite or undefined last node fails the check of every q and Q
+    # below, so inc is set wherever the four clauses read it
+    if abs(nodes[-1]) < np.inf:
+        inc = nodes[1:] - nodes[:-1]
+        if ends.min() >= 0.0 and inc.min() > 0.0 and (
+            np.maximum(ends[:-1], ends[1:]) <= 3.0 * inc
+        ).all():
+            return
     for name, what, values in (("q", "the slope of Q", slopes), ("Q", "the integral of q", nodes)):
         finite = np.isfinite(values)
         if not finite.all():

@@ -344,6 +344,13 @@ class TestQMonotonicity:
         # (alpha, beta) read (nan, nan)
         ([0.0, 1.0, np.nan], [1.0, 1.0, 1.0], "Q, the integral of q, must stay finite: Q is "
                                               "undefined at t=3"),
+        # an infinite q with an infinite increment of Q, q dt = inf <= 3 inf
+        ([0.0, np.inf], [1.0, np.inf], "q, the slope of Q, must stay finite: q=inf at t=2.5"),
+        # two infinite nodes, whose difference is undefined
+        ([0.0, 1.0, np.inf, np.inf], [1.0, 1.0, 1.0, 1.0], "Q, the integral of q, must stay "
+                                                          "finite: Q=inf at t=3"),
+        ([0.0, 1.0, -np.inf, -np.inf], [1.0, 1.0, 1.0, 1.0], "Q, the integral of q, must stay "
+                                                            "finite: Q=-inf at t=3"),
     ])
     def test_non_finite_Q_or_q_is_named(self, nodes, slopes, message):
         with warnings.catch_warnings():

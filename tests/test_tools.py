@@ -1,4 +1,5 @@
 import subprocess
+import sys
 import types
 from pathlib import Path
 
@@ -158,6 +159,19 @@ class TestControlHorizons:
                         .replace("mode.out=out", f"mode.out={tmp_path}") for line in example]
             text = same_outputs.config_text(label, params, tmp_path)
             assert sorted(text.splitlines()) == sorted(expected)
+
+
+    def test_loading_the_tool_leaves_the_process_as_it_was(self, monkeypatch):
+        # perfbench/workloads.py is loaded by its path, with bytecode writing
+        # off only around that import
+        monkeypatch.setattr(sys, "dont_write_bytecode", False)
+        path = list(sys.path)
+        perfbench = sorted((ROOT / "perfbench").rglob("*"))
+        same_outputs = load_tool("same_outputs")
+        assert sys.path == path
+        assert sys.dont_write_bytecode is False
+        assert sorted((ROOT / "perfbench").rglob("*")) == perfbench
+        assert same_outputs.workloads.pool("control")
 
 
 class TestBytecode:

@@ -52,6 +52,7 @@ from this script, which has numpy loaded, would report this script's RSS.
 from __future__ import annotations
 
 import hashlib
+import importlib.util
 import json
 import os
 import shutil
@@ -66,9 +67,22 @@ ROOT = Path(__file__).resolve().parents[1]
 PERFBENCH = ROOT / "perfbench"
 TESTS = ROOT / "tests"
 
-sys.dont_write_bytecode = True
-sys.path.insert(0, str(PERFBENCH))
-import workloads  # noqa: E402
+
+def load_workloads():
+    """perfbench/workloads.py, loaded by its path and writing no bytecode
+    under perfbench/; sys.path and the process's bytecode setting are left
+    as they were."""
+    spec = importlib.util.spec_from_file_location("workloads", PERFBENCH / "workloads.py")
+    module = importlib.util.module_from_spec(spec)
+    write_bytecode, sys.dont_write_bytecode = sys.dont_write_bytecode, True
+    try:
+        spec.loader.exec_module(module)
+    finally:
+        sys.dont_write_bytecode = write_bytecode
+    return module
+
+
+workloads = load_workloads()
 
 # one verify run for every VERIFY_STRIDE-th sim-char input: six of 27
 VERIFY_STRIDE = 5
@@ -91,7 +105,7 @@ README_CONTROL = {
     "numerics.dx": "0.01",
     "mode.nu": "0.01",
 }
-CONTROL_HORIZONS = ["1", "2", "3", "5", "6", "7", "8", "10", "20"]
+CONTROL_HORIZONS = ["1", "2", "3", "5", "6", "7", "8", "10", "12", "13", "20", "30"]
 
 # prints the sha256 of each array and saves it to the directory argv[3]
 REGULARITY = """

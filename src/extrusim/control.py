@@ -15,13 +15,14 @@ Quasilinear Hyperbolic Systems, 2010), with the interface left free:
     [t0, T], so it vanishes before T.
   * The interface solves dl/dt = N_e g(l, b) from l0.  The amplitude A is
     shot (Newton, with the sensitivity dl/dA) until l(T) = l1; no PDE
-    solve is needed for this.  A Picard sweep of l and dl/dA is one pass
-    over node arrays (g from `model.die_kernel`); a failed one names the
-    candidate, sweep, time and l.  The first candidate's sweeps start from
-    a forward Heun march of the interface.  Each later solve starts from
-    the last one's pair (l, s), with l advanced along s by the Newton step
-    dA of the amplitude: (l + dA*s, s), the first-order prediction of the
-    new interface.
+    solve is needed for this.  l and dl/dA are solved by Newton steps on
+    the interface equation, each one pass over node arrays (g and its
+    partials from `model.die_kernel`) whose linear step is solved in closed
+    form through its integrating factor; a failed solve names the
+    candidate, step, time and l.  The first candidate's solve starts from
+    the flat l0.  Each later solve starts from the last one's pair (l, s),
+    with l advanced along s by the Newton step dA of the amplitude:
+    (l + dA*s, s), the first-order prediction of the new interface.
   * t0 depends on the characteristic field, which depends on (l, b), so
     the passes repeat on each new candidate until b is a fixed point.
     t0 comes from the closed form xi(0; t0, 1) = 0
@@ -205,7 +206,7 @@ BUMP_WINDOW = 0.9
 # shooting stops once the interface misses l1 by at most this much (relative
 # to max(1, l1))
 SHOOT_TOL = 1e-14
-# cap on Newton steps for the amplitude and on Picard sweeps for l(t)
+# caps on Newton steps for the amplitude and for the interface l(t)
 SHOOT_MAX_ITER = 50
 PICARD_MAX_ITER = 200
 # default time step of the replay in verify_control (n_t = T/REPLAY_DT + 1)
@@ -236,15 +237,14 @@ def _interface(l0, b_vals, phi_vals, start, N_e, dt, params):
     b is checked once, as `eval_g` checks it, and 1 - b and zeta*b/(1 - b)
     are computed once.  A step takes g and its partials from one
     `die_kernel` call and integrates N_e g, N_e (g_l s + g_b phi) and
-    a = N_e g_l as one block: the Picard image (l, s)' of the pair, its
-    residual r = (l, s)' - (l, s), and A, the integral of a.  The linearized
-    equation d = r + integral a d of the step (the l-dependence of the
-    sensitivity's rates left out) is solved in closed form through its
-    integrating factor, d = r + e^A integral e^-A a r, with the same node
-    quadrature; where e^-A overflows, the step is the Picard image.
-    The steps stop at a residual of 1e-15, or at the rounding floor of the
-    running integral: a residual of at most 1e-13 that no longer shrinks;
-    the Picard image of the last pair is returned.
+    a = N_e g_l as one block: the Picard image of the pair, its residual r
+    (image minus pair) and A, the integral of a.  The step d solves the
+    linearized equation d = r + integral a d (s's dependence on l left
+    out) through its integrating factor, d = r + e^A integral e^-A a r,
+    so the pair moves to the image plus e^A integral e^-A a r; where e^-A
+    overflows, to the image alone.  The steps stop at a residual of 1e-15,
+    or at the rounding floor of the running integral: a residual of at most
+    1e-13 that no longer shrinks; the last image is returned.
     """
     if (b_vals >= 1.0).any():
         raise SingularityError("f_p1 >= 1 makes the die balance singular")
@@ -279,9 +279,11 @@ def _interface(l0, b_vals, phi_vals, start, N_e, dt, params):
         # e^-A overflows and e^A underflows on long horizons: the correction
         # is then not finite, and the Picard image stands
         with np.errstate(over="ignore", invalid="ignore"):
-            res *= slope * np.exp(-A)
+            factor = np.exp(-A)
+            factor *= slope
+            res *= factor
             correction = cumulative_integral(res, dt)
-            correction *= np.exp(A)
+            correction *= np.exp(A, out=factor)
         if np.isfinite(correction).all():
             image += correction
         ls = image

@@ -920,6 +920,34 @@ class TestControlCommand:
         assert values["upwind_l_error"] <= 5e-3 and values["upwind_fp_error"] <= 5e-3
         assert values["nfn_ratio"] == pytest.approx(nfn_ratio, rel=1e-9)
 
+    @pytest.mark.parametrize("T", ["1", "2", "3", "5", "8", "10", "12"])
+    def test_readme_example_synthesizes_up_to_T_12(self, tmp_path, capsys, T):
+        # the README example is base_control_cfg
+        mapping = base_control_cfg(tmp_path)
+        mapping["mode.T"] = T
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run(["control", write_cfg(tmp_path, "c.cfg", mapping)]) == 0
+        assert capsys.readouterr().err == ""
+        cert = (tmp_path / "out" / "certificate.csv").read_text().splitlines()
+        values = dict(zip(cert[0].split(","), map(float, cert[1].split(","))))
+        # the certificate bounds of the benchmark's control check
+        assert values["char_l_error"] <= 1e-6 and values["char_fp_error"] <= 1e-6
+        assert values["upwind_l_error"] <= 5e-3 and values["upwind_fp_error"] <= 5e-3
+
+    @pytest.mark.parametrize("T", ["13", "16", "20", "30"])
+    def test_readme_example_is_out_of_reach_from_T_13(self, tmp_path, capsys, T):
+        # every interface solve settles; the bump construction's outlet
+        # trace or interface leaves the eps1 ball
+        mapping = base_control_cfg(tmp_path)
+        mapping["mode.T"] = T
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run(["control", write_cfg(tmp_path, "c.cfg", mapping)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: target out of reach: bump amplitude A="), err
+        assert "did not settle" not in err
+
     @pytest.mark.parametrize("key", ["data.f0_p", "data.f1_p"])
     def test_profile_that_reaches_1_is_a_config_error(self, tmp_path, capsys, monkeypatch, key):
         # simulate admits a profile of 1 away from x = 1; the ratios that

@@ -1,5 +1,6 @@
 import dataclasses
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -578,6 +579,17 @@ class TestOnePassInterface:
         assert match, message
         sweep, value, t = int(match[1]), float(match[2]), float(match[3])
         assert sweep > 1 and not 0.0 < value < 1.0 and 0.0 < t <= T
+
+    def test_very_long_horizon_ends_in_a_named_error(self):
+        # over T = 1500, e^-A of the Newton step overflows: the Picard image
+        # stands, its sweeps leave (0, L), and no numpy warning escapes
+        prof = SpaceProfile.constant(0.3233333333333333, 257)
+        target = ControlTarget(0.49, 0.51, prof, prof, 1500.0, NU)
+        stage = r"^first candidate: interface sweep \d+: l=\S+ at t=\S+ lies outside \(0, L=1\.0\)$"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match=stage):
+                synthesize(target, UNIT, EQ)
 
     def test_synthesis_names_the_failing_pass(self, monkeypatch):
         # an interface error past the first candidate names the pass and A

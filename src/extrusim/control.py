@@ -274,7 +274,9 @@ def _interface(l0, b_vals, phi_vals, start, N_e, dt, params):
         (dl, ds), (nl, ns) = np.abs(res).max(axis=1), np.abs(image).max(axis=1)
         step = max(dl / max(1.0, nl), ds / max(1.0, ns))
         if step <= 1e-15 or last <= step <= 1e-13:
-            return image[0], image[1]
+            # copied, so that the returned pair does not keep the row of A
+            l, s = image.copy()
+            return l, s
         last = step
         # e^-A overflows and e^A underflows on long horizons: the correction
         # is then not finite, and the Picard image stands

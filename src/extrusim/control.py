@@ -359,7 +359,7 @@ def synthesize(
     targets whose outlet bump leaves the admissible range (the message
     names the amplitude), ConvergenceError when the passes or the shooting
     hit their caps, and DivergenceError when a candidate trace is rejected
-    by the characteristic machinery; an interface sweep's error names its
+    by the characteristic machinery; an interface solve's error names its
     candidate.
     """
     validate_target(target, params, eq)

@@ -452,8 +452,7 @@ def cmd_simulate(typed: dict, base_dir: Path) -> int:
 
 
 # the fields of the synthesis report that control prints as its JSON summary
-_SUMMARY_FIELDS = ("iterations", "residual", "t0", "t1", "amplitude", "final_errors",
-                   "control_size")
+_SUMMARY_FIELDS = ("iterations", "residual", "t0", "t1", "final_errors", "control_size")
 
 
 def cmd_control(typed: dict, base_dir: Path) -> int:

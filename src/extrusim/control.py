@@ -4,25 +4,28 @@ The steering problem: drive the state from (l0, f0_p) to (l1, f1_p) over a
 horizon T using the two boundary inputs, screw speed N(t) and feed rate
 F_in(t).  The construction is the forward/backward printing of Li
 Tatsien's constructive method (Controllability and Observability for
-Quasilinear Hyperbolic Systems, 2010), with the interface left free:
+Quasilinear Hyperbolic Systems, 2010), with the interface prescribed:
 
   * The screw speed is held at N_e.  Every deviation is carried by the
     feed, so the control size stays of the order of the data.
-  * The outlet trace b = f_p(., 1) is prescribed.  Before the crossing
-    time t0 of the inlet-corner characteristic it is f0_p carried along
-    characteristics.  On [t0, T] it is a smoothstep from f0_p(0) to
-    f1_p(1) plus A*phi, where phi = sin^2 is a bump on the first 90% of
-    [t0, T], so it vanishes before T.
-  * The interface solves dl/dt = N_e g(l, b) from l0.  The amplitude A is
-    shot (Newton, with the sensitivity dl/dA) until l(T) = l1; no PDE
-    solve is needed for this.  l and dl/dA are solved by Newton steps on
-    the interface equation, each one pass over node arrays (g and its
-    partials from `model.die_kernel`) whose linear step is solved in closed
-    form through its integrating factor; a failed solve names the
-    candidate, step, time and l.  The first candidate's solve starts from
-    the flat l0.  Each later solve starts from the last one's pair (l, s),
-    with l advanced along s by the Newton step dA of the amplitude:
-    (l + dA*s, s), the first-order prediction of the new interface.
+  * The interface l is prescribed, and the outlet trace b = f_p(., 1) is
+    read off dl/dt = N_e g(l, b) in closed form (choose the output, read the
+    input off the ODE: the flatness of Fliess, Levine, Martin and Rouchon,
+    Int. J. Control 61, 1995).  The die kernel is g(l, b) =
+    (g(l, 0) - zeta b)/(1 - b), so b = (g(l, 0) - v)/(zeta - v), v = l'/N_e.
+  * Free run: b is f0_p carried along characteristics before the crossing
+    time t0 of the inlet-corner characteristic and v0 = f0_p(0) after it;
+    l solves the interface equation from l0.  Hold window: on the last
+    w = min(0.5, 0.1 (T - t0)) b holds v1 = f1_p(1), and l solves the
+    equation backwards from its aim.  Path: on [max(t0, T - w -
+    PATH_WINDOW), T - w], l is the quintic that matches l, l' and l'' of
+    the free run at its start and of the hold window at its end, and b is
+    read off it.  l is then solved again on that b, so that it is the
+    discrete fixed point the replay solver also iterates, and the next pass
+    aims the hold window at l1 minus this pass's miss of l(T).
+  * An interface solve is Newton steps on l = l0 + integral N_e g(l, b),
+    each one pass over node arrays whose linear step is solved in closed
+    form through its integrating factor; its errors name the pass and piece.
   * t0 depends on the characteristic field, which depends on (l, b), so
     the passes repeat on each new candidate until b is a fixed point.
     t0 comes from the closed form xi(0; t0, 1) = 0
@@ -33,9 +36,9 @@ Quasilinear Hyperbolic Systems, 2010), with the interface left free:
     point at time T (`xi`), so the final profile is reproduced along
     characteristics (read back with `carry`).
 
-A target is out of reach when the required outlet trace or interface
-leaves the eps1 ball of the equilibrium that the replay solver works in;
-`synthesize` then raises a FeasibilityError that names the amplitude.
+A target is out of reach when a pass's outlet trace or interface leaves the
+eps1 ball of the equilibrium that the replay solver works in; `synthesize`
+then raises a FeasibilityError that names the pass and the trace.
 """
 
 from __future__ import annotations
@@ -62,7 +65,8 @@ from .errors import (
     SingularityError,
 )
 from .fields import SampledFunction, SpaceProfile, norm
-from .model import EquilibriumPoint, PhysicalParams, die_kernel, eps1_radius, inflow_value
+from .model import (EquilibriumPoint, PhysicalParams, die_balance, die_kernel, eps1_radius,
+                    inflow_value)
 from .oracle import UpwindConfig, simulate_upwind
 from .quadrature import cumulative_integral
 from .wellposed import CauchyData, solve_semiglobal
@@ -169,8 +173,7 @@ class SynthesisReport:
 
     b_outlet is the fixed-point outlet trace (the predicted f_p(t, 1));
     together with l and N it reconstructs the characteristic field the
-    construction was built on.  amplitude is the shooting unknown A of the
-    outlet bump.  final_errors is the internal consistency check
+    construction was built on.  final_errors is the internal consistency check
     (|l(T) - l1|, sup |f_p(T, .) - f1_p|) evaluated through that field;
     `verify_control` recomputes both through independent solvers.
     control_size is the deviation measure ||F_in/(rho0 V_eff N) -
@@ -183,7 +186,6 @@ class SynthesisReport:
     b_outlet: SampledFunction
     t0: float
     t1: float
-    amplitude: float
     iterations: int
     residual: float
     contraction_factors: tuple
@@ -201,14 +203,11 @@ SYNTH_MAX_ITER = 200
 HORIZON_MARGIN = 0.1
 # nodes on [0, 1] at which the final profile is read back
 FINAL_PROBE_POINTS = 257
-# fraction of [t0, T] covered by the outlet bump; the bump vanishes before T
-BUMP_WINDOW = 0.9
-# shooting stops once the interface misses l1 by at most this much (relative
-# to max(1, l1))
-SHOOT_TOL = 1e-14
-# caps on Newton steps for the amplitude and for the interface l(t)
-SHOOT_MAX_ITER = 50
-PICARD_MAX_ITER = 200
+# length of the path on which the interface is steered from the free run to
+# the hold window
+PATH_WINDOW = 4.0
+# cap on Newton steps of an interface solve
+NEWTON_MAX_ITER = 200
 # default time step of the replay in verify_control (n_t = T/REPLAY_DT + 1)
 REPLAY_DT = 1.0 / 800.0
 
@@ -227,24 +226,21 @@ def _candidate_field(T, a_vals, b_vals, N_vals, params):
     return ctx, is_bnd, origin, t0
 
 
-def _interface(l0, b_vals, phi_vals, start, N_e, dt, params):
-    """Interface trace driven by the outlet trace b, and its bump sensitivity.
+def _interface(l0, b_vals, start, N_e, dt, params):
+    """Interface trace driven by the outlet trace b: l = l0 + integral
+    N_e g(l, b), the fixed point the replay solver also iterates (same node
+    quadrature), by Newton steps from the trace start.  A negative N_e runs
+    the equation backwards on reversed nodes.
 
-    l = l0 + integral N_e g(l, b), the fixed point the replay solver also
-    iterates (same node quadrature), and s = dl/dA, which solves the
-    linearized equation with the bump phi as source, are solved together by
-    Newton steps from the pair start = (l, s).
     b is checked once, as `eval_g` checks it, and 1 - b and zeta*b/(1 - b)
-    are computed once.  A step takes g and its partials from one
-    `die_kernel` call and integrates N_e g, N_e (g_l s + g_b phi) and
-    a = N_e g_l as one block: the Picard image of the pair, its residual r
-    (image minus pair) and A, the integral of a.  The step d solves the
-    linearized equation d = r + integral a d (s's dependence on l left
-    out) through its integrating factor, d = r + e^A integral e^-A a r,
-    so the pair moves to the image plus e^A integral e^-A a r; where e^-A
-    overflows, to the image alone.  The steps stop at a residual of 1e-15,
-    or at the rounding floor of the running integral: a residual of at most
-    1e-13 that no longer shrinks; the last image is returned.
+    are computed once.  A step integrates N_e g and a = N_e g_l (one
+    `die_kernel` call) as one block: the Picard image of l, its residual r
+    and A, the integral of a.  The linearized step d = r + integral a d is
+    solved through its integrating factor, so l moves to the image plus
+    e^A integral e^-A a r; where e^-A overflows, to the image alone.  The
+    steps stop at a residual of 1e-15, or at the rounding floor of the
+    running integral: a residual of at most 1e-13 that no longer shrinks;
+    the last image is returned.
     """
     if (b_vals >= 1.0).any():
         raise SingularityError("f_p1 >= 1 makes the die balance singular")
@@ -252,31 +248,25 @@ def _interface(l0, b_vals, phi_vals, start, N_e, dt, params):
         raise DomainError("f_p1 must be a ratio in [0, 1)")
     empty = 1.0 - b_vals
     outflow = params.zeta * b_vals / empty
-    ls = np.stack(start)  # the iterate (l, s)
-    rates = np.empty((3, ls.shape[1]))
+    l = start
+    rates = np.empty((2, l.size))
     last = np.inf
-    for sweep in range(1, PICARD_MAX_ITER + 1):
-        l, s = ls
+    for step_no in range(1, NEWTON_MAX_ITER + 1):
         outside = (l <= 0.0) | (l >= params.L)
         if outside.any():
             i = int(outside.argmax())
-            raise DomainError(f"interface sweep {sweep}: l={l[i]:.6g} at t={i * dt:.6g} "
+            raise DomainError(f"interface Newton step {step_no}: l={l[i]:.6g} at t={i * dt:.6g} "
                               f"lies outside (0, L={params.L})")
-        g, g_l, g_b = die_kernel(l, empty, outflow, params, slopes=True)
-        slope = np.multiply(N_e, g_l, out=rates[2])
+        g, g_l, _ = die_kernel(l, empty, outflow, params, slopes=True)
         np.multiply(N_e, g, out=rates[0])
-        np.multiply(N_e, g_l * s + g_b * phi_vals, out=rates[1])
-        nxt = cumulative_integral(rates, dt)
-        nxt[0] += l0
-        image, A = nxt[:2], nxt[2]
-        res = np.subtract(image, ls, out=ls)
-        # each row's largest move, relative to max(1, its largest value)
-        (dl, ds), (nl, ns) = np.abs(res).max(axis=1), np.abs(image).max(axis=1)
-        step = max(dl / max(1.0, nl), ds / max(1.0, ns))
+        slope = np.multiply(N_e, g_l, out=rates[1])
+        image, A = cumulative_integral(rates, dt)
+        image += l0
+        res = image - l
+        step = float(np.abs(res).max()) / max(1.0, float(np.abs(image).max()))
         if step <= 1e-15 or last <= step <= 1e-13:
-            # copied, so that the returned pair does not keep the row of A
-            l, s = image.copy()
-            return l, s
+            # copied, so that the returned trace does not keep the row of A
+            return image.copy()
         last = step
         # e^-A overflows and e^A underflows on long horizons: the correction
         # is then not finite, and the Picard image stands
@@ -288,53 +278,46 @@ def _interface(l0, b_vals, phi_vals, start, N_e, dt, params):
             correction *= np.exp(A, out=factor)
         if np.isfinite(correction).all():
             image += correction
-        ls = image
-    raise ConvergenceError(f"interface sweep did not settle (last step {step:.3e})")
+        l = image
+    raise ConvergenceError(f"interface Newton steps did not settle (last step {step:.3e})")
 
 
-def _check_reach(A, b_vals, l_vals, eq, eps1):
+def _solve(stage, *args):
+    """`_interface`, with the stage named in its errors."""
+    try:
+        return _interface(*args)
+    except (DomainError, ConvergenceError) as exc:
+        raise type(exc)(f"{stage}: {exc}") from exc
+
+
+def _check_reach(stage, eq, eps1, b_vals=None, l_vals=None):
     """The outlet and interface traces must stay in the replay's eps1 ball."""
-    dev_b = float(np.max(np.abs(b_vals - eq.f_pe)))
-    dev_l = float(np.max(np.abs(l_vals - eq.l_e)))
-    if dev_b > eps1 or dev_l > eps1:
-        raise FeasibilityError(
-            f"target out of reach: bump amplitude A={A:.6g} moves the outlet ratio to "
-            f"[{np.min(b_vals):.6g}, {np.max(b_vals):.6g}] and the interface to "
-            f"[{np.min(l_vals):.6g}, {np.max(l_vals):.6g}]; both must stay within "
-            f"eps1={eps1:.6g} of the equilibrium ({eq.f_pe:.6g}, {eq.l_e:.6g})"
-        )
+    for name, vals, centre in (("outlet ratio", b_vals, eq.f_pe), ("interface", l_vals, eq.l_e)):
+        if vals is not None and not float(np.max(np.abs(vals - centre))) <= eps1:
+            raise FeasibilityError(
+                f"target out of reach: {stage} moves the {name} to "
+                f"[{np.min(vals):.6g}, {np.max(vals):.6g}]; it must stay within "
+                f"eps1={eps1:.6g} of its equilibrium value {centre:.6g}"
+            )
 
 
-def _shoot(l0, l1, base, phi, A, start, eq, eps1, dt, params, stage):
-    """Newton on the bump amplitude A until the interface lands on l1.
-
-    The first solve starts from the pair start = (l, s).  After a miss the
-    step is dA = -miss/s(T), and the next solve starts from (l + dA*s, s),
-    the first-order prediction of the new interface and the last
-    sensitivity; from the unshifted l if that prediction leaves (0, L).
-    Returns A, the outlet trace and the converged pair (l, s)."""
-    # a new b is checked beside the last solved interface, not a prediction
-    l_vals = start[0]
-    for _ in range(SHOOT_MAX_ITER):
-        b_vals = base + A * phi
-        _check_reach(A, b_vals, l_vals, eq, eps1)
-        try:
-            l_vals, sens = _interface(l0, b_vals, phi, start, eq.N_e, dt, params)
-        except (DomainError, ConvergenceError) as exc:
-            raise type(exc)(f"{stage}, amplitude A={A:.6g}: {exc}") from exc
-        _check_reach(A, b_vals, l_vals, eq, eps1)
-        miss = float(l_vals[-1]) - l1
-        if abs(miss) <= SHOOT_TOL * max(1.0, abs(l1)):
-            return A, b_vals, (l_vals, sens)
-        step = -miss / float(sens[-1])
-        A += step
-        guess = l_vals + step * sens
-        inside = ((guess > 0.0) & (guess < params.L)).all()
-        start = (guess if inside else l_vals, sens)
-    raise ConvergenceError(
-        f"amplitude shooting did not land the interface on l1={l1} "
-        f"(last miss {miss:.3e} at A={A:.6g})"
-    )
+def _quintic(ends, h, n):
+    """Values and slopes, at n uniform nodes on [0, h], of the quintic that
+    takes value, slope and curvature ends[:, 0] at 0 and ends[:, 1] at h."""
+    (p0, p1), (d0, d1), (a0, a1) = ends
+    # l = c0 + c1 s + ... + c5 s^5 in s = t/h: c0, c1, c2 from the start, and
+    # c3, c4, c5 from what the end still asks of value m, slope e, curvature k
+    c1, c2 = h * d0, 0.5 * h * h * a0
+    m = p1 - p0 - c1 - c2
+    e = h * d1 - c1 - 2.0 * c2
+    k = h * h * a1 - 2.0 * c2
+    c3 = 10.0 * m - 4.0 * e + 0.5 * k
+    c4 = -15.0 * m + 7.0 * e - k
+    c5 = 6.0 * m - 3.0 * e + 0.5 * k
+    s = np.linspace(0.0, 1.0, n)
+    value = p0 + s * (c1 + s * (c2 + s * (c3 + s * (c4 + s * c5))))
+    slope = (c1 + s * (2.0 * c2 + s * (3.0 * c3 + s * (4.0 * c4 + s * 5.0 * c5)))) / h
+    return value, slope
 
 
 def _control_size(r_vals, N: SampledFunction, eq: EquilibriumPoint) -> float:
@@ -356,11 +339,11 @@ def synthesize(
     and the final profile is read back at FINAL_PROBE_POINTS nodes.
 
     Raises FeasibilityError for horizon and landmark problems and for
-    targets whose outlet bump leaves the admissible range (the message
-    names the amplitude), ConvergenceError when the passes or the shooting
-    hit their caps, and DivergenceError when a candidate trace is rejected
-    by the characteristic machinery; an interface solve's error names its
-    candidate.
+    targets whose outlet trace or interface leaves the eps1 ball (the
+    message names the pass and the trace), ConvergenceError when the passes
+    or an interface solve hit their caps, and DivergenceError when a
+    candidate trace is rejected by the characteristic machinery; an
+    interface solve's error names its pass and piece.
     """
     validate_target(target, params, eq)
     T_e = critical_time(eq)
@@ -378,29 +361,46 @@ def synthesize(
     v0 = float(f0_p.values[0])
     v1 = float(f1_p.values[-1])
 
-    # first candidate: the outlet holds its initial value, no bump; its
-    # solve starts from the flat l0
+    # first candidate: the outlet holds its initial value
     b_vals = np.full(n_t, float(f0_p.values[-1]))
-    A = 0.0
-    zeros = np.zeros(n_t)
-    try:
-        # with no bump the sensitivity stays 0: the start of pass 1
-        l_vals, sens = _interface(l0, b_vals, zeros, (np.full(n_t, l0), zeros), eq.N_e, dt,
-                                  params)
-    except (DomainError, ConvergenceError) as exc:
-        raise type(exc)(f"first candidate: {exc}") from exc
+    l_vals = _solve("first candidate", l0, b_vals, np.full(n_t, l0), eq.N_e, dt, params)
+    # the path starts where b holds v0 and ends where it holds v1
+    empty = 1.0 - np.array([v0, v1])
+    outflow = params.zeta * (1.0 - empty) / empty
+    aim = l1
     factors: list[float] = []
     prev_dist = None
     for iterations in range(1, SYNTH_MAX_ITER + 1):
+        stage = f"pass {iterations}"
         _, is_bnd, origin, t0 = _candidate_field(T, l_vals, b_vals, N_vals, params)
-        # initial profile carried to the outlet before t0; after it a
-        # smoothstep v0 -> v1 plus the bump that steers l(T) onto l1
-        s = np.clip((t_grid - t0) / (T - t0), 0.0, 1.0)
-        w = np.clip((t_grid - t0) / (BUMP_WINDOW * (T - t0)), 0.0, 1.0)
-        phi = np.sin(np.pi * w) ** 2
-        base = np.where(is_bnd, v0 + (v1 - v0) * s * s * (3.0 - 2.0 * s), f0_p(origin))
-        A, b_new, (l_vals, sens) = _shoot(l0, l1, base, phi, A, (l_vals, sens), eq, eps1,
-                                          dt, params, f"pass {iterations}")
+        # free run: the initial profile carried to the outlet before t0, v0 after it
+        b_new = np.where(is_bnd, v0, f0_p(origin))
+        hold = min(0.5, 0.1 * (T - t0))
+        i_h = min(int(np.searchsorted(t_grid, T - hold)), n_t - 2)
+        i_p = min(int(np.searchsorted(t_grid, max(t0, T - hold - PATH_WINDOW))), i_h - 1)
+        l_new = np.empty(n_t)
+        l_new[:i_p + 1] = _solve(f"{stage}, free run", l0, b_new[:i_p + 1], l_vals[:i_p + 1],
+                                 eq.N_e, dt, params)
+        # hold window: b holds v1, and l runs back from the aim
+        b_new[i_h:] = v1
+        l_new[i_h:] = _solve(f"{stage}, hold window (t counted back from T)", aim, b_new[i_h:],
+                             np.full(n_t - i_h, aim), -eq.N_e, dt, params)[::-1]
+        # path: the quintic that matches l, l' = N_e g and l'' = N_e g_l l'
+        # at both ends; b is read off l' = N_e g(l, b) in closed form
+        ends = l_new[[i_p, i_h]]
+        g, g_l, _ = die_kernel(ends, empty, outflow, params, slopes=True)
+        rate = eq.N_e * g
+        path, slope = _quintic((ends, rate, eq.N_e * g_l * rate), t_grid[i_h] - t_grid[i_p],
+                               i_h - i_p + 1)
+        v = slope[:-1] / eq.N_e
+        l_new[i_p:i_h] = path[:-1]
+        b_new[i_p:i_h] = (die_balance(path[:-1], 0.0, params) - v) / (params.zeta - v)
+        _check_reach(f"{stage}, path candidate", eq, eps1, b_new, l_new)
+        # the discrete fixed point on the new b; the next pass aims the hold
+        # window past l1 by this pass's miss
+        l_vals = _solve(f"{stage}, re-solve", l0, b_new, l_new, eq.N_e, dt, params)
+        _check_reach(f"{stage}, re-solved interface", eq, eps1, l_vals=l_vals)
+        aim -= float(l_vals[-1]) - l1
         dist = float(np.max(np.abs(b_new - b_vals)))
         if prev_dist is not None and prev_dist > 0.0:
             factors.append(dist / prev_dist)
@@ -442,7 +442,6 @@ def synthesize(
         b_outlet=SampledFunction(0.0, T, b_vals),
         t0=t0,
         t1=t1,
-        amplitude=float(A),
         iterations=iterations,
         residual=dist,
         contraction_factors=tuple(factors),

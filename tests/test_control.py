@@ -214,18 +214,19 @@ class TestSynthesizeRamp:
             np.max(np.abs(ramp_report.N.values - EQ.N_e))
         )
         assert ramp_report.control_size == pytest.approx(size, rel=1e-12)
-        assert ramp_report.control_size == pytest.approx(0.11544094776809288, rel=1e-9)
+        assert ramp_report.control_size == pytest.approx(0.10631688200112421, rel=1e-9)
 
     def test_outlet_trace_constant(self, ramp_report):
-        # the constant profile reaches the outlet until t0; after it only
-        # the bump A*phi moves the trace, and phi vanishes before T
-        b = ramp_report.b_outlet.values
-        before = ramp_report.b_outlet.grid < ramp_report.t0
-        assert np.all(b[before] == EQ.f_pe - NU)
-        assert b[-1] == pytest.approx(EQ.f_pe - NU, abs=1e-15)
-        dev = b - (EQ.f_pe - NU)
-        assert float(np.max(np.abs(dev))) <= abs(ramp_report.amplitude) * (1.0 + 1e-12)
-        assert np.all(dev * ramp_report.amplitude >= 0.0)
+        # the constant profile reaches the outlet until t0, where the path
+        # starts; the hold window, the last tenth of [t0, T], holds f1_p(1)
+        b, t = ramp_report.b_outlet.values, ramp_report.b_outlet.grid
+        t0 = ramp_report.t0
+        assert np.all(b[t < t0] == EQ.f_pe - NU)
+        assert np.all(b[t >= 1.0 - 0.1 * (1.0 - t0)] == EQ.f_pe - NU)
+        # the path is read off the quintic in between, and joins both ends
+        # to rounding
+        assert float(np.max(np.abs(np.diff(b)))) <= 1e-3
+        assert float(np.max(np.abs(b - (EQ.f_pe - NU)))) > 1e-3
 
 
 class TestSynthesizeWide:
@@ -237,7 +238,7 @@ class TestSynthesizeWide:
 
     def test_iteration_count_and_residual(self, wide_report):
         _, rep = wide_report
-        assert rep.iterations == 6
+        assert rep.iterations == 5
         assert rep.residual <= 1e-10
 
     def test_contraction_factors(self, wide_report):
@@ -286,14 +287,14 @@ class TestLandmarkGeometry:
 
 class TestDegenerateTargets:
     def test_equilibrium_roundtrip_uses_detour(self):
-        # l1 = l0 needs no detour: the construction holds the equilibrium
+        # l1 = l0 needs no detour: the construction holds the equilibrium,
+        # the feed to the rounding of the outlet ratio read off the path
         prof = const_profile(EQ.f_pe)
         tgt = ControlTarget(l0=EQ.l_e, l1=EQ.l_e, f0_p=prof, f1_p=prof, T=1.2, nu=NU)
         rep = synthesize(tgt, UNIT, EQ)
-        assert rep.amplitude == 0.0
         assert float(np.ptp(rep.N.values)) == 0.0
         assert rep.N.values[0] == EQ.N_e
-        assert float(np.ptp(rep.F_in.values)) == 0.0
+        assert float(np.ptp(rep.F_in.values)) <= 1e-15
         assert rep.F_in.values[0] == pytest.approx(
             EQ.f_pe * UNIT.rho0 * UNIT.V_eff * EQ.N_e, rel=1e-15
         )
@@ -307,13 +308,14 @@ class TestDegenerateTargets:
 
     def test_offequilibrium_roundtrip_reports_leg_failure(self):
         # a round trip away from equilibrium no longer needs two legs: the
-        # outlet bump holds the interface against its drift back to l_e
+        # path and the hold window hold the interface against its drift back
+        # to l_e
         prof = const_profile(1.0 / 3.0)
         tgt = ControlTarget(l0=0.45, l1=0.45, f0_p=prof, f1_p=prof, T=2.4, nu=0.06)
         rep = synthesize(tgt, UNIT, EQ)
         assert rep.final_errors[0] <= 1e-12
         assert rep.final_errors[1] <= 1e-12
-        assert rep.control_size / tgt.nu == pytest.approx(1.705499493236889, rel=1e-9)
+        assert rep.control_size / tgt.nu == pytest.approx(1.6254395078002897, rel=1e-9)
         # the longer horizon needs the finer replay time grid for 1e-8
         cert = verify_control(tgt, rep, UNIT, EQ, n_t=1601)
         assert cert.char_l_error <= 1e-8
@@ -339,14 +341,35 @@ class TestGuards:
         prof = const_profile(EQ.f_pe)
         tgt = ControlTarget(l0=0.49, l1=0.51, f0_p=prof, f1_p=prof, T=1.0, nu=NU)
         assert synthesize(tgt, UNIT, EQ).final_errors[0] <= 1e-12
-        with pytest.raises(FeasibilityError, match="bump amplitude A=-0.2"):
+        with pytest.raises(FeasibilityError, match=r"pass 1, path candidate moves the outlet "
+                                                   r"ratio to \[0\.0185946, 0\.333333\]"):
             synthesize(WIDE_TARGET, UNIT, EQ)
 
     def test_speed_box_violation(self):
+        # the outlet ratio that the path asks for leaves the eps1 ball
         prof = const_profile(0.28)
         tgt = ControlTarget(l0=0.40, l1=0.60, f0_p=prof, f1_p=prof, T=1.0, nu=0.1)
-        with pytest.raises(FeasibilityError, match="out of reach: bump amplitude"):
+        with pytest.raises(FeasibilityError) as exc:
             synthesize(tgt, UNIT, EQ)
+        assert str(exc.value) == (
+            "target out of reach: pass 1, path candidate moves the outlet ratio to "
+            "[-0.395553, 0.28]; it must stay within eps1=0.111111 of its equilibrium value "
+            "0.333333"
+        )
+
+    def test_interface_out_of_the_ball_is_named(self):
+        # a stiff die (K_d = 1000) puts f_pe near 1 and shrinks eps1 to
+        # 6.7e-4: the outlet ratio stays in the ball, the interface cannot
+        params = PhysicalParams(K_d=1e3)
+        eq = solve_equilibrium(params, N_e=1.0, l_e=0.5)
+        prof = const_profile(eq.f_pe)
+        tgt = ControlTarget(l0=0.49, l1=0.51, f0_p=prof, f1_p=prof, T=1.0, nu=NU)
+        with pytest.raises(FeasibilityError) as exc:
+            synthesize(tgt, params, eq)
+        assert str(exc.value) == (
+            "target out of reach: pass 1, path candidate moves the interface to "
+            "[0.49, 0.512157]; it must stay within eps1=0.000665336 of its equilibrium value 0.5"
+        )
 
     def test_margin_above_critical_time(self, ramp_target):
         tgt = dataclasses.replace(ramp_target, T=0.52)
@@ -367,7 +390,7 @@ class TestVerifyControl:
         assert ramp_certificate.nfn_value == pytest.approx(
             ramp_report.control_size, rel=1e-12
         )
-        assert ramp_certificate.nfn_ratio == pytest.approx(11.544094776809288, rel=1e-9)
+        assert ramp_certificate.nfn_ratio == pytest.approx(10.631688200112421, rel=1e-9)
 
     def test_inadmissible_controls_reported(self, ramp_target, ramp_report):
         bad_N = SampledFunction(0.0, 1.0, ramp_report.N.values - 5.0)
@@ -458,50 +481,37 @@ class TestOptions:
         assert rep.b_outlet.values[0] == EQ.f_pe - NU
 
 
-def reference_g_partials(l, f_p1, params):
-    """dg/dl and dg/df as `model._g_partials` computed them, before g and its
-    partials had one kernel."""
-    D = params.B * params.rho0 + params.K_d * (params.L - l)
-    one_minus = 1.0 - f_p1
-    dg_dl = -params.zeta * params.K_d * params.B * params.rho0 / (D * D * one_minus)
-    dg_df = -params.zeta * params.B * params.rho0 / (D * one_minus * one_minus)
-    return dg_dl, dg_df
-
-
-def reference_interface(l0, b_vals, phi_vals, start, N_e, dt, params):
-    """The interface sweep as it was before it ran as one pass over node
-    arrays (eval_g, the partials of `reference_g_partials` and two running
-    integrals a sweep), from the same (l, s) start: plain Picard sweeps,
-    kept as the oracle of the Newton solve."""
-    l, s = start
-    for _ in range(control.PICARD_MAX_ITER):
-        dg_dl, dg_df = reference_g_partials(l, b_vals, params)
+def reference_interface(l0, b_vals, start, N_e, dt, params):
+    """The interface solve as it was before it ran as one pass over node
+    arrays (eval_g and one running integral a sweep), from the same start:
+    plain Picard sweeps, kept as the oracle of the Newton solve."""
+    l = start
+    for _ in range(control.NEWTON_MAX_ITER):
         l_new = l0 + cumulative_integral(N_e * eval_g(l, b_vals, params), dt)
-        s_new = cumulative_integral(N_e * (dg_dl * s + dg_df * phi_vals), dt)
-        step = max(
-            np.max(np.abs(l_new - l)) / max(1.0, np.max(np.abs(l_new))),
-            np.max(np.abs(s_new - s)) / max(1.0, np.max(np.abs(s_new))),
-        )
-        l, s = l_new, s_new
+        step = np.max(np.abs(l_new - l)) / max(1.0, np.max(np.abs(l_new)))
+        l = l_new
         if step <= 1e-15:
-            return l, s
-    raise ConvergenceError(f"interface sweep did not settle (last step {step:.3e})")
+            return l
+    raise ConvergenceError(f"interface Newton steps did not settle (last step {step:.3e})")
 
 
 def bump_interface_args(b_shift=0.0):
-    """A hand-made outlet trace with a bump, as `synthesize` passes it."""
+    """A hand-made outlet trace with a bump, and the arguments `synthesize`
+    passes with it."""
     t = np.linspace(0.0, 1.0, control.SYNTH_N_T)
     phi = np.sin(np.pi * np.clip((t - 0.4) / 0.5, 0.0, 1.0)) ** 2
     b = EQ.f_pe - NU + 0.004 * phi + b_shift
-    return 0.49, b, phi, (np.full(t.size, 0.49), np.zeros(t.size)), EQ.N_e, t[1], UNIT
+    return 0.49, b, np.full(t.size, 0.49), EQ.N_e, t[1], UNIT
 
 
 class TestOnePassInterface:
     """`control._interface` settles where the reference Picard sweep does,
     on its pair, and raises its errors."""
 
-    def test_six_calls_of_a_control_run_match_the_picard_reference(self, monkeypatch):
-        # the seed-1 control workload: a centred step of 0.0165
+    def test_seven_calls_of_a_control_run_match_the_picard_reference(self, monkeypatch):
+        # the seed-1 control workload, a centred step of 0.0165: the first
+        # candidate, then a free run, a hold window run backwards and a
+        # re-solve in each of two passes
         calls = []
         interface = control._interface
 
@@ -513,18 +523,16 @@ class TestOnePassInterface:
         monkeypatch.setattr(control, "_interface", recorded)
         prof = SpaceProfile.constant(0.3233333333333333, 257)
         synthesize(ControlTarget(0.49175, 0.50825, prof, prof, 1.0, NU), UNIT, EQ)
-        assert len(calls) == 6
-        for args, (l, s) in calls:
-            l_ref, s_ref = reference_interface(*args)
-            assert np.abs(l - l_ref).max() <= 1e-13
-            assert np.abs(s - s_ref).max() <= 1e-13
+        assert len(calls) == 7
+        assert [args[3] < 0.0 for args, _ in calls] == [False] + [False, True, False] * 2
+        for args, l in calls:
+            assert np.abs(l - reference_interface(*args)).max() <= 1e-13
 
     def test_bump_trace_matches_the_picard_reference(self):
         args = bump_interface_args()
-        (l, s), (l_ref, s_ref) = control._interface(*args), reference_interface(*args)
-        assert s_ref[-1] != 0.0
+        l, l_ref = control._interface(*args), reference_interface(*args)
+        assert np.ptp(l_ref) > 1e-3
         assert np.abs(l - l_ref).max() <= 1e-13
-        assert np.abs(s - s_ref).max() <= 1e-13
 
     @pytest.mark.parametrize(
         "b_shift, error", [(1.0, SingularityError), (-1.0, DomainError)]
@@ -551,11 +559,11 @@ class TestOnePassInterface:
         monkeypatch.setattr(control, "die_kernel", counted)
         args = bump_interface_args()
         control._interface(*args)
-        monkeypatch.setattr(control, "PICARD_MAX_ITER", len(steps) - 1)
+        monkeypatch.setattr(control, "NEWTON_MAX_ITER", len(steps) - 1)
         with pytest.raises(ConvergenceError) as exc:
             control._interface(*args)
         message = str(exc.value)
-        match = re.fullmatch(r"interface sweep did not settle \(last step (\S+)\)", message)
+        match = re.fullmatch(r"interface Newton steps did not settle \(last step (\S+)\)", message)
         assert match, message
         assert float(match[1]) > 1e-15
 
@@ -563,18 +571,18 @@ class TestOnePassInterface:
         # an outlet ratio above 0.62 drains the interface faster than l0/T
         # wherever it is, so l leaves (0, L) before T: the first node
         # outside is named
-        l0, b, phi, _, N_e, _, params = bump_interface_args(0.3)
+        l0, b, start, N_e, _, params = bump_interface_args(0.3)
         T = 2.0
         assert l0 + T * N_e * eval_g(1e-12, float(b.min()), params) < 0.0
-        dt = T / (b.size - 1)
-        args = (l0, b, phi, (np.full(b.size, l0), np.zeros(b.size)), N_e, dt, params)
+        args = (l0, b, start, N_e, T / (b.size - 1), params)
         with pytest.raises(DomainError, match="strictly inside"):
             reference_interface(*args)
         with pytest.raises(DomainError) as new:
             control._interface(*args)
         message = str(new.value)
         match = re.fullmatch(
-            r"interface sweep (\d+): l=(\S+) at t=(\S+) lies outside \(0, L=1\.0\)", message
+            r"interface Newton step (\d+): l=(\S+) at t=(\S+) lies outside \(0, L=1\.0\)",
+            message
         )
         assert match, message
         sweep, value, t = int(match[1]), float(match[2]), float(match[3])
@@ -585,37 +593,41 @@ class TestOnePassInterface:
         # stands, its sweeps leave (0, L), and no numpy warning escapes
         prof = SpaceProfile.constant(0.3233333333333333, 257)
         target = ControlTarget(0.49, 0.51, prof, prof, 1500.0, NU)
-        stage = r"^first candidate: interface sweep \d+: l=\S+ at t=\S+ lies outside \(0, L=1\.0\)$"
+        stage = (r"^first candidate: interface Newton step \d+: l=\S+ at t=\S+ lies outside "
+                 r"\(0, L=1\.0\)$")
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(DomainError, match=stage):
                 synthesize(target, UNIT, EQ)
 
     def test_synthesis_names_the_failing_pass(self, monkeypatch):
-        # an interface error past the first candidate names the pass and A
+        # an interface error past the first candidate names the pass and
+        # the piece that failed
         interface = control._interface
-        calls = []
-
-        def failing(*args):
-            calls.append(None)
-            if len(calls) == 2:
-                raise DomainError("interface sweep 1: stand-in")
-            return interface(*args)
-
-        monkeypatch.setattr(control, "_interface", failing)
         prof = const_profile(EQ.f_pe - NU)
-        stage = r"^pass 1, amplitude A=0: interface sweep 1: stand-in$"
-        with pytest.raises(DomainError, match=stage):
-            synthesize(ControlTarget(0.49, 0.51, prof, prof, 1.0, NU), UNIT, EQ)
+        for fail, piece in enumerate(["free run", "hold window (t counted back from T)",
+                                      "re-solve"], 2):
+            calls = []
+
+            def failing(*args):
+                calls.append(None)
+                if len(calls) == fail:
+                    raise DomainError("interface Newton step 1: stand-in")
+                return interface(*args)
+
+            monkeypatch.setattr(control, "_interface", failing)
+            stage = f"^pass 1, {re.escape(piece)}: interface Newton step 1: stand-in$"
+            with pytest.raises(DomainError, match=stage):
+                synthesize(ControlTarget(0.49, 0.51, prof, prof, 1.0, NU), UNIT, EQ)
 
 
 class TestWarmStart:
-    """Each interface solve of the shooting starts from the last one."""
+    """Each interface solve starts from a trace near its own: the free run
+    from the last interface, the re-solve from the path candidate."""
 
     def test_each_solve_starts_from_the_last_one(self, monkeypatch):
-        # the README example: 21 Newton steps, where Picard sweeps took 80
-        # when every solve restarted s from 0 and l from the unshifted last
-        # interface, and 58 from (l + dA*s, s)
+        # the README example: 17 Newton steps in 7 solves, and one slope
+        # call a pass for the ends of the path (21 under the bump shooting)
         die_kernel = control.die_kernel
         sweeps = []
 
@@ -628,31 +640,6 @@ class TestWarmStart:
         prof = SpaceProfile.constant(0.3233333333333333, 257)
         synthesize(ControlTarget(0.49, 0.51, prof, prof, 1.0, NU), UNIT, EQ)
         assert len(sweeps) <= 30
-
-    @pytest.mark.parametrize("peak, predicted", [(1.0, True), (40.0, False)])
-    def test_a_prediction_outside_the_machine_falls_back(self, monkeypatch, peak, predicted):
-        # the first solve misses l1 = 0.5 by 0.02 with s(T) = 1, so dA = -0.02:
-        # l + dA*s stays inside (0, L) for a peak of s of 1 and leaves it
-        # for 40, where the next solve starts from the unshifted l
-        l_first = np.array([0.49, 0.5, 0.5, 0.5, 0.52])
-        s_first = np.array([0.0, peak, 0.0, 0.0, 1.0])
-        starts = []
-
-        def interface(l0, b_vals, phi_vals, start, N_e, dt, params):
-            starts.append(start)
-            return (l_first, s_first) if len(starts) == 1 else (np.full(5, 0.5), s_first)
-
-        monkeypatch.setattr(control, "_interface", interface)
-        base, phi = np.full(5, EQ.f_pe), np.zeros(5)
-        start = (np.full(5, 0.49), np.zeros(5))
-        A, _, (l, _) = control._shoot(0.49, 0.5, base, phi, 0.0, start, EQ, eps1_radius(EQ),
-                                      0.25, UNIT, "pass 1")
-        step = -(l_first[-1] - 0.5) / s_first[-1]
-        assert len(starts) == 2 and A == step and l[-1] == 0.5
-        l_next, s_next = starts[1]
-        expected = l_first + step * s_first if predicted else l_first
-        assert l_next.tobytes() == expected.tobytes()
-        assert s_next is s_first
 
 
 def reference_printing(report, target, params):

@@ -361,7 +361,7 @@ def _same_bits(a: float, b) -> bool:
     return float(a).hex() == float(b).hex()
 
 
-class TestInputReader:
+class TestSampledFunctionFloatRead:
     """A SampledFunction read at a Python float, as the march reads N and
     F_in, is bit for bit np.interp."""
 

@@ -105,7 +105,7 @@ README_CONTROL = {
     "numerics.dx": "0.01",
     "mode.nu": "0.01",
 }
-CONTROL_HORIZONS = ["1", "2", "3", "5", "6", "7", "8", "10", "12", "13", "20", "30"]
+CONTROL_HORIZONS = ["1", "2", "3", "5", "6", "7", "8", "10", "12", "13", "16", "20", "30"]
 
 # prints the sha256 of each array and saves it to the directory argv[3]
 REGULARITY = """

@@ -492,7 +492,7 @@ def reference_interface(l0, b_vals, start, N_e, dt, params):
         l = l_new
         if step <= 1e-15:
             return l
-    raise ConvergenceError(f"interface Newton steps did not settle (last step {step:.3e})")
+    raise ConvergenceError(f"Picard sweeps did not settle (last step {step:.3e})")
 
 
 def bump_interface_args(b_shift=0.0):
@@ -505,8 +505,8 @@ def bump_interface_args(b_shift=0.0):
 
 
 class TestOnePassInterface:
-    """`control._interface` settles where the reference Picard sweep does,
-    on its pair, and raises its errors."""
+    """`control._interface` settles where the reference Picard sweeps do,
+    and raises their errors."""
 
     def test_seven_calls_of_a_control_run_match_the_picard_reference(self, monkeypatch):
         # the seed-1 control workload, a centred step of 0.0165: the first
@@ -587,6 +587,24 @@ class TestOnePassInterface:
         assert match, message
         sweep, value, t = int(match[1]), float(match[2]), float(match[3])
         assert sweep > 1 and not 0.0 < value < 1.0 and 0.0 < t <= T
+
+    def test_long_horizon_solves_stop_at_their_rounding_floor(self, monkeypatch):
+        # over T = 200 the running integral rounds above a step of 1e-15:
+        # the solves stop where their step no longer shrinks, and what they
+        # return is the discrete fixed point to that rounding
+        interface, steps = control._interface, []
+
+        def recorded(l0, b, start, N_e, dt, params):
+            l = interface(l0, b, start, N_e, dt, params)
+            image = l0 + cumulative_integral(N_e * eval_g(l, b, params), dt)
+            steps.append(np.abs(image - l).max() / max(1.0, np.abs(image).max()))
+            return l
+
+        monkeypatch.setattr(control, "_interface", recorded)
+        prof = SpaceProfile.constant(0.3233333333333333, 257)
+        report = synthesize(ControlTarget(0.49, 0.51, prof, prof, 200.0, NU), UNIT, EQ)
+        assert report.final_errors[0] <= 1e-12
+        assert 1e-15 < max(steps) <= 1e-12
 
     def test_very_long_horizon_ends_in_a_named_error(self):
         # over T = 1500, e^-A of the Newton step overflows: the Picard image

@@ -7,10 +7,10 @@ convex combination of neighbor values, so the scheme is monotone and makes
 a trustworthy cross-check for the characteristics machinery; accuracy is
 bought with grid refinement, not with scheme order.
 
-The Courant number is the module constant CFL.  The march keeps one row
-per CFL step, about T*max(alpha)/(CFL*dx) of them, which
-`upwind_step_estimate` gives before it starts.  The rows live in one 2-D
-buffer, sized from the first step's dt with ROW_MARGIN to spare, and the
+The Courant number is the module constant CFL.  The march keeps one row per
+CFL step, about T*max(alpha)/(CFL*dx) of them, which `upwind_step_estimate`
+gives before it starts.  The rows live in one 2-D buffer, sized for the
+steps still to come with ROW_MARGIN to spare each time it is full, and the
 field is that buffer, resampled in place when the steps are uneven.  A step
 takes F at the previous row's outlet value, the speed on the grid and the
 CFL step from the speed's two ends; it writes its Courant factors and update
@@ -46,9 +46,9 @@ MAX_GRID_POINTS = 10**7
 # output rows interpolated at a time when uneven CFL steps are resampled
 RESAMPLE_BLOCK_ROWS = 64
 
-# share of rows the march's buffer holds beyond the (T - t)/dt of its first
-# step, and grows by when the march outruns it (the 27 benchmark inputs take
-# 1.005 to 1.019 times the steps of their first dt)
+# share of rows the march's buffer holds beyond the (T - t)/dt steps still
+# to come each time it is sized (the 27 benchmark inputs take 1.005 to 1.019
+# times the steps of their first dt, so their buffer is sized once)
 ROW_MARGIN = 0.125
 
 
@@ -89,13 +89,13 @@ def upwind_step_estimate(l0: float, f0_p, N0: float, params, T: float, cfg: Upwi
 def simulate_upwind(data, T: float, cfg: UpwindConfig):
     """March the coupled system to time T; returns (l trace, ratio field).
 
-    The outlet value of the previous row drives both the interface velocity
-    and the transport speed.  Each step writes its row straight into one
-    buffer, made once the first step's dt is known with room for (T - t)/dt
-    rows and a ROW_MARGIN share more, and grown by that share, with one copy,
-    only if the march outruns it.  The rows are resampled onto a uniform grid
-    in that buffer (`resample_rows`, bit for bit np.interp of each column)
-    only when the steps came out uneven, so the field's values are the
+    The outlet value of the previous row drives both the interface velocity and
+    the transport speed.  Each step writes its row straight into one buffer,
+    which is regrown with one copy each time it is full (the row of f0_p before
+    the first step too) to hold the (T - t)/dt steps still to come at the
+    step's dt and a ROW_MARGIN share more.  The rows are resampled onto a
+    uniform grid in that buffer (`resample_rows`, bit for bit np.interp of each
+    column) only when the steps came out uneven, so the field's values are the
     buffer's first rows and the field is held once.  Each step carries the
     inflow's influence one node further, so row k has k + 1 inflow-driven
     nodes.  A march whose rows would hold more than MAX_GRID_POINTS values
@@ -111,7 +111,7 @@ def simulate_upwind(data, T: float, cfg: UpwindConfig):
     N_now = data.N(t)
 
     ts, ls = [t], [l]
-    # the march's rows; one row until the first step sizes the buffer
+    # the march's rows; one row, so full, until the first step sizes them
     rows = f[None, :]
     lo = float(min(f.min(), data.inflow(0.0)))
     hi = float(max(f.max(), data.inflow(0.0)))
@@ -140,14 +140,11 @@ def simulate_upwind(data, T: float, cfg: UpwindConfig):
             # dt -> 0 happens when the state degenerates (interface collapse
             # drives the speed to infinity); the horizon is unreachable
             raise SchemeError(f"CFL time step collapsed at t={t:.6g}")
-        if k == 1:
-            # the first step's dt sizes the buffer: (T - t)/dt steps and a margin
-            size = min(max_rows, math.ceil((1.0 + ROW_MARGIN) * (T - t) / dt) + 1)
-            rows = np.empty((size, x.size))
-            rows[0] = f
-        elif k == len(rows):
-            # the march outran its buffer: grow it by the margin, with one copy
-            grown = np.empty((min(max_rows, k + max(int(ROW_MARGIN * k), 1)), x.size))
+        if k == len(rows):
+            # full (as the one row before the first step is): regrow it with
+            # one copy for the steps still to come at this dt and a margin
+            size = min(max_rows, k + math.ceil((1.0 + ROW_MARGIN) * (T - t) / dt))
+            grown = np.empty((size, x.size))
             grown[:k] = rows
             rows = grown
         np.multiply(dt / cfg.dx, alpha[1:], out=lam)
@@ -191,39 +188,38 @@ def resample_rows(t_grid, ts, rows) -> None:
     """Overwrite rows[i], the row at ts[i], with np.interp(t_grid[i], ts, column)
     of every column, bit for bit.
 
-    t_grid and ts have one entry per row, and ts must increase strictly and
-    the rows must be finite.  RESAMPLE_BLOCK_ROWS output rows are made at a
-    time, from copies of the two rows each one reads.  Before a block
-    overwrites its rows, it sets aside a copy of each of them that a later
-    output row still reads, and a set-aside row is dropped once no later
-    output row reads it.  Where the march times lead the output grid, output
-    row i reads rows before i, which are set aside; where they lag it, it
-    reads rows from i on, which are not yet overwritten.  The arithmetic is
+    t_grid and ts have one entry per row, and ts must increase strictly and the
+    rows must be finite.  RESAMPLE_BLOCK_ROWS output rows are made at a time,
+    from copies of the two rows each one reads.  Output row i reads rows lo[i]
+    and lo[i] + 1, and lo never decreases, so the overwritten rows that later
+    blocks read are one tail, [lo[stop], stop), of which a block keeps a copy
+    before it writes.  Where the march times lead the output grid, output row i
+    reads rows before i, which come from that copy; where they lag it, it reads
+    rows from i on, which are not yet overwritten.  The arithmetic is
     np.interp's: on ts[j] <= t < ts[j+1] the value is
-    (fp[j+1]-fp[j])/(ts[j+1]-ts[j]) * (t-ts[j]) + fp[j], and it is fp[j]
-    itself where t equals ts[j], where j is the last node, or where t lies
-    outside [ts[0], ts[-1]].
+    (fp[j+1]-fp[j])/(ts[j+1]-ts[j]) * (t-ts[j]) + fp[j], and it is fp[j] itself
+    where t equals ts[j], where j is the last node, or where t lies outside
+    [ts[0], ts[-1]].
     """
     last = ts.size - 1
     j = np.searchsorted(ts, t_grid, side="right") - 1
     lo = np.clip(j, 0, last - 1)
     copied = (j < 0) | (j >= last) | (ts[lo] == t_grid)
-    # output row i reads rows lo[i] and lo[i] + 1; reader holds the last
-    # output row that reads each row, or -1
-    reader = np.full(ts.size, -1)
-    np.maximum.at(reader, lo, np.arange(t_grid.size))
-    np.maximum.at(reader, lo + 1, np.arange(t_grid.size))
-    aside = {}
+    # output row i reads rows lo[i] and lo[i] + 1, and lo never decreases:
+    # kept holds rows [base, start) as they were before their blocks wrote
+    kept, base = rows[:0], 0
     for start in range(0, t_grid.size, RESAMPLE_BLOCK_ROWS):
         stop = min(start + RESAMPLE_BLOCK_ROWS, t_grid.size)
         k = lo[start:stop]
-        # rows before start are overwritten; those still read were set aside
-        left = np.array([aside[i] if i < start else rows[i] for i in k])
-        right = np.array([aside[i + 1] if i + 1 < start else rows[i + 1] for i in k])
-        for i in [i for i in aside if reader[i] < stop]:
-            del aside[i]
-        for i in start + np.flatnonzero(reader[start:stop] >= stop):
-            aside[i] = rows[i].copy()
+        left, right = rows[k], rows[k + 1]
+        below = k < start
+        left[below] = kept[k[below] - base]
+        below = k + 1 < start
+        right[below] = kept[k[below] + 1 - base]
+        # later blocks read rows from lo[stop] on; keep those this one writes
+        nxt = lo[stop] if stop < t_grid.size else stop
+        kept = np.concatenate((kept[nxt - base:], rows[max(nxt, start):stop]))
+        base = nxt
         # slope * (t - ts[j]) + fp[j], computed in the block's own rows
         block = np.subtract(right, left, out=rows[start:stop])
         block /= (ts[k + 1] - ts[k])[:, None]
@@ -232,6 +228,7 @@ def resample_rows(t_grid, ts, rows) -> None:
         # a copied row is its left row, or its right row past the last node
         for i in np.flatnonzero(copied[start:stop]):
             block[i] = right[i] if j[start + i] >= last else left[i]
+        del left, right
 
 
 @dataclass(frozen=True)

@@ -330,7 +330,7 @@ class TestBitIdenticalMarch:
         _, field = simulate_upwind(data, T, cfg)
         assert field.t_grid.size > self._first_step_rows(data, T, cfg)
 
-    def test_buffer_without_margin_grows_row_by_row(self, monkeypatch):
+    def test_buffer_without_margin_grows_to_the_steps_left(self, monkeypatch):
         data = sine_feed_data(0.01, 0.006, 2, T=0.5, n_amp=0.05)
         cfg = UpwindConfig(dx=0.01)
         monkeypatch.setattr(oracle, "ROW_MARGIN", 0.0)
@@ -463,6 +463,19 @@ class TestResampleRows:
         ahead = lo > np.arange(n_rows)
         assert {"lead": behind.any(), "lag": ahead.any(),
                 "cross": ahead.any() and (lo < np.arange(n_rows)).any()}[shape]
+        values = np.random.default_rng(n_rows).uniform(0.0, 1.0, (n_rows, 3))
+        self._assert_matches(t_grid, ts, values)
+
+    @pytest.mark.parametrize("n_rows", [300, 600])
+    def test_march_times_lead_the_grid_by_more_than_a_block(self, n_rows):
+        # steps that shrink from 1.05**3 to 0.05**3 put the march times 137
+        # (300 rows) and 273 (600 rows) rows ahead of the grid: a block reads
+        # rows that blocks several before it have overwritten
+        u = np.linspace(0.0, 1.0, n_rows - 1)
+        ts = np.concatenate(([0.0], np.cumsum((1.05 - u) ** 3)))
+        t_grid = np.linspace(0.0, ts[-1], n_rows)
+        lo = np.clip(np.searchsorted(ts, t_grid, side="right") - 1, 0, n_rows - 2)
+        assert np.max(np.arange(n_rows) - lo) > 2 * RESAMPLE_BLOCK_ROWS
         values = np.random.default_rng(n_rows).uniform(0.0, 1.0, (n_rows, 3))
         self._assert_matches(t_grid, ts, values)
 

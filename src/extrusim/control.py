@@ -239,8 +239,9 @@ def _interface(l0, b_vals, start, N_e, dt, params):
     solved through its integrating factor, so l moves to the image plus
     e^A integral e^-A a r; where e^-A overflows, to the image alone.  The
     steps stop at a residual of 1e-15, or at the rounding floor of the
-    running integral: a residual of at most 1e-13 that no longer shrinks;
-    the last image is returned.
+    running integral: a residual that no longer shrinks and is at most
+    1e-13 times the largest integral of a term of g, |N_e| t zeta b/(1 - b)
+    over the trace (at least 1e-13); the last image is returned.
     """
     if (b_vals >= 1.0).any():
         raise SingularityError("f_p1 >= 1 makes the die balance singular")
@@ -248,6 +249,9 @@ def _interface(l0, b_vals, start, N_e, dt, params):
         raise DomainError("f_p1 must be a ratio in [0, 1)")
     empty = 1.0 - b_vals
     outflow = params.zeta * b_vals / empty
+    # g is the difference of terms up to zeta b/(1 - b): the running
+    # integral rounds at this size
+    floor = 1e-13 * max(1.0, abs(N_e) * dt * (b_vals.size - 1) * float(outflow.max()))
     l = start
     rates = np.empty((2, l.size))
     last = np.inf
@@ -264,7 +268,7 @@ def _interface(l0, b_vals, start, N_e, dt, params):
         image += l0
         res = image - l
         step = float(np.abs(res).max()) / max(1.0, float(np.abs(image).max()))
-        if step <= 1e-15 or last <= step <= 1e-13:
+        if step <= 1e-15 or last <= step <= floor:
             # copied, so that the returned trace does not keep the row of A
             return image.copy()
         last = step

@@ -301,8 +301,9 @@ def test_criterion_07_controllability():
     assert cert.upwind_l_error <= 5e-3
     assert cert.upwind_fp_error <= 5e-3
     assert elapsed < 60.0
-    # the screw holds N_e and the feed carries an O(nu) outlet bump, so the
-    # control size shrinks with the budget
+    # the screw holds N_e and the feed follows an outlet trace read off an
+    # interface path from l0 to l1, a step of 2 nu, so the control size
+    # shrinks with the budget
     assert drift <= 0.2, f"nFN ratio drift {drift:.1%} exceeds 20%"
 
 

@@ -947,6 +947,20 @@ class TestControlCommand:
                                                         "data.l1": "0.49"})
         assert values["nfn_ratio"] == pytest.approx(3.70077421417, rel=1e-9)
 
+    def test_stiff_die_solves_settle_at_their_rounding_floor(self, tmp_path, capsys):
+        # K_d = 1e6 puts f_pe at 0.999998: g is the difference of terms near
+        # zeta f_pe/(1 - f_pe) = 5e5, so the running integral rounds far above
+        # 1e-13; the first candidate settles there, and the interface path
+        # leaves the eps1 ball of 6.7e-7
+        mapping = {**base_control_cfg(tmp_path), "params.K_d": "1e6",
+                   "data.f0_p": "constant:eq", "data.f1_p": "constant:eq"}
+        assert run(["control", write_cfg(tmp_path, "c.cfg", mapping)]) == 3
+        assert capsys.readouterr().err == (
+            "error: target out of reach: pass 1, path candidate moves the interface to "
+            "[0.49, 0.512163]; it must stay within eps1=6.66665e-07 of its equilibrium "
+            "value 0.5\n"
+        )
+
     @pytest.mark.parametrize("key", ["data.f0_p", "data.f1_p"])
     def test_profile_that_reaches_1_is_a_config_error(self, tmp_path, capsys, monkeypatch, key):
         # simulate admits a profile of 1 away from x = 1; the ratios that

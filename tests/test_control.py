@@ -403,8 +403,9 @@ class TestDeviationScaling:
     def test_nfn_ratio_stable_under_nu_halving(self, ramp_report):
         # bounded-constant audit: the control-size-to-budget ratio should be
         # stable as the deviation budget halves.  The screw holds N_e and
-        # the feed carries an O(nu) outlet bump, so the ratio settles
-        # (11.54 -> 10.95, a 5.1% drift).
+        # the feed follows an outlet trace read off an interface path from
+        # l0 to l1, a step of 2 nu, so the ratio settles (10.63 -> 10.12, a
+        # 4.8% drift).
         half = NU / 2.0
         prof = const_profile(EQ.f_pe - half)
         tgt = ControlTarget(
@@ -605,6 +606,19 @@ class TestOnePassInterface:
         report = synthesize(ControlTarget(0.49, 0.51, prof, prof, 200.0, NU), UNIT, EQ)
         assert report.final_errors[0] <= 1e-12
         assert 1e-15 < max(steps) <= 1e-12
+
+    def test_stiff_die_solves_stop_at_their_rounding_floor(self):
+        # K_d = 1e6 puts f_pe at 0.999998: g is the difference of terms near
+        # zeta f_pe/(1 - f_pe) = 5e5, and the running integral rounds at a
+        # step near 1e-12 that scales with them; a step of 4e-7 inside the
+        # eps1 ball then synthesizes in one pass
+        params = PhysicalParams(K_d=1e6)
+        eq = solve_equilibrium(params, N_e=1.0, l_e=0.5)
+        prof = const_profile(eq.f_pe)
+        target = ControlTarget(0.4999998, 0.5000002, prof, prof, 1.0, 1e-6)
+        report = synthesize(target, params, eq)
+        assert report.iterations == 1
+        assert report.final_errors[0] <= 1e-12
 
     def test_very_long_horizon_ends_in_a_named_error(self):
         # over T = 1500, e^-A of the Newton step overflows: the Picard image

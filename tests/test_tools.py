@@ -174,6 +174,21 @@ class TestControlHorizons:
         assert same_outputs.workloads.pool("control")
 
 
+class TestUpwindScrewSpeeds:
+    """`tools/same_outputs.py` runs three sim-upwind inputs under each label
+    of `UPWIND_N` with that label's screw speed."""
+
+    def test_upwind_labels_swap_the_screw_speed_of_the_sim_upwind_config(self, tmp_path):
+        same_outputs = load_tool("same_outputs")
+        for label, N in same_outputs.UPWIND_N.items():
+            runs = [params for name, _, params in same_outputs.runs() if name == label]
+            assert len(runs) == 3
+            for params in runs:
+                base = same_outputs.config_text("sim-upwind", params, tmp_path)
+                assert same_outputs.config_text(label, params, tmp_path) == base.replace(
+                    "data.N=constant:eq", N)
+
+
 class TestBytecode:
     """`tools/bench_pairs.py` measures both sides importing the checkouts'
     modules from source: it refuses a checkout that holds bytecode of them,

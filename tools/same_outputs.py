@@ -16,6 +16,10 @@ run in a fresh Python process:
   config of three inputs spread over its pool and a screw speed that varies
   (`VARYING_N`), so that the upwind march reads N between its nodes, as no
   pool config does,
+- under the `upwind-rising-N` label, the same three runs with a screw speed
+  that rises to twice its equilibrium value (`RISING_N`), so that the march
+  outruns its first row buffer and its times lead the output grid by more
+  than a resample block, as no pool config does,
 - under the `control-horizons` label, `extrusim control` on the README
   example (`README_CONTROL`) at each horizon of `CONTROL_HORIZONS`, so that a
   last-bit move of a long-horizon synthesis shows, as no pool config runs one.
@@ -87,10 +91,14 @@ workloads = load_workloads()
 # one verify run for every VERIFY_STRIDE-th sim-char input: six of 27
 VERIFY_STRIDE = 5
 
-# one upwind-varying-N run for every VARYING_N_STRIDE-th sim-upwind input:
-# three of 27, each with this screw speed in place of the pools' constant one
+# one run of each UPWIND_N label for every VARYING_N_STRIDE-th sim-upwind
+# input: three of 27, each with that label's screw speed in place of the
+# pools' constant one
 VARYING_N_STRIDE = 13
 VARYING_N = "data.N=sine-perturbation:eq,0.02,2"
+RISING_N = "data.N=linear:eq,2"
+# the screw speed of each label that replaces the sim-upwind config's
+UPWIND_N = {"upwind-varying-N": VARYING_N, "upwind-rising-N": RISING_N}
 
 # the control example of README.md, run under the control-horizons label at
 # each of these mode.T
@@ -186,8 +194,9 @@ def runs():
         yield "verify", "verify", params
     for params in workloads.pool("regularity"):
         yield "regularity", "regularity", params
-    for params in sims[::VARYING_N_STRIDE]:
-        yield "upwind-varying-N", "simulate", params
+    for label in UPWIND_N:
+        for params in sims[::VARYING_N_STRIDE]:
+            yield label, "simulate", params
     for T in CONTROL_HORIZONS:
         yield "control-horizons", "control", {"mode.T": T}
 
@@ -198,11 +207,11 @@ def config_text(label: str, params: dict, out: Path) -> str:
     if label == "control-horizons":
         mapping = {**README_CONTROL, **params, "mode.out": out}
         return "".join(f"{key}={value}\n" for key, value in mapping.items())
-    method = "upwind" if label in ("sim-upwind", "upwind-varying-N") else "characteristics"
+    method = "upwind" if label == "sim-upwind" or label in UPWIND_N else "characteristics"
     text = workloads.simulate_config(params, method, out)
-    if label == "upwind-varying-N":
+    if label in UPWIND_N:
         assert "data.N=constant:eq" in text, "the sim-upwind config no longer holds a constant N"
-        text = text.replace("data.N=constant:eq", VARYING_N)
+        text = text.replace("data.N=constant:eq", UPWIND_N[label])
     if label == "verify":
         lines = text.splitlines(keepends=True)
         text = "".join(line for line in lines if not line.startswith(("mode.method=", "mode.out=")))

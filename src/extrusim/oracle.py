@@ -7,10 +7,10 @@ convex combination of neighbor values, so the scheme is monotone and makes
 a trustworthy cross-check for the characteristics machinery; accuracy is
 bought with grid refinement, not with scheme order.
 
-The Courant number is the module constant CFL.  The march keeps one row per
-CFL step, about T*max(alpha)/(CFL*dx) of them, which `upwind_step_estimate`
-gives before it starts.  The rows live in one 2-D buffer, sized for the
-steps still to come with ROW_MARGIN to spare each time it is full, and the
+The Courant number is the module constant CFL.  The march keeps one row
+per CFL step, about T*max(alpha)/(CFL*dx) of them, which
+`upwind_step_estimate` gives before it starts.  The rows live in one 2-D
+buffer, sized anew whenever it is full, with ROW_MARGIN to spare, and the
 field is that buffer, resampled in place when the steps are uneven.  A step
 takes F at the previous row's outlet value, the speed on the grid and the
 CFL step from the speed's two ends; it writes its Courant factors and update
@@ -89,13 +89,13 @@ def upwind_step_estimate(l0: float, f0_p, N0: float, params, T: float, cfg: Upwi
 def simulate_upwind(data, T: float, cfg: UpwindConfig):
     """March the coupled system to time T; returns (l trace, ratio field).
 
-    The outlet value of the previous row drives both the interface velocity and
-    the transport speed.  Each step writes its row straight into one buffer,
-    which is regrown with one copy each time it is full (the row of f0_p before
-    the first step too) to hold the (T - t)/dt steps still to come at the
-    step's dt and a ROW_MARGIN share more.  The rows are resampled onto a
-    uniform grid in that buffer (`resample_rows`, bit for bit np.interp of each
-    column) only when the steps came out uneven, so the field's values are the
+    The outlet value of the previous row drives both the interface velocity
+    and the transport speed.  Each step writes its row straight into one
+    buffer, regrown with one copy whenever it is full (the row of f0_p before
+    the first step too) for the (T - t)/dt steps still to come at the step's
+    dt and a ROW_MARGIN share more.  The rows are resampled onto a uniform grid
+    in that buffer (`resample_rows`, bit for bit np.interp of each column)
+    only when the steps came out uneven, so the field's values are the
     buffer's first rows and the field is held once.  Each step carries the
     inflow's influence one node further, so row k has k + 1 inflow-driven
     nodes.  A march whose rows would hold more than MAX_GRID_POINTS values
@@ -188,18 +188,19 @@ def resample_rows(t_grid, ts, rows) -> None:
     """Overwrite rows[i], the row at ts[i], with np.interp(t_grid[i], ts, column)
     of every column, bit for bit.
 
-    t_grid and ts have one entry per row, and ts must increase strictly and the
-    rows must be finite.  RESAMPLE_BLOCK_ROWS output rows are made at a time,
-    from copies of the two rows each one reads.  Output row i reads rows lo[i]
-    and lo[i] + 1, and lo never decreases, so the overwritten rows that later
-    blocks read are one tail, [lo[stop], stop), of which a block keeps a copy
-    before it writes.  Where the march times lead the output grid, output row i
-    reads rows before i, which come from that copy; where they lag it, it reads
-    rows from i on, which are not yet overwritten.  The arithmetic is
+    t_grid and ts have one entry per row, and ts must increase strictly and
+    the rows must be finite.  RESAMPLE_BLOCK_ROWS output rows are made at a
+    time, from copies of the two rows each one reads.  Output row i reads
+    rows lo[i] and lo[i] + 1, and lo never decreases, so the overwritten rows
+    that later blocks read are one tail, [lo[stop], stop), of which a block
+    keeps a copy before it writes.  Where the march times lead the output
+    grid, output row i reads rows before i, which come from that copy; where
+    they lag it, it reads rows from i on, which are not yet overwritten.  The
+    arithmetic is
     np.interp's: on ts[j] <= t < ts[j+1] the value is
-    (fp[j+1]-fp[j])/(ts[j+1]-ts[j]) * (t-ts[j]) + fp[j], and it is fp[j] itself
-    where t equals ts[j], where j is the last node, or where t lies outside
-    [ts[0], ts[-1]].
+    (fp[j+1]-fp[j])/(ts[j+1]-ts[j]) * (t-ts[j]) + fp[j], and it is fp[j]
+    itself where t equals ts[j], where j is the last node, or where t lies
+    outside [ts[0], ts[-1]].
     """
     last = ts.size - 1
     j = np.searchsorted(ts, t_grid, side="right") - 1

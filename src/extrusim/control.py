@@ -240,8 +240,8 @@ def _interface(l0, b_vals, start, N_e, dt, params):
     e^A integral e^-A a r; where e^-A overflows, to the image alone.  The
     steps stop at a residual of 1e-15, or at the rounding floor of the
     running integral: a residual that no longer shrinks and is at most
-    1e-13 times the largest integral of a term of g, |N_e| t zeta b/(1 - b)
-    over the trace (at least 1e-13); the last image is returned.
+    1e-13 times the size of the integral of g's terms, max(1, |N_e| times
+    the trace's length times max zeta b/(1 - b)); the last image is returned.
     """
     if (b_vals >= 1.0).any():
         raise SingularityError("f_p1 >= 1 makes the die balance singular")

@@ -6,11 +6,13 @@ The scalar problem is
     u_t + a(t,x) u_x = b(t,x) u + c(t,x),   u(0,.) = u0,   u(t,0) = h(t),
 
 with a > 0 so every backward characteristic leaves through the initial
-axis or the inflow face.  Trajectories are integrated with classical
-Runge-Kutta, the zero crossing is refined on a cubic Hermite dense output,
-and the integrating-factor integrals accumulate with Simpson increments on
-the same parameterization.  This generic solver serves given coefficients
-and stands as an independent check of the closed forms.
+axis or the inflow face.  One classical Runge-Kutta step advances the
+carried state (X, B, I) backward in time: the foot X with X' = a, the
+growth exponent B with b and the source integral I with c e^B.  A step
+that crosses x = 0 finds the crossing time on the cubic through its two
+end states and is taken again, short, up to that time.  This generic
+solver serves given coefficients and stands as an independent check of
+the closed forms.
 
 The derivative fields of the filling ratio need no marching: their speed
 is the filling ratio's own, so they are closed form along the origins that
@@ -28,7 +30,6 @@ from .characteristics import TraceContext, backtrace_batch, carry, flow_stretch
 from .errors import CompatibilityError, DomainError, GridError
 from .fields import SampledFunction, SolutionField, SpaceProfile
 from .model import inflow_value
-from .quadrature import hermite_basis
 
 # highest power of t and of x in the weak-form trial family
 TRIAL_DEGREE = 3
@@ -51,8 +52,8 @@ class LinearTransportProblem:
     h: SampledFunction
 
     def __post_init__(self):
-        if self.T <= 0.0:
-            raise DomainError("horizon must be positive")
+        if not 0.0 < self.T < np.inf:
+            raise DomainError("horizon must be positive and finite")
         # probe the coefficient signs and finiteness on a coarse lattice
         ts = np.linspace(0.0, self.T, 9)
         xs = np.linspace(0.0, 1.0, 9)
@@ -66,93 +67,77 @@ class LinearTransportProblem:
                 raise DomainError(f"coefficient {name} must be finite")
 
 
-def _dense_output(z, width, y_lo, y_hi, m_lo, m_hi):
-    """The cubic matching values y and slopes m at both ends of a step of the
-    given width, at local coordinate z in [0, 1]."""
-    h00, h10, h01, h11 = hermite_basis(z)
-    return h00 * y_lo + width * h10 * m_lo + h01 * y_hi + width * h11 * m_hi
+def _rk4_step(p, s, width, X, B, I):
+    """One classical RK4 step of the carried state (X, B, I) from time s back
+    to s - width, a scalar or one width per point; also returns a at the
+    start.  a must stay positive at the first and last stages."""
+
+    def rates(sigma, x, growth):
+        a, b, c = (np.asarray(fn(sigma, x), dtype=float) for fn in (p.a, p.b, p.c))
+        return a, b, c * np.exp(growth)
+
+    half = 0.5 * width
+    a1, b1, c1 = rates(s, X, B)
+    a2, b2, c2 = rates(s - half, X - half * a1, B + half * b1)
+    a3, b3, c3 = rates(s - half, X - half * a2, B + half * b2)
+    a4, b4, c4 = rates(s - width, X - width * a3, B + width * b3)
+    if np.any(a1 <= 0.0) or np.any(a4 <= 0.0):
+        raise DomainError("transport coefficient a must stay positive")
+    w6 = width / 6.0
+    return (X - w6 * (a1 + 2.0 * a2 + 2.0 * a3 + a4),
+            B + w6 * (b1 + 2.0 * b2 + 2.0 * b3 + b4),
+            I + w6 * (c1 + 2.0 * c2 + 2.0 * c3 + c4), a1)
 
 
 def solve_linear_transport(p: LinearTransportProblem, t_grid, x_grid) -> SolutionField:
     """Characteristic solution of the transport problem on a tensor grid.
 
     All grid points march backward through one shared sweep, one RK4 step
-    per time cell: a row joins the sweep when the time front reaches its
-    node, so every step advances one batch instead of re-tracing rows
-    separately.
+    of (X, B, I) per time cell: a row joins the sweep when the time front
+    reaches its node, so every step advances one batch instead of re-tracing
+    rows separately.  A point whose step crosses x = 0 takes the same step
+    again from its start, short, to the crossing time tau, and reads
+    u = h(tau) e^B + I there.
     """
     t_grid = np.asarray(t_grid, dtype=float)
     x_grid = np.asarray(x_grid, dtype=float)
     if t_grid[0] != 0.0 or abs(t_grid[-1] - p.T) > 1e-12:
         raise GridError("time grid must span [0, T]")
+    if not np.all((x_grid >= 0.0) & (x_grid <= 1.0)):
+        raise GridError("space grid must lie in [0, 1]")
     nt, nx = t_grid.size, x_grid.size
     dt = t_grid[1] - t_grid[0]
     if np.max(np.abs(np.diff(t_grid) - dt)) > 1e-9 * dt:
         raise GridError("time grid must be uniform")
 
     m = nt * nx
-    X = np.empty(m)
+    X = np.tile(x_grid, nt)
     B = np.zeros(m)  # integral of b from current s back up to the row time
     I = np.zeros(m)  # accumulated source integral with the growth factor
     u = np.empty(m)
-    a_c = np.empty(m)  # a at the current state, reused between steps
     active = np.zeros(m, dtype=bool)
     crossed = np.zeros(m, dtype=bool)
     for k in range(nt - 1, 0, -1):
-        row = slice(k * nx, (k + 1) * nx)
-        X[row] = x_grid
-        B[row] = 0.0
-        I[row] = 0.0
-        active[row] = True
-        a_c[row] = np.asarray(p.a(t_grid[k], x_grid), dtype=float)
+        active[k * nx : (k + 1) * nx] = True
         s = t_grid[k]
-        s_new = s - dt
         idx = np.nonzero(active)[0]
-        Xa = X[idx]
-        a1 = a_c[idx]
-        # classical RK4 with step -dt
-        k1 = a1
-        k2 = np.asarray(p.a(s - 0.5 * dt, Xa - 0.5 * dt * k1), dtype=float)
-        k3 = np.asarray(p.a(s - 0.5 * dt, Xa - 0.5 * dt * k2), dtype=float)
-        k4 = np.asarray(p.a(s_new, Xa - dt * k3), dtype=float)
-        X_new = Xa - dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        a_new = np.asarray(p.a(s_new, X_new), dtype=float)
-        if np.any(a_new <= 0.0) or np.any(a1 <= 0.0):
-            raise DomainError("transport coefficient a must stay positive")
-        X_mid = _dense_output(0.5, dt, X_new, Xa, a_new, a1)
-
+        Xa, Ba, Ia = X[idx], B[idx], I[idx]
+        X_new, B_new, I_new, a1 = _rk4_step(p, s, dt, Xa, Ba, Ia)
         hit = X_new < 0.0
         keep = ~hit
-        if np.any(keep):
-            j = idx[keep]
-            b_old = np.asarray(p.b(s, Xa[keep]), dtype=float)
-            b_mid = np.asarray(p.b(s - 0.5 * dt, X_mid[keep]), dtype=float)
-            b_new = np.asarray(p.b(s_new, X_new[keep]), dtype=float)
-            dB = dt / 6.0 * (b_old + 4.0 * b_mid + b_new)
-            B_mid = B[j] + 0.25 * dt * (b_old + b_mid)
-            c_old = np.asarray(p.c(s, Xa[keep]), dtype=float)
-            c_mid = np.asarray(p.c(s - 0.5 * dt, X_mid[keep]), dtype=float)
-            c_new = np.asarray(p.c(s_new, X_new[keep]), dtype=float)
-            I[j] += dt / 6.0 * (
-                c_old * np.exp(B[j])
-                + 4.0 * c_mid * np.exp(B_mid)
-                + c_new * np.exp(B[j] + dB)
-            )
-            B[j] += dB
-            X[j] = X_new[keep]
-            a_c[j] = a_new[keep]
+        j = idx[keep]
+        X[j], B[j], I[j] = X_new[keep], B_new[keep], I_new[keep]
         if np.any(hit):
             j = idx[hit]
-            tau = _refine_crossing(s_new, s, X_new[hit], Xa[hit], a_new[hit], a1[hit])
-            u[j] = _boundary_value(
-                p, tau, s, Xa[hit], a1[hit], X_new[hit], a_new[hit], s_new, B[j], I[j]
-            )
+            a_end = np.asarray(p.a(s - dt, X_new[hit]), dtype=float)
+            tau = _refine_crossing(s - dt, s, X_new[hit], Xa[hit], a_end, a1[hit])
+            _, B_tau, I_tau, _ = _rk4_step(p, s, s - tau, Xa[hit], Ba[hit], Ia[hit])
+            u[j] = np.asarray(p.h(tau), dtype=float) * np.exp(B_tau) + I_tau
             crossed[j] = True
             active[j] = False
-    rest = active
-    if np.any(rest):
-        beta = np.clip(X[rest], 0.0, 1.0)
-        u[rest] = p.u0(beta) * np.exp(B[rest]) + I[rest]
+    if np.any(active):
+        beta = np.clip(X[active], 0.0, 1.0)
+        u[active] = p.u0(beta) * np.exp(B[active]) + I[active]
 
     values = u.reshape(nt, nx)
     values[0] = p.u0(x_grid)
@@ -160,7 +145,7 @@ def solve_linear_transport(p: LinearTransportProblem, t_grid, x_grid) -> Solutio
 
 
 def _refine_crossing(s_lo, s_hi, x_lo, x_hi, m_lo, m_hi):
-    """Zero of the dense-output cubic between the bracketing states.
+    """Zero of the cubic through the bracketing states and their slopes.
 
     The cubic is written in coefficient form on z = (sigma - s_lo)/w and the
     root is located by Newton steps clamped to a shrinking bisection bracket;
@@ -186,28 +171,6 @@ def _refine_crossing(s_lo, s_hi, x_lo, x_hi, m_lo, m_hi):
         outside = (z_next < lo) | (z_next > hi) | ~np.isfinite(z_next)
         z = np.where(outside, 0.5 * (lo + hi), z_next)
     return s_lo + z * w
-
-
-def _boundary_value(p, tau, s, x_s, a_s, x_new, a_new, s_new, B, I):
-    """Datum pickup at the inflow face plus the partial-interval integrals."""
-    width = s - tau
-    sig_m = 0.5 * (tau + s)
-    step = s - s_new
-    x_m = _dense_output((sig_m - s_new) / step, step, x_new, x_s, a_new, a_s)
-    x_tau = np.zeros_like(tau)
-    b_s = np.asarray(p.b(s, x_s), dtype=float)
-    b_m = np.asarray(p.b(sig_m, x_m), dtype=float)
-    b_tau = np.asarray(p.b(tau, x_tau), dtype=float)
-    dB = width / 6.0 * (b_s + 4.0 * b_m + b_tau)
-    B_m = B + 0.25 * width * (b_s + b_m)
-    c_s = np.asarray(p.c(s, x_s), dtype=float)
-    c_m = np.asarray(p.c(sig_m, x_m), dtype=float)
-    c_tau = np.asarray(p.c(tau, x_tau), dtype=float)
-    dI = width / 6.0 * (
-        c_s * np.exp(B) + 4.0 * c_m * np.exp(B_m) + c_tau * np.exp(B + dB)
-    )
-    h_tau = np.asarray(p.h(tau), dtype=float)
-    return h_tau * np.exp(B + dB) + I + dI
 
 
 @dataclass(frozen=True)

@@ -95,6 +95,41 @@ class TestProblemValidation:
                 h=SampledFunction.constant(0.0, 0.0, 1.0),
             )
 
+    @pytest.mark.parametrize("T", [np.nan, np.inf])
+    def test_nonfinite_horizon_rejected(self, T):
+        with pytest.raises(DomainError, match="horizon must be positive and finite"):
+            LinearTransportProblem(
+                T=T,
+                a=ONE,
+                b=ZERO,
+                c=ZERO,
+                u0=SpaceProfile.constant(0.0),
+                h=SampledFunction.constant(0.0, 0.0, 1.0),
+            )
+
+    def test_space_grid_must_lie_in_unit_interval(self):
+        p = unit_speed_problem(
+            SpaceProfile.constant(0.0), SampledFunction.constant(0.0, 0.0, 1.0), c=ONE
+        )
+        with pytest.raises(GridError, match=r"space grid must lie in \[0, 1\]"):
+            solve_linear_transport(p, np.linspace(0.0, 1.0, 11), np.linspace(-0.5, 1.0, 16))
+
+    def test_speed_negative_between_probe_nodes_stops_the_sweep(self):
+        # the dip sits between the 9x9 probe nodes, so only the sweep sees it
+        def a(t, x):
+            return 1.0 - 2.0 * np.exp(-(((np.asarray(x, float) - 0.56) / 0.02) ** 2)) + 0.0 * t
+
+        p = LinearTransportProblem(
+            T=1.0,
+            a=a,
+            b=ZERO,
+            c=ZERO,
+            u0=SpaceProfile.constant(0.0),
+            h=SampledFunction.constant(0.0, 0.0, 1.0),
+        )
+        with pytest.raises(DomainError, match="transport coefficient a must stay positive"):
+            solve_linear_transport(p, np.linspace(0.0, 1.0, 21), np.linspace(0.0, 1.0, 51))
+
     def test_time_grid_must_span_horizon(self):
         p = unit_speed_problem(
             SpaceProfile.constant(0.0), SampledFunction.constant(0.0, 0.0, 1.0)
@@ -153,6 +188,27 @@ class TestSolver:
         from_face = h(np.clip(tm - xm, 0.0, 1.0)) * np.exp(lam * xm)
         expected = np.where(xm - tm >= 0.0, from_init, from_face)
         assert np.max(np.abs(sol.values - expected)) <= 1e-8
+
+    def test_growth_and_source_through_the_crossing(self):
+        # I accumulates c e^B along each foot; the datum is u0 on the initial
+        # axis and h on the inflow face, picked up at sigma = min(t, x)
+        lam, c, u0, h = 0.7, 1.3, 0.4, 0.9
+        p = unit_speed_problem(
+            SpaceProfile.constant(u0),
+            SampledFunction.constant(h, 0.0, 1.0),
+            b=const_coeff(lam),
+            c=const_coeff(c),
+        )
+        tg = np.linspace(0.0, 1.0, 81)
+        xg = np.linspace(0.0, 1.0, 51)
+        sol = solve_linear_transport(p, tg, xg)
+        tm, xm = np.meshgrid(tg, xg, indexing="ij")
+        sigma = np.minimum(tm, xm)
+        datum = np.where(xm >= tm, u0, h)
+        expected = datum * np.exp(lam * sigma) + c * np.expm1(lam * sigma) / lam
+        # measured 3.8e-12; nodes on the corner characteristic may take either datum
+        off_contact = np.abs(xm - tm) > 1e-9
+        assert np.max(np.abs((sol.values - expected)[off_contact])) <= 1e-10
 
     def test_provenance_separates_origin_kinds(self):
         p = unit_speed_problem(

@@ -17,12 +17,13 @@ plain '.' and lines end in LF.  Each float is formatted exactly once: the
 values of every CSV by one block formatter (`_value_chars`), and the t and
 x of the field's rows and columns by `format_value`.  The block formatter
 takes a value's 12 digits from one product by an exact power of ten and a
-table of three-digit groups, laid out as `%.12g` lays them out.  A value
-the block formatter cannot prove exact (zero, non-finite, outside the fixed
-notation range, a carry to the next power of ten, or within 1e-3 of a
-rounding tie) goes through `format_value` one at a time, so the text is
-that of `format(v, FLOAT_FORMAT)` for every value.  Every table lookup of
-the formatter copies items of 1, 4, 8 or 16 bytes, the widths that numpy's
+table of three-digit groups, laid out as `%.12g` lays them out, for the
+ratios in [1e-4, 1) and whole numbers below 1e12 that the CSVs hold.
+Every other value goes through `format_value` one at a time: a fraction
+at or above 1, zero, non-finite, outside that range, a carry to the next
+power of ten, or within 1e-3 of a rounding tie, so the text is that of
+`format(v, FLOAT_FORMAT)` for every value.  Every table lookup of the
+formatter copies items of 1, 4, 8 or 16 bytes, the widths that numpy's
 take moves as whole words; items of other widths it moves with one memmove
 call each, at two to three times the cost.  The block formatter writes each
 value's text in place, into the value field of the block's records, so no
@@ -78,7 +79,8 @@ def format_value(x: float) -> str:
 # [1e11, 1e12) (else log10 was off by one or the digits carried into the next
 # power of ten) and the product lies within TIE_MARGIN of D, so 1e-3 or more
 # from a half-integer tie, D is the correctly rounded digit string that
-# format() prints.
+# format() prints.  The digit path prints D for values below 1 (e < 0) and
+# whole numbers (at most e + 1 significant digits), and no other fraction.
 E_MIN, E_MAX = -4, 11
 TIE_MARGIN = 0.499
 _POW10 = np.array([float(10**k) for k in range(E_MAX - E_MIN + 1)])
@@ -102,8 +104,8 @@ def _group_tables() -> tuple[np.ndarray, np.ndarray]:
 
 _TRIPLES, _SIG = _group_tables()
 # a value's text: a prefix (sign, and "0." and zeros when e < 0), then a body
-# that holds the digits and the point; NUL bytes pad both.  The widths are
-# powers of two because numpy's take moves items of 1, 2, 4, 8 or 16 bytes as
+# that holds the digits; NUL bytes pad both.  The widths are powers of two
+# because numpy's take moves items of 1, 2, 4, 8 or 16 bytes as
 # whole words and items of any other width with one memmove call each, two
 # to three times slower.  VALUE_WIDTH also holds the longest %.12g text, as
 # in -4.94065645841e-324.
@@ -117,34 +119,20 @@ _PREFIXES = np.array(
 )
 
 
-def _body_masks() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Byte masks (keep, shift, point) of the body, indexed by (e - E_MIN) * 13 + sig.
+def _keep_masks() -> np.ndarray:
+    """Byte masks of the body, indexed by the count n of digits shown.
 
     Digit k of the 12 sits at byte 4*(k//3) + k%3 of the group slots, with
-    a NUL after every third digit.  Body byte j is byte j of the slots where
-    keep is set, byte j-1 of them where shift is, and else the byte of point
-    (the point or NUL).  The integer digits stay whole; the fraction ends at
-    the last significant digit, and the point stands after digit e only
-    before a fraction digit.  The point takes the byte after digit e, and
-    every fraction digit moves one byte right, within its group's slot: the
-    byte after a digit is the next digit's or the group's NUL.
+    a NUL after every third digit; mask n keeps the first n digits.  A ratio
+    below 1 shows its sig significant digits and a whole number its e + 1
+    digits, so n = max(sig, e + 1).
     """
-    e, sig, k, j = np.ix_(np.arange(E_MIN, E_MAX + 1), np.arange(13), np.arange(12),
-                          np.arange(BODY_WIDTH))
-    slot = 4 * (k // 3) + k % 3
-    fraction = (e >= 0) & (sig > e + 1)
-    shown = k < np.where(e < 0, sig, np.maximum(e + 1, sig))
-    moved = fraction & (k > e)
-    keep = np.any(shown & ~moved & (j == slot), axis=2)
-    shift = np.any(shown & moved & (j == slot + 1), axis=2)
-    point = np.any(fraction & (k == e) & (j == slot + 1), axis=2)
-    masks = (keep * 0xFF, shift * 0xFF, point * ord("."))
-    return tuple(
-        m.astype(np.uint8).reshape(-1, BODY_WIDTH).view(f"V{BODY_WIDTH}")[:, 0] for m in masks
-    )
+    n, k, j = np.ix_(np.arange(13), np.arange(12), np.arange(BODY_WIDTH))
+    keep = np.any((k < n) & (j == 4 * (k // 3) + k % 3), axis=1) * 0xFF
+    return keep.astype(np.uint8).view(f"V{BODY_WIDTH}")[:, 0]
 
 
-_KEEP, _SHIFT, _POINT = _body_masks()
+_KEEP = _keep_masks()
 
 
 def _digit_slots(d):
@@ -152,7 +140,7 @@ def _digit_slots(d):
     as two little-endian 64-bit words, and the count of its significant digits.
 
     A function of its own so that the group indices, the largest temporary,
-    are freed before `_value_chars` applies its masks.
+    are freed before `_value_chars` applies its keep mask.
     """
     # d's three-digit groups, most significant first.  floor(d / 1000) is exact
     # for a whole d below 1e12: the quotient rounds by less than 1e-7, and a
@@ -172,14 +160,15 @@ def _digit_slots(d):
 def _value_chars(values, out=None) -> np.ndarray:
     """`format_value` of each value as one NUL-padded VALUE_DTYPE item.
 
-    NUL bytes may sit anywhere in an item; dropping them leaves the text.
-    Every lookup copies items of a power-of-two width, and the body's masks
-    apply to the digit slots as two 64-bit words, in place where they can.
-    Values the digit path cannot vouch for go through `format_value`.  The
-    items are written into out, a one-dimensional VALUE_DTYPE array (or
-    field of a record array) with one item per value, when it is given; out
-    is returned.  Run it under `np.errstate(**_QUIET)`: the caller enters
-    that state once for all its blocks.
+    The digit path prints ratios in [1e-4, 1) and whole numbers below
+    1e12; every other value goes through `format_value`.  NUL bytes may sit
+    anywhere in an item; dropping them leaves the text.  Every lookup copies
+    items of a power-of-two width, and the keep mask applies to the digit
+    slots as two 64-bit words, in place.  The items are written into out, a
+    one-dimensional VALUE_DTYPE array (or field of a record array) with one
+    item per value, when it is given; out is returned.  Run it under
+    `np.errstate(**_QUIET)`: the caller enters that state once for all its
+    blocks.
     """
     v = np.ravel(np.asarray(values, dtype=float))
     m = np.abs(v)
@@ -192,18 +181,13 @@ def _value_chars(values, out=None) -> np.ndarray:
     del m  # 8 bytes a value fewer at the formatter's peak, in `_digit_slots`
     d[~fast] = 1e11  # keeps the lookups below in range; the fallback rewrites these items
     words, sig = _digit_slots(d)
-    # a byte moves one to the right as its word shifts left by 8 bits, and no
-    # shifted byte leaves its group's slot
-    key = (e - E_MIN) * 13 + sig
-    body = words & _KEEP.take(key).view("<u8").reshape(words.shape)
-    words <<= 8
-    words &= _SHIFT.take(key).view("<u8").reshape(words.shape)
-    body |= words
-    body |= _POINT.take(key).view("<u8").reshape(words.shape)
+    shown = np.maximum(sig, e + 1)
+    fast &= (e < 0) | (sig <= e + 1)
+    words &= _KEEP.take(shown).view("<u8").reshape(words.shape)
     if out is None:
         out = np.empty(v.size, VALUE_DTYPE)
     out["prefix"] = _PREFIXES.take((e - E_MIN) + (v < 0) * (E_MAX - E_MIN + 1))
-    out["body"] = body.view(f"V{BODY_WIDTH}")[:, 0]
+    out["body"] = words.view(f"V{BODY_WIDTH}")[:, 0]
     slow = (~fast).nonzero()[0]
     if slow.size:
         texts = [format_value(x) for x in v[slow].tolist()]

@@ -70,9 +70,11 @@ class LinearTransportProblem:
 def _rk4_step(p, s, width, X, B, I):
     """One classical RK4 step of the carried state (X, B, I) from time s back
     to s - width, a scalar or one width per point; also returns a at the
-    start.  a must stay positive at the first and last stages."""
+    start.  Stages read the coefficients at max(x, 0), since a step may cross
+    x = 0; a must stay positive at the first and last stages."""
 
     def rates(sigma, x, growth):
+        x = np.maximum(x, 0.0)
         a, b, c = (np.asarray(fn(sigma, x), dtype=float) for fn in (p.a, p.b, p.c))
         return a, b, c * np.exp(growth)
 
@@ -129,7 +131,7 @@ def solve_linear_transport(p: LinearTransportProblem, t_grid, x_grid) -> Solutio
         X[j], B[j], I[j] = X_new[keep], B_new[keep], I_new[keep]
         if np.any(hit):
             j = idx[hit]
-            a_end = np.asarray(p.a(s - dt, X_new[hit]), dtype=float)
+            a_end = np.asarray(p.a(s - dt, np.zeros(j.size)), dtype=float)  # at max(X_new, 0)
             tau = _refine_crossing(s - dt, s, X_new[hit], Xa[hit], a_end, a1[hit])
             _, B_tau, I_tau, _ = _rk4_step(p, s, s - tau, Xa[hit], Ba[hit], Ia[hit])
             u[j] = np.asarray(p.h(tau), dtype=float) * np.exp(B_tau) + I_tau

@@ -129,6 +129,20 @@ class TestTraceContext:
             TraceContext(0.5, 0.56, lb, np.ones(65), UNIT)
         assert sign * float(re.match(message, str(info.value)).group(1)) > 1e4
 
+    @pytest.mark.parametrize("l, N, t_end, message", [
+        # with b = 1/2 the die balances, so g = 0 and P = 0 whatever l is:
+        # zeta*N/l overflows at every node
+        (1e-306, 700.0, 1.0, "q, the slope of Q, must stay finite: q=inf at t=0"),
+        # q = 1e307 stays finite, and its running integral passes the float range
+        (1e-300, 1e7, 100.0, "Q, the integral of q, must stay finite: Q=inf at t=20"),
+    ])
+    def test_q_or_Q_past_the_float_range_is_named(self, l, N, t_end, message):
+        lb = np.stack((np.full(11, l), np.full(11, 0.5)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+                TraceContext(0.0, t_end, lb, np.full(11, N), UNIT)
+
 
 class TestEquilibriumPicture:
     """At (l_e, N_e, f_pe) the speed is constant 2, so xi = x - 2(t-s)."""

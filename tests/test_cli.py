@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 from extrusim import cli, control, model, oracle, wellposed
 from extrusim.cli import MAX_GRID_POINTS, run
 from extrusim.errors import SchemaError
-from extrusim.fields import SolutionField
+from extrusim.fields import PROVENANCE_NAMES, SolutionField
 
 F_PE = 1.0 / 3.0
 
@@ -824,10 +824,18 @@ class TestSimulateCommand:
         assert "compatibility" in capsys.readouterr().err
 
     def test_lf_endings_and_digits(self, tmp_path):
-        cfg = write_cfg(tmp_path, "c.cfg", base_simulate_cfg(tmp_path))
-        assert run(["simulate", cfg]) == 0
-        blob = (tmp_path / "out" / "trace.csv").read_bytes()
-        assert b"\r" not in blob
+        # at T = 2 the t column holds fractions at or above 1, which the block
+        # formatter hands to format_value, so both of its paths write these files
+        for T in ("0.5", "2.0"):
+            mapping = dict(base_simulate_cfg(tmp_path, out=f"out{T}"), **{"mode.T": T})
+            assert run(["simulate", write_cfg(tmp_path, f"{T}.cfg", mapping)]) == 0
+            for name in ("trace.csv", "field.csv"):
+                blob = (tmp_path / f"out{T}" / name).read_bytes()
+                assert b"\r" not in blob
+                rows = [line.split(",") for line in blob.decode("ascii").splitlines()[1:]]
+                tokens = [tok for row in rows for tok in row if tok not in PROVENANCE_NAMES]
+                assert [tok for tok in tokens if tok != format(float(tok), ".12g")] == []
+        blob = (tmp_path / "out0.5" / "trace.csv").read_bytes()
         assert b"0.333333333333" in blob  # 12 significant digits
 
 
@@ -1448,6 +1456,17 @@ class TestContract:
         assert proc.returncode == 3
         assert proc.stderr == ("error: segment 0: F/l, the rate of P, must stay finite: "
                                "F/l=inf at t=0\n")
+
+    def test_subnormal_interface_on_a_balanced_die_is_a_range_error_on_q(self, tmp_path):
+        # f_p(1) = 1/2 balances the die, so F/l and P stay finite, and zeta*N/l
+        # overflows at t = 0
+        proc = self.fresh_simulate(tmp_path, **{
+            "data.l0": "1e-306", "data.f0_p": "constant:0.5", "data.F_in": "constant:350",
+            "data.N": "constant:700", "mode.T": "1", "numerics.dx": "0.1",
+        })
+        assert proc.returncode == 3
+        assert proc.stderr == ("error: segment 0: q, the slope of Q, must stay finite: "
+                               "q=inf at t=0\n")
 
     def test_inflow_ratio_past_the_float_range_is_a_config_error(self, tmp_path):
         # F_in/(rho0*V_eff*N) overflows from t = 0.01 on

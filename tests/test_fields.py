@@ -484,15 +484,16 @@ class TestValueChars:
 
     def test_every_mask_key(self, monkeypatch):
         # each exponent e and each count s of significant digits, both signs:
-        # with e >= 0 and s > e + 1 the point lands in a group's NUL gap when
-        # e + 1 is a multiple of 3 (314.7) and takes a digit's byte otherwise
-        # (3.7); none of these values may leave the digit path
+        # ratios below 1 (e < 0) and whole numbers (s <= e + 1) stay on the
+        # digit path, and exactly the fractions at or above 1 (e >= 0 and
+        # s > e + 1, as 3.7 and 314.7) go to format_value
         calls = []
         monkeypatch.setattr(fields, "format_value", lambda x: calls.append(x) or format_value(x))
-        values = [float(f"{'314159265358'[:s - 1]}7e{e - s + 1}")
-                  for e in range(E_MIN, E_MAX + 1) for s in range(1, 13)]
+        keys = [(e, s) for e in range(E_MIN, E_MAX + 1) for s in range(1, 13)]
+        values = [float(f"{'314159265358'[:s - 1]}7e{e - s + 1}") for e, s in keys]
         assert_formats_like_format(values + [-v for v in values])
-        assert calls == []
+        fractions = [v for (e, s), v in zip(keys, values) if e >= 0 and s > e + 1]
+        assert calls == fractions + [-v for v in fractions]
 
     def test_fast_path_formats_a_field_block(self, monkeypatch):
         # an all-fallback formatter writes the same bytes; only this count tells

@@ -94,9 +94,9 @@ class TraceContext:
 
     Construction is one pass over the node arrays: the range checks, F, F/l
     and its finiteness, the running integrals of F and F/l (the latter is P)
-    from one 2-d `cumulative_integral`, the range of P, then q and Q, the
-    finiteness of each, and the monotone check of Q.  The views `l`, `N`,
-    `b` and the Hermite `_P`, `_Q` are built on first use.
+    from one 2-d `cumulative_integral`, the range of P, then Q and its
+    monotone check.  The views `l`, `N`, `b` and the Hermite `_P`, `_Q` are
+    built on first use.
     """
 
     def __init__(self, t_start: float, t_end: float, lb: np.ndarray, N: np.ndarray,
@@ -119,26 +119,22 @@ class TraceContext:
         if not (zeta_N - F).min() > 0.0:
             raise self._range_error("transport speed must stay positive up to x=1", "zeta*N - F",
                                     zeta_N - F, True)
-        # F/l overflows on a subnormal l; checked before it is integrated
-        with np.errstate(over="ignore"):
-            np.divide(F, l, out=rates[1])
-        if not np.isfinite(rates[1]).all():
-            raise self._range_error("F/l, the rate of P, must stay finite", "F/l", rates[1],
-                                    rates[1].min() == -np.inf)
-        displacement, P = cumulative_integral(rates, dt)
-        # exp(P) scales q, Q and every origin; with |P| within about half the
-        # exponent range of a float, they stay finite and nonzero
-        if not np.abs(P).max() <= 354.0:
-            raise self._range_error("P, the integral of F/l, must stay inside [-354, 354]",
-                                    "P", P, P.min() < -P.max())
-        # zeta*N/l overflows on a subnormal l where F/l stays finite (g = 0)
+        # F/l overflows on a subnormal l, and so can zeta*N/l where F/l stays
+        # finite (g = 0) and Q on a huge q: each is named by the check after
+        # it (q and Q by `_check_monotone`), with no numpy warning
         with np.errstate(over="ignore", invalid="ignore"):
+            np.divide(F, l, out=rates[1])
+            if not np.isfinite(rates[1]).all():
+                raise self._range_error("F/l, the rate of P, must stay finite", "F/l", rates[1],
+                                        rates[1].min() == -np.inf)
+            displacement, P = cumulative_integral(rates, dt)
+            # exp(P) scales q, Q and every origin; with |P| within about half
+            # the exponent range of a float, they stay finite and nonzero
+            if not np.abs(P).max() <= 354.0:
+                raise self._range_error("P, the integral of F/l, must stay inside [-354, 354]",
+                                        "P", P, P.min() < -P.max())
             q = zeta_N / l * np.exp(P)
             Q = cumulative_integral(q, dt)
-        if not q.max() < np.inf:
-            raise self._range_error("q, the slope of Q, must stay finite", "q", q, False)
-        if not Q[-1] < np.inf:
-            raise self._range_error("Q, the integral of q, must stay finite", "Q", Q, False)
         _check_monotone(Q, q, t_start, dt)
         self.lb, self.N_nodes, self._F_nodes, self._rates, self._q = lb, N, F, rates, q
         # the running integral of F is the interface displacement since t_start

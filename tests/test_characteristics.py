@@ -140,7 +140,7 @@ class TestTraceContext:
         lb = np.stack((np.full(11, l), np.full(11, 0.5)))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+            with pytest.raises(DivergenceError, match=f"^{re.escape(message)}$"):
                 TraceContext(0.0, t_end, lb, np.full(11, N), UNIT)
 
 

@@ -835,6 +835,11 @@ class TestSimulateCommand:
                 rows = [line.split(",") for line in blob.decode("ascii").splitlines()[1:]]
                 tokens = [tok for row in rows for tok in row if tok not in PROVENANCE_NAMES]
                 assert [tok for tok in tokens if tok != format(float(tok), ".12g")] == []
+            # the t column of the trace is the output grid, which takes the
+            # fallback past t = 1: a formatter that drops the point fails here
+            trace = (tmp_path / f"out{T}" / "trace.csv").read_text().splitlines()[1:]
+            grid = np.linspace(0.0, float(T), len(trace))
+            assert [line.partition(",")[0] for line in trace] == [format(t, ".12g") for t in grid]
         blob = (tmp_path / "out0.5" / "trace.csv").read_bytes()
         assert b"0.333333333333" in blob  # 12 significant digits
 
@@ -1441,10 +1446,10 @@ class TestContract:
         )
         assert not (tmp_path / "out").exists()
 
-    @pytest.mark.parametrize("l0", ["1e-6", "1e-12"])
+    @pytest.mark.parametrize("l0", ["1e-6", "1e-12", "1e-308"])
     def test_tiny_interface_is_a_range_error(self, tmp_path, l0):
         # F/l is of order 1/l0, so P, its integral, passes the float range in
-        # segment 0
+        # segment 0; at 1e-308 F/l stays finite and its integral overflows
         proc = self.fresh_simulate(tmp_path, **{"data.l0": l0})
         assert proc.returncode == 3
         assert re.fullmatch(r"error: segment 0: P, the integral of F/l, must stay inside "
